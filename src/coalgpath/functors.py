@@ -494,14 +494,10 @@ def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
 
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
     """The functorial action F(fun) applied to one term at an output sort."""
-    sigma = {(s, x): Var(s, y) for (s, x), y in fun.table.items()}
+    sigma = fun.var_subst
+    if sigma is None:
+        sigma = fun.var_subst = {(s, x): Var(s, y) for (s, x), y in fun.table.items()}
     return subst_node(f.node(sort), term, sigma)
-
-
-def fmap_all(f: Functor, fun: SortedFun, sort: str, terms: Iterable[Term]) -> tuple[Term, ...]:
-    sigma = {(s, x): Var(s, y) for (s, x), y in fun.table.items()}
-    node = f.node(sort)
-    return tuple(sorted({subst_node(node, t, sigma) for t in terms}))
 
 
 # ---------------------------------------------------------------------------

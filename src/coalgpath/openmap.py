@@ -1,14 +1,17 @@
 """Open-map checking, reachability, and the randomized theorem harness.
 
-Openness is checked through one-step path extensions.  A square with a
-length-difference of one is determined by the state reached at the last
-level, the precise shape chosen for the extension and the target-side
-instantiation of the fresh variables, so the check runs over
-(reachable state, shape, instantiation) triples; squares between
+Openness is checked through one-step path extensions; squares between
 equal-length paths need no check because all path-morphism components
-are bijections, and longer differences compose from single steps.  Each
-failure is materialized back into an explicit square witness that can be
-replayed against an exhaustive diagonal search.
+are bijections, and longer differences compose from single steps.  A
+target transition u in ``dst.xi[m(v)]`` at a reached state v lifts
+exactly when ``F(m)(t) = u`` for some t in ``src.xi[v]`` (instantiations
+of a shape that give the same u differ by a shape symmetry, which
+analytic canonicalization absorbs), so the check is one image per state.
+Only a state with unmatched targets enumerates (shape, instantiation)
+pairs, over the elements of those targets; the first hit is the least
+failing triple of the full enumeration, and it is materialized into an
+explicit square witness that can be replayed against an exhaustive
+diagonal search.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .coalgebra import (
     is_strict_hom,
     random_coalgebra,
 )
-from .functors import Functor, Term, Var, bot_of_plus1, fmap, occurrences, step_of_plus1
+from .functors import (
+    Functor, Term, TermError, Var, bot_of_plus1, fmap, functor_has_pf, occurrences, step_of_plus1, subst_node,
+)
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
 from .sets import CoalgError, SortedFun, SortedSet
@@ -161,66 +166,54 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
     src, dst = m.src, m.dst
     if not m.preserves_pointing():
         return OpenCheckReport("not-open", bound, reason="map does not preserve the pointing")
+    functor = src.functor
+    images: dict[tuple[str, str], set[Term]] = {}
     for (s, x) in src.states():
+        targets = set(dst.xi[(s, m.map(s, x))])
+        image = images[(s, x)] = set()
         for t in src.xi[(s, x)]:
-            image = fmap(src.functor, m.map, s, t)
-            if image not in dst.xi[(s, m.map(s, x))]:
+            u = fmap(functor, m.map, s, t)
+            if u not in targets:
                 return OpenCheckReport(
                     "not-open", bound, reason="not a lax homomorphism",
                     lax_violation=((s, x), t),
                 )
+            image.add(u)
     levels, _union = reachable_bfs(src)
-    functor = src.functor
     checked: set[tuple[str, str]] = set()
     for level_index, level in enumerate(levels):
         if level_index >= bound:
             break
         for (s, v) in sorted(level - checked):
             checked.add((s, v))
-            for shape in element_shapes(functor, s):
-                fresh_vars = sorted(
-                    {(var.sort, var.name) for var, _p in occurrences(functor.node(s), shape)}
+            missing = set(dst.xi[(s, m.map(s, v))]) - images[(s, v)]
+            if not missing:
+                continue
+            failing = _least_failing_triple(functor, dst, s, missing)
+            if failing is not None:
+                shape, fresh_vars, phi = failing
+                witness = _materialize_witness(m, levels, level_index, (s, v), shape, fresh_vars, phi)
+                return OpenCheckReport(
+                    "not-open", bound,
+                    reason=f"no lift at state {v} for shape {shape!r}",
+                    witness=witness,
                 )
-                pools = [dst.carrier.elems(vs) for vs, _vn in fresh_vars]
-                if any(not pool for pool in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    phi = dict(zip(fresh_vars, combo))
-                    target = _instantiate(functor, s, shape, phi)
-                    if target not in dst.xi[(s, m.map(s, v))]:
-                        continue
-                    if not _has_lift(m, s, v, shape, fresh_vars, phi):
-                        witness = _materialize_witness(m, levels, level_index, (s, v), shape, fresh_vars, phi)
-                        return OpenCheckReport(
-                            "not-open", bound,
-                            reason=f"no lift at state {v} for shape {shape!r}",
-                            witness=witness,
-                        )
     return OpenCheckReport("open", bound)
 
 
-def _instantiate(functor: Functor, sort: str, shape: Term, phi: dict) -> Term:
-    from .functors import subst_node
-
-    sigma = {key: Var(key[0], name) for key, name in phi.items()}
-    return subst_node(functor.node(sort), shape, sigma)
-
-
-def _has_lift(m: CoalgMorphism, sort: str, v: str, shape: Term, fresh_vars: list, phi: dict) -> bool:
-    src = m.src
-    pools = []
-    for (vs, vn) in fresh_vars:
-        target = phi[(vs, vn)]
-        pool = [x for x in src.carrier.elems(vs) if m.map(vs, x) == target]
-        if not pool:
-            return False
-        pools.append(pool)
-    for combo in itertools.product(*pools):
-        psi = dict(zip(fresh_vars, combo))
-        candidate = _instantiate(src.functor, sort, shape, psi)
-        if candidate in src.xi[(sort, v)]:
-            return True
-    return False
+def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, missing: set[Term]):
+    """The first (shape, fresh variables, instantiation) hitting a missing
+    target; pools keep only elements of missing targets, in carrier order."""
+    node = functor.node(sort)
+    used = {(var.sort, var.name) for u in missing for var, _p in occurrences(node, u)}
+    for shape in element_shapes(functor, sort):
+        fresh_vars = sorted({(var.sort, var.name) for var, _p in occurrences(node, shape)})
+        pools = [[e for e in dst.carrier.elems(vs) if (vs, e) in used] for vs, _vn in fresh_vars]
+        for combo in itertools.product(*pools):
+            sigma = {key: Var(key[0], e) for key, e in zip(fresh_vars, combo)}
+            if subst_node(node, shape, sigma) in missing:
+                return shape, fresh_vars, dict(zip(fresh_vars, combo))
+    return None
 
 
 def _chain_to_state(
@@ -323,8 +316,6 @@ def _materialize_witness(
     for key in path.levels[-1].pairs():
         if key == hit:
             sigma = {k: Var(k[0], rename[k]) for k in rename}
-            from .functors import subst_node
-
             table[key] = step_of_plus1(subst_node(src.functor.node(key[0]), shape, sigma))
         else:
             table[key] = bot_of_plus1()
@@ -489,6 +480,12 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
     """
     if trials < 1:
         raise CoalgError("at least one trial required")
+    # a spec every trial would fail on is bad input, not a failed trial
+    if functor_has_pf(spec.functor):
+        raise TermError("the branching layer is implicit; F must be powerset-free")
+    for s, n in spec.sizes.items():
+        if n < 1:
+            raise CoalgError(f"carrier size for sort {s!r} must be at least 1, got {n}")
     seed_rng = random.Random(spec.seed)
     subseeds = [seed_rng.randrange(2**63) for _ in range(trials)]
     results: list[TrialResult] = []
@@ -504,7 +501,7 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     rng = random.Random(subseed)
     clauses: list[str] = []
     passed = True
-    sizes = {s: max(1, rng.randint(1, n)) if n else 0 for s, n in spec.sizes.items()}
+    sizes = {s: rng.randint(1, n) for s, n in spec.sizes.items()}
     raw = random_coalgebra(
         GenSpec(spec.functor, sizes, spec.density, rng.randrange(2**63), spec.pointing)
     )

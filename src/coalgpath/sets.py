@@ -102,15 +102,18 @@ class SortedFun:
 
     ``table`` is keyed by (sort, element) over the domain.  The codomain
     may be another SortedSet or, for maps into ``F(Y)``, ``None`` (the
-    caller tracks the term space).
+    caller tracks the term space).  ``table`` is never written after
+    construction, so ``var_subst``, the variable substitution that
+    ``functors.fmap`` derives from it, is built on first use and kept.
     """
 
-    __slots__ = ("dom", "cod", "table")
+    __slots__ = ("dom", "cod", "table", "var_subst")
 
     def __init__(self, dom: SortedSet, cod: SortedSet | None, table: Mapping[tuple[str, str], object]):
         self.dom = dom
         self.cod = cod
         self.table = dict(table)
+        self.var_subst = None
         for key in dom.pairs():
             if key not in self.table:
                 raise SortError(f"map not total: missing {key}")

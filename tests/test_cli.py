@@ -98,6 +98,12 @@ class TestVerbs:
         assert code == 0
         assert text.splitlines()[-1] == "all passed (10 trials)"
 
+    @pytest.mark.parametrize("extra", [["--functor", "pf(id)"], ["--functor", "prod(id, id)", "--states", "0"]])
+    def test_verify_invalid_spec_exit_two(self, extra):
+        text, code = run_command(["verify", *extra, "--trials", "3"])
+        assert code == 2
+        assert text.startswith("error: ") and "FAILURES" not in text
+
     def test_lasota(self, tmp_path):
         from coalgpath.lasota import poset_category
         from coalgpath.modelio import print_category

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,19 +13,29 @@ from coalgpath.coalgebra import (
     linear_word_system,
     random_coalgebra,
 )
-from coalgpath.functors import Const, Coprod, Prod, SortRef, functor, lts_functor, plus1
+from coalgpath.coalgebra import PointedCoalgebra
+from coalgpath.functors import (
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, fmap, functor, lts_functor, occurrences, plus1, subst_node,
+)
+from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import (
+    OpenCheckReport,
+    _add_noise,
+    _materialize_witness,
+    _quotient_map,
+    _random_map,
     is_open,
     is_path_reachable,
     is_reachable_no_proper_sub,
     reachable_bfs,
     replay_witness,
     run_reachable_states,
+    serialize_witness,
     verify_theorems,
 )
 from coalgpath.paths import Run, enumerate_runs, is_run, make_path, run_image
-from coalgpath.precise import enumerate_precise_maps
-from coalgpath.sets import DEFAULT_SORT, SortedFun, all_functions
+from coalgpath.precise import element_shapes, enumerate_precise_maps
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet, all_functions
 
 from conftest import single, whyplus1_system
 
@@ -216,6 +228,170 @@ class TestNaiveAgreement:
                 assert is_open(m, bound).is_open == naive_is_open(m, bound), f"seed {seed}"
                 checked += 1
         assert checked
+
+
+def _instantiate(f_expr, sort, shape, phi):
+    return subst_node(f_expr.node(sort), shape, {key: Var(key[0], name) for key, name in phi.items()})
+
+
+def _has_lift(m, sort, v, shape, fresh_vars, phi):
+    pools = [[x for x in m.src.carrier.elems(vs) if m.map(vs, x) == phi[(vs, vn)]] for vs, vn in fresh_vars]
+    for combo in itertools.product(*pools):
+        if _instantiate(m.src.functor, sort, shape, dict(zip(fresh_vars, combo))) in m.src.xi[(sort, v)]:
+            return True
+    return False
+
+
+def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
+    """Every (reached state, precise shape, instantiation over the whole
+    target carrier) triple, in that order, checked for a source lift; the
+    first target transition without one gives the witness.  Exponential
+    in the shape arity; for cross-checks only."""
+    src, dst = m.src, m.dst
+    if not m.preserves_pointing():
+        return OpenCheckReport("not-open", bound, reason="map does not preserve the pointing")
+    for (s, x) in src.states():
+        for t in src.xi[(s, x)]:
+            if fmap(src.functor, m.map, s, t) not in dst.xi[(s, m.map(s, x))]:
+                return OpenCheckReport("not-open", bound, reason="not a lax homomorphism",
+                                       lax_violation=((s, x), t))
+    levels, _union = reachable_bfs(src)
+    f_expr = src.functor
+    checked = set()
+    for level_index, level in enumerate(levels):
+        if level_index >= bound:
+            break
+        for (s, v) in sorted(level - checked):
+            checked.add((s, v))
+            for shape in element_shapes(f_expr, s):
+                fresh_vars = sorted({(var.sort, var.name) for var, _p in occurrences(f_expr.node(s), shape)})
+                pools = [dst.carrier.elems(vs) for vs, _vn in fresh_vars]
+                for combo in itertools.product(*pools):
+                    phi = dict(zip(fresh_vars, combo))
+                    if _instantiate(f_expr, s, shape, phi) not in dst.xi[(s, m.map(s, v))]:
+                        continue
+                    if not _has_lift(m, s, v, shape, fresh_vars, phi):
+                        witness = _materialize_witness(m, levels, level_index, (s, v), shape, fresh_vars, phi)
+                        return OpenCheckReport("not-open", bound, reason=f"no lift at state {v} for shape {shape!r}",
+                                               witness=witness)
+    return OpenCheckReport("open", bound)
+
+
+def report_bytes(report: OpenCheckReport):
+    witness = serialize_witness(report.witness) if report.witness is not None else None
+    return report.verdict, report.reason, report.lax_violation, witness
+
+
+WITNESS_ORACLE_FUNCTORS = [
+    "prod(const(a b), id)",
+    "prod(id, id)",
+    "analytic{ pair/2 [(1 2)] ; tri/3 [(1 2 3)] ; leaf/0 }",
+    "analytic{ s3/3 [(1 2)(1 2 3)] ; leaf/0 }",
+    "coprod(const(c), prod(id, id))",
+    "compose(prod(id, id), coprod(const(c), id))",
+    "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",
+]
+
+
+class TestEnumeratingAgreement:
+    """The target-driven check against the shape x instantiation enumeration
+    it replaced: same verdict, reason, lax violation and witness bytes."""
+
+    @pytest.mark.parametrize("text", WITNESS_ORACLE_FUNCTORS)
+    def test_witness_sweep(self, text):
+        f_expr = functor(parse_functor_text(text))
+        rng = random.Random(text)
+        outcomes = Counter()
+        for seed in range(50):
+            src = random_coalgebra(GenSpec(f_expr, {DEFAULT_SORT: rng.randint(1, 4)}, 0.3, seed))
+            _levels, union = reachable_bfs(src)
+            src = src.restrict(union)
+            dst = random_coalgebra(GenSpec(f_expr, {DEFAULT_SORT: rng.randint(1, 3)}, 0.4, seed + 1000))
+            fold, fold_fun = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+            maps = ((dst, _random_map(rng, src, dst)), (fold, fold_fun), (_add_noise(rng, fold, 2), fold_fun))
+            for dst, fun in maps:
+                m = CoalgMorphism(src, dst, fun)
+                bound = src.carrier.size() + 1
+                fast = is_open(m, bound)
+                assert report_bytes(fast) == report_bytes(enumerating_is_open(m, bound)), f"seed {seed}"
+                outcomes["witness" if fast.witness is not None else fast.verdict] += 1
+        assert outcomes["open"] and outcomes["witness"], outcomes
+
+
+def wide_system(arity: int, n: int, seed: int):
+    """An ``arity``-fold product system on s00..: three distinct transitions
+    per state, the first leading to the next state, so all are reachable."""
+    rng = random.Random(seed)
+    trans = []
+    for i in range(n):
+        out = []
+        while len(out) < 3:
+            succ = tuple(rng.randrange(n) for _ in range(arity))
+            if not out:
+                succ = ((i + 1) % n,) + succ[1:]
+            if succ not in out:
+                out.append(succ)
+        trans.append(out)
+    return trans
+
+
+def product_coalgebra(arity: int, names: list[str], trans: list[tuple[str, tuple[str, ...]]]):
+    xi = {(DEFAULT_SORT, x): set() for x in names}
+    for x, succ in trans:
+        xi[(DEFAULT_SORT, x)].add(TupleTerm(tuple(Var(DEFAULT_SORT, y) for y in succ)))
+    return PointedCoalgebra(
+        functor(Prod((SortRef(),) * arity)), SortedSet.single(["*"]), SortedSet.single(names),
+        {(DEFAULT_SORT, "*"): names[0]}, {k: tuple(sorted(v)) for k, v in xi.items()},
+    )
+
+
+def two_copy_fold(arity: int, n: int, seed: int, drop: bool):
+    """Copies a/b of every state, each lifting every transition once with a
+    random copy per successor; the fold a_i, b_i -> s_i is strict.  With
+    ``drop`` the pointed copy loses one transition: still lax, not strict."""
+    rng = random.Random(seed)
+    base = wide_system(arity, n, seed)
+    d_names = [f"s{i:02d}" for i in range(n)]
+    dst = product_coalgebra(arity, d_names, [(d_names[i], tuple(d_names[j] for j in succ))
+                                             for i, out in enumerate(base) for succ in out])
+    copy = {c: [f"{c}{i:02d}" for i in range(n)] for c in "ab"}
+    s_trans = [(copy[c][i], tuple(copy[rng.choice("ab")][j] for j in succ))
+               for c in "ab" for i, out in enumerate(base) for succ in out]
+    if drop:
+        del s_trans[rng.randrange(3)]  # one of a00's three transitions
+    src = product_coalgebra(arity, copy["a"] + copy["b"], s_trans)
+    table = {(DEFAULT_SORT, copy[c][i]): d_names[i] for c in "ab" for i in range(n)}
+    return CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
+
+
+class TestLargeSystems:
+    """Sizes the shape x instantiation enumeration could not reach in a test
+    run (its cost grew with states^(arity+1))."""
+
+    @pytest.mark.parametrize("arity, n", [(2, 64), (3, 32)])
+    def test_identity_is_open(self, arity, n):
+        names = [f"s{i:02d}" for i in range(n)]
+        c = product_coalgebra(arity, names, [(names[i], tuple(names[j] for j in succ))
+                                             for i, out in enumerate(wide_system(arity, n, 7)) for succ in out])
+        m = CoalgMorphism(c, c, SortedFun.identity(c.carrier))
+        assert reachable_bfs(c)[1] == set(c.carrier.pairs())
+        assert is_open(m, n + 1).is_open
+
+    def test_two_copy_fold_is_open(self):
+        m = two_copy_fold(2, 32, 11, drop=False)
+        assert is_strict_hom(m)
+        assert is_open(m, m.src.carrier.size() + 1).is_open
+
+    def test_dropped_transition_fold_has_replaying_witness(self):
+        m = two_copy_fold(2, 32, 11, drop=True)
+        assert is_lax_hom(m) and not is_strict_hom(m)
+        bound = m.src.carrier.size() + 1
+        report = is_open(m, bound)
+        assert not report.is_open
+        assert report.witness is not None and report.witness.path.length == 0
+        assert replay_witness(m, report.witness)
+        # the defect sits at the pointed state, so the enumeration stops early
+        assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
 
 
 class TestHarness:
