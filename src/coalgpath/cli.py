@@ -267,13 +267,11 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         return 0 if report.ok else 1
 
     if args.verb == "rnna":
-        presentation = parse_rnna(_read(args.file))
-        pool = AtomPool(args.pool)
-        system = rnna_expand(presentation, pool)
+        system = rnna_expand(parse_rnna(_read(args.file)), AtomPool(args.pool))
         _emit(out, f"states: {system.carrier.size()}")
         transitions = sum(len(v) for v in system.xi.values())
         _emit(out, f"transitions: {transitions}")
-        for form in sorted(bar_trace(presentation, pool, args.depth)):
+        for form in sorted(bar_trace(system, args.depth)):
             _emit(out, print_canonical(form))
         return 0
 

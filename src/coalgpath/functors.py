@@ -1,15 +1,17 @@
 """Syntactic functor expressions over finite sorted sets, and their terms.
 
 A :class:`Functor` assigns to every output sort an expression built from
-constants, sort projections, finite products and coproducts, composition,
-analytic quotients (tuples modulo a permutation group) and the finite
-powerset.  Terms of ``F(X)`` are immutable trees kept in a canonical
-form: analytic arguments are the lexicographically least orbit
-representative and powerset contents are sorted and duplicate-free.
+constants, sort projections, finite products and coproducts, analytic
+quotients (tuples modulo a permutation group, whose slots are
+expressions) and the finite powerset.  Terms of ``F(X)`` are immutable
+trees kept in a canonical form: analytic arguments are the
+lexicographically least orbit representative and powerset contents are
+sorted and duplicate-free.
 
-All term operations (evaluation, substitution, occurrence analysis) walk
-the expression and the term together, so composite functors never need
-to be flattened into an explicit signature.
+Composition is normalized when it is built: :func:`compose` substitutes
+the inner expressions for the sort leaves of the outer one, so a
+composite is just another expression of the grammar and every term
+operation walks the expression and the term together.
 """
 
 from __future__ import annotations
@@ -198,16 +200,16 @@ class Coprod(Node):
 @dataclass(frozen=True)
 class Symbol:
     name: str
-    slot_sorts: tuple[str, ...]
+    slots: tuple[Node, ...]
     group: PermGroup
 
     def __post_init__(self) -> None:
-        if self.group.arity != len(self.slot_sorts):
+        if self.group.arity != len(self.slots):
             raise TermError(f"group arity mismatch for symbol {self.name!r}")
         for gen in self.group.generators:
             for i, j in enumerate(gen):
-                if self.slot_sorts[i] != self.slot_sorts[j]:
-                    raise TermError(f"generator of {self.name!r} does not preserve slot sorts")
+                if self.slots[i] != self.slots[j]:
+                    raise TermError(f"generator of {self.name!r} does not preserve slot expressions")
 
 
 @dataclass(frozen=True)
@@ -229,14 +231,6 @@ class Analytic(Node):
 @dataclass(frozen=True)
 class Pf(Node):
     inner: Node
-
-
-@dataclass(frozen=True)
-class ComposeNode(Node):
-    """outer after inner: Sort leaves of ``outer`` denote inner components."""
-
-    outer: Node
-    inner: "Functor"
 
 
 @dataclass(frozen=True)
@@ -264,6 +258,26 @@ def multisorted(sorts: Iterable[str], nodes: Mapping[str, Node]) -> Functor:
 
 
 IDENTITY_NODE = SortRef(DEFAULT_SORT)
+
+
+def compose(outer: Node, inner: Functor) -> Node:
+    """``outer`` after ``inner``: each sort leaf of ``outer`` replaced by
+    the inner expression at that sort."""
+    if isinstance(outer, SortRef):
+        return inner.node(outer.sort)
+    if isinstance(outer, Const):
+        return outer
+    if isinstance(outer, Prod):
+        return Prod(tuple(compose(p, inner) for p in outer.parts))
+    if isinstance(outer, Coprod):
+        return Coprod(tuple(compose(p, inner) for p in outer.parts))
+    if isinstance(outer, Analytic):
+        return Analytic(tuple(
+            Symbol(sym.name, tuple(compose(n, inner) for n in sym.slots), sym.group) for sym in outer.symbols
+        ))
+    if isinstance(outer, Pf):
+        return Pf(compose(outer.inner, inner))
+    raise TermError(f"unknown node {outer!r}")
 
 
 def plus1_node(node: Node) -> Node:
@@ -298,8 +312,8 @@ def node_has_pf(node: Node) -> bool:
         return True
     if isinstance(node, (Prod, Coprod)):
         return any(node_has_pf(p) for p in node.parts)
-    if isinstance(node, ComposeNode):
-        return node_has_pf(node.outer) or functor_has_pf(node.inner)
+    if isinstance(node, Analytic):
+        return any(node_has_pf(n) for sym in node.symbols for n in sym.slots)
     return False
 
 
@@ -333,7 +347,7 @@ def _eval_node(node: Node, env: Env) -> tuple[Term, ...]:
         out = []
         seen = set()
         for sym in node.symbols:
-            slots = [_eval_node(SortRef(s), env) for s in sym.slot_sorts]
+            slots = [_eval_node(n, env) for n in sym.slots]
             for combo in itertools.product(*slots):
                 t = ansym(sym.group, sym.name, combo)
                 if t.key not in seen:
@@ -347,9 +361,6 @@ def _eval_node(node: Node, env: Env) -> tuple[Term, ...]:
             for combo in itertools.combinations(base, r):
                 out.append(SetOf(combo))
         return tuple(out)
-    if isinstance(node, ComposeNode):
-        inner_env = {s: _eval_node(node.inner.node(s), env) for s in node.inner.sorts}
-        return _eval_node(node.outer, inner_env)
     raise TermError(f"unknown node {node!r}")
 
 
@@ -394,102 +405,66 @@ def term_in_functor(f: Functor, sort: str, term: Term, x: SortedSet) -> bool:
                 sym = node.symbol(t.sym)
             except TermError:
                 return False
-            if len(t.args) != len(sym.slot_sorts):
+            if len(t.args) != len(sym.slots):
                 return False
             if ansym(sym.group, sym.name, t.args) != t:
                 return False
-            return all(check(SortRef(s), a) for s, a in zip(sym.slot_sorts, t.args))
+            return all(check(n, a) for n, a in zip(sym.slots, t.args))
         if isinstance(node, Pf):
             return isinstance(t, SetOf) and all(check(node.inner, a) for a in t.args)
-        if isinstance(node, ComposeNode):
-            def check_inner(n: Node, u: Term) -> bool:
-                if isinstance(n, SortRef):
-                    return check(node.inner.node(n.sort), u)
-                return _structural(n, u, check_inner)
-            return check_inner(node.outer, t)
         raise TermError(f"unknown node {node!r}")
-
-    def _structural(n: Node, u: Term, rec: Callable[[Node, Term], bool]) -> bool:
-        if isinstance(n, Const):
-            return isinstance(u, ConstElem) and u.name in n.elems
-        if isinstance(n, Prod):
-            return isinstance(u, TupleTerm) and len(u.args) == len(n.parts) and all(
-                rec(p, a) for p, a in zip(n.parts, u.args)
-            )
-        if isinstance(n, Coprod):
-            return isinstance(u, Inj) and 0 <= u.index < len(n.parts) and rec(n.parts[u.index], u.arg)
-        if isinstance(n, Analytic):
-            if not isinstance(u, AnSym):
-                return False
-            try:
-                sym = n.symbol(u.sym)
-            except TermError:
-                return False
-            return len(u.args) == len(sym.slot_sorts) and all(
-                rec(SortRef(s), a) for s, a in zip(sym.slot_sorts, u.args)
-            )
-        if isinstance(n, Pf):
-            return isinstance(u, SetOf) and all(rec(n.inner, a) for a in u.args)
-        if isinstance(n, ComposeNode):
-            raise TermError("nested composition inside composition outer layer")
-        raise TermError(f"unknown node {n!r}")
 
     return check(f.node(sort), term)
 
 
 # ---------------------------------------------------------------------------
-# Substitution and functorial action
+# Rebuilding terms leaf by leaf
+
+def map_leaves(node: Node, term: Term, leaf: Callable[[SortRef, Term], Term]) -> Term:
+    """Rebuild ``term`` with the subterm at each sort leaf replaced by
+    ``leaf(ref, subterm)``, re-canonicalizing on the way up.
+
+    Leaves are visited in occurrence order (see :func:`occurrences`).
+    """
+    if isinstance(node, SortRef):
+        return leaf(node, term)
+    if isinstance(node, Const):
+        if isinstance(term, ConstElem) and term.name in node.elems:
+            return term
+    elif isinstance(node, Prod):
+        if isinstance(term, TupleTerm) and len(term.args) == len(node.parts):
+            return TupleTerm(tuple([map_leaves(p, a, leaf) for p, a in zip(node.parts, term.args)]))
+    elif isinstance(node, Coprod):
+        if isinstance(term, Inj) and 0 <= term.index < len(node.parts):
+            return Inj(term.index, map_leaves(node.parts[term.index], term.arg, leaf))
+    elif isinstance(node, Analytic):
+        if isinstance(term, AnSym):
+            sym = node.symbol(term.sym)
+            if len(term.args) == len(sym.slots):
+                return ansym(sym.group, sym.name, [map_leaves(n, a, leaf) for n, a in zip(sym.slots, term.args)])
+    elif isinstance(node, Pf):
+        if isinstance(term, SetOf):
+            return SetOf([map_leaves(node.inner, a, leaf) for a in term.args])
+    else:
+        raise TermError(f"unknown node {node!r}")
+    raise TermError(f"{term!r} does not fit {node!r}")
+
 
 Subst = Mapping[tuple[str, str], Term]
 
 
 def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
     """Replace variables by terms, re-canonicalizing on the way up."""
-    if isinstance(node, Const):
-        return term
-    if isinstance(node, SortRef):
-        if not isinstance(term, Var):
-            raise TermError(f"expected a variable at sort {node.sort!r}, got {term!r}")
+
+    def leaf(ref: SortRef, t: Term) -> Term:
+        if not isinstance(t, Var):
+            raise TermError(f"expected a variable at sort {ref.sort!r}, got {t!r}")
         try:
-            return sigma[(term.sort, term.name)]
+            return sigma[(t.sort, t.name)]
         except KeyError:
-            raise TermError(f"variable {term.name!r} (sort {term.sort!r}) not in substitution") from None
-    if isinstance(node, Prod):
-        assert isinstance(term, TupleTerm)
-        return TupleTerm(tuple(subst_node(p, a, sigma) for p, a in zip(node.parts, term.args)))
-    if isinstance(node, Coprod):
-        assert isinstance(term, Inj)
-        return Inj(term.index, subst_node(node.parts[term.index], term.arg, sigma))
-    if isinstance(node, Analytic):
-        assert isinstance(term, AnSym)
-        sym = node.symbol(term.sym)
-        new_args = tuple(subst_node(SortRef(s), a, sigma) for s, a in zip(sym.slot_sorts, term.args))
-        return ansym(sym.group, sym.name, new_args)
-    if isinstance(node, Pf):
-        assert isinstance(term, SetOf)
-        return SetOf(subst_node(node.inner, a, sigma) for a in term.args)
-    if isinstance(node, ComposeNode):
-        def rec(n: Node, u: Term) -> Term:
-            if isinstance(n, SortRef):
-                return subst_node(node.inner.node(n.sort), u, sigma)
-            if isinstance(n, Const):
-                return u
-            if isinstance(n, Prod):
-                assert isinstance(u, TupleTerm)
-                return TupleTerm(tuple(rec(p, a) for p, a in zip(n.parts, u.args)))
-            if isinstance(n, Coprod):
-                assert isinstance(u, Inj)
-                return Inj(u.index, rec(n.parts[u.index], u.arg))
-            if isinstance(n, Analytic):
-                assert isinstance(u, AnSym)
-                sym = n.symbol(u.sym)
-                return ansym(sym.group, sym.name, tuple(rec(SortRef(s), a) for s, a in zip(sym.slot_sorts, u.args)))
-            if isinstance(n, Pf):
-                assert isinstance(u, SetOf)
-                return SetOf(rec(n.inner, a) for a in u.args)
-            raise TermError(f"unknown node {n!r}")
-        return rec(node.outer, term)
-    raise TermError(f"unknown node {node!r}")
+            raise TermError(f"variable {t.name!r} (sort {t.sort!r}) not in substitution") from None
+
+    return map_leaves(node, term, leaf)
 
 
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
@@ -500,6 +475,12 @@ def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
     return subst_node(f.node(sort), term, sigma)
 
 
+def rebuild_with_fresh(node: Node, term: Term, fresh: Callable[[Var, tuple[int, ...]], Var]) -> Term:
+    """Replace each variable occurrence by ``fresh(var, path)``, re-canonicalizing."""
+    occ = iter(occurrences(node, term))
+    return map_leaves(node, term, lambda _ref, _t: fresh(*next(occ)))
+
+
 # ---------------------------------------------------------------------------
 # Occurrence analysis
 
@@ -507,117 +488,37 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
     """Every variable leaf of ``term`` with its tree path.
 
     Paths are child indices: product/analytic slot positions and
-    coproduct injection indices; composition flattens outer and inner
-    paths.  Undefined on powerset nodes.
+    coproduct injection indices.  Undefined on powerset nodes.
     """
-    if isinstance(node, Const):
-        return []
     if isinstance(node, SortRef):
         if not isinstance(term, Var):
             raise TermError(f"expected a variable, got {term!r}")
         return [(term, _path)]
-    if isinstance(node, Prod):
-        assert isinstance(term, TupleTerm)
-        out: list[tuple[Var, tuple[int, ...]]] = []
-        for i, (p, a) in enumerate(zip(node.parts, term.args)):
-            out.extend(occurrences(p, a, _path + (i,)))
-        return out
-    if isinstance(node, Coprod):
-        assert isinstance(term, Inj)
-        return occurrences(node.parts[term.index], term.arg, _path + (term.index,))
-    if isinstance(node, Analytic):
-        assert isinstance(term, AnSym)
-        sym = node.symbol(term.sym)
-        out = []
-        for i, (s, a) in enumerate(zip(sym.slot_sorts, term.args)):
-            out.extend(occurrences(SortRef(s), a, _path + (i,)))
-        return out
-    if isinstance(node, Pf):
-        raise PowersetNodeError("occurrence analysis is undefined on powerset nodes")
-    if isinstance(node, ComposeNode):
-        def rec(n: Node, u: Term, path: tuple[int, ...]) -> list[tuple[Var, tuple[int, ...]]]:
-            if isinstance(n, SortRef):
-                return occurrences(node.inner.node(n.sort), u, path)
-            if isinstance(n, Const):
-                return []
-            if isinstance(n, Prod):
-                assert isinstance(u, TupleTerm)
-                acc: list[tuple[Var, tuple[int, ...]]] = []
-                for i, (p, a) in enumerate(zip(n.parts, u.args)):
-                    acc.extend(rec(p, a, path + (i,)))
-                return acc
-            if isinstance(n, Coprod):
-                assert isinstance(u, Inj)
-                return rec(n.parts[u.index], u.arg, path + (u.index,))
-            if isinstance(n, Analytic):
-                assert isinstance(u, AnSym)
-                sym = n.symbol(u.sym)
-                acc = []
-                for i, (s, a) in enumerate(zip(sym.slot_sorts, u.args)):
-                    acc.extend(rec(SortRef(s), a, path + (i,)))
-                return acc
-            if isinstance(n, Pf):
-                raise PowersetNodeError("occurrence analysis is undefined on powerset nodes")
-            raise TermError(f"unknown node {n!r}")
-        return rec(node.outer, term, _path)
-    raise TermError(f"unknown node {node!r}")
-
-
-def rebuild_with_fresh(
-    node: Node,
-    term: Term,
-    fresh: Callable[[Var, tuple[int, ...]], Var],
-    _path: tuple[int, ...] = (),
-) -> Term:
-    """Replace each variable occurrence by ``fresh(var, path)``, re-canonicalizing."""
     if isinstance(node, Const):
-        return term
-    if isinstance(node, SortRef):
-        assert isinstance(term, Var)
-        return fresh(term, _path)
-    if isinstance(node, Prod):
-        assert isinstance(term, TupleTerm)
-        return TupleTerm(
-            tuple(rebuild_with_fresh(p, a, fresh, _path + (i,)) for i, (p, a) in enumerate(zip(node.parts, term.args)))
-        )
-    if isinstance(node, Coprod):
-        assert isinstance(term, Inj)
-        return Inj(term.index, rebuild_with_fresh(node.parts[term.index], term.arg, fresh, _path + (term.index,)))
-    if isinstance(node, Analytic):
-        assert isinstance(term, AnSym)
-        sym = node.symbol(term.sym)
-        new_args = tuple(
-            rebuild_with_fresh(SortRef(s), a, fresh, _path + (i,))
-            for i, (s, a) in enumerate(zip(sym.slot_sorts, term.args))
-        )
-        return ansym(sym.group, sym.name, new_args)
-    if isinstance(node, Pf):
-        raise PowersetNodeError("fresh-variable rebuilding is undefined on powerset nodes")
-    if isinstance(node, ComposeNode):
-        def rec(n: Node, u: Term, path: tuple[int, ...]) -> Term:
-            if isinstance(n, SortRef):
-                return rebuild_with_fresh(node.inner.node(n.sort), u, fresh, path)
-            if isinstance(n, Const):
-                return u
-            if isinstance(n, Prod):
-                assert isinstance(u, TupleTerm)
-                return TupleTerm(tuple(rec(p, a, path + (i,)) for i, (p, a) in enumerate(zip(n.parts, u.args))))
-            if isinstance(n, Coprod):
-                assert isinstance(u, Inj)
-                return Inj(u.index, rec(n.parts[u.index], u.arg, path + (u.index,)))
-            if isinstance(n, Analytic):
-                assert isinstance(u, AnSym)
-                sym = n.symbol(u.sym)
-                return ansym(
-                    sym.group,
-                    sym.name,
-                    tuple(rec(SortRef(s), a, path + (i,)) for i, (s, a) in enumerate(zip(sym.slot_sorts, u.args))),
-                )
-            if isinstance(n, Pf):
-                raise PowersetNodeError("fresh-variable rebuilding is undefined on powerset nodes")
-            raise TermError(f"unknown node {n!r}")
-        return rec(node.outer, term, _path)
-    raise TermError(f"unknown node {node!r}")
+        if isinstance(term, ConstElem) and term.name in node.elems:
+            return []
+    elif isinstance(node, Prod):
+        if isinstance(term, TupleTerm) and len(term.args) == len(node.parts):
+            out: list[tuple[Var, tuple[int, ...]]] = []
+            for i, (p, a) in enumerate(zip(node.parts, term.args)):
+                out.extend(occurrences(p, a, _path + (i,)))
+            return out
+    elif isinstance(node, Coprod):
+        if isinstance(term, Inj) and 0 <= term.index < len(node.parts):
+            return occurrences(node.parts[term.index], term.arg, _path + (term.index,))
+    elif isinstance(node, Analytic):
+        if isinstance(term, AnSym):
+            sym = node.symbol(term.sym)
+            if len(term.args) == len(sym.slots):
+                out = []
+                for i, (n, a) in enumerate(zip(sym.slots, term.args)):
+                    out.extend(occurrences(n, a, _path + (i,)))
+                return out
+    elif isinstance(node, Pf):
+        raise PowersetNodeError("occurrence analysis is undefined on powerset nodes")
+    else:
+        raise TermError(f"unknown node {node!r}")
+    raise TermError(f"{term!r} does not fit {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ functor grammar is
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
     | compose(f, g) | analytic{ sym/arity [(1 2)(3 4)] ; ... } | plus1(f) | pf(f)
 
-and terms are written ``name``, ``(t, ..., t)``, ``in<k>(t)``,
+where ``compose(f, g)`` is parsed as ``f`` with ``g`` substituted for
+``id``, and terms are written ``name``, ``(t, ..., t)``, ``in<k>(t)``,
 ``sym(t, ..., t)``; the glyphs for the unit, the added point and the
 final marker have ASCII aliases ``unit``, ``bot`` and ``ok``.  Parsing a
 term is guided by the expected expression node, so constant names and
@@ -23,7 +24,7 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT, CHECK, UNIT,
     Analytic,
-    ComposeNode,
+    AnSym,
     Const,
     ConstElem,
     Coprod,
@@ -32,6 +33,7 @@ from .functors import (
     Node,
     Pf,
     Prod,
+    SetOf,
     SortRef,
     Symbol,
     Term,
@@ -39,6 +41,7 @@ from .functors import (
     UnitLeaf,
     Var,
     ansym,
+    compose,
     functor,
     multisorted,
     plus1,
@@ -133,55 +136,71 @@ class TokenStream:
 # ---------------------------------------------------------------------------
 # Functor expressions
 
+# Caps on a functor expression, in the text and once compositions are
+# substituted: its depth bounds the recursion of every term walker, its
+# number of nodes the cost of hashing, comparing and walking it (each
+# composition copies the inner expression into every leaf of the outer).
+MAX_NESTING = 100
+MAX_NODES = 10_000
+
+
 def parse_functor_text(text: str, line: int | None = None) -> Node:
     stream = TokenStream(tokenize(text, line), line)
-    node = _parse_node(stream)
+    node, _height, _size = _parse_node(stream, 1)
     if not stream.done():
         raise ModelParseError(f"trailing input after functor expression: {stream.peek()!r}", line)
     return node
 
 
-def _parse_node(s: TokenStream) -> Node:
+def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
+    """The next expression at nesting ``depth``, with upper bounds on its
+    height and on its number of nodes."""
+    if depth > MAX_NESTING:
+        raise ModelParseError(f"functor expression nested deeper than {MAX_NESTING} levels", s.line)
     head = s.next()
     if head == "id":
-        return SortRef(DEFAULT_SORT)
+        return SortRef(DEFAULT_SORT), 1, 1
     if head == "sort":
         s.expect("(")
         name = s.next()
         s.expect(")")
-        return SortRef(name)
+        return SortRef(name), 1, 1
     if head == "const":
         s.expect("(")
         elems = []
         while s.peek() != ")":
             elems.append(_alias(s.next()))
         s.expect(")")
-        return Const(tuple(sorted(elems)))
+        return Const(tuple(sorted(elems))), 1, 1
     if head in ("prod", "coprod"):
         s.expect("(")
-        parts = [_parse_node(s)]
+        parts = [_parse_node(s, depth + 1)]
         while s.peek() == ",":
             s.next()
-            parts.append(_parse_node(s))
+            parts.append(_parse_node(s, depth + 1))
         s.expect(")")
-        return Prod(tuple(parts)) if head == "prod" else Coprod(tuple(parts))
-    if head == "plus1":
+        nodes = tuple(p[0] for p in parts)
+        height, size = 1 + max(p[1] for p in parts), 1 + sum(p[2] for p in parts)
+        return (Prod(nodes) if head == "prod" else Coprod(nodes)), height, size
+    if head in ("plus1", "pf"):
         s.expect("(")
-        inner = _parse_node(s)
+        inner, height, size = _parse_node(s, depth + 1)
         s.expect(")")
-        return Coprod((inner, Const((BOT,))))
-    if head == "pf":
-        s.expect("(")
-        inner = _parse_node(s)
-        s.expect(")")
-        return Pf(inner)
+        if head == "plus1":
+            return Coprod((inner, Const((BOT,)))), height + 1, size + 2
+        return Pf(inner), height + 1, size + 1
     if head == "compose":
         s.expect("(")
-        outer = _parse_node(s)
+        outer, outer_height, outer_size = _parse_node(s, depth + 1)
         s.expect(",")
-        inner = _parse_node(s)
+        inner, inner_height, inner_size = _parse_node(s, depth + 1)
         s.expect(")")
-        return ComposeNode(outer, functor(inner))
+        height, size = outer_height - 1 + inner_height, outer_size * inner_size
+        if height > MAX_NESTING or size > MAX_NODES:
+            raise ModelParseError(
+                f"composite functor exceeds {MAX_NESTING} levels or {MAX_NODES} nodes once substituted", s.line
+            )
+        return compose(outer, functor(inner)), height, size
     if head == "analytic":
         s.expect("{")
         symbols = []
@@ -196,13 +215,13 @@ def _parse_node(s: TokenStream) -> Node:
                     gens.append(_parse_cycles(s, arity))
                 s.expect("]")
             group = PermGroup(arity, tuple(gens))
-            symbols.append(Symbol(name, (DEFAULT_SORT,) * arity, group))
+            symbols.append(Symbol(name, (SortRef(DEFAULT_SORT),) * arity, group))
             if s.peek() == ";":
                 s.next()
                 continue
             break
         s.expect("}")
-        return Analytic(tuple(symbols))
+        return Analytic(tuple(symbols)), 2, 1 + sum(len(sym.slots) for sym in symbols)
     raise ModelParseError(f"unknown functor constructor {head!r}", s.line)
 
 
@@ -241,9 +260,6 @@ def print_functor_node(node: Node, ascii_glyphs: bool = False) -> str:
         return "coprod(" + ", ".join(print_functor_node(p, ascii_glyphs) for p in node.parts) + ")"
     if isinstance(node, Pf):
         return f"pf({print_functor_node(node.inner, ascii_glyphs)})"
-    if isinstance(node, ComposeNode):
-        inner = node.inner.node(DEFAULT_SORT)
-        return f"compose({print_functor_node(node.outer, ascii_glyphs)}, {print_functor_node(inner, ascii_glyphs)})"
     if isinstance(node, Analytic):
         chunks = []
         for sym in node.symbols:
@@ -251,7 +267,15 @@ def print_functor_node(node: Node, ascii_glyphs: bool = False) -> str:
             if sym.group.generators:
                 gens = " [" + "".join(_print_cycles(g) for g in sym.group.generators) + "]"
             chunks.append(f"{sym.name}/{sym.group.arity}{gens}")
-        return "analytic{ " + " ; ".join(chunks) + " }"
+        text = "analytic{ " + " ; ".join(chunks) + " }"
+        # the parser fills every slot with one node: id, or the inner
+        # expression of a composition
+        slots = {n for sym in node.symbols for n in sym.slots}
+        if slots <= {SortRef(DEFAULT_SORT)}:
+            return text
+        if len(slots) == 1:
+            return f"compose({text}, {print_functor_node(slots.pop(), ascii_glyphs)})"
+        raise CoalgError(f"analytic slots {sorted(map(repr, slots))}cannot be written in the functor grammar")
     raise CoalgError(f"unknown node {node!r}")
 
 
@@ -283,9 +307,7 @@ def parse_term_text(text: str, node: Node, carrier: SortedSet, line: int | None 
     return term
 
 
-def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor | None = None) -> Term:
-    # ``inner`` is set while walking the outer layer of a composition:
-    # sort references then denote inner components rather than variables.
+def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
     if isinstance(node, Coprod):
         tok = s.peek()
         if tok is not None and re.fullmatch(r"in\d+", tok):
@@ -294,7 +316,7 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor |
             if not 0 <= index < len(node.parts):
                 raise ModelParseError(f"injection {tok} out of range", s.line)
             s.expect("(")
-            arg = _parse_term(s, node.parts[index], carrier, inner)
+            arg = _parse_term(s, node.parts[index], carrier)
             s.expect(")")
             return Inj(index, arg)
         # implicit injection: exactly one branch must accept the term
@@ -303,7 +325,7 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor |
         for i, part in enumerate(node.parts):
             s.pos = start
             try:
-                arg = _parse_term(s, part, carrier, inner)
+                arg = _parse_term(s, part, carrier)
                 matches.append((i, arg, s.pos))
             except ModelParseError:
                 continue
@@ -320,8 +342,6 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor |
             raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", s.line)
         return ConstElem(tok)
     if isinstance(node, SortRef):
-        if inner is not None:
-            return _parse_term(s, inner.node(node.sort), carrier, None)
         tok = _alias(s.next())
         if not carrier.has(node.sort, tok):
             raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", s.line)
@@ -332,7 +352,7 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor |
         for i, part in enumerate(node.parts):
             if i:
                 s.expect(",")
-            args.append(_parse_term(s, part, carrier, inner))
+            args.append(_parse_term(s, part, carrier))
         s.expect(")")
         return TupleTerm(tuple(args))
     if isinstance(node, Analytic):
@@ -341,73 +361,54 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet, inner: Functor |
         args = []
         if sym.group.arity:
             s.expect("(")
-            for i, slot in enumerate(sym.slot_sorts):
+            for i, slot in enumerate(sym.slots):
                 if i:
                     s.expect(",")
-                args.append(_parse_term(s, SortRef(slot), carrier, inner))
+                args.append(_parse_term(s, slot, carrier))
             s.expect(")")
         return ansym(sym.group, sym.name, tuple(args))
     if isinstance(node, Pf):
         s.expect("{")
-        from .functors import SetOf
-
         args = []
         while s.peek() != "}":
             if args:
                 s.expect(",")
-            args.append(_parse_term(s, node.inner, carrier, inner))
+            args.append(_parse_term(s, node.inner, carrier))
         s.expect("}")
         return SetOf(args)
-    if isinstance(node, ComposeNode):
-        if inner is not None:
-            raise ModelParseError("nested composition in the outer layer", s.line)
-        return _parse_term(s, node.outer, carrier, node.inner)
     raise ModelParseError(f"cannot parse a term of {node!r}", s.line)
 
 
-def print_term_for(node: Node, term: Term, ascii_glyphs: bool = False, inner: Functor | None = None) -> str:
+def print_term_for(node: Node, term: Term, ascii_glyphs: bool = False) -> str:
     def name(e: str) -> str:
         return GLYPH_ASCII.get(e, e) if ascii_glyphs else e
 
     if isinstance(term, UnitLeaf):
         return name(UNIT)
-    if isinstance(node, Coprod):
-        assert isinstance(term, Inj)
+    if isinstance(node, Coprod) and isinstance(term, Inj):
         branch = node.parts[term.index]
         if branch == Const((BOT,)):
             return name(BOT)
-        return f"in{term.index}({print_term_for(branch, term.arg, ascii_glyphs, inner)})"
-    if isinstance(node, Const):
-        assert isinstance(term, ConstElem)
+        return f"in{term.index}({print_term_for(branch, term.arg, ascii_glyphs)})"
+    if isinstance(node, Const) and isinstance(term, ConstElem):
         return name(term.name)
     if isinstance(node, SortRef):
-        if inner is not None:
-            return print_term_for(inner.node(node.sort), term, ascii_glyphs, None)
         if isinstance(term, Var):
             return format_name(name(term.name))
         return _print_nested(term, ascii_glyphs)
-    if isinstance(node, Prod):
-        assert isinstance(term, TupleTerm)
+    if isinstance(node, Prod) and isinstance(term, TupleTerm):
         return "(" + ", ".join(
-            print_term_for(p, a, ascii_glyphs, inner) for p, a in zip(node.parts, term.args)
+            print_term_for(p, a, ascii_glyphs) for p, a in zip(node.parts, term.args)
         ) + ")"
-    if isinstance(node, Analytic):
-        from .functors import AnSym
-
-        assert isinstance(term, AnSym)
+    if isinstance(node, Analytic) and isinstance(term, AnSym):
         sym = node.symbol(term.sym)
         if not term.args:
             return term.sym
         return term.sym + "(" + ", ".join(
-            print_term_for(SortRef(s), a, ascii_glyphs, inner) for s, a in zip(sym.slot_sorts, term.args)
+            print_term_for(n, a, ascii_glyphs) for n, a in zip(sym.slots, term.args)
         ) + ")"
-    if isinstance(node, Pf):
-        from .functors import SetOf
-
-        assert isinstance(term, SetOf)
-        return "{" + ", ".join(print_term_for(node.inner, a, ascii_glyphs, inner) for a in term.args) + "}"
-    if isinstance(node, ComposeNode):
-        return print_term_for(node.outer, term, ascii_glyphs, node.inner)
+    if isinstance(node, Pf) and isinstance(term, SetOf):
+        return "{" + ", ".join(print_term_for(node.inner, a, ascii_glyphs) for a in term.args) + "}"
     raise CoalgError(f"cannot print {term!r} against {node!r}")
 
 

@@ -547,11 +547,11 @@ def _decode_bar_term(t: Term) -> tuple[tuple[tuple[str, str], ...], str | None]:
         raise CoalgError(f"cannot decode trace term {current!r}")
 
 
-def bar_trace(presentation: RnnaPresentation, pool: AtomPool, depth: int) -> frozenset[tuple]:
-    """Canonical closures of all word-in-contexts traced up to ``depth``."""
+def bar_trace(system: PointedCoalgebra, depth: int) -> frozenset[tuple]:
+    """Canonical closures of all word-in-contexts traced up to ``depth`` by
+    an expanded automaton (see :func:`rnna_expand`)."""
     from .trace import trace
 
-    system = rnna_expand(presentation, pool)
     ts = trace(system, depth)
     out: set[tuple] = set()
     for _d, items in ts.per_depth:

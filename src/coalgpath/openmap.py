@@ -486,6 +486,8 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
     for s, n in spec.sizes.items():
         if n < 1:
             raise CoalgError(f"carrier size for sort {s!r} must be at least 1, got {n}")
+    if not 0 <= spec.density <= 1:  # false for nan too
+        raise CoalgError(f"density must lie in [0, 1], got {spec.density}")
     seed_rng = random.Random(spec.seed)
     subseeds = [seed_rng.randrange(2**63) for _ in range(trials)]
     results: list[TrialResult] = []

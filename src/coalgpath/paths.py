@@ -26,6 +26,7 @@ from .functors import (
     Var,
     bot_of_plus1,
     fmap,
+    map_leaves,
     plus1,
     step_of_plus1,
     strip_plus1,
@@ -138,88 +139,36 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
     """Cut a nested (F+1)-term at the given depth, putting units at the cut."""
     if depth == 0:
         return UNIT_TERM
-
-    def walk(node: Node, t: Term) -> Term:
-        from .functors import Analytic, ComposeNode, Const, Coprod, Inj, Prod, TupleTerm, ansym
-
-        if isinstance(node, SortRef):
-            return truncate_term(fp1, node.sort, t, depth - 1)
-        if isinstance(node, Const):
-            return t
-        if isinstance(node, Prod):
-            assert isinstance(t, TupleTerm)
-            return TupleTerm(tuple(walk(p_, a) for p_, a in zip(node.parts, t.args)))
-        if isinstance(node, Coprod):
-            assert isinstance(t, Inj)
-            return Inj(t.index, walk(node.parts[t.index], t.arg))
-        if isinstance(node, Analytic):
-            from .functors import AnSym
-
-            assert isinstance(t, AnSym)
-            sym = node.symbol(t.sym)
-            return ansym(sym.group, sym.name, tuple(walk(SortRef(s), a) for s, a in zip(sym.slot_sorts, t.args)))
-        if isinstance(node, ComposeNode):
-            def rec(n: Node, u: Term) -> Term:
-                if isinstance(n, SortRef):
-                    return walk(node.inner.node(n.sort), u)
-                if isinstance(n, Const):
-                    return u
-                if isinstance(n, Prod):
-                    assert isinstance(u, TupleTerm)
-                    return TupleTerm(tuple(rec(p_, a) for p_, a in zip(n.parts, u.args)))
-                if isinstance(n, Coprod):
-                    assert isinstance(u, Inj)
-                    return Inj(u.index, rec(n.parts[u.index], u.arg))
-                if isinstance(n, Analytic):
-                    from .functors import AnSym
-
-                    assert isinstance(u, AnSym)
-                    sym = n.symbol(u.sym)
-                    return ansym(sym.group, sym.name, tuple(rec(SortRef(s), a) for s, a in zip(sym.slot_sorts, u.args)))
-                raise TermError(f"unsupported node {n!r}")
-            return rec(node.outer, t)
-        raise TermError(f"unsupported node {node!r} in composite value")
-
-    return walk(fp1.node(sort), term)
+    return map_leaves(fp1.node(sort), term, lambda ref, t: truncate_term(fp1, ref.sort, t, depth - 1))
 
 
 def print_comp_term(step: Functor, sort: str, term: Term) -> str:
     """Nested rendering of one composite-value component."""
-    from .functors import Analytic, AnSym, ComposeNode, Const, ConstElem, Coprod, Inj, Prod, TupleTerm
+    from .functors import Analytic, AnSym, Const, ConstElem, Coprod, Inj, Prod, TupleTerm
     from .functors import BOT, UNIT
 
-    def walk(node: Node, t: Term, inner: Functor | None) -> str:
+    def walk(node: Node, t: Term) -> str:
         if isinstance(t, UnitLeaf):
             return UNIT
         if isinstance(node, SortRef):
-            if inner is not None:
-                return walk(inner.node(node.sort), t, None)
-            return walk(step.node(node.sort), t, None)
-        if isinstance(node, Const):
-            assert isinstance(t, ConstElem)
+            return walk(step.node(node.sort), t)
+        if isinstance(node, Const) and isinstance(t, ConstElem):
             return t.name
-        if isinstance(node, Coprod):
-            assert isinstance(t, Inj)
+        if isinstance(node, Coprod) and isinstance(t, Inj):
             branch = node.parts[t.index]
             if branch == Const((BOT,)):
                 return BOT
-            return f"in{t.index}({walk(branch, t.arg, inner)})"
-        if isinstance(node, Prod):
-            assert isinstance(t, TupleTerm)
-            return "(" + ", ".join(walk(p, a, inner) for p, a in zip(node.parts, t.args)) + ")"
-        if isinstance(node, Analytic):
-            assert isinstance(t, AnSym)
+            return f"in{t.index}({walk(branch, t.arg)})"
+        if isinstance(node, Prod) and isinstance(t, TupleTerm):
+            return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
+        if isinstance(node, Analytic) and isinstance(t, AnSym):
             sym = node.symbol(t.sym)
             if not t.args:
                 return t.sym
-            return t.sym + "(" + ", ".join(
-                walk(SortRef(s), a, inner) for s, a in zip(sym.slot_sorts, t.args)
-            ) + ")"
-        if isinstance(node, ComposeNode):
-            return walk(node.outer, t, node.inner)
-        raise TermError(f"cannot print composite against {node!r}")
+            return t.sym + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
+        raise TermError(f"cannot print {t!r} against {node!r}")
 
-    return walk(step.node(sort), term, None)
+    return walk(step.node(sort), term)
 
 
 def comp_as_word(cv: CompValue) -> str | None:
@@ -280,54 +229,18 @@ def path_from_comp(u: CompValue) -> PathObj:
         # treat depth-1 subterm values as variables named in encounter order
         sub_values: dict[str, dict] = {s: {} for s in u.pointing.sorts}
 
-        def collect(node: Node, t: Term) -> Term:
-            from .functors import Analytic, AnSym, ComposeNode, Const, Coprod, Inj, Prod, TupleTerm, ansym
-
-            if isinstance(node, SortRef):
-                known = sub_values[node.sort]
-                for existing_name, existing in known.items():
-                    if existing == t:
-                        return Var(node.sort, existing_name)
-                name = f"z{len(known):03d}"
-                known[name] = t
-                return Var(node.sort, name)
-            if isinstance(node, Const):
-                return t
-            if isinstance(node, Prod):
-                assert isinstance(t, TupleTerm)
-                return TupleTerm(tuple(collect(p_, a) for p_, a in zip(node.parts, t.args)))
-            if isinstance(node, Coprod):
-                assert isinstance(t, Inj)
-                return Inj(t.index, collect(node.parts[t.index], t.arg))
-            if isinstance(node, Analytic):
-                assert isinstance(t, AnSym)
-                sym = node.symbol(t.sym)
-                return ansym(sym.group, sym.name, tuple(collect(SortRef(s), a) for s, a in zip(sym.slot_sorts, t.args)))
-            if isinstance(node, ComposeNode):
-                def rec(n: Node, v: Term) -> Term:
-                    if isinstance(n, SortRef):
-                        return collect(node.inner.node(n.sort), v)
-                    if isinstance(n, Const):
-                        return v
-                    if isinstance(n, Prod):
-                        assert isinstance(v, TupleTerm)
-                        return TupleTerm(tuple(rec(p_, a) for p_, a in zip(n.parts, v.args)))
-                    if isinstance(n, Coprod):
-                        assert isinstance(v, Inj)
-                        return Inj(v.index, rec(n.parts[v.index], v.arg))
-                    if isinstance(n, Analytic):
-                        from .functors import AnSym as _AnSym
-
-                        assert isinstance(v, _AnSym)
-                        sym = n.symbol(v.sym)
-                        return ansym(sym.group, sym.name, tuple(rec(SortRef(s), a) for s, a in zip(sym.slot_sorts, v.args)))
-                    raise TermError(f"unsupported node {n!r}")
-                return rec(node.outer, t)
-            raise TermError(f"unsupported node {node!r}")
+        def collect(ref: SortRef, t: Term) -> Term:
+            known = sub_values[ref.sort]
+            for existing_name, existing in known.items():
+                if existing == t:
+                    return Var(ref.sort, existing_name)
+            name = f"z{len(known):03d}"
+            known[name] = t
+            return Var(ref.sort, name)
 
         table: dict[tuple[str, str], Term] = {}
         for key in current.pairs():
-            table[key] = collect(fp1.node(key[0]), residual[key])
+            table[key] = map_leaves(fp1.node(key[0]), residual[key], collect)
         var_carrier = SortedSet.make({s: list(sub_values[s].keys()) for s in u.pointing.sorts}, u.pointing.sorts)
         f_k = TermMap(current, TermSpace(fp1, var_carrier), table)
         fac = precise_factorize(f_k)
@@ -356,11 +269,13 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
     """Bindings of source variables to destination variables making the
     terms equal under the expression grammar (analytic nodes match up to
     their group)."""
-    from .functors import Analytic, AnSym, ComposeNode, Const, ConstElem, Coprod, Inj, Prod, TupleTerm
+    from .functors import Analytic, AnSym, Const, Coprod, Inj, Prod, TupleTerm
     from .groups import apply_perm_tuple
 
+    kind = {SortRef: Var, Prod: TupleTerm, Coprod: Inj, Analytic: AnSym}.get(type(node))
+    if kind is not None and not (isinstance(t_src, kind) and isinstance(t_dst, kind)):
+        raise TermError(f"{t_src!r} or {t_dst!r} does not fit {node!r}")
     if isinstance(node, SortRef):
-        assert isinstance(t_src, Var) and isinstance(t_dst, Var)
         key = (t_src.sort, t_src.name)
         bound = binding.get(key)
         if bound is None:
@@ -375,8 +290,6 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
             yield binding
         return
     if isinstance(node, Prod):
-        assert isinstance(t_src, TupleTerm) and isinstance(t_dst, TupleTerm)
-
         def rec(i: int, b: dict) -> Iterator[dict]:
             if i == len(node.parts):
                 yield b
@@ -387,13 +300,11 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
         yield from rec(0, binding)
         return
     if isinstance(node, Coprod):
-        assert isinstance(t_src, Inj) and isinstance(t_dst, Inj)
         if t_src.index != t_dst.index:
             return
         yield from _match_terms(node.parts[t_src.index], t_src.arg, t_dst.arg, binding)
         return
     if isinstance(node, Analytic):
-        assert isinstance(t_src, AnSym) and isinstance(t_dst, AnSym)
         if t_src.sym != t_dst.sym:
             return
         sym = node.symbol(t_src.sym)
@@ -405,61 +316,13 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
             seen.add(permuted)
 
             def rec(i: int, b: dict) -> Iterator[dict]:
-                if i == len(sym.slot_sorts):
+                if i == len(sym.slots):
                     yield b
                     return
-                for b2 in _match_terms(SortRef(sym.slot_sorts[i]), t_src.args[i], permuted[i], b):
+                for b2 in _match_terms(sym.slots[i], t_src.args[i], permuted[i], b):
                     yield from rec(i + 1, b2)
 
             yield from rec(0, binding)
-        return
-    if isinstance(node, ComposeNode):
-        def outer(n: Node, a: Term, b_t: Term, b: dict) -> Iterator[dict]:
-            if isinstance(n, SortRef):
-                yield from _match_terms(node.inner.node(n.sort), a, b_t, b)
-                return
-            if isinstance(n, Const):
-                if a == b_t:
-                    yield b
-                return
-            if isinstance(n, Prod):
-                assert isinstance(a, TupleTerm) and isinstance(b_t, TupleTerm)
-
-                def rec(i: int, bb: dict) -> Iterator[dict]:
-                    if i == len(n.parts):
-                        yield bb
-                        return
-                    for b2 in outer(n.parts[i], a.args[i], b_t.args[i], bb):
-                        yield from rec(i + 1, b2)
-
-                yield from rec(0, b)
-                return
-            if isinstance(n, Coprod):
-                assert isinstance(a, Inj) and isinstance(b_t, Inj)
-                if a.index != b_t.index:
-                    return
-                yield from outer(n.parts[a.index], a.arg, b_t.arg, b)
-                return
-            if isinstance(n, Analytic):
-                assert isinstance(a, AnSym) and isinstance(b_t, AnSym)
-                if a.sym != b_t.sym:
-                    return
-                sym = n.symbol(a.sym)
-                for perm in group_elements(sym.group):
-                    permuted = apply_perm_tuple(perm, b_t.args)
-
-                    def rec(i: int, bb: dict) -> Iterator[dict]:
-                        if i == len(sym.slot_sorts):
-                            yield bb
-                            return
-                        for b2 in outer(SortRef(sym.slot_sorts[i]), a.args[i], permuted[i], bb):
-                            yield from rec(i + 1, b2)
-
-                    yield from rec(0, b)
-                return
-            raise TermError(f"unsupported node {n!r}")
-
-        yield from outer(node.outer, t_src, t_dst, binding)
         return
     raise TermError(f"unsupported node {node!r}")
 

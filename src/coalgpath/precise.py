@@ -20,10 +20,11 @@ from typing import Iterator, Mapping
 
 from .functors import (
     Analytic,
-    ComposeNode,
     Const,
+    ConstElem,
     Coprod,
     Functor,
+    Inj,
     Node,
     Pf,
     PowersetNodeError,
@@ -31,6 +32,7 @@ from .functors import (
     SortRef,
     Term,
     TermError,
+    TupleTerm,
     Var,
     ansym,
     eval_functor,
@@ -276,8 +278,6 @@ class _FreshVars:
 def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
     """All term shapes of a node with pairwise-distinct fresh variables."""
     if isinstance(node, Const):
-        from .functors import ConstElem
-
         for e in node.elems:
             yield ConstElem(e)
         return
@@ -285,8 +285,6 @@ def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
         yield fresh.next(node.sort)
         return
     if isinstance(node, Prod):
-        from .functors import TupleTerm
-
         def rec(i: int, acc: list[Term]) -> Iterator[Term]:
             if i == len(node.parts):
                 yield TupleTerm(tuple(acc))
@@ -299,60 +297,13 @@ def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
         yield from rec(0, [])
         return
     if isinstance(node, Coprod):
-        from .functors import Inj
-
         for i, part in enumerate(node.parts):
             for shape in _node_shapes(part, fresh):
                 yield Inj(i, shape)
         return
     if isinstance(node, Analytic):
         for sym in node.symbols:
-            args = tuple(fresh.next(s) for s in sym.slot_sorts)
-            yield ansym(sym.group, sym.name, args)
-        return
-    if isinstance(node, ComposeNode):
-        def outer_shapes(n: Node) -> Iterator[Term]:
-            if isinstance(n, SortRef):
-                yield from _node_shapes(node.inner.node(n.sort), fresh)
-                return
-            if isinstance(n, ComposeNode):
-                raise TermError("nested composition in outer layer")
-            yield from _node_shapes_generic(n, fresh, outer_shapes)
-
-        yield from outer_shapes(node.outer)
-        return
-    if isinstance(node, Pf):
-        raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
-    raise TermError(f"unknown node {node!r}")
-
-
-def _node_shapes_generic(node: Node, fresh: _FreshVars, rec) -> Iterator[Term]:
-    from .functors import ConstElem, Inj, TupleTerm
-
-    if isinstance(node, Const):
-        for e in node.elems:
-            yield ConstElem(e)
-        return
-    if isinstance(node, Prod):
-        def prod_rec(i: int, acc: list[Term]) -> Iterator[Term]:
-            if i == len(node.parts):
-                yield TupleTerm(tuple(acc))
-                return
-            for shape in rec(node.parts[i]):
-                acc.append(shape)
-                yield from prod_rec(i + 1, acc)
-                acc.pop()
-
-        yield from prod_rec(0, [])
-        return
-    if isinstance(node, Coprod):
-        for i, part in enumerate(node.parts):
-            for shape in rec(part):
-                yield Inj(i, shape)
-        return
-    if isinstance(node, Analytic):
-        for sym in node.symbols:
-            slot_choices = [list(rec(SortRef(s))) for s in sym.slot_sorts]
+            slot_choices = [list(_node_shapes(n, fresh)) for n in sym.slots]
             for combo in itertools.product(*slot_choices):
                 yield ansym(sym.group, sym.name, combo)
         return

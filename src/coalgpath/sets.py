@@ -82,14 +82,6 @@ class SortedSet:
             tuple(tuple(e for e in elems if (s, e) in keep_set) for s, elems in zip(self.sorts, self.data)),
         )
 
-    def union_names(self, other: "SortedSet") -> "SortedSet":
-        if self.sorts != other.sorts:
-            raise SortError("cannot union sorted sets over different sort lists")
-        return SortedSet(
-            self.sorts,
-            tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(self.data, other.data)),
-        )
-
 
 def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None = None, name: str = "*") -> SortedSet:
     """The pointing object with one element at one sort and nothing elsewhere."""

@@ -97,7 +97,7 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
                     if not continuations:
                         dead = True
                         break
-                    pools.append(sorted(continuations))
+                    pools.append(continuations)
                 if dead:
                     continue
                 out.update(_graft(node, t, occ, pools))

@@ -33,7 +33,7 @@ def var(name: str) -> Var:
 def pair_sig(group=None):
     """The arity-2 analytic signature; default the full symmetric group."""
     g = group if group is not None else symmetric_group(2)
-    return Analytic((Symbol("pair", (DEFAULT_SORT, DEFAULT_SORT), g),))
+    return Analytic((Symbol("pair", (SortRef(), SortRef()), g),))
 
 
 # the Fig.-2 functor: X x X + bottom

@@ -28,6 +28,7 @@ from coalgpath.nominal import (
     binding_factorize,
     binding_roundtrip_ok,
     free,
+    rnna_expand,
 )
 from coalgpath.openmap import (
     is_path_reachable,
@@ -244,9 +245,9 @@ def test_criterion_09_nominal():
     from test_nominal import presentation_trace_oracle, three_rule_presentation
 
     r = three_rule_presentation()
-    t3 = bar_trace(r, AtomPool(3), 3)
+    t3 = bar_trace(rnna_expand(r, AtomPool(3)), 3)
     assert t3 == presentation_trace_oracle(r, AtomPool(3), 3)
-    assert t3 == bar_trace(r, AtomPool(4), 3)
+    assert t3 == bar_trace(rnna_expand(r, AtomPool(4)), 3)
     report(9, f"alpha separation, {count} factorization round-trips, oracle match, pool-stable")
 
 

@@ -98,11 +98,26 @@ class TestVerbs:
         assert code == 0
         assert text.splitlines()[-1] == "all passed (10 trials)"
 
-    @pytest.mark.parametrize("extra", [["--functor", "pf(id)"], ["--functor", "prod(id, id)", "--states", "0"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--functor", "pf(id)"],
+            ["--functor", "prod(id, id)", "--states", "0"],
+            ["--functor", "prod(id, id)", "--density", "-3"],
+            ["--functor", "prod(id, id)", "--density", "nan"],
+            ["--functor", "prod(" * 1500 + "id" + ", id)" * 1500],
+        ],
+    )
     def test_verify_invalid_spec_exit_two(self, extra):
         text, code = run_command(["verify", *extra, "--trials", "3"])
         assert code == 2
         assert text.startswith("error: ") and "FAILURES" not in text
+
+    def test_verify_nested_composition_in_outer_slot(self):
+        functor_text = "compose(compose(prod(id, id), coprod(const(c), id)), id)"
+        text, code = run_command(["verify", "--functor", functor_text, "--trials", "3"])
+        assert code == 0
+        assert text.splitlines()[-1] == "all passed (3 trials)"
 
     def test_lasota(self, tmp_path):
         from coalgpath.lasota import poset_category

@@ -1,0 +1,40 @@
+"""Golden CLI output for systems over composed functors.
+
+Each case runs one verb on a model under ``fixtures/compose`` and
+compares the exact stdout with ``fixtures/compose/<case>.out``.  A
+composite is the functor it normalizes to, so these bytes pin what the
+verbs print for it.
+"""
+
+import pathlib
+
+import pytest
+
+from coalgpath.cli import run_command
+
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
+
+# case name, verb arguments (fixture names are resolved in COMPOSE), exit code
+CASES = [
+    ("tree-runs", ["runs", "tree.model", "--depth", "2"], 0),
+    ("tree-paths", ["paths", "tree.model", "--depth", "1"], 0),
+    ("tree-trace", ["trace", "tree.model", "--depth", "3"], 0),
+    ("tree-factor", ["precise-factor", "tree.factor"], 0),
+    ("tree-open", ["open", "tree_src.model", "tree_dst.model", "tree.map"], 1),
+    ("pair-runs", ["runs", "pair.model", "--depth", "2"], 0),
+    ("pair-paths", ["paths", "pair.model", "--depth", "1"], 0),
+    ("pair-trace", ["trace", "pair.model", "--depth", "3"], 0),
+    ("pair-factor", ["precise-factor", "pair.factor"], 0),
+    ("pair-open", ["open", "pair_src.model", "pair_dst.model", "pair.map"], 1),
+    # compose(prod(const(a b), id), id) is the word functor A x Id
+    ("word-runs", ["runs", "word.model", "--depth", "2"], 0),
+    ("word-trace", ["trace", "word.model", "--depth", "3"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(name, argv, code):
+    resolved = [str(COMPOSE / a) if (COMPOSE / a).is_file() else a for a in argv]
+    text, got = run_command(resolved)
+    assert got == code
+    assert text == (COMPOSE / f"{name}.out").read_text(encoding="utf-8")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coalgpath.functors import (
     Analytic,
-    ComposeNode,
+    AnSym,
     Const,
     ConstElem,
     Coprod,
@@ -16,14 +16,17 @@ from coalgpath.functors import (
     SetOf,
     SortRef,
     Symbol,
+    TermError,
     TupleTerm,
     Var,
     ansym,
+    compose,
     eval_functor,
     fmap,
     functor,
     occurrences,
     plus1_node,
+    subst_node,
     term_in_functor,
 )
 from coalgpath.groups import (
@@ -35,6 +38,8 @@ from coalgpath.groups import (
     symmetric_group,
     trivial_group,
 )
+from coalgpath.modelio import parse_functor_text
+from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
 from conftest import pair_sig, single, var
@@ -88,7 +93,7 @@ class TestEval:
 
     def test_compose(self):
         inner = functor(Prod((Const(("a",)), SortRef())))
-        f = functor(ComposeNode(Prod((SortRef(), SortRef())), inner))
+        f = functor(compose(Prod((SortRef(), SortRef())), inner))
         terms = eval_functor(f, single(["x"]))[DEFAULT_SORT]
         assert [repr(t) for t in terms] == ["((a, x), (a, x))"]
 
@@ -102,6 +107,51 @@ class TestEval:
         assert not term_in_functor(f, DEFAULT_SORT, stray, x)
 
 
+class TestComposition:
+    def test_substitutes_into_analytic_slots(self):
+        inner = Prod((Const(("a", "b")), SortRef()))
+        g = symmetric_group(2)
+        assert compose(pair_sig(g), functor(inner)) == Analytic((Symbol("pair", (inner, inner), g),))
+
+    def test_nested_composition_in_outer_slot(self):
+        nested = functor(parse_functor_text("compose(compose(prod(id, id), coprod(const(c), id)), id)"))
+        flat = functor(parse_functor_text("prod(coprod(const(c), id), coprod(const(c), id))"))
+        x = single(["x", "y"])
+        assert eval_functor(nested, x) == eval_functor(flat, x)
+        shapes = element_shapes(nested, DEFAULT_SORT)
+        assert shapes == element_shapes(flat, DEFAULT_SORT)
+        for shape in shapes:
+            assert occurrences(nested.node(DEFAULT_SORT), shape) == occurrences(flat.node(DEFAULT_SORT), shape)
+
+
+class TestMalformedTerms:
+    NODE = Prod((Const(("a",)), SortRef()))
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Inj(0, var("x")),
+            TupleTerm((ConstElem("a"),)),
+            TupleTerm((ConstElem("b"), var("x"))),
+            TupleTerm((ConstElem("a"), TupleTerm(()))),
+        ],
+        ids=["injection", "short-tuple", "unknown-constant", "non-variable-leaf"],
+    )
+    def test_walkers_raise_term_error(self, term):
+        sigma = {(DEFAULT_SORT, "x"): var("y")}
+        with pytest.raises(TermError):
+            subst_node(self.NODE, term, sigma)
+        with pytest.raises(TermError):
+            occurrences(self.NODE, term)
+
+    def test_analytic_arity_mismatch(self):
+        term = AnSym("pair", (var("x"),))
+        with pytest.raises(TermError):
+            subst_node(pair_sig(), term, {(DEFAULT_SORT, "x"): var("y")})
+        with pytest.raises(TermError):
+            occurrences(pair_sig(), term)
+
+
 def small_functors():
     return st.sampled_from(
         [
@@ -109,7 +159,8 @@ def small_functors():
             functor(plus1_node(Prod((SortRef(), SortRef())))),
             functor(pair_sig()),
             functor(Coprod((Const(("c",)), SortRef()))),
-            functor(ComposeNode(Prod((SortRef(), SortRef())), functor(Coprod((Const(("c",)), SortRef()))))),
+            functor(compose(Prod((SortRef(), SortRef())), functor(Coprod((Const(("c",)), SortRef()))))),
+            functor(compose(pair_sig(), functor(Prod((Const(("a", "b")), SortRef()))))),
         ]
     )
 
@@ -185,7 +236,7 @@ class TestOccurrences:
 
     def test_compose_flattens_paths(self):
         inner = functor(Prod((Const(("a",)), SortRef())))
-        f = functor(ComposeNode(Prod((SortRef(), SortRef())), inner))
+        f = functor(compose(Prod((SortRef(), SortRef())), inner))
         t = eval_functor(f, single(["x"]))[DEFAULT_SORT][0]
         assert [(v.name, p) for v, p in occurrences(f.node(DEFAULT_SORT), t)] == [
             ("x", (0, 1)),
@@ -206,7 +257,7 @@ class TestCanonicalization:
     @settings(max_examples=20, deadline=None)
     def test_orbit_representative_is_stable(self, names):
         g = cyclic_group(3)
-        sig = Analytic((Symbol("c3", (DEFAULT_SORT,) * 3, g),))
+        sig = Analytic((Symbol("c3", (SortRef(),) * 3, g),))
         args = tuple(var(n) for n in names)
         t = ansym(g, "c3", args)
         for p in group_elements(g):

@@ -7,11 +7,14 @@ from coalgpath.functors import (
     Coprod,
     Prod,
     SortRef,
+    Symbol,
     functor,
     lts_functor,
 )
 from coalgpath.lasota import poset_category, validate_category
+from coalgpath.groups import trivial_group
 from coalgpath.modelio import (
+    MAX_NESTING,
     ModelParseError,
     parse_category,
     parse_coalgebra,
@@ -28,7 +31,7 @@ from coalgpath.modelio import (
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, comp_as_word, enumerate_runs
-from coalgpath.sets import DEFAULT_SORT
+from coalgpath.sets import DEFAULT_SORT, CoalgError
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -61,6 +64,7 @@ class TestFunctorGrammar:
             "pf(id)",
             "compose(prod(id, id), coprod(const(c), id))",
             "analytic{ pair/2 [(1 2)] ; leaf/0 }",
+            "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",
             "analytic{ rot/3 [(1 2 3)] }",
         ],
     )
@@ -80,6 +84,35 @@ class TestFunctorGrammar:
     def test_unknown_constructor(self):
         with pytest.raises(ModelParseError):
             parse_functor_text("frobnicate(id)")
+
+    def test_compose_is_substituted_when_parsed(self):
+        node = parse_functor_text("compose(prod(id, const(a)), coprod(const(c), id))")
+        assert node == parse_functor_text("prod(coprod(const(c), id), const(a))")
+
+    def test_analytic_with_mixed_slots_has_no_text(self):
+        node = Analytic((Symbol("p", (SortRef(), Const(("a",))), trivial_group(2)),))
+        with pytest.raises(CoalgError):
+            print_functor_node(node)
+
+    def test_nesting_cap_reports_the_line(self):
+        deep = "prod(" * (MAX_NESTING + 1) + "id" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ModelParseError) as info:
+            parse_coalgebra(f"[functor]\n{deep}\n\n[states]\nq\n\n[init]\n* -> q\n")
+        assert info.value.line == 2
+        assert parse_functor_text("prod(" * (MAX_NESTING - 1) + "id" + ")" * (MAX_NESTING - 1))
+
+    def test_caps_bound_the_substituted_composite(self):
+        # the text nests about half as deep as the substituted expression
+        half = "prod(" * (MAX_NESTING // 2 - 1) + "id" + ")" * (MAX_NESTING // 2 - 1)
+        with pytest.raises(ModelParseError):
+            parse_functor_text(f"compose({half}, prod(prod({half})))")
+        assert parse_functor_text(f"compose({half}, prod({half}))")
+        # each composition doubles the expression: shallow, but 2**41 nodes
+        chain = "id"
+        for _ in range(40):
+            chain = f"compose(prod(id, id), {chain})"
+        with pytest.raises(ModelParseError):
+            parse_functor_text(chain)
 
     def test_ascii_aliases_in_constants(self):
         node = parse_functor_text("const(ok bot unit)")

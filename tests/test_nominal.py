@@ -299,7 +299,7 @@ class TestRnnaExpand:
 
 class TestBarTrace:
     def test_three_rule_example_matches_spec_word(self):
-        traces = bar_trace(three_rule_presentation(), POOL2, 3)
+        traces = bar_trace(rnna_expand(three_rule_presentation(), POOL2), 3)
         assert (("bar",), ("ref", 1), ("ok",)) in traces
 
     def test_no_ok_rules_no_marked_words(self):
@@ -308,7 +308,7 @@ class TestBarTrace:
             "q0",
             (RnnaRule("bind", "q0", "q1", sigma=(0,)),),
         )
-        traces = bar_trace(r, POOL2, 3)
+        traces = bar_trace(rnna_expand(r, POOL2), 3)
         assert all(form[-1] != ("ok",) for form in traces if form)
 
     def test_context_atoms_appear_under_closure(self):
@@ -317,14 +317,14 @@ class TestBarTrace:
             "q0",
             (RnnaRule("read", "q0", "q1", register=1, sigma=(1,)), RnnaRule("ok", "q1")),
         )
-        traces = bar_trace(r, POOL2, 2)
+        traces = bar_trace(rnna_expand(r, POOL2), 2)
         assert (("bar",), ("ref", 1), ("ok",)) in traces
 
     def test_oracle_and_pool_stability(self):
         r = three_rule_presentation()
         oracle3 = presentation_trace_oracle(r, POOL3, 3)
-        assert bar_trace(r, POOL3, 3) == oracle3
-        assert bar_trace(r, POOL3, 3) == bar_trace(r, AtomPool(4), 3)
+        assert bar_trace(rnna_expand(r, POOL3), 3) == oracle3
+        assert bar_trace(rnna_expand(r, POOL3), 3) == bar_trace(rnna_expand(r, AtomPool(4)), 3)
 
 
 def presentation_trace_oracle(r: RnnaPresentation, pool: AtomPool, depth: int) -> frozenset:
@@ -435,8 +435,8 @@ class TestTwoRegisterAutomaton:
 
     def test_pool_stability_and_oracle(self):
         r = self._presentation()
-        t3 = bar_trace(r, POOL3, 4)
+        t3 = bar_trace(rnna_expand(r, POOL3), 4)
         assert t3 == presentation_trace_oracle(r, POOL3, 4)
-        assert t3 == bar_trace(r, AtomPool(4), 4)
+        assert t3 == bar_trace(rnna_expand(r, AtomPool(4)), 4)
         # the accepted shape: context atom, anonymous binder, context atom again
         assert (("bar",), ("ref", 1), ("bar",), ("ref", 2), ("ok",)) in t3

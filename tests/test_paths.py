@@ -48,9 +48,9 @@ BOT = chr(0x22A5)
 def fig3_functor():
     sig = Analytic(
         (
-            Symbol("b", (DEFAULT_SORT, DEFAULT_SORT), trivial_group(2)),
+            Symbol("b", (SortRef(), SortRef()), trivial_group(2)),
             Symbol("c", (), trivial_group(0)),
-            Symbol("u", (DEFAULT_SORT,), trivial_group(1)),
+            Symbol("u", (SortRef(),), trivial_group(1)),
         )
     )
     return functor(sig)
@@ -260,7 +260,7 @@ class TestPathMorphisms:
             assert exists == pathord_le(comp(p), comp(q))
 
     def test_bag_functor_admits_two_morphisms(self):
-        f = functor(Analytic((Symbol("pair", (DEFAULT_SORT, DEFAULT_SORT), symmetric_group(2)),)))
+        f = functor(Analytic((Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),)))
         from coalgpath.functors import ansym
 
         level1 = single(["v1", "v2"])

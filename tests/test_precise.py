@@ -237,9 +237,9 @@ class TestEnumeratePreciseMaps:
 
         sig = Analytic(
             (
-                Symbol("b", (DEFAULT_SORT, DEFAULT_SORT), trivial_group(2)),
+                Symbol("b", (SortRef(), SortRef()), trivial_group(2)),
                 Symbol("c", (), trivial_group(0)),
-                Symbol("u", (DEFAULT_SORT,), trivial_group(1)),
+                Symbol("u", (SortRef(),), trivial_group(1)),
             )
         )
         f_expr = functor(plus1_node(sig))
@@ -327,10 +327,10 @@ class TestComposedFunctors:
     """Composition is walked structurally in all precise-map machinery."""
 
     def _composed(self):
-        from coalgpath.functors import ComposeNode, Const, Coprod, Prod, SortRef, functor
+        from coalgpath.functors import Const, Coprod, Prod, SortRef, compose, functor
 
         inner = functor(Coprod((Const(("c",)), SortRef())))
-        return functor(ComposeNode(Prod((SortRef(), SortRef())), inner))
+        return functor(compose(Prod((SortRef(), SortRef())), inner))
 
     def test_shapes(self):
         f = self._composed()

@@ -215,7 +215,7 @@ class TestTreePartialRuns:
     def _automaton(self, group):
         sig = Analytic(
             (
-                Symbol("b", (DEFAULT_SORT, DEFAULT_SORT), group),
+                Symbol("b", (SortRef(), SortRef()), group),
                 Symbol("c", (), trivial_group(0)),
             )
         )
