@@ -9,11 +9,10 @@ import sys
 from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, print_term
+from .functors import DEFAULT_SORT, functor, print_term, word_shape
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
-    ModelParseError,
     parse_category,
     parse_coalgebra,
     parse_factor_problem,
@@ -102,10 +101,10 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     out: list[str] = []
     try:
         code = _dispatch(args, out)
-    except (ModelParseError, FileNotFoundError) as exc:
+    except (CoalgError, FileNotFoundError) as exc:
         return f"error: {exc}\n", 2
-    except CoalgError as exc:
-        return f"error: {exc}\n", 2
+    except RecursionError as exc:
+        return f"error: terms nest too deeply: {exc}\n", 2
     text = "\n".join(out) + ("\n" if out else "")
     return _deglyph(text, args.ascii), code
 
@@ -127,7 +126,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             _emit(out, f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
         _emit(out, "[precise-map]")
         for (s, x) in problem.domain.pairs():
-            _emit(out, f"{format_name(x)} -> {print_term_for(problem.functor.node(s), fac.precise(s, x))}")
+            _emit(out, f"{format_name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
         _emit(out, "[connecting]")
         for (s, y) in fac.codomain.pairs():
             _emit(out, f"{format_name(y)} -> {format_name(fac.connect(s, y))}")
@@ -146,7 +145,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                 _emit(out, f"path {count}: length {length}")
                 for k, (lv, step) in enumerate(prefix):
                     for (s, e) in lv.pairs():
-                        _emit(out, f"  {k} : {e} -> {print_term_for(fp1.node(s), step[(s, e)])}")
+                        _emit(out, f"  {k} : {e} -> {print_term_for(fp1, s, step[(s, e)])}")
                 count += 1
                 if length < args.depth:
                     for codomain, term_map in enumerate_precise_maps(level, fp1):
@@ -157,7 +156,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb == "runs":
         system = parse_coalgebra(_read(args.file))
-        from .paths import comp_as_word, print_comp_term
+        from .paths import comp_as_word
 
         count = 0
         for path, run in enumerate_runs(system, args.depth):
@@ -170,9 +169,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             if word is not None:
                 terms = word if word else "ε"
             else:
-                terms = " ".join(
-                    print_comp_term(value.step_functor(), s, t) for (s, _i), t in value.values
-                )
+                terms = " ".join(print_term_for(value.step_functor(), s, t) for (s, _i), t in value.values)
             _emit(out, f"run {count}: length {path.length} comp {terms} [{' '.join(states)}]")
             count += 1
         _emit(out, f"{count} runs")
@@ -180,13 +177,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb == "trace":
         system = parse_coalgebra(_read(args.file))
-        try:
-            words = sorted(lts_language(system, args.depth))
-            for w in words:
+        if word_shape(system.functor) is not None:
+            for w in sorted(lts_language(system, args.depth)):
                 _emit(out, "ε" if w == "" else w)
             return 0
-        except CoalgError:
-            pass
         ts = trace(system, args.depth)
         lines = []
         for d, items in ts.per_depth:
@@ -213,7 +207,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb in ("hom", "open"):
         src = parse_coalgebra(_read(args.src))
-        dst = parse_coalgebra(_read(args.dst))
+        dst = src if args.dst == args.src else parse_coalgebra(_read(args.dst))
         fun = parse_map(_read(args.mapfile), src.carrier, dst.carrier)
         m = CoalgMorphism(src, dst, fun)
         if args.verb == "hom":
@@ -235,7 +229,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             fp1 = plus1(src.functor)
             for k, step in enumerate(w.extension.steps):
                 for (s, e) in w.extension.levels[k].pairs():
-                    _emit(out, f"  {k} : {e} -> {print_term_for(fp1.node(s), step(s, e))}")
+                    _emit(out, f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
             last = w.dst_run.components[-1]
             for (s, e) in w.extension.levels[-1].pairs():
                 _emit(out, f"  target run sends {e} to {last(s, e)}")

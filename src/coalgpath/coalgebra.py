@@ -14,18 +14,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .functors import (
-    Const,
     Functor,
-    Prod,
-    SortRef,
     Term,
     TermError,
     eval_functor,
     fmap,
     functor_has_pf,
     term_in_functor,
+    word_shape,
 )
-from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
 BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
 
@@ -177,20 +175,10 @@ def lift_choice(
 # ---------------------------------------------------------------------------
 # LTS relations
 
-def _lts_alphabet(f: Functor) -> tuple[str, ...]:
-    node = f.node(DEFAULT_SORT)
-    if (
-        isinstance(node, Prod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[0], Const)
-        and isinstance(node.parts[1], SortRef)
-    ):
-        return node.parts[0].elems
-    raise CoalgError("not an LTS-shaped functor (expected prod(const(A), id))")
-
-
 def lts_edges(c: PointedCoalgebra) -> set[tuple[str, str, str]]:
-    _lts_alphabet(c.functor)
+    shape = word_shape(c.functor)
+    if shape is None or shape[1] is not None:
+        raise CoalgError("not an LTS-shaped functor (expected prod(const(A), id))")
     edges = set()
     for (_s, x), terms in c.xi.items():
         for t in terms:
@@ -202,15 +190,13 @@ def lts_edges(c: PointedCoalgebra) -> set[tuple[str, str, str]]:
 
 def lts_is_simulation(r: set[tuple[str, str]], c1: PointedCoalgebra, c2: PointedCoalgebra) -> bool:
     """Forth condition plus the pointing clause."""
-    _lts_alphabet(c1.functor)
-    _lts_alphabet(c2.functor)
+    edges1 = lts_edges(c1)
+    edges2 = lts_edges(c2)
     init1 = {c1.point[(DEFAULT_SORT, i)] for _s, i in c1.pointing.pairs()}
     init2 = {c2.point[(DEFAULT_SORT, i)] for _s, i in c2.pointing.pairs()}
     for i1 in init1:
         if not any((i1, i2) in r for i2 in init2):
             return False
-    edges1 = lts_edges(c1)
-    edges2 = lts_edges(c2)
     for (s, s2) in r:
         for (x, a, y) in edges1:
             if x != s:
@@ -258,7 +244,7 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     )
     pointing = spec.pointing
     if pointing is None:
-        pointing = SortedSet.make({s: (["*"] if s == sorts[0] else []) for s in sorts}, sorts)
+        pointing = singleton_pointing(sorts)
     point: dict[tuple[str, str], str] = {}
     for s, i in pointing.pairs():
         pool = carrier.elems(s)

@@ -531,3 +531,46 @@ def lts_functor(alphabet: Iterable[str]) -> Functor:
 
 def lts_term(label: str, target: str) -> Term:
     return TupleTerm((ConstElem(label), Var(DEFAULT_SORT, target)))
+
+
+def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
+    """``(A, None)`` for the word functor ``A x Id`` and ``(A, m)`` for
+    ``A x Id + {m}``, read at the default sort; None for any other functor.
+
+    ``plus1(A x Id)`` is word-shaped with the added point as its marker.
+    """
+    node = f.node(DEFAULT_SORT) if DEFAULT_SORT in f.sorts else None
+    marker = None
+    if (
+        isinstance(node, Coprod)
+        and len(node.parts) == 2
+        and isinstance(node.parts[1], Const)
+        and len(node.parts[1].elems) == 1
+    ):
+        node, marker = node.parts[0], node.parts[1].elems[0]
+    if (
+        isinstance(node, Prod)
+        and len(node.parts) == 2
+        and isinstance(node.parts[0], Const)
+        and isinstance(node.parts[1], SortRef)
+    ):
+        return node.parts[0].elems, marker
+    return None
+
+
+def decode_word(term: Term) -> tuple[list[str], bool]:
+    """The letters of a nested term of a word-shaped functor, and whether
+    it stops at the marker (True) rather than at a path cut (False)."""
+    letters: list[str] = []
+    t = term
+    while True:
+        if isinstance(t, Inj):
+            if t.index == 1:
+                return letters, True
+            t = t.arg
+        if isinstance(t, UnitLeaf):
+            return letters, False
+        if not (isinstance(t, TupleTerm) and len(t.args) == 2 and isinstance(t.args[0], ConstElem)):
+            raise TermError(f"cannot decode {term!r} as a word")
+        letters.append(t.args[0].name)
+        t = t.args[1]

@@ -147,11 +147,9 @@ def _decode_step(cat: FiniteCategory, p: str, step: TermMap) -> tuple[str, str] 
     if len(items) != 1:
         return None
     (_key, term) = items[0]
-    if not isinstance(term, Inj):
+    if not (isinstance(term, Inj) and isinstance(term.arg, TupleTerm)):
         return None
-    targets = lasota_summand_targets(cat, p)
-    q = targets[term.index]
-    assert isinstance(term.arg, TupleTerm)
+    q = lasota_summand_targets(cat, p)[term.index]
     mor = term.arg.args[0].name  # type: ignore[union-attr]
     return mor, q
 

@@ -51,7 +51,7 @@ from .lasota import FiniteCategory
 from .nominal import RnnaPresentation, RnnaRule
 from .paths import PathObj, make_path, validate_path
 from .precise import TermMap, TermSpace
-from .sets import DEFAULT_SORT, CoalgError, SortedSet
+from .sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 
 NAME_RE = re.compile(r"[A-Za-z0-9_*.:+'⊥•✓-]+")
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
@@ -379,47 +379,41 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
     raise ModelParseError(f"cannot parse a term of {node!r}", s.line)
 
 
-def print_term_for(node: Node, term: Term, ascii_glyphs: bool = False) -> str:
+def print_term_for(f: Functor, sort: str, term: Term, ascii_glyphs: bool = False) -> str:
+    """``term`` written against the expression of ``f`` at ``sort``.
+
+    A sort leaf that holds a nested term instead of a variable, as in a
+    composite value of (F+1)^n(1), is read against ``f`` again.
+    """
     def name(e: str) -> str:
         return GLYPH_ASCII.get(e, e) if ascii_glyphs else e
 
-    if isinstance(term, UnitLeaf):
-        return name(UNIT)
-    if isinstance(node, Coprod) and isinstance(term, Inj):
-        branch = node.parts[term.index]
-        if branch == Const((BOT,)):
-            return name(BOT)
-        return f"in{term.index}({print_term_for(branch, term.arg, ascii_glyphs)})"
-    if isinstance(node, Const) and isinstance(term, ConstElem):
-        return name(term.name)
-    if isinstance(node, SortRef):
-        if isinstance(term, Var):
-            return format_name(name(term.name))
-        return _print_nested(term, ascii_glyphs)
-    if isinstance(node, Prod) and isinstance(term, TupleTerm):
-        return "(" + ", ".join(
-            print_term_for(p, a, ascii_glyphs) for p, a in zip(node.parts, term.args)
-        ) + ")"
-    if isinstance(node, Analytic) and isinstance(term, AnSym):
-        sym = node.symbol(term.sym)
-        if not term.args:
-            return term.sym
-        return term.sym + "(" + ", ".join(
-            print_term_for(n, a, ascii_glyphs) for n, a in zip(sym.slots, term.args)
-        ) + ")"
-    if isinstance(node, Pf) and isinstance(term, SetOf):
-        return "{" + ", ".join(print_term_for(node.inner, a, ascii_glyphs) for a in term.args) + "}"
-    raise CoalgError(f"cannot print {term!r} against {node!r}")
+    def walk(node: Node, t: Term) -> str:
+        if isinstance(t, UnitLeaf):
+            return name(UNIT)
+        if isinstance(node, SortRef):
+            if isinstance(t, Var):
+                return format_name(name(t.name))
+            return walk(f.node(node.sort), t)
+        if isinstance(node, Coprod) and isinstance(t, Inj):
+            branch = node.parts[t.index]
+            if branch == Const((BOT,)):
+                return name(BOT)
+            return f"in{t.index}({walk(branch, t.arg)})"
+        if isinstance(node, Const) and isinstance(t, ConstElem):
+            return name(t.name)
+        if isinstance(node, Prod) and isinstance(t, TupleTerm):
+            return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
+        if isinstance(node, Analytic) and isinstance(t, AnSym):
+            sym = node.symbol(t.sym)
+            if not t.args:
+                return t.sym
+            return t.sym + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
+        if isinstance(node, Pf) and isinstance(t, SetOf):
+            return "{" + ", ".join(walk(node.inner, a) for a in t.args) + "}"
+        raise CoalgError(f"cannot print {t!r} against {node!r}")
 
-
-def _print_nested(term: Term, ascii_glyphs: bool) -> str:
-    from .functors import print_term
-
-    text = print_term(term)
-    if ascii_glyphs:
-        for glyph, alias in GLYPH_ASCII.items():
-            text = text.replace(glyph, alias)
-    return text
+    return walk(f.node(sort), term)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +482,18 @@ def _sorted_key(name: str, carrier: SortedSet, lineno: int) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Coalgebra files
 
-def _parse_functor_section(sections: dict[str, Section], sorts: tuple[str, ...]) -> Functor:
+def _parse_signature(sections: dict[str, Section]) -> tuple[tuple[str, ...], Functor]:
+    """The sorts listed in [sorts] (the default sort without one) and the
+    functor of [functor]."""
+    sorts = tuple(
+        " ".join(line for _n, line in sections["sorts"].lines).split()
+    ) if "sorts" in sections else (DEFAULT_SORT,)
     section = sections.get("functor")
     if section is None:
         raise ModelParseError("missing [functor] section")
     if len(sorts) == 1 and all("=" not in line for _n, line in section.lines):
         text = " ".join(line for _n, line in section.lines)
-        return functor(parse_functor_text(text, section.lines[0][0]))
+        return sorts, functor(parse_functor_text(text, section.lines[0][0]))
     nodes: dict[str, Node] = {}
     for lineno, line in section.lines:
         if "=" not in line:
@@ -507,23 +506,38 @@ def _parse_functor_section(sections: dict[str, Section], sorts: tuple[str, ...])
     missing = [s for s in sorts if s not in nodes]
     if missing:
         raise ModelParseError(f"no functor expression for sorts {missing}")
-    return multisorted(sorts, nodes)
+    return sorts, multisorted(sorts, nodes)
+
+
+def _signature_lines(f: Functor, ascii_glyphs: bool) -> list[str]:
+    """[functor], preceded by [sorts] unless ``f`` has the default sort only."""
+    if f.sorts == (DEFAULT_SORT,):
+        return ["[functor]", print_functor_node(f.node(DEFAULT_SORT), ascii_glyphs), ""]
+    lines = ["[sorts]", " ".join(f.sorts), "", "[functor]"]
+    lines.extend(f"{s} = {print_functor_node(f.node(s), ascii_glyphs)}" for s in f.sorts)
+    return lines + [""]
+
+
+def _elem_lines(x: SortedSet) -> list[str]:
+    """The lines of a carrier section: the names alone over the default
+    sort, else ``S : names`` for each sort with elements."""
+    if x.sorts == (DEFAULT_SORT,):
+        return [" ".join(format_name(e) for e in x.data[0])]
+    return [f"{s} : {' '.join(format_name(e) for e in elems)}" for s, elems in zip(x.sorts, x.data) if elems]
+
+
+def _key(x: SortedSet, sort: str, elem: str) -> str:
+    """An element of ``x`` as the left side of a ``->`` line."""
+    return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{sort}.{elem}"
 
 
 def parse_coalgebra(text: str) -> PointedCoalgebra:
     sections = split_sections(text)
-    sorts = tuple(
-        " ".join(line for _n, line in sections["sorts"].lines).split()
-    ) if "sorts" in sections else (DEFAULT_SORT,)
-    f = _parse_functor_section(sections, sorts)
+    sorts, f = _parse_signature(sections)
     if "states" not in sections:
         raise ModelParseError("missing [states] section")
     carrier = _parse_sorted_elems(sections["states"], sorts)
-    pointing = (
-        _parse_sorted_elems(sections["pointing"], sorts)
-        if "pointing" in sections
-        else SortedSet.make({s: (["*"] if s == sorts[0] else []) for s in sorts}, sorts)
-    )
+    pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
     if "init" not in sections:
         raise ModelParseError("missing [init] section")
     point: dict[tuple[str, str], str] = {}
@@ -554,42 +568,14 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
 
 
 def print_coalgebra(c: PointedCoalgebra, ascii_glyphs: bool = False) -> str:
-    lines = []
-    multi = len(c.carrier.sorts) > 1
-    if multi:
-        lines.append("[sorts]")
-        lines.append(" ".join(c.carrier.sorts))
-        lines.append("")
-    lines.append("[functor]")
-    if multi:
-        for s in c.functor.sorts:
-            lines.append(f"{s} = {print_functor_node(c.functor.node(s), ascii_glyphs)}")
-    else:
-        lines.append(print_functor_node(c.functor.node(DEFAULT_SORT), ascii_glyphs))
-    lines.append("")
-    lines.append("[pointing]")
-    for s in c.pointing.sorts:
-        elems = c.pointing.elems(s)
-        if elems:
-            lines.append(f"{s} : {' '.join(elems)}" if multi else " ".join(elems))
-    lines.append("")
-    lines.append("[states]")
-    for s in c.carrier.sorts:
-        elems = [format_name(e) for e in c.carrier.elems(s)]
-        if elems or not multi:
-            lines.append(f"{s} : {' '.join(elems)}" if multi else " ".join(elems))
-    lines.append("")
-    lines.append("[init]")
+    lines = _signature_lines(c.functor, ascii_glyphs)
+    lines += ["[pointing]", *_elem_lines(c.pointing), "", "[states]", *_elem_lines(c.carrier), "", "[init]"]
     for (s, i) in c.pointing.pairs():
-        left = f"{s}.{i}" if multi else format_name(i)
-        right = f"{s}.{c.point[(s, i)]}" if multi else format_name(c.point[(s, i)])
-        lines.append(f"{left} -> {right}")
-    lines.append("")
-    lines.append("[trans]")
+        lines.append(f"{_key(c.pointing, s, i)} -> {_key(c.carrier, s, c.point[(s, i)])}")
+    lines += ["", "[trans]"]
     for (s, x) in c.carrier.pairs():
         for t in c.xi[(s, x)]:
-            left = f"{s}.{x}" if multi else format_name(x)
-            lines.append(f"{left} -> {print_term_for(c.functor.node(s), t, ascii_glyphs)}")
+            lines.append(f"{_key(c.carrier, s, x)} -> {print_term_for(c.functor, s, t, ascii_glyphs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -598,31 +584,25 @@ def print_coalgebra(c: PointedCoalgebra, ascii_glyphs: bool = False) -> str:
 
 def parse_path(text: str) -> PathObj:
     sections = split_sections(text)
-    sorts = tuple(
-        " ".join(line for _n, line in sections["sorts"].lines).split()
-    ) if "sorts" in sections else (DEFAULT_SORT,)
-    f = _parse_functor_section(sections, sorts)
-    pointing = (
-        _parse_sorted_elems(sections["pointing"], sorts)
-        if "pointing" in sections
-        else SortedSet.make({s: (["*"] if s == sorts[0] else []) for s in sorts}, sorts)
-    )
+    sorts, f = _parse_signature(sections)
+    pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
     if "levels" not in sections:
         raise ModelParseError("missing [levels] section")
-    level_map: dict[int, SortedSet] = {}
+    # a level may span several lines, one per sort
+    level_lines: dict[int, list[tuple[int, str]]] = {}
     for lineno, line in sections["levels"].lines:
         if ":" not in line:
             raise ModelParseError("expected '<k> : elements'", lineno)
         idx_text, rest = line.split(":", 1)
-        idx = int(idx_text.strip())
-        pseudo = Section("level", [(lineno, rest.strip())] if rest.strip() else [])
-        level_map[idx] = _parse_sorted_elems(pseudo, sorts)
-    n = max(level_map.keys(), default=0)
+        rows = level_lines.setdefault(int(idx_text.strip()), [])
+        if rest.strip():
+            rows.append((lineno, rest.strip()))
+    n = max(level_lines.keys(), default=0)
     levels = []
     for k in range(n + 1):
-        if k not in level_map:
+        if k not in level_lines:
             raise ModelParseError(f"missing level {k}")
-        levels.append(level_map[k])
+        levels.append(_parse_sorted_elems(Section("level", level_lines[k]), sorts))
     fp1 = plus1(f)
     tables: list[dict[tuple[str, str], Term]] = [dict() for _ in range(n)]
     for lineno, line in sections.get("steps", Section("steps", [])).lines:
@@ -644,20 +624,15 @@ def parse_path(text: str) -> PathObj:
 
 
 def print_path(p: PathObj, ascii_glyphs: bool = False) -> str:
-    lines = ["[functor]", print_functor_node(p.functor.node(DEFAULT_SORT), ascii_glyphs), ""]
-    lines.append("[pointing]")
-    lines.append(" ".join(p.pointing.elems(DEFAULT_SORT)))
-    lines.append("")
-    lines.append("[levels]")
+    lines = _signature_lines(p.functor, ascii_glyphs)
+    lines += ["[pointing]", *_elem_lines(p.pointing), "", "[levels]"]
     for k, level in enumerate(p.levels):
-        names = " ".join(format_name(e) for e in level.elems(DEFAULT_SORT))
-        lines.append(f"{k} : {names}".rstrip())
-    lines.append("")
-    lines.append("[steps]")
+        lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
+    lines += ["", "[steps]"]
     fp1 = p.plus1()
     for k, step in enumerate(p.steps):
         for (s, e) in p.levels[k].pairs():
-            lines.append(f"{k} : {format_name(e)} -> {print_term_for(fp1.node(s), step(s, e), ascii_glyphs)}")
+            lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e), ascii_glyphs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -695,42 +670,17 @@ class FactorProblem:
 
 
 def print_factor_problem(problem: FactorProblem, ascii_glyphs: bool = False) -> str:
-    multi = len(problem.domain.sorts) > 1
-    lines = []
-    if multi:
-        lines.extend(["[sorts]", " ".join(problem.domain.sorts), ""])
-    lines.append("[functor]")
-    if multi:
-        for s in problem.functor.sorts:
-            lines.append(f"{s} = {print_functor_node(problem.functor.node(s), ascii_glyphs)}")
-    else:
-        lines.append(print_functor_node(problem.functor.node(DEFAULT_SORT), ascii_glyphs))
-    lines.append("")
-    lines.append("[domain]")
-    for s in problem.domain.sorts:
-        elems = [format_name(e) for e in problem.domain.elems(s)]
-        if elems or not multi:
-            lines.append(f"{s} : {' '.join(elems)}" if multi else " ".join(elems))
-    lines.append("")
-    lines.append("[codomain]")
-    for s in problem.codomain.sorts:
-        elems = [format_name(e) for e in problem.codomain.elems(s)]
-        if elems or not multi:
-            lines.append(f"{s} : {' '.join(elems)}" if multi else " ".join(elems))
-    lines.append("")
-    lines.append("[map]")
+    lines = _signature_lines(problem.functor, ascii_glyphs)
+    lines += ["[domain]", *_elem_lines(problem.domain), "", "[codomain]", *_elem_lines(problem.codomain), "", "[map]"]
     for (s, x) in problem.domain.pairs():
-        left = f"{s}.{x}" if multi else format_name(x)
-        lines.append(f"{left} -> {print_term_for(problem.functor.node(s), problem.term_map(s, x), ascii_glyphs)}")
+        term = print_term_for(problem.functor, s, problem.term_map(s, x), ascii_glyphs)
+        lines.append(f"{_key(problem.domain, s, x)} -> {term}")
     return "\n".join(lines) + "\n"
 
 
 def parse_factor_problem(text: str) -> FactorProblem:
     sections = split_sections(text)
-    sorts = tuple(
-        " ".join(line for _n, line in sections["sorts"].lines).split()
-    ) if "sorts" in sections else (DEFAULT_SORT,)
-    f = _parse_functor_section(sections, sorts)
+    sorts, f = _parse_signature(sections)
     if "domain" not in sections or "codomain" not in sections:
         raise ModelParseError("need [domain] and [codomain] sections")
     dom = _parse_sorted_elems(sections["domain"], sorts)

@@ -70,9 +70,6 @@ class Perm:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.mapping == other.mapping
 
-    def inverse(self) -> "Perm":
-        return Perm({v: k for k, v in self.mapping.items()})
-
     def after(self, first: "Perm") -> "Perm":
         keys = set(self.mapping) | set(first.mapping)
         return Perm({k: self(first(k)) for k in keys})
@@ -436,14 +433,16 @@ def _bind_successor(rule: RnnaRule, regs: tuple[str, ...], pool: AtomPool) -> Te
         raise PoolError("pool too small: no fresh atom available")
     a = fresh_candidates[0]
     target_regs = tuple(a if j == 0 else regs[j - 1] for j in rule.sigma)
-    body = NomElem(rule.target or "", target_regs)
-    canonical = canonical_bind(a, body, pool)
-    assert isinstance(canonical.body, NomElem)
+    return _bar_term(a, NomElem(rule.target or "", target_regs), pool)
+
+
+def _bar_term(atom: str, body: NomElem, pool: AtomPool) -> Term:
+    """The binder transition to ``body`` under ``atom``, alpha-canonical."""
+    canonical = canonical_bind(atom, body, pool)
+    target = canonical.body  # ``body`` renamed, so a NomElem
     return Inj(
         BAR_INDEX,
-        TupleTerm(
-            (ConstElem(canonical.atom), Var(DEFAULT_SORT, state_name(canonical.body.tag, canonical.body.atoms)))
-        ),
+        TupleTerm((ConstElem(canonical.atom), Var(DEFAULT_SORT, state_name(target.tag, target.atoms)))),  # type: ignore[union-attr]
     )
 
 
@@ -502,28 +501,20 @@ def perm_state(pi: Perm, name: str) -> str:
 
 def perm_term(pi: Perm, t: Term, pool: AtomPool) -> Term:
     """The pool action on transition terms, re-canonicalizing binders."""
-    if isinstance(t, Inj):
-        if t.index == 0:
-            return t
-        assert isinstance(t.arg, TupleTerm)
-        atom = t.arg.args[0].name  # type: ignore[union-attr]
-        target = t.arg.args[1].name  # type: ignore[union-attr]
-        q, regs = parse_state_name(target)
-        renamed = NomElem(q, tuple(pi(a) for a in regs))
-        if t.index == FREE_INDEX:
-            return Inj(
-                FREE_INDEX,
-                TupleTerm((ConstElem(pi(atom)), Var(DEFAULT_SORT, state_name(renamed.tag, renamed.atoms)))),
-            )
-        canonical = canonical_bind(pi(atom), renamed, pool)
-        assert isinstance(canonical.body, NomElem)
+    if isinstance(t, Inj) and t.index == 0:
+        return t
+    if not (isinstance(t, Inj) and isinstance(t.arg, TupleTerm)):
+        raise CoalgError(f"not an automaton transition term: {t!r}")
+    atom = t.arg.args[0].name  # type: ignore[union-attr]
+    target = t.arg.args[1].name  # type: ignore[union-attr]
+    q, regs = parse_state_name(target)
+    renamed = NomElem(q, tuple(pi(a) for a in regs))
+    if t.index == FREE_INDEX:
         return Inj(
-            BAR_INDEX,
-            TupleTerm(
-                (ConstElem(canonical.atom), Var(DEFAULT_SORT, state_name(canonical.body.tag, canonical.body.atoms)))
-            ),
+            FREE_INDEX,
+            TupleTerm((ConstElem(pi(atom)), Var(DEFAULT_SORT, state_name(renamed.tag, renamed.atoms)))),
         )
-    raise CoalgError(f"not an automaton transition term: {t!r}")
+    return _bar_term(pi(atom), renamed, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +526,13 @@ def _decode_bar_term(t: Term) -> tuple[tuple[tuple[str, str], ...], str | None]:
     while True:
         if isinstance(current, UnitLeaf):
             return tuple(tokens), "cut"
-        if isinstance(current, Inj):
-            if current.index == 0:
-                return tuple(tokens), CHECK
-            assert isinstance(current.arg, TupleTerm)
-            atom = current.arg.args[0].name  # type: ignore[union-attr]
-            kind = "bar" if current.index == BAR_INDEX else "free"
-            tokens.append((kind, atom))
-            current = current.arg.args[1]
-            continue
-        raise CoalgError(f"cannot decode trace term {current!r}")
+        if isinstance(current, Inj) and current.index == 0:
+            return tuple(tokens), CHECK
+        if not (isinstance(current, Inj) and isinstance(current.arg, TupleTerm)):
+            raise CoalgError(f"cannot decode trace term {current!r}")
+        atom = current.arg.args[0].name  # type: ignore[union-attr]
+        tokens.append(("bar" if current.index == BAR_INDEX else "free", atom))
+        current = current.arg.args[1]
 
 
 def bar_trace(system: PointedCoalgebra, depth: int) -> frozenset[tuple]:

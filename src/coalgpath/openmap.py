@@ -409,7 +409,7 @@ def serialize_witness(w: SquareWitness) -> list[str]:
             run_note = ""
             if k < len(w.run.components):
                 run_note = f"  [src {w.run.components[k](s, e)} -> dst {w.dst_run.components[k](s, e)}]"
-            lines.append(f"{k} : {e} -> {print_term_for(fp1.node(s), step(s, e))}{run_note}")
+            lines.append(f"{k} : {e} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
     last = w.dst_run.components[-1]
     for (s, e) in w.extension.levels[-1].pairs():
         lines.append(f"{w.extension.length} : {e} [dst {last(s, e)}, no source lift]")

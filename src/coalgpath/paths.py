@@ -16,15 +16,16 @@ from typing import Iterator
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
+    BOT,
     UNIT_TERM,
     Functor,
     Node,
     SortRef,
     Term,
     TermError,
-    UnitLeaf,
     Var,
     bot_of_plus1,
+    decode_word,
     fmap,
     map_leaves,
     plus1,
@@ -32,10 +33,11 @@ from .functors import (
     strip_plus1,
     subst_node,
     term_in_functor,
+    word_shape,
 )
 from .groups import group_elements
 from .precise import TermMap, TermSpace, is_precise, precise_factorize
-from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from .sets import CoalgError, SortedFun, SortedSet
 
 
 @dataclass
@@ -142,64 +144,13 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
     return map_leaves(fp1.node(sort), term, lambda ref, t: truncate_term(fp1, ref.sort, t, depth - 1))
 
 
-def print_comp_term(step: Functor, sort: str, term: Term) -> str:
-    """Nested rendering of one composite-value component."""
-    from .functors import Analytic, AnSym, Const, ConstElem, Coprod, Inj, Prod, TupleTerm
-    from .functors import BOT, UNIT
-
-    def walk(node: Node, t: Term) -> str:
-        if isinstance(t, UnitLeaf):
-            return UNIT
-        if isinstance(node, SortRef):
-            return walk(step.node(node.sort), t)
-        if isinstance(node, Const) and isinstance(t, ConstElem):
-            return t.name
-        if isinstance(node, Coprod) and isinstance(t, Inj):
-            branch = node.parts[t.index]
-            if branch == Const((BOT,)):
-                return BOT
-            return f"in{t.index}({walk(branch, t.arg)})"
-        if isinstance(node, Prod) and isinstance(t, TupleTerm):
-            return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
-        if isinstance(node, Analytic) and isinstance(t, AnSym):
-            sym = node.symbol(t.sym)
-            if not t.args:
-                return t.sym
-            return t.sym + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
-        raise TermError(f"cannot print {t!r} against {node!r}")
-
-    return walk(step.node(sort), term)
-
-
 def comp_as_word(cv: CompValue) -> str | None:
     """Decode an LTS-shaped composite as a word over the alphabet and the
     added point, padded to the composite's depth; None when not LTS-shaped."""
-    from .functors import BOT, Const, ConstElem, Coprod, Inj, Prod, TupleTerm
-
-    node = cv.functor.node(DEFAULT_SORT) if DEFAULT_SORT in cv.functor.sorts else None
-    if node is None or not cv.bottomed:
+    if not cv.bottomed or len(cv.values) != 1 or word_shape(cv.step_functor()) is None:
         return None
-    if not (
-        isinstance(node, Prod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[0], Const)
-        and isinstance(node.parts[1], SortRef)
-    ):
-        return None
-    if len(cv.values) != 1:
-        return None
-    letters: list[str] = []
-    t = cv.values[0][1]
-    while True:
-        if isinstance(t, UnitLeaf):
-            return "".join(letters)
-        if isinstance(t, Inj) and t.index == 1:
-            return "".join(letters) + BOT * (cv.depth - len(letters))
-        if isinstance(t, Inj) and t.index == 0 and isinstance(t.arg, TupleTerm):
-            letters.append(t.arg.args[0].name)  # type: ignore[union-attr]
-            t = t.arg.args[1]
-            continue
-        return None
+    letters, stopped = decode_word(cv.values[0][1])
+    return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
 
 
 def pathord_le(u: CompValue, v: CompValue) -> bool:
@@ -290,14 +241,7 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
             yield binding
         return
     if isinstance(node, Prod):
-        def rec(i: int, b: dict) -> Iterator[dict]:
-            if i == len(node.parts):
-                yield b
-                return
-            for b2 in _match_terms(node.parts[i], t_src.args[i], t_dst.args[i], b):
-                yield from rec(i + 1, b2)
-
-        yield from rec(0, binding)
+        yield from _match_all(node.parts, t_src.args, t_dst.args, binding)
         return
     if isinstance(node, Coprod):
         if t_src.index != t_dst.index:
@@ -314,17 +258,18 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
             if permuted in seen:
                 continue
             seen.add(permuted)
-
-            def rec(i: int, b: dict) -> Iterator[dict]:
-                if i == len(sym.slots):
-                    yield b
-                    return
-                for b2 in _match_terms(sym.slots[i], t_src.args[i], permuted[i], b):
-                    yield from rec(i + 1, b2)
-
-            yield from rec(0, binding)
+            yield from _match_all(sym.slots, t_src.args, permuted, binding)
         return
     raise TermError(f"unsupported node {node!r}")
+
+
+def _match_all(nodes: tuple[Node, ...], srcs: tuple[Term, ...], dsts: tuple[Term, ...], binding: dict) -> Iterator[dict]:
+    """Bindings matching the terms pairwise, extending ``binding`` from the left."""
+    if not nodes:
+        yield binding
+        return
+    for b in _match_terms(nodes[0], srcs[0], dsts[0], binding):
+        yield from _match_all(nodes[1:], srcs[1:], dsts[1:], b)
 
 
 def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:

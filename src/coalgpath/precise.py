@@ -285,16 +285,9 @@ def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
         yield fresh.next(node.sort)
         return
     if isinstance(node, Prod):
-        def rec(i: int, acc: list[Term]) -> Iterator[Term]:
-            if i == len(node.parts):
-                yield TupleTerm(tuple(acc))
-                return
-            for shape in _node_shapes(node.parts[i], fresh):
-                acc.append(shape)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
+        part_choices = [list(_node_shapes(p, fresh)) for p in node.parts]
+        for combo in itertools.product(*part_choices):
+            yield TupleTerm(combo)
         return
     if isinstance(node, Coprod):
         for i, part in enumerate(node.parts):
@@ -314,38 +307,30 @@ def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
 
 def element_shapes(f_expr: Functor, sort: str) -> list[Term]:
     """Shapes for a single domain element, canonically renamed."""
-    shapes = []
-    seen = set()
-    for raw in _node_shapes(f_expr.node(sort), _FreshVars()):
-        canon = _rename_first_occurrence(f_expr.node(sort), raw)
-        if canon.key not in seen:
-            seen.add(canon.key)
-            shapes.append(canon)
-    return sorted(shapes)
+    node = f_expr.node(sort)
+    shapes: dict[tuple, Term] = {}
+    for canon in _node_shapes(node, _FreshVars()):
+        # renaming may change the canonical orbit representative of analytic
+        # arguments, and with it the occurrence order: iterate to a fixed
+        # point (a handful of rounds at most in practice)
+        for _round in range(10):
+            renamed, _names = _renumber(node, canon, 0)
+            if renamed == canon:
+                break
+            canon = renamed
+        shapes.setdefault(canon.key, canon)
+    return sorted(shapes.values())
 
 
-def _rename_first_occurrence(node: Node, term: Term) -> Term:
-    """Rename variables v001, v002, ... in first-occurrence order.
-
-    Renaming may change the canonical orbit representative of analytic
-    arguments, which in turn changes occurrence order, so iterate to a
-    fixed point (a handful of rounds at most in practice).
-    """
-    current = term
-    for _round in range(10):
-        occ = occurrences(node, current)
-        mapping: dict[tuple[str, str], Var] = {}
-        counter = 0
-        for var, _path in occ:
-            key = (var.sort, var.name)
-            if key not in mapping:
-                counter += 1
-                mapping[key] = Var(var.sort, f"v{counter:03d}")
-        renamed = subst_node(node, current, mapping)
-        if renamed == current:
-            return current
-        current = renamed
-    return current
+def _renumber(node: Node, term: Term, start: int) -> tuple[Term, list[Var]]:
+    """``term`` with its variables renamed v<start+1>, v<start+2>, ... in
+    first-occurrence order, and the new variables in that order."""
+    mapping: dict[tuple[str, str], Var] = {}
+    for var, _path in occurrences(node, term):
+        key = (var.sort, var.name)
+        if key not in mapping:
+            mapping[key] = Var(var.sort, f"v{start + len(mapping) + 1:03d}")
+    return subst_node(node, term, mapping), list(mapping.values())
 
 
 def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[SortedSet, TermMap]]:
@@ -364,16 +349,10 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
         fresh_elems: dict[str, list[str]] = {s: [] for s in p.sorts}
         table: dict[tuple[str, str], Term] = {}
         for (sort, elem), shape in zip(keys, combo):
-            node = f_expr.node(sort)
-            local: dict[tuple[str, str], Var] = {}
-            for var, _path in occurrences(node, shape):
-                key = (var.sort, var.name)
-                if key not in local:
-                    counter += 1
-                    fresh_name = f"v{counter:03d}"
-                    local[key] = Var(var.sort, fresh_name)
-                    fresh_elems[var.sort].append(fresh_name)
-            table[(sort, elem)] = subst_node(node, shape, local)
+            table[(sort, elem)], names = _renumber(f_expr.node(sort), shape, counter)
+            counter += len(names)
+            for v in names:
+                fresh_elems[v.sort].append(v.name)
         codomain = SortedSet.make({s: fresh_elems[s] for s in p.sorts}, p.sorts)
         term_map = TermMap(p, TermSpace(f_expr, codomain), table)
         dedupe_key = tuple(sorted((k, t.key) for k, t in table.items()))

@@ -72,9 +72,6 @@ class SortedSet:
     def has(self, sort: str, elem: str) -> bool:
         return sort in self.sorts and elem in self.elems(sort)
 
-    def is_empty(self) -> bool:
-        return self.size() == 0
-
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "SortedSet":
         keep_set = set(keep)
         return SortedSet(

@@ -11,25 +11,21 @@ definition is kept as a test oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
     UNIT_TERM,
-    Const,
     Coprod,
     Functor,
-    Inj,
-    Node,
-    Prod,
-    SortRef,
     Term,
-    TupleTerm,
-    UnitLeaf,
-    Var,
+    decode_word,
+    map_leaves,
     occurrences,
     print_term,
+    word_shape,
 )
 from .paths import CompValue, make_comp_value
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
@@ -49,17 +45,8 @@ class TraceSet:
     depth: int
     per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], frozenset[Term]], ...]], ...]
 
-    def components(self, depth: int) -> dict | None:
-        """Per-element term sets at a depth, or None when nothing is traced."""
-        for d, items in self.per_depth:
-            if d == depth:
-                return dict(items)
-        return None
-
     def values(self) -> Iterator[CompValue]:
         """Materialize the composite values (product across pointing elements)."""
-        import itertools
-
         for d, items in self.per_depth:
             keys = [key for key, _terms in items]
             pools = [sorted(terms) for _key, terms in items]
@@ -86,45 +73,16 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
         table[(key, 0)] = frozenset([UNIT_TERM])
     for d in range(1, max_depth + 1):
         for (s, x) in c.carrier.pairs():
+            node = c.functor.node(s)
             out: set[Term] = set()
             for t in c.xi[(s, x)]:
-                node = c.functor.node(s)
-                occ = occurrences(node, t)
-                pools = []
-                dead = False
-                for var, _path in occ:
-                    continuations = table[((var.sort, var.name), d - 1)]
-                    if not continuations:
-                        dead = True
-                        break
-                    pools.append(continuations)
-                if dead:
-                    continue
-                out.update(_graft(node, t, occ, pools))
+                # substitute, independently per occurrence, every continuation choice
+                pools = [table[((var.sort, var.name), d - 1)] for var, _path in occurrences(node, t)]
+                for combo in itertools.product(*pools):
+                    chosen = iter(combo)
+                    out.add(map_leaves(node, t, lambda _ref, _t: next(chosen)))
             table[((s, x), d)] = frozenset(out)
     return table
-
-
-def _graft(node: Node, term: Term, occ: list, pools: list) -> Iterator[Term]:
-    """Substitute, independently per occurrence, every continuation choice."""
-    import itertools
-
-    from .functors import rebuild_with_fresh, subst_node
-
-    if not occ:
-        yield term
-        return
-    fresh_names: list[Var] = []
-
-    def fresh(var: Var, _path) -> Var:
-        v = Var(var.sort, f"#o{len(fresh_names)}")
-        fresh_names.append(v)
-        return v
-
-    skeleton = rebuild_with_fresh(node, term, fresh)
-    for combo in itertools.product(*pools):
-        sigma = {(v.sort, v.name): chosen for v, chosen in zip(fresh_names, combo)}
-        yield subst_node(node, skeleton, sigma)
 
 
 def trace(c: PointedCoalgebra, depth: int) -> TraceSet:
@@ -157,63 +115,17 @@ def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
 # ---------------------------------------------------------------------------
 # Instance decodings
 
-def _word_shape(f: Functor) -> tuple[tuple[str, ...], bool]:
-    """Recognize A x Id or A x Id + check; returns (alphabet, has_check)."""
-    node = f.node(DEFAULT_SORT)
-    if (
-        isinstance(node, Prod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[0], Const)
-        and isinstance(node.parts[1], SortRef)
-    ):
-        return node.parts[0].elems, False
-    if (
-        isinstance(node, Coprod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[0], Prod)
-        and isinstance(node.parts[1], Const)
-        and len(node.parts[1].elems) == 1
-    ):
-        inner = node.parts[0]
-        if (
-            len(inner.parts) == 2
-            and isinstance(inner.parts[0], Const)
-            and isinstance(inner.parts[1], SortRef)
-        ):
-            return inner.parts[0].elems, True
-    raise CoalgError("not a word-shaped functor (A x Id, optionally + a final marker)")
-
-
-def _decode_word(f: Functor, term: Term, has_check: bool, marker: str) -> str:
-    letters: list[str] = []
-    t = term
-    while True:
-        if isinstance(t, UnitLeaf):
-            return "".join(letters)
-        if has_check:
-            if isinstance(t, Inj) and t.index == 1:
-                return "".join(letters) + marker
-            if isinstance(t, Inj) and t.index == 0:
-                t = t.arg
-                continue
-        if isinstance(t, TupleTerm) and len(t.args) == 2:
-            letters.append(t.args[0].name)  # type: ignore[union-attr]
-            t = t.args[1]
-            continue
-        raise CoalgError(f"cannot decode {term!r} as a word")
-
-
 def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
     """Trace values decoded as words (final-marker words keep the marker)."""
-    alphabet, has_check = _word_shape(c.functor)
-    node = c.functor.node(DEFAULT_SORT)
-    marker = node.parts[1].elems[0] if has_check else ""  # type: ignore[union-attr]
-    ts = trace(c, depth)
+    shape = word_shape(c.functor)
+    if shape is None:
+        raise CoalgError("not a word-shaped functor (A x Id, optionally + a final marker)")
     words = set()
-    for d, items in ts.per_depth:
+    for _d, items in trace(c, depth).per_depth:
         for _key, terms in items:
             for t in terms:
-                words.add(_decode_word(c.functor, t, has_check, marker))
+                letters, marked = decode_word(t)
+                words.add("".join(letters) + (shape[1] if marked else ""))
     return words
 
 

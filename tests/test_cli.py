@@ -21,6 +21,21 @@ def lts_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def deep_file(tmp_path_factory):
+    """A 97-level product functor, inside the nesting cap, and one
+    transition: six steps of its terms nest deeper than the stack allows."""
+    node, term = "id", "s0"
+    for _ in range(97):
+        node, term = f"prod({node}, const(a))", f"({term}, a)"
+    path = tmp_path_factory.mktemp("models") / "deep.model"
+    path.write_text(
+        f"[functor]\n{node}\n\n[states]\ns0\n\n[init]\n* -> s0\n\n[trans]\ns0 -> {term}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def fig2_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "fig2.factor"
     path.write_text(
@@ -112,6 +127,12 @@ class TestVerbs:
         text, code = run_command(["verify", *extra, "--trials", "3"])
         assert code == 2
         assert text.startswith("error: ") and "FAILURES" not in text
+
+    @pytest.mark.parametrize("verb", ["trace", "runs"])
+    def test_deep_terms_exit_two(self, deep_file, verb):
+        text, code = run_command([verb, deep_file, "--depth", "6"])
+        assert code == 2
+        assert text.startswith("error: ")
 
     def test_verify_nested_composition_in_outer_slot(self):
         functor_text = "compose(compose(prod(id, id), coprod(const(c), id)), id)"

@@ -29,6 +29,10 @@ CASES = [
     # compose(prod(const(a b), id), id) is the word functor A x Id
     ("word-runs", ["runs", "word.model", "--depth", "2"], 0),
     ("word-trace", ["trace", "word.model", "--depth", "3"], 0),
+    # coprod(prod(const(a b), id), const(ok)) is the word functor A x Id + check
+    ("check-runs", ["runs", "check.model", "--depth", "2"], 0),
+    ("check-trace", ["trace", "check.model", "--depth", "3"], 0),
+    ("tree-runs-ascii", ["--ascii", "runs", "tree.model", "--depth", "2"], 0),
 ]
 
 

@@ -236,6 +236,64 @@ prod(const(a b), id)
             assert comp(again) == comp(p)
 
 
+class TestMultisortedPathFiles:
+    TWO_SORT_TEXT = """\
+[sorts]
+a b
+
+[functor]
+a = prod(sort(a), sort(b))
+b = const(c)
+
+[pointing]
+a : *
+
+[levels]
+0 : a : *
+1 : a : x
+1 : b : y
+2 :
+
+[steps]
+0 : a.* -> (x, y)
+1 : a.x -> bot
+1 : b.y -> c
+"""
+
+    def test_repeated_level_lines_merge(self):
+        p = parse_path(self.TWO_SORT_TEXT)
+        assert p.levels[1].elems("a") == ("x",) and p.levels[1].elems("b") == ("y",)
+        text = print_path(p)
+        again = parse_path(text)
+        assert comp(again) == comp(p)
+        assert print_path(again) == text
+
+    def test_lasota_paths_roundtrip(self):
+        from coalgpath.functors import plus1
+        from coalgpath.lasota import lasota_functor, lasota_pointing
+        from coalgpath.modelio import parse_model, print_model
+        from coalgpath.paths import make_path
+        from coalgpath.precise import enumerate_precise_maps
+
+        cat = poset_category(3)
+        f = lasota_functor(cat)
+        frontier = [([lasota_pointing(cat)], [])]
+        count = 0
+        for _length in range(3):
+            grown = []
+            for levels, tables in frontier:
+                p = make_path(f, levels[0], levels, tables)
+                text = print_model(p)
+                again = parse_model(text)
+                assert comp(again) == comp(p)
+                assert print_model(again) == text
+                count += 1
+                for codomain, step in enumerate_precise_maps(levels[-1], plus1(f)):
+                    grown.append((levels + [codomain], tables + [step.table]))
+            frontier = grown
+        assert count == 15  # the empty path, 4 of length 1 and 10 of length 2
+
+
 class TestMapFiles:
     def test_parse_map(self):
         src = parse_coalgebra(LTS_TEXT)

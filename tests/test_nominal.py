@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalgpath.functors import ConstElem, Inj, TupleTerm, Var
 from coalgpath.nominal import (
     AtomPool,
     BarString,
@@ -30,8 +31,9 @@ from coalgpath.nominal import (
     perm_term,
     rnna_expand,
     support,
+    _decode_bar_term,
 )
-from coalgpath.sets import DEFAULT_SORT
+from coalgpath.sets import DEFAULT_SORT, CoalgError
 
 CHECK = chr(0x2713)
 
@@ -325,6 +327,22 @@ class TestBarTrace:
         oracle3 = presentation_trace_oracle(r, POOL3, 3)
         assert bar_trace(rnna_expand(r, POOL3), 3) == oracle3
         assert bar_trace(rnna_expand(r, POOL3), 3) == bar_trace(rnna_expand(r, AtomPool(4)), 3)
+
+
+class TestMalformedAutomatonTerms:
+    """Malformed terms raise CoalgError, also under ``python -O``."""
+
+    BAD = [Inj(1, ConstElem("a1")), Inj(2, Var(DEFAULT_SORT, "q0()")), TupleTerm((ConstElem("a1"),))]
+
+    @pytest.mark.parametrize("term", BAD)
+    def test_perm_term(self, term):
+        with pytest.raises(CoalgError):
+            perm_term(Perm.swap("a1", "a2"), term, POOL2)
+
+    @pytest.mark.parametrize("term", BAD)
+    def test_decode_bar_term(self, term):
+        with pytest.raises(CoalgError):
+            _decode_bar_term(term)
 
 
 def presentation_trace_oracle(r: RnnaPresentation, pool: AtomPool, depth: int) -> frozenset:
