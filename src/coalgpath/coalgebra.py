@@ -21,7 +21,6 @@ from .functors import (
     fmap,
     functor_has_pf,
     term_in_functor,
-    word_shape,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
@@ -64,20 +63,17 @@ class PointedCoalgebra:
         return {(s, self.point[(s, i)]) for s, i in self.pointing.pairs()}
 
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "PointedCoalgebra":
-        """The subcoalgebra on a closed subset of states."""
+        """The subcoalgebra on a closed subset of states.
+
+        A subset that is not closed fails the constructor's term check
+        with :class:`CoalgError`.
+        """
         keep_set = set(keep)
         missing = self.point_image() - keep_set
         if missing:
             raise CoalgError(f"cannot drop pointed states {sorted(missing)}")
         carrier = self.carrier.restrict(keep_set)
-        xi = {}
-        for (s, x), terms in self.xi.items():
-            if (s, x) not in keep_set:
-                continue
-            for t in terms:
-                if not term_in_functor(self.functor, s, t, carrier):
-                    raise CoalgError(f"state set not closed: {t!r} leaves it")
-            xi[(s, x)] = terms
+        xi = {key: terms for key, terms in self.xi.items() if key in keep_set}
         return PointedCoalgebra(self.functor, self.pointing, carrier, dict(self.point), xi)
 
 
@@ -129,86 +125,6 @@ def is_lax_hom(m: CoalgMorphism) -> bool:
         set(m.image_xi(s, x)) <= set(m.dst.xi[(s, m.map(s, x))])
         for s, x in m.src.states()
     )
-
-
-# ---------------------------------------------------------------------------
-# Homset-order structure used by the axiom property tests
-
-def decompose_into_units(f: BehaviourMap) -> Iterator[dict[tuple[str, str], Term | None]]:
-    """All unit restrictions of ``f``: one term or nothing per state.
-
-    The pointwise union over the whole stream recovers ``f``.
-    """
-    keys = sorted(f.keys())
-    choices = [(None,) + tuple(f[k]) for k in keys]
-    import itertools
-
-    for combo in itertools.product(*choices):
-        yield dict(zip(keys, combo))
-
-
-def lift_choice(
-    x_map: BehaviourMap,
-    y_map: Mapping[tuple[str, str], Term | None],
-    h: SortedFun,
-    functor: Functor,
-) -> dict[tuple[str, str], Term | None]:
-    """Choose unit witnesses under a carrier map.
-
-    For each ``a``: if ``y(a)`` is a term, pick the least ``t`` in
-    ``x(a)`` with ``F(h)(t) = y(a)``; if ``y(a)`` is nothing, nothing.
-    """
-    result: dict[tuple[str, str], Term | None] = {}
-    for key in sorted(x_map.keys()):
-        target = y_map[key]
-        if target is None:
-            result[key] = None
-            continue
-        sort = key[0]
-        eligible = [t for t in sorted(x_map[key]) if fmap(functor, h, sort, t) == target]
-        if not eligible:
-            raise CoalgError(f"choice precondition violated at {key}: {target!r} has no preimage")
-        result[key] = eligible[0]
-    return result
-
-
-# ---------------------------------------------------------------------------
-# LTS relations
-
-def lts_edges(c: PointedCoalgebra) -> set[tuple[str, str, str]]:
-    shape = word_shape(c.functor)
-    if shape is None or shape[1] is not None:
-        raise CoalgError("not an LTS-shaped functor (expected prod(const(A), id))")
-    edges = set()
-    for (_s, x), terms in c.xi.items():
-        for t in terms:
-            label = t.args[0].name  # type: ignore[union-attr]
-            target = t.args[1].name  # type: ignore[union-attr]
-            edges.add((x, label, target))
-    return edges
-
-
-def lts_is_simulation(r: set[tuple[str, str]], c1: PointedCoalgebra, c2: PointedCoalgebra) -> bool:
-    """Forth condition plus the pointing clause."""
-    edges1 = lts_edges(c1)
-    edges2 = lts_edges(c2)
-    init1 = {c1.point[(DEFAULT_SORT, i)] for _s, i in c1.pointing.pairs()}
-    init2 = {c2.point[(DEFAULT_SORT, i)] for _s, i in c2.pointing.pairs()}
-    for i1 in init1:
-        if not any((i1, i2) in r for i2 in init2):
-            return False
-    for (s, s2) in r:
-        for (x, a, y) in edges1:
-            if x != s:
-                continue
-            if not any(x2 == s2 and a2 == a and (y, y2) in r for (x2, a2, y2) in edges2):
-                return False
-    return True
-
-
-def lts_is_bisimulation(r: set[tuple[str, str]], c1: PointedCoalgebra, c2: PointedCoalgebra) -> bool:
-    converse = {(b, a) for (a, b) in r}
-    return lts_is_simulation(r, c1, c2) and lts_is_simulation(converse, c2, c1)
 
 
 # ---------------------------------------------------------------------------

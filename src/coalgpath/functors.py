@@ -324,30 +324,26 @@ def functor_has_pf(f: Functor) -> bool:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-Env = Mapping[str, tuple[Term, ...]]
-
-
-def _eval_node(node: Node, env: Env) -> tuple[Term, ...]:
+def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[Term, ...]:
+    """The terms of ``node`` with ``leaf(ref)`` as the terms at each sort
+    leaf, visited in occurrence order."""
     if isinstance(node, Const):
         return tuple(ConstElem(e) for e in node.elems)
     if isinstance(node, SortRef):
-        try:
-            return env[node.sort]
-        except KeyError:
-            raise TermError(f"expression refers to unknown sort {node.sort!r}") from None
+        return leaf(node)
     if isinstance(node, Prod):
-        parts = [_eval_node(p, env) for p in node.parts]
+        parts = [eval_node(p, leaf) for p in node.parts]
         return tuple(TupleTerm(combo) for combo in itertools.product(*parts))
     if isinstance(node, Coprod):
         out: list[Term] = []
         for i, p in enumerate(node.parts):
-            out.extend(Inj(i, t) for t in _eval_node(p, env))
+            out.extend(Inj(i, t) for t in eval_node(p, leaf))
         return tuple(out)
     if isinstance(node, Analytic):
         out = []
         seen = set()
         for sym in node.symbols:
-            slots = [_eval_node(n, env) for n in sym.slots]
+            slots = [eval_node(n, leaf) for n in sym.slots]
             for combo in itertools.product(*slots):
                 t = ansym(sym.group, sym.name, combo)
                 if t.key not in seen:
@@ -355,7 +351,7 @@ def _eval_node(node: Node, env: Env) -> tuple[Term, ...]:
                     out.append(t)
         return tuple(out)
     if isinstance(node, Pf):
-        base = _eval_node(node.inner, env)
+        base = eval_node(node.inner, leaf)
         out = []
         for r in range(len(base) + 1):
             for combo in itertools.combinations(base, r):
@@ -373,9 +369,16 @@ def eval_functor(f: Functor, x: SortedSet) -> dict[str, tuple[Term, ...]]:
     cached = _EVAL_CACHE.get(cache_key)
     if cached is None:
         env = {s: tuple(Var(s, e) for e in x.elems(s)) for s in x.sorts}
+
+        def leaf(ref: SortRef) -> tuple[Term, ...]:
+            try:
+                return env[ref.sort]
+            except KeyError:
+                raise TermError(f"expression refers to unknown sort {ref.sort!r}") from None
+
         result = []
         for s in f.sorts:
-            terms = sorted(set(_eval_node(f.node(s), env)))
+            terms = sorted(set(eval_node(f.node(s), leaf)))
             result.append((s, tuple(terms)))
         cached = tuple(result)
         _EVAL_CACHE[cache_key] = cached

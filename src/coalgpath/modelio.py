@@ -4,16 +4,17 @@ Files are split into ``[section]`` blocks; ``#`` starts a comment.  The
 functor grammar is
 
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
-    | compose(f, g) | analytic{ sym/arity [(1 2)(3 4)] ; ... } | plus1(f) | pf(f)
+    | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f) | pf(f)
 
 where ``compose(f, g)`` is parsed as ``f`` with ``g`` substituted for
-``id``, and terms are written ``name``, ``(t, ..., t)``, ``in<k>(t)``,
-``sym(t, ..., t)``; the glyphs for the unit, the added point and the
-final marker have ASCII aliases ``unit``, ``bot`` and ``ok``.  Parsing a
-term is guided by the expected expression node, so constant names and
-state names never clash; coproduct injections may be left implicit when
-exactly one branch parses.  ``parse . print`` is the identity on
-canonical files.
+``id`` and the brackets list the generators of the slot group, separated
+by commas, each a product of disjoint cycles.  Terms are written
+``name``, ``(t, ..., t)``, ``in<k>(t)``, ``sym(t, ..., t)``; the glyphs
+for the unit, the added point and the final marker have ASCII aliases
+``unit``, ``bot`` and ``ok``.  Parsing a term is guided by the expected
+expression node, so constant names and state names never clash;
+coproduct injections may be left implicit when exactly one branch
+parses.  ``parse . print`` is the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .functors import (
     SortRef,
     Symbol,
     Term,
+    TermError,
     TupleTerm,
     UnitLeaf,
     Var,
@@ -95,6 +97,14 @@ def tokenize(text: str, line: int | None = None) -> list[str]:
         tokens.append(m.group(0))
         i = m.end()
     return tokens
+
+
+def _parse_int(text: str, line: int | None = None) -> int:
+    """A decimal integer read from model text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelParseError(f"expected an integer, got {text.strip()!r}", line) from None
 
 
 def format_name(name: str) -> str:
@@ -207,15 +217,18 @@ def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
         while True:
             name = s.next()
             s.expect("/")
-            arity = int(s.next())
-            gens: list[tuple[int, ...]] = []
+            # the trivial group checks the arity before any cycle is read
+            group = PermGroup(_parse_int(s.next(), s.line))
             if s.peek() == "[":
                 s.next()
-                while s.peek() == "(":
-                    gens.append(_parse_cycles(s, arity))
-                s.expect("]")
-            group = PermGroup(arity, tuple(gens))
-            symbols.append(Symbol(name, (SortRef(DEFAULT_SORT),) * arity, group))
+                gens: list[tuple[int, ...]] = []
+                while s.peek() != "]":
+                    if gens:
+                        s.expect(",")
+                    gens.append(_parse_cycles(s, group.arity))
+                s.next()
+                group = PermGroup(group.arity, tuple(gens))
+            symbols.append(Symbol(name, (SortRef(DEFAULT_SORT),) * group.arity, group))
             if s.peek() == ";":
                 s.next()
                 continue
@@ -226,18 +239,25 @@ def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
 
 
 def _parse_cycles(s: TokenStream, arity: int) -> tuple[int, ...]:
+    """One generator: disjoint cycles, written ``(1 2)(3 4)``; ``()`` is
+    the identity."""
     perm = list(range(arity))
-    while s.peek() == "(":
-        s.next()
+    moved: set[int] = set()
+    while True:
+        s.expect("(")
         cycle = []
         while s.peek() != ")":
-            cycle.append(int(s.next()) - 1)
+            cycle.append(_parse_int(s.next(), s.line) - 1)
         s.expect(")")
         for i, slot in enumerate(cycle):
             if not 0 <= slot < arity:
                 raise ModelParseError(f"cycle entry {slot + 1} out of range", s.line)
+            if slot in moved:
+                raise ModelParseError(f"cycle entry {slot + 1} repeated within one generator", s.line)
+            moved.add(slot)
             perm[slot] = cycle[(i + 1) % len(cycle)]
-    return tuple(perm)
+        if s.peek() != "(":
+            return tuple(perm)
 
 
 def _alias(token: str) -> str:
@@ -265,7 +285,7 @@ def print_functor_node(node: Node, ascii_glyphs: bool = False) -> str:
         for sym in node.symbols:
             gens = ""
             if sym.group.generators:
-                gens = " [" + "".join(_print_cycles(g) for g in sym.group.generators) + "]"
+                gens = " [" + ", ".join(_print_cycles(g) for g in sym.group.generators) + "]"
             chunks.append(f"{sym.name}/{sym.group.arity}{gens}")
         text = "analytic{ " + " ; ".join(chunks) + " }"
         # the parser fills every slot with one node: id, or the inner
@@ -293,7 +313,7 @@ def _print_cycles(perm: tuple[int, ...]) -> str:
             seen.add(cur)
             cur = perm[cur]
         out += "(" + " ".join(str(i + 1) for i in cycle) + ")"
-    return out
+    return out or "()"
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +332,7 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
         tok = s.peek()
         if tok is not None and re.fullmatch(r"in\d+", tok):
             s.next()
-            index = int(tok[2:])
+            index = _parse_int(tok[2:], s.line)
             if not 0 <= index < len(node.parts):
                 raise ModelParseError(f"injection {tok} out of range", s.line)
             s.expect("(")
@@ -357,7 +377,10 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
         return TupleTerm(tuple(args))
     if isinstance(node, Analytic):
         sym_name = s.next()
-        sym = node.symbol(sym_name)
+        try:
+            sym = node.symbol(sym_name)
+        except TermError as exc:
+            raise ModelParseError(str(exc), s.line) from None
         args = []
         if sym.group.arity:
             s.expect("(")
@@ -491,6 +514,8 @@ def _parse_signature(sections: dict[str, Section]) -> tuple[tuple[str, ...], Fun
     section = sections.get("functor")
     if section is None:
         raise ModelParseError("missing [functor] section")
+    if not section.lines:
+        raise ModelParseError("empty [functor] section")
     if len(sorts) == 1 and all("=" not in line for _n, line in section.lines):
         text = " ".join(line for _n, line in section.lines)
         return sorts, functor(parse_functor_text(text, section.lines[0][0]))
@@ -594,7 +619,7 @@ def parse_path(text: str) -> PathObj:
         if ":" not in line:
             raise ModelParseError("expected '<k> : elements'", lineno)
         idx_text, rest = line.split(":", 1)
-        rows = level_lines.setdefault(int(idx_text.strip()), [])
+        rows = level_lines.setdefault(_parse_int(idx_text, lineno), [])
         if rest.strip():
             rows.append((lineno, rest.strip()))
     n = max(level_lines.keys(), default=0)
@@ -609,7 +634,7 @@ def parse_path(text: str) -> PathObj:
         if ":" not in line or "->" not in line:
             raise ModelParseError("expected '<k> : elem -> term'", lineno)
         idx_text, rest = line.split(":", 1)
-        k = int(idx_text.strip())
+        k = _parse_int(idx_text, lineno)
         if not 0 <= k < n:
             raise ModelParseError(f"step index {k} out of range", lineno)
         left, right = rest.split("->", 1)
@@ -755,7 +780,7 @@ def parse_rnna(text: str) -> RnnaPresentation:
             m = re.fullmatch(r"(\S+)/(\d+)", chunk)
             if not m:
                 raise ModelParseError("expected 'name/registers'", lineno)
-            states[m.group(1)] = int(m.group(2))
+            states[m.group(1)] = _parse_int(m.group(2), lineno)
     if "init" not in sections:
         raise ModelParseError("missing [init] section")
     init = " ".join(line for _n, line in sections["init"].lines).strip()
@@ -767,13 +792,14 @@ def parse_rnna(text: str) -> RnnaPresentation:
             continue
         m = re.fullmatch(r"(\S+)\s*->\s*bar\s+(\S+)\s*\[([^\]]*)\]", line)
         if m:
-            sigma = tuple(int(x) for x in m.group(3).split())
+            sigma = tuple(_parse_int(x, lineno) for x in m.group(3).split())
             rules.append(RnnaRule("bind", m.group(1), m.group(2), sigma=sigma))
             continue
         m = re.fullmatch(r"(\S+)\s*->\s*reg\((\d+)\)\s+(\S+)\s*\[([^\]]*)\]", line)
         if m:
-            sigma = tuple(int(x) for x in m.group(4).split())
-            rules.append(RnnaRule("read", m.group(1), m.group(3), register=int(m.group(2)), sigma=sigma))
+            sigma = tuple(_parse_int(x, lineno) for x in m.group(4).split())
+            register = _parse_int(m.group(2), lineno)
+            rules.append(RnnaRule("read", m.group(1), m.group(3), register=register, sigma=sigma))
             continue
         raise ModelParseError("unrecognized rule", lineno)
     return RnnaPresentation(states, init, tuple(rules))

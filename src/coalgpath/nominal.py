@@ -550,128 +550,3 @@ def bar_trace(system: PointedCoalgebra, depth: int) -> frozenset[tuple]:
                 word = BarString(tokens, terminal, context)
                 out.add(alpha_canonical(word))
     return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# A bounded lifting oracle for the binding layer
-
-def _strong_carriers(pool: AtomPool, max_orbits: int, max_arity: int) -> Iterator[list[NomElem]]:
-    """Small strong nominal sets: unions of full orbit templates."""
-    templates = []
-    for arity in range(max_arity + 1):
-        templates.append(arity)
-    for count in range(max_orbits + 1):
-        for combo in itertools.combinations_with_replacement(templates, count):
-            carrier: list[NomElem] = []
-            for idx, arity in enumerate(combo):
-                for atoms in itertools.permutations(pool.atoms, arity):
-                    carrier.append(NomElem(f"o{idx}a{arity}", atoms))
-            yield carrier
-
-
-def _equivariant_maps(dom: list[NomElem], cod: list, pool: AtomPool) -> Iterator[dict]:
-    """All equivariant maps between desk-scale nominal sets."""
-    orbits: dict[str, list[NomElem]] = {}
-    for e in dom:
-        orbits.setdefault(e.tag, []).append(e)
-    reps = [sorted(v, key=lambda e: e.atoms)[0] for v in sorted(orbits.values(), key=lambda v: v[0].tag)]
-    pools = []
-    for rep in reps:
-        options = [c for c in cod if c.support() <= rep.support()]
-        pools.append(options)
-    for combo in itertools.product(*pools):
-        try:
-            yield extend_equivariant(
-                list(zip(reps, combo)),
-                dom,
-                pool,
-                lambda pi, e: e.rename(pi),
-                lambda pi, v: v.rename(pi),
-                lambda e: e.support(),
-                lambda v: v.support(),
-            )
-        except PoolError:
-            continue
-
-
-def binding_precise_oracle(
-    f_precise: dict[NomElem, BindTerm], pool: AtomPool, max_orbits: int = 2, max_arity: int = 2
-) -> bool:
-    """Lifting check for the binding layer over a catalog of strong carriers.
-
-    For every strong C in the bounded catalog, every equivariant
-    ``h: C -> Y'`` and every ``k: X -> [A]C`` with ``[A]h . k`` alpha-equal
-    to the tested map, an equivariant ``d: Y' -> C`` must satisfy
-    ``[A]d . f = k`` and ``h . d = id``.
-    """
-    xs = sorted(f_precise.keys(), key=lambda e: (e.tag, e.atoms))
-    y_elems = sorted({t.body for t in f_precise.values()}, key=lambda e: (repr(e),))
-    for carrier in _strong_carriers(pool, max_orbits, max_arity):
-        for h in _equivariant_maps(carrier, y_elems, pool):
-            k_pools = []
-            for x in xs:
-                target = f_precise[x]
-                options = []
-                for c in carrier:
-                    for a in pool.atoms:
-                        candidate = BindTerm(a, c)
-                        mapped = BindTerm(a, h[c])
-                        if alpha_equal_bind(mapped, target, pool):
-                            canon = canonical_bind(candidate.atom, candidate.body, pool)
-                            if canon not in options:
-                                options.append(canon)
-                k_pools.append(options)
-            for combo in itertools.product(*k_pools):
-                k = dict(zip(xs, combo))
-                if not _binding_diagonal_exists(f_precise, k, carrier, h, y_elems, pool):
-                    return False
-    return True
-
-
-def _binding_diagonal_exists(f, k, carrier, h, y_elems, pool: AtomPool) -> bool:
-    for d in _equivariant_maps_from(y_elems, carrier, pool):
-        if any(h[d[y]] != y for y in y_elems):
-            continue
-        ok = True
-        for x, target in f.items():
-            mapped = BindTerm(target.atom, d[target.body])
-            if not alpha_equal_bind(mapped, k[x], pool):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _equivariant_maps_from(dom: list, cod: list[NomElem], pool: AtomPool) -> Iterator[dict]:
-    """Equivariant maps out of a list of (possibly FreshPair) elements."""
-    if not dom:
-        yield {}
-        return
-    perms = list(all_perms(pool))
-    orbits: list[list] = []
-    seen: set = set()
-    for e in sorted(dom, key=repr):
-        if id(e) in seen:
-            continue
-        orbit = []
-        for other in dom:
-            if any(other == e.rename(pi) for pi in perms):
-                orbit.append(other)
-                seen.add(id(other))
-        orbits.append(orbit)
-    reps = [sorted(o, key=repr)[0] for o in orbits]
-    pools = [[c for c in cod if c.support() <= rep.support()] for rep in reps]
-    for combo in itertools.product(*pools):
-        try:
-            yield extend_equivariant(
-                list(zip(reps, combo)),
-                dom,
-                pool,
-                lambda pi, e: e.rename(pi),
-                lambda pi, v: v.rename(pi),
-                lambda e: e.support(),
-                lambda v: v.support(),
-            )
-        except PoolError:
-            continue

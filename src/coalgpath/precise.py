@@ -20,24 +20,16 @@ from typing import Iterator, Mapping
 
 from .functors import (
     Analytic,
-    Const,
-    ConstElem,
-    Coprod,
     Functor,
-    Inj,
     Node,
-    Pf,
     PowersetNodeError,
-    Prod,
-    SortRef,
     Term,
     TermError,
-    TupleTerm,
     Var,
-    ansym,
-    eval_functor,
+    eval_node,
     fmap,
     functor_has_pf,
+    node_has_pf,
     occurrences,
     rebuild_with_fresh,
     subst_node,
@@ -98,97 +90,12 @@ def occurrence_counts(f: TermMap) -> Counter:
 def is_precise(f: TermMap) -> bool:
     """Occurrence criterion: every codomain element used exactly once."""
     if functor_has_pf(f.space.functor):
-        raise PowersetNodeError("use is_precise_oracle for powerset functors")
+        raise PowersetNodeError("the occurrence criterion is undefined on powerset functors")
     counts = occurrence_counts(f)
     for key in f.space.carrier.pairs():
         if counts.get(key, 0) != 1:
             return False
     return all(count == 1 for count in counts.values())
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-def _all_sorted_sets(sorts: tuple[str, ...], size_bound: int) -> Iterator[SortedSet]:
-    """All carriers with at most ``size_bound`` elements per sort."""
-    ranges = [range(size_bound + 1)] * len(sorts)
-    for sizes in itertools.product(*ranges):
-        yield SortedSet(
-            sorts,
-            tuple(tuple(f"c{i}" for i in range(n)) for n in sizes),
-        )
-
-
-def _all_maps(dom: SortedSet, cod: SortedSet) -> Iterator[SortedFun]:
-    keys = list(dom.pairs())
-    pools = [cod.elems(s) for s, _ in keys]
-    if any(len(p) == 0 for p in pools):
-        return
-    for combo in itertools.product(*pools):
-        yield SortedFun(dom, cod, dict(zip(keys, combo)))
-
-
-def is_precise_oracle(f: TermMap, size_bound: int) -> bool:
-    """Decide preciseness straight from the lifting definition.
-
-    Checks, for every carrier C with at most ``size_bound`` elements per
-    sort, every ``h: C -> Y`` and every ``k: X -> F(C)`` with
-    ``F(h) . k = f``, that some ``d: Y -> C`` satisfies ``F(d) . f = k``
-    and ``h . d = id``.  Exhaustive and exponential; test-only.  The map
-    under test must itself fit the bound.
-    """
-    functor = f.space.functor
-    y = f.space.carrier
-    x = f.dom
-    largest = max((len(elems) for elems in x.data + y.data), default=0)
-    if largest > size_bound:
-        raise CoalgError(f"oracle bound exceeded: a sort has {largest} elements, bound {size_bound}")
-    for c in _all_sorted_sets(y.sorts, size_bound):
-        fc = eval_functor(functor, c)
-        for h in _all_maps(c, y):
-            # fibers of fmap(h) over each f(x); empty fiber => no such k
-            fibers: list[list[Term]] = []
-            ok = True
-            for (sort, elem) in x.pairs():
-                target = f(sort, elem)
-                node_terms = fc[sort]
-                fiber = [t for t in node_terms if fmap(functor, h, sort, t) == target]
-                if not fiber:
-                    ok = False
-                    break
-                fibers.append(fiber)
-            if not ok:
-                continue
-            keys = list(x.pairs())
-            for combo in itertools.product(*fibers):
-                k = dict(zip(keys, combo))
-                if not _has_diagonal(f, functor, x, y, c, h, k):
-                    return False
-    return True
-
-
-def _has_diagonal(
-    f: TermMap,
-    functor: Functor,
-    x: SortedSet,
-    y: SortedSet,
-    c: SortedSet,
-    h: SortedFun,
-    k: Mapping[tuple[str, str], Term],
-) -> bool:
-    # candidates per y-element: the h-fiber
-    y_keys = list(y.pairs())
-    candidates = []
-    for (s, ye) in y_keys:
-        fiber = [ce for ce in c.elems(s) if h(s, ce) == ye]
-        if not fiber:
-            return False
-        candidates.append(fiber)
-    for combo in itertools.product(*candidates):
-        d = SortedFun(y, c, dict(zip(y_keys, combo)))
-        if all(fmap(functor, d, s, f(s, xe)) == k[(s, xe)] for (s, xe) in x.pairs()):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -266,50 +173,15 @@ def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
 # ---------------------------------------------------------------------------
 # Shape enumeration (precise maps out of a carrier)
 
-class _FreshVars:
-    def __init__(self) -> None:
-        self.count = 0
-
-    def next(self, sort: str) -> Var:
-        self.count += 1
-        return Var(sort, f"v{self.count:03d}")
-
-
-def _node_shapes(node: Node, fresh: _FreshVars) -> Iterator[Term]:
-    """All term shapes of a node with pairwise-distinct fresh variables."""
-    if isinstance(node, Const):
-        for e in node.elems:
-            yield ConstElem(e)
-        return
-    if isinstance(node, SortRef):
-        yield fresh.next(node.sort)
-        return
-    if isinstance(node, Prod):
-        part_choices = [list(_node_shapes(p, fresh)) for p in node.parts]
-        for combo in itertools.product(*part_choices):
-            yield TupleTerm(combo)
-        return
-    if isinstance(node, Coprod):
-        for i, part in enumerate(node.parts):
-            for shape in _node_shapes(part, fresh):
-                yield Inj(i, shape)
-        return
-    if isinstance(node, Analytic):
-        for sym in node.symbols:
-            slot_choices = [list(_node_shapes(n, fresh)) for n in sym.slots]
-            for combo in itertools.product(*slot_choices):
-                yield ansym(sym.group, sym.name, combo)
-        return
-    if isinstance(node, Pf):
-        raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
-    raise TermError(f"unknown node {node!r}")
-
-
 def element_shapes(f_expr: Functor, sort: str) -> list[Term]:
     """Shapes for a single domain element, canonically renamed."""
     node = f_expr.node(sort)
+    if node_has_pf(node):
+        raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
+    count = itertools.count(1)
     shapes: dict[tuple, Term] = {}
-    for canon in _node_shapes(node, _FreshVars()):
+    # one fresh variable per sort leaf visited, so all are pairwise distinct
+    for canon in eval_node(node, lambda ref: (Var(ref.sort, f"v{next(count):03d}"),)):
         # renaming may change the canonical orbit representative of analytic
         # arguments, and with it the occurrence order: iterate to a fixed
         # point (a handful of rounds at most in practice)

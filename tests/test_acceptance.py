@@ -36,11 +36,12 @@ from coalgpath.openmap import (
     run_reachable_states,
     verify_theorems,
 )
-from coalgpath.precise import is_precise, is_precise_oracle
+from coalgpath.precise import is_precise
 from coalgpath.sets import DEFAULT_SORT, SortedSet
 from coalgpath.trace import lts_language, prefix_closed, trace
 
 from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, whyplus1_system
+from oracles import is_precise_oracle
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)

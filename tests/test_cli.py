@@ -121,12 +121,22 @@ class TestVerbs:
             ["--functor", "prod(id, id)", "--density", "-3"],
             ["--functor", "prod(id, id)", "--density", "nan"],
             ["--functor", "prod(" * 1500 + "id" + ", id)" * 1500],
+            ["--functor", "analytic{ a/x }"],
+            ["--functor", "analytic{ a/2 [(1 x)] }"],
+            ["--functor", "analytic{ a/3 [(1 2)(2 3)] }"],
         ],
     )
     def test_verify_invalid_spec_exit_two(self, extra):
         text, code = run_command(["verify", *extra, "--trials", "3"])
         assert code == 2
         assert text.startswith("error: ") and "FAILURES" not in text
+
+    def test_empty_functor_section_exit_two(self, tmp_path):
+        path = tmp_path / "empty.model"
+        path.write_text("[functor]\n\n[states]\nq0\n\n[init]\n* -> q0\n", encoding="utf-8")
+        text, code = run_command(["trace", str(path), "--depth", "2"])
+        assert code == 2
+        assert text == "error: empty [functor] section\n"
 
     @pytest.mark.parametrize("verb", ["trace", "runs"])
     def test_deep_terms_exit_two(self, deep_file, verb):

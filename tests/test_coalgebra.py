@@ -7,15 +7,10 @@ from coalgpath.coalgebra import (
     CoalgMorphism,
     GenSpec,
     PointedCoalgebra,
-    decompose_into_units,
     homset_leq,
     is_lax_hom,
     is_strict_hom,
-    lift_choice,
     lts_coalgebra,
-    lts_edges,
-    lts_is_bisimulation,
-    lts_is_simulation,
     random_coalgebra,
     linear_word_system,
 )
@@ -23,6 +18,7 @@ from coalgpath.functors import TupleTerm, eval_functor, fmap, lts_functor
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, all_functions
 
 from conftest import single, var, whyplus1_system
+from oracles import decompose_into_units, lift_choice, lts_is_bisimulation, lts_is_simulation
 
 
 def behaviour_maps(f_expr, x_elems, y_elems, limit=None):
@@ -292,6 +288,13 @@ class TestBisimulationRelations:
         r = {("s0", "t0"), ("s1", "t1")}
         assert lts_is_simulation(r, c1, c2)
         assert not lts_is_bisimulation(r, c1, c2)
+
+
+class TestRestrict:
+    def test_subset_that_is_not_closed_rejected(self):
+        c = linear_word_system("ab", "ab")
+        with pytest.raises(CoalgError):
+            c.restrict({(DEFAULT_SORT, "q0"), (DEFAULT_SORT, "q1")})
 
 
 class TestRandomGeneration:

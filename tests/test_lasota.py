@@ -156,7 +156,7 @@ class TestMultisortedAxioms:
         return f, x
 
     def test_unit_decomposition_multisorted(self):
-        from coalgpath.coalgebra import decompose_into_units
+        from oracles import decompose_into_units
 
         f, x = self._encoded()
         terms = eval_functor(f, x)
@@ -172,7 +172,7 @@ class TestMultisortedAxioms:
         }
 
     def test_choice_lifting_multisorted(self):
-        from coalgpath.coalgebra import lift_choice
+        from oracles import lift_choice
         from coalgpath.functors import fmap
         from coalgpath.sets import SortedFun
 

@@ -1,10 +1,18 @@
+import pathlib
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import (
     Analytic,
+    AnSym,
     Const,
+    ConstElem,
     Coprod,
+    Inj,
     Prod,
     SortRef,
     Symbol,
@@ -21,6 +29,7 @@ from coalgpath.modelio import (
     parse_factor_problem,
     parse_functor_text,
     parse_map,
+    parse_model,
     parse_path,
     parse_rnna,
     print_category,
@@ -66,6 +75,7 @@ class TestFunctorGrammar:
             "analytic{ pair/2 [(1 2)] ; leaf/0 }",
             "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",
             "analytic{ rot/3 [(1 2 3)] }",
+            "analytic{ perm/3 [(1 2), (1 2 3)] }",
         ],
     )
     def test_roundtrip(self, text):
@@ -193,6 +203,24 @@ q0 -> (a, q0)
         c = parse_coalgebra(text)
         assert len(c.xi[(DEFAULT_SORT, "q0")]) == 2
 
+    def test_implicit_injection_past_an_analytic_branch(self):
+        text = """\
+[functor]
+coprod(analytic{ a/0 }, const(b))
+
+[states]
+q0
+
+[init]
+* -> q0
+
+[trans]
+q0 -> b
+q0 -> a
+"""
+        c = parse_coalgebra(text)
+        assert c.xi[(DEFAULT_SORT, "q0")] == (Inj(0, AnSym("a", ())), Inj(1, ConstElem("b")))
+
 
 class TestPathFiles:
     PATH_TEXT = """\
@@ -224,6 +252,11 @@ prod(const(a b), id)
         bad = self.PATH_TEXT.replace("1 : n0 -> bot", "1 : n0 -> bot") + "\n"
         bad = bad.replace("0 : * -> (a, n0)", "0 : * -> bot")
         with pytest.raises(ModelParseError, match="precise"):
+            parse_path(bad)
+
+    def test_non_integer_level_rejected_with_line(self):
+        bad = self.PATH_TEXT.replace("0 : *", "zero : *")
+        with pytest.raises(ModelParseError, match="line 8"):
             parse_path(bad)
 
     def test_runs_roundtrip_through_printer(self):
@@ -444,3 +477,36 @@ class TestFig3PathFile:
         assert validate_path(again) == []
         assert comp(again) == comp(p)
         assert print_path(again) == text
+
+
+# every model file under fixtures/, split into words, single characters
+# and whitespace runs; mutations insert or delete one such token
+FIXTURE_TEXTS = [
+    p.read_text(encoding="utf-8")
+    for p in sorted((pathlib.Path(__file__).parent / "fixtures").rglob("*"))
+    if p.is_file() and p.suffix != ".out"
+]
+TOKEN_RE = re.compile(r"\s+|\w+|.", re.S)
+VOCABULARY = sorted({t for text in FIXTURE_TEXTS for t in TOKEN_RE.findall(text)} | {"x", "-1", "99", "in7", "->"})
+
+
+class TestMutatedFixtures:
+    @given(
+        st.sampled_from(FIXTURE_TEXTS),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10_000), st.sampled_from(VOCABULARY)), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_parse_model_raises_only_coalg_errors(self, text, mutations):
+        tokens = TOKEN_RE.findall(text)
+        for delete, position, token in mutations:
+            position %= len(tokens) + 1
+            if delete and tokens:
+                del tokens[min(position, len(tokens) - 1)]
+            else:
+                tokens.insert(position, token)
+        try:
+            parse_model("".join(tokens))
+        except CoalgError:
+            pass

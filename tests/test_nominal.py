@@ -21,7 +21,6 @@ from coalgpath.nominal import (
     bar,
     bar_trace,
     binding_factorize,
-    binding_precise_oracle,
     binding_roundtrip_ok,
     canonical_bind,
     extend_equivariant,
@@ -34,6 +33,8 @@ from coalgpath.nominal import (
     _decode_bar_term,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
+
+from oracles import binding_precise_oracle
 
 CHECK = chr(0x2713)
 

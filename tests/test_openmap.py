@@ -286,7 +286,7 @@ WITNESS_ORACLE_FUNCTORS = [
     "prod(const(a b), id)",
     "prod(id, id)",
     "analytic{ pair/2 [(1 2)] ; tri/3 [(1 2 3)] ; leaf/0 }",
-    "analytic{ s3/3 [(1 2)(1 2 3)] ; leaf/0 }",
+    "analytic{ s3/3 [(1 2), (1 2 3)] ; leaf/0 }",
     "coprod(const(c), prod(id, id))",
     "compose(prod(id, id), coprod(const(c), id))",
     "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",

@@ -25,13 +25,13 @@ from coalgpath.precise import (
     enumerate_precise_maps,
     factorization_commutes,
     is_precise,
-    is_precise_oracle,
     occurrence_counts,
     precise_factorize,
 )
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
 from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, single, term_map, var
+from oracles import is_precise_oracle
 
 
 def fig2_map() -> TermMap:

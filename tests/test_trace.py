@@ -34,8 +34,6 @@ CHECK = chr(0x2713)
 
 def graph_bfs_language(c: PointedCoalgebra, depth: int) -> set[str]:
     """Independent prefix-language oracle by direct graph search."""
-    from coalgpath.coalgebra import lts_edges
-
     has_check = False
     node = c.functor.node(DEFAULT_SORT)
     if hasattr(node, "parts") and len(node.parts) == 2 and isinstance(node.parts[1], Const):
