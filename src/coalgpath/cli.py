@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, print_term, word_shape
+from .functors import DEFAULT_SORT, functor, plus1, print_term, word_shape
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
+    format_name,
     parse_category,
     parse_coalgebra,
     parse_factor_problem,
@@ -23,15 +24,14 @@ from .modelio import (
 )
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
-from .paths import comp, enumerate_runs
+from .paths import comp, comp_as_word, enumerate_runs
 from .precise import enumerate_precise_maps, is_precise, precise_factorize
 from .sets import CoalgError
 from .trace import lts_language, trace
 
 
-def _deglyph(text: str, ascii_glyphs: bool) -> str:
-    if not ascii_glyphs:
-        return text
+def _deglyph(text: str) -> str:
+    """``text`` with the glyphs replaced by their ASCII aliases."""
     for glyph, alias in GLYPH_ASCII.items():
         text = text.replace(glyph, alias)
     return text
@@ -106,7 +106,7 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     except RecursionError as exc:
         return f"error: terms nest too deeply: {exc}\n", 2
     text = "\n".join(out) + ("\n" if out else "")
-    return _deglyph(text, args.ascii), code
+    return (_deglyph(text) if args.ascii else text), code
 
 
 def _read(path: str) -> str:
@@ -114,9 +114,10 @@ def _read(path: str) -> str:
 
 
 def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
-    if args.verb == "precise-factor":
-        from .modelio import format_name
+    if getattr(args, "depth", 0) < 0:
+        raise CoalgError("depth must be non-negative")
 
+    if args.verb == "precise-factor":
         problem = parse_factor_problem(_read(args.file))
         fac = precise_factorize(problem.term_map)
         _emit(out, f"precise: {'yes' if is_precise(problem.term_map) else 'no'}")
@@ -134,8 +135,6 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb == "paths":
         system = parse_coalgebra(_read(args.file))
-        from .functors import plus1
-
         fp1 = plus1(system.functor)
         frontier = [(system.pointing, [])]
         count = 0
@@ -156,8 +155,6 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb == "runs":
         system = parse_coalgebra(_read(args.file))
-        from .paths import comp_as_word
-
         count = 0
         for path, run in enumerate_runs(system, args.depth):
             states = []
@@ -169,7 +166,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             if word is not None:
                 terms = word if word else "ε"
             else:
-                terms = " ".join(print_term_for(value.step_functor(), s, t) for (s, _i), t in value.values)
+                terms = " ".join(print_term_for(plus1(value.functor), s, t) for (s, _i), t in value.values)
             _emit(out, f"run {count}: length {path.length} comp {terms} [{' '.join(states)}]")
             count += 1
         _emit(out, f"{count} runs")
@@ -224,8 +221,6 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             w = report.witness
             _emit(out, "witness square:")
             _emit(out, f"  path length {w.path.length}, extension length {w.extension.length}")
-            from .functors import plus1
-
             fp1 = plus1(src.functor)
             for k, step in enumerate(w.extension.steps):
                 for (s, e) in w.extension.levels[k].pairs():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .functors import (
     Functor,
@@ -23,8 +23,6 @@ from .functors import (
     term_in_functor,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
-
-BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
 
 
 @dataclass
@@ -100,13 +98,6 @@ class CoalgMorphism:
     def image_xi(self, sort: str, x: str) -> tuple[Term, ...]:
         f = self.src.functor
         return tuple(sorted({fmap(f, self.map, sort, t) for t in self.src.xi[(sort, x)]}))
-
-
-def homset_leq(f: BehaviourMap, g: BehaviourMap) -> bool:
-    """Pointwise inclusion of behaviour maps with a common domain."""
-    if set(f.keys()) != set(g.keys()):
-        raise CoalgError("homset order compares maps on a common domain only")
-    return all(set(f[k]) <= set(g[k]) for k in f)
 
 
 def is_strict_hom(m: CoalgMorphism) -> bool:
@@ -197,11 +188,3 @@ def lts_coalgebra(
         {(DEFAULT_SORT, "*"): init},
         {k: tuple(sorted(set(v))) for k, v in xi.items()},
     )
-
-
-def linear_word_system(alphabet: Iterable[str], word: str | Iterable[str]) -> PointedCoalgebra:
-    """The linear system over a word: states 0..n along its letters."""
-    letters = list(word)
-    states = [f"q{i}" for i in range(len(letters) + 1)]
-    edges = [(f"q{i}", a, f"q{i + 1}") for i, a in enumerate(letters)]
-    return lts_coalgebra(alphabet, states, "q0", edges)

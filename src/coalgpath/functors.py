@@ -257,9 +257,6 @@ def multisorted(sorts: Iterable[str], nodes: Mapping[str, Node]) -> Functor:
     return Functor(sort_list, tuple((s, nodes[s]) for s in sort_list))
 
 
-IDENTITY_NODE = SortRef(DEFAULT_SORT)
-
-
 def compose(outer: Node, inner: Functor) -> Node:
     """``outer`` after ``inner``: each sort leaf of ``outer`` replaced by
     the inner expression at that sort."""

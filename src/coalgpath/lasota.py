@@ -231,30 +231,3 @@ def paths_bijection_check(cat: FiniteCategory, n: int, max_y: int = 2) -> Biject
                     )
     return report
 
-
-# ---------------------------------------------------------------------------
-# Example categories used in tests and the CLI
-
-def poset_category(chain: int) -> FiniteCategory:
-    """The poset 0 -> 1 -> ... -> (chain-1) as a category."""
-    objects = tuple(str(i) for i in range(chain))
-    morphisms = []
-    identities = {}
-    for i in range(chain):
-        identities[str(i)] = f"id{i}"
-    for i in range(chain):
-        for j in range(i, chain):
-            name = f"id{i}" if i == j else f"m{i}{j}"
-            morphisms.append((name, str(i), str(j)))
-    comp = {}
-    for (g, gd, gc) in morphisms:
-        for (f, fd, fc) in morphisms:
-            if fc != gd:
-                continue
-            i, k = int(fd), int(gc)
-            comp[(g, f)] = f"id{i}" if i == k else f"m{i}{k}"
-    return FiniteCategory(objects, tuple(morphisms), identities, comp, "0")
-
-
-def one_object_category() -> FiniteCategory:
-    return FiniteCategory(("0",), (("id0", "0", "0"),), {"0": "id0"}, {("id0", "id0"): "id0"}, "0")

@@ -264,22 +264,19 @@ def _alias(token: str) -> str:
     return ALIASES.get(token, token)
 
 
-def print_functor_node(node: Node, ascii_glyphs: bool = False) -> str:
-    def name(e: str) -> str:
-        return GLYPH_ASCII.get(e, e) if ascii_glyphs else e
-
+def print_functor_node(node: Node) -> str:
     if isinstance(node, SortRef):
         return "id" if node.sort == DEFAULT_SORT else f"sort({node.sort})"
     if isinstance(node, Const):
-        return "const(" + " ".join(name(e) for e in node.elems) + ")"
+        return "const(" + " ".join(node.elems) + ")"
     if isinstance(node, Prod):
-        return "prod(" + ", ".join(print_functor_node(p, ascii_glyphs) for p in node.parts) + ")"
+        return "prod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Coprod):
         if len(node.parts) == 2 and node.parts[1] == Const((BOT,)):
-            return f"plus1({print_functor_node(node.parts[0], ascii_glyphs)})"
-        return "coprod(" + ", ".join(print_functor_node(p, ascii_glyphs) for p in node.parts) + ")"
+            return f"plus1({print_functor_node(node.parts[0])})"
+        return "coprod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Pf):
-        return f"pf({print_functor_node(node.inner, ascii_glyphs)})"
+        return f"pf({print_functor_node(node.inner)})"
     if isinstance(node, Analytic):
         chunks = []
         for sym in node.symbols:
@@ -294,7 +291,7 @@ def print_functor_node(node: Node, ascii_glyphs: bool = False) -> str:
         if slots <= {SortRef(DEFAULT_SORT)}:
             return text
         if len(slots) == 1:
-            return f"compose({text}, {print_functor_node(slots.pop(), ascii_glyphs)})"
+            return f"compose({text}, {print_functor_node(slots.pop())})"
         raise CoalgError(f"analytic slots {sorted(map(repr, slots))}cannot be written in the functor grammar")
     raise CoalgError(f"unknown node {node!r}")
 
@@ -402,29 +399,26 @@ def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
     raise ModelParseError(f"cannot parse a term of {node!r}", s.line)
 
 
-def print_term_for(f: Functor, sort: str, term: Term, ascii_glyphs: bool = False) -> str:
+def print_term_for(f: Functor, sort: str, term: Term) -> str:
     """``term`` written against the expression of ``f`` at ``sort``.
 
     A sort leaf that holds a nested term instead of a variable, as in a
     composite value of (F+1)^n(1), is read against ``f`` again.
     """
-    def name(e: str) -> str:
-        return GLYPH_ASCII.get(e, e) if ascii_glyphs else e
-
     def walk(node: Node, t: Term) -> str:
         if isinstance(t, UnitLeaf):
-            return name(UNIT)
+            return UNIT
         if isinstance(node, SortRef):
             if isinstance(t, Var):
-                return format_name(name(t.name))
+                return format_name(t.name)
             return walk(f.node(node.sort), t)
         if isinstance(node, Coprod) and isinstance(t, Inj):
             branch = node.parts[t.index]
             if branch == Const((BOT,)):
-                return name(BOT)
+                return BOT
             return f"in{t.index}({walk(branch, t.arg)})"
         if isinstance(node, Const) and isinstance(t, ConstElem):
-            return name(t.name)
+            return t.name
         if isinstance(node, Prod) and isinstance(t, TupleTerm):
             return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
         if isinstance(node, Analytic) and isinstance(t, AnSym):
@@ -534,12 +528,12 @@ def _parse_signature(sections: dict[str, Section]) -> tuple[tuple[str, ...], Fun
     return sorts, multisorted(sorts, nodes)
 
 
-def _signature_lines(f: Functor, ascii_glyphs: bool) -> list[str]:
+def _signature_lines(f: Functor) -> list[str]:
     """[functor], preceded by [sorts] unless ``f`` has the default sort only."""
     if f.sorts == (DEFAULT_SORT,):
-        return ["[functor]", print_functor_node(f.node(DEFAULT_SORT), ascii_glyphs), ""]
+        return ["[functor]", print_functor_node(f.node(DEFAULT_SORT)), ""]
     lines = ["[sorts]", " ".join(f.sorts), "", "[functor]"]
-    lines.extend(f"{s} = {print_functor_node(f.node(s), ascii_glyphs)}" for s in f.sorts)
+    lines.extend(f"{s} = {print_functor_node(f.node(s))}" for s in f.sorts)
     return lines + [""]
 
 
@@ -592,15 +586,15 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
     )
 
 
-def print_coalgebra(c: PointedCoalgebra, ascii_glyphs: bool = False) -> str:
-    lines = _signature_lines(c.functor, ascii_glyphs)
+def print_coalgebra(c: PointedCoalgebra) -> str:
+    lines = _signature_lines(c.functor)
     lines += ["[pointing]", *_elem_lines(c.pointing), "", "[states]", *_elem_lines(c.carrier), "", "[init]"]
     for (s, i) in c.pointing.pairs():
         lines.append(f"{_key(c.pointing, s, i)} -> {_key(c.carrier, s, c.point[(s, i)])}")
     lines += ["", "[trans]"]
     for (s, x) in c.carrier.pairs():
         for t in c.xi[(s, x)]:
-            lines.append(f"{_key(c.carrier, s, x)} -> {print_term_for(c.functor, s, t, ascii_glyphs)}")
+            lines.append(f"{_key(c.carrier, s, x)} -> {print_term_for(c.functor, s, t)}")
     return "\n".join(lines) + "\n"
 
 
@@ -648,8 +642,8 @@ def parse_path(text: str) -> PathObj:
     return path
 
 
-def print_path(p: PathObj, ascii_glyphs: bool = False) -> str:
-    lines = _signature_lines(p.functor, ascii_glyphs)
+def print_path(p: PathObj) -> str:
+    lines = _signature_lines(p.functor)
     lines += ["[pointing]", *_elem_lines(p.pointing), "", "[levels]"]
     for k, level in enumerate(p.levels):
         lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
@@ -657,7 +651,7 @@ def print_path(p: PathObj, ascii_glyphs: bool = False) -> str:
     fp1 = p.plus1()
     for k, step in enumerate(p.steps):
         for (s, e) in p.levels[k].pairs():
-            lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e), ascii_glyphs)}")
+            lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e))}")
     return "\n".join(lines) + "\n"
 
 
@@ -694,11 +688,11 @@ class FactorProblem:
     term_map: TermMap
 
 
-def print_factor_problem(problem: FactorProblem, ascii_glyphs: bool = False) -> str:
-    lines = _signature_lines(problem.functor, ascii_glyphs)
+def print_factor_problem(problem: FactorProblem) -> str:
+    lines = _signature_lines(problem.functor)
     lines += ["[domain]", *_elem_lines(problem.domain), "", "[codomain]", *_elem_lines(problem.codomain), "", "[map]"]
     for (s, x) in problem.domain.pairs():
-        term = print_term_for(problem.functor, s, problem.term_map(s, x), ascii_glyphs)
+        term = print_term_for(problem.functor, s, problem.term_map(s, x))
         lines.append(f"{_key(problem.domain, s, x)} -> {term}")
     return "\n".join(lines) + "\n"
 
@@ -728,6 +722,8 @@ def parse_category(text: str) -> FiniteCategory:
     if "objects" not in sections:
         raise ModelParseError("missing [objects] section")
     objects = tuple(" ".join(line for _n, line in sections["objects"].lines).split())
+    if not objects:
+        raise ModelParseError("empty [objects] section")
     initial = objects[0]
     if "initial" in sections:
         initial = " ".join(line for _n, line in sections["initial"].lines).strip()
@@ -837,12 +833,14 @@ def parse_model(text: str):
     return parse_coalgebra(text)
 
 
-def print_model(obj, ascii_glyphs: bool = False) -> str:
+def print_model(obj) -> str:
     """Canonical serialization; ``parse_model . print_model`` is the identity."""
     if isinstance(obj, PointedCoalgebra):
-        return print_coalgebra(obj, ascii_glyphs)
+        return print_coalgebra(obj)
     if isinstance(obj, PathObj):
-        return print_path(obj, ascii_glyphs)
+        return print_path(obj)
+    if isinstance(obj, FactorProblem):
+        return print_factor_problem(obj)
     if isinstance(obj, FiniteCategory):
         return print_category(obj)
     if isinstance(obj, RnnaPresentation):

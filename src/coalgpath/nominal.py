@@ -330,16 +330,6 @@ def binding_factorize(f: dict[NomElem, BindTerm], pool: AtomPool) -> BindingFact
     return BindingFactorization(codomain, precise, connect)
 
 
-def binding_roundtrip_ok(f: dict[NomElem, BindTerm], fac: BindingFactorization, pool: AtomPool) -> bool:
-    """[A]h . f' alpha-equal to f, per domain element."""
-    for x, bind_term in f.items():
-        lifted = fac.precise[x]
-        body = fac.connect[lifted.body]  # type: ignore[index]
-        if not alpha_equal_bind(BindTerm(lifted.atom, body), bind_term, pool):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Register automata with binders
 

@@ -125,7 +125,14 @@ def run_reachable_states(c: PointedCoalgebra, depth: int, allow_bot: bool = True
 
 
 def is_path_reachable(c: PointedCoalgebra, allow_bot: bool = True) -> bool:
-    """Joint surjectivity of all runs of length up to the carrier size."""
+    """Joint surjectivity of all runs of length up to the carrier size.
+
+    With the added point allowed, the covered states are read off the
+    same BFS levels that :func:`is_reachable_no_proper_sub` unions, so the
+    two verdicts agree by construction: ``reach`` cannot exit 1 and the
+    harness clause (c) cannot fire.  The independent check of this notion
+    is the comparison with literal run enumeration in the tests.
+    """
     covered = run_reachable_states(c, c.carrier.size(), allow_bot)
     return covered == set(c.carrier.pairs())
 

@@ -97,17 +97,12 @@ def validate_path(p: PathObj) -> list[str]:
 
 @dataclass(frozen=True)
 class CompValue:
-    """A ground element of (F+1)^n(1), one nested term per pointing element.
-
-    Bottom-free trace values live in F^n(1) instead; ``bottomed`` records
-    which nesting the terms follow.
-    """
+    """A ground element of (F+1)^n(1), one nested term per pointing element."""
 
     functor: Functor
     pointing: SortedSet
     depth: int
     values: tuple[tuple[tuple[str, str], Term], ...]  # sorted by key
-    bottomed: bool = True
 
     def value(self, sort: str, elem: str) -> Term:
         for key, t in self.values:
@@ -115,14 +110,9 @@ class CompValue:
                 return t
         raise CoalgError(f"no composite value at {(sort, elem)}")
 
-    def step_functor(self) -> Functor:
-        return plus1(self.functor) if self.bottomed else self.functor
 
-
-def make_comp_value(
-    functor: Functor, pointing: SortedSet, depth: int, values: dict, bottomed: bool = True
-) -> CompValue:
-    return CompValue(functor, pointing, depth, tuple(sorted(values.items())), bottomed)
+def make_comp_value(functor: Functor, pointing: SortedSet, depth: int, values: dict) -> CompValue:
+    return CompValue(functor, pointing, depth, tuple(sorted(values.items())))
 
 
 def comp(p: PathObj) -> CompValue:
@@ -147,7 +137,7 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
 def comp_as_word(cv: CompValue) -> str | None:
     """Decode an LTS-shaped composite as a word over the alphabet and the
     added point, padded to the composite's depth; None when not LTS-shaped."""
-    if not cv.bottomed or len(cv.values) != 1 or word_shape(cv.step_functor()) is None:
+    if len(cv.values) != 1 or word_shape(plus1(cv.functor)) is None:
         return None
     letters, stopped = decode_word(cv.values[0][1])
     return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
@@ -155,11 +145,11 @@ def comp_as_word(cv: CompValue) -> str | None:
 
 def pathord_le(u: CompValue, v: CompValue) -> bool:
     """Truncation order on composite values over a shared functor and pointing."""
-    if u.functor != v.functor or u.pointing != v.pointing or u.bottomed != v.bottomed:
+    if u.functor != v.functor or u.pointing != v.pointing:
         raise CoalgError("composite values over different functors or pointings")
     if u.depth > v.depth:
         return False
-    step = u.step_functor()
+    step = plus1(u.functor)
     for (key, tv) in v.values:
         if truncate_term(step, key[0], tv, u.depth) != u.value(*key):
             return False
@@ -168,8 +158,6 @@ def pathord_le(u: CompValue, v: CompValue) -> bool:
 
 def path_from_comp(u: CompValue) -> PathObj:
     """A canonical path composing to ``u``, built by iterated factorization."""
-    if not u.bottomed:
-        raise CoalgError("path reconstruction expects a composite over F+1")
     functor = u.functor
     fp1 = plus1(functor)
     levels = [u.pointing]
@@ -326,22 +314,6 @@ def find_path_morphism(p: PathObj, q: PathObj) -> PathMorphism | None:
     return next(all_path_morphisms(p, q), None)
 
 
-def is_path_morphism(m: PathMorphism) -> bool:
-    if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
-        return False
-    if m.components[0].table != SortedFun.identity(m.src.pointing).table:
-        return False
-    fp1 = m.src.plus1()
-    for k in range(m.src.length):
-        phi_k, phi_next = m.components[k], m.components[k + 1]
-        for (s, x) in m.src.levels[k].pairs():
-            lhs = fmap(fp1, phi_next, s, m.src.steps[k](s, x))
-            rhs = m.dst.steps[k](s, phi_k(s, x))
-            if lhs != rhs:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Embedding into pointed coalgebras
 
@@ -417,14 +389,6 @@ def is_run(r: Run) -> bool:
             if image not in c.xi[(s, state)]:
                 return False
     return True
-
-
-def run_image(r: Run) -> set[tuple[str, str]]:
-    out: set[tuple[str, str]] = set()
-    for k, x_k in enumerate(r.components):
-        for (s, e) in r.path.levels[k].pairs():
-            out.add((s, x_k(s, e)))
-    return out
 
 
 def enumerate_runs(

@@ -27,7 +27,6 @@ from .functors import (
     TermError,
     Var,
     eval_node,
-    fmap,
     functor_has_pf,
     node_has_pf,
     occurrences,
@@ -138,14 +137,6 @@ def precise_factorize(f: TermMap) -> Factorization:
     precise = TermMap(f.dom, TermSpace(f.space.functor, codomain), new_terms)
     connect = SortedFun(codomain, y, connect_table)
     return Factorization(codomain, precise, connect)
-
-
-def factorization_commutes(f: TermMap, fac: Factorization) -> bool:
-    """Check F(h) . f' = f."""
-    for (sort, x) in f.dom.pairs():
-        if fmap(f.space.functor, fac.connect, sort, fac.precise(sort, x)) != f(sort, x):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -87,18 +87,17 @@ def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None 
 
 
 class SortedFun:
-    """A total map between sorted sets (or into a term space).
+    """A total map between sorted sets.
 
-    ``table`` is keyed by (sort, element) over the domain.  The codomain
-    may be another SortedSet or, for maps into ``F(Y)``, ``None`` (the
-    caller tracks the term space).  ``table`` is never written after
-    construction, so ``var_subst``, the variable substitution that
-    ``functors.fmap`` derives from it, is built on first use and kept.
+    ``table`` is keyed by (sort, element) over the domain.  It is never
+    written after construction, so ``var_subst``, the variable
+    substitution that ``functors.fmap`` derives from it, is built on
+    first use and kept.
     """
 
     __slots__ = ("dom", "cod", "table", "var_subst")
 
-    def __init__(self, dom: SortedSet, cod: SortedSet | None, table: Mapping[tuple[str, str], object]):
+    def __init__(self, dom: SortedSet, cod: SortedSet, table: Mapping[tuple[str, str], str]):
         self.dom = dom
         self.cod = cod
         self.table = dict(table)
@@ -109,12 +108,11 @@ class SortedFun:
         if len(self.table) != dom.size():
             extra = set(self.table) - set(dom.pairs())
             raise SortError(f"map defined outside its domain: {sorted(extra)}")
-        if cod is not None:
-            for (s, x), y in self.table.items():
-                if not cod.has(s, y):  # type: ignore[arg-type]
-                    raise SortError(f"image of {(s, x)} is {y!r}, not in codomain sort {s!r}")
+        for (s, x), y in self.table.items():
+            if not cod.has(s, y):
+                raise SortError(f"image of {(s, x)} is {y!r}, not in codomain sort {s!r}")
 
-    def __call__(self, sort: str, elem: str):
+    def __call__(self, sort: str, elem: str) -> str:
         return self.table[(sort, elem)]
 
     def __eq__(self, other: object) -> bool:
@@ -132,40 +130,3 @@ class SortedFun:
     @staticmethod
     def identity(carrier: SortedSet) -> "SortedFun":
         return SortedFun(carrier, carrier, {(s, e): e for s, e in carrier.pairs()})
-
-    def compose(self, first: "SortedFun") -> "SortedFun":
-        """self after first (both carrier-to-carrier)."""
-        if self.cod is None or first.cod is None:
-            raise SortError("can only compose carrier-to-carrier maps")
-        table = {(s, x): self.table[(s, y)] for (s, x), y in first.table.items()}
-        return SortedFun(first.dom, self.cod, table)
-
-    def is_injective(self) -> bool:
-        per_sort: dict[str, set] = {}
-        for (s, _x), y in self.table.items():
-            seen = per_sort.setdefault(s, set())
-            if y in seen:
-                return False
-            seen.add(y)
-        return True
-
-    def is_surjective(self) -> bool:
-        if self.cod is None:
-            raise SortError("no codomain recorded")
-        image = {(s, y) for (s, _x), y in self.table.items()}
-        return image == set(self.cod.pairs())
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-
-def all_functions(dom: SortedSet, cod: SortedSet) -> Iterator[SortedFun]:
-    """Enumerate every total map dom -> cod in a fixed order."""
-    import itertools
-
-    keys = list(dom.pairs())
-    choice_lists = [cod.elems(s) for s, _ in keys]
-    if any(not choices for choices in choice_lists):
-        return
-    for combo in itertools.product(*choice_lists):
-        yield SortedFun(dom, cod, dict(zip(keys, combo)))

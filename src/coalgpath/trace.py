@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
@@ -27,7 +26,6 @@ from .functors import (
     print_term,
     word_shape,
 )
-from .paths import CompValue, make_comp_value
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
 
 
@@ -44,26 +42,6 @@ class TraceSet:
     pointing: SortedSet
     depth: int
     per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], frozenset[Term]], ...]], ...]
-
-    def values(self) -> Iterator[CompValue]:
-        """Materialize the composite values (product across pointing elements)."""
-        for d, items in self.per_depth:
-            keys = [key for key, _terms in items]
-            pools = [sorted(terms) for _key, terms in items]
-            for combo in itertools.product(*pools):
-                yield make_comp_value(
-                    self.functor, self.pointing, d, dict(zip(keys, combo)), bottomed=False
-                )
-
-    def flat(self) -> set[tuple[int, Term]]:
-        """(depth, term) pairs for singleton pointings."""
-        out = set()
-        for d, items in self.per_depth:
-            if len(items) != 1:
-                raise CoalgError("flat() needs a singleton pointing")
-            for t in items[0][1]:
-                out.add((d, t))
-        return out
 
 
 def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], frozenset[Term]]:
@@ -143,20 +121,3 @@ def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:
                 out.add(print_term(t))
     return out
 
-
-def prefix_closed(ts: TraceSet) -> bool:
-    """Every truncation of a member is a member (per pointing element)."""
-    from .paths import truncate_term
-
-    by_depth = dict(ts.per_depth)
-    for d, items in ts.per_depth:
-        for key, terms in items:
-            for t in terms:
-                for d2 in range(d):
-                    shallower = by_depth.get(d2)
-                    if not shallower:
-                        return False
-                    expected = truncate_term(ts.functor, key[0], t, d2)
-                    if expected not in dict(shallower)[key]:
-                        return False
-    return True

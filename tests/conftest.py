@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from coalgpath.coalgebra import PointedCoalgebra
+from coalgpath.coalgebra import PointedCoalgebra, lts_coalgebra
 from coalgpath.functors import (
     Analytic,
     Const,
@@ -18,8 +18,10 @@ from coalgpath.functors import (
     plus1_node,
 )
 from coalgpath.groups import symmetric_group
+from coalgpath.lasota import FiniteCategory
 from coalgpath.precise import TermMap, TermSpace
 from coalgpath.sets import DEFAULT_SORT, SortedSet
+from coalgpath.trace import TraceSet
 
 
 def single(elems):
@@ -88,3 +90,39 @@ def whyplus1_system() -> PointedCoalgebra:
             (DEFAULT_SORT, "z2"): (),
         },
     )
+
+
+def linear_word_system(alphabet, word) -> PointedCoalgebra:
+    """The linear system over a word: states q0..qn along its letters."""
+    letters = list(word)
+    states = [f"q{i}" for i in range(len(letters) + 1)]
+    edges = [(f"q{i}", a, f"q{i + 1}") for i, a in enumerate(letters)]
+    return lts_coalgebra(alphabet, states, "q0", edges)
+
+
+def trace_pairs(ts: TraceSet) -> set:
+    """(depth, term) pairs of a trace set over a singleton pointing."""
+    return {(d, t) for d, ((_key, terms),) in ts.per_depth for t in terms}
+
+
+def poset_category(chain: int) -> FiniteCategory:
+    """The poset 0 -> 1 -> ... -> (chain-1) as a category."""
+    objects = tuple(str(i) for i in range(chain))
+    identities = {str(i): f"id{i}" for i in range(chain)}
+    morphisms = []
+    for i in range(chain):
+        for j in range(i, chain):
+            name = f"id{i}" if i == j else f"m{i}{j}"
+            morphisms.append((name, str(i), str(j)))
+    comp = {}
+    for (g, gd, gc) in morphisms:
+        for (f, fd, fc) in morphisms:
+            if fc != gd:
+                continue
+            i, k = int(fd), int(gc)
+            comp[(g, f)] = f"id{i}" if i == k else f"m{i}{k}"
+    return FiniteCategory(objects, tuple(morphisms), identities, comp, "0")
+
+
+def one_object_category() -> FiniteCategory:
+    return FiniteCategory(("0",), (("id0", "0", "0"),), {"0": "id0"}, {("id0", "id0"): "id0"}, "0")

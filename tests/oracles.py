@@ -11,7 +11,12 @@ fit test-sized inputs:
 - the homset-order structure of behaviour maps: unit decomposition and
   choice lifting;
 - simulation and bisimulation of labelled transition systems, as
-  relations on edges.
+  relations on edges;
+- direct checks of what the library builds: a factorization commutes,
+  a binding factorization round-trips, a trace set is prefix-closed, a
+  family of maps is a path morphism, and the states a run visits;
+- finite maps: every total map between two carriers, composition,
+  injectivity and surjectivity, and the homset order of behaviour maps.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping
 
-from coalgpath.coalgebra import BehaviourMap, PointedCoalgebra
+from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import Functor, Term, eval_functor, fmap, word_shape
 from coalgpath.nominal import (
     AtomPool,
+    BindingFactorization,
     BindTerm,
     NomElem,
     PoolError,
@@ -31,8 +37,119 @@ from coalgpath.nominal import (
     canonical_bind,
     extend_equivariant,
 )
-from coalgpath.precise import TermMap
-from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, all_functions
+from coalgpath.paths import PathMorphism, Run, truncate_term
+from coalgpath.precise import Factorization, TermMap
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from coalgpath.trace import TraceSet
+
+BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
+
+
+# ---------------------------------------------------------------------------
+# Finite maps
+
+def all_functions(dom: SortedSet, cod: SortedSet) -> Iterator[SortedFun]:
+    """Enumerate every total map dom -> cod in a fixed order."""
+    keys = list(dom.pairs())
+    choice_lists = [cod.elems(s) for s, _ in keys]
+    if any(not choices for choices in choice_lists):
+        return
+    for combo in itertools.product(*choice_lists):
+        yield SortedFun(dom, cod, dict(zip(keys, combo)))
+
+
+def compose_maps(second: SortedFun, first: SortedFun) -> SortedFun:
+    """``second`` after ``first``."""
+    table = {(s, x): second.table[(s, y)] for (s, x), y in first.table.items()}
+    return SortedFun(first.dom, second.cod, table)
+
+
+def is_injective(fun: SortedFun) -> bool:
+    per_sort: dict[str, set] = {}
+    for (s, _x), y in fun.table.items():
+        seen = per_sort.setdefault(s, set())
+        if y in seen:
+            return False
+        seen.add(y)
+    return True
+
+
+def is_surjective(fun: SortedFun) -> bool:
+    image = {(s, y) for (s, _x), y in fun.table.items()}
+    return image == set(fun.cod.pairs())
+
+
+def is_bijective(fun: SortedFun) -> bool:
+    return is_injective(fun) and is_surjective(fun)
+
+
+def homset_leq(f: BehaviourMap, g: BehaviourMap) -> bool:
+    """Pointwise inclusion of behaviour maps with a common domain."""
+    if set(f.keys()) != set(g.keys()):
+        raise CoalgError("homset order compares maps on a common domain only")
+    return all(set(f[k]) <= set(g[k]) for k in f)
+
+
+# ---------------------------------------------------------------------------
+# Direct checks of what the library builds
+
+def factorization_commutes(f: TermMap, fac: Factorization) -> bool:
+    """Check F(h) . f' = f."""
+    for (sort, x) in f.dom.pairs():
+        if fmap(f.space.functor, fac.connect, sort, fac.precise(sort, x)) != f(sort, x):
+            return False
+    return True
+
+
+def binding_roundtrip_ok(f: dict[NomElem, BindTerm], fac: BindingFactorization, pool: AtomPool) -> bool:
+    """[A]h . f' alpha-equal to f, per domain element."""
+    for x, bind_term in f.items():
+        lifted = fac.precise[x]
+        body = fac.connect[lifted.body]  # type: ignore[index]
+        if not alpha_equal_bind(BindTerm(lifted.atom, body), bind_term, pool):
+            return False
+    return True
+
+
+def prefix_closed(ts: TraceSet) -> bool:
+    """Every truncation of a member is a member (per pointing element)."""
+    by_depth = dict(ts.per_depth)
+    for d, items in ts.per_depth:
+        for key, terms in items:
+            for t in terms:
+                for d2 in range(d):
+                    shallower = by_depth.get(d2)
+                    if not shallower:
+                        return False
+                    expected = truncate_term(ts.functor, key[0], t, d2)
+                    if expected not in dict(shallower)[key]:
+                        return False
+    return True
+
+
+def is_path_morphism(m: PathMorphism) -> bool:
+    if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
+        return False
+    if m.components[0].table != SortedFun.identity(m.src.pointing).table:
+        return False
+    fp1 = m.src.plus1()
+    for k in range(m.src.length):
+        phi_k, phi_next = m.components[k], m.components[k + 1]
+        for (s, x) in m.src.levels[k].pairs():
+            lhs = fmap(fp1, phi_next, s, m.src.steps[k](s, x))
+            rhs = m.dst.steps[k](s, phi_k(s, x))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def run_image(r: Run) -> set[tuple[str, str]]:
+    """The (sort, state) pairs a run visits."""
+    out: set[tuple[str, str]] = set()
+    for k, x_k in enumerate(r.components):
+        for (s, e) in r.path.levels[k].pairs():
+            out.add((s, x_k(s, e)))
+    return out
 
 
 # ---------------------------------------------------------------------------

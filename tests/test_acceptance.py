@@ -15,7 +15,7 @@ import pytest
 from coalgpath.cli import run_command
 from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import Prod, SortRef, functor, lts_functor, plus1
-from coalgpath.lasota import paths_bijection_check, poset_category, validate_category
+from coalgpath.lasota import paths_bijection_check, validate_category
 from coalgpath.modelio import print_category
 from coalgpath.nominal import (
     AtomPool,
@@ -26,7 +26,6 @@ from coalgpath.nominal import (
     bar,
     bar_trace,
     binding_factorize,
-    binding_roundtrip_ok,
     free,
     rnna_expand,
 )
@@ -38,10 +37,10 @@ from coalgpath.openmap import (
 )
 from coalgpath.precise import is_precise
 from coalgpath.sets import DEFAULT_SORT, SortedSet
-from coalgpath.trace import lts_language, prefix_closed, trace
+from coalgpath.trace import lts_language, trace
 
-from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, whyplus1_system
-from oracles import is_precise_oracle
+from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, poset_category, whyplus1_system
+from oracles import binding_roundtrip_ok, is_precise_oracle, prefix_closed
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)

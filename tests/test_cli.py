@@ -138,6 +138,36 @@ class TestVerbs:
         assert code == 2
         assert text == "error: empty [functor] section\n"
 
+    def test_empty_objects_section_exit_two(self, tmp_path):
+        path = tmp_path / "empty.cat"
+        path.write_text("[objects]\n\n[morphisms]\n", encoding="utf-8")
+        text, code = run_command(["lasota", str(path), "--depth", "2"])
+        assert code == 2
+        assert text == "error: empty [objects] section\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "{lts}"],
+            ["runs", "{lts}"],
+            ["paths", "{lts}"],
+            ["lasota", "{cat}"],
+            ["rnna", "{rnna}", "--pool", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_depth_exit_two(self, lts_file, tmp_path, argv):
+        from coalgpath.modelio import print_category
+        from conftest import poset_category
+
+        cat = tmp_path / "poset.cat"
+        cat.write_text(print_category(poset_category(2)), encoding="utf-8")
+        rnna = tmp_path / "auto.rnna"
+        rnna.write_text("[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n", encoding="utf-8")
+        files = {"lts": lts_file, "cat": str(cat), "rnna": str(rnna)}
+        text, code = run_command([arg.format(**files) for arg in argv] + ["--depth", "-1"])
+        assert (text, code) == ("error: depth must be non-negative\n", 2)
+
     @pytest.mark.parametrize("verb", ["trace", "runs"])
     def test_deep_terms_exit_two(self, deep_file, verb):
         text, code = run_command([verb, deep_file, "--depth", "6"])
@@ -151,8 +181,8 @@ class TestVerbs:
         assert text.splitlines()[-1] == "all passed (3 trials)"
 
     def test_lasota(self, tmp_path):
-        from coalgpath.lasota import poset_category
         from coalgpath.modelio import print_category
+        from conftest import poset_category
 
         path = tmp_path / "poset.cat"
         path.write_text(print_category(poset_category(2)), encoding="utf-8")

@@ -7,18 +7,23 @@ from coalgpath.coalgebra import (
     CoalgMorphism,
     GenSpec,
     PointedCoalgebra,
-    homset_leq,
     is_lax_hom,
     is_strict_hom,
     lts_coalgebra,
     random_coalgebra,
-    linear_word_system,
 )
 from coalgpath.functors import TupleTerm, eval_functor, fmap, lts_functor
-from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, all_functions
+from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
 
-from conftest import single, var, whyplus1_system
-from oracles import decompose_into_units, lift_choice, lts_is_bisimulation, lts_is_simulation
+from conftest import linear_word_system, single, var, whyplus1_system
+from oracles import (
+    all_functions,
+    decompose_into_units,
+    homset_leq,
+    lift_choice,
+    lts_is_bisimulation,
+    lts_is_simulation,
+)
 
 
 def behaviour_maps(f_expr, x_elems, y_elems, limit=None):

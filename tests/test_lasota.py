@@ -8,13 +8,12 @@ from coalgpath.lasota import (
     enumerate_lasota_paths,
     lasota_functor,
     lasota_pointing,
-    one_object_category,
     paths_bijection_check,
-    poset_category,
     validate_category,
 )
 from coalgpath.openmap import verify_theorems
 from coalgpath.sets import SortedSet
+from conftest import one_object_category, poset_category
 
 
 class TestValidateCategory:

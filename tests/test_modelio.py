@@ -19,7 +19,7 @@ from coalgpath.functors import (
     functor,
     lts_functor,
 )
-from coalgpath.lasota import poset_category, validate_category
+from coalgpath.lasota import validate_category
 from coalgpath.groups import trivial_group
 from coalgpath.modelio import (
     MAX_NESTING,
@@ -41,6 +41,7 @@ from coalgpath.modelio import (
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, comp_as_word, enumerate_runs
 from coalgpath.sets import DEFAULT_SORT, CoalgError
+from conftest import poset_category
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -260,7 +261,7 @@ prod(const(a b), id)
             parse_path(bad)
 
     def test_runs_roundtrip_through_printer(self):
-        from coalgpath.coalgebra import linear_word_system
+        from conftest import linear_word_system
 
         c = linear_word_system("ab", "ab")
         for p, _r in enumerate_runs(c, 2):
@@ -341,8 +342,7 @@ class TestMapFiles:
 
 
 class TestFactorProblemFiles:
-    def test_fig2_file(self):
-        text = """\
+    FIG2_TEXT = """\
 [functor]
 plus1(prod(id, id))
 
@@ -358,7 +358,9 @@ x2 -> (y1, y2)
 x3 -> (y2, y2)
 x4 -> bot
 """
-        problem = parse_factor_problem(text)
+
+    def test_fig2_file(self):
+        problem = parse_factor_problem(self.FIG2_TEXT)
         assert problem.domain.size() == 4
         from coalgpath.precise import is_precise, precise_factorize
 
@@ -429,6 +431,7 @@ class TestModelDispatch:
             TestPathFiles.PATH_TEXT,
             print_category(poset_category(3)),
             "[states]\nq0/0 q1/1\n\n[init]\nq0\n\n[rules]\nq0 -> bar q1 [0]\n",
+            TestFactorProblemFiles.FIG2_TEXT,
         ):
             obj = parse_model(text)
             canon = print_model(obj)
@@ -454,7 +457,7 @@ class TestGeneratedNameRoundtrips:
         assert print_factor_problem(reparsed) == printed
 
     def test_embedded_path_coalgebra_roundtrips(self):
-        from coalgpath.coalgebra import linear_word_system
+        from conftest import linear_word_system
         from coalgpath.paths import enumerate_runs, j_embed
 
         c = linear_word_system("ab", "ab")

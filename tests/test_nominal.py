@@ -21,7 +21,6 @@ from coalgpath.nominal import (
     bar,
     bar_trace,
     binding_factorize,
-    binding_roundtrip_ok,
     canonical_bind,
     extend_equivariant,
     free,
@@ -34,7 +33,7 @@ from coalgpath.nominal import (
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
 
-from oracles import binding_precise_oracle
+from oracles import binding_precise_oracle, binding_roundtrip_ok
 
 CHECK = chr(0x2713)
 

@@ -10,7 +10,6 @@ from coalgpath.coalgebra import (
     is_lax_hom,
     is_strict_hom,
     lts_coalgebra,
-    linear_word_system,
     random_coalgebra,
 )
 from coalgpath.coalgebra import PointedCoalgebra
@@ -33,11 +32,12 @@ from coalgpath.openmap import (
     serialize_witness,
     verify_theorems,
 )
-from coalgpath.paths import Run, enumerate_runs, is_run, make_path, run_image
+from coalgpath.paths import Run, enumerate_runs, is_run, make_path
 from coalgpath.precise import element_shapes, enumerate_precise_maps
-from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet, all_functions
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import single, whyplus1_system
+from conftest import linear_word_system, single, whyplus1_system
+from oracles import all_functions, run_image
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))
 

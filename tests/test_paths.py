@@ -1,6 +1,6 @@
 import itertools
 
-from coalgpath.coalgebra import CoalgMorphism, is_lax_hom, linear_word_system
+from coalgpath.coalgebra import CoalgMorphism, is_lax_hom
 from coalgpath.functors import (
     Analytic,
     Const,
@@ -27,7 +27,6 @@ from coalgpath.paths import (
     comp_as_word,
     enumerate_runs,
     find_path_morphism,
-    is_path_morphism,
     is_run,
     j_embed,
     make_comp_value,
@@ -35,12 +34,12 @@ from coalgpath.paths import (
     morphism_to_lax,
     path_from_comp,
     pathord_le,
-    run_image,
     validate_path,
 )
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
-from conftest import single, var, whyplus1_system
+from conftest import linear_word_system, single, trace_pairs, var, whyplus1_system
+from oracles import is_bijective, is_path_morphism, run_image
 
 BOT = chr(0x22A5)
 
@@ -275,7 +274,7 @@ class TestPathMorphisms:
         q = word_path("ab", 3)
         m = find_path_morphism(p, q)
         assert m is not None
-        assert all(c.is_bijective() for c in m.components)
+        assert all(is_bijective(c) for c in m.components)
 
 
 class TestEmbedding:
@@ -406,7 +405,7 @@ class TestEmbeddingIntegration:
 
         p = word_path("ab", 2)
         c = j_embed(p)
-        flat = {t for _d, t in trace(c, 2).flat()}
+        flat = {t for _d, t in trace_pairs(trace(c, 2))}
         words = set()
         for t in flat:
             word = []

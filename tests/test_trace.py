@@ -8,7 +8,6 @@ from coalgpath.coalgebra import (
     PointedCoalgebra,
     is_lax_hom,
     lts_coalgebra,
-    linear_word_system,
     random_coalgebra,
 )
 from coalgpath.functors import (
@@ -25,9 +24,10 @@ from coalgpath.functors import (
 from coalgpath.groups import symmetric_group, trivial_group
 from coalgpath.paths import comp, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
-from coalgpath.trace import lts_language, prefix_closed, trace, trace_equiv, tree_partial_runs
+from coalgpath.trace import lts_language, trace, trace_equiv, tree_partial_runs
 
-from conftest import single, var
+from conftest import linear_word_system, single, trace_pairs, var
+from oracles import prefix_closed
 
 CHECK = chr(0x2713)
 
@@ -92,22 +92,18 @@ class TestTrace:
         for seed in range(25):
             c = random_coalgebra(GenSpec(lts_functor("ab"), {DEFAULT_SORT: rng.randint(1, 4)}, 0.4, seed))
             depth = 3
-            ts = trace(c, depth)
-            memoized = set()
-            for value in ts.values():
-                memoized.add((value.depth, tuple(sorted(value.values))))
+            memoized = {(d, ((key, t),)) for d, ((key, terms),) in trace(c, depth).per_depth for t in terms}
             assert memoized == literal_trace_values(c, depth), f"seed {seed}"
 
     def test_empty_structure_gives_only_unit(self):
         c = lts_coalgebra("ab", ["s0"], "s0", [])
-        ts = trace(c, 3)
-        flat = ts.flat()
+        flat = trace_pairs(trace(c, 3))
         assert {(d, repr(t)) for d, t in flat} == {(0, "•")}
 
     def test_monotone_in_depth(self):
         c = linear_word_system("ab", "ab")
-        shallow = trace(c, 1).flat()
-        deep = trace(c, 2).flat()
+        shallow = trace_pairs(trace(c, 1))
+        deep = trace_pairs(trace(c, 2))
         assert shallow <= deep
 
     def test_negative_depth_rejected(self):
@@ -152,7 +148,7 @@ class TestTraceEquiv:
         table = {(DEFAULT_SORT, f"q{i}"): f"q{i}" for i in range(3)}
         m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
         assert is_lax_hom(m)
-        assert trace(src, 3).flat() <= trace(dst, 3).flat()
+        assert trace_pairs(trace(src, 3)) <= trace_pairs(trace(dst, 3))
 
     def test_functor_mismatch_rejected(self):
         with pytest.raises(CoalgError):
