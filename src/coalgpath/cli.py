@@ -182,7 +182,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         lines = []
         for d, items in ts.per_depth:
             for (s, i), terms in items:
-                for t in sorted(terms):
+                for t in terms:
                     prefix = f"{i} : " if system.pointing.size() > 1 else ""
                     lines.append(f"{prefix}{d} : {print_term(t)}")
         for line in sorted(set(lines)):

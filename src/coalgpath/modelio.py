@@ -732,6 +732,9 @@ def parse_category(text: str) -> FiniteCategory:
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'name : dom -> cod'", lineno)
+        for end in (m.group(2), m.group(3)):
+            if end not in objects:
+                raise ModelParseError(f"morphism {m.group(1)!r} names {end!r}, which is not an object", lineno)
         morphisms.append((m.group(1), m.group(2), m.group(3)))
     identities: dict[str, str] = {}
     for lineno, line in sections.get("identities", Section("i", [])).lines:

@@ -13,6 +13,7 @@ element, named ``(x;path)`` after the occurrence position.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -164,8 +165,13 @@ def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
 # ---------------------------------------------------------------------------
 # Shape enumeration (precise maps out of a carrier)
 
-def element_shapes(f_expr: Functor, sort: str) -> list[Term]:
-    """Shapes for a single domain element, canonically renamed."""
+@functools.lru_cache(maxsize=256)
+def element_shapes(f_expr: Functor, sort: str) -> tuple[Term, ...]:
+    """Shapes for a single domain element, canonically renamed.
+
+    Memoized per (functor, sort): the open-map check asks for the same
+    shapes at every failing state.
+    """
     node = f_expr.node(sort)
     if node_has_pf(node):
         raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
@@ -182,7 +188,7 @@ def element_shapes(f_expr: Functor, sort: str) -> list[Term]:
                 break
             canon = renamed
         shapes.setdefault(canon.key, canon)
-    return sorted(shapes.values())
+    return tuple(sorted(shapes.values()))
 
 
 def _renumber(node: Node, term: Term, start: int) -> tuple[Term, list[Var]]:

@@ -4,21 +4,34 @@ The trace set of a system collects the composites of all paths that
 admit a run and never use the added point.  Because the continuations of
 distinct level elements are independent, the depth-d traces from a state
 satisfy a simple recursion (substitute depth-(d-1) traces into each
-transition term, independently per occurrence), which is what the
-memoized computation below implements; the literal run-enumeration
-definition is kept as a test oracle.
+transition term, independently per occurrence).  Two computations
+implement it:
+
+- the general path, :func:`trace`, fills that recursion as a table of
+  terms per (state, depth), depth by depth, and only for the states the
+  pointing reaches within the remaining depth; it serves every functor;
+- the word path, :func:`lts_language`, decodes the traces of a word-shaped
+  system (``A x Id``, optionally ``+ {m}``) as strings, by a subset
+  construction: the words of a state set S are the marker when some state
+  of S has it, and ``a + w`` for each word w of ``post_a(S)`` one level
+  shallower, memoized per (state set, depth).
+
+The general path is the oracle for the word path; the literal
+run-enumeration definition is the test oracle for the general path.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
     UNIT_TERM,
     Coprod,
     Functor,
+    Inj,
     Term,
     decode_word,
     map_leaves,
@@ -44,22 +57,55 @@ class TraceSet:
     per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], frozenset[Term]], ...]], ...]
 
 
+def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], list[tuple]]) -> tuple[dict, dict]:
+    """Breadth-first distances from ``starts``, up to ``depth`` steps, and
+    ``moves_of(x)``, a list of (label, successors) pairs, for every x
+    closer than ``depth``."""
+    dist = dict.fromkeys(starts, 0)
+    moves = {}
+    frontier = list(dist)
+    for k in range(1, depth + 1):
+        nxt = []
+        for x in frontier:
+            moves[x] = moves_of(x)
+            for _label, succ in moves[x]:
+                for y in succ:
+                    if y not in dist:
+                        dist[y] = k
+                        nxt.append(y)
+        frontier = nxt
+    return dist, moves
+
+
 def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], frozenset[Term]]:
-    """traces[(state, d)]: ground terms of depth-d bottom-free unfoldings."""
+    """traces[(state, d)]: ground terms of depth-d bottom-free unfoldings,
+    for each state the pointing reaches in at most ``max_depth - d`` steps.
+
+    The table is filled depth by depth, without recursion, so the stack
+    does not grow with the depth.
+    """
+
+    def moves_of(key: tuple[str, str]) -> list[tuple[Term, tuple]]:
+        node = c.functor.node(key[0])
+        return [(t, tuple((var.sort, var.name) for var, _path in occurrences(node, t))) for t in c.xi[key]]
+
+    dist, moves = _reach(c.point_image(), max_depth, moves_of)
     table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
-    for key in c.carrier.pairs():
-        table[(key, 0)] = frozenset([UNIT_TERM])
-    for d in range(1, max_depth + 1):
-        for (s, x) in c.carrier.pairs():
-            node = c.functor.node(s)
+    for d in range(max_depth + 1):
+        for key, k in dist.items():
+            if k > max_depth - d:
+                continue
+            if d == 0:
+                table[(key, 0)] = frozenset([UNIT_TERM])
+                continue
+            node = c.functor.node(key[0])
             out: set[Term] = set()
-            for t in c.xi[(s, x)]:
+            for t, succ in moves[key]:
                 # substitute, independently per occurrence, every continuation choice
-                pools = [table[((var.sort, var.name), d - 1)] for var, _path in occurrences(node, t)]
-                for combo in itertools.product(*pools):
+                for combo in itertools.product(*(table[(y, d - 1)] for y in succ)):
                     chosen = iter(combo)
                     out.add(map_leaves(node, t, lambda _ref, _t: next(chosen)))
-            table[((s, x), d)] = frozenset(out)
+            table[(key, d)] = frozenset(out)
     return table
 
 
@@ -94,16 +140,73 @@ def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
 # Instance decodings
 
 def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
-    """Trace values decoded as words (final-marker words keep the marker)."""
+    """Trace values decoded as words (final-marker words keep the marker).
+
+    As in :func:`trace`, depth d contributes only when every pointed
+    state has a trace of depth d.
+    """
     shape = word_shape(c.functor)
     if shape is None:
         raise CoalgError("not a word-shaped functor (A x Id, optionally + a final marker)")
+    if depth < 0:
+        raise CoalgError("depth must be non-negative")
+    marker = shape[1]
+    if c.functor.sorts != (DEFAULT_SORT,):
+        # the states of another sort need not be word-shaped: decode the terms
+        return _trace_words(trace(c, depth), marker)
+    # per state: letter -> successor set, and whether it has the marker
+    post: dict[tuple[str, str], dict[str, set[tuple[str, str]]]] = {}
+    marked = set()
+    for key, terms in c.xi.items():
+        post[key] = {}
+        for t in terms:
+            if isinstance(t, Inj):
+                if t.index == 1:
+                    marked.add(key)
+                    continue
+                t = t.arg
+            letter, succ = t.args
+            post[key].setdefault(letter.name, set()).add((succ.sort, succ.name))
+    starts = [frozenset([(s, c.point[(s, i)])]) for s, i in c.pointing.pairs()]
+
+    def moves_of(states: frozenset) -> list[tuple[str, tuple[frozenset]]]:
+        step: dict[str, set[tuple[str, str]]] = {}
+        for x in states:
+            for letter, ys in post[x].items():
+                step.setdefault(letter, set()).update(ys)
+        return [(letter, (frozenset(ys),)) for letter, ys in step.items()]
+
+    dist, moves = _reach(starts, depth, moves_of)
+    # W(S, d), depth by depth, for each set S reached in at most depth - d steps
+    words: set[str] = set()
+    prev: dict[frozenset, set[str]] = {}
+    for d in range(depth + 1):
+        cur: dict[frozenset, set[str]] = {}
+        for states, k in dist.items():
+            if k > depth - d:
+                continue
+            if d == 0:
+                cur[states] = {""}
+                continue
+            out = {marker} if not marked.isdisjoint(states) else set()
+            for letter, (target,) in moves[states]:
+                out.update(letter + w for w in prev[target])
+            cur[states] = out
+        per_point = [cur[states] for states in starts]
+        if all(per_point):
+            words.update(*per_point)
+        prev = cur
+    return words
+
+
+def _trace_words(ts: TraceSet, marker: str | None) -> set[str]:
+    """The terms of a word-shaped trace set decoded as words."""
     words = set()
-    for _d, items in trace(c, depth).per_depth:
+    for _d, items in ts.per_depth:
         for _key, terms in items:
             for t in terms:
                 letters, marked = decode_word(t)
-                words.add("".join(letters) + (shape[1] if marked else ""))
+                words.add("".join(letters) + (marker if marked else ""))
     return words
 
 

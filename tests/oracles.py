@@ -15,6 +15,9 @@ fit test-sized inputs:
 - direct checks of what the library builds: a factorization commutes,
   a binding factorization round-trips, a trace set is prefix-closed, a
   family of maps is a path morphism, and the states a run visits;
+- the depth-d trace sets of every carrier state at every depth
+  (:func:`eager_state_traces`), against the table ``trace.trace`` fills
+  only where the pointing reaches;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -25,7 +28,7 @@ import itertools
 from typing import Iterator, Mapping
 
 from coalgpath.coalgebra import PointedCoalgebra
-from coalgpath.functors import Functor, Term, eval_functor, fmap, word_shape
+from coalgpath.functors import UNIT_TERM, Functor, Term, eval_functor, fmap, map_leaves, occurrences, word_shape
 from coalgpath.nominal import (
     AtomPool,
     BindingFactorization,
@@ -125,6 +128,27 @@ def prefix_closed(ts: TraceSet) -> bool:
                     if expected not in dict(shallower)[key]:
                         return False
     return True
+
+
+def eager_state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], frozenset[Term]]:
+    """traces[(state, d)] for every carrier state and every d <= max_depth:
+    the depth-(d-1) traces substituted into each transition term,
+    independently per occurrence, whether or not the pointing reaches
+    the state."""
+    table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
+    for key in c.carrier.pairs():
+        table[(key, 0)] = frozenset([UNIT_TERM])
+    for d in range(1, max_depth + 1):
+        for (s, x) in c.carrier.pairs():
+            node = c.functor.node(s)
+            out: set[Term] = set()
+            for t in c.xi[(s, x)]:
+                pools = [table[((var.sort, var.name), d - 1)] for var, _path in occurrences(node, t)]
+                for combo in itertools.product(*pools):
+                    chosen = iter(combo)
+                    out.add(map_leaves(node, t, lambda _ref, _t: next(chosen)))
+            table[((s, x), d)] = frozenset(out)
+    return table
 
 
 def is_path_morphism(m: PathMorphism) -> bool:

@@ -145,6 +145,17 @@ class TestVerbs:
         assert code == 2
         assert text == "error: empty [objects] section\n"
 
+    def test_morphism_to_unlisted_object_exit_two(self, tmp_path):
+        path = tmp_path / "bad.cat"
+        path.write_text(
+            "[objects]\n0\n\n[morphisms]\nid0 : 0 -> 0\nf : 0 -> 9\n\n[identities]\n0 : id0\n\n"
+            "[composition]\nid0 o id0 = id0\nf o id0 = f\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert code == 2
+        assert text == "error: line 6: morphism 'f' names '9', which is not an object\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

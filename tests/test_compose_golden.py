@@ -33,6 +33,10 @@ CASES = [
     ("check-runs", ["runs", "check.model", "--depth", "2"], 0),
     ("check-trace", ["trace", "check.model", "--depth", "3"], 0),
     ("tree-runs-ascii", ["--ascii", "runs", "tree.model", "--depth", "2"], 0),
+    # the trace-enum benchmark's pair/leaf tree automaton (general trace path)
+    ("enum-tree-trace", ["trace", "trace_enum_tree.model", "--depth", "4"], 0),
+    # two pointed word systems, one stuck from depth 4 on (word trace path)
+    ("twopoint-trace", ["trace", "twopoint.model", "--depth", "6"], 0),
 ]
 
 

@@ -250,6 +250,14 @@ class TestEnumeratePreciseMaps:
             f"in1({chr(0x22a5)})",
         ]
 
+    def test_shapes_are_shared_and_immutable(self):
+        # memoized per (functor, sort): an equal functor built anew hits the
+        # same entry, and the entry is a tuple no caller can change
+        first = element_shapes(functor(plus1_node(Prod((SortRef(), SortRef())))), DEFAULT_SORT)
+        again = element_shapes(functor(plus1_node(Prod((SortRef(), SortRef())))), DEFAULT_SORT)
+        assert again is first
+        assert isinstance(first, tuple)
+
     def test_constant_shapes_have_empty_codomain(self):
         maps = list(enumerate_precise_maps(single(["*"]), CONST_PLUS1))
         assert len(maps) == 2

@@ -13,21 +13,28 @@ from coalgpath.coalgebra import (
 from coalgpath.functors import (
     Analytic,
     Const,
+    ConstElem,
     Coprod,
+    Inj,
     Prod,
     SortRef,
     Symbol,
+    TupleTerm,
+    Var,
     functor,
     lts_functor,
+    multisorted,
     strip_plus1,
 )
 from coalgpath.groups import symmetric_group, trivial_group
+from coalgpath.modelio import parse_functor_text
+from coalgpath.openmap import reachable_bfs
 from coalgpath.paths import comp, enumerate_runs
-from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
-from coalgpath.trace import lts_language, trace, trace_equiv, tree_partial_runs
+from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
+from coalgpath.trace import _trace_words, lts_language, trace, trace_equiv, tree_partial_runs
 
 from conftest import linear_word_system, single, trace_pairs, var
-from oracles import prefix_closed
+from oracles import eager_state_traces, prefix_closed
 
 CHECK = chr(0x2713)
 
@@ -111,6 +118,56 @@ class TestTrace:
             trace(linear_word_system("a", "a"), -1)
 
 
+def _eager_per_depth(c: PointedCoalgebra, depth: int):
+    """``trace(c, depth).per_depth`` rebuilt from the whole-carrier table."""
+    table = eager_state_traces(c, depth)
+    per_depth = []
+    for d in range(depth + 1):
+        items = tuple(((s, i), table[((s, c.point[(s, i)]), d)]) for s, i in c.pointing.pairs())
+        if all(terms for _key, terms in items):
+            per_depth.append((d, items))
+    return tuple(per_depth)
+
+
+WORD_CHECK = functor(Coprod((Prod((Const(("a", "b")), SortRef())), Const((CHECK,)))))
+
+
+class TestRestrictedTable:
+    """The table ``trace`` fills only where the pointing reaches agrees
+    with the whole-carrier table."""
+
+    # name, functor, carrier sizes, density, depth; sizes and densities keep
+    # the product and tree trace sets small at the depth used
+    SYSTEMS = [
+        ("lts", lts_functor("ab"), {DEFAULT_SORT: 5}, 0.2, 4),
+        ("lts-check", WORD_CHECK, {DEFAULT_SORT: 5}, 0.2, 4),
+        ("binary", functor(Prod((SortRef(), SortRef()))), {DEFAULT_SORT: 4}, 0.12, 3),
+        ("pair-leaf", functor(parse_functor_text("analytic{ pair/2 [(1 2)] ; leaf/0 }")), {DEFAULT_SORT: 4}, 0.3, 3),
+        ("composite", functor(parse_functor_text("compose(prod(id, id), coprod(const(c), id))")),
+         {DEFAULT_SORT: 3}, 0.05, 2),
+        (
+            "multisorted",
+            multisorted(("a", "b"), {"a": Prod((Const(("x",)), SortRef("b"))),
+                                     "b": Coprod((Prod((SortRef("a"), SortRef("b"))), Const(("y",))))}),
+            {"a": 3, "b": 3},
+            0.3,
+            3,
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, f, sizes, density, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+    def test_agrees_with_eager_table(self, name, f, sizes, density, depth):
+        unreachable = 0
+        for seed in range(20):
+            # every other system points at two states
+            pointing = None if seed % 2 else SortedSet.make({f.sorts[0]: ["i", "j"]}, f.sorts)
+            c = random_coalgebra(GenSpec(f, sizes, density, seed, pointing))
+            _levels, union = reachable_bfs(c)
+            unreachable += union != set(c.states())
+            assert trace(c, depth).per_depth == _eager_per_depth(c, depth), f"seed {seed}"
+        assert unreachable
+
+
 class TestTraceEquiv:
     def test_reflexive(self):
         c = linear_word_system("ab", "ab")
@@ -186,12 +243,75 @@ class TestLtsLanguage:
         assert words == {"", "a", "ab", "ab" + CHECK}
 
     def test_oracle_agreement_on_random_systems(self):
+        self._agree_on_random_systems(lts_functor("ab"), None)
+
+    def test_oracle_agreement_on_random_marked_systems(self):
+        self._agree_on_random_systems(WORD_CHECK, CHECK)
+
+    @staticmethod
+    def _agree_on_random_systems(f, marker):
+        """The word path against the graph search and the decoded general path."""
         rng = random.Random(31)
         for seed in range(100):
-            c = random_coalgebra(
-                GenSpec(lts_functor("ab"), {DEFAULT_SORT: rng.randint(1, 6)}, rng.choice([0.2, 0.4]), seed)
-            )
-            assert lts_language(c, 6) == graph_bfs_language(c, 6), f"seed {seed}"
+            c = random_coalgebra(GenSpec(f, {DEFAULT_SORT: rng.randint(1, 6)}, rng.choice([0.2, 0.4]), seed))
+            words = lts_language(c, 6)
+            assert words == graph_bfs_language(c, 6), f"seed {seed}"
+            assert words == _trace_words(trace(c, 6), marker), f"seed {seed}"
+
+    @staticmethod
+    def _two_pointed(stuck_trans):
+        """q0 loops on a and b with the marker; p0 -a-> p1 then ``stuck_trans``."""
+        def step(a, y):
+            return Inj(0, TupleTerm((ConstElem(a), var(y))))
+
+        mark = Inj(1, ConstElem(CHECK))
+        return PointedCoalgebra(
+            WORD_CHECK,
+            single(["i", "j"]),
+            single(["q0", "p0", "p1", "p2"]),
+            {(DEFAULT_SORT, "i"): "q0", (DEFAULT_SORT, "j"): "p0"},
+            {
+                (DEFAULT_SORT, "q0"): tuple(sorted([step("a", "q0"), step("b", "q0"), mark])),
+                (DEFAULT_SORT, "p0"): (step("a", "p1"),),
+                (DEFAULT_SORT, "p1"): stuck_trans,
+                (DEFAULT_SORT, "p2"): (),
+            },
+        )
+
+    def test_stuck_pointed_state_drops_its_depths(self):
+        # p0 has a trace of depth 2 (a, then b to the dead p2) but none of depth 3
+        c = self._two_pointed((Inj(0, TupleTerm((ConstElem("b"), var("p2")))),))
+        words = lts_language(c, 5)
+        assert words == _trace_words(trace(c, 5), CHECK)
+        assert max(len(w.rstrip(CHECK)) for w in words) == 2
+        assert {"ab", "ba", CHECK, "a" + CHECK} <= words
+
+    def test_stuck_from_the_start(self):
+        # p0's only successor p1 is dead, so only depths 0 and 1 survive
+        c = self._two_pointed(())
+        assert lts_language(c, 4) == _trace_words(trace(c, 4), CHECK) == {"", "a", "b", CHECK}
+
+    def test_marker_keeps_a_pointed_state_alive(self):
+        c = self._two_pointed((Inj(1, ConstElem(CHECK)),))
+        words = lts_language(c, 4)
+        assert words == _trace_words(trace(c, 4), CHECK)
+        assert "abab" in words and "a" + CHECK in words
+
+    def test_multisorted_word_functor(self):
+        f = multisorted((DEFAULT_SORT, "b"), {DEFAULT_SORT: Prod((Const(("a",)), SortRef("b"))),
+                                              "b": Prod((Const(("c",)), SortRef("b")))})
+        carrier = SortedSet.make({DEFAULT_SORT: ["q0"], "b": ["r0"]}, f.sorts)
+        c = PointedCoalgebra(
+            f,
+            SortedSet.make({DEFAULT_SORT: ["*"], "b": []}, f.sorts),
+            carrier,
+            {(DEFAULT_SORT, "*"): "q0"},
+            {
+                (DEFAULT_SORT, "q0"): (TupleTerm((ConstElem("a"), Var("b", "r0"))),),
+                ("b", "r0"): (TupleTerm((ConstElem("c"), Var("b", "r0"))),),
+            },
+        )
+        assert lts_language(c, 3) == {"", "a", "ac", "acc"}
 
     def test_wrong_shape_rejected(self):
         c = PointedCoalgebra(
