@@ -24,7 +24,7 @@ from .modelio import (
 )
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
-from .paths import comp, comp_as_word, enumerate_runs
+from .paths import comp, comp_as_word, comps_are_words, enumerate_runs
 from .precise import enumerate_precise_maps, is_precise, precise_factorize
 from .sets import CoalgError
 from .trace import lts_language, trace
@@ -155,6 +155,8 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
 
     if args.verb == "runs":
         system = parse_coalgebra(_read(args.file))
+        fp1 = plus1(system.functor)
+        as_words = comps_are_words(system.functor, system.pointing)
         count = 0
         for path, run in enumerate_runs(system, args.depth):
             states = []
@@ -162,11 +164,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                 for (s, e) in path.levels[k].pairs():
                     states.append(f"{k}:{e}->{comp_k(s, e)}")
             value = comp(path)
-            word = comp_as_word(value)
-            if word is not None:
-                terms = word if word else "ε"
+            if as_words:
+                terms = comp_as_word(value) or "ε"
             else:
-                terms = " ".join(print_term_for(plus1(value.functor), s, t) for (s, _i), t in value.values)
+                terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in value.values)
             _emit(out, f"run {count}: length {path.length} comp {terms} [{' '.join(states)}]")
             count += 1
         _emit(out, f"{count} runs")

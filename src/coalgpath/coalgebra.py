@@ -9,6 +9,7 @@ lax ones up to inclusion (the functional-simulation analogue).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -20,14 +21,43 @@ from .functors import (
     eval_functor,
     fmap,
     functor_has_pf,
+    occurrences,
     term_in_functor,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
 
-@dataclass
+State = tuple[str, str]  # (sort, element)
+
+
+class _SuccessorTable(dict):
+    """Per state, each transition term with the states occurring in it,
+    in occurrence order.  An entry is built when it is first indexed, so
+    states nobody asks about are never walked."""
+
+    __slots__ = ("functor", "xi")
+
+    def __init__(self, functor: Functor, xi: dict[State, tuple[Term, ...]]):
+        super().__init__()
+        self.functor = functor
+        self.xi = xi
+
+    def __missing__(self, key: State) -> tuple[tuple[Term, tuple[State, ...]], ...]:
+        node = self.functor.node(key[0])
+        entry = self[key] = tuple(
+            (t, tuple((var.sort, var.name) for var, _path in occurrences(node, t))) for t in self.xi[key]
+        )
+        return entry
+
+
+@dataclass(frozen=True)
 class PointedCoalgebra:
-    """A finite I-pointed coalgebra for Pf . F."""
+    """A finite I-pointed coalgebra for Pf . F.
+
+    Frozen, and its tables are never written after construction, so the
+    successor table and the breadth-first levels are built on first use
+    and kept.
+    """
 
     functor: Functor
     pointing: SortedSet
@@ -53,6 +83,35 @@ class PointedCoalgebra:
             for t in terms:
                 if not term_in_functor(self.functor, s, t, self.carrier):
                     raise CoalgError(f"xi({x}) contains ill-formed term {t!r}")
+
+    @functools.cached_property
+    def successors(self) -> _SuccessorTable:
+        """Per state, each transition term with the states occurring in
+        it, in occurrence order; index it by state."""
+        return _SuccessorTable(self.functor, self.xi)
+
+    @functools.cached_property
+    def bfs(self) -> tuple[tuple[frozenset[State], ...], frozenset[State]]:
+        """Breadth-first levels from the pointing and their union.
+
+        Level k+1 collects every state occurring in a transition term of
+        a level-k state.  Iteration stops at the first empty or previously
+        seen level; the union is the least subcoalgebra carrier.
+        """
+        successors = self.successors
+        level = frozenset(self.point_image())
+        levels = [level]
+        union = set(level)
+        while True:
+            nxt = frozenset(y for x in level for _t, succ in successors[x] for y in succ)
+            if not nxt or nxt in levels:
+                break
+            levels.append(nxt)
+            union |= nxt
+            level = nxt
+            if len(levels) > self.carrier.size() + 1:
+                break
+        return tuple(levels), frozenset(union)
 
     def states(self) -> Iterator[tuple[str, str]]:
         return self.carrier.pairs()

@@ -16,12 +16,13 @@ operation walks the expression and the term together.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .groups import PermGroup, canonical_tuple
-from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from .sets import DEFAULT_SORT, CoalgError, LruCache, SortedFun, SortedSet
 
 
 class TermError(CoalgError):
@@ -235,7 +236,11 @@ class Pf(Node):
 
 @dataclass(frozen=True)
 class Functor:
-    """A finite-set endofunctor: one expression node per output sort."""
+    """A finite-set endofunctor: one expression node per output sort.
+
+    Frozen, so what is derived from it (its hash, whether it contains
+    the powerset, its ``+1`` functor) is computed on first use and kept.
+    """
 
     sorts: tuple[str, ...]
     nodes: tuple[tuple[str, Node], ...]
@@ -245,6 +250,22 @@ class Functor:
             if s == sort:
                 return n
         raise TermError(f"no expression for sort {sort!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.sorts, self.nodes))
+
+    @functools.cached_property
+    def has_pf(self) -> bool:
+        return any(node_has_pf(n) for _s, n in self.nodes)
+
+    @functools.cached_property
+    def plus1(self) -> "Functor":
+        """F+1: the added point as a second summand at every sort."""
+        return Functor(self.sorts, tuple((s, plus1_node(n)) for s, n in self.nodes))
 
 
 def functor(node: Node) -> Functor:
@@ -282,7 +303,7 @@ def plus1_node(node: Node) -> Node:
 
 
 def plus1(f: Functor) -> Functor:
-    return Functor(f.sorts, tuple((s, plus1_node(n)) for s, n in f.nodes))
+    return f.plus1
 
 
 def strip_plus1(term: Term) -> Term | None:
@@ -315,7 +336,7 @@ def node_has_pf(node: Node) -> bool:
 
 
 def functor_has_pf(f: Functor) -> bool:
-    return any(node_has_pf(n) for _s, n in f.nodes)
+    return f.has_pf
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +378,9 @@ def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[
     raise TermError(f"unknown node {node!r}")
 
 
-_EVAL_CACHE: dict[tuple, tuple[tuple[str, tuple[Term, ...]], ...]] = {}
+# keyed by (functor, carrier); lasota on a 5-object chain alone evaluates
+# 243 carriers
+_EVAL_CACHE: LruCache = LruCache(1024)
 
 
 def eval_functor(f: Functor, x: SortedSet) -> dict[str, tuple[Term, ...]]:

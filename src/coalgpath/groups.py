@@ -8,9 +8,10 @@ whole group, which is only sensible at desk scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .sets import CoalgError
+from .sets import CoalgError, LruCache
 
 MAX_ARITY = 6
 MAX_ORDER = 720
@@ -40,8 +41,14 @@ class PermGroup:
             if sorted(g) != list(range(self.arity)):
                 raise ArityError(f"generator {g} is not a permutation of 0..{self.arity - 1}")
 
+    @functools.cached_property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`group_elements`, kept on the group."""
+        return group_elements(self)
 
-_ELEMENTS_CACHE: dict[PermGroup, tuple[tuple[int, ...], ...]] = {}
+
+# shared by equal groups built apart, such as those of two parses
+_ELEMENTS_CACHE: LruCache = LruCache(256)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,7 +114,7 @@ def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
     if len(t) != g.arity:
         raise ArityError(f"tuple of length {len(t)} under group of arity {g.arity}")
     best = t
-    for p in group_elements(g):
+    for p in g.elements:
         candidate = apply_perm_tuple(p, t)
         if candidate < best:
             best = candidate

@@ -38,30 +38,11 @@ from .sets import CoalgError, SortedFun, SortedSet
 # ---------------------------------------------------------------------------
 # Reachability
 
-def reachable_bfs(c: PointedCoalgebra) -> tuple[list[set[tuple[str, str]]], set[tuple[str, str]]]:
-    """Breadth-first levels from the pointing and their union.
-
-    Level k+1 collects every carrier element occurring in a transition
-    term of a level-k state.  Iteration stops at the first empty or
-    previously seen level; the union is the least subcoalgebra carrier.
-    """
-    level = set(c.point_image())
-    levels = [level]
-    union = set(level)
-    while True:
-        nxt: set[tuple[str, str]] = set()
-        for (s, x) in level:
-            for t in c.xi[(s, x)]:
-                for var, _path in occurrences(c.functor.node(s), t):
-                    nxt.add((var.sort, var.name))
-        if not nxt or nxt in levels:
-            break
-        levels.append(nxt)
-        union |= nxt
-        level = nxt
-        if len(levels) > c.carrier.size() + 1:
-            break
-    return levels, union
+def reachable_bfs(c: PointedCoalgebra) -> tuple[list[frozenset[tuple[str, str]]], frozenset[tuple[str, str]]]:
+    """Breadth-first levels from the pointing and their union (see
+    :attr:`PointedCoalgebra.bfs`); the list is a fresh copy."""
+    levels, union = c.bfs
+    return list(levels), union
 
 
 def is_reachable_no_proper_sub(c: PointedCoalgebra) -> bool:
@@ -72,18 +53,12 @@ def is_reachable_no_proper_sub(c: PointedCoalgebra) -> bool:
 
 def _viable_sets(c: PointedCoalgebra, depth: int) -> list[set[tuple[str, str]]]:
     """viable[j]: states admitting a bottom-free run continuation of j steps."""
+    successors = c.successors
     all_states = set(c.carrier.pairs())
     viable = [all_states]
     for _ in range(depth):
         prev = viable[-1]
-        nxt = set()
-        for (s, x) in all_states:
-            for t in c.xi[(s, x)]:
-                occ = {(v.sort, v.name) for v, _p in occurrences(c.functor.node(s), t)}
-                if occ <= prev:
-                    nxt.add((s, x))
-                    break
-        viable.append(nxt)
+        viable.append({x for x in all_states if any(prev.issuperset(succ) for _t, succ in successors[x])})
     return viable
 
 
@@ -105,6 +80,7 @@ def run_reachable_states(c: PointedCoalgebra, depth: int, allow_bot: bool = True
                 covered |= level
         return covered
     viable = _viable_sets(c, depth)
+    successors = c.successors
     covered: set[tuple[str, str]] = set()
     for k in range(depth + 1):
         # every pointing image is a level-0 element and must survive k steps
@@ -112,13 +88,12 @@ def run_reachable_states(c: PointedCoalgebra, depth: int, allow_bot: bool = True
             continue
         layer = set(point_img)
         for j in range(k):
-            budget = k - j - 1
+            budget = viable[k - j - 1]
             nxt: set[tuple[str, str]] = set()
-            for (s, x) in layer:
-                for t in c.xi[(s, x)]:
-                    occ = {(v.sort, v.name) for v, _p in occurrences(c.functor.node(s), t)}
-                    if occ <= viable[budget]:
-                        nxt |= occ
+            for x in layer:
+                for _t, succ in successors[x]:
+                    if budget.issuperset(succ):
+                        nxt.update(succ)
             layer = nxt
         covered |= layer
     return covered
@@ -224,22 +199,16 @@ def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, mi
 
 
 def _chain_to_state(
-    src: PointedCoalgebra, levels: list[set[tuple[str, str]]], level_index: int, state: tuple[str, str]
+    src: PointedCoalgebra, levels: list[frozenset[tuple[str, str]]], level_index: int, state: tuple[str, str]
 ) -> list:
     """A transition chain from a pointing image to ``state``, one entry
     ((sort, state), term) per step, ending with the bare target."""
     chain: list = [state]
     front = state
     for k in range(level_index, 0, -1):
-        parent = None
-        for (s, x) in sorted(levels[k - 1]):
-            for t in src.xi[(s, x)]:
-                occ = {(v.sort, v.name) for v, _p in occurrences(src.functor.node(s), t)}
-                if front in occ:
-                    parent = ((s, x), t)
-                    break
-            if parent is not None:
-                break
+        parent = next(
+            ((x, t) for x in sorted(levels[k - 1]) for t, succ in src.successors[x] if front in succ), None
+        )
         if parent is None:
             raise CoalgError("internal error: breadth-first chain broken")
         chain.insert(0, parent)
@@ -300,7 +269,7 @@ def _run_reaching(src: PointedCoalgebra, chain: list) -> tuple[PathObj, Run, tup
 
 def _materialize_witness(
     m: CoalgMorphism,
-    levels: list[set[tuple[str, str]]],
+    levels: list[frozenset[tuple[str, str]]],
     level_index: int,
     state: tuple[str, str],
     shape: Term,

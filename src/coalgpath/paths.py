@@ -134,11 +134,15 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
     return map_leaves(fp1.node(sort), term, lambda ref, t: truncate_term(fp1, ref.sort, t, depth - 1))
 
 
-def comp_as_word(cv: CompValue) -> str | None:
-    """Decode an LTS-shaped composite as a word over the alphabet and the
-    added point, padded to the composite's depth; None when not LTS-shaped."""
-    if len(cv.values) != 1 or word_shape(plus1(cv.functor)) is None:
-        return None
+def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
+    """Whether the composites of paths over ``functor`` from ``pointing``
+    decode as words: LTS-shaped, with one pointed element."""
+    return pointing.size() == 1 and word_shape(plus1(functor)) is not None
+
+
+def comp_as_word(cv: CompValue) -> str:
+    """A composite for which :func:`comps_are_words` holds, as a word over
+    the alphabet and the added point, padded to the composite's depth."""
     letters, stopped = decode_word(cv.values[0][1])
     return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
 

@@ -26,7 +26,11 @@ class SortError(CoalgError):
 
 @dataclass(frozen=True)
 class SortedSet:
-    """A finite set per sort, with elements kept in canonical order."""
+    """A finite set per sort, with elements kept in canonical order.
+
+    The elements of each sort are also indexed as a frozenset when the
+    set is built, for :meth:`has`.
+    """
 
     sorts: tuple[str, ...]
     data: tuple[tuple[str, ...], ...]  # aligned with sorts
@@ -38,11 +42,14 @@ class SortedSet:
             raise SortError(f"duplicate sort names in {self.sorts}")
         if len(self.data) != len(self.sorts):
             raise SortError("per-sort data does not match sort list")
+        members = {}
         for sort, elems in zip(self.sorts, self.data):
-            if len(set(elems)) != len(elems):
+            members[sort] = frozenset(elems)
+            if len(members[sort]) != len(elems):
                 raise SortError(f"duplicate elements in sort {sort!r}: {elems}")
             if tuple(sorted(elems)) != elems:
                 raise SortError(f"elements of sort {sort!r} not in canonical order")
+        object.__setattr__(self, "_members", members)
 
     @staticmethod
     def make(per_sort: Mapping[str, Iterable[str]], sorts: Iterable[str] | None = None) -> "SortedSet":
@@ -70,7 +77,8 @@ class SortedSet:
         return sum(len(elems) for elems in self.data)
 
     def has(self, sort: str, elem: str) -> bool:
-        return sort in self.sorts and elem in self.elems(sort)
+        members = self._members.get(sort)
+        return members is not None and elem in members
 
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "SortedSet":
         keep_set = set(keep)
@@ -130,3 +138,30 @@ class SortedFun:
     @staticmethod
     def identity(carrier: SortedSet) -> "SortedFun":
         return SortedFun(carrier, carrier, {(s, e): e for s, e in carrier.pairs()})
+
+
+class LruCache(dict):
+    """A dict of at most ``maxsize`` entries: storing one more evicts the
+    least recently stored or read.
+
+    Recency is insertion order, so a read re-inserts its entry, under
+    the key it was read with.
+    """
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        try:
+            value = self.pop(key)
+        except KeyError:
+            return default
+        dict.__setitem__(self, key, value)
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self.pop(key, None)
+        dict.__setitem__(self, key, value)
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]

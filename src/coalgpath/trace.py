@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
@@ -35,7 +35,6 @@ from .functors import (
     Term,
     decode_word,
     map_leaves,
-    occurrences,
     print_term,
     word_shape,
 )
@@ -57,9 +56,9 @@ class TraceSet:
     per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], frozenset[Term]], ...]], ...]
 
 
-def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], list[tuple]]) -> tuple[dict, dict]:
+def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], Sequence[tuple]]) -> tuple[dict, dict]:
     """Breadth-first distances from ``starts``, up to ``depth`` steps, and
-    ``moves_of(x)``, a list of (label, successors) pairs, for every x
+    ``moves_of(x)``, a sequence of (label, successors) pairs, for every x
     closer than ``depth``."""
     dist = dict.fromkeys(starts, 0)
     moves = {}
@@ -84,12 +83,7 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
     The table is filled depth by depth, without recursion, so the stack
     does not grow with the depth.
     """
-
-    def moves_of(key: tuple[str, str]) -> list[tuple[Term, tuple]]:
-        node = c.functor.node(key[0])
-        return [(t, tuple((var.sort, var.name) for var, _path in occurrences(node, t))) for t in c.xi[key]]
-
-    dist, moves = _reach(c.point_image(), max_depth, moves_of)
+    dist, moves = _reach(c.point_image(), max_depth, c.successors.__getitem__)
     table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
     for d in range(max_depth + 1):
         for key, k in dist.items():

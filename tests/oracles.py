@@ -18,6 +18,9 @@ fit test-sized inputs:
 - the depth-d trace sets of every carrier state at every depth
   (:func:`eager_state_traces`), against the table ``trace.trace`` fills
   only where the pointing reaches;
+- the breadth-first levels of a system walked afresh from its
+  transition terms (:func:`literal_bfs`), against the levels a
+  ``PointedCoalgebra`` computes once from its successor table;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -149,6 +152,26 @@ def eager_state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[
                     out.add(map_leaves(node, t, lambda _ref, _t: next(chosen)))
             table[((s, x), d)] = frozenset(out)
     return table
+
+
+def literal_bfs(c: PointedCoalgebra) -> tuple[list[set[tuple[str, str]]], set[tuple[str, str]]]:
+    """Breadth-first levels from the pointing and their union, walking
+    every transition term of a level with ``occurrences``: level k+1 is
+    every state occurring in a transition term of a level-k state, up to
+    the first empty or repeated level and at most |X| + 2 levels."""
+    level = {(s, c.point[(s, i)]) for s, i in c.pointing.pairs()}
+    levels = [level]
+    while len(levels) <= c.carrier.size() + 1:
+        nxt = set()
+        for (s, x) in level:
+            for t in c.xi[(s, x)]:
+                for var, _path in occurrences(c.functor.node(s), t):
+                    nxt.add((var.sort, var.name))
+        if not nxt or nxt in levels:
+            break
+        levels.append(nxt)
+        level = nxt
+    return levels, set().union(*levels)
 
 
 def is_path_morphism(m: PathMorphism) -> bool:

@@ -1,0 +1,212 @@
+"""What functors, groups, sets and systems compute once and keep.
+
+Each cached fact is checked against a fresh computation: the functor
+flags and ``+1`` functor, a system's successor table and breadth-first
+levels (against the literal walk in ``oracles.literal_bfs``), set
+membership, and the bounded evaluation and group-element caches.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from coalgpath import functors, groups
+from coalgpath.coalgebra import GenSpec, random_coalgebra
+from coalgpath.functors import (
+    Const,
+    Coprod,
+    Functor,
+    Pf,
+    Prod,
+    SortRef,
+    compose,
+    eval_functor,
+    eval_node,
+    functor,
+    functor_has_pf,
+    lts_functor,
+    multisorted,
+    node_has_pf,
+    occurrences,
+    plus1,
+    plus1_node,
+)
+from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
+from coalgpath.modelio import parse_functor_text
+from coalgpath.openmap import reachable_bfs
+from coalgpath.sets import DEFAULT_SORT, LruCache, SortedSet
+
+from oracles import literal_bfs
+
+# the functors of the benchmark's theorem harness, and one multisorted one
+HARNESS_FUNCTORS = [
+    functor(parse_functor_text(text))
+    for text in (
+        "prod(const(a b), id)",
+        "coprod(prod(const(a b), id), const(ok))",
+        "prod(id, id)",
+        "analytic{ pair/2 [(1 2)] ; leaf/0 }",
+        "coprod(const(c), prod(id, id))",
+    )
+]
+MULTISORTED = multisorted(
+    ("a", "b"),
+    {"a": Prod((Const(("x",)), SortRef("b"))), "b": Coprod((Prod((SortRef("a"), SortRef("b"))), Const(("y",))))},
+)
+SYSTEM_FUNCTORS = [*HARNESS_FUNCTORS, MULTISORTED]
+SYSTEM_IDS = ["lts", "lts-ok", "binary", "pair-tree", "const-or-binary", "multisorted"]
+
+
+def random_systems(f, count=40):
+    rng = random.Random(repr(f))
+    for seed in range(count):
+        sizes = {s: rng.randint(1, 5) for s in f.sorts}
+        yield random_coalgebra(GenSpec(f, sizes, rng.choice((0.1, 0.25, 0.4)), seed))
+
+
+class TestFunctorFacts:
+    FUNCTORS = [
+        *HARNESS_FUNCTORS,
+        MULTISORTED,
+        functor(compose(Prod((SortRef(), SortRef())), functor(Coprod((Const(("c",)), SortRef()))))),
+        functor(parse_functor_text("compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a), id))")),
+        multisorted(("p", "q"), {"p": Pf(SortRef("q")), "q": Prod((SortRef("p"), Const(("z",))))}),
+    ]
+
+    @pytest.mark.parametrize("f", FUNCTORS, ids=range(len(FUNCTORS)))
+    def test_has_pf_and_plus1_match_an_uncached_computation(self, f):
+        assert f.has_pf == any(node_has_pf(n) for _s, n in f.nodes)
+        assert functor_has_pf(f) == f.has_pf
+        expected = Functor(f.sorts, tuple((s, plus1_node(n)) for s, n in f.nodes))
+        assert f.plus1 == expected and plus1(f) == expected
+        assert hash(f.plus1) == hash(expected)
+        assert hash(f) == hash((f.sorts, f.nodes))
+
+    def test_one_functor_contains_pf(self):
+        assert [f.has_pf for f in self.FUNCTORS].count(True) == 1
+
+    def test_plus1_is_built_once(self):
+        f = lts_functor("ab")
+        assert plus1(f) is plus1(f) is f.plus1
+
+    def test_equal_functors_built_apart_agree(self):
+        f, g = lts_functor("ab"), lts_functor("ab")
+        assert f is not g and f == g and hash(f) == hash(g) and f.plus1 == g.plus1
+
+    def test_functor_is_frozen(self):
+        f = lts_functor("ab")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.has_pf = True
+
+
+class TestSystemFacts:
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_bfs_agrees_with_literal_walk(self, f):
+        partial = 0
+        for c in random_systems(f):
+            levels, union = reachable_bfs(c)
+            want_levels, want_union = literal_bfs(c)
+            assert levels == want_levels
+            assert union == want_union
+            partial += union != set(c.states())
+        assert partial  # some systems leave states unreached
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_successor_table_matches_fresh_walk(self, f):
+        for c in random_systems(f, count=15):
+            for (s, x), terms in c.xi.items():
+                node = c.functor.node(s)
+                walked = tuple((t, tuple((v.sort, v.name) for v, _p in occurrences(node, t))) for t in terms)
+                assert c.successors[(s, x)] == walked
+            assert set(c.successors) == set(c.xi)
+
+    def test_successors_are_walked_only_where_asked(self):
+        for c in random_systems(HARNESS_FUNCTORS[0]):
+            _levels, union = reachable_bfs(c)
+            assert set(c.successors) == union
+
+    def test_tables_are_built_once(self):
+        c = next(random_systems(HARNESS_FUNCTORS[2]))
+        assert c.successors is c.successors
+        assert c.bfs is c.bfs
+
+    def test_mutating_the_answer_leaves_the_next_one_unchanged(self):
+        c = next(c for c in random_systems(HARNESS_FUNCTORS[0]) if len(reachable_bfs(c)[0]) > 1)
+        want_levels, want_union = literal_bfs(c)
+        levels, union = reachable_bfs(c)
+        for kept in (levels[0], union):
+            with pytest.raises(AttributeError):
+                kept.add(("*", "new"))
+        levels.append(set(c.states()))
+        levels[0] = set()
+        del levels[1]
+        again_levels, again_union = reachable_bfs(c)
+        assert again_levels == want_levels and again_union == want_union
+
+    def test_system_is_frozen(self):
+        c = next(random_systems(HARNESS_FUNCTORS[0]))
+        for name, value in (("xi", {}), ("functor", lts_functor("a")), ("successors", {}), ("bfs", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(c, name, value)
+
+
+class TestSortedSetHas:
+    def test_matches_a_scan(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            sorts = tuple(rng.sample(["a", "b", "c", DEFAULT_SORT], rng.randint(1, 3)))
+            x = SortedSet.make({s: rng.sample(["p", "q", "r", "s"], rng.randint(0, 4)) for s in sorts}, sorts)
+            for sort in ["a", "b", "c", DEFAULT_SORT, "zz"]:
+                for elem in ["p", "q", "r", "s", "t"]:
+                    scan = sort in x.sorts and elem in x.data[x.sorts.index(sort)]
+                    assert x.has(sort, elem) == scan
+
+
+class TestLruCache:
+    def test_evicts_the_least_recently_used(self):
+        cache = LruCache(3)
+        for k in "abc":
+            cache[k] = k.upper()
+        assert cache.get("a") == "A"  # a is now the most recent
+        cache["d"] = "D"
+        assert set(cache) == {"a", "c", "d"}
+        cache["c"] = "C2"  # overwriting counts as a use
+        cache["e"] = "E"
+        assert set(cache) == {"c", "d", "e"} and cache.get("c") == "C2"
+        assert cache.get("b") is None and cache.get("b", 0) == 0
+
+    def test_eval_cache_stays_at_its_bound_with_unchanged_answers(self, monkeypatch):
+        f = lts_functor("ab")
+        carriers = [SortedSet.single([f"s{j}" for j in range(i % 4)] + [f"t{i}"]) for i in range(20)]
+        answers = [eval_functor(f, x) for x in carriers]
+        monkeypatch.setattr(functors, "_EVAL_CACHE", LruCache(5))
+        for _round in range(2):
+            for x, want in zip(carriers, answers):
+                assert eval_functor(f, x) == want
+                assert len(functors._EVAL_CACHE) <= 5
+        assert len(functors._EVAL_CACHE) == 5
+        # an uncached evaluation agrees too
+        for x, want in zip(carriers, answers):
+            env = {s: tuple(functors.Var(s, e) for e in x.elems(s)) for s in x.sorts}
+            fresh = tuple(sorted(set(eval_node(f.node(DEFAULT_SORT), lambda ref: env[ref.sort]))))
+            assert want[DEFAULT_SORT] == fresh
+
+    def test_eval_cache_bound_covers_a_lasota_chain(self):
+        # the lasota check on a 5-object chain evaluates 3^5 carriers
+        assert functors._EVAL_CACHE.maxsize > 3 ** 5
+
+    def test_elements_cache_stays_at_its_bound_with_unchanged_answers(self, monkeypatch):
+        made = [maker(n) for n in range(7) for maker in (trivial_group, cyclic_group, symmetric_group)]
+        made += [PermGroup(4, ((1, 0, 3, 2),)), PermGroup(4, ((0, 1, 3, 2),))]
+        answers = [group_elements(g) for g in made]
+        monkeypatch.setattr(groups, "_ELEMENTS_CACHE", LruCache(4))
+        for _round in range(2):
+            for g, want in zip(made, answers):
+                # a group equal to g but built apart: no answer kept on the object
+                assert group_elements(PermGroup(g.arity, g.generators)) == want
+                assert len(groups._ELEMENTS_CACHE) <= 4
+        assert len(groups._ELEMENTS_CACHE) == 4
+        assert group_elements(symmetric_group(3)) == tuple(sorted(
+            (a, b, c) for a in range(3) for b in range(3) for c in range(3) if len({a, b, c}) == 3
+        ))
