@@ -114,8 +114,9 @@ def _read(path: str) -> str:
 
 
 def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
-    if getattr(args, "depth", 0) < 0:
-        raise CoalgError("depth must be non-negative")
+    for name in ("depth", "bound"):
+        if getattr(args, name, 0) < 0:
+            raise CoalgError(f"{name} must be non-negative")
 
     if args.verb == "precise-factor":
         problem = parse_factor_problem(_read(args.file))

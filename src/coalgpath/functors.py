@@ -3,10 +3,11 @@
 A :class:`Functor` assigns to every output sort an expression built from
 constants, sort projections, finite products and coproducts, analytic
 quotients (tuples modulo a permutation group, whose slots are
-expressions) and the finite powerset.  Terms of ``F(X)`` are immutable
-trees kept in a canonical form: analytic arguments are the
-lexicographically least orbit representative and powerset contents are
-sorted and duplicate-free.
+expressions) and the finite powerset.  Terms of ``F(X)`` are tuples of
+a kind tag and the term's fields, with child terms in place, so a term
+is its own comparison key.  They are kept in a canonical form: analytic
+arguments are the lexicographically least orbit representative and
+powerset contents are sorted and duplicate-free.
 
 Composition is normalized when it is built: :func:`compose` substitutes
 the inner expressions for the sort leaves of the outer one, so a
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .groups import PermGroup, canonical_tuple
@@ -41,86 +43,75 @@ CHECK = "✓"
 # ---------------------------------------------------------------------------
 # Terms
 
-class Term:
-    """Base class; subclasses carry a precomputed comparison key."""
+class Term(tuple):
+    """A term of F(X) as a tuple: its kind tag, then its fields, with each
+    child term in place.
 
-    __slots__ = ("key", "_hash")
-    key: tuple
+    A term is thus its own comparison key: equality, order and hashing
+    are the tuple's, ordering terms by kind first and then field by field.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Term) and self.key == other.key
-
-    def __lt__(self, other: "Term") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "Term") -> bool:
-        return self.key <= other.key
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return print_term(self)
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a term from its fields, not its items
+        return self[1:]
+
 
 class ConstElem(Term):
-    __slots__ = ("name",)
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def __init__(self, name: str):
-        self.name = name
-        self.key = (0, name)
-        self._hash = hash(self.key)
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (0, name))
 
 
 class Var(Term):
-    __slots__ = ("sort", "name")
+    __slots__ = ()
+    sort = property(itemgetter(1))
+    name = property(itemgetter(2))
 
-    def __init__(self, sort: str, name: str):
-        self.sort = sort
-        self.name = name
-        self.key = (1, sort, name)
-        self._hash = hash(self.key)
+    def __new__(cls, sort: str, name: str):
+        return tuple.__new__(cls, (1, sort, name))
 
 
 class TupleTerm(Term):
-    __slots__ = ("args",)
+    __slots__ = ()
+    args = property(itemgetter(1))
 
-    def __init__(self, args: tuple[Term, ...]):
-        self.args = args
-        self.key = (2, tuple(a.key for a in args))
-        self._hash = hash(self.key)
+    def __new__(cls, args: tuple[Term, ...]):
+        return tuple.__new__(cls, (2, args))
 
 
 class Inj(Term):
-    __slots__ = ("index", "arg")
+    __slots__ = ()
+    index = property(itemgetter(1))
+    arg = property(itemgetter(2))
 
-    def __init__(self, index: int, arg: Term):
-        self.index = index
-        self.arg = arg
-        self.key = (3, index, arg.key)
-        self._hash = hash(self.key)
+    def __new__(cls, index: int, arg: Term):
+        return tuple.__new__(cls, (3, index, arg))
 
 
 class AnSym(Term):
     """An analytic symbol applied to a canonical argument tuple."""
 
-    __slots__ = ("sym", "args")
+    __slots__ = ()
+    sym = property(itemgetter(1))
+    args = property(itemgetter(2))
 
-    def __init__(self, sym: str, args: tuple[Term, ...]):
-        self.sym = sym
-        self.args = args
-        self.key = (4, sym, tuple(a.key for a in args))
-        self._hash = hash(self.key)
+    def __new__(cls, sym: str, args: tuple[Term, ...]):
+        return tuple.__new__(cls, (4, sym, args))
 
 
 class SetOf(Term):
-    __slots__ = ("args",)
+    __slots__ = ()
+    args = property(itemgetter(1))
 
-    def __init__(self, args: Iterable[Term]):
-        unique = sorted({t.key: t for t in args}.values())
-        self.args = tuple(unique)
-        self.key = (5, tuple(a.key for a in self.args))
-        self._hash = hash(self.key)
+    def __new__(cls, args: Iterable[Term]):
+        return tuple.__new__(cls, (5, tuple(sorted(set(args)))))
 
 
 class UnitLeaf(Term):
@@ -128,9 +119,8 @@ class UnitLeaf(Term):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        self.key = (6,)
-        self._hash = hash(self.key)
+    def __new__(cls):
+        return tuple.__new__(cls, (6,))
 
 
 UNIT_TERM = UnitLeaf()
@@ -139,10 +129,7 @@ BOT_TERM = ConstElem(BOT)
 
 def ansym(group: PermGroup, sym: str, args: Iterable[Term]) -> AnSym:
     """Build an analytic term with its arguments canonicalized."""
-    args = tuple(args)
-    keyed = canonical_tuple(group, tuple(a.key for a in args))
-    by_key = {a.key: a for a in args}
-    return AnSym(sym, tuple(by_key[k] for k in keyed))
+    return AnSym(sym, canonical_tuple(group, tuple(args)))
 
 
 def print_term(t: Term) -> str:
@@ -358,23 +345,15 @@ def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[
             out.extend(Inj(i, t) for t in eval_node(p, leaf))
         return tuple(out)
     if isinstance(node, Analytic):
-        out = []
-        seen = set()
-        for sym in node.symbols:
-            slots = [eval_node(n, leaf) for n in sym.slots]
-            for combo in itertools.product(*slots):
-                t = ansym(sym.group, sym.name, combo)
-                if t.key not in seen:
-                    seen.add(t.key)
-                    out.append(t)
-        return tuple(out)
+        # the members of an orbit canonicalize to one term: keep it once
+        return tuple(dict.fromkeys(
+            ansym(sym.group, sym.name, combo)
+            for sym in node.symbols
+            for combo in itertools.product(*[eval_node(n, leaf) for n in sym.slots])
+        ))
     if isinstance(node, Pf):
         base = eval_node(node.inner, leaf)
-        out = []
-        for r in range(len(base) + 1):
-            for combo in itertools.combinations(base, r):
-                out.append(SetOf(combo))
-        return tuple(out)
+        return tuple(SetOf(combo) for r in range(len(base) + 1) for combo in itertools.combinations(base, r))
     raise TermError(f"unknown node {node!r}")
 
 

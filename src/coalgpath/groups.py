@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .sets import CoalgError, LruCache
+from .sets import CoalgError
 
 MAX_ARITY = 6
 MAX_ORDER = 720
@@ -47,20 +47,16 @@ class PermGroup:
         return group_elements(self)
 
 
-# shared by equal groups built apart, such as those of two parses
-_ELEMENTS_CACHE: LruCache = LruCache(256)
-
-
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p*q)[i] = q[p[i]]: apply p first when acting on tuples by indexing.
     return tuple(q[i] for i in p)
 
 
 def group_elements(g: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """All elements of the generated group, in a deterministic order."""
-    cached = _ELEMENTS_CACHE.get(g)
-    if cached is not None:
-        return cached
+    """All elements of the generated group, in a deterministic order.
+
+    Computed afresh on each call; :attr:`PermGroup.elements` keeps them.
+    """
     identity = tuple(range(g.arity))
     elements = {identity}
     frontier = [identity]
@@ -77,9 +73,7 @@ def group_elements(g: PermGroup) -> tuple[tuple[int, ...], ...]:
                             f"group order exceeds cap {MAX_ORDER} (arity {g.arity})"
                         )
         frontier = new_frontier
-    result = tuple(sorted(elements))
-    _ELEMENTS_CACHE[g] = result
-    return result
+    return tuple(sorted(elements))
 
 
 def trivial_group(arity: int) -> PermGroup:
@@ -108,7 +102,7 @@ def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
     """The least element of the orbit of ``t`` under ``g``.
 
     "Least" is w.r.t. the natural order of the entries, so entries must be
-    mutually comparable (strings, or term keys).  Idempotent and constant
+    mutually comparable (strings or terms).  Idempotent and constant
     on orbits by construction.
     """
     if len(t) != g.arity:

@@ -35,7 +35,6 @@ from .functors import (
     term_in_functor,
     word_shape,
 )
-from .groups import group_elements
 from .precise import TermMap, TermSpace, is_precise, precise_factorize
 from .sets import CoalgError, SortedFun, SortedSet
 
@@ -245,7 +244,7 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
             return
         sym = node.symbol(t_src.sym)
         seen: set[tuple] = set()
-        for perm in group_elements(sym.group):
+        for perm in sym.group.elements:
             permuted = apply_perm_tuple(perm, t_dst.args)
             if permuted in seen:
                 continue

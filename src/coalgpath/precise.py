@@ -176,7 +176,7 @@ def element_shapes(f_expr: Functor, sort: str) -> tuple[Term, ...]:
     if node_has_pf(node):
         raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
     count = itertools.count(1)
-    shapes: dict[tuple, Term] = {}
+    shapes: set[Term] = set()
     # one fresh variable per sort leaf visited, so all are pairwise distinct
     for canon in eval_node(node, lambda ref: (Var(ref.sort, f"v{next(count):03d}"),)):
         # renaming may change the canonical orbit representative of analytic
@@ -187,8 +187,8 @@ def element_shapes(f_expr: Functor, sort: str) -> tuple[Term, ...]:
             if renamed == canon:
                 break
             canon = renamed
-        shapes.setdefault(canon.key, canon)
-    return tuple(sorted(shapes.values()))
+        shapes.add(canon)
+    return tuple(sorted(shapes))
 
 
 def _renumber(node: Node, term: Term, start: int) -> tuple[Term, list[Var]]:
@@ -224,7 +224,8 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
                 fresh_elems[v.sort].append(v.name)
         codomain = SortedSet.make({s: fresh_elems[s] for s in p.sorts}, p.sorts)
         term_map = TermMap(p, TermSpace(f_expr, codomain), table)
-        dedupe_key = tuple(sorted((k, t.key) for k, t in table.items()))
+        # the table is filled in the same key order for every combination
+        dedupe_key = tuple(table.items())
         if dedupe_key in seen:
             continue
         seen.add(dedupe_key)

@@ -21,6 +21,9 @@ fit test-sized inputs:
 - the breadth-first levels of a system walked afresh from its
   transition terms (:func:`literal_bfs`), against the levels a
   ``PointedCoalgebra`` computes once from its successor table;
+- the nested comparison key of a term built from its fields alone
+  (:func:`legacy_term_key`), against the order, equality and hash a
+  term has as a tuple;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -31,7 +34,23 @@ import itertools
 from typing import Iterator, Mapping
 
 from coalgpath.coalgebra import PointedCoalgebra
-from coalgpath.functors import UNIT_TERM, Functor, Term, eval_functor, fmap, map_leaves, occurrences, word_shape
+from coalgpath.functors import (
+    UNIT_TERM,
+    AnSym,
+    ConstElem,
+    Functor,
+    Inj,
+    SetOf,
+    Term,
+    TupleTerm,
+    UnitLeaf,
+    Var,
+    eval_functor,
+    fmap,
+    map_leaves,
+    occurrences,
+    word_shape,
+)
 from coalgpath.nominal import (
     AtomPool,
     BindingFactorization,
@@ -172,6 +191,28 @@ def literal_bfs(c: PointedCoalgebra) -> tuple[list[set[tuple[str, str]]], set[tu
         levels.append(nxt)
         level = nxt
     return levels, set().union(*levels)
+
+
+def legacy_term_key(t: Term) -> tuple:
+    """The key a term was compared, ordered and hashed by when terms kept
+    it as a separate nested tuple: the kind tag, then the fields, with
+    each child term replaced by its own key.  Read from the fields only,
+    never from the term's tuple items."""
+    if isinstance(t, ConstElem):
+        return (0, t.name)
+    if isinstance(t, Var):
+        return (1, t.sort, t.name)
+    if isinstance(t, TupleTerm):
+        return (2, tuple(legacy_term_key(a) for a in t.args))
+    if isinstance(t, Inj):
+        return (3, t.index, legacy_term_key(t.arg))
+    if isinstance(t, AnSym):
+        return (4, t.sym, tuple(legacy_term_key(a) for a in t.args))
+    if isinstance(t, SetOf):
+        return (5, tuple(legacy_term_key(a) for a in t.args))
+    if isinstance(t, UnitLeaf):
+        return (6,)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def is_path_morphism(m: PathMorphism) -> bool:

@@ -3,7 +3,8 @@
 Each cached fact is checked against a fresh computation: the functor
 flags and ``+1`` functor, a system's successor table and breadth-first
 levels (against the literal walk in ``oracles.literal_bfs``), set
-membership, and the bounded evaluation and group-element caches.
+membership, the bounded evaluation cache and the elements kept on
+each permutation group.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import random
 
 import pytest
 
-from coalgpath import functors, groups
+from coalgpath import functors
 from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import (
     Const,
@@ -196,17 +197,16 @@ class TestLruCache:
         # the lasota check on a 5-object chain evaluates 3^5 carriers
         assert functors._EVAL_CACHE.maxsize > 3 ** 5
 
-    def test_elements_cache_stays_at_its_bound_with_unchanged_answers(self, monkeypatch):
+
+class TestGroupElements:
+    def test_elements_kept_on_the_group_match_a_fresh_enumeration(self):
         made = [maker(n) for n in range(7) for maker in (trivial_group, cyclic_group, symmetric_group)]
         made += [PermGroup(4, ((1, 0, 3, 2),)), PermGroup(4, ((0, 1, 3, 2),))]
-        answers = [group_elements(g) for g in made]
-        monkeypatch.setattr(groups, "_ELEMENTS_CACHE", LruCache(4))
-        for _round in range(2):
-            for g, want in zip(made, answers):
-                # a group equal to g but built apart: no answer kept on the object
-                assert group_elements(PermGroup(g.arity, g.generators)) == want
-                assert len(groups._ELEMENTS_CACHE) <= 4
-        assert len(groups._ELEMENTS_CACHE) == 4
+        for g in made:
+            # a group equal to g but built apart: nothing kept on it yet
+            apart = PermGroup(g.arity, g.generators)
+            assert apart.elements == group_elements(g)
+            assert apart.elements is apart.elements
         assert group_elements(symmetric_group(3)) == tuple(sorted(
             (a, b, c) for a in range(3) for b in range(3) for c in range(3) if len({a, b, c}) == 3
         ))

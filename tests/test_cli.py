@@ -179,6 +179,16 @@ class TestVerbs:
         text, code = run_command([arg.format(**files) for arg in argv] + ["--depth", "-1"])
         assert (text, code) == ("error: depth must be non-negative\n", 2)
 
+    def test_negative_bound_exit_two(self, hom_files):
+        text, code = run_command(["open", *hom_files, "--bound", "-3"])
+        assert (text, code) == ("error: bound must be non-negative\n", 2)
+
+    def test_zero_bound_means_carrier_size_plus_one(self, hom_files):
+        # the source system has two states
+        text, code = run_command(["open", *hom_files, "--bound", "0"])
+        assert "(bound 3)" in text
+        assert (text, code) == run_command(["open", *hom_files, "--bound", "3"]) == run_command(["open", *hom_files])
+
     @pytest.mark.parametrize("verb", ["trace", "runs"])
     def test_deep_terms_exit_two(self, deep_file, verb):
         text, code = run_command([verb, deep_file, "--depth", "6"])

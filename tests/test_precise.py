@@ -268,7 +268,7 @@ class TestEnumeratePreciseMaps:
         seen = set()
         for cod, m in enumerate_precise_maps(p, LTS_AB_PLUS1):
             assert is_precise(m)
-            key = tuple(sorted((k, t.key) for k, t in m.table.items()))
+            key = tuple(sorted(m.table.items()))
             assert key not in seen
             seen.add(key)
         # per element: (a, v), (b, v) or bottom -> 3 shapes, independent choices
@@ -296,7 +296,7 @@ class TestEnumerationCompleteness:
                     if (v.sort, v.name) not in rename:
                         rename[(v.sort, v.name)] = var_named(v.sort, len(rename))
                 table[key] = rename_term(node, term, rename)
-            return tuple(sorted((k, t.key) for k, t in table.items()))
+            return tuple(sorted(table.items()))
 
         brute = set()
         for ny in range(max_y + 1):

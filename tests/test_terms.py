@@ -1,0 +1,171 @@
+"""A term is its own comparison key.
+
+Each term is a tuple of its kind tag and its fields, so it compares,
+orders and hashes as the nested key ``oracles.legacy_term_key`` builds
+from its fields.  The terms come from every place the library makes
+them: ``eval_functor`` over the harness functors, a powerset functor and
+a symmetric analytic symbol, the shapes of precise maps, and the trace
+of a tree automaton.
+"""
+
+import copy
+import itertools
+import pickle
+import random
+
+import pytest
+
+from coalgpath.coalgebra import GenSpec, random_coalgebra
+from coalgpath.functors import (
+    BOT_TERM,
+    UNIT_TERM,
+    Analytic,
+    AnSym,
+    ConstElem,
+    Inj,
+    SetOf,
+    SortRef,
+    Symbol,
+    TupleTerm,
+    UnitLeaf,
+    Var,
+    eval_functor,
+    functor,
+    plus1,
+)
+from coalgpath.groups import symmetric_group
+from coalgpath.modelio import parse_functor_text
+from coalgpath.precise import element_shapes
+from coalgpath.sets import DEFAULT_SORT, SortedSet
+from coalgpath.trace import trace
+
+from oracles import legacy_term_key
+
+HARNESS_TEXTS = (
+    "prod(const(a b), id)",
+    "coprod(prod(const(a b), id), const(ok))",
+    "prod(id, id)",
+    "analytic{ pair/2 [(1 2)] ; leaf/0 }",
+    "coprod(const(c), prod(id, id))",
+)
+POWERSET = functor(parse_functor_text("pf(coprod(const(a), id))"))
+SYMMETRIC = functor(Analytic((Symbol("t", (SortRef(),) * 3, symmetric_group(3)), Symbol("e", (), symmetric_group(0)))))
+PAIR_LEAF = functor(parse_functor_text(HARNESS_TEXTS[3]))
+
+
+def _children(t):
+    return (t.arg,) if isinstance(t, Inj) else getattr(t, "args", ())
+
+
+def _height(t):
+    return 1 + max(map(_height, _children(t)), default=0)
+
+
+def _term_pool():
+    harness = [functor(parse_functor_text(text)) for text in HARNESS_TEXTS]
+    carrier = SortedSet.single(["w", "x", "y", "z"])
+    pool = {UNIT_TERM, BOT_TERM}
+    for f in [*harness, POWERSET, SYMMETRIC]:
+        pool.update(eval_functor(f, carrier)[DEFAULT_SORT])
+    for f in [*harness, SYMMETRIC]:
+        pool.update(element_shapes(plus1(f), DEFAULT_SORT))
+    for seed in range(4):
+        c = random_coalgebra(GenSpec(PAIR_LEAF, {DEFAULT_SORT: 3}, 0.5, seed))
+        for _depth, items in trace(c, 3).per_depth:
+            for _key, terms in items:
+                pool.update(terms)
+    # and every subterm
+    stack = list(pool)
+    while stack:
+        t = stack.pop()
+        stack.extend(a for a in _children(t) if a not in pool)
+        pool.update(_children(t))
+    return sorted(pool)
+
+
+POOL = _term_pool()
+KINDS = (ConstElem, Var, TupleTerm, Inj, AnSym, SetOf, UnitLeaf)
+
+
+def _rebuild(t):
+    """An equal term built apart, from its fields through the constructors."""
+    if isinstance(t, ConstElem):
+        return ConstElem(t.name)
+    if isinstance(t, Var):
+        return Var(t.sort, t.name)
+    if isinstance(t, TupleTerm):
+        return TupleTerm(tuple(_rebuild(a) for a in t.args))
+    if isinstance(t, Inj):
+        return Inj(t.index, _rebuild(t.arg))
+    if isinstance(t, AnSym):
+        return AnSym(t.sym, tuple(_rebuild(a) for a in t.args))
+    if isinstance(t, SetOf):
+        return SetOf(reversed([_rebuild(a) for a in t.args]))
+    return UnitLeaf()
+
+
+def test_pool_covers_every_kind_and_the_trace():
+    assert 150 <= len(POOL) <= 1000
+    assert {type(t) for t in POOL} == set(KINDS)
+    # the tree automaton's trace terms nest symbols three deep and more
+    assert max(_height(t) for t in POOL if isinstance(t, AnSym)) >= 3
+
+
+def test_sorting_by_term_and_by_legacy_key_agree():
+    shuffled = list(POOL)
+    random.Random(9).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=legacy_term_key) == POOL
+
+
+def test_pairwise_order_and_equality_agree_with_legacy_key():
+    keys = {t: legacy_term_key(t) for t in POOL}
+    pairs = [*itertools.product(POOL, repeat=2), *((t, _rebuild(t)) for t in POOL)]
+    for a, b in pairs:
+        ka, kb = keys[a], legacy_term_key(b)
+        assert (a < b) == (ka < kb)
+        assert (a <= b) == (ka <= kb)
+        assert (a == b) == (ka == kb)
+        assert (a != b) == (ka != kb)
+
+
+def test_equal_terms_built_apart_hash_equal_and_as_the_legacy_key():
+    for t in POOL:
+        apart = _rebuild(t)
+        assert apart == t and hash(apart) == hash(t)
+        assert apart is not t or isinstance(t, UnitLeaf)
+        # the same hash values as before, so set iteration order is unchanged
+        assert hash(t) == hash(legacy_term_key(t))
+    assert list({_rebuild(t) for t in POOL}) == list(set(POOL))
+
+
+def test_terms_of_different_kinds_never_compare_equal():
+    by_kind = {kind: [t for t in POOL if type(t) is kind] for kind in KINDS}
+    for k1, k2 in itertools.combinations(KINDS, 2):
+        for a, b in itertools.product(by_kind[k1], by_kind[k2]):
+            assert a != b and not a == b
+    # same fields, different kinds
+    assert ConstElem("x") != Var(DEFAULT_SORT, "x")
+    assert TupleTerm(()) != SetOf(()) != AnSym("e", ())
+
+
+def test_constructor_fields_read_back():
+    x, y = Var("s", "x"), Var("s", "y")
+    assert (ConstElem("a").name,) == ("a",)
+    assert (x.sort, x.name) == ("s", "x")
+    assert TupleTerm((y, x)).args == (y, x)
+    inj = Inj(1, x)
+    assert (inj.index, inj.arg) == (1, x)
+    sym = AnSym("f", (y, x))
+    assert (sym.sym, sym.args) == ("f", (y, x))
+    assert SetOf([y, x, y]).args == (x, y)
+    assert UnitLeaf() == UNIT_TERM and repr(UnitLeaf()) == "•"
+    with pytest.raises(AttributeError):
+        inj.index = 2
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_kind_and_fields(clone):
+    for t in POOL[::7]:
+        again = clone(t)
+        assert type(again) is type(t) and again == t and repr(again) == repr(t)

@@ -55,7 +55,7 @@ def graph_bfs_language(c: PointedCoalgebra, depth: int) -> set[str]:
             for t in c.xi[(DEFAULT_SORT, state)]:
                 if has_check:
                     inner = strip_plus1(t) if False else t
-                    if t.key[0] == 3 and t.index == 1:  # the final marker
+                    if isinstance(t, Inj) and t.index == 1:  # the final marker
                         words.add(word + CHECK)
                         continue
                     pair = t.arg
