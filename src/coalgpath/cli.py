@@ -24,7 +24,7 @@ from .modelio import (
 )
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
-from .paths import comp, comp_as_word, comps_are_words, enumerate_runs
+from .paths import comp, comps_are_words, enumerate_runs, step_letter
 from .precise import enumerate_precise_maps, is_precise, precise_factorize
 from .sets import CoalgError
 from .trace import lts_language, trace
@@ -158,18 +158,27 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
         as_words = comps_are_words(system.functor, system.pointing)
+        # runs come depth first, each extending the last run one level
+        # shorter: states[k] holds the k:e->x states of levels 0..k of the
+        # last run, words[k] the word of its first k steps
+        states: list[str] = []
+        words: list[str] = [""]
         count = 0
         for path, run in enumerate_runs(system, args.depth):
-            states = []
-            for k, comp_k in enumerate(run.components):
-                for (s, e) in path.levels[k].pairs():
-                    states.append(f"{k}:{e}->{comp_k(s, e)}")
-            value = comp(path)
+            n = path.length
+            del states[n:]
+            x_n = run.components[n]
+            own = " ".join(f"{n}:{e}->{x_n(s, e)}" for s, e in path.levels[n].pairs())
+            head = states[-1] if states else ""
+            states.append(f"{head} {own}" if head and own else head or own)
             if as_words:
-                terms = comp_as_word(value) or "ε"
+                if n:
+                    del words[n:]
+                    words.append(words[-1] + step_letter(path, n - 1))
+                terms = words[n] or "ε"
             else:
-                terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in value.values)
-            _emit(out, f"run {count}: length {path.length} comp {terms} [{' '.join(states)}]")
+                terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in comp(path).values)
+            _emit(out, f"run {count}: length {n} comp {terms} [{states[n]}]")
             count += 1
         _emit(out, f"{count} runs")
         return 0
@@ -182,11 +191,12 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             return 0
         ts = trace(system, args.depth)
         lines = []
+        memo: dict = {}
         for d, items in ts.per_depth:
             for (s, i), terms in items:
                 for t in terms:
                     prefix = f"{i} : " if system.pointing.size() > 1 else ""
-                    lines.append(f"{prefix}{d} : {print_term(t)}")
+                    lines.append(f"{prefix}{d} : {print_term(t, memo)}")
         for line in sorted(set(lines)):
             _emit(out, line)
         return 0

@@ -132,24 +132,51 @@ def ansym(group: PermGroup, sym: str, args: Iterable[Term]) -> AnSym:
     return AnSym(sym, canonical_tuple(group, tuple(args)))
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, ConstElem):
-        return t.name
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, UnitLeaf):
-        return UNIT
-    if isinstance(t, TupleTerm):
-        return "(" + ", ".join(print_term(a) for a in t.args) + ")"
-    if isinstance(t, Inj):
-        return f"in{t.index}({print_term(t.arg)})"
-    if isinstance(t, AnSym):
-        if not t.args:
-            return t.sym
-        return t.sym + "(" + ", ".join(print_term(a) for a in t.args) + ")"
-    if isinstance(t, SetOf):
-        return "{" + ", ".join(print_term(a) for a in t.args) + "}"
-    raise TermError(f"unknown term {t!r}")
+# The printer recurses twice per level of a term, so it refuses terms
+# nesting deeper than this, well inside Python's default recursion limit:
+# a memo that holds a deep term's subterms must not let it print what the
+# plain recursion could not.
+MAX_PRINT_DEPTH = 400
+
+
+def print_term(t: Term, memo: dict | None = None) -> str:
+    """``t`` as text.  With ``memo``, a dict the caller keeps for one
+    batch of terms, each distinct subterm of the batch is printed once.
+
+    A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
+    :class:`TermError`.
+    """
+    return _printed(t, {} if memo is None else memo)[0]
+
+
+def _printed(t: Term, memo: dict) -> tuple[str, int]:
+    """``t`` as text, and how deep it nests, through ``memo``."""
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if isinstance(t, (ConstElem, Var)):
+        hit = (t.name, 0)
+    elif isinstance(t, UnitLeaf):
+        hit = (UNIT, 0)
+    elif isinstance(t, Inj):
+        text, depth = _printed(t.arg, memo)
+        hit = (f"in{t.index}({text})", depth + 1)
+    elif isinstance(t, (TupleTerm, AnSym, SetOf)):
+        parts = [_printed(a, memo) for a in t.args]
+        body = ", ".join([text for text, _depth in parts])
+        depth = 1 + max([depth for _text, depth in parts], default=0)
+        if isinstance(t, TupleTerm):
+            hit = (f"({body})", depth)
+        elif isinstance(t, AnSym):
+            hit = (f"{t.sym}({body})" if t.args else t.sym, depth)
+        else:
+            hit = ("{" + body + "}", depth)
+    else:
+        raise TermError(f"unknown term {t!r}")
+    if hit[1] > MAX_PRINT_DEPTH:
+        raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
+    memo[t] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ transitions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,16 +19,19 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT,
     UNIT_TERM,
+    ConstElem,
     Functor,
     Node,
+    PowersetNodeError,
     SortRef,
     Term,
     TermError,
+    TupleTerm,
     Var,
     bot_of_plus1,
-    decode_word,
     fmap,
     map_leaves,
+    occurrences,
     plus1,
     step_of_plus1,
     strip_plus1,
@@ -139,11 +143,23 @@ def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
     return pointing.size() == 1 and word_shape(plus1(functor)) is not None
 
 
-def comp_as_word(cv: CompValue) -> str:
-    """A composite for which :func:`comps_are_words` holds, as a word over
-    the alphabet and the added point, padded to the composite's depth."""
-    letters, stopped = decode_word(cv.values[0][1])
-    return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
+def step_letter(p: PathObj, k: int) -> str:
+    """Step k of a path for which :func:`comps_are_words` holds, as a
+    letter of the composite's word: the letter the step chose, or the
+    added point when it chose the added point or level k is empty.
+
+    The word of the composite is the letters of the steps in order.
+    """
+    keys = list(p.levels[k].pairs())
+    if not keys:
+        return BOT
+    t = p.steps[k].table[keys[0]]
+    if t.index == 1:
+        return BOT
+    if isinstance(t.arg, TupleTerm) and len(t.arg.args) == 2 and isinstance(t.arg.args[0], ConstElem):
+        return t.arg.args[0].name
+    # name the whole composite, as decoding it as a word would
+    raise TermError(f"cannot decode {comp(p).values[0][1]!r} as a word")
 
 
 def pathord_le(u: CompValue, v: CompValue) -> bool:
@@ -211,7 +227,7 @@ def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterato
     """Bindings of source variables to destination variables making the
     terms equal under the expression grammar (analytic nodes match up to
     their group)."""
-    from .functors import Analytic, AnSym, Const, Coprod, Inj, Prod, TupleTerm
+    from .functors import Analytic, AnSym, Const, Coprod, Inj, Prod
     from .groups import apply_perm_tuple
 
     kind = {SortRef: Var, Prod: TupleTerm, Coprod: Inj, Analytic: AnSym}.get(type(node))
@@ -400,56 +416,102 @@ def enumerate_runs(
     """Every (path, run) pair up to the given length, lexicographically.
 
     Level k+1 is produced by choosing, per level-k element, either the
-    added point or one of its transition terms, then factorizing the
-    choice map so each term occurrence becomes a fresh next-level
-    element.  Emits each prefix; level-wise-bijective duplicates never
-    arise because distinct choices induce distinct labelled levels.
+    added point or one of its transition terms; each variable occurrence
+    in the chosen terms becomes a fresh next-level element, as in
+    precise factorization.  The occurrences are ordered as the
+    factorization's codomain orders its ``(x;path)`` names (sort first,
+    then the string order of the name), numbered ``n000``, ``n001``, ...
+    in that order, and each chosen term is rebuilt once over those names.
+    Level-wise-bijective duplicates never arise because distinct choices
+    induce distinct labelled levels.
+
+    Pairs come in depth-first order: every path is emitted before its
+    extensions, and an extension of length n shares levels, steps and
+    run components 0..n-1 with the last path of length n-1 emitted
+    before it.  Callers may keep what they derive per level and reuse it
+    for the extensions.
     """
     fp1 = plus1(c.functor)
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
+    sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}
+    # two level-0 elements of one name in different sorts may claim the
+    # same position name; the factorization's codomain then rejects it
+    names_clash = len({e for _s, e in c.pointing.pairs()}) != c.pointing.size()
+    bot_options: list[tuple | None] = [None] if allow_bot else []
+    options_of: dict[tuple[str, str], list[tuple | None]] = {}
 
-    def rec(levels: list[SortedSet], steps: list[TermMap], comps: list[SortedFun]) -> Iterator[tuple[PathObj, Run]]:
-        path = PathObj(c.functor, c.pointing, tuple(levels), tuple(steps))
-        yield path, Run(path, c, tuple(comps))
-        if len(steps) >= depth:
-            return
-        current = levels[-1]
-        x_k = comps[-1]
+    def options(state: tuple[str, str]) -> list[tuple | None]:
+        """The added point (if allowed) and, per transition term of
+        ``state``, the term with its occurrences as (rank, sort, target,
+        path suffix of the position name) in occurrence order."""
+        opts = options_of.get(state)
+        if opts is None:
+            node = c.functor.node(state[0])
+            opts = options_of[state] = bot_options + [
+                (t, [
+                    (sort_rank[v.sort], v.sort, v.name, "".join(f".{i}" for i in path))
+                    for v, path in occurrences(node, t)
+                ])
+                for t in c.xi[state]
+            ]
+        return opts
+
+    def extensions(path: PathObj, run: Run) -> Iterator[tuple[PathObj, Run]]:
+        """The pairs one level longer than ``(path, run)`` that extend it."""
+        current = path.levels[-1]
+        x_k = run.components[-1]
         keys = list(current.pairs())
-        options: list[list[Term | None]] = []
-        for (s, e) in keys:
-            opts: list[Term | None] = [None] if allow_bot else []
-            opts.extend(c.xi[(s, x_k(s, e))])
-            options.append(opts)
-        if any(not o for o in options):
+        choices = [options((s, x_k(s, e))) for (s, e) in keys]
+        if any(not o for o in choices):
             return
-        import itertools as _it
+        if c.functor.has_pf:
+            raise PowersetNodeError("cannot factorize through powerset nodes")
+        check_names = names_clash and path.length == 0
+        space_sorts = c.pointing.sorts
 
-        for combo in _it.product(*options):
-            table = {}
-            for key, choice in zip(keys, combo):
-                table[key] = bot_of_plus1() if choice is None else step_of_plus1(choice)
-            g = TermMap(current, TermSpace(fp1, c.carrier), table)
-            fac = precise_factorize(g)
-            # rename the occurrence-position elements to compact level names
-            rename: dict[tuple[str, str], str] = {}
-            per_sort: dict[str, list[str]] = {s: [] for s in c.pointing.sorts}
-            for i, (s, pos) in enumerate(fac.codomain.pairs()):
-                fresh = f"n{i:03d}"
-                rename[(s, pos)] = fresh
-                per_sort[s].append(fresh)
-            next_level = SortedSet.make(per_sort, c.pointing.sorts)
-            rename_fun = SortedFun(fac.codomain, next_level, rename)
+        for combo in itertools.product(*choices):
+            # one (rank, position name, sort, target) per occurrence; the
+            # choice under Inj(0, .) puts 0 at the head of every path
+            occ = [
+                (rank, f"({e};0{suffix})", vs, target)
+                for (_s, e), choice in zip(keys, combo)
+                if choice is not None
+                for rank, vs, target, suffix in choice[1]
+            ]
+            if check_names:
+                SortedSet.make({s: [o[1] for o in occ if o[2] == s] for s in c.carrier.sorts}, c.carrier.sorts)
+            fresh: list[Var | None] = [None] * len(occ)
+            per_sort: dict[str, list[str]] = {s: [] for s in space_sorts}
+            x_table: dict[tuple[str, str], str] = {}
+            for i, j in enumerate(sorted(range(len(occ)), key=occ.__getitem__)):
+                _rank, _pos, vs, target = occ[j]
+                name = f"n{i:03d}"
+                fresh[j] = Var(vs, name)
+                per_sort[vs].append(name)
+                x_table[(vs, name)] = target
+            next_level = SortedSet.make(per_sort, space_sorts)
+            chosen = iter(fresh)
             step_table = {
-                key: fmap(fp1, rename_fun, key[0], t) for key, t in fac.precise.table.items()
+                key: bot_of_plus1() if choice is None else step_of_plus1(
+                    map_leaves(c.functor.node(key[0]), choice[0], lambda _ref, _t: next(chosen))
+                )
+                for key, choice in zip(keys, combo)
             }
             step = TermMap(current, TermSpace(fp1, next_level), step_table)
-            x_next = SortedFun(
-                next_level,
-                c.carrier,
-                {(s, rename[(s, pos)]): fac.connect(s, pos) for (s, pos) in fac.codomain.pairs()},
-            )
-            yield from rec(levels + [next_level], steps + [step], comps + [x_next])
+            x_next = SortedFun(next_level, c.carrier, x_table)
+            longer = PathObj(c.functor, c.pointing, path.levels + (next_level,), path.steps + (step,))
+            yield longer, Run(longer, c, run.components + (x_next,))
 
-    level0 = c.pointing
-    yield from rec([level0], [], [point_fun])
+    root = PathObj(c.functor, c.pointing, (c.pointing,), ())
+    first = (root, Run(root, c, (point_fun,)))
+    yield first
+    # depth first: one iterator of extensions per level of the last pair
+    stack = [extensions(*first)] if depth > 0 else []
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        yield pair
+        if pair[0].length < depth:
+            stack.append(extensions(*pair))

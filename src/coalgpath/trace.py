@@ -212,9 +212,10 @@ def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:
         raise CoalgError("not a tree-signature functor")
     ts = trace(c, depth)
     out = set()
+    memo: dict = {}
     for _d, items in ts.per_depth:
         for _key, terms in items:
             for t in terms:
-                out.add(print_term(t))
+                out.add(print_term(t, memo))
     return out
 

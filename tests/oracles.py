@@ -23,7 +23,14 @@ fit test-sized inputs:
   ``PointedCoalgebra`` computes once from its successor table;
 - the nested comparison key of a term built from its fields alone
   (:func:`legacy_term_key`), against the order, equality and hash a
-  term has as a tuple;
+  term has as a tuple, and a term printed by plain recursion
+  (:func:`recursive_print_term`), against ``functors.print_term`` with
+  and without a memo;
+- runs whose next levels come from precise factorization followed by a
+  renaming (:func:`factorized_runs`), against the one-pass level
+  construction of ``paths.enumerate_runs``, and a path's word decoded
+  from its composite (:func:`comp_as_word`), against the letters
+  ``paths.step_letter`` reads off its steps;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -35,6 +42,8 @@ from typing import Iterator, Mapping
 
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
+    BOT,
+    UNIT,
     UNIT_TERM,
     AnSym,
     ConstElem,
@@ -45,10 +54,14 @@ from coalgpath.functors import (
     TupleTerm,
     UnitLeaf,
     Var,
+    bot_of_plus1,
+    decode_word,
     eval_functor,
     fmap,
     map_leaves,
     occurrences,
+    plus1,
+    step_of_plus1,
     word_shape,
 )
 from coalgpath.nominal import (
@@ -62,8 +75,8 @@ from coalgpath.nominal import (
     canonical_bind,
     extend_equivariant,
 )
-from coalgpath.paths import PathMorphism, Run, truncate_term
-from coalgpath.precise import Factorization, TermMap
+from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
+from coalgpath.precise import Factorization, TermMap, TermSpace, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 from coalgpath.trace import TraceSet
 
@@ -215,6 +228,23 @@ def legacy_term_key(t: Term) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
+def recursive_print_term(t: Term) -> str:
+    """``t`` printed by plain recursion, each subterm as often as it occurs."""
+    if isinstance(t, (ConstElem, Var)):
+        return t.name
+    if isinstance(t, UnitLeaf):
+        return UNIT
+    if isinstance(t, TupleTerm):
+        return "(" + ", ".join(recursive_print_term(a) for a in t.args) + ")"
+    if isinstance(t, Inj):
+        return f"in{t.index}({recursive_print_term(t.arg)})"
+    if isinstance(t, AnSym):
+        return t.sym + ("(" + ", ".join(recursive_print_term(a) for a in t.args) + ")" if t.args else "")
+    if isinstance(t, SetOf):
+        return "{" + ", ".join(recursive_print_term(a) for a in t.args) + "}"
+    raise TypeError(f"not a term: {t!r}")
+
+
 def is_path_morphism(m: PathMorphism) -> bool:
     if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
         return False
@@ -229,6 +259,56 @@ def is_path_morphism(m: PathMorphism) -> bool:
             if lhs != rhs:
                 return False
     return True
+
+
+def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> Iterator[tuple[PathObj, Run]]:
+    """Every (path, run) pair up to the given length, in the order of
+    ``paths.enumerate_runs``, each next level built the long way: the
+    choice map of a combination is factorized with ``precise_factorize``
+    (one ``(x;path)`` element per occurrence), and the factorization's
+    codomain is renamed ``n000``, ``n001``, ... in its own order."""
+    fp1 = plus1(c.functor)
+    point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
+
+    def rec(levels: list[SortedSet], steps: list[TermMap], comps: list[SortedFun]) -> Iterator[tuple[PathObj, Run]]:
+        path = PathObj(c.functor, c.pointing, tuple(levels), tuple(steps))
+        yield path, Run(path, c, tuple(comps))
+        if len(steps) >= depth:
+            return
+        current = levels[-1]
+        x_k = comps[-1]
+        keys = list(current.pairs())
+        options = [([None] if allow_bot else []) + list(c.xi[(s, x_k(s, e))]) for (s, e) in keys]
+        if any(not o for o in options):
+            return
+        for combo in itertools.product(*options):
+            table = {
+                key: bot_of_plus1() if choice is None else step_of_plus1(choice)
+                for key, choice in zip(keys, combo)
+            }
+            fac = precise_factorize(TermMap(current, TermSpace(fp1, c.carrier), table))
+            rename: dict[tuple[str, str], str] = {}
+            per_sort: dict[str, list[str]] = {s: [] for s in c.pointing.sorts}
+            for i, (s, pos) in enumerate(fac.codomain.pairs()):
+                rename[(s, pos)] = f"n{i:03d}"
+                per_sort[s].append(rename[(s, pos)])
+            next_level = SortedSet.make(per_sort, c.pointing.sorts)
+            rename_fun = SortedFun(fac.codomain, next_level, rename)
+            step_table = {key: fmap(fp1, rename_fun, key[0], t) for key, t in fac.precise.table.items()}
+            step = TermMap(current, TermSpace(fp1, next_level), step_table)
+            x_table = {(s, rename[(s, pos)]): fac.connect(s, pos) for (s, pos) in fac.codomain.pairs()}
+            x_next = SortedFun(next_level, c.carrier, x_table)
+            yield from rec(levels + [next_level], steps + [step], comps + [x_next])
+
+    yield from rec([c.pointing], [], [point_fun])
+
+
+def comp_as_word(cv: CompValue) -> str:
+    """A composite for which ``paths.comps_are_words`` holds, decoded as
+    a word over the alphabet and the added point, padded to the
+    composite's depth."""
+    letters, stopped = decode_word(cv.values[0][1])
+    return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
 
 
 def run_image(r: Run) -> set[tuple[str, str]]:

@@ -189,6 +189,14 @@ class TestVerbs:
         assert "(bound 3)" in text
         assert (text, code) == run_command(["open", *hom_files, "--bound", "3"]) == run_command(["open", *hom_files])
 
+    @pytest.mark.parametrize("verb", ["runs", "trace", "paths"])
+    def test_powerset_functor_exit_two(self, tmp_path, verb):
+        path = tmp_path / "pf.model"
+        path.write_text("[functor]\npf(id)\n\n[states]\ns0\n\n[init]\n* -> s0\n\n[trans]\ns0 -> {s0}\n",
+                        encoding="utf-8")
+        text, code = run_command([verb, str(path), "--depth", "2"])
+        assert (text, code) == ("error: the branching layer is implicit; F must be powerset-free\n", 2)
+
     @pytest.mark.parametrize("verb", ["trace", "runs"])
     def test_deep_terms_exit_two(self, deep_file, verb):
         text, code = run_command([verb, deep_file, "--depth", "6"])

@@ -37,6 +37,11 @@ CASES = [
     ("enum-tree-trace", ["trace", "trace_enum_tree.model", "--depth", "4"], 0),
     # two pointed word systems, one stuck from depth 4 on (word trace path)
     ("twopoint-trace", ["trace", "twopoint.model", "--depth", "6"], 0),
+    # level elements are numbered in the string order of their position
+    # names: with eleven slots, slot 10 before slot 2
+    ("wide-runs", ["runs", "wide.model", "--depth", "2"], 0),
+    # ... and sort by sort, not in occurrence order
+    ("twosorted-runs", ["runs", "twosorted.model", "--depth", "2"], 0),
 ]
 
 

@@ -39,9 +39,10 @@ from coalgpath.modelio import (
     print_rnna,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
-from coalgpath.paths import comp, comp_as_word, enumerate_runs
-from coalgpath.sets import DEFAULT_SORT, CoalgError
+from coalgpath.paths import comp, enumerate_runs
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
 from conftest import poset_category
+from oracles import comp_as_word
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -511,5 +512,50 @@ class TestMutatedFixtures:
                 tokens.insert(position, token)
         try:
             parse_model("".join(tokens))
+        except CoalgError:
+            pass
+
+
+# map files over the carriers of fixtures: the identity on lts_ab.model,
+# the fold of two copies of it onto it, and the identity on a two-sorted
+# system, written out here since no fixture is a map file
+_FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+_LTS_CARRIER = parse_coalgebra((_FIXTURES / "lts_ab.model").read_text(encoding="utf-8")).carrier
+_TWO_COPIES = SortedSet.single([*_LTS_CARRIER.elems(DEFAULT_SORT), "r0", "r1", "r2"])
+_TWO_SORTED = parse_coalgebra((_FIXTURES / "compose" / "twosorted.model").read_text(encoding="utf-8")).carrier
+MAP_SEEDS = [
+    ("[map]\nq0 -> q0\nq1 -> q1\nq2 -> q2\n", _LTS_CARRIER, _LTS_CARRIER),
+    ("# fold the copy r onto q\n[map]\nq0 -> q0\nq1 -> q1\nq2 -> q2\nr0 -> q0\nr1 -> q1\nr2 -> q2\n",
+     _TWO_COPIES, _LTS_CARRIER),
+    ("[map]\na.as0 -> a.as0\na.as1 -> a.as1\nb.bs0 -> b.bs0\nb.bs1 -> b.bs1\n", _TWO_SORTED, _TWO_SORTED),
+]
+MAP_VOCABULARY = sorted(
+    {t for text, _dom, _cod in MAP_SEEDS for t in TOKEN_RE.findall(text)} | {"x", "-1", "99", "->", "*", "[", "]", '"'}
+)
+
+
+class TestMutatedMaps:
+    def test_seeds_parse(self):
+        for text, dom, cod in MAP_SEEDS:
+            assert parse_map(text, dom, cod).dom == dom
+
+    @given(
+        st.sampled_from(range(len(MAP_SEEDS))),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10_000), st.sampled_from(MAP_VOCABULARY)), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_parse_map_raises_only_coalg_errors(self, seed, mutations):
+        text, dom, cod = MAP_SEEDS[seed]
+        tokens = TOKEN_RE.findall(text)
+        for delete, position, token in mutations:
+            position %= len(tokens) + 1
+            if delete and tokens:
+                del tokens[min(position, len(tokens) - 1)]
+            else:
+                tokens.insert(position, token)
+        try:
+            parse_map("".join(tokens), dom, cod)
         except CoalgError:
             pass

@@ -1,10 +1,13 @@
 import itertools
 
-from coalgpath.coalgebra import CoalgMorphism, is_lax_hom
+import pytest
+
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, random_coalgebra
 from coalgpath.functors import (
     Analytic,
     Const,
     ConstElem,
+    Coprod,
     Inj,
     Prod,
     SortRef,
@@ -13,6 +16,7 @@ from coalgpath.functors import (
     UNIT_TERM,
     bot_of_plus1,
     functor,
+    multisorted,
     plus1,
     step_of_plus1,
     strip_plus1,
@@ -24,7 +28,7 @@ from coalgpath.paths import (
     Run,
     all_path_morphisms,
     comp,
-    comp_as_word,
+    comps_are_words,
     enumerate_runs,
     find_path_morphism,
     is_run,
@@ -34,12 +38,13 @@ from coalgpath.paths import (
     morphism_to_lax,
     path_from_comp,
     pathord_le,
+    step_letter,
     validate_path,
 )
-from coalgpath.sets import DEFAULT_SORT, SortedFun
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortError, SortedSet
 
 from conftest import linear_word_system, single, trace_pairs, var, whyplus1_system
-from oracles import is_bijective, is_path_morphism, run_image
+from oracles import comp_as_word, factorized_runs, is_bijective, is_path_morphism, run_image
 
 BOT = chr(0x22A5)
 
@@ -376,6 +381,88 @@ class TestRuns:
             ),
         )
         assert not is_run(bad)
+
+
+# systems for the level-construction oracle: (name, functor, carrier
+# sizes, depth); the depth keeps each enumeration to a few thousand runs
+_CHECK = chr(0x2713)
+ORACLE_SYSTEMS = [
+    ("lts", functor(Prod((Const(("a", "b")), SortRef()))), {DEFAULT_SORT: 3}, 5),
+    ("lts-check", functor(Coprod((Prod((Const(("a", "b")), SortRef())), Const((_CHECK,))))), {DEFAULT_SORT: 3}, 4),
+    ("pair", functor(Prod((SortRef(), SortRef()))), {DEFAULT_SORT: 2}, 3),
+    (
+        "sym-tree",
+        functor(Analytic((
+            Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),
+            Symbol("leaf", (), trivial_group(0)),
+        ))),
+        {DEFAULT_SORT: 3},
+        3,
+    ),
+    (
+        "two-sorted",
+        multisorted(("a", "b"), {"a": Prod((SortRef("b"), SortRef("a"))), "b": Coprod((Const(("c",)), SortRef("a")))}),
+        {"a": 2, "b": 2},
+        4,
+    ),
+]
+
+
+class TestRunLevelsAgainstFactorization:
+    """``enumerate_runs`` builds each next level in one pass; the oracle
+    factorizes each choice map and renames its codomain."""
+
+    @pytest.mark.parametrize("allow_bot", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "name, f, sizes, depth", ORACLE_SYSTEMS, ids=[case[0] for case in ORACLE_SYSTEMS]
+    )
+    def test_same_runs_as_factorize_then_rename(self, name, f, sizes, depth, seed, allow_bot):
+        c = random_coalgebra(GenSpec(f, sizes, 0.4, seed))
+        as_words = comps_are_words(c.functor, c.pointing)
+        got = itertools.islice(enumerate_runs(c, depth, allow_bot), 3000)
+        want = itertools.islice(factorized_runs(c, depth, allow_bot), 3000)
+        count = 0
+        for pair, expected in itertools.zip_longest(got, want):
+            assert pair is not None and expected is not None
+            (p, r), (p_want, r_want) = pair, expected
+            assert p.levels == p_want.levels
+            assert p.steps == p_want.steps
+            assert r.components == r_want.components
+            if as_words:
+                assert "".join(step_letter(p, k) for k in range(p.length)) == comp_as_word(comp(p))
+            count += 1
+        assert count > 1
+
+    def test_wide_product_names_positions_in_string_order(self):
+        # eleven slots, so the position (*;0.10) sorts before (*;0.2)
+        slots = tuple(var(f"s{i % 2}") for i in range(11))
+        c = PointedCoalgebra(
+            functor(Prod((SortRef(),) * 11)),
+            single(["*"]),
+            single(["s0", "s1"]),
+            {(DEFAULT_SORT, "*"): "s0"},
+            {(DEFAULT_SORT, "s0"): (TupleTerm(slots),), (DEFAULT_SORT, "s1"): ()},
+        )
+        [(p0, _), (p, r)] = enumerate_runs(c, 1, allow_bot=False)
+        [_, (p_want, r_want)] = factorized_runs(c, 1, allow_bot=False)
+        assert (p.levels, p.steps, r.components) == (p_want.levels, p_want.steps, r_want.components)
+        names = [f"n{i:03d}" for i in (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 2)]
+        assert p.steps[0](DEFAULT_SORT, "*") == step_of_plus1(TupleTerm(tuple(var(n) for n in names)))
+        assert [r.components[1](DEFAULT_SORT, n) for n in names] == [f"s{i % 2}" for i in range(11)]
+
+    def test_clashing_position_names_rejected_alike(self):
+        # level-0 elements named p in both sorts both put a variable of
+        # sort a at position 0.0: the factorization's codomain rejects it
+        f = multisorted(("a", "b"), {"a": Prod((SortRef("a"), SortRef("b"))), "b": Prod((SortRef("a"), SortRef("a")))})
+        pointing = SortedSet.make({"a": ["p"], "b": ["p"]}, ("a", "b"))
+        c = random_coalgebra(GenSpec(f, {"a": 1, "b": 1}, 1.0, 0, pointing))
+        errors = []
+        for runs in (enumerate_runs(c, 1), factorized_runs(c, 1)):
+            with pytest.raises(SortError) as info:
+                list(runs)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestEmbeddingIntegration:

@@ -28,10 +28,13 @@ from coalgpath.functors import (
     Symbol,
     TupleTerm,
     UnitLeaf,
+    MAX_PRINT_DEPTH,
+    TermError,
     Var,
     eval_functor,
     functor,
     plus1,
+    print_term,
 )
 from coalgpath.groups import symmetric_group
 from coalgpath.modelio import parse_functor_text
@@ -39,7 +42,7 @@ from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, SortedSet
 from coalgpath.trace import trace
 
-from oracles import legacy_term_key
+from oracles import legacy_term_key, recursive_print_term
 
 HARNESS_TEXTS = (
     "prod(const(a b), id)",
@@ -169,3 +172,28 @@ def test_copies_keep_kind_and_fields(clone):
     for t in POOL[::7]:
         again = clone(t)
         assert type(again) is type(t) and again == t and repr(again) == repr(t)
+
+
+def test_memo_printer_prints_as_the_plain_one():
+    shuffled = list(POOL)
+    random.Random(2).shuffle(shuffled)
+    memo = {}
+    for t in shuffled:
+        assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
+    assert {type(t) for t in memo} == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: SetOf([t])],
+                         ids=["inj", "tuple", "set"])
+def test_too_deep_terms_refused_with_and_without_memo(kind):
+    memo = {}
+    t = UNIT_TERM
+    for _ in range(MAX_PRINT_DEPTH):
+        t = kind(t)
+        # prints: each subterm of t is already in the memo
+        print_term(t, memo)
+    deeper = kind(t)
+    with pytest.raises(TermError, match="nest too deeply"):
+        print_term(deeper, memo)
+    with pytest.raises((TermError, RecursionError)):
+        print_term(deeper)
