@@ -42,6 +42,13 @@ CASES = [
     ("wide-runs", ["runs", "wide.model", "--depth", "2"], 0),
     # ... and sort by sort, not in occurrence order
     ("twosorted-runs", ["runs", "twosorted.model", "--depth", "2"], 0),
+    # the trace-enum benchmark's register automaton (bar strings from words)
+    ("enum-rnna", ["rnna", "auto.rnna", "--pool", "4", "--depth", "6"], 0),
+    # an initial register: one pointed context per assignment of the pool
+    ("context-rnna", ["rnna", "context.rnna", "--pool", "3", "--depth", "5"], 0),
+    # a word functor over two sorts (word trace path)
+    ("twosorted-word-trace", ["trace", "twosorted_word.model", "--depth", "3"], 0),
+    ("twosorted-word-runs", ["runs", "twosorted_word.model", "--depth", "2"], 0),
 ]
 
 
