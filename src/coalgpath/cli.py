@@ -5,6 +5,7 @@ parse error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,12 +38,9 @@ def _deglyph(text: str) -> str:
     return text
 
 
-def _emit(out: list[str], text: str) -> None:
-    out.append(text)
-
-
-def run_command(argv: list[str]) -> tuple[str, int]:
-    """Execute one verb; returns (stdout text, exit code)."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it as it was."""
     parser = argparse.ArgumentParser(prog="coalgpath", add_help=True)
     parser.add_argument("--ascii", action="store_true", help="print ASCII aliases for glyphs")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -92,9 +90,13 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     p.add_argument("file")
     p.add_argument("--pool", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
+    return parser
 
+
+def run_command(argv: list[str]) -> tuple[str, int]:
+    """Execute one verb; returns (stdout text, exit code)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return "", 2 if exc.code not in (0, None) else 0
 
@@ -121,17 +123,17 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "precise-factor":
         problem = parse_factor_problem(_read(args.file))
         fac = precise_factorize(problem.term_map)
-        _emit(out, f"precise: {'yes' if is_precise(problem.term_map) else 'no'}")
-        _emit(out, "[codomain]")
+        out.append(f"precise: {'yes' if is_precise(problem.term_map) else 'no'}")
+        out.append("[codomain]")
         for s in fac.codomain.sorts:
             elems = " ".join(format_name(e) for e in fac.codomain.elems(s))
-            _emit(out, f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
-        _emit(out, "[precise-map]")
+            out.append(f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
+        out.append("[precise-map]")
         for (s, x) in problem.domain.pairs():
-            _emit(out, f"{format_name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
-        _emit(out, "[connecting]")
+            out.append(f"{format_name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
+        out.append("[connecting]")
         for (s, y) in fac.codomain.pairs():
-            _emit(out, f"{format_name(y)} -> {format_name(fac.connect(s, y))}")
+            out.append(f"{format_name(y)} -> {format_name(fac.connect(s, y))}")
         return 0
 
     if args.verb == "paths":
@@ -142,16 +144,16 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         for length in range(args.depth + 1):
             new_frontier = []
             for level, prefix in frontier:
-                _emit(out, f"path {count}: length {length}")
+                out.append(f"path {count}: length {length}")
                 for k, (lv, step) in enumerate(prefix):
                     for (s, e) in lv.pairs():
-                        _emit(out, f"  {k} : {e} -> {print_term_for(fp1, s, step[(s, e)])}")
+                        out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step[(s, e)])}")
                 count += 1
                 if length < args.depth:
                     for codomain, term_map in enumerate_precise_maps(level, fp1):
                         new_frontier.append((codomain, prefix + [(level, term_map.table)]))
             frontier = new_frontier
-        _emit(out, f"{count} paths")
+        out.append(f"{count} paths")
         return 0
 
     if args.verb == "runs":
@@ -178,16 +180,15 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                 terms = words[n] or "ε"
             else:
                 terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in comp(path).values)
-            _emit(out, f"run {count}: length {n} comp {terms} [{states[n]}]")
+            out.append(f"run {count}: length {n} comp {terms} [{states[n]}]")
             count += 1
-        _emit(out, f"{count} runs")
+        out.append(f"{count} runs")
         return 0
 
     if args.verb == "trace":
         system = parse_coalgebra(_read(args.file))
         if word_shape(system.functor) is not None:
-            for w in sorted(lts_language(system, args.depth)):
-                _emit(out, "ε" if w == "" else w)
+            out.extend(w or "ε" for w in sorted(lts_language(system, args.depth)))
             return 0
         ts = trace(system, args.depth)
         lines = []
@@ -198,7 +199,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                     prefix = f"{i} : " if system.pointing.size() > 1 else ""
                     lines.append(f"{prefix}{d} : {print_term(t, memo)}")
         for line in sorted(set(lines)):
-            _emit(out, line)
+            out.append(line)
         return 0
 
     if args.verb == "reach":
@@ -206,12 +207,12 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         levels, union = reachable_bfs(system)
         for k, level in enumerate(levels):
             names = " ".join(sorted(e for _s, e in level))
-            _emit(out, f"level {k}: {names}")
-        _emit(out, f"union: {' '.join(sorted(e for _s, e in union))}")
+            out.append(f"level {k}: {names}")
+        out.append(f"union: {' '.join(sorted(e for _s, e in union))}")
         pr = is_path_reachable(system)
         nps = is_reachable_no_proper_sub(system)
-        _emit(out, f"path-reachable: {'yes' if pr else 'no'}")
-        _emit(out, f"no-proper-subcoalgebra: {'yes' if nps else 'no'}")
+        out.append(f"path-reachable: {'yes' if pr else 'no'}")
+        out.append(f"no-proper-subcoalgebra: {'yes' if nps else 'no'}")
         return 0 if pr == nps else 1
 
     if args.verb in ("hom", "open"):
@@ -221,25 +222,25 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         m = CoalgMorphism(src, dst, fun)
         if args.verb == "hom":
             strict = is_strict_hom(m)
-            _emit(out, f"lax: {'yes' if is_lax_hom(m) else 'no'}")
-            _emit(out, f"strict: {'yes' if strict else 'no'}")
+            out.append(f"lax: {'yes' if is_lax_hom(m) else 'no'}")
+            out.append(f"strict: {'yes' if strict else 'no'}")
             return 0 if strict else 1
         bound = args.bound if args.bound > 0 else src.carrier.size() + 1
         report = is_open(m, bound)
-        _emit(out, f"verdict: {report.verdict} (bound {report.bound})")
+        out.append(f"verdict: {report.verdict} (bound {report.bound})")
         if report.reason:
-            _emit(out, f"reason: {report.reason}")
+            out.append(f"reason: {report.reason}")
         if report.witness is not None:
             w = report.witness
-            _emit(out, "witness square:")
-            _emit(out, f"  path length {w.path.length}, extension length {w.extension.length}")
+            out.append("witness square:")
+            out.append(f"  path length {w.path.length}, extension length {w.extension.length}")
             fp1 = plus1(src.functor)
             for k, step in enumerate(w.extension.steps):
                 for (s, e) in w.extension.levels[k].pairs():
-                    _emit(out, f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
+                    out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
             last = w.dst_run.components[-1]
             for (s, e) in w.extension.levels[-1].pairs():
-                _emit(out, f"  target run sends {e} to {last(s, e)}")
+                out.append(f"  target run sends {e} to {last(s, e)}")
         return 0 if report.is_open else 1
 
     if args.verb == "verify":
@@ -247,7 +248,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         spec = GenSpec(functor(node), {DEFAULT_SORT: args.states}, args.density, args.seed)
         report = verify_theorems(spec, args.trials, check_traces=args.traces)
         for line in report.lines():
-            _emit(out, line)
+            out.append(line)
         return 0 if report.all_passed else 1
 
     if args.verb == "lasota":
@@ -255,25 +256,25 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         problems = validate_category(cat)
         if problems:
             for v in problems:
-                _emit(out, f"invalid category: {v.kind}: {v.detail}")
+                out.append(f"invalid category: {v.kind}: {v.detail}")
             return 1
-        _emit(out, "category: ok")
+        out.append("category: ok")
         report = paths_bijection_check(cat, args.depth)
         for (n, paths, seqs) in report.per_length:
-            _emit(out, f"length {n}: paths {paths} sequences {seqs}")
-        _emit(out, f"precise-iff-characteristic: {'ok' if report.precise_ok else 'FAIL'}")
+            out.append(f"length {n}: paths {paths} sequences {seqs}")
+        out.append(f"precise-iff-characteristic: {'ok' if report.precise_ok else 'FAIL'}")
         for mismatch in report.mismatches:
-            _emit(out, f"mismatch: {mismatch}")
-        _emit(out, "bijection: ok" if report.ok else "bijection: FAIL")
+            out.append(f"mismatch: {mismatch}")
+        out.append("bijection: ok" if report.ok else "bijection: FAIL")
         return 0 if report.ok else 1
 
     if args.verb == "rnna":
         system = rnna_expand(parse_rnna(_read(args.file)), AtomPool(args.pool))
-        _emit(out, f"states: {system.carrier.size()}")
+        out.append(f"states: {system.carrier.size()}")
         transitions = sum(len(v) for v in system.xi.values())
-        _emit(out, f"transitions: {transitions}")
+        out.append(f"transitions: {transitions}")
         for form in sorted(bar_trace(system, args.depth)):
-            _emit(out, print_canonical(form))
+            out.append(print_canonical(form))
         return 0
 
     raise CoalgError(f"unknown verb {args.verb!r}")

@@ -562,9 +562,44 @@ def lts_term(label: str, target: str) -> Term:
     return TupleTerm((ConstElem(label), Var(DEFAULT_SORT, target)))
 
 
+Letter = tuple[int | None, str]
+
+
+def letter_shape(node: Node) -> tuple[str, ...] | None:
+    """The sorts the letters of a letter-shaped expression lead to, in
+    summand order; None when ``node`` is not letter-shaped.
+
+    An expression is letter-shaped when it is ``Const x SortRef(_)``, or a
+    coproduct whose summands are each that or a ``Const``.  A letter is a
+    (summand index, constant) pair, the index 0 for a bare product; a
+    marker is a constant of a ``Const`` summand.
+    """
+    parts = node.parts if isinstance(node, Coprod) else (node,)
+    targets = []
+    for p in parts:
+        if isinstance(p, Prod) and [type(q) for q in p.parts] == [Const, SortRef]:
+            targets.append(p.parts[1].sort)
+        elif not (isinstance(p, Const) and isinstance(node, Coprod)):
+            return None
+    return tuple(targets)
+
+
+def read_letter(term: Term) -> tuple[Letter, Var | None]:
+    """A term of a letter-shaped expression as its letter and successor
+    variable, or, for a marker ``m``, as ``(None, m)`` and None."""
+    index, inner = (term.index, term.arg) if isinstance(term, Inj) else (0, term)
+    if isinstance(inner, ConstElem):
+        return (None, inner.name), None
+    if isinstance(inner, TupleTerm) and [type(a) for a in inner.args] == [ConstElem, Var]:
+        return (index, inner.args[0].name), inner.args[1]
+    raise TermError(f"{term!r} is neither a letter nor a marker")
+
+
 def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
     """``(A, None)`` for the word functor ``A x Id`` and ``(A, m)`` for
-    ``A x Id + {m}``, read at the default sort; None for any other functor.
+    ``A x Id + {m}``, read at the default sort, where ``Id`` is any sort
+    leaf and every sort the default sort reaches through sort leaves is
+    letter-shaped (see :func:`letter_shape`); None for any other functor.
 
     ``plus1(A x Id)`` is word-shaped with the added point as its marker.
     """
@@ -577,29 +612,12 @@ def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
         and len(node.parts[1].elems) == 1
     ):
         node, marker = node.parts[0], node.parts[1].elems[0]
-    if (
-        isinstance(node, Prod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[0], Const)
-        and isinstance(node.parts[1], SortRef)
-    ):
-        return node.parts[0].elems, marker
-    return None
-
-
-def decode_word(term: Term) -> tuple[list[str], bool]:
-    """The letters of a nested term of a word-shaped functor, and whether
-    it stops at the marker (True) rather than at a path cut (False)."""
-    letters: list[str] = []
-    t = term
-    while True:
-        if isinstance(t, Inj):
-            if t.index == 1:
-                return letters, True
-            t = t.arg
-        if isinstance(t, UnitLeaf):
-            return letters, False
-        if not (isinstance(t, TupleTerm) and len(t.args) == 2 and isinstance(t.args[0], ConstElem)):
-            raise TermError(f"cannot decode {term!r} as a word")
-        letters.append(t.args[0].name)
-        t = t.args[1]
+    if not isinstance(node, Prod) or letter_shape(node) is None:
+        return None
+    seen = [DEFAULT_SORT]
+    for s in seen:  # grows while it is walked
+        targets = letter_shape(f.node(s))
+        if targets is None:
+            return None
+        seen.extend(t for t in targets if t not in seen)
+    return node.parts[0].elems, marker

@@ -741,6 +741,8 @@ def parse_category(text: str) -> FiniteCategory:
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'object : identity-name'", lineno)
+        if m.group(1) not in objects:
+            raise ModelParseError(f"identity {m.group(2)!r} names {m.group(1)!r}, which is not an object", lineno)
         identities[m.group(1)] = m.group(2)
     comp: dict[tuple[str, str], str] = {}
     for lineno, line in sections.get("composition", Section("c", [])).lines:
@@ -757,8 +759,8 @@ def print_category(cat: FiniteCategory) -> str:
         lines.append(f"{name} : {d} -> {c}")
     lines.append("")
     lines.append("[identities]")
-    for obj in cat.objects:
-        lines.append(f"{obj} : {cat.identities[obj]}")
+    # a missing identity is reported by validate_category, not here
+    lines.extend(f"{obj} : {cat.identities[obj]}" for obj in cat.objects if obj in cat.identities)
     lines.append("")
     lines.append("[composition]")
     for (g, f), h in sorted(cat.comp.items()):

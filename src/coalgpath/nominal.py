@@ -27,11 +27,11 @@ from .functors import (
     SortRef,
     Term,
     TupleTerm,
-    UnitLeaf,
     Var,
     functor,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
+from .trace import word_traces
 
 OK_TOKEN = ("ok",)
 CUT_TOKEN = ("cut",)
@@ -510,33 +510,17 @@ def perm_term(pi: Perm, t: Term, pool: AtomPool) -> Term:
 # ---------------------------------------------------------------------------
 # Bar-string traces
 
-def _decode_bar_term(t: Term) -> tuple[tuple[tuple[str, str], ...], str | None]:
-    tokens: list[tuple[str, str]] = []
-    current = t
-    while True:
-        if isinstance(current, UnitLeaf):
-            return tuple(tokens), "cut"
-        if isinstance(current, Inj) and current.index == 0:
-            return tuple(tokens), CHECK
-        if not (isinstance(current, Inj) and isinstance(current.arg, TupleTerm)):
-            raise CoalgError(f"cannot decode trace term {current!r}")
-        atom = current.arg.args[0].name  # type: ignore[union-attr]
-        tokens.append(("bar" if current.index == BAR_INDEX else "free", atom))
-        current = current.arg.args[1]
-
-
 def bar_trace(system: PointedCoalgebra, depth: int) -> frozenset[tuple]:
     """Canonical closures of all word-in-contexts traced up to ``depth`` by
     an expanded automaton (see :func:`rnna_expand`)."""
-    from .trace import trace
-
-    ts = trace(system, depth)
     out: set[tuple] = set()
-    for _d, items in ts.per_depth:
-        for (s, iname), terms in items:
-            _q, context = parse_state_name("c" + iname)
-            for t in terms:
-                tokens, terminal = _decode_bar_term(t)
-                word = BarString(tokens, terminal, context)
-                out.add(alpha_canonical(word))
+    for (_s, iname), words in word_traces(system, depth).items():
+        _q, context = parse_state_name("c" + iname)
+        for w in words:
+            terminal = "cut"
+            if w and w[-1][0] is None:
+                terminal = w[-1][1]
+                w = w[:-1]
+            tokens = tuple(("bar" if index == BAR_INDEX else "free", atom) for index, atom in w)
+            out.add(alpha_canonical(BarString(tokens, terminal, context)))
     return frozenset(out)

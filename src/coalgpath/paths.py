@@ -19,7 +19,6 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT,
     UNIT_TERM,
-    ConstElem,
     Functor,
     Node,
     PowersetNodeError,
@@ -33,6 +32,7 @@ from .functors import (
     map_leaves,
     occurrences,
     plus1,
+    read_letter,
     step_of_plus1,
     strip_plus1,
     subst_node,
@@ -153,13 +153,8 @@ def step_letter(p: PathObj, k: int) -> str:
     keys = list(p.levels[k].pairs())
     if not keys:
         return BOT
-    t = p.steps[k].table[keys[0]]
-    if t.index == 1:
-        return BOT
-    if isinstance(t.arg, TupleTerm) and len(t.arg.args) == 2 and isinstance(t.arg.args[0], ConstElem):
-        return t.arg.args[0].name
-    # name the whole composite, as decoding it as a word would
-    raise TermError(f"cannot decode {comp(p).values[0][1]!r} as a word")
+    (_index, name), _succ = read_letter(p.steps[k].table[keys[0]])
+    return name
 
 
 def pathord_le(u: CompValue, v: CompValue) -> bool:

@@ -214,7 +214,6 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
     seen = set()
     for combo in itertools.product(*shape_lists):
         counter = 0
-        mapping: dict[tuple[str, str], Var] = {}
         fresh_elems: dict[str, list[str]] = {s: [] for s in p.sorts}
         table: dict[tuple[str, str], Term] = {}
         for (sort, elem), shape in zip(keys, combo):

@@ -10,13 +10,15 @@ implement it:
 - the general path, :func:`trace`, fills that recursion as a table of
   terms per (state, depth), depth by depth, and only for the states the
   pointing reaches within the remaining depth; it serves every functor;
-- the word path, :func:`lts_language`, decodes the traces of a word-shaped
-  system (``A x Id``, optionally ``+ {m}``) as strings, by a subset
-  construction: the words of a state set S are the marker when some state
-  of S has it, and ``a + w`` for each word w of ``post_a(S)`` one level
-  shallower, memoized per (state set, depth).
+- the word path, :func:`word_traces`, serves every letter-labelled
+  system, whose sorts are each ``Const x SortRef`` or a coproduct of such
+  products and constants (:func:`functors.letter_shape`): a trace is
+  then a word of (summand, constant) letters, optionally ending at a
+  marker, and the words come from a subset construction, memoized per
+  (state set, depth).  :func:`lts_language` spells them as strings, and
+  ``nominal.bar_trace`` reads them as bar strings.
 
-The general path is the oracle for the word path; the literal
+The general path, decoded, is the oracle for the word path; the literal
 run-enumeration definition is the test oracle for the general path.
 """
 
@@ -29,14 +31,15 @@ from typing import Any, Callable, Iterable, Sequence
 from .coalgebra import PointedCoalgebra
 from .functors import (
     UNIT_TERM,
+    Analytic,
     Coprod,
     Functor,
-    Inj,
+    Letter,
     Term,
-    decode_word,
+    letter_shape,
     map_leaves,
     print_term,
-    word_shape,
+    read_letter,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
 
@@ -110,17 +113,9 @@ def trace(c: PointedCoalgebra, depth: int) -> TraceSet:
     table = _state_traces(c, depth)
     per_depth = []
     for d in range(depth + 1):
-        items = []
-        empty = False
-        for (s, i) in c.pointing.pairs():
-            state = (s, c.point[(s, i)])
-            terms = table[(state, d)]
-            if not terms:
-                empty = True
-                break
-            items.append(((s, i), terms))
-        if not empty:
-            per_depth.append((d, tuple(items)))
+        items = tuple((key, table[((key[0], c.point[key]), d)]) for key in c.pointing.pairs())
+        if all(terms for _key, terms in items):
+            per_depth.append((d, items))
     return TraceSet(c.functor, c.pointing, depth, tuple(per_depth))
 
 
@@ -131,91 +126,82 @@ def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Instance decodings
+# Words
 
-def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
-    """Trace values decoded as words (final-marker words keep the marker).
+Word = tuple[Letter, ...]
 
-    As in :func:`trace`, depth d contributes only when every pointed
-    state has a trace of depth d.
+
+def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Word]]:
+    """The traces of a letter-labelled system as words, per pointing element.
+
+    A word is a tuple of letters (see :func:`functors.letter_shape`); a
+    word that stops at a marker ``m`` ends with ``(None, m)``, and one that
+    stops at the cut has no end item.  The words of a state set S at
+    depth d are the markers of its states and ``l + w`` for each word w
+    of ``post_l(S)`` at depth d - 1, built depth by depth for the sets
+    the pointing reaches.  As in :func:`trace`, depth d contributes only
+    when every pointed element has a word of depth d.
+
+    Raises :class:`CoalgError` when a reached state sits at a sort that
+    is not letter-shaped.
     """
-    shape = word_shape(c.functor)
-    if shape is None:
-        raise CoalgError("not a word-shaped functor (A x Id, optionally + a final marker)")
     if depth < 0:
         raise CoalgError("depth must be non-negative")
-    marker = shape[1]
-    if c.functor.sorts != (DEFAULT_SORT,):
-        # the states of another sort need not be word-shaped: decode the terms
-        return _trace_words(trace(c, depth), marker)
-    # per state: letter -> successor set, and whether it has the marker
-    post: dict[tuple[str, str], dict[str, set[tuple[str, str]]]] = {}
-    marked = set()
-    for key, terms in c.xi.items():
-        post[key] = {}
-        for t in terms:
-            if isinstance(t, Inj):
-                if t.index == 1:
-                    marked.add(key)
-                    continue
-                t = t.arg
-            letter, succ = t.args
-            post[key].setdefault(letter.name, set()).add((succ.sort, succ.name))
-    starts = [frozenset([(s, c.point[(s, i)])]) for s, i in c.pointing.pairs()]
+    read: dict[tuple[str, str], tuple[set[Word], dict[Letter, set]]] = {}
 
-    def moves_of(states: frozenset) -> list[tuple[str, tuple[frozenset]]]:
-        step: dict[str, set[tuple[str, str]]] = {}
+    def read_state(x: tuple[str, str]) -> tuple[set[Word], dict[Letter, set]]:
+        """The marker words of state ``x``, and its successors per letter."""
+        if x not in read:
+            if letter_shape(c.functor.node(x[0])) is None:
+                raise CoalgError(f"state {x[1]!r} sits at sort {x[0]!r}, which is not letter-shaped")
+            marks, post = set(), {}
+            for letter, succ in map(read_letter, c.xi[x]):
+                if succ is None:
+                    marks.add((letter,))
+                else:
+                    post.setdefault(letter, set()).add((succ.sort, succ.name))
+            read[x] = marks, post
+        return read[x]
+
+    def moves_of(states: frozenset) -> list[tuple[Letter, tuple[frozenset]]]:
+        step: dict[Letter, set] = {}
         for x in states:
-            for letter, ys in post[x].items():
+            for letter, ys in read_state(x)[1].items():
                 step.setdefault(letter, set()).update(ys)
         return [(letter, (frozenset(ys),)) for letter, ys in step.items()]
 
-    dist, moves = _reach(starts, depth, moves_of)
+    starts = {key: frozenset([(key[0], c.point[key])]) for key in c.pointing.pairs()}
+    dist, moves = _reach(starts.values(), depth, moves_of)
+    # reading the marker words of every reached set checks its sorts too
+    marked = {states: set().union(*(read_state(x)[0] for x in states)) for states in dist}
     # W(S, d), depth by depth, for each set S reached in at most depth - d steps
-    words: set[str] = set()
-    prev: dict[frozenset, set[str]] = {}
-    for d in range(depth + 1):
-        cur: dict[frozenset, set[str]] = {}
+    found = {key: {()} for key in starts}
+    prev = dict.fromkeys(dist, {()})
+    for d in range(1, depth + 1):
+        cur: dict[frozenset, set[Word]] = {}
         for states, k in dist.items():
-            if k > depth - d:
-                continue
-            if d == 0:
-                cur[states] = {""}
-                continue
-            out = {marker} if not marked.isdisjoint(states) else set()
-            for letter, (target,) in moves[states]:
-                out.update(letter + w for w in prev[target])
-            cur[states] = out
-        per_point = [cur[states] for states in starts]
-        if all(per_point):
-            words.update(*per_point)
+            if k <= depth - d:
+                out = set(marked[states])
+                for letter, (target,) in moves[states]:
+                    out.update([(letter,) + w for w in prev[target]])
+                cur[states] = out
+        if all(cur[states] for states in starts.values()):
+            for key, states in starts.items():
+                found[key] |= cur[states]
         prev = cur
-    return words
+    return found
 
 
-def _trace_words(ts: TraceSet, marker: str | None) -> set[str]:
-    """The terms of a word-shaped trace set decoded as words."""
-    words = set()
-    for _d, items in ts.per_depth:
-        for _key, terms in items:
-            for t in terms:
-                letters, marked = decode_word(t)
-                words.add("".join(letters) + (marker if marked else ""))
-    return words
+def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
+    """The words of :func:`word_traces` over all pointing elements, each
+    spelt as its constants in order (a marker word keeps the marker)."""
+    return {"".join([name for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
 
 
 def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:
     """Trace values over a tree signature, printed with units at the cut."""
-    from .functors import Analytic
-
     if not isinstance(c.functor.node(DEFAULT_SORT), (Analytic, Coprod)):
         raise CoalgError("not a tree-signature functor")
-    ts = trace(c, depth)
-    out = set()
     memo: dict = {}
-    for _d, items in ts.per_depth:
-        for _key, terms in items:
-            for t in terms:
-                out.add(print_term(t, memo))
-    return out
+    return {print_term(t, memo) for _d, items in trace(c, depth).per_depth for _key, terms in items for t in terms}
 

@@ -18,6 +18,11 @@ fit test-sized inputs:
 - the depth-d trace sets of every carrier state at every depth
   (:func:`eager_state_traces`), against the table ``trace.trace`` fills
   only where the pointing reaches;
+- the traces of a letter-labelled system decoded from that table as
+  words (:func:`decode_letters`, :func:`trace_words`) and as bar strings
+  (:func:`table_bar_trace`), against the subset construction of
+  ``trace.word_traces`` and the bar strings ``nominal.bar_trace`` reads
+  off its words;
 - the breadth-first levels of a system walked afresh from its
   transition terms (:func:`literal_bfs`), against the levels a
   ``PointedCoalgebra`` computes once from its successor table;
@@ -43,6 +48,7 @@ from typing import Iterator, Mapping
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
     BOT,
+    CHECK,
     UNIT,
     UNIT_TERM,
     AnSym,
@@ -51,11 +57,11 @@ from coalgpath.functors import (
     Inj,
     SetOf,
     Term,
+    TermError,
     TupleTerm,
     UnitLeaf,
     Var,
     bot_of_plus1,
-    decode_word,
     eval_functor,
     fmap,
     map_leaves,
@@ -65,20 +71,24 @@ from coalgpath.functors import (
     word_shape,
 )
 from coalgpath.nominal import (
+    BAR_INDEX,
     AtomPool,
+    BarString,
     BindingFactorization,
     BindTerm,
     NomElem,
     PoolError,
     all_perms,
+    alpha_canonical,
     alpha_equal_bind,
     canonical_bind,
     extend_equivariant,
+    parse_state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
 from coalgpath.precise import Factorization, TermMap, TermSpace, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
-from coalgpath.trace import TraceSet
+from coalgpath.trace import TraceSet, trace
 
 BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
 
@@ -204,6 +214,96 @@ def literal_bfs(c: PointedCoalgebra) -> tuple[list[set[tuple[str, str]]], set[tu
         levels.append(nxt)
         level = nxt
     return levels, set().union(*levels)
+
+
+# ---------------------------------------------------------------------------
+# Words decoded from the general trace table
+
+def decode_word(term: Term) -> tuple[list[str], bool]:
+    """The letters of a nested term of a word-shaped functor, and whether
+    it stops at the marker (True) rather than at a path cut (False)."""
+    letters: list[str] = []
+    t = term
+    while True:
+        if isinstance(t, Inj):
+            if t.index == 1:
+                return letters, True
+            t = t.arg
+        if isinstance(t, UnitLeaf):
+            return letters, False
+        if not (isinstance(t, TupleTerm) and len(t.args) == 2 and isinstance(t.args[0], ConstElem)):
+            raise TermError(f"cannot decode {term!r} as a word")
+        letters.append(t.args[0].name)
+        t = t.args[1]
+
+
+def trace_words(ts: TraceSet, marker: str | None) -> set[str]:
+    """The terms of a word-shaped trace set decoded as words."""
+    words = set()
+    for _d, items in ts.per_depth:
+        for _key, terms in items:
+            for t in terms:
+                letters, marked = decode_word(t)
+                words.add("".join(letters) + (marker if marked else ""))
+    return words
+
+
+def decode_letters(term: Term) -> tuple:
+    """A nested term of a letter-labelled system as the word
+    ``trace.word_traces`` gives it: (summand, constant) letters, then
+    ``(None, m)`` if it stops at a marker ``m``."""
+    out: list[tuple] = []
+    t = term
+    while not isinstance(t, UnitLeaf):
+        index = 0
+        if isinstance(t, Inj):
+            index, t = t.index, t.arg
+        if isinstance(t, ConstElem):
+            out.append((None, t.name))
+            break
+        out.append((index, t.args[0].name))
+        t = t.args[1]
+    return tuple(out)
+
+
+def decoded_word_traces(ts: TraceSet) -> dict[tuple[str, str], set[tuple]]:
+    """Per pointing element, the terms of a trace set decoded by
+    :func:`decode_letters`."""
+    out: dict[tuple[str, str], set[tuple]] = {key: set() for key in ts.pointing.pairs()}
+    for _d, items in ts.per_depth:
+        for key, terms in items:
+            out[key].update(decode_letters(t) for t in terms)
+    return out
+
+
+def decode_bar_term(t: Term) -> tuple[tuple[tuple[str, str], ...], str | None]:
+    """A trace term of an expanded register automaton as bar-string tokens
+    and its terminal: the final marker or the cut."""
+    tokens: list[tuple[str, str]] = []
+    current = t
+    while True:
+        if isinstance(current, UnitLeaf):
+            return tuple(tokens), "cut"
+        if isinstance(current, Inj) and current.index == 0:
+            return tuple(tokens), CHECK
+        if not (isinstance(current, Inj) and isinstance(current.arg, TupleTerm)):
+            raise CoalgError(f"cannot decode trace term {current!r}")
+        atom = current.arg.args[0].name  # type: ignore[union-attr]
+        tokens.append(("bar" if current.index == BAR_INDEX else "free", atom))
+        current = current.arg.args[1]
+
+
+def table_bar_trace(system: PointedCoalgebra, depth: int) -> frozenset[tuple]:
+    """``nominal.bar_trace`` through the general trace table: every trace
+    term decoded by :func:`decode_bar_term`, closed over its context."""
+    out: set[tuple] = set()
+    for _d, items in trace(system, depth).per_depth:
+        for (_s, iname), terms in items:
+            _q, context = parse_state_name("c" + iname)
+            for t in terms:
+                tokens, terminal = decode_bar_term(t)
+                out.add(alpha_canonical(BarString(tokens, terminal, context)))
+    return frozenset(out)
 
 
 def legacy_term_key(t: Term) -> tuple:

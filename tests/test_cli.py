@@ -156,6 +156,26 @@ class TestVerbs:
         assert code == 2
         assert text == "error: line 6: morphism 'f' names '9', which is not an object\n"
 
+    def test_identity_of_unlisted_object_exit_two(self, tmp_path):
+        path = tmp_path / "bad.cat"
+        path.write_text(
+            "[objects]\na b\n\n[morphisms]\nida : a -> a\n\n[identities]\na : ida\nc : idb\n\n"
+            "[composition]\nida o ida = ida\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == ("error: line 9: identity 'idb' names 'c', which is not an object\n", 2)
+
+    def test_missing_identity_exit_one(self, tmp_path):
+        path = tmp_path / "bad.cat"
+        path.write_text(
+            "[objects]\na b\n\n[morphisms]\nida : a -> a\n\n[identities]\na : ida\n\n"
+            "[composition]\nida o ida = ida\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == ("invalid category: identity: no identity for 'b'\n", 1)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -261,3 +281,17 @@ class TestDeterminism:
             first = run_command(argv)
             second = run_command(argv)
             assert first == second
+
+    def test_consecutive_calls_share_no_state(self, lts_file, hom_files):
+        """The parser is built once; a flag or option given to one call is
+        not seen by the next, and a usage error leaves nothing behind."""
+        runs = ["runs", lts_file, "--depth", "1"]
+        plain = run_command(runs)
+        assert BOT in plain[0]
+        assert BOT not in run_command(["--ascii", *runs])[0]
+        assert run_command(runs) == plain
+        bounded = run_command(["open", *hom_files, "--bound", "7"])
+        assert "(bound 7)" in bounded[0]
+        assert "(bound 3)" in run_command(["open", *hom_files])[0]
+        assert run_command(["runs", lts_file, "--depth", "x"]) == ("", 2)
+        assert run_command(runs) == plain

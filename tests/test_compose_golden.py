@@ -49,6 +49,10 @@ CASES = [
     # a word functor over two sorts (word trace path)
     ("twosorted-word-trace", ["trace", "twosorted_word.model", "--depth", "3"], 0),
     ("twosorted-word-runs", ["runs", "twosorted_word.model", "--depth", "2"], 0),
+    # sort * reads like a word functor, but the sort it leads to does not:
+    # both verbs print terms
+    ("mixed-runs", ["runs", "mixed.model", "--depth", "2"], 0),
+    ("mixed-trace", ["trace", "mixed.model", "--depth", "3"], 0),
 ]
 
 

@@ -33,6 +33,7 @@ from coalgpath.modelio import (
     parse_path,
     parse_rnna,
     print_category,
+    print_model,
     print_coalgebra,
     print_functor_node,
     print_path,
@@ -225,22 +226,7 @@ q0 -> a
 
 
 class TestPathFiles:
-    PATH_TEXT = """\
-[functor]
-prod(const(a b), id)
-
-[pointing]
-*
-
-[levels]
-0 : *
-1 : n0
-2 :
-
-[steps]
-0 : * -> (a, n0)
-1 : n0 -> bot
-"""
+    PATH_TEXT = (pathlib.Path(__file__).parent / "fixtures" / "word.path").read_text(encoding="utf-8")
 
     def test_parse_and_roundtrip(self):
         p = parse_path(self.PATH_TEXT)
@@ -383,6 +369,18 @@ class TestCategoryFiles:
         cat = parse_category(text)
         assert cat.comp[("m01", "id0")] == "m01"
 
+    def test_identity_of_a_non_object_rejected_with_line(self):
+        text = "[objects]\na b\n\n[identities]\na : ida\nc : idb\n"
+        with pytest.raises(ModelParseError, match="line 6: .*'c', which is not an object"):
+            parse_category(text)
+
+    def test_missing_identity_roundtrips_and_is_reported(self):
+        text = print_category(poset_category(2)).replace("1 : id1\n", "")
+        cat = parse_category(text)
+        assert "1" not in cat.identities
+        assert print_category(cat) == text
+        assert [v.detail for v in validate_category(cat) if v.kind == "identity"] == ["no identity for '1'"]
+
 
 class TestRnnaFiles:
     def test_roundtrip(self):
@@ -484,7 +482,9 @@ class TestFig3PathFile:
 
 
 # every model file under fixtures/, split into words, single characters
-# and whitespace runs; mutations insert or delete one such token
+# and whitespace runs; mutations insert or delete one such token.  A
+# mutant either raises CoalgError or parses to a model whose printed
+# text prints again unchanged
 FIXTURE_TEXTS = [
     p.read_text(encoding="utf-8")
     for p in sorted((pathlib.Path(__file__).parent / "fixtures").rglob("*"))
@@ -511,9 +511,12 @@ class TestMutatedFixtures:
             else:
                 tokens.insert(position, token)
         try:
-            parse_model("".join(tokens))
+            model = parse_model("".join(tokens))
         except CoalgError:
-            pass
+            return
+        # whatever parses prints, and the printed text is canonical
+        printed = print_model(model)
+        assert print_model(parse_model(printed)) == printed
 
 
 # map files over the carriers of fixtures: the identity on lts_ab.model,

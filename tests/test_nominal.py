@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +30,10 @@ from coalgpath.nominal import (
     perm_term,
     rnna_expand,
     support,
-    _decode_bar_term,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
 
-from oracles import binding_precise_oracle, binding_roundtrip_ok
+from oracles import binding_precise_oracle, binding_roundtrip_ok, decode_bar_term, table_bar_trace
 
 CHECK = chr(0x2713)
 
@@ -329,6 +329,40 @@ class TestBarTrace:
         assert bar_trace(rnna_expand(r, POOL3), 3) == bar_trace(rnna_expand(r, AtomPool(4)), 3)
 
 
+def random_presentation(seed: int) -> RnnaPresentation:
+    """A random automaton of 2-3 control states with 0-2 registers each
+    and 3-6 rules."""
+    rng = random.Random(f"rnna/{seed}")
+    states = {f"q{k}": rng.randint(0, 2) for k in range(rng.randint(2, 3))}
+    rules = []
+    for _ in range(rng.randint(3, 6)):
+        src, target = rng.choice(sorted(states)), rng.choice(sorted(states))
+        arity, target_arity = states[src], states[target]
+        kind = rng.choice(["ok", "read", "bind"])
+        if kind == "read" and arity and target_arity <= arity:
+            sigma = tuple(rng.sample(range(1, arity + 1), target_arity))
+            rules.append(RnnaRule("read", src, target, register=rng.randint(1, arity), sigma=sigma))
+        elif kind == "bind" and target_arity <= arity + 1:
+            sigma = tuple(rng.sample(range(arity + 1), target_arity))
+            rules.append(RnnaRule("bind", src, target, sigma=sigma))
+        else:
+            rules.append(RnnaRule("ok", src))
+    return RnnaPresentation(states, rng.choice(sorted(states)), tuple(rules))
+
+
+class TestBarTraceAgainstTable:
+    def test_random_presentations(self):
+        """Bar strings read off words against the decoded general table."""
+        for seed in range(100):
+            r = random_presentation(seed)
+            for size in (2, 3, 4):
+                if size <= max(r.states.values()):
+                    continue
+                system = rnna_expand(r, AtomPool(size))
+                for depth in (0, 2, 5):
+                    assert bar_trace(system, depth) == table_bar_trace(system, depth), (seed, size, depth)
+
+
 class TestMalformedAutomatonTerms:
     """Malformed terms raise CoalgError, also under ``python -O``."""
 
@@ -342,7 +376,7 @@ class TestMalformedAutomatonTerms:
     @pytest.mark.parametrize("term", BAD)
     def test_decode_bar_term(self, term):
         with pytest.raises(CoalgError):
-            _decode_bar_term(term)
+            decode_bar_term(term)
 
 
 def presentation_trace_oracle(r: RnnaPresentation, pool: AtomPool, depth: int) -> frozenset:

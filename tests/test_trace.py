@@ -31,10 +31,10 @@ from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import reachable_bfs
 from coalgpath.paths import comp, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
-from coalgpath.trace import _trace_words, lts_language, trace, trace_equiv, tree_partial_runs
+from coalgpath.trace import lts_language, trace, trace_equiv, tree_partial_runs, word_traces
 
 from conftest import linear_word_system, single, trace_pairs, var
-from oracles import eager_state_traces, prefix_closed
+from oracles import decoded_word_traces, eager_state_traces, prefix_closed, trace_words
 
 CHECK = chr(0x2713)
 
@@ -256,7 +256,7 @@ class TestLtsLanguage:
             c = random_coalgebra(GenSpec(f, {DEFAULT_SORT: rng.randint(1, 6)}, rng.choice([0.2, 0.4]), seed))
             words = lts_language(c, 6)
             assert words == graph_bfs_language(c, 6), f"seed {seed}"
-            assert words == _trace_words(trace(c, 6), marker), f"seed {seed}"
+            assert words == trace_words(trace(c, 6), marker), f"seed {seed}"
 
     @staticmethod
     def _two_pointed(stuck_trans):
@@ -282,19 +282,19 @@ class TestLtsLanguage:
         # p0 has a trace of depth 2 (a, then b to the dead p2) but none of depth 3
         c = self._two_pointed((Inj(0, TupleTerm((ConstElem("b"), var("p2")))),))
         words = lts_language(c, 5)
-        assert words == _trace_words(trace(c, 5), CHECK)
+        assert words == trace_words(trace(c, 5), CHECK)
         assert max(len(w.rstrip(CHECK)) for w in words) == 2
         assert {"ab", "ba", CHECK, "a" + CHECK} <= words
 
     def test_stuck_from_the_start(self):
         # p0's only successor p1 is dead, so only depths 0 and 1 survive
         c = self._two_pointed(())
-        assert lts_language(c, 4) == _trace_words(trace(c, 4), CHECK) == {"", "a", "b", CHECK}
+        assert lts_language(c, 4) == trace_words(trace(c, 4), CHECK) == {"", "a", "b", CHECK}
 
     def test_marker_keeps_a_pointed_state_alive(self):
         c = self._two_pointed((Inj(1, ConstElem(CHECK)),))
         words = lts_language(c, 4)
-        assert words == _trace_words(trace(c, 4), CHECK)
+        assert words == trace_words(trace(c, 4), CHECK)
         assert "abab" in words and "a" + CHECK in words
 
     def test_multisorted_word_functor(self):
@@ -323,6 +323,71 @@ class TestLtsLanguage:
         )
         with pytest.raises(CoalgError):
             lts_language(c, 2)
+
+
+def random_letter_system(seed: int) -> PointedCoalgebra:
+    """A random letter-labelled system: one or two sorts, each a coproduct
+    of 2-3 letter summands leading to random sorts and 0-2 markers, with
+    one or two pointed elements."""
+    rng = random.Random(f"letters/{seed}")
+    sorts = (DEFAULT_SORT,) if rng.random() < 0.5 else (DEFAULT_SORT, "b")
+    nodes = {}
+    for s in sorts:
+        parts = [Prod((Const(tuple(rng.sample("abc", rng.randint(1, 2)))), SortRef(rng.choice(sorts))))
+                 for _ in range(rng.randint(2, 3))]
+        for m in rng.sample("mn", rng.randint(0, 2)):
+            parts.insert(rng.randint(0, len(parts)), Const((m,)))
+        nodes[s] = Coprod(tuple(parts))
+    f = multisorted(sorts, nodes)
+    names = ["i", "j"][: rng.randint(1, 2)]
+    pointing = SortedSet.make({s: (names if s == DEFAULT_SORT else []) for s in sorts}, sorts)
+    sizes = {s: rng.randint(1, 3) for s in sorts}
+    return random_coalgebra(GenSpec(f, sizes, rng.choice([0.2, 0.3]), seed, pointing))
+
+
+class TestWordTraces:
+    def test_oracle_agreement_on_random_letter_systems(self):
+        """The subset construction against the general table, decoded, per
+        pointing element and depth."""
+        shapes = set()
+        for seed in range(120):
+            c = random_letter_system(seed)
+            shapes.add((len(c.functor.sorts), c.pointing.size()))
+            for depth in range(7):
+                assert word_traces(c, depth) == decoded_word_traces(trace(c, depth)), f"seed {seed} depth {depth}"
+        assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+    def test_letters_keep_their_summand(self):
+        # the same constant in two summands makes two letters
+        f = functor(Coprod((Prod((Const(("a",)), SortRef())), Prod((Const(("a",)), SortRef())), Const(("m",)))))
+        c = PointedCoalgebra(
+            f,
+            single(["*"]),
+            single(["q"]),
+            {(DEFAULT_SORT, "*"): "q"},
+            {(DEFAULT_SORT, "q"): (
+                Inj(0, TupleTerm((ConstElem("a"), var("q")))),
+                Inj(1, TupleTerm((ConstElem("a"), var("q")))),
+                Inj(2, ConstElem("m")),
+            )},
+        )
+        assert word_traces(c, 1) == {(DEFAULT_SORT, "*"): {(), ((0, "a"),), ((1, "a"),), ((None, "m"),)}}
+        assert lts_language(c, 1) == {"", "a", "m"}
+
+    def test_unshaped_sort_rejected_when_reached(self):
+        # sort b's second summand is a bare sort leaf
+        f = multisorted((DEFAULT_SORT, "b"), {DEFAULT_SORT: Prod((Const(("a",)), SortRef("b"))),
+                                              "b": Coprod((Const(("c",)), SortRef(DEFAULT_SORT)))})
+        c = PointedCoalgebra(
+            f,
+            SortedSet.make({DEFAULT_SORT: ["*"], "b": []}, f.sorts),
+            SortedSet.make({DEFAULT_SORT: ["q0"], "b": ["r0"]}, f.sorts),
+            {(DEFAULT_SORT, "*"): "q0"},
+            {(DEFAULT_SORT, "q0"): (TupleTerm((ConstElem("a"), Var("b", "r0"))),), ("b", "r0"): ()},
+        )
+        assert word_traces(c, 0) == {(DEFAULT_SORT, "*"): {()}}
+        with pytest.raises(CoalgError, match="not letter-shaped"):
+            word_traces(c, 1)
 
 
 class TestTreePartialRuns:
