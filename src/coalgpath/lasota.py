@@ -5,16 +5,34 @@ sort P, the coproduct over Q of hom(P,Q) x X_Q (empty hom-sets are
 dropped).  The pointing is the characteristic family: a singleton at the
 distinguished initial object and empty elsewhere.  Paths out of that
 pointing then correspond exactly to composable morphism sequences, which
-``paths_bijection_check`` verifies by enumerating both sides.
+``paths_bijection_check`` verifies by enumerating both sides.  Its
+second criterion, that a one-element map out of the pointing is precise
+exactly when the pointing is characteristic, is decided per sort from
+the sort's shapes; only a sort with a shape that disagrees is checked
+carrier by carrier.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from .functors import Const, Coprod, Functor, Inj, Prod, SortRef, TupleTerm, multisorted
-from .precise import TermMap, TermSpace, enumerate_precise_maps, is_precise
+from .functors import (
+    Const,
+    Coprod,
+    Functor,
+    Inj,
+    Node,
+    Prod,
+    SortRef,
+    Term,
+    TupleTerm,
+    eval_functor,
+    multisorted,
+    occurrences,
+)
+from .precise import TermMap, TermSpace, element_shapes, enumerate_precise_maps, is_precise
 from .sets import CoalgError, SortedSet, singleton_pointing
 
 POINT_ELEM = "*"
@@ -141,17 +159,17 @@ def composable_sequences(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
-def _decode_step(cat: FiniteCategory, p: str, step: TermMap) -> tuple[str, str] | None:
-    """Read off (morphism, target object) from a one-element precise step."""
+def _decode_step(targets: list[str], step: TermMap) -> tuple[str, str] | None:
+    """Read off (morphism, target object) from a one-element precise step,
+    given the summand targets of the step's sort."""
     items = list(step.table.items())
     if len(items) != 1:
         return None
     (_key, term) = items[0]
     if not (isinstance(term, Inj) and isinstance(term.arg, TupleTerm)):
         return None
-    q = lasota_summand_targets(cat, p)[term.index]
     mor = term.arg.args[0].name  # type: ignore[union-attr]
-    return mor, q
+    return mor, targets[term.index]
 
 
 def enumerate_lasota_paths(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
@@ -161,22 +179,33 @@ def enumerate_lasota_paths(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]
     level; by the characteristic-family structure every level is a
     singleton at one sort and each step carries exactly one morphism.
     """
-    f = lasota_functor(cat)
-    sequences: list[tuple[str, ...]] = []
+    return _lasota_paths_by_length(cat, lasota_functor(cat), n)[n]
+
+
+def _lasota_paths_by_length(cat: FiniteCategory, f: Functor, n: int) -> list[list[tuple[str, ...]]]:
+    """The sequences of ``enumerate_lasota_paths`` at every length up to n,
+    from one walk over the paths.  The steps out of each level are
+    enumerated and decoded once, with the summand targets of its object."""
+    by_length: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
+    steps: dict[tuple[SortedSet, str], list[tuple[str, str, SortedSet]]] = {}
 
     def rec(level: SortedSet, at: str, acc: tuple[str, ...]):
+        by_length[len(acc)].append(acc)
         if len(acc) == n:
-            sequences.append(acc)
             return
-        for codomain, step in enumerate_precise_maps(level, f):
-            decoded = _decode_step(cat, at, step)
-            if decoded is None:
-                raise CoalgError("lasota path level did not decode to one morphism")
-            mor, q = decoded
+        if (level, at) not in steps:
+            targets = lasota_summand_targets(cat, at)
+            steps[(level, at)] = []
+            for codomain, step in enumerate_precise_maps(level, f):
+                decoded = _decode_step(targets, step)
+                if decoded is None:
+                    raise CoalgError("lasota path level did not decode to one morphism")
+                steps[(level, at)].append((*decoded, codomain))
+        for mor, q, codomain in steps[(level, at)]:
             rec(codomain, q, acc + (mor,))
 
     rec(lasota_pointing(cat), cat.initial, ())
-    return sorted(sequences)
+    return [sorted(sequences) for sequences in by_length]
 
 
 @dataclass
@@ -187,47 +216,74 @@ class BijectionReport:
     mismatches: list[str] = field(default_factory=list)
 
 
-def _all_small_carriers(sorts: tuple[str, ...], max_per_sort: int) -> Iterator[SortedSet]:
-    import itertools
+def _shape_disagrees(node: Node, shape: Term, max_y: int) -> bool:
+    """Whether some carrier with at most ``max_y`` elements per sort has a
+    term of this shape on which "the one-element map picking it is
+    precise" and "the carrier has exactly one element" differ.
 
-    for sizes in itertools.product(range(max_per_sort + 1), repeat=len(sorts)):
-        yield SortedSet(
-            sorts,
-            tuple(tuple(f"y{i}" for i in range(k)) for k in sizes),
-        )
+    The map picking ``t`` is precise iff ``t`` uses every element of the
+    carrier exactly once.  A shape without leaves is precise over the
+    empty carrier; a shape with one leaf is precise exactly over its one
+    element.  A shape with two or more leaves is not precise over a
+    one-element carrier, which it has a term over only when all its leaves
+    share a sort, and it is precise over a carrier of its own leaves,
+    which fits the bound only when no sort has more than ``max_y`` of
+    them.  So a shape with more than ``max_y`` leaves of one sort and a
+    leaf of another sort never disagrees within the bound.
+    """
+    leaf_sorts = Counter(var.sort for var, _path in occurrences(node, shape))
+    leaves = sum(leaf_sorts.values())
+    if leaves == 0:
+        return True
+    if leaves == 1 or max_y < 1:
+        return False
+    return len(leaf_sorts) == 1 or max(leaf_sorts.values()) <= max_y
 
 
-def _is_characteristic(y: SortedSet) -> bool:
-    return y.size() == 1
+def _carrier_mismatches(f: Functor, sorts: tuple[str, ...], p: str, max_y: int) -> list[str]:
+    """The criterion at sort ``p`` checked term by term over every carrier
+    with at most ``max_y`` elements per sort, one line per failing term."""
+    chi_p = singleton_pointing(sorts, at=p, name=POINT_ELEM)
+    lines = []
+    for sizes in itertools.product(range(max_y + 1), repeat=len(sorts)):
+        y = SortedSet(sorts, tuple(tuple(f"y{i}" for i in range(k)) for k in sizes))
+        for t in eval_functor(f, y)[p]:
+            tm = TermMap(chi_p, TermSpace(f, y), {(p, POINT_ELEM): t})
+            if is_precise(tm) != (y.size() == 1):
+                lines.append(f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}")
+    return lines
+
+
+def _precise_iff_characteristic(f: Functor, sorts: tuple[str, ...], max_y: int) -> list[str]:
+    """Where the precise-iff-characteristic criterion fails for one-element
+    maps out of each sort, over carriers with at most ``max_y`` elements
+    per sort.
+
+    Each sort is decided from its shapes; only a sort with a disagreeing
+    shape is checked carrier by carrier, for its mismatch lines.
+    """
+    lines = []
+    for p in sorts:
+        node = f.node(p)
+        if any(_shape_disagrees(node, shape, max_y) for shape in element_shapes(f, p)):
+            lines.extend(_carrier_mismatches(f, sorts, p, max_y))
+    return lines
 
 
 def paths_bijection_check(cat: FiniteCategory, n: int, max_y: int = 2) -> BijectionReport:
     """Paths of length <= n against composable sequences, plus the
     precise-iff-characteristic criterion for maps out of the pointing."""
     report = BijectionReport(ok=True)
-    for length in range(n + 1):
-        paths = enumerate_lasota_paths(cat, length)
+    f = lasota_functor(cat)
+    for length, paths in enumerate(_lasota_paths_by_length(cat, f, n)):
         seqs = composable_sequences(cat, length)
         report.per_length.append((length, len(paths), len(seqs)))
         if paths != seqs:
             report.ok = False
             report.mismatches.append(f"length {length}: paths {paths} != sequences {seqs}")
-    f = lasota_functor(cat)
-    from .functors import eval_functor
-
-    for p in cat.objects:
-        chi_p = singleton_pointing(tuple(cat.objects), at=p, name=POINT_ELEM)
-        for y in _all_small_carriers(tuple(cat.objects), max_y):
-            terms = eval_functor(f, y)[p]
-            for t in terms:
-                tm = TermMap(chi_p, TermSpace(f, y), {(p, POINT_ELEM): t})
-                expected = _is_characteristic(y)
-                got = is_precise(tm)
-                if got != expected:
-                    report.ok = False
-                    report.precise_ok = False
-                    report.mismatches.append(
-                        f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}"
-                    )
+    mismatches = _precise_iff_characteristic(f, tuple(cat.objects), max_y)
+    if mismatches:
+        report.ok = False
+        report.precise_ok = False
+        report.mismatches.extend(mismatches)
     return report
-

@@ -726,7 +726,12 @@ def parse_category(text: str) -> FiniteCategory:
         raise ModelParseError("empty [objects] section")
     initial = objects[0]
     if "initial" in sections:
-        initial = " ".join(line for _n, line in sections["initial"].lines).strip()
+        initial_lines = sections["initial"].lines
+        if not initial_lines:
+            raise ModelParseError("empty [initial] section")
+        initial = " ".join(line for _n, line in initial_lines).strip()
+        if initial not in objects:
+            raise ModelParseError(f"initial object {initial!r} is not an object", initial_lines[0][0])
     morphisms: list[tuple[str, str, str]] = []
     for lineno, line in sections.get("morphisms", Section("m", [])).lines:
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)

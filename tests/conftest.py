@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from coalgpath.coalgebra import PointedCoalgebra, lts_coalgebra
 from coalgpath.functors import (
@@ -126,3 +127,34 @@ def poset_category(chain: int) -> FiniteCategory:
 
 def one_object_category() -> FiniteCategory:
     return FiniteCategory(("0",), (("id0", "0", "0"),), {"0": "id0"}, {("id0", "id0"): "id0"}, "0")
+
+
+def random_category(seed: int, max_objects: int = 4) -> FiniteCategory:
+    """A seeded random preorder on 1..max_objects objects times a cyclic
+    group of order 1 or 2: each related pair (i, j) has one morphism
+    ``f<i><j>g<k>`` per group element k, composed componentwise."""
+    rng = random.Random(seed)
+    k = rng.randint(1, max_objects)
+    order = rng.randint(1, 2)
+    leq = {(i, j) for i in range(k) for j in range(k) if i == j or rng.random() < 0.3}
+    while True:
+        closed = leq | {(i, l) for (i, j) in leq for (j2, l) in leq if j == j2}
+        if closed == leq:
+            break
+        leq = closed
+
+    def name(i: int, j: int, g: int) -> str:
+        return f"f{i}{j}g{g}"
+
+    morphisms = tuple((name(i, j, g), str(i), str(j)) for (i, j) in sorted(leq) for g in range(order))
+    identities = {str(i): name(i, i, 0) for i in range(k)}
+    comp = {
+        (name(j, l, g), name(i, j, h)): name(i, l, (g + h) % order)
+        for (i, j) in leq
+        for (j2, l) in leq
+        if j == j2
+        for g in range(order)
+        for h in range(order)
+    }
+    objects = tuple(str(i) for i in range(k))
+    return FiniteCategory(objects, morphisms, identities, comp, rng.choice(objects))

@@ -8,6 +8,10 @@ fit test-sized inputs:
   against the occurrence criterion ``precise.is_precise``;
 - the lifting definition for the binding layer of register automata
   (:func:`binding_precise_oracle`);
+- the precise-iff-characteristic criterion for one-element maps, checked
+  term by term over every small carrier
+  (:func:`precise_iff_characteristic_oracle`), against the per-sort
+  decision ``lasota`` reads off the shapes;
 - the homset-order structure of behaviour maps: unit decomposition and
   choice lifting;
 - simulation and bisimulation of labelled transition systems, as
@@ -86,8 +90,8 @@ from coalgpath.nominal import (
     parse_state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
-from coalgpath.precise import Factorization, TermMap, TermSpace, precise_factorize
-from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from coalgpath.precise import Factorization, TermMap, TermSpace, is_precise, precise_factorize
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, trace
 
 BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
@@ -494,6 +498,37 @@ def _has_diagonal(
         if all(fmap(functor, d, s, f(s, xe)) == k[(s, xe)] for (s, xe) in x.pairs()):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Precise iff characteristic: one-element maps checked carrier by carrier
+
+def _all_small_carriers(sorts: tuple[str, ...], max_per_sort: int) -> Iterator[SortedSet]:
+    for sizes in itertools.product(range(max_per_sort + 1), repeat=len(sorts)):
+        yield SortedSet(sorts, tuple(tuple(f"y{i}" for i in range(k)) for k in sizes))
+
+
+def _is_characteristic(y: SortedSet) -> bool:
+    return y.size() == 1
+
+
+def precise_iff_characteristic_oracle(f: Functor, objects: tuple[str, ...], max_y: int) -> list[str]:
+    """For every sort ``p``, every carrier Y with at most ``max_y``
+    elements per sort and every term ``t`` of F(Y) at ``p``: the map from
+    a singleton at ``p`` picking ``t`` is precise iff Y has exactly one
+    element.  One line per term where that fails, as
+    ``lasota.paths_bijection_check`` reports it.  Exhaustive: evaluates
+    F at (max_y + 1)^|objects| carriers per sort.
+    """
+    lines = []
+    for p in objects:
+        chi_p = singleton_pointing(tuple(objects), at=p, name="*")
+        for y in _all_small_carriers(tuple(objects), max_y):
+            for t in eval_functor(f, y)[p]:
+                tm = TermMap(chi_p, TermSpace(f, y), {(p, "*"): t})
+                if is_precise(tm) != _is_characteristic(y):
+                    lines.append(f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ class TestLruCache:
             assert want[DEFAULT_SORT] == fresh
 
     def test_eval_cache_bound_covers_a_lasota_chain(self):
-        # the lasota check on a 5-object chain evaluates 3^5 carriers
+        # the lasota check's carrier-by-carrier fallback evaluates 3^5
+        # carriers on a 5-object category
         assert functors._EVAL_CACHE.maxsize > 3 ** 5
 
 

@@ -166,6 +166,22 @@ class TestVerbs:
         text, code = run_command(["lasota", str(path), "--depth", "1"])
         assert (text, code) == ("error: line 9: identity 'idb' names 'c', which is not an object\n", 2)
 
+    def test_initial_not_an_object_exit_two(self, tmp_path):
+        path = tmp_path / "bad.cat"
+        path.write_text(
+            "[objects]\n0\n\n[initial]\nz\n\n[morphisms]\nid0 : 0 -> 0\n\n[identities]\n0 : id0\n\n"
+            "[composition]\nid0 o id0 = id0\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == ("error: line 5: initial object 'z' is not an object\n", 2)
+
+    def test_empty_initial_section_exit_two(self, tmp_path):
+        path = tmp_path / "bad.cat"
+        path.write_text("[objects]\n0\n\n[initial]\n\n[morphisms]\nid0 : 0 -> 0\n", encoding="utf-8")
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == ("error: empty [initial] section\n", 2)
+
     def test_missing_identity_exit_one(self, tmp_path):
         path = tmp_path / "bad.cat"
         path.write_text(

@@ -53,6 +53,8 @@ CASES = [
     # both verbs print terms
     ("mixed-runs", ["runs", "mixed.model", "--depth", "2"], 0),
     ("mixed-trace", ["trace", "mixed.model", "--depth", "3"], 0),
+    # the trace-enum benchmark's category, the 5-object chain
+    ("lasota-chain", ["lasota", "../chain.cat", "--depth", "3"], 0),
 ]
 
 

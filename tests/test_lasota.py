@@ -1,7 +1,8 @@
 import pytest
 
+from coalgpath import lasota
 from coalgpath.coalgebra import GenSpec
-from coalgpath.functors import Const, Coprod, Prod, SortRef, eval_functor
+from coalgpath.functors import Const, Coprod, Prod, SortRef, eval_functor, multisorted
 from coalgpath.lasota import (
     FiniteCategory,
     composable_sequences,
@@ -13,7 +14,9 @@ from coalgpath.lasota import (
 )
 from coalgpath.openmap import verify_theorems
 from coalgpath.sets import SortedSet
-from conftest import one_object_category, poset_category
+from coalgpath.precise import element_shapes
+from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, one_object_category, poset_category, random_category
+from oracles import precise_iff_characteristic_oracle
 
 
 class TestValidateCategory:
@@ -132,6 +135,111 @@ class TestPathsBijection:
     def test_precise_iff_characteristic_flag(self):
         report = paths_bijection_check(poset_category(2), 1)
         assert report.precise_ok
+
+
+def _a(k: int = 1):
+    return (SortRef("a"),) * k
+
+
+def _b(k: int = 1):
+    return (SortRef("b"),) * k
+
+
+# sort-a expressions whose shapes have 0, 1, 2 and 3 leaves over sorts a and b
+TWO_SORT_NODES = {
+    "const": Const(("c",)),
+    "a": SortRef("a"),
+    "b": SortRef("b"),
+    "aa": Prod(_a(2)),
+    "ab": Prod(_a() + _b()),
+    "aaa": Prod(_a(3)),
+    "aab": Prod(_a(2) + _b()),
+    "abb": Prod(_a() + _b(2)),
+    "const+a": Coprod((Const(("c",)), SortRef("a"))),
+    "a+b": Coprod((SortRef("a"), SortRef("b"))),
+    "a+ab": Coprod((SortRef("a"), Prod(_a() + _b()))),
+    "b+bbb": Coprod((SortRef("b"), Prod(_b(3)))),
+}
+
+
+def _flagged_sorts(f, objects, max_y):
+    return [p for p in objects if any(lasota._shape_disagrees(f.node(p), s, max_y) for s in element_shapes(f, p))]
+
+
+def _failing_sorts(lines):
+    return sorted({line.split("at sort ", 1)[1].split(",", 1)[0] for line in lines})
+
+
+def _agrees_with_oracle(f, objects, max_y):
+    """The shape rule flags exactly the sorts where the bounded loop finds
+    a failing term, and the mismatch lines are the loop's, byte for byte."""
+    want = precise_iff_characteristic_oracle(f, objects, max_y)
+    assert lasota._precise_iff_characteristic(f, objects, max_y) == want
+    assert sorted(_flagged_sorts(f, objects, max_y)) == _failing_sorts(want)
+    return want
+
+
+class TestPreciseIffCharacteristicOracle:
+    CATEGORIES = (
+        [poset_category(k) for k in range(1, 5)]
+        + [one_object_category()]
+        + [random_category(seed) for seed in range(6)]
+    )
+
+    @pytest.mark.parametrize("index", range(len(CATEGORIES)))
+    @pytest.mark.parametrize("max_y", [1, 2])
+    def test_lasota_functors_never_disagree(self, index, max_y):
+        cat = self.CATEGORIES[index]
+        assert validate_category(cat) == []
+        f = lasota_functor(cat)
+        assert _agrees_with_oracle(f, tuple(cat.objects), max_y) == []
+
+    def test_random_categories_are_varied(self):
+        cats = [random_category(seed) for seed in range(6)]
+        assert len({len(c.objects) for c in cats}) > 1
+        assert any(len(c.hom(c.initial, c.initial)) == 2 for c in cats)
+
+    @pytest.mark.parametrize("name_a", sorted(TWO_SORT_NODES))
+    @pytest.mark.parametrize("name_b", ["const", "b", "ab", "bbb"])
+    @pytest.mark.parametrize("max_y", [0, 1, 2])
+    def test_two_sort_functors(self, name_a, name_b, max_y):
+        node_b = {"const": Const(("d",)), "b": SortRef("b"), "ab": Prod(_a() + _b()), "bbb": Prod(_b(3))}[name_b]
+        f = multisorted(("a", "b"), {"a": TWO_SORT_NODES[name_a], "b": node_b})
+        _agrees_with_oracle(f, ("a", "b"), max_y)
+
+    @pytest.mark.parametrize("f", [FIG2, BAG2_PLUS1, LTS_AB_PLUS1, CONST_PLUS1], ids=["fig2", "bag2", "lts", "const"])
+    @pytest.mark.parametrize("max_y", [0, 1, 2])
+    def test_one_sort_functors(self, f, max_y):
+        _agrees_with_oracle(f, tuple(f.sorts), max_y)
+
+    def test_leaf_counts_decide(self):
+        # no leaf: fails at the empty carrier; one leaf: never; two leaves
+        # of one sort: fail at a one-element carrier
+        f = multisorted(("a", "b"), {"a": Coprod((Const(("c",)), SortRef("a"), Prod(_a(2)))), "b": SortRef("b")})
+        lines = _agrees_with_oracle(f, ("a", "b"), 1)
+        assert lines == [
+            "precise-iff-characteristic fails at sort a, carrier ((), ()), term in0(c)",
+            "precise-iff-characteristic fails at sort a, carrier ((), ('y0',)), term in0(c)",
+            "precise-iff-characteristic fails at sort a, carrier (('y0',), ()), term in0(c)",
+            "precise-iff-characteristic fails at sort a, carrier (('y0',), ()), term in2((y0, y0))",
+        ]
+
+    def test_blind_spot_of_the_bound(self):
+        # three a-leaves and a b-leaf: precise only over a carrier with three
+        # elements of sort a, which max_y = 2 never builds, and never over a
+        # one-element carrier, since it needs both sorts
+        f = multisorted(("a", "b"), {"a": Prod(_a(3) + _b()), "b": SortRef("b")})
+        assert _agrees_with_oracle(f, ("a", "b"), 2) == []
+        assert _agrees_with_oracle(f, ("a", "b"), 3) != []
+
+    def test_bijection_check_reads_no_carrier(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("carrier evaluated")
+
+        monkeypatch.setattr(lasota, "eval_functor", forbidden)
+        monkeypatch.setattr(lasota, "is_precise", forbidden)
+        report = paths_bijection_check(poset_category(5), 3)
+        assert report.ok and report.mismatches == []
 
 
 class TestLasotaHarness:
