@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, plus1, print_term, word_shape
+from .functors import DEFAULT_SORT, functor, plus1, print_term, word_separator, word_shape
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
@@ -26,7 +26,7 @@ from .modelio import (
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
 from .paths import comp, comps_are_words, enumerate_runs, step_letter
-from .precise import enumerate_precise_maps, is_precise, precise_factorize
+from .precise import is_precise, precise_chains, precise_factorize
 from .sets import CoalgError
 from .trace import lts_language, trace
 
@@ -139,27 +139,20 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "paths":
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
-        frontier = [(system.pointing, [])]
-        count = 0
-        for length in range(args.depth + 1):
-            new_frontier = []
-            for level, prefix in frontier:
-                out.append(f"path {count}: length {length}")
-                for k, (lv, step) in enumerate(prefix):
-                    for (s, e) in lv.pairs():
-                        out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step[(s, e)])}")
-                count += 1
-                if length < args.depth:
-                    for codomain, term_map in enumerate_precise_maps(level, fp1):
-                        new_frontier.append((codomain, prefix + [(level, term_map.table)]))
-            frontier = new_frontier
-        out.append(f"{count} paths")
+        # the first chain is the empty one, so count is always bound
+        for count, chain in enumerate(precise_chains(fp1, system.pointing, args.depth)):
+            out.append(f"path {count}: length {len(chain)}")
+            for k, step in enumerate(chain):
+                for (s, e) in step.dom.pairs():
+                    out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
+        out.append(f"{count + 1} paths")
         return 0
 
     if args.verb == "runs":
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
         as_words = comps_are_words(system.functor, system.pointing)
+        sep = word_separator(system.functor)
         # runs come depth first, each extending the last run one level
         # shorter: states[k] holds the k:e->x states of levels 0..k of the
         # last run, words[k] the word of its first k steps
@@ -176,7 +169,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             if as_words:
                 if n:
                     del words[n:]
-                    words.append(words[-1] + step_letter(path, n - 1))
+                    words.append(f"{words[-1]}{sep if n > 1 else ''}{step_letter(path, n - 1)}")
                 terms = words[n] or "ε"
             else:
                 terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in comp(path).values)

@@ -384,8 +384,9 @@ def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[
     raise TermError(f"unknown node {node!r}")
 
 
-# keyed by (functor, carrier); lasota on a 5-object chain alone evaluates
-# 243 carriers
+# keyed by (functor, carrier); the lasota check evaluates carriers only in
+# its fallback for a sort with a disagreeing shape, which on a 5-object
+# category walks 243 of them
 _EVAL_CACHE: LruCache = LruCache(1024)
 
 
@@ -621,3 +622,15 @@ def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
             return None
         seen.extend(t for t in targets if t not in seen)
     return node.parts[0].elems, marker
+
+
+def word_separator(f: Functor) -> str:
+    """What goes between the letters of a word spelt out over ``f``: a
+    space when some letter or marker of ``f`` (a constant of a
+    letter-shaped sort, see :func:`letter_shape`) is longer than one
+    character, so that the words ``ab`` and ``a b`` stay apart, and
+    nothing otherwise."""
+    shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
+    parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
+    consts = [p.parts[0] if isinstance(p, Prod) else p for p in parts]
+    return " " if any(len(c) > 1 for const in consts for c in const.elems) else ""

@@ -22,17 +22,16 @@ from .functors import (
     Const,
     Coprod,
     Functor,
-    Inj,
     Node,
     Prod,
     SortRef,
     Term,
-    TupleTerm,
     eval_functor,
     multisorted,
     occurrences,
+    read_letter,
 )
-from .precise import TermMap, TermSpace, element_shapes, enumerate_precise_maps, is_precise
+from .precise import TermMap, TermSpace, element_shapes, is_precise, precise_chains
 from .sets import CoalgError, SortedSet, singleton_pointing
 
 POINT_ELEM = "*"
@@ -132,11 +131,6 @@ def lasota_functor(cat: FiniteCategory) -> Functor:
     return multisorted(cat.objects, nodes)
 
 
-def lasota_summand_targets(cat: FiniteCategory, p: str) -> list[str]:
-    """The Q for each coproduct summand of the sort-P expression, in order."""
-    return [q for q in cat.objects if cat.hom(p, q)]
-
-
 def lasota_pointing(cat: FiniteCategory) -> SortedSet:
     return singleton_pointing(tuple(cat.objects), at=cat.initial, name=POINT_ELEM)
 
@@ -159,52 +153,26 @@ def composable_sequences(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
-def _decode_step(targets: list[str], step: TermMap) -> tuple[str, str] | None:
-    """Read off (morphism, target object) from a one-element precise step,
-    given the summand targets of the step's sort."""
-    items = list(step.table.items())
-    if len(items) != 1:
-        return None
-    (_key, term) = items[0]
-    if not (isinstance(term, Inj) and isinstance(term.arg, TupleTerm)):
-        return None
-    mor = term.arg.args[0].name  # type: ignore[union-attr]
-    return mor, targets[term.index]
-
-
 def enumerate_lasota_paths(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
     """Morphism sequences read off the paths of length n out of the pointing.
 
-    Paths are enumerated with the generic precise-map enumerator level by
-    level; by the characteristic-family structure every level is a
-    singleton at one sort and each step carries exactly one morphism.
+    Paths are the chains of the generic ``precise_chains``; by the
+    characteristic-family structure every level is a singleton at one
+    sort and each step carries exactly one morphism.
     """
     return _lasota_paths_by_length(cat, lasota_functor(cat), n)[n]
 
 
 def _lasota_paths_by_length(cat: FiniteCategory, f: Functor, n: int) -> list[list[tuple[str, ...]]]:
     """The sequences of ``enumerate_lasota_paths`` at every length up to n,
-    from one walk over the paths.  The steps out of each level are
-    enumerated and decoded once, with the summand targets of its object."""
+    read off the chains of precise maps out of the pointing: each step maps
+    the one element of its level to the letter ``(m, v)`` of a morphism m."""
     by_length: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
-    steps: dict[tuple[SortedSet, str], list[tuple[str, str, SortedSet]]] = {}
-
-    def rec(level: SortedSet, at: str, acc: tuple[str, ...]):
-        by_length[len(acc)].append(acc)
-        if len(acc) == n:
-            return
-        if (level, at) not in steps:
-            targets = lasota_summand_targets(cat, at)
-            steps[(level, at)] = []
-            for codomain, step in enumerate_precise_maps(level, f):
-                decoded = _decode_step(targets, step)
-                if decoded is None:
-                    raise CoalgError("lasota path level did not decode to one morphism")
-                steps[(level, at)].append((*decoded, codomain))
-        for mor, q, codomain in steps[(level, at)]:
-            rec(codomain, q, acc + (mor,))
-
-    rec(lasota_pointing(cat), cat.initial, ())
+    for chain in precise_chains(f, lasota_pointing(cat), n):
+        if any(len(step.table) != 1 for step in chain):
+            raise CoalgError("lasota path level did not decode to one morphism")
+        letters = [read_letter(term)[0] for step in chain for term in step.table.values()]
+        by_length[len(chain)].append(tuple(mor for _index, mor in letters))
     return [sorted(sequences) for sequences in by_length]
 
 

@@ -741,6 +741,7 @@ def parse_category(text: str) -> FiniteCategory:
             if end not in objects:
                 raise ModelParseError(f"morphism {m.group(1)!r} names {end!r}, which is not an object", lineno)
         morphisms.append((m.group(1), m.group(2), m.group(3)))
+    used: list[tuple[str, int]] = []  # morphism names, checked once every line has parsed
     identities: dict[str, str] = {}
     for lineno, line in sections.get("identities", Section("i", [])).lines:
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)", line)
@@ -748,13 +749,19 @@ def parse_category(text: str) -> FiniteCategory:
             raise ModelParseError("expected 'object : identity-name'", lineno)
         if m.group(1) not in objects:
             raise ModelParseError(f"identity {m.group(2)!r} names {m.group(1)!r}, which is not an object", lineno)
+        used.append((m.group(2), lineno))
         identities[m.group(1)] = m.group(2)
     comp: dict[tuple[str, str], str] = {}
     for lineno, line in sections.get("composition", Section("c", [])).lines:
         m = re.fullmatch(r"(\S+)\s+o\s+(\S+)\s*=\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'g o f = h'", lineno)
+        used.extend((name, lineno) for name in m.groups())
         comp[(m.group(1), m.group(2))] = m.group(3)
+    names = {name for name, _d, _c in morphisms}
+    for name, lineno in used:
+        if name not in names:
+            raise ModelParseError(f"{name!r} is not a morphism", lineno)
     return FiniteCategory(objects, tuple(morphisms), identities, comp, initial)
 
 

@@ -229,3 +229,17 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
             continue
         seen.add(dedupe_key)
         yield codomain, term_map
+
+
+def precise_chains(f_expr: Functor, start: SortedSet, depth: int) -> Iterator[tuple[TermMap, ...]]:
+    """Every chain of at most ``depth`` precise maps out of ``start``, each
+    map out of the codomain of the one before: the paths out of ``start``,
+    with each step's level its ``.dom``.  Chains come shortest first, then
+    in the order of their prefixes and of :func:`enumerate_precise_maps`,
+    which runs once per distinct level."""
+    out_of = functools.cache(lambda level: list(enumerate_precise_maps(level, f_expr)))
+    frontier: list[tuple[tuple[TermMap, ...], SortedSet]] = [((), start)]
+    for length in range(depth + 1):
+        yield from (chain for chain, _level in frontier)
+        if length < depth:
+            frontier = [(chain + (step,), codomain) for chain, level in frontier for codomain, step in out_of(level)]

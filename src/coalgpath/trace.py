@@ -40,6 +40,7 @@ from .functors import (
     map_leaves,
     print_term,
     read_letter,
+    word_separator,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
 
@@ -194,8 +195,10 @@ def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Wo
 
 def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
     """The words of :func:`word_traces` over all pointing elements, each
-    spelt as its constants in order (a marker word keeps the marker)."""
-    return {"".join([name for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
+    spelt as its constants in order (a marker word keeps the marker) and
+    apart by ``word_separator``."""
+    sep = word_separator(c.functor)
+    return {sep.join([name for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
 
 
 def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:

@@ -40,6 +40,9 @@ fit test-sized inputs:
   construction of ``paths.enumerate_runs``, and a path's word decoded
   from its composite (:func:`comp_as_word`), against the letters
   ``paths.step_letter`` reads off its steps;
+- chains of precise maps from a frontier that enumerates the maps out
+  of each chain's last level afresh (:func:`frontier_chains`), against
+  ``precise.precise_chains``, which enumerates once per distinct level;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -90,7 +93,7 @@ from coalgpath.nominal import (
     parse_state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
-from coalgpath.precise import Factorization, TermMap, TermSpace, is_precise, precise_factorize
+from coalgpath.precise import Factorization, TermMap, TermSpace, enumerate_precise_maps, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, trace
 
@@ -405,6 +408,24 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
             yield from rec(levels + [next_level], steps + [step], comps + [x_next])
 
     yield from rec([c.pointing], [], [point_fun])
+
+
+def frontier_chains(f_expr: Functor, start: SortedSet, depth: int) -> list[tuple[TermMap, ...]]:
+    """The chains of ``precise.precise_chains``, from the breadth-first
+    frontier loop the ``paths`` verb once ran: every chain enumerates the
+    precise maps out of its last level afresh, however often that level
+    repeats."""
+    chains = []
+    frontier: list[tuple[SortedSet, tuple[TermMap, ...]]] = [(start, ())]
+    for length in range(depth + 1):
+        new_frontier = []
+        for level, prefix in frontier:
+            chains.append(prefix)
+            if length < depth:
+                for codomain, term_map in enumerate_precise_maps(level, f_expr):
+                    new_frontier.append((codomain, prefix + (term_map,)))
+        frontier = new_frontier
+    return chains
 
 
 def comp_as_word(cv: CompValue) -> str:

@@ -166,6 +166,25 @@ class TestVerbs:
         text, code = run_command(["lasota", str(path), "--depth", "1"])
         assert (text, code) == ("error: line 9: identity 'idb' names 'c', which is not an object\n", 2)
 
+    @pytest.mark.parametrize(
+        "identity, composition, line",
+        [
+            # a composite of a non-morphism, which no composable pair looks up
+            ("0 : id0", "id0 o id0 = id0\nid0 o zz = id0", 12),
+            ("0 : id0", "id0 o id0 = zz", 11),
+            ("0 : zz", "id0 o id0 = id0", 8),
+        ],
+        ids=["composition-operand", "composition-result", "identity"],
+    )
+    def test_non_morphism_name_exit_two(self, tmp_path, identity, composition, line):
+        path = tmp_path / "bad.cat"
+        path.write_text(
+            f"[objects]\n0\n\n[morphisms]\nid0 : 0 -> 0\n\n[identities]\n{identity}\n\n[composition]\n{composition}\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == (f"error: line {line}: 'zz' is not a morphism\n", 2)
+
     def test_initial_not_an_object_exit_two(self, tmp_path):
         path = tmp_path / "bad.cat"
         path.write_text(

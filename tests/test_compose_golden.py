@@ -53,6 +53,9 @@ CASES = [
     # both verbs print terms
     ("mixed-runs", ["runs", "mixed.model", "--depth", "2"], 0),
     ("mixed-trace", ["trace", "mixed.model", "--depth", "3"], 0),
+    # letters longer than one character: the words ab and a b print apart
+    ("multiletter-trace", ["trace", "multiletter.model", "--depth", "2"], 0),
+    ("multiletter-runs", ["runs", "multiletter.model", "--depth", "2"], 0),
     # the trace-enum benchmark's category, the 5-object chain
     ("lasota-chain", ["lasota", "../chain.cat", "--depth", "3"], 0),
 ]

@@ -24,10 +24,14 @@ from coalgpath.functors import (
     eval_functor,
     fmap,
     functor,
+    lts_functor,
+    multisorted,
     occurrences,
+    plus1,
     plus1_node,
     subst_node,
     term_in_functor,
+    word_separator,
 )
 from coalgpath.groups import (
     GroupBoundError,
@@ -301,3 +305,27 @@ class TestFunctorLawsExhaustive:
                             assert fmap(f, composed, DEFAULT_SORT, t) == fmap(
                                 f, g2, DEFAULT_SORT, fmap(f, g1, DEFAULT_SORT, t)
                             )
+
+
+class TestWordSeparator:
+    @pytest.mark.parametrize(
+        "f, sep",
+        [
+            (lts_functor(["a", "b"]), ""),
+            (plus1(lts_functor(["a", "b"])), ""),
+            (lts_functor(["a", "b", "ab"]), " "),
+            # a marker spells a word too
+            (functor(Coprod((Prod((Const(("a",)), SortRef())), Const(("stop",))))), " "),
+            # a letter of another letter-shaped sort
+            (
+                multisorted(
+                    ("*", "b"), {"*": Prod((Const(("a",)), SortRef("b"))), "b": Prod((Const(("cc",)), SortRef()))}
+                ),
+                " ",
+            ),
+            # a constant of a sort that is not letter-shaped spells no word
+            (functor(Prod((Const(("ab",)), SortRef(), SortRef()))), ""),
+        ],
+    )
+    def test_space_only_for_a_long_letter_or_marker(self, f, sep):
+        assert word_separator(f) == sep

@@ -13,8 +13,8 @@ from coalgpath.lasota import (
     validate_category,
 )
 from coalgpath.openmap import verify_theorems
-from coalgpath.sets import SortedSet
-from coalgpath.precise import element_shapes
+from coalgpath.sets import CoalgError, SortedSet
+from coalgpath.precise import element_shapes, precise_chains
 from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, one_object_category, poset_category, random_category
 from oracles import precise_iff_characteristic_oracle
 
@@ -131,6 +131,13 @@ class TestPathsBijection:
     def test_paths_decode_to_sequences(self):
         cat = poset_category(2)
         assert enumerate_lasota_paths(cat, 2) == composable_sequences(cat, 2)
+
+    def test_level_of_two_elements_raises_coalg_error(self, monkeypatch):
+        # chains whose first step maps two elements, as no Lasota pointing gives
+        two = SortedSet.single(["x", "y"])
+        monkeypatch.setattr(lasota, "precise_chains", lambda f, start, n: precise_chains(LTS_AB_PLUS1, two, n))
+        with pytest.raises(CoalgError, match="lasota path level did not decode to one morphism"):
+            enumerate_lasota_paths(poset_category(2), 1)
 
     def test_precise_iff_characteristic_flag(self):
         report = paths_bijection_check(poset_category(2), 1)

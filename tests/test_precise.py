@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from coalgpath import precise
 from coalgpath.functors import (
     Const,
     Inj,
@@ -17,6 +19,8 @@ from coalgpath.functors import (
     plus1_node,
     step_of_plus1,
 )
+from coalgpath.lasota import lasota_functor, lasota_pointing
+from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import (
     TermMap,
     TermSpace,
@@ -25,12 +29,13 @@ from coalgpath.precise import (
     enumerate_precise_maps,
     is_precise,
     occurrence_counts,
+    precise_chains,
     precise_factorize,
 )
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
-from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, single, term_map, var
-from oracles import factorization_commutes, is_bijective, is_precise_oracle
+from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, poset_category, single, term_map, var
+from oracles import factorization_commutes, frontier_chains, is_bijective, is_precise_oracle
 
 
 def fig2_map() -> TermMap:
@@ -273,6 +278,38 @@ class TestEnumeratePreciseMaps:
             seen.add(key)
         # per element: (a, v), (b, v) or bottom -> 3 shapes, independent choices
         assert len(seen) == 9
+
+
+# the trace-enum benchmark's pair/leaf tree functor, +1 as the paths verb uses it
+PAIR_LEAF_PLUS1 = functor(plus1_node(parse_functor_text("analytic{ pair/2 [(1 2)] ; leaf/0 }")))
+
+
+class TestPreciseChains:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("f_expr", [PAIR_LEAF_PLUS1, LTS_AB_PLUS1], ids=["pair-leaf", "lts"])
+    def test_matches_frontier_oracle(self, f_expr, depth):
+        start = single(["*"])
+        assert list(precise_chains(f_expr, start, depth)) == frontier_chains(f_expr, start, depth)
+
+    def test_matches_frontier_oracle_on_lasota_chain(self):
+        cat = poset_category(5)
+        f, start = lasota_functor(cat), lasota_pointing(cat)
+        assert list(precise_chains(f, start, 3)) == frontier_chains(f, start, 3)
+
+    def test_one_enumeration_per_distinct_level(self, monkeypatch):
+        calls: Counter = Counter()
+        original = precise.enumerate_precise_maps
+
+        def counting(p, f_expr):
+            calls[p] += 1
+            return original(p, f_expr)
+
+        monkeypatch.setattr(precise, "enumerate_precise_maps", counting)
+        start = single(["*"])
+        chains = list(precise_chains(PAIR_LEAF_PLUS1, start, 3))
+        extended = [chain[-1].space.carrier if chain else start for chain in chains if len(chain) < 3]
+        assert len(set(extended)) < len(extended)  # levels repeat
+        assert calls == Counter(set(extended))
 
 
 class TestEnumerationCompleteness:
