@@ -38,6 +38,11 @@ def _deglyph(text: str) -> str:
     return text
 
 
+def _aliases(args: argparse.Namespace) -> dict[str, str] | None:
+    """What prints for a glyph: its ASCII alias under ``--ascii``."""
+    return GLYPH_ASCII if args.ascii else None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing leaves it as it was."""
@@ -152,7 +157,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
         as_words = comps_are_words(system.functor, system.pointing)
-        sep = word_separator(system.functor)
+        sep = word_separator(system.functor, _aliases(args))
         # runs come depth first, each extending the last run one level
         # shorter: states[k] holds the k:e->x states of levels 0..k of the
         # last run, words[k] the word of its first k steps
@@ -181,7 +186,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "trace":
         system = parse_coalgebra(_read(args.file))
         if word_shape(system.functor) is not None:
-            out.extend(w or "ε" for w in sorted(lts_language(system, args.depth)))
+            out.extend(w or "ε" for w in sorted(lts_language(system, args.depth, _aliases(args))))
             return 0
         ts = trace(system, args.depth)
         lines = []

@@ -66,6 +66,28 @@ class PointedCoalgebra:
     xi: dict[tuple[str, str], tuple[Term, ...]]  # X -> Pf(F X)
 
     def __post_init__(self) -> None:
+        self._check(walk_terms=True)
+
+    @classmethod
+    def _built(
+        cls,
+        functor: Functor,
+        pointing: SortedSet,
+        carrier: SortedSet,
+        point: dict[tuple[str, str], str],
+        xi: dict[tuple[str, str], tuple[Term, ...]],
+    ) -> "PointedCoalgebra":
+        """A system whose terms are well formed by construction (drawn
+        from ``eval_functor`` or mapped by ``fmap``): every check of the
+        public constructor but the walk of each term against the functor."""
+        c = object.__new__(cls)
+        for name, value in (("functor", functor), ("pointing", pointing), ("carrier", carrier),
+                            ("point", point), ("xi", xi)):
+            object.__setattr__(c, name, value)
+        c._check(walk_terms=False)
+        return c
+
+    def _check(self, walk_terms: bool) -> None:
         if functor_has_pf(self.functor):
             raise TermError("the branching layer is implicit; F must be powerset-free")
         for key in self.pointing.pairs():
@@ -80,9 +102,10 @@ class PointedCoalgebra:
         for (s, x), terms in self.xi.items():
             if tuple(sorted(set(terms))) != terms:
                 raise CoalgError(f"xi({x}) must be a sorted duplicate-free tuple")
-            for t in terms:
-                if not term_in_functor(self.functor, s, t, self.carrier):
-                    raise CoalgError(f"xi({x}) contains ill-formed term {t!r}")
+            if walk_terms:
+                for t in terms:
+                    if not term_in_functor(self.functor, s, t, self.carrier):
+                        raise CoalgError(f"xi({x}) contains ill-formed term {t!r}")
 
     @functools.cached_property
     def successors(self) -> _SuccessorTable:
@@ -122,8 +145,10 @@ class PointedCoalgebra:
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "PointedCoalgebra":
         """The subcoalgebra on a closed subset of states.
 
-        A subset that is not closed fails the constructor's term check
-        with :class:`CoalgError`.
+        Closedness is read off the successor table: a kept state with a
+        transition to a dropped state raises :class:`CoalgError` naming
+        the first such transition, with the constructor's ill-formed-term
+        message.
         """
         keep_set = set(keep)
         missing = self.point_image() - keep_set
@@ -131,11 +156,20 @@ class PointedCoalgebra:
             raise CoalgError(f"cannot drop pointed states {sorted(missing)}")
         carrier = self.carrier.restrict(keep_set)
         xi = {key: terms for key, terms in self.xi.items() if key in keep_set}
-        return PointedCoalgebra(self.functor, self.pointing, carrier, dict(self.point), xi)
+        successors = self.successors
+        for key in xi:
+            for t, succ in successors[key]:
+                if not keep_set.issuperset(succ):
+                    raise CoalgError(f"xi({key[1]}) contains ill-formed term {t!r}")
+        return PointedCoalgebra._built(self.functor, self.pointing, carrier, dict(self.point), xi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoalgMorphism:
+    """A carrier map between two systems over the same functor and
+    pointing.  Frozen, like its end points, so the image table is built
+    on first use and kept."""
+
     src: PointedCoalgebra
     dst: PointedCoalgebra
     map: SortedFun
@@ -148,33 +182,30 @@ class CoalgMorphism:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise CoalgError("carrier map has the wrong end points")
 
+    @functools.cached_property
+    def images(self) -> dict[State, frozenset[Term]]:
+        """Per source state, the image ``F(m)(t)`` of each of its
+        transition terms."""
+        f, fun, xi = self.src.functor, self.map, self.src.xi
+        return {(s, x): frozenset(fmap(f, fun, s, t) for t in xi[(s, x)]) for s, x in self.src.states()}
+
     def preserves_pointing(self) -> bool:
         return all(
             self.map(s, self.src.point[(s, i)]) == self.dst.point[(s, i)]
             for s, i in self.src.pointing.pairs()
         )
 
-    def image_xi(self, sort: str, x: str) -> tuple[Term, ...]:
-        f = self.src.functor
-        return tuple(sorted({fmap(f, self.map, sort, t) for t in self.src.xi[(sort, x)]}))
-
 
 def is_strict_hom(m: CoalgMorphism) -> bool:
     if not m.preserves_pointing():
         return False
-    return all(
-        set(m.image_xi(s, x)) == set(m.dst.xi[(s, m.map(s, x))])
-        for s, x in m.src.states()
-    )
+    return all(image == frozenset(m.dst.xi[(s, m.map(s, x))]) for (s, x), image in m.images.items())
 
 
 def is_lax_hom(m: CoalgMorphism) -> bool:
     if not m.preserves_pointing():
         return False
-    return all(
-        set(m.image_xi(s, x)) <= set(m.dst.xi[(s, m.map(s, x))])
-        for s, x in m.src.states()
-    )
+    return all(image.issubset(m.dst.xi[(s, m.map(s, x))]) for (s, x), image in m.images.items())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +253,7 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     for s, x in carrier.pairs():
         chosen = [t for t in terms[s] if rng.random() < spec.density]
         xi[(s, x)] = tuple(sorted(chosen))
-    return PointedCoalgebra(spec.functor, pointing, carrier, point, xi)
+    return PointedCoalgebra._built(spec.functor, pointing, carrier, point, xi)
 
 
 def lts_coalgebra(

@@ -624,13 +624,15 @@ def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
     return node.parts[0].elems, marker
 
 
-def word_separator(f: Functor) -> str:
+def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
     """What goes between the letters of a word spelt out over ``f``: a
     space when some letter or marker of ``f`` (a constant of a
     letter-shaped sort, see :func:`letter_shape`) is longer than one
-    character, so that the words ``ab`` and ``a b`` stay apart, and
-    nothing otherwise."""
+    character as printed, so that the words ``ab`` and ``a b`` stay
+    apart, and nothing otherwise.  ``aliases`` maps a constant to the
+    text that prints for it, when that is not the constant itself."""
+    aliases = aliases or {}
     shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
     parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
     consts = [p.parts[0] if isinstance(p, Prod) else p for p in parts]
-    return " " if any(len(c) > 1 for const in consts for c in const.elems) else ""
+    return " " if any(len(aliases.get(c, c)) > 1 for const in consts for c in const.elems) else ""

@@ -149,18 +149,18 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
     if not m.preserves_pointing():
         return OpenCheckReport("not-open", bound, reason="map does not preserve the pointing")
     functor = src.functor
-    images: dict[tuple[str, str], set[Term]] = {}
-    for (s, x) in src.states():
-        targets = set(dst.xi[(s, m.map(s, x))])
-        image = images[(s, x)] = set()
+    images = m.images
+    for (s, x), image in images.items():
+        targets = dst.xi[(s, m.map(s, x))]
+        if image.issubset(targets):
+            continue
+        # the first term, in term order, whose image is no target
         for t in src.xi[(s, x)]:
-            u = fmap(functor, m.map, s, t)
-            if u not in targets:
+            if fmap(functor, m.map, s, t) not in targets:
                 return OpenCheckReport(
                     "not-open", bound, reason="not a lax homomorphism",
                     lax_violation=((s, x), t),
                 )
-            image.add(u)
     levels, _union = reachable_bfs(src)
     checked: set[tuple[str, str]] = set()
     for level_index, level in enumerate(levels):
@@ -413,7 +413,7 @@ def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> tu
     for (s, x), terms in src.xi.items():
         for t in terms:
             xi[(s, assignment[(s, x)])].add(fmap(src.functor, fun, s, t))
-    dst = PointedCoalgebra(
+    dst = PointedCoalgebra._built(
         src.functor, src.pointing, carrier, point, {k: tuple(sorted(v)) for k, v in xi.items()}
     )
     return dst, fun
@@ -432,7 +432,7 @@ def _add_noise(rng: random.Random, c: PointedCoalgebra, amount: int) -> PointedC
         pool = terms[key[0]]
         if pool:
             xi[key].add(pool[rng.randrange(len(pool))])
-    return PointedCoalgebra(
+    return PointedCoalgebra._built(
         c.functor, c.pointing, c.carrier, dict(c.point), {k: tuple(sorted(v)) for k, v in xi.items()}
     )
 

@@ -193,11 +193,12 @@ def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Wo
     return found
 
 
-def lts_language(c: PointedCoalgebra, depth: int) -> set[str]:
+def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None = None) -> set[str]:
     """The words of :func:`word_traces` over all pointing elements, each
     spelt as its constants in order (a marker word keeps the marker) and
-    apart by ``word_separator``."""
-    sep = word_separator(c.functor)
+    apart by ``word_separator``, which reads the constants as ``aliases``
+    prints them."""
+    sep = word_separator(c.functor, aliases)
     return {sep.join([name for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
 
 

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from coalgpath import functors
-from coalgpath.coalgebra import GenSpec, random_coalgebra
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.functors import (
     Const,
     Coprod,
@@ -24,6 +24,7 @@ from coalgpath.functors import (
     compose,
     eval_functor,
     eval_node,
+    fmap,
     functor,
     functor_has_pf,
     lts_functor,
@@ -32,10 +33,11 @@ from coalgpath.functors import (
     occurrences,
     plus1,
     plus1_node,
+    term_in_functor,
 )
 from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
 from coalgpath.modelio import parse_functor_text
-from coalgpath.openmap import reachable_bfs
+from coalgpath.openmap import _add_noise, _quotient_map, _random_map, reachable_bfs
 from coalgpath.sets import DEFAULT_SORT, LruCache, SortedSet
 
 from oracles import literal_bfs
@@ -150,6 +152,64 @@ class TestSystemFacts:
         for name, value in (("xi", {}), ("functor", lts_functor("a")), ("successors", {}), ("bfs", None)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(c, name, value)
+
+
+def harness_trials(f, count):
+    """Per seed, the systems and maps one harness trial builds: the
+    random source, its restriction to the reached states, a quotient of
+    it, a noisy quotient and a second random system with a random map."""
+    rng = random.Random(repr(f))
+    for seed in range(count):
+        sizes = {s: rng.randint(1, 5) for s in f.sorts}
+        spec = GenSpec(f, sizes, rng.choice((0.1, 0.25, 0.4)), seed)
+        raw = random_coalgebra(spec)
+        src = raw.restrict(reachable_bfs(raw)[1])
+        quotient, fold = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+        noisy = _add_noise(rng, quotient, amount=2)
+        other = random_coalgebra(GenSpec(f, sizes, spec.density, seed + count))
+        systems = (raw, src, quotient, noisy, other)
+        maps = (CoalgMorphism(src, quotient, fold), CoalgMorphism(src, noisy, fold),
+                CoalgMorphism(src, other, _random_map(rng, src, other)))
+        yield systems, maps
+
+
+class TestTrustedBuilders:
+    """The library's own builders skip the constructor's term walk; every
+    system they build must pass it anyway."""
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_every_built_transition_is_well_formed(self, f):
+        dropped = 0
+        for systems, _maps in harness_trials(f, 60):
+            for c in systems:
+                assert set(c.xi) == set(c.states())
+                for (s, _x), terms in c.xi.items():
+                    assert terms == tuple(sorted(set(terms)))
+                    assert all(term_in_functor(f, s, t, c.carrier) for t in terms)
+            dropped += systems[1].carrier.size() < systems[0].carrier.size()
+        assert dropped  # some restrictions drop states
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_image_table_matches_fresh_fmap(self, f):
+        for _systems, maps in harness_trials(f, 30):
+            for m in maps:
+                fresh = {
+                    (s, x): {fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]} for s, x in m.src.states()
+                }
+                assert m.images == fresh
+                assert is_strict_hom(m) == all(
+                    fresh[(s, x)] == set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.states()
+                )
+                assert is_lax_hom(m) == all(
+                    fresh[(s, x)] <= set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.states()
+                )
+
+    def test_image_table_is_built_once_and_morphism_frozen(self):
+        _systems, (m, *_rest) = next(harness_trials(HARNESS_FUNCTORS[2], 1))
+        assert m.images is m.images
+        for name in ("map", "dst", "images"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
 
 
 class TestSortedSetHas:

@@ -301,6 +301,30 @@ class TestRestrict:
         with pytest.raises(CoalgError):
             c.restrict({(DEFAULT_SORT, "q0"), (DEFAULT_SORT, "q1")})
 
+    def test_missing_successor_rejected_with_the_constructors_message(self):
+        checked = 0
+        for seed in range(40):
+            c = random_coalgebra(GenSpec(lts_functor("ab"), {DEFAULT_SORT: 5}, 0.3, seed))
+            pointed = c.point_image()
+            union = c.bfs[1]
+            dropped = sorted(union - pointed)
+            if not dropped:
+                continue
+            keep = union - {dropped[0]}
+            # the public constructor walks every term of the subsystem
+            with pytest.raises(CoalgError) as walked:
+                PointedCoalgebra(
+                    c.functor, c.pointing, c.carrier.restrict(keep), dict(c.point),
+                    {key: terms for key, terms in c.xi.items() if key in keep},
+                )
+            assert "contains ill-formed term" in str(walked.value)
+            with pytest.raises(CoalgError) as restricted:
+                c.restrict(keep)
+            assert str(restricted.value) == str(walked.value)
+            assert c.restrict(union).carrier.size() == len(union)
+            checked += 1
+        assert checked > 10
+
 
 class TestRandomGeneration:
     def test_same_seed_same_system(self):

@@ -56,6 +56,9 @@ CASES = [
     # letters longer than one character: the words ab and a b print apart
     ("multiletter-trace", ["trace", "multiletter.model", "--depth", "2"], 0),
     ("multiletter-runs", ["runs", "multiletter.model", "--depth", "2"], 0),
+    # a marker spelt in one glyph but two ASCII letters: under --ascii the
+    # marker word ok and the word o k print apart
+    ("okmarker-trace-ascii", ["--ascii", "trace", "okmarker.model", "--depth", "2"], 0),
     # the trace-enum benchmark's category, the 5-object chain
     ("lasota-chain", ["lasota", "../chain.cat", "--depth", "3"], 0),
 ]
