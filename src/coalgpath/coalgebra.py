@@ -78,8 +78,9 @@ class PointedCoalgebra:
         xi: dict[tuple[str, str], tuple[Term, ...]],
     ) -> "PointedCoalgebra":
         """A system whose terms are well formed by construction (drawn
-        from ``eval_functor`` or mapped by ``fmap``): every check of the
-        public constructor but the walk of each term against the functor."""
+        from ``eval_functor``, mapped by ``fmap`` or parsed against the
+        functor's node): every check of the public constructor but the
+        walk of each term against the functor."""
         c = object.__new__(cls)
         for name, value in (("functor", functor), ("pointing", pointing), ("carrier", carrier),
                             ("point", point), ("xi", xi)):

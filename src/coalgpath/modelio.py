@@ -1,7 +1,8 @@
 """Line-oriented text formats for systems, paths, categories and automata.
 
-Files are split into ``[section]`` blocks; ``#`` starts a comment.  The
-functor grammar is
+Files are split into ``[section]`` blocks; ``#`` outside a quoted name
+starts a comment.  A name the bare-name grammar cannot carry is written
+in double quotes, in element lists as in terms.  The functor grammar is
 
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
     | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f) | pf(f)
@@ -69,33 +70,20 @@ class ModelParseError(CoalgError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-PUNCT = set("(){}[],;=/")
+# one alternative per token: a quoted name (its text may hold anything
+# but a quote), a punctuation mark or a bare name; the last alternative
+# catches any other character, so a line is read by one scan
+_TOKEN_RE = re.compile(r'"([^"]*)"|([(){}\[\],;=/]|' + NAME_RE.pattern + r")|(\S)")
 
 
 def tokenize(text: str, line: int | None = None) -> list[str]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':  # quoted name, used for generated identifiers
-            end = text.find('"', i + 1)
-            if end < 0:
+    for quoted, bare, other in _TOKEN_RE.findall(text):
+        if other:
+            if other == '"':
                 raise ModelParseError("unterminated quoted name", line)
-            tokens.append(text[i + 1 : end])
-            i = end + 1
-            continue
-        if ch in PUNCT:
-            tokens.append(ch)
-            i += 1
-            continue
-        m = NAME_RE.match(text, i)
-        if not m:
-            raise ModelParseError(f"unexpected character {ch!r}", line)
-        tokens.append(m.group(0))
-        i = m.end()
+            raise ModelParseError(f"unexpected character {other!r}", line)
+        tokens.append(bare or quoted)
     return tokens
 
 
@@ -317,86 +305,106 @@ def _print_cycles(perm: tuple[int, ...]) -> str:
 # Terms (parsed against an expected node)
 
 def parse_term_text(text: str, node: Node, carrier: SortedSet, line: int | None = None) -> Term:
-    stream = TokenStream(tokenize(text, line), line)
-    term = _parse_term(stream, node, carrier)
-    if not stream.done():
-        raise ModelParseError(f"trailing input after term: {stream.peek()!r}", line)
+    tokens = tokenize(text, line)
+    term, pos = _parse_term(tokens, 0, node, carrier, line)
+    if pos < len(tokens):
+        raise ModelParseError(f"trailing input after term: {tokens[pos]!r}", line)
     return term
 
 
-def _parse_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
-    if isinstance(node, Coprod):
-        tok = s.peek()
-        if tok is not None and re.fullmatch(r"in\d+", tok):
-            s.next()
-            index = _parse_int(tok[2:], s.line)
-            if not 0 <= index < len(node.parts):
-                raise ModelParseError(f"injection {tok} out of range", s.line)
-            s.expect("(")
-            arg = _parse_term(s, node.parts[index], carrier)
-            s.expect(")")
-            return Inj(index, arg)
-        # implicit injection: exactly one branch must accept the term
-        start = s.pos
-        matches = []
-        for i, part in enumerate(node.parts):
-            s.pos = start
-            try:
-                arg = _parse_term(s, part, carrier)
-                matches.append((i, arg, s.pos))
-            except ModelParseError:
-                continue
-        if len(matches) == 1:
-            i, arg, end = matches[0]
-            s.pos = end
-            return Inj(i, arg)
-        if not matches:
-            raise ModelParseError("term fits no coproduct branch", s.line)
-        raise ModelParseError("ambiguous coproduct term; use an explicit in<k>(...)", s.line)
-    if isinstance(node, Const):
-        tok = _alias(s.next())
-        if tok not in node.elems:
-            raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", s.line)
-        return ConstElem(tok)
+_INJ_RE = re.compile(r"in\d+")
+
+
+def _expect(tokens: list[str], pos: int, tok: str, line: int | None) -> int:
+    """The position after ``tok``, which must stand at ``pos``."""
+    if pos >= len(tokens):
+        raise ModelParseError("unexpected end of input", line)
+    if tokens[pos] != tok:
+        raise ModelParseError(f"expected {tok!r}, got {tokens[pos]!r}", line)
+    return pos + 1
+
+
+def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, line: int | None) -> tuple[Term, int]:
+    """The term of ``node`` that starts at ``pos``, and the position after it.
+
+    Every term accepted here passes ``term_in_functor``: constants are
+    checked against the node, names against the carrier at their sort,
+    and symbol terms are canonicalized as they are built.
+    """
     if isinstance(node, SortRef):
-        tok = _alias(s.next())
+        if pos >= len(tokens):
+            raise ModelParseError("unexpected end of input", line)
+        tok = ALIASES.get(tokens[pos], tokens[pos])
         if not carrier.has(node.sort, tok):
-            raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", s.line)
-        return Var(node.sort, tok)
+            raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", line)
+        return Var(node.sort, tok), pos + 1
     if isinstance(node, Prod):
-        s.expect("(")
+        pos = _expect(tokens, pos, "(", line)
         args = []
         for i, part in enumerate(node.parts):
             if i:
-                s.expect(",")
-            args.append(_parse_term(s, part, carrier))
-        s.expect(")")
-        return TupleTerm(tuple(args))
+                pos = _expect(tokens, pos, ",", line)
+            arg, pos = _parse_term(tokens, pos, part, carrier, line)
+            args.append(arg)
+        return TupleTerm(tuple(args)), _expect(tokens, pos, ")", line)
+    if isinstance(node, Const):
+        if pos >= len(tokens):
+            raise ModelParseError("unexpected end of input", line)
+        tok = ALIASES.get(tokens[pos], tokens[pos])
+        if tok not in node.elems:
+            raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", line)
+        return ConstElem(tok), pos + 1
+    if isinstance(node, Coprod):
+        tok = tokens[pos] if pos < len(tokens) else None
+        if tok is not None and _INJ_RE.fullmatch(tok):
+            index = _parse_int(tok[2:], line)
+            if not 0 <= index < len(node.parts):
+                raise ModelParseError(f"injection {tok} out of range", line)
+            pos = _expect(tokens, pos + 1, "(", line)
+            arg, pos = _parse_term(tokens, pos, node.parts[index], carrier, line)
+            return Inj(index, arg), _expect(tokens, pos, ")", line)
+        # implicit injection: exactly one branch must accept the term
+        matches = []
+        for i, part in enumerate(node.parts):
+            try:
+                arg, end = _parse_term(tokens, pos, part, carrier, line)
+            except ModelParseError:
+                continue
+            matches.append((i, arg, end))
+        if len(matches) == 1:
+            i, arg, end = matches[0]
+            return Inj(i, arg), end
+        if not matches:
+            raise ModelParseError("term fits no coproduct branch", line)
+        raise ModelParseError("ambiguous coproduct term; use an explicit in<k>(...)", line)
     if isinstance(node, Analytic):
-        sym_name = s.next()
+        if pos >= len(tokens):
+            raise ModelParseError("unexpected end of input", line)
         try:
-            sym = node.symbol(sym_name)
+            sym = node.symbol(tokens[pos])
         except TermError as exc:
-            raise ModelParseError(str(exc), s.line) from None
+            raise ModelParseError(str(exc), line) from None
+        pos += 1
         args = []
         if sym.group.arity:
-            s.expect("(")
+            pos = _expect(tokens, pos, "(", line)
             for i, slot in enumerate(sym.slots):
                 if i:
-                    s.expect(",")
-                args.append(_parse_term(s, slot, carrier))
-            s.expect(")")
-        return ansym(sym.group, sym.name, tuple(args))
+                    pos = _expect(tokens, pos, ",", line)
+                arg, pos = _parse_term(tokens, pos, slot, carrier, line)
+                args.append(arg)
+            pos = _expect(tokens, pos, ")", line)
+        return ansym(sym.group, sym.name, tuple(args)), pos
     if isinstance(node, Pf):
-        s.expect("{")
+        pos = _expect(tokens, pos, "{", line)
         args = []
-        while s.peek() != "}":
+        while pos >= len(tokens) or tokens[pos] != "}":
             if args:
-                s.expect(",")
-            args.append(_parse_term(s, node.inner, carrier))
-        s.expect("}")
-        return SetOf(args)
-    raise ModelParseError(f"cannot parse a term of {node!r}", s.line)
+                pos = _expect(tokens, pos, ",", line)
+            arg, pos = _parse_term(tokens, pos, node.inner, carrier, line)
+            args.append(arg)
+        return SetOf(args), pos + 1
+    raise ModelParseError(f"cannot parse a term of {node!r}", line)
 
 
 def print_term_for(f: Functor, sort: str, term: Term) -> str:
@@ -442,11 +450,16 @@ class Section:
     lines: list[tuple[int, str]]
 
 
+# a line up to its first ``#`` outside a quoted name; a quoted name with
+# no closing quote runs to the end of the line
+_UNCOMMENTED_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
+
 def split_sections(text: str) -> dict[str, Section]:
     sections: dict[str, Section] = {}
     current: Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = (_UNCOMMENTED_RE.match(raw).group() if "#" in raw else raw).rstrip()
         if not line.strip():
             continue
         if line.strip().startswith("[") and line.strip().endswith("]"):
@@ -468,12 +481,12 @@ def _parse_sorted_elems(section: Section, sorts: tuple[str, ...]) -> SortedSet:
         first, colon, rest = line.partition(":")
         if colon and first.strip() in sorts:
             sort = first.strip()
-            names = rest.split()
+            names = tokenize(rest, lineno)
         else:
             sort = sorts[0]
-            names = line.split()
+            names = tokenize(line, lineno)
         for n in names:
-            name = _alias(unquote_name(n))
+            name = _alias(n)
             if name in per_sort[sort]:
                 raise ModelParseError(f"duplicate element {name!r}", lineno)
             per_sort[sort].append(name)
@@ -581,7 +594,9 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
             key = _sorted_key(left.strip(), carrier, lineno)
             term = parse_term_text(right.strip(), f.node(key[0]), carrier, lineno)
             xi[key].append(term)
-    return PointedCoalgebra(
+    # each term was checked against the functor and the carrier as it was
+    # parsed, so the system skips the constructor's second walk
+    return PointedCoalgebra._built(
         f, pointing, carrier, point, {k: tuple(sorted(set(v))) for k, v in xi.items()}
     )
 
@@ -633,8 +648,9 @@ def parse_path(text: str) -> PathObj:
             raise ModelParseError(f"step index {k} out of range", lineno)
         left, right = rest.split("->", 1)
         key = _sorted_key(left.strip(), levels[k], lineno)
-        term = parse_term_text(right.strip(), fp1.node(key[0]), levels[k + 1], lineno)
-        tables[k][key] = term
+        if key in tables[k]:
+            raise ModelParseError(f"duplicate step {k} for {left.strip()!r}", lineno)
+        tables[k][key] = parse_term_text(right.strip(), fp1.node(key[0]), levels[k + 1], lineno)
     path = make_path(f, pointing, levels, tables)
     problems = validate_path(path)
     if problems:
@@ -673,6 +689,8 @@ def parse_map(text: str, dom: SortedSet, cod: SortedSet):
         target = _sorted_key(right, cod, lineno)
         if key[0] != target[0]:
             raise ModelParseError("map must preserve sorts", lineno)
+        if key in table:
+            raise ModelParseError(f"duplicate image for {left!r}", lineno)
         table[key] = target[1]
     return SortedFun(dom, cod, table)
 
@@ -710,6 +728,8 @@ def parse_factor_problem(text: str) -> FactorProblem:
             raise ModelParseError("expected 'x -> term'", lineno)
         left, right = line.split("->", 1)
         key = _sorted_key(left.strip(), dom, lineno)
+        if key in table:
+            raise ModelParseError(f"duplicate image for {left.strip()!r}", lineno)
         table[key] = parse_term_text(right.strip(), f.node(key[0]), cod, lineno)
     return FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table))
 

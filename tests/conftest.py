@@ -9,6 +9,7 @@ from coalgpath.coalgebra import PointedCoalgebra, lts_coalgebra
 from coalgpath.functors import (
     Analytic,
     Const,
+    Coprod,
     Prod,
     SortRef,
     Symbol,
@@ -16,13 +17,34 @@ from coalgpath.functors import (
     TupleTerm,
     Var,
     functor,
+    multisorted,
     plus1_node,
 )
 from coalgpath.groups import symmetric_group
 from coalgpath.lasota import FiniteCategory
+from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import TermMap, TermSpace
 from coalgpath.sets import DEFAULT_SORT, SortedSet
 from coalgpath.trace import TraceSet
+
+
+# the functors of the benchmark's theorem harness, and one multisorted one
+HARNESS_FUNCTORS = [
+    functor(parse_functor_text(text))
+    for text in (
+        "prod(const(a b), id)",
+        "coprod(prod(const(a b), id), const(ok))",
+        "prod(id, id)",
+        "analytic{ pair/2 [(1 2)] ; leaf/0 }",
+        "coprod(const(c), prod(id, id))",
+    )
+]
+MULTISORTED = multisorted(
+    ("a", "b"),
+    {"a": Prod((Const(("x",)), SortRef("b"))), "b": Coprod((Prod((SortRef("a"), SortRef("b"))), Const(("y",))))},
+)
+SYSTEM_FUNCTORS = [*HARNESS_FUNCTORS, MULTISORTED]
+SYSTEM_IDS = ["lts", "lts-ok", "binary", "pair-tree", "const-or-binary", "multisorted"]
 
 
 def single(elems):

@@ -43,6 +43,11 @@ fit test-sized inputs:
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level;
+- a term line read character by character (:func:`char_loop_tokenize`)
+  and parsed through a :class:`TokenStream` with one method call per
+  token (:func:`stream_parse_term_text`), against the one-regex
+  ``modelio.tokenize`` and the index-based term parser, token for token,
+  term for term and error message for error message;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
 """
@@ -50,6 +55,7 @@ fit test-sized inputs:
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Mapping
 
 from coalgpath.coalgebra import PointedCoalgebra
@@ -58,16 +64,24 @@ from coalgpath.functors import (
     CHECK,
     UNIT,
     UNIT_TERM,
+    Analytic,
     AnSym,
+    Const,
     ConstElem,
+    Coprod,
     Functor,
     Inj,
+    Node,
+    Pf,
+    Prod,
     SetOf,
+    SortRef,
     Term,
     TermError,
     TupleTerm,
     UnitLeaf,
     Var,
+    ansym,
     bot_of_plus1,
     eval_functor,
     fmap,
@@ -77,6 +91,7 @@ from coalgpath.functors import (
     step_of_plus1,
     word_shape,
 )
+from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError, TokenStream
 from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
@@ -728,3 +743,120 @@ def lts_is_simulation(r: set[tuple[str, str]], c1: PointedCoalgebra, c2: Pointed
 def lts_is_bisimulation(r: set[tuple[str, str]], c1: PointedCoalgebra, c2: PointedCoalgebra) -> bool:
     converse = {(b, a) for (a, b) in r}
     return lts_is_simulation(r, c1, c2) and lts_is_simulation(converse, c2, c1)
+
+
+# ---------------------------------------------------------------------------
+# Term text
+
+
+def char_loop_tokenize(text: str, line: int | None = None) -> list[str]:
+    """The tokens of ``text``, read one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == '"':
+            end = text.find('"', i + 1)
+            if end < 0:
+                raise ModelParseError("unterminated quoted name", line)
+            tokens.append(text[i + 1 : end])
+            i = end + 1
+            continue
+        if ch in "(){}[],;=/":
+            tokens.append(ch)
+            i += 1
+            continue
+        m = NAME_RE.match(text, i)
+        if not m:
+            raise ModelParseError(f"unexpected character {ch!r}", line)
+        tokens.append(m.group(0))
+        i = m.end()
+    return tokens
+
+
+def stream_parse_term_text(text: str, node: Node, carrier: SortedSet, line: int | None = None) -> Term:
+    """The term ``text`` denotes at ``node``, read from a token stream."""
+    stream = TokenStream(char_loop_tokenize(text, line), line)
+    term = _stream_term(stream, node, carrier)
+    if not stream.done():
+        raise ModelParseError(f"trailing input after term: {stream.peek()!r}", line)
+    return term
+
+
+def _stream_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
+    if isinstance(node, Coprod):
+        tok = s.peek()
+        if tok is not None and re.fullmatch(r"in\d+", tok):
+            s.next()
+            index = int(tok[2:])
+            if not 0 <= index < len(node.parts):
+                raise ModelParseError(f"injection {tok} out of range", s.line)
+            s.expect("(")
+            arg = _stream_term(s, node.parts[index], carrier)
+            s.expect(")")
+            return Inj(index, arg)
+        start = s.pos
+        matches = []
+        for i, part in enumerate(node.parts):
+            s.pos = start
+            try:
+                arg = _stream_term(s, part, carrier)
+                matches.append((i, arg, s.pos))
+            except ModelParseError:
+                continue
+        if len(matches) == 1:
+            i, arg, end = matches[0]
+            s.pos = end
+            return Inj(i, arg)
+        if not matches:
+            raise ModelParseError("term fits no coproduct branch", s.line)
+        raise ModelParseError("ambiguous coproduct term; use an explicit in<k>(...)", s.line)
+    if isinstance(node, Const):
+        tok = s.next()
+        tok = ALIASES.get(tok, tok)
+        if tok not in node.elems:
+            raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", s.line)
+        return ConstElem(tok)
+    if isinstance(node, SortRef):
+        tok = s.next()
+        tok = ALIASES.get(tok, tok)
+        if not carrier.has(node.sort, tok):
+            raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", s.line)
+        return Var(node.sort, tok)
+    if isinstance(node, Prod):
+        s.expect("(")
+        args = []
+        for i, part in enumerate(node.parts):
+            if i:
+                s.expect(",")
+            args.append(_stream_term(s, part, carrier))
+        s.expect(")")
+        return TupleTerm(tuple(args))
+    if isinstance(node, Analytic):
+        sym_name = s.next()
+        try:
+            sym = node.symbol(sym_name)
+        except TermError as exc:
+            raise ModelParseError(str(exc), s.line) from None
+        args = []
+        if sym.group.arity:
+            s.expect("(")
+            for i, slot in enumerate(sym.slots):
+                if i:
+                    s.expect(",")
+                args.append(_stream_term(s, slot, carrier))
+            s.expect(")")
+        return ansym(sym.group, sym.name, tuple(args))
+    if isinstance(node, Pf):
+        s.expect("{")
+        args = []
+        while s.peek() != "}":
+            if args:
+                s.expect(",")
+            args.append(_stream_term(s, node.inner, carrier))
+        s.expect("}")
+        return SetOf(args)
+    raise ModelParseError(f"cannot parse a term of {node!r}", s.line)

@@ -2,18 +2,20 @@
 
 Each cached fact is checked against a fresh computation: the functor
 flags and ``+1`` functor, a system's successor table and breadth-first
-levels (against the literal walk in ``oracles.literal_bfs``), set
+levels (against the literal walk in ``oracles.literal_bfs``), the
+terms of systems built or parsed without the constructor's term walk, set
 membership, the bounded evaluation cache and the elements kept on
 each permutation group.
 """
 
 import dataclasses
+import pathlib
 import random
 
 import pytest
 
-from coalgpath import functors
-from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom, random_coalgebra
+from coalgpath import coalgebra, functors
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.functors import (
     Const,
     Coprod,
@@ -36,29 +38,12 @@ from coalgpath.functors import (
     term_in_functor,
 )
 from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
-from coalgpath.modelio import parse_functor_text
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _quotient_map, _random_map, reachable_bfs
 from coalgpath.sets import DEFAULT_SORT, LruCache, SortedSet
 
+from conftest import HARNESS_FUNCTORS, MULTISORTED, SYSTEM_FUNCTORS, SYSTEM_IDS
 from oracles import literal_bfs
-
-# the functors of the benchmark's theorem harness, and one multisorted one
-HARNESS_FUNCTORS = [
-    functor(parse_functor_text(text))
-    for text in (
-        "prod(const(a b), id)",
-        "coprod(prod(const(a b), id), const(ok))",
-        "prod(id, id)",
-        "analytic{ pair/2 [(1 2)] ; leaf/0 }",
-        "coprod(const(c), prod(id, id))",
-    )
-]
-MULTISORTED = multisorted(
-    ("a", "b"),
-    {"a": Prod((Const(("x",)), SortRef("b"))), "b": Coprod((Prod((SortRef("a"), SortRef("b"))), Const(("y",))))},
-)
-SYSTEM_FUNCTORS = [*HARNESS_FUNCTORS, MULTISORTED]
-SYSTEM_IDS = ["lts", "lts-ok", "binary", "pair-tree", "const-or-binary", "multisorted"]
 
 
 def random_systems(f, count=40):
@@ -210,6 +195,68 @@ class TestTrustedBuilders:
         for name in ("map", "dst", "images"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(m, name, None)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# the functors of the benchmark's open-check workload
+OPEN_CHECK_FUNCTORS = ("prod(id, id)", "prod(id, id, id)", "analytic{ pair/2 [(1 2)] ; tri/3 [(1 2 3)] ; leaf/0 }")
+
+
+def open_check_style_texts(count):
+    """Model files written as the open-check workload writes them: three
+    transitions per state, symbol arguments in any order."""
+    rng = random.Random("open-check-style")
+    for functor_text in OPEN_CHECK_FUNCTORS:
+        for _ in range(count):
+            names = [f"s{i:02d}" for i in range(rng.randint(1, 8))]
+            trans = []
+            for x in names:
+                for _k in range(3):
+                    if functor_text.startswith("prod"):
+                        args = [rng.choice(names) for _ in range(functor_text.count("id"))]
+                        trans.append(f"{x} -> ({', '.join(args)})")
+                    else:
+                        sym, arity = rng.choice((("pair", 2), ("tri", 3), ("leaf", 0)))
+                        args = [rng.choice(names) for _ in range(arity)]
+                        trans.append(f"{x} -> {sym}({', '.join(args)})" if args else f"{x} -> {sym}")
+            yield (f"[functor]\n{functor_text}\n\n[states]\n{' '.join(names)}\n\n[init]\n* -> {names[0]}\n\n"
+                   "[trans]\n" + "\n".join(trans) + "\n")
+
+
+PARSED_SYSTEMS = [
+    *(parse_coalgebra(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.rglob("*.model"))),
+    *(parse_coalgebra(text) for text in open_check_style_texts(30)),
+]
+
+
+class TestTrustedParse:
+    """A parsed system skips the constructor's term walk: the parser has
+    checked each term against the functor and the carrier as it read it."""
+
+    def test_every_parsed_term_is_well_formed(self):
+        assert len(PARSED_SYSTEMS) > 100
+        for c in PARSED_SYSTEMS:
+            assert set(c.xi) == set(c.states())
+            for (s, _x), terms in c.xi.items():
+                assert terms == tuple(sorted(set(terms)))
+                assert all(term_in_functor(c.functor, s, t, c.carrier) for t in terms)
+            assert PointedCoalgebra(c.functor, c.pointing, c.carrier, c.point, c.xi) == c
+
+    def test_parse_walks_no_term_and_the_constructor_walks_each(self, monkeypatch):
+        calls = []
+        real = functors.term_in_functor
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(functors, "term_in_functor", counted)
+        monkeypatch.setattr(coalgebra, "term_in_functor", counted)
+        text = (FIXTURES / "compose" / "tree.model").read_text(encoding="utf-8")
+        c = parse_coalgebra(text)
+        assert calls == []
+        PointedCoalgebra(c.functor, c.pointing, c.carrier, c.point, c.xi)
+        assert len(calls) == sum(len(terms) for terms in c.xi.values()) > 0
 
 
 class TestSortedSetHas:

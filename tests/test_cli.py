@@ -286,6 +286,24 @@ class TestVerbs:
         assert "states: 5" in text
         assert "|. ^1 ✓" in text
 
+    @pytest.mark.parametrize("lines", [
+        ["q0 -> q0", "q1 -> q1", "q2 -> q2", "q0 -> q1"],
+        ["q0 -> q1", "q1 -> q1", "q2 -> q2", "q0 -> q0"],
+    ], ids=["last-line-not-strict", "last-line-strict"])
+    def test_repeated_map_line_exit_two(self, tmp_path, lines):
+        mapping = tmp_path / "twice.map"
+        mapping.write_text("[map]\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        model = str(FIXTURES / "lts_ab.model")
+        text, code = run_command(["hom", model, model, str(mapping)])
+        assert (text, code) == ("error: line 5: duplicate image for 'q0'\n", 2)
+
+    def test_repeated_factor_line_exit_two(self, tmp_path):
+        problem = tmp_path / "twice.factor"
+        text = (FIXTURES / "compose" / "pair.factor").read_text(encoding="utf-8")
+        problem.write_text(text + "x1 -> (c, c)\n", encoding="utf-8")
+        out, code = run_command(["precise-factor", str(problem)])
+        assert (out, code) == ("error: line 14: duplicate image for 'x1'\n", 2)
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("[functor]\nfrobnicate(id)\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalgpath.coalgebra import GenSpec, random_coalgebra
+from coalgpath.coalgebra import GenSpec, PointedCoalgebra, random_coalgebra
 from coalgpath.functors import (
     Analytic,
     AnSym,
@@ -16,6 +16,8 @@ from coalgpath.functors import (
     Prod,
     SortRef,
     Symbol,
+    TupleTerm,
+    Var,
     functor,
     lts_functor,
 )
@@ -41,7 +43,7 @@ from coalgpath.modelio import (
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, enumerate_runs
-from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 from conftest import poset_category
 from oracles import comp_as_word
 
@@ -247,6 +249,11 @@ class TestPathFiles:
         with pytest.raises(ModelParseError, match="line 8"):
             parse_path(bad)
 
+    def test_repeated_step_rejected_with_line(self):
+        twice = self.PATH_TEXT + "0 : * -> (b, n0)\n"
+        with pytest.raises(ModelParseError, match=r"^line 15: duplicate step 0 for '\*'$"):
+            parse_path(twice)
+
     def test_runs_roundtrip_through_printer(self):
         from conftest import linear_word_system
 
@@ -327,6 +334,11 @@ class TestMapFiles:
         with pytest.raises(Exception):
             parse_map("[map]\nq0 -> q0\n", src.carrier, src.carrier)
 
+    def test_repeated_left_side_rejected_with_line(self):
+        src = parse_coalgebra(LTS_TEXT)
+        with pytest.raises(ModelParseError, match=r"^line 4: duplicate image for 'q0'$"):
+            parse_map("[map]\nq0 -> q0\nq1 -> q1\nq0 -> q0\n", src.carrier, src.carrier)
+
 
 class TestFactorProblemFiles:
     FIG2_TEXT = """\
@@ -345,6 +357,10 @@ x2 -> (y1, y2)
 x3 -> (y2, y2)
 x4 -> bot
 """
+
+    def test_repeated_left_side_rejected_with_line(self):
+        with pytest.raises(ModelParseError, match=r"^line 15: duplicate image for 'x2'$"):
+            parse_factor_problem(self.FIG2_TEXT + "x2 -> bot\n")
 
     def test_fig2_file(self):
         problem = parse_factor_problem(self.FIG2_TEXT)
@@ -465,6 +481,38 @@ class TestGeneratedNameRoundtrips:
             text = print_coalgebra(embedded)
             again = parse_coalgebra(text)
             assert again.xi == embedded.xi
+
+
+class TestQuotedNames:
+    """Names the bare-name grammar cannot carry print quoted and read back."""
+
+    NAMES = ["p q", "a#b", "x, y", "(", "#", "[s]", "caf\u00e9", "q0"]
+
+    def system(self):
+        f = functor(parse_functor_text("prod(const(a b), id)"))
+        carrier = SortedSet.single(self.NAMES)
+        xi = {}
+        for i, name in enumerate(self.NAMES):
+            nxt = self.NAMES[(i + 1) % len(self.NAMES)]
+            xi[(DEFAULT_SORT, name)] = tuple(sorted({
+                TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, nxt))),
+                TupleTerm((ConstElem("b"), Var(DEFAULT_SORT, "a#b"))),
+            }))
+        return PointedCoalgebra(f, singleton_pointing(), carrier, {(DEFAULT_SORT, "*"): "p q"}, xi)
+
+    def test_roundtrip(self):
+        c = self.system()
+        printed = print_model(c)
+        assert '"p q"' in printed and '"a#b"' in printed
+        again = parse_model(printed)
+        assert again == c
+        assert print_model(again) == printed
+
+    def test_comment_after_a_quoted_name(self):
+        line = '"p q" -> (a, "a#b")'
+        printed = print_model(self.system()).replace(line, line + '  # a "#" and a stray "')
+        assert '# a "#" and a stray "' in printed
+        assert parse_model(printed) == self.system()
 
 
 class TestFig3PathFile:
