@@ -355,9 +355,9 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
             raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", line)
         return ConstElem(tok), pos + 1
     if isinstance(node, Coprod):
-        tok = tokens[pos] if pos < len(tokens) else None
-        if tok is not None and _INJ_RE.fullmatch(tok):
-            index = _parse_int(tok[2:], line)
+        if pos < len(tokens) and _INJ_RE.fullmatch(tokens[pos]):
+            tok = tokens[pos]
+            index = int(tok[2:])
             if not 0 <= index < len(node.parts):
                 raise ModelParseError(f"injection {tok} out of range", line)
             pos = _expect(tokens, pos + 1, "(", line)
@@ -646,11 +646,11 @@ def parse_path(text: str) -> PathObj:
         k = _parse_int(idx_text, lineno)
         if not 0 <= k < n:
             raise ModelParseError(f"step index {k} out of range", lineno)
-        left, right = rest.split("->", 1)
-        key = _sorted_key(left.strip(), levels[k], lineno)
+        left, right = (x.strip() for x in rest.split("->", 1))
+        key = _sorted_key(left, levels[k], lineno)
         if key in tables[k]:
-            raise ModelParseError(f"duplicate step {k} for {left.strip()!r}", lineno)
-        tables[k][key] = parse_term_text(right.strip(), fp1.node(key[0]), levels[k + 1], lineno)
+            raise ModelParseError(f"duplicate step {k} for {left!r}", lineno)
+        tables[k][key] = parse_term_text(right, fp1.node(key[0]), levels[k + 1], lineno)
     path = make_path(f, pointing, levels, tables)
     problems = validate_path(path)
     if problems:
@@ -726,11 +726,11 @@ def parse_factor_problem(text: str) -> FactorProblem:
     for lineno, line in sections.get("map", Section("map", [])).lines:
         if "->" not in line:
             raise ModelParseError("expected 'x -> term'", lineno)
-        left, right = line.split("->", 1)
-        key = _sorted_key(left.strip(), dom, lineno)
+        left, right = (x.strip() for x in line.split("->", 1))
+        key = _sorted_key(left, dom, lineno)
         if key in table:
-            raise ModelParseError(f"duplicate image for {left.strip()!r}", lineno)
-        table[key] = parse_term_text(right.strip(), f.node(key[0]), cod, lineno)
+            raise ModelParseError(f"duplicate image for {left!r}", lineno)
+        table[key] = parse_term_text(right, f.node(key[0]), cod, lineno)
     return FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table))
 
 
