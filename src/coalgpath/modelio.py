@@ -2,7 +2,10 @@
 
 Files are split into ``[section]`` blocks; ``#`` outside a quoted name
 starts a comment.  A name the bare-name grammar cannot carry is written
-in double quotes, in element lists as in terms.  The functor grammar is
+in double quotes wherever it stands; one that holds ``"`` cannot be
+written.  ``->`` is a token, so ``q0->q1`` reads as an arrow; a left
+side is ``[sort .] name``, as ``P.x`` or ``P."x y"`` (the sort is named
+in multisorted files only).  The functor grammar is
 
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
     | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f) | pf(f)
@@ -12,10 +15,11 @@ where ``compose(f, g)`` is parsed as ``f`` with ``g`` substituted for
 by commas, each a product of disjoint cycles.  Terms are written
 ``name``, ``(t, ..., t)``, ``in<k>(t)``, ``sym(t, ..., t)``; the glyphs
 for the unit, the added point and the final marker have ASCII aliases
-``unit``, ``bot`` and ``ok``.  Parsing a term is guided by the expected
-expression node, so constant names and state names never clash;
-coproduct injections may be left implicit when exactly one branch
-parses.  ``parse . print`` is the identity on canonical files.
+``unit``, ``bot`` and ``ok``, read as the glyphs wherever a name
+stands.  Parsing a term is guided by the expected expression node, so
+constant names and state names never clash; coproduct injections may
+be left implicit when exactly one branch parses.  ``parse . print`` is
+the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -54,9 +58,11 @@ from .lasota import FiniteCategory
 from .nominal import RnnaPresentation, RnnaRule
 from .paths import PathObj, make_path, validate_path
 from .precise import TermMap, TermSpace
-from .sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
+from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
-NAME_RE = re.compile(r"[A-Za-z0-9_*.:+'⊥•✓-]+")
+# a bare name; only a ``-`` looks ahead, since ``->`` never belongs to one
+_NAME_CHAR = r"[A-Za-z0-9_*.:+'⊥•✓]"
+NAME_RE = re.compile(rf"{_NAME_CHAR}+(?:-(?!>){_NAME_CHAR}*)*|-(?!>){_NAME_CHAR}*(?:-(?!>){_NAME_CHAR}*)*")
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
 GLYPH_ASCII = {UNIT: "unit", BOT: "bot", CHECK: "ok"}
 
@@ -71,9 +77,9 @@ class ModelParseError(CoalgError):
 # Tokenizer
 
 # one alternative per token: a quoted name (its text may hold anything
-# but a quote), a punctuation mark or a bare name; the last alternative
-# catches any other character, so a line is read by one scan
-_TOKEN_RE = re.compile(r'"([^"]*)"|([(){}\[\],;=/]|' + NAME_RE.pattern + r")|(\S)")
+# but a quote), the arrow, a punctuation mark or a bare name; the last
+# alternative catches any other character, so a line is read by one scan
+_TOKEN_RE = re.compile(r'"([^"]*)"|(->|[(){}\[\],;=/]|' + NAME_RE.pattern + r")|(\S)")
 
 
 def tokenize(text: str, line: int | None = None) -> list[str]:
@@ -97,13 +103,11 @@ def _parse_int(text: str, line: int | None = None) -> int:
 
 def format_name(name: str) -> str:
     """Quote identifiers that the bare-name grammar cannot carry."""
-    return name if NAME_RE.fullmatch(name) else f'"{name}"'
-
-
-def unquote_name(raw: str) -> str:
-    if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-        return raw[1:-1]
-    return raw
+    if NAME_RE.fullmatch(name):
+        return name
+    if '"' in name:
+        raise CoalgError(f"name {name!r} holds a double quote, which no model file can carry")
+    return f'"{name}"'
 
 
 class TokenStream:
@@ -167,7 +171,8 @@ def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
         s.expect("(")
         elems = []
         while s.peek() != ")":
-            elems.append(_alias(s.next()))
+            tok = s.next()
+            elems.append(ALIASES.get(tok, tok))
         s.expect(")")
         return Const(tuple(sorted(elems))), 1, 1
     if head in ("prod", "coprod"):
@@ -248,10 +253,6 @@ def _parse_cycles(s: TokenStream, arity: int) -> tuple[int, ...]:
             return tuple(perm)
 
 
-def _alias(token: str) -> str:
-    return ALIASES.get(token, token)
-
-
 def print_functor_node(node: Node) -> str:
     if isinstance(node, SortRef):
         return "id" if node.sort == DEFAULT_SORT else f"sort({node.sort})"
@@ -305,8 +306,12 @@ def _print_cycles(perm: tuple[int, ...]) -> str:
 # Terms (parsed against an expected node)
 
 def parse_term_text(text: str, node: Node, carrier: SortedSet, line: int | None = None) -> Term:
-    tokens = tokenize(text, line)
-    term, pos = _parse_term(tokens, 0, node, carrier, line)
+    return _term_to_end(tokenize(text, line), 0, node, carrier, line)
+
+
+def _term_to_end(tokens: list[str], pos: int, node: Node, carrier: SortedSet, line: int | None) -> Term:
+    """The term of ``node`` that runs from ``pos`` to the end of ``tokens``."""
+    term, pos = _parse_term(tokens, pos, node, carrier, line)
     if pos < len(tokens):
         raise ModelParseError(f"trailing input after term: {tokens[pos]!r}", line)
     return term
@@ -444,90 +449,125 @@ def print_term_for(f: Functor, sort: str, term: Term) -> str:
 # ---------------------------------------------------------------------------
 # Section splitting
 
-@dataclass
-class Section:
-    name: str
-    lines: list[tuple[int, str]]
-
+# the numbered lines of a section, comments and blank lines left out
+Lines = list[tuple[int, str]]
 
 # a line up to its first ``#`` outside a quoted name; a quoted name with
 # no closing quote runs to the end of the line
 _UNCOMMENTED_RE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
 
 
-def split_sections(text: str) -> dict[str, Section]:
-    sections: dict[str, Section] = {}
-    current: Section | None = None
+def _section(sections: dict[str, Lines], name: str) -> Lines:
+    if name not in sections:
+        raise ModelParseError(f"missing [{name}] section")
+    return sections[name]
+
+
+def split_sections(text: str) -> dict[str, Lines]:
+    sections: dict[str, Lines] = {}
+    current: Lines | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (_UNCOMMENTED_RE.match(raw).group() if "#" in raw else raw).rstrip()
-        if not line.strip():
+        line = (_UNCOMMENTED_RE.match(raw).group() if "#" in raw else raw).strip()
+        if not line:
             continue
-        if line.strip().startswith("[") and line.strip().endswith("]"):
-            name = line.strip()[1:-1].strip()
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
             if name in sections:
                 raise ModelParseError(f"duplicate section [{name}]", lineno)
-            current = Section(name, [])
-            sections[name] = current
+            current = sections[name] = []
             continue
         if current is None:
             raise ModelParseError("content before the first section header", lineno)
-        current.lines.append((lineno, line.strip()))
+        current.append((lineno, line))
     return sections
 
 
-def _parse_sorted_elems(section: Section, sorts: tuple[str, ...]) -> SortedSet:
+def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
     per_sort: dict[str, list[str]] = {s: [] for s in sorts}
-    for lineno, line in section.lines:
-        first, colon, rest = line.partition(":")
-        if colon and first.strip() in sorts:
-            sort = first.strip()
-            names = tokenize(rest, lineno)
-        else:
-            sort = sorts[0]
-            names = tokenize(line, lineno)
-        for n in names:
-            name = _alias(n)
+    for lineno, line in lines:
+        sort, colon, rest = line.partition(":")
+        sort = sort.strip()
+        # as _elem_lines writes them, sorts are named in multisorted files only
+        if not (colon and sorts != (DEFAULT_SORT,) and sort in sorts):
+            sort, rest = sorts[0], line
+        for n in tokenize(rest, lineno):
+            name = ALIASES.get(n, n)
             if name in per_sort[sort]:
                 raise ModelParseError(f"duplicate element {name!r}", lineno)
             per_sort[sort].append(name)
     return SortedSet.make(per_sort, sorts)
 
 
-def _sorted_key(name: str, carrier: SortedSet, lineno: int) -> tuple[str, str]:
-    name = unquote_name(name)
-    if "." in name:
-        sort, elem = name.split(".", 1)
-        if sort in carrier.sorts:
-            if not carrier.has(sort, elem):
-                raise ModelParseError(f"unknown element {elem!r} of sort {sort!r}", lineno)
-            return (sort, elem)
-    hits = [(s, name) for s in carrier.sorts if carrier.has(s, name)]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        raise ModelParseError(f"unknown element {name!r}", lineno)
-    raise ModelParseError(f"ambiguous element {name!r}; qualify as sort.elem", lineno)
+def _read_elem(tokens: list[str], pos: int, x: SortedSet, line: int) -> tuple[tuple[str, str], int]:
+    """The element of ``x`` at ``pos`` and the position after it: ``P.x``
+    or ``P."x y"`` (the tokens ``P.`` and ``x y``) where ``_key`` names
+    the sort, else a name that lies in exactly one sort."""
+    if pos >= len(tokens):
+        raise ModelParseError("unexpected end of input", line)
+    sort, dot, name = tokens[pos].partition(".")
+    if not (dot and x.sorts != (DEFAULT_SORT,) and sort in x.sorts):
+        name = ALIASES.get(tokens[pos], tokens[pos])
+        hits = [s for s in x.sorts if x.has(s, name)]
+        if len(hits) == 1:
+            return (hits[0], name), pos + 1
+        if not hits:
+            raise ModelParseError(f"unknown element {name!r}", line)
+        raise ModelParseError(f"ambiguous element {name!r}; qualify as sort.elem", line)
+    if not name and pos + 1 < len(tokens):
+        pos += 1
+        name = tokens[pos]
+    name = ALIASES.get(name, name)
+    if not x.has(sort, name):
+        raise ModelParseError(f"unknown element {name!r} of sort {sort!r}", line)
+    return (sort, name), pos + 1
+
+
+def _arrow_lines(lines: Lines, x: SortedSet, form: str, default: str | None = None):
+    """Each ``left -> right`` line as its number, its tokens, the element
+    of ``x`` on its left and the position after its arrow.  A line with
+    no arrow has the left side ``default``, or is an error naming
+    ``form``."""
+    for lineno, line in lines:
+        tokens = tokenize(line, lineno)
+        if "->" not in tokens:
+            if default is None:
+                raise ModelParseError(f"expected {form!r}", lineno)
+            tokens = [default, "->", *tokens]
+        key, pos = _read_elem(tokens, 0, x, lineno)
+        yield lineno, tokens, key, _expect(tokens, pos, "->", lineno)
+
+
+def _elem_table(lines: Lines, dom: SortedSet, cod: SortedSet, what: str, default: str | None = None):
+    """The ``x -> y`` lines of a pointing or a carrier map as a table from
+    the elements of ``dom`` to the names of their images in ``cod``."""
+    table: dict[tuple[str, str], str] = {}
+    for lineno, tokens, key, pos in _arrow_lines(lines, dom, "x -> y", default):
+        target, pos = _read_elem(tokens, pos, cod, lineno)
+        if pos < len(tokens):
+            raise ModelParseError(f"trailing input after element: {tokens[pos]!r}", lineno)
+        if key[0] != target[0]:
+            raise ModelParseError(f"{what} must stay within its sort", lineno)
+        if key in table:
+            raise ModelParseError(f"duplicate {what} for {_key(dom, *key)!r}", lineno)
+        table[key] = target[1]
+    return table
 
 
 # ---------------------------------------------------------------------------
 # Coalgebra files
 
-def _parse_signature(sections: dict[str, Section]) -> tuple[tuple[str, ...], Functor]:
+def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Functor]:
     """The sorts listed in [sorts] (the default sort without one) and the
     functor of [functor]."""
-    sorts = tuple(
-        " ".join(line for _n, line in sections["sorts"].lines).split()
-    ) if "sorts" in sections else (DEFAULT_SORT,)
-    section = sections.get("functor")
-    if section is None:
-        raise ModelParseError("missing [functor] section")
-    if not section.lines:
+    sorts = tuple(" ".join(line for _n, line in sections["sorts"]).split()) if "sorts" in sections else (DEFAULT_SORT,)
+    section = _section(sections, "functor")
+    if not section:
         raise ModelParseError("empty [functor] section")
-    if len(sorts) == 1 and all("=" not in line for _n, line in section.lines):
-        text = " ".join(line for _n, line in section.lines)
-        return sorts, functor(parse_functor_text(text, section.lines[0][0]))
+    if len(sorts) == 1 and all("=" not in line for _n, line in section):
+        text = " ".join(line for _n, line in section)
+        return sorts, functor(parse_functor_text(text, section[0][0]))
     nodes: dict[str, Node] = {}
-    for lineno, line in section.lines:
+    for lineno, line in section:
         if "=" not in line:
             raise ModelParseError("expected '<sort> = <functor>'", lineno)
         sort, expr = line.split("=", 1)
@@ -559,41 +599,19 @@ def _elem_lines(x: SortedSet) -> list[str]:
 
 
 def _key(x: SortedSet, sort: str, elem: str) -> str:
-    """An element of ``x`` as the left side of a ``->`` line."""
-    return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{sort}.{elem}"
+    """An element of ``x`` as ``_read_elem`` reads it."""
+    return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{sort}." + format_name(elem)
 
 
 def parse_coalgebra(text: str) -> PointedCoalgebra:
     sections = split_sections(text)
     sorts, f = _parse_signature(sections)
-    if "states" not in sections:
-        raise ModelParseError("missing [states] section")
-    carrier = _parse_sorted_elems(sections["states"], sorts)
+    carrier = _parse_sorted_elems(_section(sections, "states"), sorts)
     pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
-    if "init" not in sections:
-        raise ModelParseError("missing [init] section")
-    point: dict[tuple[str, str], str] = {}
-    for lineno, line in sections["init"].lines:
-        if "->" in line:
-            left, right = (x.strip() for x in line.split("->", 1))
-        else:
-            left, right = "*", line.strip()
-        key = _sorted_key(left, pointing, lineno)
-        target = _sorted_key(right, carrier, lineno)
-        if key[0] != target[0]:
-            raise ModelParseError("pointing must stay within its sort", lineno)
-        if key in point:
-            raise ModelParseError(f"duplicate pointing for {left!r}", lineno)
-        point[key] = target[1]
+    point = _elem_table(_section(sections, "init"), pointing, carrier, "pointing", "*")
     xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
-    if "trans" in sections:
-        for lineno, line in sections["trans"].lines:
-            if "->" not in line:
-                raise ModelParseError("expected 'state -> term'", lineno)
-            left, right = line.split("->", 1)
-            key = _sorted_key(left.strip(), carrier, lineno)
-            term = parse_term_text(right.strip(), f.node(key[0]), carrier, lineno)
-            xi[key].append(term)
+    for lineno, tokens, key, pos in _arrow_lines(sections.get("trans", []), carrier, "state -> term"):
+        xi[key].append(_term_to_end(tokens, pos, f.node(key[0]), carrier, lineno))
     # each term was checked against the functor and the carrier as it was
     # parsed, so the system skips the constructor's second walk
     return PointedCoalgebra._built(
@@ -620,37 +638,37 @@ def parse_path(text: str) -> PathObj:
     sections = split_sections(text)
     sorts, f = _parse_signature(sections)
     pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
-    if "levels" not in sections:
-        raise ModelParseError("missing [levels] section")
     # a level may span several lines, one per sort
-    level_lines: dict[int, list[tuple[int, str]]] = {}
-    for lineno, line in sections["levels"].lines:
+    level_lines: dict[int, Lines] = {}
+    for lineno, line in _section(sections, "levels"):
         if ":" not in line:
             raise ModelParseError("expected '<k> : elements'", lineno)
         idx_text, rest = line.split(":", 1)
-        rows = level_lines.setdefault(_parse_int(idx_text, lineno), [])
-        if rest.strip():
-            rows.append((lineno, rest.strip()))
+        k = _parse_int(idx_text, lineno)
+        if k < 0:
+            raise ModelParseError(f"level index {k} out of range", lineno)
+        level_lines.setdefault(k, []).append((lineno, rest))
     n = max(level_lines.keys(), default=0)
     levels = []
     for k in range(n + 1):
         if k not in level_lines:
             raise ModelParseError(f"missing level {k}")
-        levels.append(_parse_sorted_elems(Section("level", level_lines[k]), sorts))
+        levels.append(_parse_sorted_elems(level_lines[k], sorts))
     fp1 = plus1(f)
     tables: list[dict[tuple[str, str], Term]] = [dict() for _ in range(n)]
-    for lineno, line in sections.get("steps", Section("steps", [])).lines:
-        if ":" not in line or "->" not in line:
+    for lineno, line in sections.get("steps", []):
+        idx_text, colon, rest = line.partition(":")
+        tokens = tokenize(rest, lineno)
+        if not colon or "->" not in tokens:
             raise ModelParseError("expected '<k> : elem -> term'", lineno)
-        idx_text, rest = line.split(":", 1)
         k = _parse_int(idx_text, lineno)
         if not 0 <= k < n:
             raise ModelParseError(f"step index {k} out of range", lineno)
-        left, right = (x.strip() for x in rest.split("->", 1))
-        key = _sorted_key(left, levels[k], lineno)
+        key, pos = _read_elem(tokens, 0, levels[k], lineno)
+        pos = _expect(tokens, pos, "->", lineno)
         if key in tables[k]:
-            raise ModelParseError(f"duplicate step {k} for {left!r}", lineno)
-        tables[k][key] = parse_term_text(right, fp1.node(key[0]), levels[k + 1], lineno)
+            raise ModelParseError(f"duplicate step {k} for {_key(levels[k], *key)!r}", lineno)
+        tables[k][key] = _term_to_end(tokens, pos, fp1.node(key[0]), levels[k + 1], lineno)
     path = make_path(f, pointing, levels, tables)
     problems = validate_path(path)
     if problems:
@@ -675,24 +693,7 @@ def print_path(p: PathObj) -> str:
 # Carrier map files
 
 def parse_map(text: str, dom: SortedSet, cod: SortedSet):
-    from .sets import SortedFun
-
-    sections = split_sections(text)
-    if "map" not in sections:
-        raise ModelParseError("missing [map] section")
-    table: dict[tuple[str, str], str] = {}
-    for lineno, line in sections["map"].lines:
-        if "->" not in line:
-            raise ModelParseError("expected 'x -> y'", lineno)
-        left, right = (x.strip() for x in line.split("->", 1))
-        key = _sorted_key(left, dom, lineno)
-        target = _sorted_key(right, cod, lineno)
-        if key[0] != target[0]:
-            raise ModelParseError("map must preserve sorts", lineno)
-        if key in table:
-            raise ModelParseError(f"duplicate image for {left!r}", lineno)
-        table[key] = target[1]
-    return SortedFun(dom, cod, table)
+    return SortedFun(dom, cod, _elem_table(_section(split_sections(text), "map"), dom, cod, "image"))
 
 
 # ---------------------------------------------------------------------------
@@ -723,14 +724,10 @@ def parse_factor_problem(text: str) -> FactorProblem:
     dom = _parse_sorted_elems(sections["domain"], sorts)
     cod = _parse_sorted_elems(sections["codomain"], sorts)
     table: dict[tuple[str, str], Term] = {}
-    for lineno, line in sections.get("map", Section("map", [])).lines:
-        if "->" not in line:
-            raise ModelParseError("expected 'x -> term'", lineno)
-        left, right = (x.strip() for x in line.split("->", 1))
-        key = _sorted_key(left, dom, lineno)
+    for lineno, tokens, key, pos in _arrow_lines(sections.get("map", []), dom, "x -> term"):
         if key in table:
-            raise ModelParseError(f"duplicate image for {left!r}", lineno)
-        table[key] = parse_term_text(right, f.node(key[0]), cod, lineno)
+            raise ModelParseError(f"duplicate image for {_key(dom, *key)!r}", lineno)
+        table[key] = _term_to_end(tokens, pos, f.node(key[0]), cod, lineno)
     return FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table))
 
 
@@ -739,21 +736,24 @@ def parse_factor_problem(text: str) -> FactorProblem:
 
 def parse_category(text: str) -> FiniteCategory:
     sections = split_sections(text)
-    if "objects" not in sections:
-        raise ModelParseError("missing [objects] section")
-    objects = tuple(" ".join(line for _n, line in sections["objects"].lines).split())
+    objects: list[str] = []
+    for lineno, line in _section(sections, "objects"):
+        for obj in line.split():
+            if obj in objects:
+                raise ModelParseError(f"duplicate object {obj!r}", lineno)
+            objects.append(obj)
     if not objects:
         raise ModelParseError("empty [objects] section")
     initial = objects[0]
     if "initial" in sections:
-        initial_lines = sections["initial"].lines
+        initial_lines = sections["initial"]
         if not initial_lines:
             raise ModelParseError("empty [initial] section")
         initial = " ".join(line for _n, line in initial_lines).strip()
         if initial not in objects:
             raise ModelParseError(f"initial object {initial!r} is not an object", initial_lines[0][0])
     morphisms: list[tuple[str, str, str]] = []
-    for lineno, line in sections.get("morphisms", Section("m", [])).lines:
+    for lineno, line in sections.get("morphisms", []):
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'name : dom -> cod'", lineno)
@@ -763,38 +763,40 @@ def parse_category(text: str) -> FiniteCategory:
         morphisms.append((m.group(1), m.group(2), m.group(3)))
     used: list[tuple[str, int]] = []  # morphism names, checked once every line has parsed
     identities: dict[str, str] = {}
-    for lineno, line in sections.get("identities", Section("i", [])).lines:
+    for lineno, line in sections.get("identities", []):
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'object : identity-name'", lineno)
         if m.group(1) not in objects:
             raise ModelParseError(f"identity {m.group(2)!r} names {m.group(1)!r}, which is not an object", lineno)
+        if m.group(1) in identities:
+            raise ModelParseError(f"duplicate identity for {m.group(1)!r}", lineno)
         used.append((m.group(2), lineno))
         identities[m.group(1)] = m.group(2)
     comp: dict[tuple[str, str], str] = {}
-    for lineno, line in sections.get("composition", Section("c", [])).lines:
+    for lineno, line in sections.get("composition", []):
         m = re.fullmatch(r"(\S+)\s+o\s+(\S+)\s*=\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'g o f = h'", lineno)
+        if (m.group(1), m.group(2)) in comp:
+            raise ModelParseError(f"duplicate composite for '{m.group(1)} o {m.group(2)}'", lineno)
         used.extend((name, lineno) for name in m.groups())
         comp[(m.group(1), m.group(2))] = m.group(3)
     names = {name for name, _d, _c in morphisms}
     for name, lineno in used:
         if name not in names:
             raise ModelParseError(f"{name!r} is not a morphism", lineno)
-    return FiniteCategory(objects, tuple(morphisms), identities, comp, initial)
+    return FiniteCategory(tuple(objects), tuple(morphisms), identities, comp, initial)
 
 
 def print_category(cat: FiniteCategory) -> str:
     lines = ["[objects]", " ".join(cat.objects), "", "[initial]", cat.initial, "", "[morphisms]"]
     for (name, d, c) in sorted(cat.morphisms):
         lines.append(f"{name} : {d} -> {c}")
-    lines.append("")
-    lines.append("[identities]")
+    lines += ["", "[identities]"]
     # a missing identity is reported by validate_category, not here
     lines.extend(f"{obj} : {cat.identities[obj]}" for obj in cat.objects if obj in cat.identities)
-    lines.append("")
-    lines.append("[composition]")
+    lines += ["", "[composition]"]
     for (g, f), h in sorted(cat.comp.items()):
         lines.append(f"{g} o {f} = {h}")
     return "\n".join(lines) + "\n"
@@ -805,20 +807,18 @@ def print_category(cat: FiniteCategory) -> str:
 
 def parse_rnna(text: str) -> RnnaPresentation:
     sections = split_sections(text)
-    if "states" not in sections:
-        raise ModelParseError("missing [states] section")
     states: dict[str, int] = {}
-    for lineno, line in sections["states"].lines:
+    for lineno, line in _section(sections, "states"):
         for chunk in line.split():
             m = re.fullmatch(r"(\S+)/(\d+)", chunk)
             if not m:
                 raise ModelParseError("expected 'name/registers'", lineno)
+            if m.group(1) in states:
+                raise ModelParseError(f"duplicate state {m.group(1)!r}", lineno)
             states[m.group(1)] = _parse_int(m.group(2), lineno)
-    if "init" not in sections:
-        raise ModelParseError("missing [init] section")
-    init = " ".join(line for _n, line in sections["init"].lines).strip()
+    init = " ".join(line for _n, line in _section(sections, "init")).strip()
     rules: list[RnnaRule] = []
-    for lineno, line in sections.get("rules", Section("r", [])).lines:
+    for lineno, line in sections.get("rules", []):
         m = re.fullmatch(r"(\S+)\s*->\s*ok", line)
         if m:
             rules.append(RnnaRule("ok", m.group(1)))
@@ -841,14 +841,13 @@ def parse_rnna(text: str) -> RnnaPresentation:
 def print_rnna(r: RnnaPresentation) -> str:
     lines = ["[states]", " ".join(f"{q}/{n}" for q, n in sorted(r.states.items())), "", "[init]", r.init, "", "[rules]"]
     for rule in r.rules:
+        sigma = " ".join(str(j) for j in rule.sigma)
         if rule.kind == "ok":
             lines.append(f"{rule.src} -> ok")
         elif rule.kind == "bind":
-            lines.append(f"{rule.src} -> bar {rule.target} [{' '.join(str(j) for j in rule.sigma)}]")
+            lines.append(f"{rule.src} -> bar {rule.target} [{sigma}]")
         else:
-            lines.append(
-                f"{rule.src} -> reg({rule.register}) {rule.target} [{' '.join(str(j) for j in rule.sigma)}]"
-            )
+            lines.append(f"{rule.src} -> reg({rule.register}) {rule.target} [{sigma}]")
     return "\n".join(lines) + "\n"
 
 
@@ -863,7 +862,7 @@ def parse_model(text: str):
     if "objects" in sections:
         return parse_category(text)
     if "rules" in sections or ("states" in sections and "trans" not in sections and "init" in sections
-                               and any("/" in line for _n, line in sections["states"].lines)):
+                               and any("/" in line for _n, line in sections["states"])):
         return parse_rnna(text)
     if "domain" in sections:
         return parse_factor_problem(text)

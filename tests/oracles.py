@@ -43,9 +43,10 @@ fit test-sized inputs:
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level;
-- a term line read character by character (:func:`char_loop_tokenize`)
-  and parsed through a :class:`TokenStream` with one method call per
-  token (:func:`stream_parse_term_text`), against the one-regex
+- a term line read character by character, ``->`` as one token
+  (:func:`char_loop_tokenize`), and parsed through a :class:`TokenStream`
+  with one method call per token (:func:`stream_parse_term_text`),
+  against the one-regex
   ``modelio.tokenize`` and the index-based term parser, token for token,
   term for term and error message for error message;
 - finite maps: every total map between two carriers, composition,
@@ -764,6 +765,10 @@ def char_loop_tokenize(text: str, line: int | None = None) -> list[str]:
                 raise ModelParseError("unterminated quoted name", line)
             tokens.append(text[i + 1 : end])
             i = end + 1
+            continue
+        if text.startswith("->", i):
+            tokens.append("->")
+            i += 2
             continue
         if ch in "(){}[],;=/":
             tokens.append(ch)

@@ -18,14 +18,19 @@ from coalgpath.functors import (
     Symbol,
     TupleTerm,
     Var,
+    bot_of_plus1,
     functor,
     lts_functor,
+    step_of_plus1,
 )
 from coalgpath.lasota import validate_category
 from coalgpath.groups import trivial_group
 from coalgpath.modelio import (
+    ALIASES,
     MAX_NESTING,
+    FactorProblem,
     ModelParseError,
+    _key,
     parse_category,
     parse_coalgebra,
     parse_factor_problem,
@@ -42,9 +47,10 @@ from coalgpath.modelio import (
     print_rnna,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
-from coalgpath.paths import comp, enumerate_runs
+from coalgpath.paths import comp, enumerate_runs, make_path
+from coalgpath.precise import TermMap, TermSpace
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
-from conftest import poset_category
+from conftest import MULTISORTED, poset_category
 from oracles import comp_as_word
 
 BOT = chr(0x22A5)
@@ -249,6 +255,11 @@ class TestPathFiles:
         with pytest.raises(ModelParseError, match="line 8"):
             parse_path(bad)
 
+    def test_negative_level_rejected_with_line(self):
+        bad = self.PATH_TEXT.replace("2 :\n", "2 :\n-1 : zz\n")
+        with pytest.raises(ModelParseError, match=r"^line 11: level index -1 out of range$"):
+            parse_path(bad)
+
     def test_repeated_step_rejected_with_line(self):
         twice = self.PATH_TEXT + "0 : * -> (b, n0)\n"
         with pytest.raises(ModelParseError, match=r"^line 15: duplicate step 0 for '\*'$"):
@@ -390,6 +401,21 @@ class TestCategoryFiles:
         with pytest.raises(ModelParseError, match="line 6: .*'c', which is not an object"):
             parse_category(text)
 
+    def test_repeated_object_rejected_with_line(self):
+        with pytest.raises(ModelParseError, match=r"^line 3: duplicate object 'a'$"):
+            parse_category("[objects]\na b\na\n")
+
+    def test_repeated_identity_rejected_with_line(self):
+        text = "[objects]\na\n\n[morphisms]\nida : a -> a\nf : a -> a\n\n[identities]\na : f\na : ida\n"
+        with pytest.raises(ModelParseError, match=r"^line 10: duplicate identity for 'a'$"):
+            parse_category(text)
+
+    def test_repeated_composition_rejected_with_line(self):
+        text = print_category(poset_category(2))
+        lines = text.count("\n") + 1
+        with pytest.raises(ModelParseError, match=rf"^line {lines}: duplicate composite for 'm01 o id0'$"):
+            parse_category(text + "m01 o id0 = m01\n")
+
     def test_missing_identity_roundtrips_and_is_reported(self):
         text = print_category(poset_category(2)).replace("1 : id1\n", "")
         cat = parse_category(text)
@@ -413,6 +439,11 @@ class TestRnnaFiles:
         again = parse_rnna(text)
         assert again == r
         assert print_rnna(again) == text
+
+    def test_repeated_state_rejected_with_line(self):
+        text = "[states]\nq0/0 q1/1\nq0/2\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n"
+        with pytest.raises(ModelParseError, match=r"^line 3: duplicate state 'q0'$"):
+            parse_rnna(text)
 
     def test_bad_rule_reported(self):
         text = "[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> fly q0 []\n"
@@ -513,6 +544,193 @@ class TestQuotedNames:
         printed = print_model(self.system()).replace(line, line + '  # a "#" and a stray "')
         assert '# a "#" and a stray "' in printed
         assert parse_model(printed) == self.system()
+
+
+class TestLineGrammar:
+    """Every ``left -> right`` line is tokenized once: ``->`` is a token,
+    and the left side is ``[sort .] name``."""
+
+    TWO_SORTED = """\
+[sorts]
+s t
+
+[functor]
+s = prod(const(a), sort(s))
+t = const(c)
+
+[pointing]
+s : *
+
+[states]
+s : "a#b"
+t : u
+
+[init]
+s.* -> s."a#b"
+
+[trans]
+s."a#b" -> (a, "a#b")
+t.u -> c
+"""
+
+    def test_a_quoted_arrow_in_a_name(self):
+        f = functor(parse_functor_text("prod(const(a), id)"))
+        carrier = SortedSet.single(["a->b", "q0"])
+        xi = {
+            (DEFAULT_SORT, "a->b"): (TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "q0"))),),
+            (DEFAULT_SORT, "q0"): (TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "a->b"))),),
+        }
+        c = PointedCoalgebra(f, singleton_pointing(), carrier, {(DEFAULT_SORT, "*"): "a->b"}, xi)
+        printed = print_model(c)
+        assert '"a->b" -> (a, q0)' in printed
+        assert parse_model(printed) == c
+
+    def test_quoted_multisorted_left_sides(self):
+        names = {"a": ["a#b", "p q", "a->b"], "b": ["a#b", "y"]}
+        carrier = SortedSet.make(names, MULTISORTED.sorts)
+        xi = {
+            **{("a", x): (TupleTerm((ConstElem("x"), Var("b", "a#b"))),) for x in names["a"]},
+            **{("b", x): (Inj(1, ConstElem("y")),) for x in names["b"]},
+        }
+        pointing = singleton_pointing(MULTISORTED.sorts)
+        c = PointedCoalgebra(MULTISORTED, pointing, carrier, {("a", "*"): "p q"}, xi)
+        printed = print_model(c)
+        assert 'a."a->b" -> (x, "a#b")' in printed and 'a.* -> a."p q"' in printed
+        assert parse_model(printed) == c
+        assert print_model(parse_model(printed)) == printed
+
+    def test_a_hand_written_qualified_quoted_name(self):
+        c = parse_model(self.TWO_SORTED)
+        assert c.point[("s", "*")] == "a#b"
+        assert c.xi[("s", "a#b")] == (TupleTerm((ConstElem("a"), Var("s", "a#b"))),)
+        assert print_model(c).endswith('[trans]\ns."a#b" -> (a, "a#b")\nt.u -> c\n')
+
+    @pytest.mark.parametrize("name", ["*:x", "*.x"])
+    def test_a_single_sorted_name_that_starts_like_a_sort(self, name):
+        # sorts are named in multisorted files only, so neither the '*:' of
+        # an element list nor the '*.' of a left side is read as one here
+        f = functor(parse_functor_text("prod(const(a), id)"))
+        xi = {(DEFAULT_SORT, name): (TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, name))),)}
+        c = PointedCoalgebra(f, singleton_pointing(), SortedSet.single([name]), {(DEFAULT_SORT, "*"): name}, xi)
+        assert parse_model(print_model(c)) == c
+
+    def test_unspaced_arrows(self):
+        text = LTS_TEXT.replace("* -> q0", "*->q0").replace("q0 -> (a, q1)", "q0->(a, q1)")
+        assert parse_coalgebra(text) == parse_coalgebra(LTS_TEXT)
+
+    def test_alias_words_read_as_glyphs_on_left_sides(self):
+        text = LTS_TEXT.replace("q0 q1", "ok q1").replace("* -> q0", '* -> "ok"').replace("q0 ->", "ok ->")
+        c = parse_coalgebra(text.replace("(b, q0)", "(b, ok)"))
+        assert c.point[(DEFAULT_SORT, "*")] == CHECK
+        assert len(c.xi[(DEFAULT_SORT, CHECK)]) == 2
+
+    def test_a_name_holding_a_quote_cannot_be_printed(self):
+        f = functor(parse_functor_text("prod(const(a), id)"))
+        name = 'a"b'
+        c = PointedCoalgebra(f, singleton_pointing(), SortedSet.single([name]), {(DEFAULT_SORT, "*"): name},
+                             {(DEFAULT_SORT, name): ()})
+        with pytest.raises(CoalgError, match=r"""^name 'a"b' holds a double quote"""):
+            print_model(c)
+
+
+# names drawn from all printable text, most often from the characters
+# where tokens meet; a name holding '"' cannot be written, and the alias
+# words read as their glyphs, so these two are left out
+_NAME_PARTS = st.one_of(
+    st.sampled_from(["->", *"->#.:* ()[]{},;=/'_a0"]),
+    st.characters(exclude_categories=("C", "Zl", "Zp", "Zs"), exclude_characters='"'),
+)
+NAMES = st.lists(_NAME_PARTS, max_size=4).map("".join).filter(lambda name: name not in ALIASES)
+ROUNDTRIP = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _reads_back(obj):
+    printed = print_model(obj)
+    assert parse_model(printed) == obj
+    assert print_model(parse_model(printed)) == printed
+
+
+def _sorted_names(data, sorts):
+    """A carrier over ``sorts`` with at least one drawn name in each sort."""
+    per_sort = {s: data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)) for s in sorts}
+    return SortedSet.make(per_sort, sorts)
+
+
+class TestPrintedNamesReadBack:
+    @given(st.data())
+    @ROUNDTRIP
+    def test_single_sorted_systems(self, data):
+        f = functor(parse_functor_text("prod(const(a b), id)"))
+        carrier = _sorted_names(data, (DEFAULT_SORT,))
+        names = carrier.elems(DEFAULT_SORT)
+        edges = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(names)), max_size=2)
+        xi = {}
+        for x in names:
+            terms = {TupleTerm((ConstElem(a), Var(DEFAULT_SORT, y))) for a, y in data.draw(edges)}
+            xi[(DEFAULT_SORT, x)] = tuple(sorted(terms))
+        point = {(DEFAULT_SORT, "*"): data.draw(st.sampled_from(names))}
+        _reads_back(PointedCoalgebra(f, singleton_pointing(), carrier, point, xi))
+
+    @given(st.data())
+    @ROUNDTRIP
+    def test_multisorted_systems(self, data):
+        carrier = _sorted_names(data, MULTISORTED.sorts)
+        a_names, b_names = carrier.elems("a"), carrier.elems("b")
+        xi = {("a", x): (TupleTerm((ConstElem("x"), Var("b", data.draw(st.sampled_from(b_names))))),) for x in a_names}
+        for y in b_names:
+            pair = TupleTerm((Var("a", data.draw(st.sampled_from(a_names))), Var("b", y)))
+            xi[("b", y)] = tuple(sorted({Inj(1, ConstElem("y")), Inj(0, pair)}))
+        point = {("a", "*"): data.draw(st.sampled_from(a_names))}
+        _reads_back(PointedCoalgebra(MULTISORTED, singleton_pointing(MULTISORTED.sorts), carrier, point, xi))
+
+    @given(st.lists(NAMES, min_size=4, max_size=4, unique=True))
+    @ROUNDTRIP
+    def test_paths(self, names):
+        # * -> (u, v), then u -> (w, z) and v -> bot
+        f = functor(parse_functor_text("prod(id, id)"))
+        u, v, w, z = (Var(DEFAULT_SORT, n) for n in names)
+        levels = [SortedSet.single(["*"]), SortedSet.single(names[:2]), SortedSet.single(names[2:])]
+        steps = [
+            {(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((u, v)))},
+            {(DEFAULT_SORT, u.name): step_of_plus1(TupleTerm((w, z))), (DEFAULT_SORT, v.name): bot_of_plus1()},
+        ]
+        _reads_back(make_path(f, singleton_pointing(), levels, steps))
+
+    @given(NAMES, NAMES)
+    @ROUNDTRIP
+    def test_multisorted_paths(self, x, y):
+        # a.* -> (x, y), then a.x -> bot and b.y -> c
+        f = parse_path(TestMultisortedPathFiles.TWO_SORT_TEXT).functor
+        levels = [
+            singleton_pointing(f.sorts),
+            SortedSet.make({"a": [x], "b": [y]}, f.sorts),
+            SortedSet.make({}, f.sorts),
+        ]
+        steps = [
+            {("a", "*"): step_of_plus1(TupleTerm((Var("a", x), Var("b", y))))},
+            {("a", x): bot_of_plus1(), ("b", y): step_of_plus1(ConstElem("c"))},
+        ]
+        _reads_back(make_path(f, singleton_pointing(f.sorts), levels, steps))
+
+    @given(st.data())
+    @ROUNDTRIP
+    def test_factor_problems(self, data):
+        f = functor(parse_functor_text("plus1(prod(id, id))"))
+        dom, cod = _sorted_names(data, (DEFAULT_SORT,)), _sorted_names(data, (DEFAULT_SORT,))
+        targets = st.sampled_from([Var(DEFAULT_SORT, y) for y in cod.elems(DEFAULT_SORT)])
+        pairs = st.tuples(targets, targets).map(lambda pair: step_of_plus1(TupleTerm(pair)))
+        terms = st.one_of(st.just(bot_of_plus1()), pairs)
+        table = {key: data.draw(terms) for key in dom.pairs()}
+        _reads_back(FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table)))
+
+    @given(st.sampled_from([(DEFAULT_SORT,), MULTISORTED.sorts]), st.data())
+    @ROUNDTRIP
+    def test_map_texts(self, sorts, data):
+        dom, cod = _sorted_names(data, sorts), _sorted_names(data, sorts)
+        table = {(s, x): data.draw(st.sampled_from(cod.elems(s))) for s, x in dom.pairs()}
+        text = "[map]\n" + "".join(f"{_key(dom, s, x)} -> {_key(cod, s, y)}\n" for (s, x), y in table.items())
+        fun = parse_map(text, dom, cod)
+        assert {key: fun(*key) for key in dom.pairs()} == table
 
 
 class TestFig3PathFile:
