@@ -20,7 +20,6 @@ from .functors import (
     TermError,
     eval_functor,
     fmap,
-    functor_has_pf,
     occurrences,
     term_in_functor,
 )
@@ -89,7 +88,7 @@ class PointedCoalgebra:
         return c
 
     def _check(self, walk_terms: bool) -> None:
-        if functor_has_pf(self.functor):
+        if self.functor.has_pf:
             raise TermError("the branching layer is implicit; F must be powerset-free")
         for key in self.pointing.pairs():
             if key not in self.point:

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .groups import PermGroup, canonical_tuple
-from .sets import DEFAULT_SORT, CoalgError, LruCache, SortedFun, SortedSet
+from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 
 class TermError(CoalgError):
@@ -349,10 +349,6 @@ def node_has_pf(node: Node) -> bool:
     return False
 
 
-def functor_has_pf(f: Functor) -> bool:
-    return f.has_pf
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -384,32 +380,26 @@ def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[
     raise TermError(f"unknown node {node!r}")
 
 
-# keyed by (functor, carrier); the lasota check evaluates carriers only in
-# its fallback for a sort with a disagreeing shape, which on a 5-object
-# category walks 243 of them
-_EVAL_CACHE: LruCache = LruCache(1024)
-
-
 def eval_functor(f: Functor, x: SortedSet) -> dict[str, tuple[Term, ...]]:
     """All canonical terms of F(X), per output sort, in canonical order."""
-    cache_key = (f, x)
-    cached = _EVAL_CACHE.get(cache_key)
-    if cached is None:
-        env = {s: tuple(Var(s, e) for e in x.elems(s)) for s in x.sorts}
+    return dict(_evaluated(f, x))
 
-        def leaf(ref: SortRef) -> tuple[Term, ...]:
-            try:
-                return env[ref.sort]
-            except KeyError:
-                raise TermError(f"expression refers to unknown sort {ref.sort!r}") from None
 
-        result = []
-        for s in f.sorts:
-            terms = sorted(set(eval_node(f.node(s), leaf)))
-            result.append((s, tuple(terms)))
-        cached = tuple(result)
-        _EVAL_CACHE[cache_key] = cached
-    return dict(cached)
+# bounded, since the lasota check evaluates carriers only in its fallback
+# for a sort with a disagreeing shape, which on a 5-object category walks
+# 243 of them
+@functools.lru_cache(maxsize=1024)
+def _evaluated(f: Functor, x: SortedSet) -> tuple[tuple[str, tuple[Term, ...]], ...]:
+    """``eval_functor``'s answer as (sort, terms) pairs, kept per (functor, carrier)."""
+    env = {s: tuple(Var(s, e) for e in x.elems(s)) for s in x.sorts}
+
+    def leaf(ref: SortRef) -> tuple[Term, ...]:
+        try:
+            return env[ref.sort]
+        except KeyError:
+            raise TermError(f"expression refers to unknown sort {ref.sort!r}") from None
+
+    return tuple((s, tuple(sorted(set(eval_node(f.node(s), leaf))))) for s in f.sorts)
 
 
 def term_in_functor(f: Functor, sort: str, term: Term, x: SortedSet) -> bool:

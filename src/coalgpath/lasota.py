@@ -31,7 +31,7 @@ from .functors import (
     occurrences,
     read_letter,
 )
-from .precise import TermMap, TermSpace, element_shapes, is_precise, precise_chains
+from .precise import TermMap, element_shapes, is_precise, precise_chains
 from .sets import CoalgError, SortedSet, singleton_pointing
 
 POINT_ELEM = "*"
@@ -216,7 +216,7 @@ def _carrier_mismatches(f: Functor, sorts: tuple[str, ...], p: str, max_y: int) 
     for sizes in itertools.product(range(max_y + 1), repeat=len(sorts)):
         y = SortedSet(sorts, tuple(tuple(f"y{i}" for i in range(k)) for k in sizes))
         for t in eval_functor(f, y)[p]:
-            tm = TermMap(chi_p, TermSpace(f, y), {(p, POINT_ELEM): t})
+            tm = TermMap(chi_p, f, y, {(p, POINT_ELEM): t})
             if is_precise(tm) != (y.size() == 1):
                 lines.append(f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}")
     return lines

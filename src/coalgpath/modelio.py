@@ -57,7 +57,7 @@ from .groups import PermGroup
 from .lasota import FiniteCategory
 from .nominal import RnnaPresentation, RnnaRule
 from .paths import PathObj, make_path, validate_path
-from .precise import TermMap, TermSpace
+from .precise import TermMap
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
 # a bare name; only a ``-`` looks ahead, since ``->`` never belongs to one
@@ -111,10 +111,20 @@ def format_name(name: str) -> str:
 
 
 class TokenStream:
-    def __init__(self, tokens: list[str], line: int | None = None):
+    """Tokens read one at a time; ``marks`` holds the positions of the bare
+    punctuation marks, which, unlike quoted ones, are never names."""
+
+    def __init__(self, tokens: list[str], line: int | None = None, marks: frozenset[int] = frozenset()):
         self.tokens = tokens
+        self.marks = marks
         self.pos = 0
         self.line = line
+
+    @classmethod
+    def of(cls, text: str, line: int | None = None) -> "TokenStream":
+        """The tokens of ``text``, with its marks."""
+        marks = [i for i, (_q, bare, _o) in enumerate(_TOKEN_RE.findall(text)) if bare and not NAME_RE.fullmatch(bare)]
+        return cls(tokenize(text, line), line, frozenset(marks))
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -134,6 +144,13 @@ class TokenStream:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def name(self) -> str:
+        """The next token, which must be a name, with an alias read as its glyph."""
+        if self.pos in self.marks:
+            raise ModelParseError(f"expected a name, got {self.tokens[self.pos]!r}", self.line)
+        tok = self.next()
+        return ALIASES.get(tok, tok)
+
 
 # ---------------------------------------------------------------------------
 # Functor expressions
@@ -147,7 +164,7 @@ MAX_NODES = 10_000
 
 
 def parse_functor_text(text: str, line: int | None = None) -> Node:
-    stream = TokenStream(tokenize(text, line), line)
+    stream = TokenStream.of(text, line)
     node, _height, _size = _parse_node(stream, 1)
     if not stream.done():
         raise ModelParseError(f"trailing input after functor expression: {stream.peek()!r}", line)
@@ -170,10 +187,10 @@ def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
     if head == "const":
         s.expect("(")
         elems = []
-        while s.peek() != ")":
-            tok = s.next()
-            elems.append(ALIASES.get(tok, tok))
-        s.expect(")")
+        # a quoted ")" is a constant: only a bare one ends the list
+        while s.peek() != ")" or s.pos not in s.marks:
+            elems.append(s.name())
+        s.next()
         return Const(tuple(sorted(elems))), 1, 1
     if head in ("prod", "coprod"):
         s.expect("(")
@@ -257,7 +274,7 @@ def print_functor_node(node: Node) -> str:
     if isinstance(node, SortRef):
         return "id" if node.sort == DEFAULT_SORT else f"sort({node.sort})"
     if isinstance(node, Const):
-        return "const(" + " ".join(node.elems) + ")"
+        return "const(" + " ".join(map(format_name, node.elems)) + ")"
     if isinstance(node, Prod):
         return "prod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Coprod):
@@ -431,7 +448,7 @@ def print_term_for(f: Functor, sort: str, term: Term) -> str:
                 return BOT
             return f"in{t.index}({walk(branch, t.arg)})"
         if isinstance(node, Const) and isinstance(t, ConstElem):
-            return t.name
+            return format_name(t.name)
         if isinstance(node, Prod) and isinstance(t, TupleTerm):
             return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
         if isinstance(node, Analytic) and isinstance(t, AnSym):
@@ -490,8 +507,9 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
         # as _elem_lines writes them, sorts are named in multisorted files only
         if not (colon and sorts != (DEFAULT_SORT,) and sort in sorts):
             sort, rest = sorts[0], line
-        for n in tokenize(rest, lineno):
-            name = ALIASES.get(n, n)
+        names = TokenStream.of(rest, lineno)
+        while not names.done():
+            name = names.name()
             if name in per_sort[sort]:
                 raise ModelParseError(f"duplicate element {name!r}", lineno)
             per_sort[sort].append(name)
@@ -563,12 +581,14 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
     section = _section(sections, "functor")
     if not section:
         raise ModelParseError("empty [functor] section")
-    if len(sorts) == 1 and all("=" not in line for _n, line in section):
+    # a line names its sort by an '=' before its first quoted name
+    named = ["=" in line.partition('"')[0] for _n, line in section]
+    if len(sorts) == 1 and not any(named):
         text = " ".join(line for _n, line in section)
         return sorts, functor(parse_functor_text(text, section[0][0]))
     nodes: dict[str, Node] = {}
-    for lineno, line in section:
-        if "=" not in line:
+    for (lineno, line), has_sort in zip(section, named):
+        if not has_sort:
             raise ModelParseError("expected '<sort> = <functor>'", lineno)
         sort, expr = line.split("=", 1)
         sort = sort.strip()
@@ -682,7 +702,7 @@ def print_path(p: PathObj) -> str:
     for k, level in enumerate(p.levels):
         lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
     lines += ["", "[steps]"]
-    fp1 = p.plus1()
+    fp1 = plus1(p.functor)
     for k, step in enumerate(p.steps):
         for (s, e) in p.levels[k].pairs():
             lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e))}")
@@ -728,7 +748,7 @@ def parse_factor_problem(text: str) -> FactorProblem:
         if key in table:
             raise ModelParseError(f"duplicate image for {_key(dom, *key)!r}", lineno)
         table[key] = _term_to_end(tokens, pos, f.node(key[0]), cod, lineno)
-    return FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table))
+    return FactorProblem(f, dom, cod, TermMap(dom, f, cod, table))
 
 
 # ---------------------------------------------------------------------------

@@ -417,23 +417,13 @@ BAR_INDEX = 1
 FREE_INDEX = 2
 
 
-def _bind_successor(rule: RnnaRule, regs: tuple[str, ...], pool: AtomPool) -> Term:
-    fresh_candidates = [a for a in pool.atoms if a not in regs]
-    if not fresh_candidates:
-        raise PoolError("pool too small: no fresh atom available")
-    a = fresh_candidates[0]
-    target_regs = tuple(a if j == 0 else regs[j - 1] for j in rule.sigma)
-    return _bar_term(a, NomElem(rule.target or "", target_regs), pool)
-
-
-def _bar_term(atom: str, body: NomElem, pool: AtomPool) -> Term:
-    """The binder transition to ``body`` under ``atom``, alpha-canonical."""
-    canonical = canonical_bind(atom, body, pool)
-    target = canonical.body  # ``body`` renamed, so a NomElem
-    return Inj(
-        BAR_INDEX,
-        TupleTerm((ConstElem(canonical.atom), Var(DEFAULT_SORT, state_name(target.tag, target.atoms)))),  # type: ignore[union-attr]
-    )
+def _transition(index: int, atom: str, target: NomElem, pool: AtomPool) -> Term:
+    """The transition reading ``atom`` into ``target``: a literal at
+    ``FREE_INDEX``, and at any other index a binder, alpha-canonical."""
+    if index != FREE_INDEX:
+        bound = canonical_bind(atom, target, pool)
+        index, atom, target = BAR_INDEX, bound.atom, bound.body  # ``target`` renamed, so a NomElem
+    return Inj(index, TupleTerm((ConstElem(atom), Var(DEFAULT_SORT, state_name(target.tag, target.atoms)))))
 
 
 def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalgebra:
@@ -461,19 +451,17 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
                 continue
             if rule.kind == "ok":
                 terms.add(Inj(0, ConstElem(CHECK)))
-            elif rule.kind == "read":
-                letter = regs[rule.register - 1]  # type: ignore[operator]
-                target_regs = tuple(regs[j - 1] for j in rule.sigma)
-                terms.add(
-                    Inj(
-                        FREE_INDEX,
-                        TupleTerm(
-                            (ConstElem(letter), Var(DEFAULT_SORT, state_name(rule.target or "", target_regs)))
-                        ),
-                    )
-                )
+                continue
+            if rule.kind == "read":
+                index, atom = FREE_INDEX, regs[rule.register - 1]  # type: ignore[operator]
             else:
-                terms.add(_bind_successor(rule, regs, pool))
+                fresh = [a for a in pool.atoms if a not in regs]
+                if not fresh:
+                    raise PoolError("pool too small: no fresh atom available")
+                index, atom = BAR_INDEX, fresh[0]
+            # a read rule places no fresh atom (slot 0), a bind rule the bound one
+            target_regs = tuple(atom if j == 0 else regs[j - 1] for j in rule.sigma)
+            terms.add(_transition(index, atom, NomElem(rule.target or "", target_regs), pool))
         xi[(DEFAULT_SORT, name)] = tuple(sorted(terms))
     n = presentation.context_arity
     contexts = list(itertools.permutations(pool.atoms, n))
@@ -498,13 +486,7 @@ def perm_term(pi: Perm, t: Term, pool: AtomPool) -> Term:
     atom = t.arg.args[0].name  # type: ignore[union-attr]
     target = t.arg.args[1].name  # type: ignore[union-attr]
     q, regs = parse_state_name(target)
-    renamed = NomElem(q, tuple(pi(a) for a in regs))
-    if t.index == FREE_INDEX:
-        return Inj(
-            FREE_INDEX,
-            TupleTerm((ConstElem(pi(atom)), Var(DEFAULT_SORT, state_name(renamed.tag, renamed.atoms)))),
-        )
-    return _bar_term(pi(atom), renamed, pool)
+    return _transition(t.index, pi(atom), NomElem(q, tuple(pi(a) for a in regs)), pool)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, Var, bot_of_plus1, fmap, functor_has_pf, occurrences, step_of_plus1, subst_node,
+    Functor, Term, TermError, Var, bot_of_plus1, fmap, occurrences, step_of_plus1, subst_node,
 )
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
@@ -457,7 +457,7 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
     if trials < 1:
         raise CoalgError("at least one trial required")
     # a spec every trial would fail on is bad input, not a failed trial
-    if functor_has_pf(spec.functor):
+    if spec.functor.has_pf:
         raise TermError("the branching layer is implicit; F must be powerset-free")
     for s, n in spec.sizes.items():
         if n < 1:

@@ -39,7 +39,7 @@ from .functors import (
     term_in_functor,
     word_shape,
 )
-from .precise import TermMap, TermSpace, is_precise, precise_factorize
+from .precise import TermMap, is_precise, precise_factorize
 from .sets import CoalgError, SortedFun, SortedSet
 
 
@@ -56,19 +56,13 @@ class PathObj:
     def length(self) -> int:
         return len(self.steps)
 
-    def plus1(self) -> Functor:
-        return plus1(self.functor)
-
 
 def make_path(functor: Functor, pointing: SortedSet, levels, raw_steps) -> PathObj:
     """Assemble a path from raw step tables (terms of F+1 over the next level)."""
     level_tuple = tuple(levels)
-    steps = []
     fp1 = plus1(functor)
-    for k, table in enumerate(raw_steps):
-        space = TermSpace(fp1, level_tuple[k + 1])
-        steps.append(TermMap(level_tuple[k], space, table))
-    return PathObj(functor, pointing, level_tuple, tuple(steps))
+    steps = tuple(TermMap(level_tuple[k], fp1, level_tuple[k + 1], table) for k, table in enumerate(raw_steps))
+    return PathObj(functor, pointing, level_tuple, steps)
 
 
 def validate_path(p: PathObj) -> list[str]:
@@ -80,7 +74,7 @@ def validate_path(p: PathObj) -> list[str]:
     if len(p.levels) != p.length + 1:
         problems.append("level/step count mismatch")
         return problems
-    fp1 = p.plus1()
+    fp1 = plus1(p.functor)
     for k, step in enumerate(p.steps):
         if step.dom != p.levels[k]:
             problems.append(f"step {k} has wrong domain")
@@ -121,7 +115,7 @@ def make_comp_value(functor: Functor, pointing: SortedSet, depth: int, values: d
 def comp(p: PathObj) -> CompValue:
     """Substitute the levels backwards, replacing the last level by units."""
     current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
-    fp1 = p.plus1()
+    fp1 = plus1(p.functor)
     for k in range(p.length - 1, -1, -1):
         nxt: dict[tuple[str, str], Term] = {}
         for (s, x), t in p.steps[k].table.items():
@@ -195,7 +189,7 @@ def path_from_comp(u: CompValue) -> PathObj:
         for key in current.pairs():
             table[key] = map_leaves(fp1.node(key[0]), residual[key], collect)
         var_carrier = SortedSet.make({s: list(sub_values[s].keys()) for s in u.pointing.sorts}, u.pointing.sorts)
-        f_k = TermMap(current, TermSpace(fp1, var_carrier), table)
+        f_k = TermMap(current, fp1, var_carrier, table)
         fac = precise_factorize(f_k)
         steps.append(fac.precise.table)
         next_level = fac.codomain
@@ -285,7 +279,7 @@ def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
         raise CoalgError("paths over different functors or pointings")
     if p.length > q.length:
         return
-    fp1 = p.plus1()
+    fp1 = plus1(p.functor)
 
     def search(k: int, phi_k: SortedFun, acc: list[SortedFun]) -> Iterator[PathMorphism]:
         if k == p.length:
@@ -492,7 +486,7 @@ def enumerate_runs(
                 )
                 for key, choice in zip(keys, combo)
             }
-            step = TermMap(current, TermSpace(fp1, next_level), step_table)
+            step = TermMap(current, fp1, next_level, step_table)
             x_next = SortedFun(next_level, c.carrier, x_table)
             longer = PathObj(c.functor, c.pointing, path.levels + (next_level,), path.steps + (step,))
             yield longer, Run(longer, c, run.components + (x_next,))

@@ -28,7 +28,6 @@ from .functors import (
     TermError,
     Var,
     eval_node,
-    functor_has_pf,
     node_has_pf,
     occurrences,
     rebuild_with_fresh,
@@ -37,22 +36,15 @@ from .functors import (
 from .sets import CoalgError, SortedFun, SortedSet
 
 
-@dataclass(frozen=True)
-class TermSpace:
-    """The codomain descriptor for maps into F(Y)."""
-
-    functor: Functor
-    carrier: SortedSet
-
-
 class TermMap:
     """A total map ``X -> F(Y)``, one term per domain element."""
 
-    __slots__ = ("dom", "space", "table")
+    __slots__ = ("dom", "functor", "cod", "table")
 
-    def __init__(self, dom: SortedSet, space: TermSpace, table: Mapping[tuple[str, str], Term]):
+    def __init__(self, dom: SortedSet, functor: Functor, cod: SortedSet, table: Mapping[tuple[str, str], Term]):
         self.dom = dom
-        self.space = space
+        self.functor = functor
+        self.cod = cod
         self.table = dict(table)
         missing = set(dom.pairs()) - set(self.table)
         if missing:
@@ -68,7 +60,8 @@ class TermMap:
         return (
             isinstance(other, TermMap)
             and self.dom == other.dom
-            and self.space == other.space
+            and self.functor == other.functor
+            and self.cod == other.cod
             and self.table == other.table
         )
 
@@ -81,7 +74,7 @@ def occurrence_counts(f: TermMap) -> Counter:
     """How often each codomain variable occurs across all f(x)."""
     counts: Counter = Counter()
     for (sort, x), term in sorted(f.table.items()):
-        node = f.space.functor.node(sort)
+        node = f.functor.node(sort)
         for var, _path in occurrences(node, term):
             counts[(var.sort, var.name)] += 1
     return counts
@@ -89,10 +82,10 @@ def occurrence_counts(f: TermMap) -> Counter:
 
 def is_precise(f: TermMap) -> bool:
     """Occurrence criterion: every codomain element used exactly once."""
-    if functor_has_pf(f.space.functor):
+    if f.functor.has_pf:
         raise PowersetNodeError("the occurrence criterion is undefined on powerset functors")
     counts = occurrence_counts(f)
-    for key in f.space.carrier.pairs():
+    for key in f.cod.pairs():
         if counts.get(key, 0) != 1:
             return False
     return all(count == 1 for count in counts.values())
@@ -118,14 +111,14 @@ def precise_factorize(f: TermMap) -> Factorization:
     Every occurrence of a codomain variable becomes its own fresh
     element ``(x;path)``; unused elements of Y simply do not appear.
     """
-    if functor_has_pf(f.space.functor):
+    if f.functor.has_pf:
         raise PowersetNodeError("cannot factorize through powerset nodes")
-    y = f.space.carrier
+    y = f.cod
     fresh_elems: dict[str, list[str]] = {s: [] for s in y.sorts}
     connect_table: dict[tuple[str, str], str] = {}
     new_terms: dict[tuple[str, str], Term] = {}
     for (sort, x), term in sorted(f.table.items()):
-        node = f.space.functor.node(sort)
+        node = f.functor.node(sort)
 
         def fresh(var: Var, path: tuple[int, ...], _x=x) -> Var:
             name = position_name(_x, path)
@@ -135,7 +128,7 @@ def precise_factorize(f: TermMap) -> Factorization:
 
         new_terms[(sort, x)] = rebuild_with_fresh(node, term, fresh)
     codomain = SortedSet.make({s: fresh_elems[s] for s in y.sorts}, y.sorts)
-    precise = TermMap(f.dom, TermSpace(f.space.functor, codomain), new_terms)
+    precise = TermMap(f.dom, f.functor, codomain, new_terms)
     connect = SortedFun(codomain, y, connect_table)
     return Factorization(codomain, precise, connect)
 
@@ -143,23 +136,16 @@ def precise_factorize(f: TermMap) -> Factorization:
 # ---------------------------------------------------------------------------
 # Bag abstraction
 
-def _analytic_node(node: Node) -> Analytic:
-    if isinstance(node, Analytic):
-        return node
-    raise TermError("bag abstraction needs an analytic expression")
-
-
 def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
     """The multiset of argument occurrences of an analytic term.
 
     Natural in the carrier: taking the multiset commutes with renaming
     arguments, independently of the chosen orbit representative.
     """
-    _analytic_node(f_expr.node(sort))
-    counts: Counter = Counter()
-    for var, _path in occurrences(f_expr.node(sort), term):
-        counts[(var.sort, var.name)] += 1
-    return counts
+    node = f_expr.node(sort)
+    if not isinstance(node, Analytic):
+        raise TermError("bag abstraction needs an analytic expression")
+    return Counter((var.sort, var.name) for var, _path in occurrences(node, term))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +208,7 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
             for v in names:
                 fresh_elems[v.sort].append(v.name)
         codomain = SortedSet.make({s: fresh_elems[s] for s in p.sorts}, p.sorts)
-        term_map = TermMap(p, TermSpace(f_expr, codomain), table)
+        term_map = TermMap(p, f_expr, codomain, table)
         # the table is filled in the same key order for every combination
         dedupe_key = tuple(table.items())
         if dedupe_key in seen:

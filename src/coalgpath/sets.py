@@ -139,29 +139,3 @@ class SortedFun:
     def identity(carrier: SortedSet) -> "SortedFun":
         return SortedFun(carrier, carrier, {(s, e): e for s, e in carrier.pairs()})
 
-
-class LruCache(dict):
-    """A dict of at most ``maxsize`` entries: storing one more evicts the
-    least recently stored or read.
-
-    Recency is insertion order, so a read re-inserts its entry, under
-    the key it was read with.
-    """
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key, default=None):
-        try:
-            value = self.pop(key)
-        except KeyError:
-            return default
-        dict.__setitem__(self, key, value)
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        self.pop(key, None)
-        dict.__setitem__(self, key, value)
-        if len(self) > self.maxsize:
-            del self[next(iter(self))]

@@ -23,7 +23,7 @@ from coalgpath.functors import (
 from coalgpath.groups import symmetric_group
 from coalgpath.lasota import FiniteCategory
 from coalgpath.modelio import parse_functor_text
-from coalgpath.precise import TermMap, TermSpace
+from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, SortedSet
 from coalgpath.trace import TraceSet
 
@@ -73,7 +73,7 @@ CONST_PLUS1 = functor(plus1_node(Const(("c",))))
 def term_map(f_expr, dom_elems, cod_elems, table) -> TermMap:
     dom = single(dom_elems)
     cod = single(cod_elems)
-    return TermMap(dom, TermSpace(f_expr, cod), {(DEFAULT_SORT, k): v for k, v in table.items()})
+    return TermMap(dom, f_expr, cod, {(DEFAULT_SORT, k): v for k, v in table.items()})
 
 
 def all_term_maps(f_expr, dom_elems, cod_elems):
@@ -82,14 +82,13 @@ def all_term_maps(f_expr, dom_elems, cod_elems):
 
     dom = single(dom_elems)
     cod = single(cod_elems)
-    space = TermSpace(f_expr, cod)
     terms = eval_functor(f_expr, cod)[DEFAULT_SORT]
     keys = list(dom.pairs())
     if not keys:
-        yield TermMap(dom, space, {})
+        yield TermMap(dom, f_expr, cod, {})
         return
     for combo in itertools.product(terms, repeat=len(keys)):
-        yield TermMap(dom, space, dict(zip(keys, combo)))
+        yield TermMap(dom, f_expr, cod, dict(zip(keys, combo)))
 
 
 def whyplus1_system() -> PointedCoalgebra:

@@ -109,7 +109,7 @@ from coalgpath.nominal import (
     parse_state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
-from coalgpath.precise import Factorization, TermMap, TermSpace, enumerate_precise_maps, is_precise, precise_factorize
+from coalgpath.precise import Factorization, TermMap, enumerate_precise_maps, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, trace
 
@@ -167,7 +167,7 @@ def homset_leq(f: BehaviourMap, g: BehaviourMap) -> bool:
 def factorization_commutes(f: TermMap, fac: Factorization) -> bool:
     """Check F(h) . f' = f."""
     for (sort, x) in f.dom.pairs():
-        if fmap(f.space.functor, fac.connect, sort, fac.precise(sort, x)) != f(sort, x):
+        if fmap(f.functor, fac.connect, sort, fac.precise(sort, x)) != f(sort, x):
             return False
     return True
 
@@ -373,7 +373,7 @@ def is_path_morphism(m: PathMorphism) -> bool:
         return False
     if m.components[0].table != SortedFun.identity(m.src.pointing).table:
         return False
-    fp1 = m.src.plus1()
+    fp1 = plus1(m.src.functor)
     for k in range(m.src.length):
         phi_k, phi_next = m.components[k], m.components[k + 1]
         for (s, x) in m.src.levels[k].pairs():
@@ -409,7 +409,7 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
                 key: bot_of_plus1() if choice is None else step_of_plus1(choice)
                 for key, choice in zip(keys, combo)
             }
-            fac = precise_factorize(TermMap(current, TermSpace(fp1, c.carrier), table))
+            fac = precise_factorize(TermMap(current, fp1, c.carrier, table))
             rename: dict[tuple[str, str], str] = {}
             per_sort: dict[str, list[str]] = {s: [] for s in c.pointing.sorts}
             for i, (s, pos) in enumerate(fac.codomain.pairs()):
@@ -418,7 +418,7 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
             next_level = SortedSet.make(per_sort, c.pointing.sorts)
             rename_fun = SortedFun(fac.codomain, next_level, rename)
             step_table = {key: fmap(fp1, rename_fun, key[0], t) for key, t in fac.precise.table.items()}
-            step = TermMap(current, TermSpace(fp1, next_level), step_table)
+            step = TermMap(current, fp1, next_level, step_table)
             x_table = {(s, rename[(s, pos)]): fac.connect(s, pos) for (s, pos) in fac.codomain.pairs()}
             x_next = SortedFun(next_level, c.carrier, x_table)
             yield from rec(levels + [next_level], steps + [step], comps + [x_next])
@@ -483,8 +483,8 @@ def is_precise_oracle(f: TermMap, size_bound: int) -> bool:
     and ``h . d = id``.  Exhaustive and exponential.  The map
     under test must itself fit the bound.
     """
-    functor = f.space.functor
-    y = f.space.carrier
+    functor = f.functor
+    y = f.cod
     x = f.dom
     largest = max((len(elems) for elems in x.data + y.data), default=0)
     if largest > size_bound:
@@ -562,7 +562,7 @@ def precise_iff_characteristic_oracle(f: Functor, objects: tuple[str, ...], max_
         chi_p = singleton_pointing(tuple(objects), at=p, name="*")
         for y in _all_small_carriers(tuple(objects), max_y):
             for t in eval_functor(f, y)[p]:
-                tm = TermMap(chi_p, TermSpace(f, y), {(p, "*"): t})
+                tm = TermMap(chi_p, f, y, {(p, "*"): t})
                 if is_precise(tm) != _is_characteristic(y):
                     lines.append(f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}")
     return lines

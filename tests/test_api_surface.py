@@ -1,12 +1,13 @@
-"""Every public top-level function and class in ``src/`` is used or documented.
+"""Every top-level function and class in ``src/`` is used or documented.
 
 A public name (no leading underscore) defined at the top level of a
 ``coalgpath`` module must be referenced somewhere in ``src/`` outside its
 own definition, or be named in the "API no verb calls" column of that
 module's row in the README's library-layout table, before the colon
-that starts the reason it stays.  Code that only the tests call belongs
-in ``tests/`` (``oracles.py``, ``conftest.py``).  The sources and the
-README are read as text, never imported.
+that starts the reason it stays.  A private name must be referenced in
+``src/`` outside its own definition.  Code that only the tests call
+belongs in ``tests/`` (``oracles.py``, ``conftest.py``).  The sources
+and the README are read as text, never imported.
 """
 
 import ast
@@ -34,12 +35,12 @@ def _names_in(node: ast.AST) -> set[str]:
     return names
 
 
-def _public_definitions(trees) -> list[tuple[str, ast.stmt]]:
+def _definitions(trees, private: bool) -> list[tuple[str, ast.stmt]]:
     return [
         (module, node)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private
     ]
 
 
@@ -55,7 +56,8 @@ def _readme_api() -> dict[str, set[str]]:
 
 
 TREES = _trees()
-DEFINITIONS = _public_definitions(TREES)
+DEFINITIONS = _definitions(TREES, private=False)
+PRIVATE_DEFINITIONS = _definitions(TREES, private=True)
 README_API = _readme_api()
 # the names each top-level statement of src/ uses
 USES = [(stmt, _names_in(stmt)) for tree in TREES.values() for stmt in tree.body]
@@ -71,6 +73,13 @@ def test_referenced_in_src_or_listed_as_api(module, node):
     assert used or node.name in README_API.get(module, set()), (
         f"{module}.{node.name} is called from nowhere in src/ and not listed as API in README.md; "
         "move it beside the tests or document it"
+    )
+
+
+@pytest.mark.parametrize("module, node", PRIVATE_DEFINITIONS, ids=[f"{m}.{n.name}" for m, n in PRIVATE_DEFINITIONS])
+def test_private_referenced_in_src(module, node):
+    assert any(node.name in names for stmt, names in USES if stmt is not node), (
+        f"{module}.{node.name} is called from nowhere in src/; delete it or move it beside the tests"
     )
 
 

@@ -28,7 +28,6 @@ from coalgpath.functors import (
     eval_node,
     fmap,
     functor,
-    functor_has_pf,
     lts_functor,
     multisorted,
     node_has_pf,
@@ -40,7 +39,7 @@ from coalgpath.functors import (
 from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _quotient_map, _random_map, reachable_bfs
-from coalgpath.sets import DEFAULT_SORT, LruCache, SortedSet
+from coalgpath.sets import DEFAULT_SORT, SortedSet
 
 from conftest import HARNESS_FUNCTORS, MULTISORTED, SYSTEM_FUNCTORS, SYSTEM_IDS
 from oracles import literal_bfs
@@ -65,7 +64,6 @@ class TestFunctorFacts:
     @pytest.mark.parametrize("f", FUNCTORS, ids=range(len(FUNCTORS)))
     def test_has_pf_and_plus1_match_an_uncached_computation(self, f):
         assert f.has_pf == any(node_has_pf(n) for _s, n in f.nodes)
-        assert functor_has_pf(f) == f.has_pf
         expected = Functor(f.sorts, tuple((s, plus1_node(n)) for s, n in f.nodes))
         assert f.plus1 == expected and plus1(f) == expected
         assert hash(f.plus1) == hash(expected)
@@ -271,39 +269,30 @@ class TestSortedSetHas:
                     assert x.has(sort, elem) == scan
 
 
-class TestLruCache:
-    def test_evicts_the_least_recently_used(self):
-        cache = LruCache(3)
-        for k in "abc":
-            cache[k] = k.upper()
-        assert cache.get("a") == "A"  # a is now the most recent
-        cache["d"] = "D"
-        assert set(cache) == {"a", "c", "d"}
-        cache["c"] = "C2"  # overwriting counts as a use
-        cache["e"] = "E"
-        assert set(cache) == {"c", "d", "e"} and cache.get("c") == "C2"
-        assert cache.get("b") is None and cache.get("b", 0) == 0
-
-    def test_eval_cache_stays_at_its_bound_with_unchanged_answers(self, monkeypatch):
+class TestEvalCache:
+    def test_stays_at_its_bound_with_unchanged_answers(self):
         f = lts_functor("ab")
-        carriers = [SortedSet.single([f"s{j}" for j in range(i % 4)] + [f"t{i}"]) for i in range(20)]
+        bound = functors._evaluated.cache_info().maxsize
+        # more distinct carriers than the cache keeps, each asked for twice
+        carriers = [SortedSet.single([f"s{j}" for j in range(i % 4)] + [f"t{i}"]) for i in range(bound + 20)]
         answers = [eval_functor(f, x) for x in carriers]
-        monkeypatch.setattr(functors, "_EVAL_CACHE", LruCache(5))
-        for _round in range(2):
-            for x, want in zip(carriers, answers):
-                assert eval_functor(f, x) == want
-                assert len(functors._EVAL_CACHE) <= 5
-        assert len(functors._EVAL_CACHE) == 5
+        assert functors._evaluated.cache_info().currsize == bound
+        for x, want in zip(carriers, answers):
+            got = eval_functor(f, x)
+            assert got == want
+            got.clear()  # each answer is a fresh dict: emptying it leaves the cache as it was
+            assert eval_functor(f, x) == want
+        assert functors._evaluated.cache_info().currsize == bound
         # an uncached evaluation agrees too
         for x, want in zip(carriers, answers):
             env = {s: tuple(functors.Var(s, e) for e in x.elems(s)) for s in x.sorts}
             fresh = tuple(sorted(set(eval_node(f.node(DEFAULT_SORT), lambda ref: env[ref.sort]))))
             assert want[DEFAULT_SORT] == fresh
 
-    def test_eval_cache_bound_covers_a_lasota_chain(self):
+    def test_bound_covers_a_lasota_chain(self):
         # the lasota check's carrier-by-carrier fallback evaluates 3^5
         # carriers on a 5-object category
-        assert functors._EVAL_CACHE.maxsize > 3 ** 5
+        assert functors._evaluated.cache_info().maxsize > 3 ** 5
 
 
 class TestGroupElements:

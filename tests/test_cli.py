@@ -156,6 +156,12 @@ class TestVerbs:
         assert code == 2
         assert text == "error: line 6: morphism 'f' names '9', which is not an object\n"
 
+    def test_bare_punctuation_in_a_state_list_exit_two(self, tmp_path):
+        path = tmp_path / "arrow.model"
+        path.write_text("[functor]\nprod(const(a), id)\n\n[states]\nq0 -> q1\n\n[init]\n* -> q0\n", encoding="utf-8")
+        text, code = run_command(["trace", str(path), "--depth", "2"])
+        assert (text, code) == ("error: line 5: expected a name, got '->'\n", 2)
+
     def test_identity_of_unlisted_object_exit_two(self, tmp_path):
         path = tmp_path / "bad.cat"
         path.write_text(

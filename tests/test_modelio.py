@@ -45,10 +45,11 @@ from coalgpath.modelio import (
     print_functor_node,
     print_path,
     print_rnna,
+    print_term_for,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, enumerate_runs, make_path
-from coalgpath.precise import TermMap, TermSpace
+from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 from conftest import MULTISORTED, poset_category
 from oracles import comp_as_word
@@ -487,7 +488,7 @@ class TestModelDispatch:
 class TestGeneratedNameRoundtrips:
     def test_fig2_factorization_output_roundtrips(self):
         from coalgpath.modelio import FactorProblem, print_factor_problem
-        from coalgpath.precise import TermSpace, precise_factorize
+        from coalgpath.precise import precise_factorize
 
         text = (
             "[functor]\nplus1(prod(id, id))\n\n[domain]\nx1 x2 x3 x4\n\n[codomain]\ny1 y2 y3 y4\n\n"
@@ -544,6 +545,23 @@ class TestQuotedNames:
         printed = print_model(self.system()).replace(line, line + '  # a "#" and a stray "')
         assert '# a "#" and a stray "' in printed
         assert parse_model(printed) == self.system()
+
+    def test_a_bare_punctuation_mark_is_no_state_name(self):
+        with pytest.raises(ModelParseError, match=r"^line 5: expected a name, got '->'$"):
+            parse_coalgebra(LTS_TEXT.replace("q0 q1", "q0 -> q1"))
+        c = parse_coalgebra(LTS_TEXT.replace("q0 q1", 'q0 "->" q1'))
+        assert c.carrier.elems(DEFAULT_SORT) == ("->", "q0", "q1")
+
+    def test_a_bare_punctuation_mark_is_no_constant(self):
+        with pytest.raises(ModelParseError, match=r"^expected a name, got ','$"):
+            parse_functor_text("const(a , b)")
+        assert parse_functor_text('const(a "," b ")")') == Const((")", ",", "a", "b"))
+
+    def test_constants_print_quoted_when_bare_text_cannot_carry_them(self):
+        f = functor(Prod((Const(("a b", "c")), SortRef())))
+        assert print_functor_node(f.node(DEFAULT_SORT)) == 'prod(const("a b" c), id)'
+        term = TupleTerm((ConstElem("a b"), Var(DEFAULT_SORT, "q")))
+        assert print_term_for(f, DEFAULT_SORT, term) == '("a b", q)'
 
 
 class TestLineGrammar:
@@ -660,10 +678,11 @@ class TestPrintedNamesReadBack:
     @given(st.data())
     @ROUNDTRIP
     def test_single_sorted_systems(self, data):
-        f = functor(parse_functor_text("prod(const(a b), id)"))
+        consts = data.draw(st.lists(NAMES, min_size=1, max_size=2, unique=True))
+        f = functor(Prod((Const(tuple(sorted(consts))), SortRef())))
         carrier = _sorted_names(data, (DEFAULT_SORT,))
         names = carrier.elems(DEFAULT_SORT)
-        edges = st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(names)), max_size=2)
+        edges = st.lists(st.tuples(st.sampled_from(consts), st.sampled_from(names)), max_size=2)
         xi = {}
         for x in names:
             terms = {TupleTerm((ConstElem(a), Var(DEFAULT_SORT, y))) for a, y in data.draw(edges)}
@@ -721,7 +740,7 @@ class TestPrintedNamesReadBack:
         pairs = st.tuples(targets, targets).map(lambda pair: step_of_plus1(TupleTerm(pair)))
         terms = st.one_of(st.just(bot_of_plus1()), pairs)
         table = {key: data.draw(terms) for key in dom.pairs()}
-        _reads_back(FactorProblem(f, dom, cod, TermMap(dom, TermSpace(f, cod), table)))
+        _reads_back(FactorProblem(f, dom, cod, TermMap(dom, f, cod, table)))
 
     @given(st.sampled_from([(DEFAULT_SORT,), MULTISORTED.sorts]), st.data())
     @ROUNDTRIP

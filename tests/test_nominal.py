@@ -373,6 +373,15 @@ class TestMalformedAutomatonTerms:
         with pytest.raises(CoalgError):
             perm_term(Perm.swap("a1", "a2"), term, POOL2)
 
+    def test_perm_term_reads_every_non_literal_index_as_a_binder(self):
+        # moved, the binder a3 is renamed to the least atom fresh for q's a2
+        pi = Perm.swap("a1", "a2")
+        body = TupleTerm((ConstElem("a3"), Var(DEFAULT_SORT, "q(a3,a1)")))
+        bound = perm_term(pi, Inj(1, body), POOL3)
+        assert bound == Inj(1, TupleTerm((ConstElem("a1"), Var(DEFAULT_SORT, "q(a1,a2)"))))
+        assert perm_term(pi, Inj(7, body), POOL3) == bound
+        assert perm_term(pi, Inj(2, body), POOL3) == Inj(2, TupleTerm((ConstElem("a3"), Var(DEFAULT_SORT, "q(a3,a2)"))))
+
     @pytest.mark.parametrize("term", BAD)
     def test_decode_bar_term(self, term):
         with pytest.raises(CoalgError):

@@ -23,7 +23,6 @@ from coalgpath.lasota import lasota_functor, lasota_pointing
 from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import (
     TermMap,
-    TermSpace,
     bag_abstraction,
     element_shapes,
     enumerate_precise_maps,
@@ -177,7 +176,7 @@ def _factorizations_isomorphic(f, fac1, fac2) -> bool:
         if any(fac1.connect(DEFAULT_SORT, a) != fac2.connect(DEFAULT_SORT, bij(DEFAULT_SORT, a)) for a in e1):
             continue
         if all(
-            fmap(f.space.functor, bij, s, fac1.precise(s, x)) == fac2.precise(s, x)
+            fmap(f.functor, bij, s, fac1.precise(s, x)) == fac2.precise(s, x)
             for (s, x) in f.dom.pairs()
         ):
             return True
@@ -307,7 +306,7 @@ class TestPreciseChains:
         monkeypatch.setattr(precise, "enumerate_precise_maps", counting)
         start = single(["*"])
         chains = list(precise_chains(PAIR_LEAF_PLUS1, start, 3))
-        extended = [chain[-1].space.carrier if chain else start for chain in chains if len(chain) < 3]
+        extended = [chain[-1].cod if chain else start for chain in chains if len(chain) < 3]
         assert len(set(extended)) < len(extended)  # levels repeat
         assert calls == Counter(set(extended))
 
@@ -343,7 +342,7 @@ class TestEnumerationCompleteness:
                     brute.add(canonical_key(f))
         enumerated = set()
         for _cod, m in enumerate_precise_maps(single(dom), f_expr):
-            if m.space.carrier.size() > max_y:
+            if m.cod.size() > max_y:
                 continue
             key = canonical_key(m)
             assert key not in enumerated  # no duplicates up to renaming
