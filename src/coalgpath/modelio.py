@@ -3,9 +3,11 @@
 Files are split into ``[section]`` blocks; ``#`` outside a quoted name
 starts a comment.  A name the bare-name grammar cannot carry is written
 in double quotes wherever it stands; one that holds ``"`` cannot be
-written.  ``->`` is a token, so ``q0->q1`` reads as an arrow; a left
-side is ``[sort .] name``, as ``P.x`` or ``P."x y"`` (the sort is named
-in multisorted files only).  The functor grammar is
+written.  A quoted name is a name wherever it stands, never punctuation,
+a keyword or a sort prefix, and a bare punctuation mark is never a name.
+``->`` is a token, so ``q0->q1`` reads as an arrow; a left side is
+``[sort .] name``, as ``P.x`` or ``P."x y"`` (the sort is named in
+multisorted files only).  The functor grammar is
 
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
     | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f) | pf(f)
@@ -76,21 +78,56 @@ class ModelParseError(CoalgError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# one alternative per token: a quoted name (its text may hold anything
-# but a quote), the arrow, a punctuation mark or a bare name; the last
-# alternative catches any other character, so a line is read by one scan
-_TOKEN_RE = re.compile(r'"([^"]*)"|(->|[(){}\[\],;=/]|' + NAME_RE.pattern + r")|(\S)")
+# one alternative per token: a quoted name, kept with its quotes (its
+# text may hold anything but a quote), the arrow, a punctuation mark or a
+# bare name; a last alternative outside the group catches any other
+# character and reads as "", so a line is read by one scan
+_PUNCT = "(){}[],;=/"
+_TOKEN_RE = re.compile(rf'("[^"]*"|->|[{re.escape(_PUNCT)}]|{NAME_RE.pattern})|\S')
+# the bare tokens that are no name
+_MARKS = frozenset(["->", *_PUNCT])
 
 
 def tokenize(text: str, line: int | None = None) -> list[str]:
-    tokens = []
-    for quoted, bare, other in _TOKEN_RE.findall(text):
-        if other:
-            if other == '"':
-                raise ModelParseError("unterminated quoted name", line)
-            raise ModelParseError(f"unexpected character {other!r}", line)
-        tokens.append(bare or quoted)
+    """The tokens of ``text``: a quoted name keeps its quotes, so no token
+    is both a name and a punctuation mark."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        other = next(m.group() for m in _TOKEN_RE.finditer(text) if m.group(1) is None)
+        if other == '"':
+            raise ModelParseError("unterminated quoted name", line)
+        raise ModelParseError(f"unexpected character {other!r}", line)
     return tokens
+
+
+def _token(tokens: list[str], pos: int, line: int | None) -> str:
+    """The token at ``pos``, which must be there."""
+    if pos >= len(tokens):
+        raise ModelParseError("unexpected end of input", line)
+    return tokens[pos]
+
+
+def _name(tokens: list[str], pos: int, line: int | None) -> str:
+    """The name at ``pos``, without its quotes; a bare mark is no name."""
+    tok = _token(tokens, pos, line)
+    if tok[0] == '"':
+        return tok[1:-1]
+    if tok in _MARKS:
+        raise ModelParseError(f"expected a name, got {tok!r}", line)
+    return tok
+
+
+def _elem(tokens: list[str], pos: int, line: int | None) -> str:
+    """The element or constant name at ``pos``, an alias read as its glyph."""
+    name = _name(tokens, pos, line)
+    return ALIASES.get(name, name)
+
+
+def _expect(tokens: list[str], pos: int, tok: str, line: int | None) -> int:
+    """The position after the bare mark ``tok``, which must stand at ``pos``."""
+    if _token(tokens, pos, line) != tok:
+        raise ModelParseError(f"expected {tok!r}, got {tokens[pos]!r}", line)
+    return pos + 1
 
 
 def _parse_int(text: str, line: int | None = None) -> int:
@@ -110,48 +147,6 @@ def format_name(name: str) -> str:
     return f'"{name}"'
 
 
-class TokenStream:
-    """Tokens read one at a time; ``marks`` holds the positions of the bare
-    punctuation marks, which, unlike quoted ones, are never names."""
-
-    def __init__(self, tokens: list[str], line: int | None = None, marks: frozenset[int] = frozenset()):
-        self.tokens = tokens
-        self.marks = marks
-        self.pos = 0
-        self.line = line
-
-    @classmethod
-    def of(cls, text: str, line: int | None = None) -> "TokenStream":
-        """The tokens of ``text``, with its marks."""
-        marks = [i for i, (_q, bare, _o) in enumerate(_TOKEN_RE.findall(text)) if bare and not NAME_RE.fullmatch(bare)]
-        return cls(tokenize(text, line), line, frozenset(marks))
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ModelParseError("unexpected end of input", self.line)
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise ModelParseError(f"expected {tok!r}, got {got!r}", self.line)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def name(self) -> str:
-        """The next token, which must be a name, with an alias read as its glyph."""
-        if self.pos in self.marks:
-            raise ModelParseError(f"expected a name, got {self.tokens[self.pos]!r}", self.line)
-        tok = self.next()
-        return ALIASES.get(tok, tok)
-
-
 # ---------------------------------------------------------------------------
 # Functor expressions
 
@@ -164,115 +159,112 @@ MAX_NODES = 10_000
 
 
 def parse_functor_text(text: str, line: int | None = None) -> Node:
-    stream = TokenStream.of(text, line)
-    node, _height, _size = _parse_node(stream, 1)
-    if not stream.done():
-        raise ModelParseError(f"trailing input after functor expression: {stream.peek()!r}", line)
+    tokens = tokenize(text, line)
+    node, pos, _height, _size = _parse_node(tokens, 0, 1, line)
+    if pos < len(tokens):
+        raise ModelParseError(f"trailing input after functor expression: {tokens[pos]!r}", line)
     return node
 
 
-def _parse_node(s: TokenStream, depth: int) -> tuple[Node, int, int]:
-    """The next expression at nesting ``depth``, with upper bounds on its
-    height and on its number of nodes."""
+def _parse_node(tokens: list[str], pos: int, depth: int, line: int | None) -> tuple[Node, int, int, int]:
+    """The expression at ``pos``, at nesting ``depth``: its node, the
+    position after it, and upper bounds on its height and on its number
+    of nodes."""
     if depth > MAX_NESTING:
-        raise ModelParseError(f"functor expression nested deeper than {MAX_NESTING} levels", s.line)
-    head = s.next()
+        raise ModelParseError(f"functor expression nested deeper than {MAX_NESTING} levels", line)
+    head = _token(tokens, pos, line)
+    pos += 1
     if head == "id":
-        return SortRef(DEFAULT_SORT), 1, 1
+        return SortRef(DEFAULT_SORT), pos, 1, 1
     if head == "sort":
-        s.expect("(")
-        name = s.next()
-        s.expect(")")
-        return SortRef(name), 1, 1
+        pos = _expect(tokens, pos, "(", line)
+        name = _name(tokens, pos, line)
+        return SortRef(name), _expect(tokens, pos + 1, ")", line), 1, 1
     if head == "const":
-        s.expect("(")
+        pos = _expect(tokens, pos, "(", line)
         elems = []
-        # a quoted ")" is a constant: only a bare one ends the list
-        while s.peek() != ")" or s.pos not in s.marks:
-            elems.append(s.name())
-        s.next()
-        return Const(tuple(sorted(elems))), 1, 1
+        while _token(tokens, pos, line) != ")":
+            elems.append(_elem(tokens, pos, line))
+            pos += 1
+        return Const(tuple(sorted(elems))), pos + 1, 1, 1
     if head in ("prod", "coprod"):
-        s.expect("(")
-        parts = [_parse_node(s, depth + 1)]
-        while s.peek() == ",":
-            s.next()
-            parts.append(_parse_node(s, depth + 1))
-        s.expect(")")
+        parts = [_parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)]
+        while _token(tokens, parts[-1][1], line) == ",":
+            parts.append(_parse_node(tokens, parts[-1][1] + 1, depth + 1, line))
+        pos = _expect(tokens, parts[-1][1], ")", line)
         nodes = tuple(p[0] for p in parts)
-        height, size = 1 + max(p[1] for p in parts), 1 + sum(p[2] for p in parts)
-        return (Prod(nodes) if head == "prod" else Coprod(nodes)), height, size
+        height, size = 1 + max(p[2] for p in parts), 1 + sum(p[3] for p in parts)
+        return (Prod(nodes) if head == "prod" else Coprod(nodes)), pos, height, size
     if head in ("plus1", "pf"):
-        s.expect("(")
-        inner, height, size = _parse_node(s, depth + 1)
-        s.expect(")")
+        inner, pos, height, size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
+        pos = _expect(tokens, pos, ")", line)
         if head == "plus1":
-            return Coprod((inner, Const((BOT,)))), height + 1, size + 2
-        return Pf(inner), height + 1, size + 1
+            return Coprod((inner, Const((BOT,)))), pos, height + 1, size + 2
+        return Pf(inner), pos, height + 1, size + 1
     if head == "compose":
-        s.expect("(")
-        outer, outer_height, outer_size = _parse_node(s, depth + 1)
-        s.expect(",")
-        inner, inner_height, inner_size = _parse_node(s, depth + 1)
-        s.expect(")")
+        outer, pos, outer_height, outer_size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
+        inner, pos, inner_height, inner_size = _parse_node(tokens, _expect(tokens, pos, ",", line), depth + 1, line)
+        pos = _expect(tokens, pos, ")", line)
         height, size = outer_height - 1 + inner_height, outer_size * inner_size
         if height > MAX_NESTING or size > MAX_NODES:
             raise ModelParseError(
-                f"composite functor exceeds {MAX_NESTING} levels or {MAX_NODES} nodes once substituted", s.line
+                f"composite functor exceeds {MAX_NESTING} levels or {MAX_NODES} nodes once substituted", line
             )
-        return compose(outer, functor(inner)), height, size
+        return compose(outer, functor(inner)), pos, height, size
     if head == "analytic":
-        s.expect("{")
+        pos = _expect(tokens, pos, "{", line)
         symbols = []
         while True:
-            name = s.next()
-            s.expect("/")
+            name = _name(tokens, pos, line)
+            pos = _expect(tokens, pos + 1, "/", line)
             # the trivial group checks the arity before any cycle is read
-            group = PermGroup(_parse_int(s.next(), s.line))
-            if s.peek() == "[":
-                s.next()
+            group = PermGroup(_parse_int(_token(tokens, pos, line), line))
+            pos += 1
+            if _token(tokens, pos, line) == "[":
+                pos += 1
                 gens: list[tuple[int, ...]] = []
-                while s.peek() != "]":
+                while _token(tokens, pos, line) != "]":
                     if gens:
-                        s.expect(",")
-                    gens.append(_parse_cycles(s, group.arity))
-                s.next()
+                        pos = _expect(tokens, pos, ",", line)
+                    gen, pos = _parse_cycles(tokens, pos, group.arity, line)
+                    gens.append(gen)
+                pos += 1
                 group = PermGroup(group.arity, tuple(gens))
             symbols.append(Symbol(name, (SortRef(DEFAULT_SORT),) * group.arity, group))
-            if s.peek() == ";":
-                s.next()
-                continue
-            break
-        s.expect("}")
-        return Analytic(tuple(symbols)), 2, 1 + sum(len(sym.slots) for sym in symbols)
-    raise ModelParseError(f"unknown functor constructor {head!r}", s.line)
+            if _token(tokens, pos, line) != ";":
+                break
+            pos += 1
+        pos = _expect(tokens, pos, "}", line)
+        return Analytic(tuple(symbols)), pos, 2, 1 + sum(len(sym.slots) for sym in symbols)
+    raise ModelParseError(f"unknown functor constructor {head!r}", line)
 
 
-def _parse_cycles(s: TokenStream, arity: int) -> tuple[int, ...]:
-    """One generator: disjoint cycles, written ``(1 2)(3 4)``; ``()`` is
-    the identity."""
+def _parse_cycles(tokens: list[str], pos: int, arity: int, line: int | None) -> tuple[tuple[int, ...], int]:
+    """The generator at ``pos`` and the position after it: disjoint
+    cycles, written ``(1 2)(3 4)``; ``()`` is the identity."""
     perm = list(range(arity))
     moved: set[int] = set()
     while True:
-        s.expect("(")
+        pos = _expect(tokens, pos, "(", line)
         cycle = []
-        while s.peek() != ")":
-            cycle.append(_parse_int(s.next(), s.line) - 1)
-        s.expect(")")
+        while _token(tokens, pos, line) != ")":
+            cycle.append(_parse_int(tokens[pos], line) - 1)
+            pos += 1
+        pos += 1
         for i, slot in enumerate(cycle):
             if not 0 <= slot < arity:
-                raise ModelParseError(f"cycle entry {slot + 1} out of range", s.line)
+                raise ModelParseError(f"cycle entry {slot + 1} out of range", line)
             if slot in moved:
-                raise ModelParseError(f"cycle entry {slot + 1} repeated within one generator", s.line)
+                raise ModelParseError(f"cycle entry {slot + 1} repeated within one generator", line)
             moved.add(slot)
             perm[slot] = cycle[(i + 1) % len(cycle)]
-        if s.peek() != "(":
-            return tuple(perm)
+        if _token(tokens, pos, line) != "(":
+            return tuple(perm), pos
 
 
 def print_functor_node(node: Node) -> str:
     if isinstance(node, SortRef):
-        return "id" if node.sort == DEFAULT_SORT else f"sort({node.sort})"
+        return "id" if node.sort == DEFAULT_SORT else f"sort({format_name(node.sort)})"
     if isinstance(node, Const):
         return "const(" + " ".join(map(format_name, node.elems)) + ")"
     if isinstance(node, Prod):
@@ -289,7 +281,7 @@ def print_functor_node(node: Node) -> str:
             gens = ""
             if sym.group.generators:
                 gens = " [" + ", ".join(_print_cycles(g) for g in sym.group.generators) + "]"
-            chunks.append(f"{sym.name}/{sym.group.arity}{gens}")
+            chunks.append(f"{format_name(sym.name)}/{sym.group.arity}{gens}")
         text = "analytic{ " + " ; ".join(chunks) + " }"
         # the parser fills every slot with one node: id, or the inner
         # expression of a composition
@@ -337,15 +329,6 @@ def _term_to_end(tokens: list[str], pos: int, node: Node, carrier: SortedSet, li
 _INJ_RE = re.compile(r"in\d+")
 
 
-def _expect(tokens: list[str], pos: int, tok: str, line: int | None) -> int:
-    """The position after ``tok``, which must stand at ``pos``."""
-    if pos >= len(tokens):
-        raise ModelParseError("unexpected end of input", line)
-    if tokens[pos] != tok:
-        raise ModelParseError(f"expected {tok!r}, got {tokens[pos]!r}", line)
-    return pos + 1
-
-
 def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, line: int | None) -> tuple[Term, int]:
     """The term of ``node`` that starts at ``pos``, and the position after it.
 
@@ -354,9 +337,7 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
     and symbol terms are canonicalized as they are built.
     """
     if isinstance(node, SortRef):
-        if pos >= len(tokens):
-            raise ModelParseError("unexpected end of input", line)
-        tok = ALIASES.get(tokens[pos], tokens[pos])
+        tok = _elem(tokens, pos, line)
         if not carrier.has(node.sort, tok):
             raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", line)
         return Var(node.sort, tok), pos + 1
@@ -370,9 +351,7 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
             args.append(arg)
         return TupleTerm(tuple(args)), _expect(tokens, pos, ")", line)
     if isinstance(node, Const):
-        if pos >= len(tokens):
-            raise ModelParseError("unexpected end of input", line)
-        tok = ALIASES.get(tokens[pos], tokens[pos])
+        tok = _elem(tokens, pos, line)
         if tok not in node.elems:
             raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", line)
         return ConstElem(tok), pos + 1
@@ -400,10 +379,9 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
             raise ModelParseError("term fits no coproduct branch", line)
         raise ModelParseError("ambiguous coproduct term; use an explicit in<k>(...)", line)
     if isinstance(node, Analytic):
-        if pos >= len(tokens):
-            raise ModelParseError("unexpected end of input", line)
+        name = _name(tokens, pos, line)
         try:
-            sym = node.symbol(tokens[pos])
+            sym = node.symbol(name)
         except TermError as exc:
             raise ModelParseError(str(exc), line) from None
         pos += 1
@@ -454,8 +432,8 @@ def print_term_for(f: Functor, sort: str, term: Term) -> str:
         if isinstance(node, Analytic) and isinstance(t, AnSym):
             sym = node.symbol(t.sym)
             if not t.args:
-                return t.sym
-            return t.sym + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
+                return format_name(t.sym)
+            return format_name(t.sym) + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
         if isinstance(node, Pf) and isinstance(t, SetOf):
             return "{" + ", ".join(walk(node.inner, a) for a in t.args) + "}"
         raise CoalgError(f"cannot print {t!r} against {node!r}")
@@ -507,9 +485,9 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
         # as _elem_lines writes them, sorts are named in multisorted files only
         if not (colon and sorts != (DEFAULT_SORT,) and sort in sorts):
             sort, rest = sorts[0], line
-        names = TokenStream.of(rest, lineno)
-        while not names.done():
-            name = names.name()
+        tokens = tokenize(rest, lineno)
+        for pos in range(len(tokens)):
+            name = _elem(tokens, pos, lineno)
             if name in per_sort[sort]:
                 raise ModelParseError(f"duplicate element {name!r}", lineno)
             per_sort[sort].append(name)
@@ -518,22 +496,20 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
 
 def _read_elem(tokens: list[str], pos: int, x: SortedSet, line: int) -> tuple[tuple[str, str], int]:
     """The element of ``x`` at ``pos`` and the position after it: ``P.x``
-    or ``P."x y"`` (the tokens ``P.`` and ``x y``) where ``_key`` names
+    or ``P."x y"`` (the tokens ``P.`` and ``"x y"``) where ``_key`` names
     the sort, else a name that lies in exactly one sort."""
-    if pos >= len(tokens):
-        raise ModelParseError("unexpected end of input", line)
-    sort, dot, name = tokens[pos].partition(".")
+    sort, dot, name = _token(tokens, pos, line).partition(".")
     if not (dot and x.sorts != (DEFAULT_SORT,) and sort in x.sorts):
-        name = ALIASES.get(tokens[pos], tokens[pos])
+        name = _elem(tokens, pos, line)
         hits = [s for s in x.sorts if x.has(s, name)]
         if len(hits) == 1:
             return (hits[0], name), pos + 1
         if not hits:
             raise ModelParseError(f"unknown element {name!r}", line)
         raise ModelParseError(f"ambiguous element {name!r}; qualify as sort.elem", line)
-    if not name and pos + 1 < len(tokens):
+    if not name:
         pos += 1
-        name = tokens[pos]
+        name = _name(tokens, pos, line)
     name = ALIASES.get(name, name)
     if not x.has(sort, name):
         raise ModelParseError(f"unknown element {name!r} of sort {sort!r}", line)

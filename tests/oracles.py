@@ -43,10 +43,10 @@ fit test-sized inputs:
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level;
-- a term line read character by character, ``->`` as one token
-  (:func:`char_loop_tokenize`), and parsed through a :class:`TokenStream`
-  with one method call per token (:func:`stream_parse_term_text`),
-  against the one-regex
+- a term line read character by character, ``->`` as one token and a
+  quoted name with its quotes (:func:`char_loop_tokenize`), and parsed
+  through a token stream with one method call per token
+  (:func:`stream_parse_term_text`), against the one-regex
   ``modelio.tokenize`` and the index-based term parser, token for token,
   term for term and error message for error message;
 - finite maps: every total map between two carriers, composition,
@@ -92,7 +92,7 @@ from coalgpath.functors import (
     step_of_plus1,
     word_shape,
 )
-from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError, TokenStream
+from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError
 from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
@@ -763,7 +763,7 @@ def char_loop_tokenize(text: str, line: int | None = None) -> list[str]:
             end = text.find('"', i + 1)
             if end < 0:
                 raise ModelParseError("unterminated quoted name", line)
-            tokens.append(text[i + 1 : end])
+            tokens.append(text[i : end + 1])
             i = end + 1
             continue
         if text.startswith("->", i):
@@ -782,16 +782,52 @@ def char_loop_tokenize(text: str, line: int | None = None) -> list[str]:
     return tokens
 
 
+class _TokenStream:
+    """Tokens read one at a time."""
+
+    def __init__(self, tokens: list[str], line: int | None):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ModelParseError("unexpected end of input", self.line)
+        self.pos += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        got = self.next()
+        if got != tok:
+            raise ModelParseError(f"expected {tok!r}, got {got!r}", self.line)
+
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def name(self) -> str:
+        """The next token, which must be a name, without its quotes."""
+        tok = self.next()
+        if tok.startswith('"'):
+            return tok[1:-1]
+        if not NAME_RE.fullmatch(tok):
+            raise ModelParseError(f"expected a name, got {tok!r}", self.line)
+        return tok
+
+
 def stream_parse_term_text(text: str, node: Node, carrier: SortedSet, line: int | None = None) -> Term:
     """The term ``text`` denotes at ``node``, read from a token stream."""
-    stream = TokenStream(char_loop_tokenize(text, line), line)
+    stream = _TokenStream(char_loop_tokenize(text, line), line)
     term = _stream_term(stream, node, carrier)
     if not stream.done():
         raise ModelParseError(f"trailing input after term: {stream.peek()!r}", line)
     return term
 
 
-def _stream_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
+def _stream_term(s: _TokenStream, node: Node, carrier: SortedSet) -> Term:
     if isinstance(node, Coprod):
         tok = s.peek()
         if tok is not None and re.fullmatch(r"in\d+", tok):
@@ -820,13 +856,13 @@ def _stream_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
             raise ModelParseError("term fits no coproduct branch", s.line)
         raise ModelParseError("ambiguous coproduct term; use an explicit in<k>(...)", s.line)
     if isinstance(node, Const):
-        tok = s.next()
+        tok = s.name()
         tok = ALIASES.get(tok, tok)
         if tok not in node.elems:
             raise ModelParseError(f"{tok!r} is not one of the constants {node.elems}", s.line)
         return ConstElem(tok)
     if isinstance(node, SortRef):
-        tok = s.next()
+        tok = s.name()
         tok = ALIASES.get(tok, tok)
         if not carrier.has(node.sort, tok):
             raise ModelParseError(f"{tok!r} is not an element of sort {node.sort!r}", s.line)
@@ -841,7 +877,7 @@ def _stream_term(s: TokenStream, node: Node, carrier: SortedSet) -> Term:
         s.expect(")")
         return TupleTerm(tuple(args))
     if isinstance(node, Analytic):
-        sym_name = s.next()
+        sym_name = s.name()
         try:
             sym = node.symbol(sym_name)
         except TermError as exc:

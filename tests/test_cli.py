@@ -162,6 +162,29 @@ class TestVerbs:
         text, code = run_command(["trace", str(path), "--depth", "2"])
         assert (text, code) == ("error: line 5: expected a name, got '->'\n", 2)
 
+    # a quoted mark is a name, never punctuation; a bare mark is never a name
+    @pytest.mark.parametrize(
+        "functor_text, states, trans, message",
+        [
+            ('prod"("id"," id)', "q0", "", "line 2: expected '(', got '\"(\"'"),
+            ("prod(const(a), id)", "q0 q1", 'q0 "->" "("a"," q1")"', "line 11: expected 'state -> term'"),
+            ('prod(const(a ","), id)', "q0 q1", 'q0 -> (a"," q1)', "line 11: expected ',', got '\",\"'"),
+            ("prod(const(a), sort(,))", "q0", "", "line 2: expected a name, got ','"),
+            ("analytic{ ; /0 }", "q0", "", "line 2: expected a name, got ';'"),
+            ("prod(const(a), id)", 'q0 ","', "q0 -> (a, ,)", "line 11: expected a name, got ','"),
+        ],
+        ids=["quoted-functor-marks", "quoted-arrow", "quoted-comma-in-term", "bare-sort", "bare-symbol",
+             "bare-comma-in-term"],
+    )
+    def test_quoted_and_bare_marks_exit_two(self, tmp_path, functor_text, states, trans, message):
+        path = tmp_path / "marks.model"
+        path.write_text(
+            f"[functor]\n{functor_text}\n\n[states]\n{states}\n\n[init]\n* -> q0\n\n[trans]\n{trans}\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["trace", str(path), "--depth", "2"])
+        assert (text, code) == (f"error: {message}\n", 2)
+
     def test_identity_of_unlisted_object_exit_two(self, tmp_path):
         path = tmp_path / "bad.cat"
         path.write_text(

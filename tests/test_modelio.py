@@ -39,6 +39,7 @@ from coalgpath.modelio import (
     parse_model,
     parse_path,
     parse_rnna,
+    parse_term_text,
     print_category,
     print_model,
     print_coalgebra,
@@ -556,12 +557,25 @@ class TestQuotedNames:
         with pytest.raises(ModelParseError, match=r"^expected a name, got ','$"):
             parse_functor_text("const(a , b)")
         assert parse_functor_text('const(a "," b ")")') == Const((")", ",", "a", "b"))
+        c = parse_coalgebra(LTS_TEXT.replace("const(a b)", 'const(a ",")').replace("(b, q0)", '(",", q0)'))
+        assert TupleTerm((ConstElem(","), Var(DEFAULT_SORT, "q0"))) in c.xi[(DEFAULT_SORT, "q0")]
 
     def test_constants_print_quoted_when_bare_text_cannot_carry_them(self):
         f = functor(Prod((Const(("a b", "c")), SortRef())))
         assert print_functor_node(f.node(DEFAULT_SORT)) == 'prod(const("a b" c), id)'
         term = TupleTerm((ConstElem("a b"), Var(DEFAULT_SORT, "q")))
         assert print_term_for(f, DEFAULT_SORT, term) == '("a b", q)'
+
+    def test_sort_and_symbol_names_print_quoted_when_bare_text_cannot_carry_them(self):
+        assert print_functor_node(SortRef("p q")) == 'sort("p q")'
+        assert parse_functor_text('sort("p q")') == SortRef("p q")
+        node = Analytic((Symbol("a b", (SortRef(),), trivial_group(1)), Symbol(",", (), trivial_group(0))))
+        assert print_functor_node(node) == 'analytic{ "a b"/1 ; ","/0 }'
+        assert parse_functor_text(print_functor_node(node)) == node
+        f = functor(node)
+        for term, text in [(AnSym("a b", (Var(DEFAULT_SORT, "q r"),)), '"a b"("q r")'), (AnSym(",", ()), '","')]:
+            assert print_term_for(f, DEFAULT_SORT, term) == text
+            assert parse_term_text(text, node, SortedSet.single(["q r"])) == term
 
 
 class TestLineGrammar:
@@ -622,6 +636,16 @@ t.u -> c
         assert c.point[("s", "*")] == "a#b"
         assert c.xi[("s", "a#b")] == (TupleTerm((ConstElem("a"), Var("s", "a#b"))),)
         assert print_model(c).endswith('[trans]\ns."a#b" -> (a, "a#b")\nt.u -> c\n')
+
+    def test_a_quoted_left_side_is_never_split_as_sort_and_name(self):
+        text = (
+            '[sorts]\na b\n\n[functor]\na = prod(sort(a), sort(a))\nb = const(c)\n\n'
+            '[states]\na : a0 "a.x"\nb : b0\n\n[init]\na.* -> a.a0\n\n'
+            '[trans]\n"a.x" -> (a0, "a.x")\nb0 -> c\n'
+        )
+        c = parse_model(text)
+        assert c.xi[("a", "a.x")] == (TupleTerm((Var("a", "a0"), Var("a", "a.x"))),)
+        assert parse_model(print_model(c)) == c
 
     @pytest.mark.parametrize("name", ["*:x", "*.x"])
     def test_a_single_sorted_name_that_starts_like_a_sort(self, name):
@@ -741,6 +765,22 @@ class TestPrintedNamesReadBack:
         terms = st.one_of(st.just(bot_of_plus1()), pairs)
         table = {key: data.draw(terms) for key in dom.pairs()}
         _reads_back(FactorProblem(f, dom, cod, TermMap(dom, f, cod, table)))
+
+    @given(st.lists(NAMES, min_size=2, max_size=2, unique=True), st.data())
+    @ROUNDTRIP
+    def test_symbol_names(self, symbols, data):
+        # analytic{ s/1 ; t/0 }: each state x -> s(y) and x -> t
+        s, t = symbols
+        f = functor(Analytic((Symbol(s, (SortRef(),), trivial_group(1)), Symbol(t, (), trivial_group(0)))))
+        carrier = _sorted_names(data, (DEFAULT_SORT,))
+        names = carrier.elems(DEFAULT_SORT)
+        xi = {
+            (DEFAULT_SORT, x): tuple(sorted({AnSym(s, (Var(DEFAULT_SORT, data.draw(st.sampled_from(names))),)),
+                                             AnSym(t, ())}))
+            for x in names
+        }
+        point = {(DEFAULT_SORT, "*"): data.draw(st.sampled_from(names))}
+        _reads_back(PointedCoalgebra(f, singleton_pointing(), carrier, point, xi))
 
     @given(st.sampled_from([(DEFAULT_SORT,), MULTISORTED.sorts]), st.data())
     @ROUNDTRIP
