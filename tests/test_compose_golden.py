@@ -61,6 +61,12 @@ CASES = [
     ("okmarker-trace-ascii", ["--ascii", "trace", "okmarker.model", "--depth", "2"], 0),
     # the trace-enum benchmark's category, the 5-object chain
     ("lasota-chain", ["lasota", "../chain.cat", "--depth", "3"], 0),
+    # an open-map witness over two sorts: path elements are named in
+    # occurrence order (n001 is as1), extension elements in the sorted
+    # order of the shape's variables (w001 is bs1)
+    ("twosorted-open", ["open", "twosorted.model", "twosorted_open_dst.model", "twosorted.map"], 1),
+    # ... and with eleven slots, n010 is the last slot, unlike in runs
+    ("wide-open", ["open", "wide_open_src.model", "wide_open_dst.model", "wide.map"], 1),
 ]
 
 
