@@ -147,6 +147,15 @@ def format_name(name: str) -> str:
     return f'"{name}"'
 
 
+def _sort_name(sort: str) -> str:
+    """A sort as a multisorted file writes it: a bare name, free of the
+    ``.`` that ends an ``S.`` prefix and the ``:`` that ends an ``S :``
+    line, since sorts are never quoted."""
+    if NAME_RE.fullmatch(sort) and "." not in sort and ":" not in sort:
+        return sort
+    raise CoalgError(f"sort {sort!r} is no bare name free of '.' and ':', which no model file can carry")
+
+
 # ---------------------------------------------------------------------------
 # Functor expressions
 
@@ -581,7 +590,7 @@ def _signature_lines(f: Functor) -> list[str]:
     """[functor], preceded by [sorts] unless ``f`` has the default sort only."""
     if f.sorts == (DEFAULT_SORT,):
         return ["[functor]", print_functor_node(f.node(DEFAULT_SORT)), ""]
-    lines = ["[sorts]", " ".join(f.sorts), "", "[functor]"]
+    lines = ["[sorts]", " ".join(map(_sort_name, f.sorts)), "", "[functor]"]
     lines.extend(f"{s} = {print_functor_node(f.node(s))}" for s in f.sorts)
     return lines + [""]
 
@@ -591,12 +600,12 @@ def _elem_lines(x: SortedSet) -> list[str]:
     sort, else ``S : names`` for each sort with elements."""
     if x.sorts == (DEFAULT_SORT,):
         return [" ".join(format_name(e) for e in x.data[0])]
-    return [f"{s} : {' '.join(format_name(e) for e in elems)}" for s, elems in zip(x.sorts, x.data) if elems]
+    return [f"{_sort_name(s)} : {' '.join(map(format_name, elems))}" for s, elems in zip(x.sorts, x.data) if elems]
 
 
 def _key(x: SortedSet, sort: str, elem: str) -> str:
     """An element of ``x`` as ``_read_elem`` reads it."""
-    return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{sort}." + format_name(elem)
+    return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{_sort_name(sort)}." + format_name(elem)
 
 
 def parse_coalgebra(text: str) -> PointedCoalgebra:

@@ -390,9 +390,10 @@ def state_name(q: str, regs: tuple[str, ...]) -> str:
 
 
 def parse_state_name(name: str) -> tuple[str, tuple[str, ...]]:
-    q, rest = name.split("(", 1)
-    inner = rest[:-1]
-    return q, tuple(a for a in inner.split(",") if a)
+    """The inverse of :func:`state_name`: a control state may hold ``(``,
+    pool atoms never do."""
+    q, _paren, rest = name.rpartition("(")
+    return q, tuple(a for a in rest[:-1].split(",") if a)
 
 
 def context_name(regs: tuple[str, ...]) -> str:
@@ -436,15 +437,13 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
     max_regs = max(presentation.states.values(), default=0)
     if pool.size < max_regs + 1:
         raise PoolError(f"pool of {pool.size} atoms too small for {max_regs} registers")
-    names: list[str] = []
-    for q in sorted(presentation.states):
-        r = presentation.states[q]
-        for regs in itertools.permutations(pool.atoms, r):
-            names.append(state_name(q, regs))
-    carrier = SortedSet.single(names)
+    states = [
+        (q, regs) for q in sorted(presentation.states)
+        for regs in itertools.permutations(pool.atoms, presentation.states[q])
+    ]
+    carrier = SortedSet.single([state_name(q, regs) for q, regs in states])
     xi: dict[tuple[str, str], tuple[Term, ...]] = {}
-    for name in names:
-        q, regs = parse_state_name(name)
+    for q, regs in states:
         terms: set[Term] = set()
         for rule in presentation.rules:
             if rule.src != q:
@@ -462,7 +461,7 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
             # a read rule places no fresh atom (slot 0), a bind rule the bound one
             target_regs = tuple(atom if j == 0 else regs[j - 1] for j in rule.sigma)
             terms.add(_transition(index, atom, NomElem(rule.target or "", target_regs), pool))
-        xi[(DEFAULT_SORT, name)] = tuple(sorted(terms))
+        xi[(DEFAULT_SORT, state_name(q, regs))] = tuple(sorted(terms))
     n = presentation.context_arity
     contexts = list(itertools.permutations(pool.atoms, n))
     pointing = SortedSet.single([context_name(c) for c in contexts])

@@ -28,7 +28,7 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, Var, bot_of_plus1, fmap, occurrences, step_of_plus1, subst_node,
+    Functor, Term, TermError, Var, bot_of_plus1, fmap, map_leaves, occurrences, step_of_plus1, subst_node,
 )
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
@@ -173,8 +173,8 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                 continue
             failing = _least_failing_triple(functor, dst, s, missing)
             if failing is not None:
-                shape, fresh_vars, phi = failing
-                witness = _materialize_witness(m, levels, level_index, (s, v), shape, fresh_vars, phi)
+                shape, phi = failing
+                witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
                 return OpenCheckReport(
                     "not-open", bound,
                     reason=f"no lift at state {v} for shape {shape!r}",
@@ -184,8 +184,9 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
 
 
 def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, missing: set[Term]):
-    """The first (shape, fresh variables, instantiation) hitting a missing
-    target; pools keep only elements of missing targets, in carrier order."""
+    """The first (shape, instantiation) hitting a missing target, the
+    instantiation keyed by the shape's variables in sorted order; pools
+    keep only elements of missing targets, in carrier order."""
     node = functor.node(sort)
     used = {(var.sort, var.name) for u in missing for var, _p in occurrences(node, u)}
     for shape in element_shapes(functor, sort):
@@ -194,76 +195,54 @@ def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, mi
         for combo in itertools.product(*pools):
             sigma = {key: Var(key[0], e) for key, e in zip(fresh_vars, combo)}
             if subst_node(node, shape, sigma) in missing:
-                return shape, fresh_vars, dict(zip(fresh_vars, combo))
+                return shape, dict(zip(fresh_vars, combo))
     return None
 
 
-def _chain_to_state(
+def _run_reaching(
     src: PointedCoalgebra, levels: list[frozenset[tuple[str, str]]], level_index: int, state: tuple[str, str]
-) -> list:
-    """A transition chain from a pointing image to ``state``, one entry
-    ((sort, state), term) per step, ending with the bare target."""
-    chain: list = [state]
+) -> tuple[PathObj, Run, tuple[str, str]]:
+    """A run of length ``level_index`` whose last level holds an element
+    sent to ``state``, a state of BFS level ``level_index``, with every
+    other branch padded by the added point.  Also returns that element.
+
+    The run follows the least chain of transitions: walking back, each
+    step takes the first ``(state, term)`` of ``sorted(levels[k - 1])``,
+    terms in successor order, whose successors hold the later state.
+    The elements of level k + 1 are the leaves of the chain's k-th term,
+    named ``n000, n001, ...`` in occurrence order.
+    """
+    chain: list[tuple[tuple[str, str], Term, tuple[str, str]]] = []  # (state, term, later state)
     front = state
     for k in range(level_index, 0, -1):
-        parent = next(
-            ((x, t) for x in sorted(levels[k - 1]) for t, succ in src.successors[x] if front in succ), None
+        step = next(
+            ((x, t, front) for x in sorted(levels[k - 1]) for t, succ in src.successors[x] if front in succ), None
         )
-        if parent is None:
+        if step is None:
             raise CoalgError("internal error: breadth-first chain broken")
-        chain.insert(0, parent)
-        front = parent[0]
-    return chain
-
-
-def _run_reaching(src: PointedCoalgebra, chain: list) -> tuple[PathObj, Run, tuple[str, str]]:
-    """A run whose last level hits the chain's target, padding all other
-    branches with the added point."""
-    from .functors import rebuild_with_fresh
-
-    functor = src.functor
-    pointing = src.pointing
-    target0 = chain[0][0] if len(chain) > 1 else chain[0]
-    current = None
-    for (s, i) in pointing.pairs():
-        if (s, src.point[(s, i)]) == target0:
-            current = (s, i)
-            break
-    if current is None:
-        raise CoalgError("internal error: chain does not start at the pointing")
-    levels_built = [pointing]
+        chain.insert(0, step)
+        front = step[0]
+    functor, pointing = src.functor, src.pointing
+    current = next(key for key in pointing.pairs() if (key[0], src.point[key]) == front)
+    path_levels = [pointing]
     comps = [SortedFun(pointing, src.carrier, dict(src.point))]
-    step_tables: list[dict] = []
-    for j in range(len(chain) - 1):
-        (st, t) = chain[j]
-        nxt_state = chain[j + 1][0] if j + 1 < len(chain) - 1 else chain[j + 1]
-        cur_level = levels_built[-1]
-        occ_values: list[tuple[str, str]] = []
+    tables: list[dict] = []
+    for (sort, _x), t, later in chain:
+        leaves: list[tuple[str, str]] = []
 
-        def fresh(var: Var, _path) -> Var:
-            occ_values.append((var.sort, var.name))
-            return Var(var.sort, f"n{len(occ_values) - 1:03d}")
+        def name(_ref, var: Var) -> Var:
+            leaves.append((var.sort, var.name))
+            return Var(var.sort, f"n{len(leaves) - 1:03d}")
 
-        relabelled = rebuild_with_fresh(functor.node(st[0]), t, fresh)
-        per_sort: dict[str, list[str]] = {s: [] for s in pointing.sorts}
-        comp_table: dict[tuple[str, str], str] = {}
-        next_elem = None
-        for i, (vs, value) in enumerate(occ_values):
-            name = f"n{i:03d}"
-            per_sort[vs].append(name)
-            comp_table[(vs, name)] = value
-            if next_elem is None and (vs, value) == nxt_state:
-                next_elem = (vs, name)
-        next_level = SortedSet.make(per_sort, pointing.sorts)
-        table = {key: bot_of_plus1() for key in cur_level.pairs()}
-        table[current] = step_of_plus1(relabelled)
-        step_tables.append(table)
-        levels_built.append(next_level)
-        comps.append(SortedFun(next_level, src.carrier, comp_table))
-        if next_elem is None:
-            raise CoalgError("internal error: chain successor not among occurrences")
-        current = next_elem
-    path = make_path(functor, pointing, levels_built, step_tables)
+        table = dict.fromkeys(path_levels[-1].pairs(), bot_of_plus1())
+        table[current] = step_of_plus1(map_leaves(functor.node(sort), t, name))
+        tables.append(table)
+        named = {(vs, f"n{i:03d}"): x for i, (vs, x) in enumerate(leaves)}
+        level = SortedSet.make({s: [e for vs, e in named if vs == s] for s in pointing.sorts}, pointing.sorts)
+        path_levels.append(level)
+        comps.append(SortedFun(level, src.carrier, named))
+        current = next(key for key, x in named.items() if (key[0], x) == later)
+    path = make_path(functor, pointing, path_levels, tables)
     return path, Run(path, src, tuple(comps)), current
 
 
@@ -273,44 +252,27 @@ def _materialize_witness(
     level_index: int,
     state: tuple[str, str],
     shape: Term,
-    fresh_vars: list,
     phi: dict,
 ) -> SquareWitness:
-    """Rebuild an explicit square from the failing triple: a padded run
-    reaching the state, extended by the shape at that element."""
+    """Rebuild an explicit square from the failing shape and instantiation:
+    a padded run reaching the state, extended by the shape at that element,
+    whose variables become elements ``w000, w001, ...`` in ``phi``'s order."""
     src, dst = m.src, m.dst
-    chain = _chain_to_state(src, levels, level_index, state)
-    path, run, hit = _run_reaching(src, chain)
-    fp1_space_carrier: dict[str, list[str]] = {s: [] for s in src.pointing.sorts}
-    rename = {}
-    for i, (vs, vn) in enumerate(fresh_vars):
-        fresh_name = f"w{i:03d}"
-        fp1_space_carrier[vs].append(fresh_name)
-        rename[(vs, vn)] = fresh_name
-    new_level = SortedSet.make(fp1_space_carrier, src.pointing.sorts)
-    table = {}
-    for key in path.levels[-1].pairs():
-        if key == hit:
-            sigma = {k: Var(k[0], rename[k]) for k in rename}
-            table[key] = step_of_plus1(subst_node(src.functor.node(key[0]), shape, sigma))
-        else:
-            table[key] = bot_of_plus1()
+    path, run, hit = _run_reaching(src, levels, level_index, state)
+    fresh = {key: Var(key[0], f"w{i:03d}") for i, key in enumerate(phi)}
+    sorts = src.pointing.sorts
+    new_level = SortedSet.make({s: [w.name for w in fresh.values() if w.sort == s] for s in sorts}, sorts)
+    table = dict.fromkeys(path.levels[-1].pairs(), bot_of_plus1())
+    table[hit] = step_of_plus1(subst_node(src.functor.node(hit[0]), shape, fresh))
     extension = make_path(
-        src.functor,
-        src.pointing,
-        list(path.levels) + [new_level],
-        [st.table for st in path.steps] + [table],
+        src.functor, src.pointing, [*path.levels, new_level], [st.table for st in path.steps] + [table]
     )
     y_components = [
-        SortedFun(
-            path.levels[k],
-            dst.carrier,
-            {key: m.map(key[0], comp_k(*key)) for key in path.levels[k].pairs()},
-        )
-        for k, comp_k in enumerate(run.components)
+        SortedFun(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
+        for level, comp in zip(path.levels, run.components)
     ]
-    y_last = SortedFun(new_level, dst.carrier, {(vs, rename[(vs, vn)]): phi[(vs, vn)] for (vs, vn) in fresh_vars})
-    dst_run = Run(extension, dst, tuple(y_components) + (y_last,))
+    y_last = SortedFun(new_level, dst.carrier, {(w.sort, w.name): phi[key] for key, w in fresh.items()})
+    dst_run = Run(extension, dst, (*y_components, y_last))
     return SquareWitness(path, run, extension, dst_run)
 
 

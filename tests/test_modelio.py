@@ -1,5 +1,6 @@
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from coalgpath.functors import (
     bot_of_plus1,
     functor,
     lts_functor,
+    multisorted,
     step_of_plus1,
 )
 from coalgpath.lasota import validate_category
@@ -686,6 +688,19 @@ NAMES = st.lists(_NAME_PARTS, max_size=4).map("".join).filter(lambda name: name 
 ROUNDTRIP = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
+def two_sorted_system(a, b, carrier=None):
+    """MULTISORTED's shape over the sorts ``a`` and ``b``: each a-state
+    steps to (x, the first b-state), each b-state y to y and to
+    in0((the first a-state, y))."""
+    nodes = {a: Prod((Const(("x",)), SortRef(b))), b: Coprod((Prod((SortRef(a), SortRef(b))), Const(("y",))))}
+    carrier = carrier or SortedSet.make({a: ["p0"], b: ["r0"]}, (a, b))
+    p, r = carrier.elems(a)[0], carrier.elems(b)[0]
+    xi = {(a, x): (TupleTerm((ConstElem("x"), Var(b, r))),) for x in carrier.elems(a)}
+    for y in carrier.elems(b):
+        xi[(b, y)] = tuple(sorted({Inj(0, TupleTerm((Var(a, p), Var(b, y)))), Inj(1, ConstElem("y"))}))
+    return PointedCoalgebra(multisorted((a, b), nodes), singleton_pointing((a, b)), carrier, {(a, "*"): p}, xi)
+
+
 def _reads_back(obj):
     printed = print_model(obj)
     assert parse_model(printed) == obj
@@ -781,6 +796,38 @@ class TestPrintedNamesReadBack:
         }
         point = {(DEFAULT_SORT, "*"): data.draw(st.sampled_from(names))}
         _reads_back(PointedCoalgebra(f, singleton_pointing(), carrier, point, xi))
+
+    def test_sort_names_read_back_or_are_refused(self):
+        outcomes = Counter()
+
+        # names from all printable text are mostly unwritable as sorts, so
+        # short words over a few name characters are drawn too
+        sort_names = st.one_of(NAMES, st.text("ab*_-'.:", min_size=1, max_size=3))
+
+        @given(st.lists(sort_names, min_size=2, max_size=2, unique=True), st.data())
+        @ROUNDTRIP
+        def check(sorts, data):
+            c = two_sorted_system(*sorts, _sorted_names(data, tuple(sorts)))
+            try:
+                printed = print_model(c)
+            except CoalgError as exc:
+                assert re.fullmatch(r"sort .* is no bare name free of '\.' and ':', which no model file can carry",
+                                    str(exc))
+                outcomes["refused"] += 1
+                return
+            assert parse_model(printed) == c and print_model(parse_model(printed)) == printed
+            outcomes["read back"] += 1
+
+        check()
+        assert outcomes["refused"] and outcomes["read back"], outcomes
+
+    @pytest.mark.parametrize("sort", ["p q", "a.b", "a:b", "", "a#b", "x=y"])
+    def test_unwritable_sorts_are_refused(self, sort):
+        c = two_sorted_system(sort, "b")
+        with pytest.raises(CoalgError, match=rf"^sort {re.escape(repr(sort))} is no bare name"):
+            print_model(c)
+        with pytest.raises(CoalgError, match="is no bare name"):
+            _key(c.carrier, sort, "p0")
 
     @given(st.sampled_from([(DEFAULT_SORT,), MULTISORTED.sorts]), st.data())
     @ROUNDTRIP

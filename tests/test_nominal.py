@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalgpath.cli import run_command
 from coalgpath.functors import ConstElem, Inj, TupleTerm, Var
 from coalgpath.nominal import (
     AtomPool,
@@ -29,6 +30,7 @@ from coalgpath.nominal import (
     perm_state,
     perm_term,
     rnna_expand,
+    state_name,
     support,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
@@ -297,6 +299,23 @@ class TestRnnaExpand:
         for (_s, name) in c.carrier.pairs():
             _q, regs = parse_state_name(name)
             assert len(set(regs)) == len(regs)
+
+    @pytest.mark.parametrize("q", ["q", "q(", "q(x", "(", "q(a1)", "q(a1,a2"])
+    def test_state_names_read_back(self, q):
+        swap = Perm({"a1": "a2", "a2": "a1"})
+        for regs in ((), ("a1",), ("a2", "a1")):
+            name = state_name(q, regs)
+            assert parse_state_name(name) == (q, regs)
+            assert perm_state(swap, name) == state_name(q, tuple(swap(a) for a in regs))
+
+    def test_control_states_holding_a_paren_keep_their_rules(self, tmp_path):
+        text = "[states]\nq(x/0 p/1\n\n[init]\nq(x\n\n[rules]\nq(x -> bar p [0]\np -> ok\n"
+        printed = {}
+        for q in ("q(x", "qx"):
+            path = tmp_path / f"{q}.rnna"
+            path.write_text(text.replace("q(x", q), encoding="utf-8")
+            printed[q] = run_command(["rnna", str(path), "--pool", "2", "--depth", "3"])
+        assert printed["q(x"] == printed["qx"] == ("states: 3\ntransitions: 3\n|. •\n|. ✓\n•\n", 0)
 
 
 class TestBarTrace:

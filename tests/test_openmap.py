@@ -23,6 +23,7 @@ from coalgpath.openmap import (
     _materialize_witness,
     _quotient_map,
     _random_map,
+    _run_reaching,
     is_open,
     is_path_reachable,
     is_reachable_no_proper_sub,
@@ -32,11 +33,11 @@ from coalgpath.openmap import (
     serialize_witness,
     verify_theorems,
 )
-from coalgpath.paths import Run, enumerate_runs, is_run, make_path
+from coalgpath.paths import Run, enumerate_runs, is_run, make_path, validate_path
 from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import linear_word_system, single, whyplus1_system
+from conftest import SYSTEM_FUNCTORS, SYSTEM_IDS, linear_word_system, single, whyplus1_system
 from oracles import all_functions, run_image
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))
@@ -271,7 +272,7 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                     if _instantiate(f_expr, s, shape, phi) not in dst.xi[(s, m.map(s, v))]:
                         continue
                     if not _has_lift(m, s, v, shape, fresh_vars, phi):
-                        witness = _materialize_witness(m, levels, level_index, (s, v), shape, fresh_vars, phi)
+                        witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
                         return OpenCheckReport("not-open", bound, reason=f"no lift at state {v} for shape {shape!r}",
                                                witness=witness)
     return OpenCheckReport("open", bound)
@@ -291,6 +292,28 @@ WITNESS_ORACLE_FUNCTORS = [
     "compose(prod(id, id), coprod(const(c), id))",
     "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",
 ]
+
+
+class TestRunReaching:
+    """The padded run to a reached state, built for every state of every
+    BFS level, not only for the states a witness needs."""
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_run_to_every_reached_state(self, f):
+        rng = random.Random(repr(f))
+        deep = 0
+        for seed in range(30):
+            sizes = {s: rng.randint(1, 5) for s in f.sorts}
+            src = random_coalgebra(GenSpec(f, sizes, rng.choice((0.25, 0.4)), seed))
+            levels, _union = reachable_bfs(src)
+            for level_index, level in enumerate(levels):
+                for state in sorted(level):
+                    path, run, elem = _run_reaching(src, levels, level_index, state)
+                    assert validate_path(path) == [] and is_run(run)
+                    assert path.length == level_index
+                    assert (elem[0], run.components[-1](*elem)) == state
+                    deep += level_index > 1
+        assert deep  # some runs take more than one step
 
 
 class TestEnumeratingAgreement:
