@@ -182,18 +182,45 @@ class CoalgMorphism:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise CoalgError("carrier map has the wrong end points")
 
+    @classmethod
+    def _with_images(
+        cls, src: PointedCoalgebra, dst: PointedCoalgebra, map: SortedFun, images: dict[State, frozenset[Term]]
+    ) -> "CoalgMorphism":
+        """A morphism handed the image table that :func:`_image_table`
+        built from ``src`` and ``map``, so it never maps a term again."""
+        m = cls(src, dst, map)
+        m.__dict__["images"] = images
+        return m
+
     @functools.cached_property
     def images(self) -> dict[State, frozenset[Term]]:
         """Per source state, the image ``F(m)(t)`` of each of its
         transition terms."""
-        f, fun, xi = self.src.functor, self.map, self.src.xi
-        return {(s, x): frozenset(fmap(f, fun, s, t) for t in xi[(s, x)]) for s, x in self.src.states()}
+        return _image_table(self.src, self.map)
 
     def preserves_pointing(self) -> bool:
         return all(
             self.map(s, self.src.point[(s, i)]) == self.dst.point[(s, i)]
             for s, i in self.src.pointing.pairs()
         )
+
+
+def _image_table(src: PointedCoalgebra, fun: SortedFun) -> dict[State, frozenset[Term]]:
+    """Per state of ``src``, in carrier order, the images ``F(fun)(t)`` of
+    its transition terms.  States share terms, so each distinct
+    ``(sort, term)`` is mapped once."""
+    f, xi = src.functor, src.xi
+    mapped: dict[tuple[str, Term], Term] = {}
+    table = {}
+    for s, x in src.states():
+        images = []
+        for t in xi[(s, x)]:
+            image = mapped.get((s, t))
+            if image is None:
+                image = mapped[(s, t)] = fmap(f, fun, s, t)
+            images.append(image)
+        table[(s, x)] = frozenset(images)
+    return table
 
 
 def is_strict_hom(m: CoalgMorphism) -> bool:

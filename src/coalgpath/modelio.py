@@ -147,13 +147,14 @@ def format_name(name: str) -> str:
     return f'"{name}"'
 
 
-def _sort_name(sort: str) -> str:
+def _sort_name(sort: str, line: int | None = None) -> str:
     """A sort as a multisorted file writes it: a bare name, free of the
     ``.`` that ends an ``S.`` prefix and the ``:`` that ends an ``S :``
-    line, since sorts are never quoted."""
+    line, since sorts are never quoted.  The reader refuses the same
+    sorts as the printer, naming the ``[sorts]`` line."""
     if NAME_RE.fullmatch(sort) and "." not in sort and ":" not in sort:
         return sort
-    raise CoalgError(f"sort {sort!r} is no bare name free of '.' and ':', which no model file can carry")
+    raise ModelParseError(f"sort {sort!r} is no bare name free of '.' and ':', which no model file can carry", line)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +563,10 @@ def _elem_table(lines: Lines, dom: SortedSet, cod: SortedSet, what: str, default
 def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Functor]:
     """The sorts listed in [sorts] (the default sort without one) and the
     functor of [functor]."""
-    sorts = tuple(" ".join(line for _n, line in sections["sorts"]).split()) if "sorts" in sections else (DEFAULT_SORT,)
+    if "sorts" in sections:
+        sorts = tuple(_sort_name(sort, lineno) for lineno, line in sections["sorts"] for sort in line.split())
+    else:
+        sorts = (DEFAULT_SORT,)
     section = _section(sections, "functor")
     if not section:
         raise ModelParseError("empty [functor] section")

@@ -24,6 +24,7 @@ from .coalgebra import (
     CoalgMorphism,
     GenSpec,
     PointedCoalgebra,
+    _image_table,
     is_strict_hom,
     random_coalgebra,
 )
@@ -125,13 +126,34 @@ class SquareWitness:
     dst_run: Run
 
 
-@dataclass
 class OpenCheckReport:
-    verdict: str  # "open" | "not-open"
-    bound: int
-    reason: str = ""
-    lax_violation: tuple | None = None  # ((sort, state), term) breaking laxness
-    witness: SquareWitness | None = None
+    """The verdict of :func:`is_open`.  A not-open verdict found at a
+    reached state keeps the arguments of :func:`_materialize_witness` and
+    builds its witness square the first time ``witness`` is read."""
+
+    def __init__(
+        self,
+        verdict: str,  # "open" | "not-open"
+        bound: int,
+        reason: str = "",
+        lax_violation: tuple | None = None,  # ((sort, state), term) breaking laxness
+        witness: SquareWitness | None = None,
+        *,
+        _square: tuple | None = None,
+    ) -> None:
+        self.verdict = verdict
+        self.bound = bound
+        self.reason = reason
+        self.lax_violation = lax_violation
+        self._witness = witness
+        self._square = _square
+
+    @property
+    def witness(self) -> SquareWitness | None:
+        if self._square is not None:
+            self._witness = _materialize_witness(*self._square)
+            self._square = None
+        return self._witness
 
     @property
     def is_open(self) -> bool:
@@ -174,11 +196,10 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
             failing = _least_failing_triple(functor, dst, s, missing)
             if failing is not None:
                 shape, phi = failing
-                witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
                 return OpenCheckReport(
                     "not-open", bound,
                     reason=f"no lift at state {v} for shape {shape!r}",
-                    witness=witness,
+                    _square=(m, levels, level_index, (s, v), shape, phi),
                 )
     return OpenCheckReport("open", bound)
 
@@ -354,8 +375,10 @@ def serialize_witness(w: SquareWitness) -> list[str]:
     return lines
 
 
-def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> tuple[PointedCoalgebra, SortedFun]:
-    """Merge states into randomly chosen classes; the projection is lax."""
+def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> CoalgMorphism:
+    """Merge states into randomly chosen classes; the projection is lax.
+    The target is built from the projection's image table, which the
+    returned morphism keeps."""
     assignment: dict[tuple[str, str], str] = {}
     class_names: dict[str, list[str]] = {s: [] for s in src.carrier.sorts}
     for s in src.carrier.sorts:
@@ -371,14 +394,14 @@ def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> tu
     carrier = SortedSet.make(used, src.carrier.sorts)
     fun = SortedFun(src.carrier, carrier, assignment)
     point = {(s, i): assignment[(s, src.point[(s, i)])] for s, i in src.pointing.pairs()}
+    images = _image_table(src, fun)
     xi: dict[tuple[str, str], set] = {key: set() for key in carrier.pairs()}
-    for (s, x), terms in src.xi.items():
-        for t in terms:
-            xi[(s, assignment[(s, x)])].add(fmap(src.functor, fun, s, t))
+    for (s, x), image in images.items():
+        xi[(s, assignment[(s, x)])].update(image)
     dst = PointedCoalgebra._built(
         src.functor, src.pointing, carrier, point, {k: tuple(sorted(v)) for k, v in xi.items()}
     )
-    return dst, fun
+    return CoalgMorphism._with_images(src, dst, fun, images)
 
 
 def _add_noise(rng: random.Random, c: PointedCoalgebra, amount: int) -> PointedCoalgebra:
@@ -455,16 +478,16 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     src = raw.restrict(union) if union != set(raw.carrier.pairs()) else raw
     style = index % 3
     if style == 0:
-        dst, fun = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+        m = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
     elif style == 1:
-        dst0, fun = _quotient_map(rng, src, classes=max(1, src.carrier.size()))
-        dst = _add_noise(rng, dst0, amount=2)
+        fold = _quotient_map(rng, src, classes=max(1, src.carrier.size()))
+        # the noise changes only the target, so the fold's images stand
+        m = CoalgMorphism._with_images(src, _add_noise(rng, fold.dst, amount=2), fold.map, fold.images)
     else:
         dst = random_coalgebra(
             GenSpec(spec.functor, sizes, spec.density, rng.randrange(2**63), spec.pointing)
         )
-        fun = _random_map(rng, src, dst)
-    m = CoalgMorphism(src, dst, fun)
+        m = CoalgMorphism(src, dst, _random_map(rng, src, dst))
     strict = is_strict_hom(m)
     bound = src.carrier.size() + 1
     report = is_open(m, bound)
@@ -487,7 +510,7 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     if check_traces and report.is_open:
         from .trace import trace_equiv
 
-        if not trace_equiv(src, dst, bound):
+        if not trace_equiv(src, m.dst, bound):
             passed = False
             clauses.append("open map does not preserve traces")
     return TrialResult(index, passed, clauses, witness_lines)

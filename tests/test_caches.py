@@ -147,11 +147,11 @@ def harness_trials(f, count):
         spec = GenSpec(f, sizes, rng.choice((0.1, 0.25, 0.4)), seed)
         raw = random_coalgebra(spec)
         src = raw.restrict(reachable_bfs(raw)[1])
-        quotient, fold = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
-        noisy = _add_noise(rng, quotient, amount=2)
+        fold = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+        noisy = _add_noise(rng, fold.dst, amount=2)
         other = random_coalgebra(GenSpec(f, sizes, spec.density, seed + count))
-        systems = (raw, src, quotient, noisy, other)
-        maps = (CoalgMorphism(src, quotient, fold), CoalgMorphism(src, noisy, fold),
+        systems = (raw, src, fold.dst, noisy, other)
+        maps = (fold, CoalgMorphism._with_images(src, noisy, fold.map, fold.images),
                 CoalgMorphism(src, other, _random_map(rng, src, other)))
         yield systems, maps
 

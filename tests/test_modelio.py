@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalgpath.cli import run_command
 from coalgpath.coalgebra import GenSpec, PointedCoalgebra, random_coalgebra
 from coalgpath.functors import (
     Analytic,
@@ -828,6 +829,51 @@ class TestPrintedNamesReadBack:
             print_model(c)
         with pytest.raises(CoalgError, match="is no bare name"):
             _key(c.carrier, sort, "p0")
+
+    # a system over the sorts c and {a}, the latter listed on line 3, whose
+    # left sides are unqualified; {init} is one more [init] line
+    SORTS_TEXT = """\
+[sorts]
+c
+{a}
+
+[functor]
+{a} = prod(const(x), sort(c))
+c = const(y)
+
+[pointing]
+{a} : *
+
+[states]
+{a} : p0
+c : r0
+
+[init]
+* -> p0
+{init}
+[trans]
+p0 -> (x, r0)
+r0 -> y
+"""
+
+    @pytest.mark.parametrize("sort", ["a.b", "a:b", ".", "x=y", "a,b", "(a)"])
+    def test_reader_refuses_unwritable_sorts(self, sort, tmp_path):
+        text = self.SORTS_TEXT.format(a=sort, init="")
+        with pytest.raises(ModelParseError, match=rf"^line 3: sort {re.escape(repr(sort))} is no bare name"):
+            parse_model(text)
+        (tmp_path / "sorts.model").write_text(text, encoding="utf-8")
+        out, code = run_command(["reach", str(tmp_path / "sorts.model")])
+        assert code == 2 and out.startswith("error: line 3: sort ")
+
+    def test_duplicate_left_sides_word_a_valid_sort(self):
+        with pytest.raises(ModelParseError, match=r"^line 18: duplicate pointing for 'a\.\*'$"):
+            parse_model(self.SORTS_TEXT.format(a="a", init="* -> p0"))
+        c = parse_model(self.SORTS_TEXT.format(a="a", init=""))
+        with pytest.raises(ModelParseError, match=r"^line 3: duplicate image for 'a\.p0'$"):
+            parse_map("[map]\na.p0 -> a.p0\np0 -> a.p0\nc.r0 -> r0\n", c.carrier, c.carrier)
+        steps = TestMultisortedPathFiles.TWO_SORT_TEXT + "1 : x -> bot\n"
+        with pytest.raises(ModelParseError, match=r"^line 21: duplicate step 1 for 'a\.x'$"):
+            parse_path(steps)
 
     @given(st.sampled_from([(DEFAULT_SORT,), MULTISORTED.sorts]), st.data())
     @ROUNDTRIP

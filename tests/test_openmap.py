@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from coalgpath import openmap
 from coalgpath.coalgebra import (
     CoalgMorphism,
     GenSpec,
@@ -330,7 +331,8 @@ class TestEnumeratingAgreement:
             _levels, union = reachable_bfs(src)
             src = src.restrict(union)
             dst = random_coalgebra(GenSpec(f_expr, {DEFAULT_SORT: rng.randint(1, 3)}, 0.4, seed + 1000))
-            fold, fold_fun = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+            fold_m = _quotient_map(rng, src, classes=max(1, src.carrier.size() - 1))
+            fold, fold_fun = fold_m.dst, fold_m.map
             maps = ((dst, _random_map(rng, src, dst)), (fold, fold_fun), (_add_noise(rng, fold, 2), fold_fun))
             for dst, fun in maps:
                 m = CoalgMorphism(src, dst, fun)
@@ -440,6 +442,174 @@ class TestHarness:
 
         with pytest.raises(CoalgError):
             verify_theorems(GenSpec(lts_functor("a"), {DEFAULT_SORT: 2}, 0.3, 1), 0)
+
+
+# the binary harness functor at seed 3: nine trials that all pass, four
+# of them with a witness square, one two steps long
+CLAUSE_SPEC = GenSpec(SYSTEM_FUNCTORS[2], {DEFAULT_SORT: 4}, 0.3, 3)
+BOT = chr(0x22A5)
+
+
+class TestHarnessClauses:
+    """Each clause of ``verify_theorems`` fires and prints when the check
+    behind it is replaced by a broken one."""
+
+    @staticmethod
+    def spy_is_open(monkeypatch, first_calls, short=False):
+        """Record each trial's first ``is_open`` call (at ``|X| + 1``);
+        with ``short``, that call stops one BFS level early."""
+        real = openmap.is_open
+
+        def spy(m, bound):
+            if bound != m.src.carrier.size() + 1:
+                return real(m, bound)
+            first_calls.append((m, bound))
+            return real(m, len(m.src.bfs[0]) - 1) if short else real(m, bound)
+
+        monkeypatch.setattr(openmap, "is_open", spy)
+
+    def test_strict_hom_reported_not_open(self, monkeypatch):
+        first_calls = []
+        self.spy_is_open(monkeypatch, first_calls)
+        monkeypatch.setattr(openmap, "is_strict_hom", lambda m: True)
+        lines = verify_theorems(CLAUSE_SPEC, 9).lines()
+        assert lines == [
+            "trial 0: PASS",
+            "trial 1: FAIL strict hom reported not-open",
+            "  square: path length 0, extension length 1",
+            "  0 : * -> in0((w000, w001))  [src s0 -> dst c0]",
+            "  1 : w000 [dst c0, no source lift]",
+            "  1 : w001 [dst c0, no source lift]",
+            "trial 2: FAIL strict hom reported not-open",
+            "trial 3: PASS",
+            "trial 4: FAIL strict hom reported not-open",
+            "  square: path length 0, extension length 1",
+            "  0 : * -> in0((w000, w001))  [src s1 -> dst c1]",
+            "  1 : w000 [dst c0, no source lift]",
+            "  1 : w001 [dst c1, no source lift]",
+            "trial 5: FAIL strict hom reported not-open",
+            "  square: path length 1, extension length 2",
+            "  0 : * -> in0((n000, n001))  [src s1 -> dst s0]",
+            "  1 : n000 -> in0((w000, w001))  [src s0 -> dst s0]",
+            f"  1 : n001 -> {BOT}  [src s0 -> dst s0]",
+            "  2 : w000 [dst s0, no source lift]",
+            "  2 : w001 [dst s0, no source lift]",
+            "trial 6: PASS",
+            "trial 7: FAIL strict hom reported not-open",
+            "  square: path length 0, extension length 1",
+            "  0 : * -> in0((w000, w001))  [src s1 -> dst c3]",
+            "  1 : w000 [dst c1, no source lift]",
+            "  1 : w001 [dst c3, no source lift]",
+            "trial 8: FAIL strict hom reported not-open",
+            "FAILURES (9 trials)",
+        ]
+        # the printed squares were built on first read; the oracle builds
+        # each with _materialize_witness as soon as it finds the triple
+        eager = [enumerating_is_open(m, bound).witness for m, bound in first_calls]
+        assert [line[2:] for line in lines if line.startswith("  ")] == [
+            line for w in eager if w is not None for line in serialize_witness(w)
+        ]
+
+    def test_bound_guard(self, monkeypatch):
+        self.spy_is_open(monkeypatch, [], short=True)
+        assert verify_theorems(CLAUSE_SPEC, 9).lines() == [
+            "trial 0: PASS",
+            "trial 1: FAIL open map on path-reachable source is not strict; bound guard: open at 2 vs not-open",
+            "trial 2: PASS",
+            "trial 3: PASS",
+            "trial 4: PASS",
+            "trial 5: FAIL open map on path-reachable source is not strict; bound guard: open at 3 vs not-open",
+            "trial 6: PASS",
+            "trial 7: PASS",
+            "trial 8: PASS",
+            "FAILURES (9 trials)",
+        ]
+
+    def test_witness_does_not_replay(self, monkeypatch):
+        monkeypatch.setattr(openmap, "replay_witness", lambda m, w: False)
+        assert verify_theorems(CLAUSE_SPEC, 9).lines() == [
+            "trial 0: PASS",
+            "trial 1: FAIL witness does not replay",
+            "trial 2: PASS",
+            "trial 3: PASS",
+            "trial 4: FAIL witness does not replay",
+            "trial 5: FAIL witness does not replay",
+            "trial 6: PASS",
+            "trial 7: FAIL witness does not replay",
+            "trial 8: PASS",
+            "FAILURES (9 trials)",
+        ]
+
+    def test_unpatched_run_passes(self):
+        assert verify_theorems(CLAUSE_SPEC, 9).lines() == [f"trial {i}: PASS" for i in range(9)] + [
+            "all passed (9 trials)"
+        ]
+
+
+def harness_spec(f):
+    return GenSpec(f, {s: 4 for s in f.sorts}, 0.3, 11)
+
+
+class TestHarnessFactsOnce:
+    """A quotient trial's morphism is handed the image table its target
+    was built from, and a trial builds at most one witness square."""
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_handed_images_match_fresh_fmap(self, f, monkeypatch):
+        morphisms = []
+        real = openmap.is_strict_hom
+
+        def spy(m):
+            morphisms.append((m, "images" in vars(m)))
+            return real(m)
+
+        monkeypatch.setattr(openmap, "is_strict_hom", spy)
+        assert verify_theorems(harness_spec(f), 30).all_passed
+        assert len(morphisms) == 30
+        for index, (m, handed) in enumerate(morphisms):
+            assert handed == (index % 3 != 2)  # quotient and noisy-quotient trials
+            fresh = {
+                (s, x): frozenset(fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]) for s, x in m.src.states()
+            }
+            assert m.images == fresh and list(m.images) == list(fresh)
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_lazy_witness_matches_eager(self, f, monkeypatch):
+        calls = []
+        real = openmap.is_open
+
+        def spy(m, bound):
+            report = real(m, bound)
+            calls.append((m, bound, report))
+            return report
+
+        monkeypatch.setattr(openmap, "is_open", spy)
+        assert verify_theorems(harness_spec(f), 30).all_passed
+        squares = 0
+        for m, bound, report in calls:
+            assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
+            squares += report.witness is not None
+        assert squares
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_one_square_per_trial(self, f, monkeypatch):
+        built = Counter()  # per trial index
+        current = []
+        real_trial, real_build = openmap._run_trial, openmap._materialize_witness
+
+        def run_trial(spec, index, *rest):
+            current.append(index)
+            return real_trial(spec, index, *rest)
+
+        def build(*args):
+            built[current[-1]] += 1
+            return real_build(*args)
+
+        monkeypatch.setattr(openmap, "_run_trial", run_trial)
+        monkeypatch.setattr(openmap, "_materialize_witness", build)
+        assert verify_theorems(harness_spec(f), 30).all_passed
+        # the guard's report is never read, so its square is never built
+        assert built and set(built.values()) == {1}
 
 
 class TestDeepWitness:
