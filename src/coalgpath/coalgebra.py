@@ -18,9 +18,9 @@ from .functors import (
     Functor,
     Term,
     TermError,
+    _leaf_states,
     eval_functor,
     fmap,
-    occurrences,
     term_in_functor,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
@@ -42,10 +42,8 @@ class _SuccessorTable(dict):
         self.xi = xi
 
     def __missing__(self, key: State) -> tuple[tuple[Term, tuple[State, ...]], ...]:
-        node = self.functor.node(key[0])
-        entry = self[key] = tuple(
-            (t, tuple((var.sort, var.name) for var, _path in occurrences(node, t))) for t in self.xi[key]
-        )
+        f, sort = self.functor, key[0]
+        entry = self[key] = tuple([(t, _leaf_states(f, sort, t)) for t in self.xi[key]])
         return entry
 
 
@@ -207,20 +205,10 @@ class CoalgMorphism:
 
 def _image_table(src: PointedCoalgebra, fun: SortedFun) -> dict[State, frozenset[Term]]:
     """Per state of ``src``, in carrier order, the images ``F(fun)(t)`` of
-    its transition terms.  States share terms, so each distinct
-    ``(sort, term)`` is mapped once."""
+    its transition terms.  States share terms, and ``fmap`` keeps each
+    image in the functor's term memo, so a term is walked once."""
     f, xi = src.functor, src.xi
-    mapped: dict[tuple[str, Term], Term] = {}
-    table = {}
-    for s, x in src.states():
-        images = []
-        for t in xi[(s, x)]:
-            image = mapped.get((s, t))
-            if image is None:
-                image = mapped[(s, t)] = fmap(f, fun, s, t)
-            images.append(image)
-        table[(s, x)] = frozenset(images)
-    return table
+    return {(s, x): frozenset([fmap(f, fun, s, t) for t in xi[(s, x)]]) for s, x in src.states()}
 
 
 def is_strict_hom(m: CoalgMorphism) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -253,7 +254,8 @@ class Functor:
     """A finite-set endofunctor: one expression node per output sort.
 
     Frozen, so what is derived from it (its hash, whether it contains
-    the powerset, its ``+1`` functor) is computed on first use and kept.
+    the powerset, its ``+1`` functor, its term memo) is computed on
+    first use and kept.
     """
 
     sorts: tuple[str, ...]
@@ -280,6 +282,41 @@ class Functor:
     def plus1(self) -> "Functor":
         """F+1: the added point as a second summand at every sort."""
         return Functor(self.sorts, tuple((s, plus1_node(n)) for s, n in self.nodes))
+
+    @functools.cached_property
+    def _memo(self) -> "_TermMemo | None":
+        """The term memo shared by every functor equal to this one, or
+        None when it contains the powerset."""
+        if self.has_pf:
+            return None
+        # keyed by the fields: a functor as key would keep its own memo alive
+        key = (self.sorts, self.nodes)
+        memo = _MEMOS.get(key)
+        if memo is None:
+            memo = _MEMOS[key] = _TermMemo()
+        return memo
+
+
+class _TermMemo:
+    """What is worked out about terms once per functor value: per
+    ``(sort, term)`` its leaf states in occurrence order, and per
+    ``(sort, term, image names)`` the term with its leaves renamed to
+    those names.
+
+    Shared by value, not by object: the evaluation and shape caches keep
+    every functor they see alive, so a memo per object would grow with
+    every functor parsed anew.
+    """
+
+    __slots__ = ("leaves", "images", "__weakref__")
+
+    def __init__(self) -> None:
+        self.leaves: dict[tuple[str, Term], tuple[tuple[str, str], ...]] = {}
+        self.images: dict[tuple[str, Term, tuple[str, ...]], Term] = {}
+
+
+# per functor value, as its (sorts, nodes), the memo while a functor of that value lives
+_MEMOS: "weakref.WeakValueDictionary[tuple, _TermMemo]" = weakref.WeakValueDictionary()
 
 
 def functor(node: Node) -> Functor:
@@ -475,24 +512,76 @@ Subst = Mapping[tuple[str, str], Term]
 
 def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
     """Replace variables by terms, re-canonicalizing on the way up."""
+    return map_leaves(node, term, _substituting(sigma.__getitem__))
+
+
+def _substituting(image_of: Callable[[tuple[str, str]], Term], seen: list | None = None):
+    """The leaf function of :func:`subst_node`, taking each variable's
+    image from ``image_of``; with ``seen``, it also appends each leaf's
+    ``(sort, name)`` to it, in occurrence order."""
 
     def leaf(ref: SortRef, t: Term) -> Term:
         if not isinstance(t, Var):
             raise TermError(f"expected a variable at sort {ref.sort!r}, got {t!r}")
+        key = (t.sort, t.name)
         try:
-            return sigma[(t.sort, t.name)]
+            image = image_of(key)
         except KeyError:
             raise TermError(f"variable {t.name!r} (sort {t.sort!r}) not in substitution") from None
+        if seen is not None:
+            seen.append(key)
+        return image
 
-    return map_leaves(node, term, leaf)
+    return leaf
 
 
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
-    """The functorial action F(fun) applied to one term at an output sort."""
-    sigma = fun.var_subst
-    if sigma is None:
-        sigma = fun.var_subst = {(s, x): Var(s, y) for (s, x), y in fun.table.items()}
-    return subst_node(f.node(sort), term, sigma)
+    """The functorial action F(fun) applied to one term at an output sort.
+
+    The image is kept in the functor's term memo, keyed by the term and
+    the names its leaves map to, so mapping an equal term to equal names
+    again, by any map, looks it up.
+    """
+    memo, table = f._memo, fun.table
+    leaves = None if memo is None else memo.leaves.get((sort, term))
+    if leaves is not None:
+        try:
+            names = tuple([table[key] for key in leaves])
+        except KeyError:
+            pass  # the walk below names the leaf outside the map
+        else:
+            return _named_image(f, sort, term, names)
+    seen: list[tuple[str, str]] = []
+    image = map_leaves(f.node(sort), term, _substituting(lambda key: Var(key[0], table[key]), seen))
+    if memo is not None:
+        leaves = memo.leaves[(sort, term)] = tuple(seen)
+        memo.images[(sort, term, tuple([table[key] for key in leaves]))] = image
+    return image
+
+
+def _leaf_states(f: Functor, sort: str, term: Term) -> tuple[tuple[str, str], ...]:
+    """The ``(sort, name)`` of each variable leaf of ``term``, in
+    occurrence order, kept in the functor's term memo.  Undefined on
+    powerset nodes, as :func:`occurrences` is."""
+    memo = f._memo
+    leaves = None if memo is None else memo.leaves.get((sort, term))
+    if leaves is None:
+        leaves = tuple([(var.sort, var.name) for var, _path in occurrences(f.node(sort), term)])
+        if memo is not None:
+            memo.leaves[(sort, term)] = leaves
+    return leaves
+
+
+def _named_image(f: Functor, sort: str, term: Term, names: tuple[str, ...]) -> Term:
+    """``term`` of a powerset-free ``f`` with its i-th variable leaf, in
+    occurrence order, renamed to ``names[i]`` and re-canonicalized, kept
+    in the functor's term memo."""
+    images, key = f._memo.images, (sort, term, names)
+    image = images.get(key)
+    if image is None:
+        named = iter(names)
+        image = images[key] = map_leaves(f.node(sort), term, lambda _ref, t: Var(t.sort, next(named)))
+    return image
 
 
 def rebuild_with_fresh(node: Node, term: Term, fresh: Callable[[Var, tuple[int, ...]], Var]) -> Term:

@@ -564,7 +564,13 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
     """The sorts listed in [sorts] (the default sort without one) and the
     functor of [functor]."""
     if "sorts" in sections:
-        sorts = tuple(_sort_name(sort, lineno) for lineno, line in sections["sorts"] for sort in line.split())
+        listed: list[str] = []
+        for lineno, line in sections["sorts"]:
+            for sort in line.split():
+                if _sort_name(sort, lineno) in listed:
+                    raise ModelParseError(f"duplicate sort {sort!r}", lineno)
+                listed.append(sort)
+        sorts = tuple(listed)
     else:
         sorts = (DEFAULT_SORT,)
     section = _section(sections, "functor")
@@ -583,6 +589,8 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
         sort = sort.strip()
         if sort not in sorts:
             raise ModelParseError(f"unknown sort {sort!r}", lineno)
+        if sort in nodes:
+            raise ModelParseError(f"duplicate expression for sort {sort!r}", lineno)
         nodes[sort] = parse_functor_text(expr, lineno)
     missing = [s for s in sorts if s not in nodes]
     if missing:

@@ -29,7 +29,8 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, Var, bot_of_plus1, fmap, map_leaves, occurrences, step_of_plus1, subst_node,
+    Functor, Term, TermError, Var, _leaf_states, _named_image, bot_of_plus1, fmap, map_leaves, step_of_plus1,
+    subst_node,
 )
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
@@ -208,15 +209,15 @@ def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, mi
     """The first (shape, instantiation) hitting a missing target, the
     instantiation keyed by the shape's variables in sorted order; pools
     keep only elements of missing targets, in carrier order."""
-    node = functor.node(sort)
-    used = {(var.sort, var.name) for u in missing for var, _p in occurrences(node, u)}
+    used = {key for u in missing for key in _leaf_states(functor, sort, u)}
     for shape in element_shapes(functor, sort):
-        fresh_vars = sorted({(var.sort, var.name) for var, _p in occurrences(node, shape)})
+        leaves = _leaf_states(functor, sort, shape)
+        fresh_vars = sorted(set(leaves))
         pools = [[e for e in dst.carrier.elems(vs) if (vs, e) in used] for vs, _vn in fresh_vars]
         for combo in itertools.product(*pools):
-            sigma = {key: Var(key[0], e) for key, e in zip(fresh_vars, combo)}
-            if subst_node(node, shape, sigma) in missing:
-                return shape, dict(zip(fresh_vars, combo))
+            phi = dict(zip(fresh_vars, combo))
+            if _named_image(functor, sort, shape, tuple([phi[key] for key in leaves])) in missing:
+                return shape, phi
     return None
 
 

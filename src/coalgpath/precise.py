@@ -27,6 +27,7 @@ from .functors import (
     Term,
     TermError,
     Var,
+    _leaf_states,
     eval_node,
     node_has_pf,
     occurrences,
@@ -73,10 +74,8 @@ class TermMap:
 def occurrence_counts(f: TermMap) -> Counter:
     """How often each codomain variable occurs across all f(x)."""
     counts: Counter = Counter()
-    for (sort, x), term in sorted(f.table.items()):
-        node = f.functor.node(sort)
-        for var, _path in occurrences(node, term):
-            counts[(var.sort, var.name)] += 1
+    for (sort, _x), term in sorted(f.table.items()):
+        counts.update(_leaf_states(f.functor, sort, term))
     return counts
 
 

@@ -97,19 +97,15 @@ def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None 
 class SortedFun:
     """A total map between sorted sets.
 
-    ``table`` is keyed by (sort, element) over the domain.  It is never
-    written after construction, so ``var_subst``, the variable
-    substitution that ``functors.fmap`` derives from it, is built on
-    first use and kept.
+    ``table`` is keyed by (sort, element) over the domain.
     """
 
-    __slots__ = ("dom", "cod", "table", "var_subst")
+    __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: SortedSet, cod: SortedSet, table: Mapping[tuple[str, str], str]):
         self.dom = dom
         self.cod = cod
         self.table = dict(table)
-        self.var_subst = None
         for key in dom.pairs():
             if key not in self.table:
                 raise SortError(f"map not total: missing {key}")

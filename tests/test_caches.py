@@ -4,42 +4,55 @@ Each cached fact is checked against a fresh computation: the functor
 flags and ``+1`` functor, a system's successor table and breadth-first
 levels (against the literal walk in ``oracles.literal_bfs``), the
 terms of systems built or parsed without the constructor's term walk, set
-membership, the bounded evaluation cache and the elements kept on
-each permutation group.
+membership, the bounded evaluation cache, the term memo each functor
+value shares (its leaf states and images) and the elements kept on each
+permutation group.
 """
 
 import dataclasses
+import gc
 import pathlib
 import random
+import weakref
 
 import pytest
 
 from coalgpath import coalgebra, functors
+from coalgpath.cli import run_command
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.functors import (
     Const,
+    ConstElem,
     Coprod,
     Functor,
     Pf,
+    PowersetNodeError,
     Prod,
+    SetOf,
     SortRef,
+    TermError,
+    TupleTerm,
+    Var,
+    _leaf_states,
     compose,
     eval_functor,
     eval_node,
     fmap,
     functor,
     lts_functor,
+    lts_term,
     multisorted,
     node_has_pf,
     occurrences,
     plus1,
     plus1_node,
+    subst_node,
     term_in_functor,
 )
 from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _quotient_map, _random_map, reachable_bfs
-from coalgpath.sets import DEFAULT_SORT, SortedSet
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
 from conftest import HARNESS_FUNCTORS, MULTISORTED, SYSTEM_FUNCTORS, SYSTEM_IDS
 from oracles import literal_bfs
@@ -293,6 +306,167 @@ class TestEvalCache:
         # the lasota check's carrier-by-carrier fallback evaluates 3^5
         # carriers on a 5-object category
         assert functors._evaluated.cache_info().maxsize > 3 ** 5
+
+
+MEMO_FUNCTORS = [
+    *SYSTEM_FUNCTORS,
+    functor(parse_functor_text("analytic{ tri/3 [(1 2 3), (1 2)] ; pair/2 [(1 2)] ; leaf/0 }")),
+]
+MEMO_IDS = [*SYSTEM_IDS, "symmetric"]
+
+
+def forget(f):
+    """Empty the term memo of ``f``'s value, so the next call on a term is its first."""
+    f._memo.leaves.clear()
+    f._memo.images.clear()
+
+
+def walked_leaves(f, sort, t):
+    return tuple((v.sort, v.name) for v, _p in occurrences(f.node(sort), t))
+
+
+def random_maps(c, rng, count):
+    """Maps out of the carrier of ``c`` onto 1-3 elements per sort, so
+    that leaves often collide and analytic images re-canonicalize."""
+    sorts = c.carrier.sorts
+    for _ in range(count):
+        cod = SortedSet.make({s: [f"y{i}" for i in range(rng.randint(1, 3))] for s in sorts}, sorts)
+        yield SortedFun(c.carrier, cod, {(s, x): rng.choice(cod.elems(s)) for s, x in c.carrier.pairs()})
+
+
+def raised(call) -> str:
+    with pytest.raises(TermError) as info:
+        call()
+    return str(info.value)
+
+
+class TestTermMemo:
+    """``fmap`` and ``_leaf_states`` keep what they work out in a memo per
+    functor value; each answer must equal a fresh walk, on a term's first
+    call and on every later one."""
+
+    @pytest.mark.parametrize("f", MEMO_FUNCTORS, ids=MEMO_IDS)
+    def test_fmap_matches_a_fresh_substitution(self, f):
+        rng = random.Random(7)
+        twin = Functor(f.sorts, f.nodes)  # equal, built apart
+        checked = 0
+        for c in random_systems(f, count=15):
+            forget(f)
+            # the first map meets each term first; later maps find its
+            # leaves kept but not its images under their names
+            for fun in random_maps(c, rng, 3):
+                sigma = {(s, x): Var(s, y) for (s, x), y in fun.table.items()}
+                for (s, _x), terms in c.xi.items():
+                    for t in terms:
+                        want = subst_node(f.node(s), t, sigma)
+                        assert fmap(f, fun, s, t) == want
+                        assert fmap(f, fun, s, t) == want
+                        assert fmap(twin, fun, s, t) == want
+                        checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("f", MEMO_FUNCTORS, ids=MEMO_IDS)
+    def test_leaf_states_match_an_occurrence_walk(self, f):
+        rng = random.Random(8)
+        for i, c in enumerate(random_systems(f, count=15)):
+            forget(f)
+            fun = next(random_maps(c, rng, 1))
+            for (s, _x), terms in c.xi.items():
+                for t in terms:
+                    if i % 2:  # kept by fmap's walk, not by a leaf walk
+                        fmap(f, fun, s, t)
+                    want = walked_leaves(f, s, t)
+                    assert _leaf_states(f, s, t) == want
+                    assert _leaf_states(f, s, t) == want
+
+    def test_equal_functors_built_apart_share_one_memo(self):
+        f, g = lts_functor("ab"), lts_functor("ba")
+        assert f is not g and f._memo is g._memo
+        assert lts_functor("abc")._memo is not f._memo
+        t = lts_term("a", "p")
+        fmap(f, SortedFun.identity(SortedSet.single(["p"])), DEFAULT_SORT, t)
+        assert g._memo.leaves[(DEFAULT_SORT, t)] == ((DEFAULT_SORT, "p"),)
+
+    def test_memo_lives_as_long_as_a_functor_of_its_value(self):
+        f = functor(parse_functor_text("prod(const(memo), id, id)"))
+        memo = weakref.ref(f._memo)
+        g = functor(parse_functor_text("prod(const(memo), id, id)"))
+        assert g._memo is memo()
+        del f
+        gc.collect()
+        assert g._memo is memo()
+        del g
+        gc.collect()
+        assert memo() is None
+
+    def test_errors_read_the_same_before_and_after_a_term_is_kept(self):
+        f = lts_functor("ab")
+        forget(f)
+        node, x = f.node(DEFAULT_SORT), SortedSet.single(["p", "q"])
+        whole, partial = SortedFun.identity(x), SortedFun(SortedSet.single(["q"]), x, {(DEFAULT_SORT, "q"): "q"})
+        kept = lts_term("a", "p")
+        misfits = [lts_term("c", "p"), TupleTerm((ConstElem("a"), ConstElem("p"))), Var(DEFAULT_SORT, "p")]
+        want_outside = raised(lambda: subst_node(node, kept, {(DEFAULT_SORT, "q"): Var(DEFAULT_SORT, "q")}))
+        assert want_outside == "variable 'p' (sort '*') not in substitution"
+        whole_sigma = {(DEFAULT_SORT, e): Var(DEFAULT_SORT, e) for e in "pq"}
+        want_misfits = [raised(lambda t=t: subst_node(node, t, whole_sigma)) for t in misfits]
+        assert "expected a variable at sort '*'" in want_misfits[1]
+        for _round in range(2):  # the second round finds the fitting term kept
+            assert raised(lambda: fmap(f, partial, DEFAULT_SORT, kept)) == want_outside
+            for t, want in zip(misfits, want_misfits):
+                assert raised(lambda t=t: fmap(f, whole, DEFAULT_SORT, t)) == want
+                walked = raised(lambda t=t: walked_leaves(f, DEFAULT_SORT, t))
+                assert raised(lambda t=t: _leaf_states(f, DEFAULT_SORT, t)) == walked
+            assert fmap(f, whole, DEFAULT_SORT, kept) == kept
+        assert set(f._memo.leaves) == {(DEFAULT_SORT, kept)}
+
+    def test_powerset_leaves_are_never_kept(self):
+        f = multisorted(("p", "q"), {"p": Pf(SortRef("q")), "q": Prod((SortRef("p"), Const(("z",))))})
+        assert f.has_pf and f._memo is None
+        x = SortedSet.make({"p": ["a"], "q": ["b", "c"]}, ("p", "q"))
+        fun = SortedFun(x, x, {("p", "a"): "a", ("q", "b"): "c", ("q", "c"): "c"})
+        t = SetOf([Var("q", "b"), Var("q", "c")])
+        for _round in range(2):
+            assert fmap(f, fun, "p", t) == SetOf([Var("q", "c")])
+            with pytest.raises(PowersetNodeError):
+                walked_leaves(f, "p", t)
+            with pytest.raises(PowersetNodeError):
+                _leaf_states(f, "p", t)
+        u = TupleTerm((Var("p", "a"), ConstElem("z")))
+        assert _leaf_states(f, "q", u) == walked_leaves(f, "q", u) == (("p", "a"),)
+
+
+class TestMemoLeakGuard:
+    """``verify`` parses its functor anew on every call, and the caches
+    keyed by functors keep those objects alive; the term memos must
+    still number one per functor value, and stop growing once the same
+    trials have run."""
+
+    TEXTS = ("prod(const(m n), id)", "analytic{ tri/3 [(1 2 3), (1 2)] ; leaf/0 }")
+
+    @staticmethod
+    def memo_census():
+        gc.collect()
+        live = [f for f in gc.get_objects() if isinstance(f, Functor) and f.__dict__.get("_memo") is not None]
+        values = set(live)
+        assert len(values) < len(live)  # equal functors built apart
+        assert len({id(f._memo) for f in live}) == len(values) == len(functors._MEMOS)
+        return values
+
+    def test_one_memo_per_value_and_no_growth_after_the_first_round(self):
+        before = set(functors._MEMOS.keys())
+        entries = []
+        for _round in range(3):
+            for text in self.TEXTS:
+                for seed in (1, 2, 3):
+                    out, code = run_command(["verify", "--functor", text, "--trials", "20",
+                                             "--seed", str(seed), "--states", "4"])
+                    assert code == 0, out
+            self.memo_census()
+            ours = [m for key, m in functors._MEMOS.items() if key not in before]
+            entries.append((len(ours), sum(len(m.leaves) for m in ours), sum(len(m.images) for m in ours)))
+        assert entries[0][0] >= len(self.TEXTS) and entries[0][1] and entries[0][2]
+        assert entries[1] == entries[2]
 
 
 class TestGroupElements:

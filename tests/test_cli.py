@@ -333,6 +333,22 @@ class TestVerbs:
         out, code = run_command(["precise-factor", str(problem)])
         assert (out, code) == ("error: line 14: duplicate image for 'x1'\n", 2)
 
+    def test_repeated_sort_exit_two(self, tmp_path):
+        model = tmp_path / "twice.model"
+        text = (FIXTURES / "compose" / "twosorted.model").read_text(encoding="utf-8")
+        model.write_text(text.replace("[sorts]\na b\n", "[sorts]\na b\na\n"), encoding="utf-8")
+        out, code = run_command(["reach", str(model)])
+        assert (out, code) == ("error: line 5: duplicate sort 'a'\n", 2)
+
+    @pytest.mark.parametrize("again", ["b = coprod(const(c d), sort(a))", "a = prod(sort(a), sort(b))"])
+    def test_repeated_sort_expression_exit_two(self, tmp_path, again):
+        model = tmp_path / "twice.model"
+        text = (FIXTURES / "compose" / "twosorted.model").read_text(encoding="utf-8")
+        line = "b = coprod(const(c), sort(a))\n"
+        model.write_text(text.replace(line, f"{line}{again}\n"), encoding="utf-8")
+        out, code = run_command(["reach", str(model)])
+        assert (out, code) == (f"error: line 9: duplicate expression for sort '{again[0]}'\n", 2)
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("[functor]\nfrobnicate(id)\n", encoding="utf-8")
