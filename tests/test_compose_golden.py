@@ -42,6 +42,11 @@ CASES = [
     ("wide-runs", ["runs", "wide.model", "--depth", "2"], 0),
     # ... and sort by sort, not in occurrence order
     ("twosorted-runs", ["runs", "twosorted.model", "--depth", "2"], 0),
+    # ... at depth 3, where levels hold two or more elements
+    ("twosorted-runs-deep", ["runs", "twosorted.model", "--depth", "3"], 0),
+    # the trace-enum benchmark's a/b LTS: every level holds one element,
+    # and each (level, state) recurs across runs
+    ("enum-lts-runs", ["runs", "trace_enum_lts.model", "--depth", "4"], 0),
     # the trace-enum benchmark's register automaton (bar strings from words)
     ("enum-rnna", ["rnna", "auto.rnna", "--pool", "4", "--depth", "6"], 0),
     # an initial register: one pointed context per assignment of the pool
