@@ -191,11 +191,11 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         ts = trace(system, args.depth)
         lines = []
         memo: dict = {}
+        named = system.pointing.size() > 1
         for d, items in ts.per_depth:
             for (s, i), terms in items:
-                for t in terms:
-                    prefix = f"{i} : " if system.pointing.size() > 1 else ""
-                    lines.append(f"{prefix}{d} : {print_term(t, memo)}")
+                prefix = f"{i} : {d} : " if named else f"{d} : "
+                lines.extend([prefix + print_term(t, memo) for t in terms])
         for line in sorted(set(lines)):
             out.append(line)
         return 0

@@ -142,7 +142,10 @@ MAX_PRINT_DEPTH = 400
 
 def print_term(t: Term, memo: dict | None = None) -> str:
     """``t`` as text.  With ``memo``, a dict the caller keeps for one
-    batch of terms, each distinct subterm of the batch is printed once.
+    batch of terms, each subterm object of the batch is printed once.
+    The memo is keyed by ``id``, as a tuple rehashes all its items on
+    every lookup, and keeps each term alive, so no other term takes
+    over its id.
 
     A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
     :class:`TermError`.
@@ -152,9 +155,9 @@ def print_term(t: Term, memo: dict | None = None) -> str:
 
 def _printed(t: Term, memo: dict) -> tuple[str, int]:
     """``t`` as text, and how deep it nests, through ``memo``."""
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
+    kept = memo.get(id(t))
+    if kept is not None:
+        return kept[1]
     if isinstance(t, (ConstElem, Var)):
         hit = (t.name, 0)
     elif isinstance(t, UnitLeaf):
@@ -176,7 +179,7 @@ def _printed(t: Term, memo: dict) -> tuple[str, int]:
         raise TermError(f"unknown term {t!r}")
     if hit[1] > MAX_PRINT_DEPTH:
         raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
-    memo[t] = hit
+    memo[id(t)] = t, hit
     return hit
 
 

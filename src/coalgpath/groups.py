@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .sets import CoalgError
 
@@ -45,6 +46,13 @@ class PermGroup:
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """:func:`group_elements`, kept on the group."""
         return group_elements(self)
+
+    @functools.cached_property
+    def _getters(self) -> tuple[itemgetter, ...]:
+        """Each element but the identity as an ``itemgetter``.  Each moves
+        two slots or more, so it returns a tuple, as :func:`apply_perm_tuple`."""
+        identity = tuple(range(self.arity))
+        return tuple([itemgetter(*p) for p in self.elements if p != identity])
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -108,8 +116,8 @@ def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
     if len(t) != g.arity:
         raise ArityError(f"tuple of length {len(t)} under group of arity {g.arity}")
     best = t
-    for p in g.elements:
-        candidate = apply_perm_tuple(p, t)
+    for get in g._getters:
+        candidate = get(t)
         if candidate < best:
             best = candidate
     return best

@@ -67,6 +67,8 @@ _NAME_CHAR = r"[A-Za-z0-9_*.:+'⊥•✓]"
 NAME_RE = re.compile(rf"{_NAME_CHAR}+(?:-(?!>){_NAME_CHAR}*)*|-(?!>){_NAME_CHAR}*(?:-(?!>){_NAME_CHAR}*)*")
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
 GLYPH_ASCII = {UNIT: "unit", BOT: "bot", CHECK: "ok"}
+# the added point's summand of F+1, built once
+_BOT_CONST = Const((BOT,))
 
 
 class ModelParseError(CoalgError):
@@ -209,7 +211,7 @@ def _parse_node(tokens: list[str], pos: int, depth: int, line: int | None) -> tu
         inner, pos, height, size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
         pos = _expect(tokens, pos, ")", line)
         if head == "plus1":
-            return Coprod((inner, Const((BOT,)))), pos, height + 1, size + 2
+            return Coprod((inner, _BOT_CONST)), pos, height + 1, size + 2
         return Pf(inner), pos, height + 1, size + 1
     if head == "compose":
         outer, pos, outer_height, outer_size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
@@ -280,7 +282,7 @@ def print_functor_node(node: Node) -> str:
     if isinstance(node, Prod):
         return "prod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Coprod):
-        if len(node.parts) == 2 and node.parts[1] == Const((BOT,)):
+        if len(node.parts) == 2 and node.parts[1] == _BOT_CONST:
             return f"plus1({print_functor_node(node.parts[0])})"
         return "coprod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Pf):
@@ -432,7 +434,7 @@ def print_term_for(f: Functor, sort: str, term: Term) -> str:
             return walk(f.node(node.sort), t)
         if isinstance(node, Coprod) and isinstance(t, Inj):
             branch = node.parts[t.index]
-            if branch == Const((BOT,)):
+            if branch == _BOT_CONST:
                 return BOT
             return f"in{t.index}({walk(branch, t.arg)})"
         if isinstance(node, Const) and isinstance(t, ConstElem):

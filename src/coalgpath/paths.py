@@ -419,6 +419,11 @@ def enumerate_runs(
     run components 0..n-1 with the last path of length n-1 emitted
     before it.  Callers may keep what they derive per level and reuse it
     for the extensions.
+
+    The children of a level of at most one element are built once per
+    (level, state) in a call; a wider level builds them on each visit.
+    So levels, steps and run components are shared between pairs, and
+    callers must not write to their tables.
     """
     fp1 = plus1(c.functor)
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
@@ -445,17 +450,15 @@ def enumerate_runs(
             ]
         return opts
 
-    def extensions(path: PathObj, run: Run) -> Iterator[tuple[PathObj, Run]]:
-        """The pairs one level longer than ``(path, run)`` that extend it."""
-        current = path.levels[-1]
-        x_k = run.components[-1]
+    def children(current: SortedSet, states: tuple, check_names: bool) -> Iterator[tuple]:
+        """The next level, step and next run component of each extension
+        of a level ``current`` whose elements sit at ``states``."""
         keys = list(current.pairs())
-        choices = [options((s, x_k(s, e))) for (s, e) in keys]
+        choices = [options(state) for state in states]
         if any(not o for o in choices):
             return
         if c.functor.has_pf:
             raise PowersetNodeError("cannot factorize through powerset nodes")
-        check_names = names_clash and path.length == 0
         space_sorts = c.pointing.sorts
 
         for combo in itertools.product(*choices):
@@ -487,7 +490,24 @@ def enumerate_runs(
                 for key, choice in zip(keys, combo)
             }
             step = TermMap(current, fp1, next_level, step_table)
-            x_next = SortedFun(next_level, c.carrier, x_table)
+            yield next_level, step, SortedFun(next_level, c.carrier, x_table)
+
+    # children of the levels of at most one element, of which there are
+    # (sorts + 1)|X| + 1 at most; wider ones multiply and rarely recur
+    built: dict[tuple, list[tuple[SortedSet, TermMap, SortedFun]]] = {}
+
+    def extensions(path: PathObj, run: Run) -> Iterator[tuple[PathObj, Run]]:
+        """The pairs one level longer than ``(path, run)`` that extend it."""
+        current = path.levels[-1]
+        x_k = run.components[-1]
+        states = tuple([(s, x_k(s, e)) for s, e in current.pairs()])
+        if len(states) > 1:
+            found = children(current, states, names_clash and path.length == 0)
+        else:
+            found = built.get((current, states))
+            if found is None:
+                found = built[(current, states)] = list(children(current, states, False))
+        for next_level, step, x_next in found:
             longer = PathObj(c.functor, c.pointing, path.levels + (next_level,), path.steps + (step,))
             yield longer, Run(longer, c, run.components + (x_next,))
 

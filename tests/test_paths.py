@@ -1,7 +1,9 @@
 import itertools
+import pathlib
 
 import pytest
 
+from coalgpath import paths
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, random_coalgebra
 from coalgpath.functors import (
     Analytic,
@@ -22,6 +24,7 @@ from coalgpath.functors import (
     strip_plus1,
 )
 from coalgpath.groups import symmetric_group, trivial_group
+from coalgpath.modelio import parse_coalgebra
 from coalgpath.paths import (
     CompValue,
     PathObj,
@@ -463,6 +466,48 @@ class TestRunLevelsAgainstFactorization:
                 list(runs)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
+
+
+class TestRunChildrenBuiltOnce:
+    """The steps out of a level of at most one element are built once per
+    (level, state) in a call; a wider level builds its steps on every
+    visit."""
+
+    @staticmethod
+    def count_steps(monkeypatch, c, depth):
+        built = []
+
+        class CountingTermMap(paths.TermMap):
+            __slots__ = ()
+
+            def __init__(self, dom, *args):
+                built.append(dom.size())
+                super().__init__(dom, *args)
+
+        monkeypatch.setattr(paths, "TermMap", CountingTermMap)
+        return built, list(enumerate_runs(c, depth))
+
+    def test_word_levels_build_each_step_once(self, monkeypatch):
+        c = parse_coalgebra((COMPOSE / "trace_enum_lts.model").read_text(encoding="utf-8"))
+        built, pairs = self.count_steps(monkeypatch, c, 6)
+        keys = {
+            (p.levels[-1], tuple((s, r.components[-1](s, e)) for s, e in p.levels[-1].pairs()))
+            for p, r in pairs
+            if p.length < 6
+        }
+        assert all(level.size() <= 1 for level, _states in keys)
+        assert len(pairs) == 1636
+        assert len(built) <= len(keys) * (1 + max(len(ts) for ts in c.xi.values()))
+
+    def test_wide_levels_build_their_steps_on_every_visit(self, monkeypatch):
+        c = parse_coalgebra((COMPOSE / "trace_enum_tree.model").read_text(encoding="utf-8"))
+        built, pairs = self.count_steps(monkeypatch, c, 3)
+        wide_steps = [p for p, _r in pairs if p.length and p.steps[-1].dom.size() > 1]
+        assert wide_steps
+        assert sum(size > 1 for size in built) == len(wide_steps)
 
 
 class TestEmbeddingIntegration:

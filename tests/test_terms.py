@@ -9,6 +9,7 @@ of a tree automaton.
 """
 
 import copy
+import gc
 import itertools
 import pickle
 import random
@@ -180,7 +181,29 @@ def test_memo_printer_prints_as_the_plain_one():
     memo = {}
     for t in shuffled:
         assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
-    assert {type(t) for t in memo} == set(KINDS)
+    assert {type(t) for t, _hit in memo.values()} == set(KINDS)
+
+
+def test_memo_prints_equal_terms_built_apart_alike():
+    memo = {}
+    first = TupleTerm((Inj(0, Var("*", "x")), BOT_TERM))
+    second = TupleTerm((Inj(0, Var("*", "x")), ConstElem(BOT_TERM.name)))
+    assert first == second and first is not second
+    assert print_term(first, memo) == print_term(second, memo) == print_term(first)
+
+
+def test_memo_keeps_its_terms_so_no_id_is_reused():
+    memo = {}
+    for i in range(50):
+        # each term dies after it is printed, unless the memo keeps it
+        t = TupleTerm((Var("*", f"a{i}"), Inj(i % 2, ConstElem(f"c{i}"))))
+        print_term(t, memo)
+        del t
+        gc.collect()
+    for i in range(50):
+        fresh = [TupleTerm((Var("*", f"b{i}{j}"), ConstElem(f"d{j}"))) for j in range(3)]
+        for t in fresh:
+            assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
 
 
 @pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: SetOf([t])],
