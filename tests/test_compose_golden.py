@@ -47,6 +47,9 @@ CASES = [
     # the trace-enum benchmark's a/b LTS: every level holds one element,
     # and each (level, state) recurs across runs
     ("enum-lts-runs", ["runs", "trace_enum_lts.model", "--depth", "4"], 0),
+    # levels repeat with period 10 on 8 states: the level cap stops at
+    # level 9, before the distinct level 10 (a1 b4)
+    ("periodic-reach", ["reach", "periodic.model"], 0),
     # the trace-enum benchmark's register automaton (bar strings from words)
     ("enum-rnna", ["rnna", "auto.rnna", "--pool", "4", "--depth", "6"], 0),
     # an initial register: one pointed context per assignment of the pool
