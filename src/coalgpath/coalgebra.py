@@ -117,7 +117,9 @@ class PointedCoalgebra:
 
         Level k+1 collects every state occurring in a transition term of
         a level-k state.  Iteration stops at the first empty or previously
-        seen level; the union is the least subcoalgebra carrier.
+        seen level, or after ``|X| + 2`` levels: every state first appears
+        within ``|X|`` levels, so the cap cuts off only levels of states
+        seen before.  The union is the least subcoalgebra carrier.
         """
         successors = self.successors
         level = frozenset(self.point_image())

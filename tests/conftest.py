@@ -122,6 +122,19 @@ def linear_word_system(alphabet, word) -> PointedCoalgebra:
     return lts_coalgebra(alphabet, states, "q0", edges)
 
 
+def drop_last_bfs_level(monkeypatch) -> None:
+    """A broken breadth-first walk: every system's BFS loses its last
+    level, and the union loses the states that level reached first."""
+    real = PointedCoalgebra.__dict__["bfs"].func
+
+    def bfs(c):
+        levels, union = real(c)
+        kept = levels[:-1] or levels
+        return kept, frozenset().union(*kept)
+
+    monkeypatch.setattr(PointedCoalgebra, "bfs", property(bfs))
+
+
 def trace_pairs(ts: TraceSet) -> set:
     """(depth, term) pairs of a trace set over a singleton pointing."""
     return {(d, t) for d, ((_key, terms),) in ts.per_depth for t in terms}

@@ -147,7 +147,7 @@ def test_criterion_05_whyplus1_fixture():
     assert [sorted(e for _s, e in lv) for lv in levels] == [["x0"], ["y1", "y2"], ["z1", "z2"]]
     assert is_path_reachable(c, allow_bot=True)
     assert not is_path_reachable(c, allow_bot=False)
-    covered = run_reachable_states(c, c.carrier.size(), allow_bot=False)
+    covered = run_reachable_states(c, c.carrier.size())
     assert (DEFAULT_SORT, "z1") not in covered
     report(5, "five-state fixture: +1-reachable, z1 lost without the added point, exact levels")
 

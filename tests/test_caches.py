@@ -51,7 +51,7 @@ from coalgpath.functors import (
 )
 from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
-from coalgpath.openmap import _add_noise, _quotient_map, _random_map, reachable_bfs
+from coalgpath.openmap import _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
 from conftest import HARNESS_FUNCTORS, MULTISORTED, SYSTEM_FUNCTORS, SYSTEM_IDS
@@ -108,6 +108,7 @@ class TestSystemFacts:
             want_levels, want_union = literal_bfs(c)
             assert levels == want_levels
             assert union == want_union
+            assert _least_subcoalgebra(c) == want_union
             partial += union != set(c.states())
         assert partial  # some systems leave states unreached
 

@@ -4,6 +4,8 @@ import pytest
 
 from coalgpath.cli import run_command
 
+from conftest import drop_last_bfs_level
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 BOT = chr(0x22A5)
@@ -76,6 +78,12 @@ class TestVerbs:
         assert code == 0
         assert "level 0: q0" in text
         assert "path-reachable: yes" in text
+
+    def test_reach_fails_when_the_two_algorithms_disagree(self, monkeypatch):
+        drop_last_bfs_level(monkeypatch)
+        text, code = run_command(["reach", str(FIXTURES / "lts_ab.model")])
+        assert code == 1
+        assert text.splitlines()[-2:] == ["path-reachable: no", "no-proper-subcoalgebra: yes"]
 
     def test_runs(self, lts_file):
         text, code = run_command(["runs", lts_file, "--depth", "2"])

@@ -38,7 +38,7 @@ from coalgpath.paths import Run, enumerate_runs, is_run, make_path, validate_pat
 from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import SYSTEM_FUNCTORS, SYSTEM_IDS, linear_word_system, single, whyplus1_system
+from conftest import SYSTEM_FUNCTORS, SYSTEM_IDS, drop_last_bfs_level, linear_word_system, single, whyplus1_system
 from oracles import all_functions, run_image
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))
@@ -80,7 +80,7 @@ class TestPathReachability:
     def test_whyplus1_without_added_point(self):
         c = whyplus1_system()
         assert not is_path_reachable(c, allow_bot=False)
-        covered = run_reachable_states(c, c.carrier.size(), allow_bot=False)
+        covered = run_reachable_states(c, c.carrier.size())
         assert ("*", "z1") not in covered
 
     def test_isolated_state_system(self):
@@ -101,7 +101,7 @@ class TestPathReachability:
                 literal = set()
                 for _p, r in enumerate_runs(c, c.carrier.size(), allow_bot=allow_bot):
                     literal |= run_image(r)
-                fast = run_reachable_states(c, c.carrier.size(), allow_bot=allow_bot)
+                fast = reachable_bfs(c)[1] if allow_bot else run_reachable_states(c, c.carrier.size())
                 assert fast == literal, f"seed {seed} allow_bot {allow_bot}"
 
     def test_agreement_with_subcoalgebra_reachability(self):
@@ -455,22 +455,20 @@ class TestHarnessClauses:
     behind it is replaced by a broken one."""
 
     @staticmethod
-    def spy_is_open(monkeypatch, first_calls, short=False):
-        """Record each trial's first ``is_open`` call (at ``|X| + 1``);
-        with ``short``, that call stops one BFS level early."""
+    def spy_is_open(monkeypatch, calls, short=False):
+        """Record each trial's ``is_open`` call; with ``short``, that call
+        stops one BFS level early."""
         real = openmap.is_open
 
         def spy(m, bound):
-            if bound != m.src.carrier.size() + 1:
-                return real(m, bound)
-            first_calls.append((m, bound))
+            calls.append((m, bound))
             return real(m, len(m.src.bfs[0]) - 1) if short else real(m, bound)
 
         monkeypatch.setattr(openmap, "is_open", spy)
 
     def test_strict_hom_reported_not_open(self, monkeypatch):
-        first_calls = []
-        self.spy_is_open(monkeypatch, first_calls)
+        calls = []
+        self.spy_is_open(monkeypatch, calls)
         monkeypatch.setattr(openmap, "is_strict_hom", lambda m: True)
         lines = verify_theorems(CLAUSE_SPEC, 9).lines()
         assert lines == [
@@ -505,7 +503,7 @@ class TestHarnessClauses:
         ]
         # the printed squares were built on first read; the oracle builds
         # each with _materialize_witness as soon as it finds the triple
-        eager = [enumerating_is_open(m, bound).witness for m, bound in first_calls]
+        eager = [enumerating_is_open(m, bound).witness for m, bound in calls]
         assert [line[2:] for line in lines if line.startswith("  ")] == [
             line for w in eager if w is not None for line in serialize_witness(w)
         ]
@@ -513,15 +511,34 @@ class TestHarnessClauses:
     def test_bound_guard(self, monkeypatch):
         self.spy_is_open(monkeypatch, [], short=True)
         assert verify_theorems(CLAUSE_SPEC, 9).lines() == [
-            "trial 0: PASS",
-            "trial 1: FAIL open map on path-reachable source is not strict; bound guard: open at 2 vs not-open",
+            "trial 0: FAIL bound guard: open at 3 after 1 of 2 states",
+            "trial 1: FAIL open map on path-reachable source is not strict; bound guard: open at 2 after 0 of 1 states",
             "trial 2: PASS",
-            "trial 3: PASS",
+            "trial 3: FAIL bound guard: open at 2 after 0 of 1 states",
             "trial 4: PASS",
-            "trial 5: FAIL open map on path-reachable source is not strict; bound guard: open at 3 vs not-open",
-            "trial 6: PASS",
+            "trial 5: FAIL open map on path-reachable source is not strict; bound guard: open at 3 after 1 of 2 states",
+            "trial 6: FAIL bound guard: open at 4 after 1 of 3 states",
             "trial 7: PASS",
             "trial 8: PASS",
+            "FAILURES (9 trials)",
+        ]
+
+    def test_reachability_mismatch(self, monkeypatch):
+        # the worklist closure still finds every state, so clause (c)
+        # fires whenever a level is lost, and the guard wherever the map
+        # is open on what the short walk still reaches
+        drop_last_bfs_level(monkeypatch)
+        assert verify_theorems(CLAUSE_SPEC, 9).lines() == [
+            "trial 0: FAIL reachability mismatch: path=1 sub=2 states; bound guard: open at 3 after 1 of 2 states",
+            "trial 1: PASS",
+            "trial 2: FAIL reachability mismatch: path=1 sub=4 states",
+            "trial 3: PASS",
+            "trial 4: FAIL reachability mismatch: path=1 sub=2 states",
+            "trial 5: FAIL reachability mismatch: path=1 sub=2 states; open map on path-reachable source is not"
+            " strict; bound guard: open at 3 after 1 of 2 states",
+            "trial 6: FAIL reachability mismatch: path=1 sub=3 states; bound guard: open at 4 after 1 of 3 states",
+            "trial 7: FAIL reachability mismatch: path=1 sub=4 states",
+            "trial 8: FAIL reachability mismatch: path=1 sub=4 states",
             "FAILURES (9 trials)",
         ]
 
@@ -585,6 +602,7 @@ class TestHarnessFactsOnce:
 
         monkeypatch.setattr(openmap, "is_open", spy)
         assert verify_theorems(harness_spec(f), 30).all_passed
+        assert len(calls) == 30  # one open-map check per trial
         squares = 0
         for m, bound, report in calls:
             assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
