@@ -35,6 +35,9 @@ from .precise import TermMap, element_shapes, is_precise, precise_chains
 from .sets import CoalgError, SortedSet, singleton_pointing
 
 POINT_ELEM = "*"
+# the precise-iff-characteristic criterion is checked over carriers with
+# at most this many elements per sort
+MAX_Y = 2
 
 
 @dataclass
@@ -238,9 +241,10 @@ def _precise_iff_characteristic(f: Functor, sorts: tuple[str, ...], max_y: int) 
     return lines
 
 
-def paths_bijection_check(cat: FiniteCategory, n: int, max_y: int = 2) -> BijectionReport:
+def paths_bijection_check(cat: FiniteCategory, n: int) -> BijectionReport:
     """Paths of length <= n against composable sequences, plus the
-    precise-iff-characteristic criterion for maps out of the pointing."""
+    precise-iff-characteristic criterion for maps out of the pointing,
+    over carriers with at most ``MAX_Y`` elements per sort."""
     report = BijectionReport(ok=True)
     f = lasota_functor(cat)
     for length, paths in enumerate(_lasota_paths_by_length(cat, f, n)):
@@ -249,7 +253,7 @@ def paths_bijection_check(cat: FiniteCategory, n: int, max_y: int = 2) -> Biject
         if paths != seqs:
             report.ok = False
             report.mismatches.append(f"length {length}: paths {paths} != sequences {seqs}")
-    mismatches = _precise_iff_characteristic(f, tuple(cat.objects), max_y)
+    mismatches = _precise_iff_characteristic(f, tuple(cat.objects), MAX_Y)
     if mismatches:
         report.ok = False
         report.precise_ok = False

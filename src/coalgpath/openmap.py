@@ -67,56 +67,14 @@ def is_reachable_no_proper_sub(c: PointedCoalgebra) -> bool:
     return _least_subcoalgebra(c) == set(c.carrier.pairs())
 
 
-def _viable_sets(c: PointedCoalgebra, depth: int) -> list[set[tuple[str, str]]]:
-    """viable[j]: states admitting a bottom-free run continuation of j steps."""
-    successors = c.successors
-    all_states = set(c.carrier.pairs())
-    viable = [all_states]
-    for _ in range(depth):
-        prev = viable[-1]
-        viable.append({x for x in all_states if any(prev.issuperset(succ) for _t, succ in successors[x])})
-    return viable
-
-
-def run_reachable_states(c: PointedCoalgebra, depth: int) -> set[tuple[str, str]]:
-    """States in the image of some run of length at most ``depth`` that
-    never uses the added point: every level element must keep stepping,
-    so a state counts as reached at level k only if the whole level can be
-    extended, through transition terms all of whose occurrences stay
-    viable long enough.  With the added point, this is the BFS union.
+def is_path_reachable(c: PointedCoalgebra) -> bool:
+    """Joint surjectivity of all runs of length up to the carrier size,
+    the added point allowed: the covered states are the BFS union, which
+    :func:`is_reachable_no_proper_sub` checks against a worklist closure
+    of ``xi``, so ``reach`` and the harness clause (c) compare the two
+    algorithms.  Literal run enumeration checks it in the tests.
     """
-    point_img = c.point_image()
-    viable = _viable_sets(c, depth)
-    successors = c.successors
-    covered: set[tuple[str, str]] = set()
-    for k in range(depth + 1):
-        # every pointing image is a level-0 element and must survive k steps
-        if not point_img <= viable[k]:
-            continue
-        layer = set(point_img)
-        for j in range(k):
-            budget = viable[k - j - 1]
-            nxt: set[tuple[str, str]] = set()
-            for x in layer:
-                for _t, succ in successors[x]:
-                    if budget.issuperset(succ):
-                        nxt.update(succ)
-            layer = nxt
-        covered |= layer
-    return covered
-
-
-def is_path_reachable(c: PointedCoalgebra, allow_bot: bool = True) -> bool:
-    """Joint surjectivity of all runs of length up to the carrier size.
-
-    With the added point allowed, the covered states are the BFS union,
-    which :func:`is_reachable_no_proper_sub` checks against a worklist
-    closure of ``xi``: ``reach`` and the harness clause (c) compare the
-    two algorithms.  Literal run enumeration checks both notions in the
-    tests.
-    """
-    covered = reachable_bfs(c)[1] if allow_bot else run_reachable_states(c, c.carrier.size())
-    return covered == set(c.carrier.pairs())
+    return reachable_bfs(c)[1] == set(c.carrier.pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +90,17 @@ class SquareWitness:
     dst_run: Run
 
 
+@dataclass
 class OpenCheckReport:
-    """The verdict of :func:`is_open`.  A not-open verdict found at a
-    reached state keeps the arguments of :func:`_materialize_witness` and
-    builds its witness square the first time ``witness`` is read."""
+    """The verdict of :func:`is_open`, with a witness square when a reached
+    state has no lift."""
 
-    def __init__(
-        self,
-        verdict: str,  # "open" | "not-open"
-        bound: int,
-        reason: str = "",
-        lax_violation: tuple | None = None,  # ((sort, state), term) breaking laxness
-        witness: SquareWitness | None = None,
-        *,
-        states_checked: int = 0,  # reached states whose lifts were checked
-        _square: tuple | None = None,
-    ) -> None:
-        self.verdict = verdict
-        self.bound = bound
-        self.reason = reason
-        self.lax_violation = lax_violation
-        self.states_checked = states_checked
-        self._witness = witness
-        self._square = _square
-
-    @property
-    def witness(self) -> SquareWitness | None:
-        if self._square is not None:
-            self._witness = _materialize_witness(*self._square)
-            self._square = None
-        return self._witness
+    verdict: str  # "open" | "not-open"
+    bound: int
+    reason: str = ""
+    lax_violation: tuple | None = None  # ((sort, state), term) breaking laxness
+    witness: SquareWitness | None = None
+    states_checked: int = 0  # reached states whose lifts were checked
 
     @property
     def is_open(self) -> bool:
@@ -201,22 +140,22 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
             missing = set(dst.xi[(s, m.map(s, v))]) - images[(s, v)]
             if not missing:
                 continue
-            failing = _least_failing_triple(functor, dst, s, missing)
-            if failing is not None:
-                shape, phi = failing
-                return OpenCheckReport(
-                    "not-open", bound,
-                    reason=f"no lift at state {v} for shape {shape!r}",
-                    states_checked=len(checked),
-                    _square=(m, levels, level_index, (s, v), shape, phi),
-                )
+            shape, phi = _least_failing_triple(functor, dst, s, missing)
+            return OpenCheckReport(
+                "not-open", bound,
+                reason=f"no lift at state {v} for shape {shape!r}",
+                witness=_materialize_witness(m, levels, level_index, (s, v), shape, phi),
+                states_checked=len(checked),
+            )
     return OpenCheckReport("open", bound, states_checked=len(checked))
 
 
 def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, missing: set[Term]):
     """The first (shape, instantiation) hitting a missing target, the
     instantiation keyed by the shape's variables in sorted order; pools
-    keep only elements of missing targets, in carrier order."""
+    keep only elements of missing targets, in carrier order.  Every
+    target is an element shape instantiated over its own leaves, so
+    one always hits."""
     used = {key for u in missing for key in _leaf_states(functor, sort, u)}
     for shape in element_shapes(functor, sort):
         leaves = _leaf_states(functor, sort, shape)
@@ -226,7 +165,7 @@ def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, mi
             phi = dict(zip(fresh_vars, combo))
             if _named_image(functor, sort, shape, tuple([phi[key] for key in leaves])) in missing:
                 return shape, phi
-    return None
+    raise CoalgError("internal error: a missing target is no instantiated shape")
 
 
 def _run_reaching(

@@ -21,7 +21,6 @@ from .functors import (
     UNIT_TERM,
     Functor,
     Node,
-    PowersetNodeError,
     SortRef,
     Term,
     TermError,
@@ -399,9 +398,7 @@ def is_run(r: Run) -> bool:
     return True
 
 
-def enumerate_runs(
-    c: PointedCoalgebra, depth: int, allow_bot: bool = True
-) -> Iterator[tuple[PathObj, Run]]:
+def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, Run]]:
     """Every (path, run) pair up to the given length, lexicographically.
 
     Level k+1 is produced by choosing, per level-k element, either the
@@ -431,17 +428,16 @@ def enumerate_runs(
     # two level-0 elements of one name in different sorts may claim the
     # same position name; the factorization's codomain then rejects it
     names_clash = len({e for _s, e in c.pointing.pairs()}) != c.pointing.size()
-    bot_options: list[tuple | None] = [None] if allow_bot else []
     options_of: dict[tuple[str, str], list[tuple | None]] = {}
 
     def options(state: tuple[str, str]) -> list[tuple | None]:
-        """The added point (if allowed) and, per transition term of
-        ``state``, the term with its occurrences as (rank, sort, target,
-        path suffix of the position name) in occurrence order."""
+        """The added point and, per transition term of ``state``, the
+        term with its occurrences as (rank, sort, target, path suffix of
+        the position name) in occurrence order."""
         opts = options_of.get(state)
         if opts is None:
             node = c.functor.node(state[0])
-            opts = options_of[state] = bot_options + [
+            opts = options_of[state] = [None] + [
                 (t, [
                     (sort_rank[v.sort], v.sort, v.name, "".join(f".{i}" for i in path))
                     for v, path in occurrences(node, t)
@@ -454,14 +450,8 @@ def enumerate_runs(
         """The next level, step and next run component of each extension
         of a level ``current`` whose elements sit at ``states``."""
         keys = list(current.pairs())
-        choices = [options(state) for state in states]
-        if any(not o for o in choices):
-            return
-        if c.functor.has_pf:
-            raise PowersetNodeError("cannot factorize through powerset nodes")
         space_sorts = c.pointing.sorts
-
-        for combo in itertools.product(*choices):
+        for combo in itertools.product(*[options(state) for state in states]):
             # one (rank, position name, sort, target) per occurrence; the
             # choice under Inj(0, .) puts 0 at the head of every path
             occ = [

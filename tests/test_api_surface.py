@@ -6,8 +6,14 @@ own definition, or be named in the "API no verb calls" column of that
 module's row in the README's library-layout table, before the colon
 that starts the reason it stays.  A private name must be referenced in
 ``src/`` outside its own definition.  Code that only the tests call
-belongs in ``tests/`` (``oracles.py``, ``conftest.py``).  The sources
-and the README are read as text, never imported.
+belongs in ``tests/`` (``oracles.py``, ``conftest.py``).
+
+A defaulted parameter of a top-level function or of a method written in
+a top-level class must be passed, by keyword or by position, at some
+call site in ``src/`` of a function or attribute of that name (a class's
+name for ``__init__``); a knob no caller turns is a constant.  Functions
+and classes in the README's API column are exempt.  The sources and the
+README are read as text, never imported.
 """
 
 import ast
@@ -88,3 +94,71 @@ def test_listed_api_exists():
     stale = sorted(f"{module}.{name}" for module, names in README_API.items() for name in names
                    if (module, name) not in defined)
     assert not stale
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
+    """(qualified name, parameter, positional index at a call site or
+    None for keyword-only, name called) per defaulted parameter of a
+    function or method not listed as API."""
+    api = set().union(*README_API.values())
+    out = []
+    for module, tree in TREES.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                owned = [(None, top)]
+            elif isinstance(top, ast.ClassDef) and top.name not in api:
+                owned = [(top, fn) for fn in top.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for cls, fn in owned:
+                if fn.name in api:
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                # a call site passes neither self nor cls
+                shift = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+                )
+                callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+                qual = ".".join(n for n in (module, cls.name if cls else None, fn.name) if n)
+                first = len(positional) - len(args.defaults)
+                out += [(qual, a.arg, i - shift, callee) for i, a in enumerate(positional) if i >= first]
+                out += [(qual, a.arg, None, callee)
+                        for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _calls_by_callee() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node):
+                calls.setdefault(_callee(node), []).append(node)
+    return calls
+
+
+CALLS = _calls_by_callee()
+DEFAULTED = _defaulted_parameters()
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+@pytest.mark.parametrize("qual, param, index, callee", DEFAULTED, ids=[f"{q}.{p}" for q, p, _i, _c in DEFAULTED])
+def test_defaulted_parameter_passed_in_src(qual, param, index, callee):
+    assert any(_passes(call, param, index) for call in CALLS.get(callee, [])), (
+        f"no call in src/ passes {qual}'s parameter {param!r}; make it a constant or drop it"
+    )

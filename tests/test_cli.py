@@ -67,6 +67,22 @@ def hom_files(tmp_path_factory):
     return str(src), str(dst), str(mapping)
 
 
+@pytest.fixture(scope="module")
+def swap_files(tmp_path_factory):
+    """A two-cycle and the map swapping its states: a strict map in all
+    but the pointing, which it moves."""
+    base = tmp_path_factory.mktemp("models")
+    model = base / "cycle.model"
+    model.write_text(
+        "[functor]\nprod(const(a), id)\n\n[states]\ns0 s1\n\n[init]\n* -> s0\n\n"
+        "[trans]\ns0 -> (a, s1)\ns1 -> (a, s0)\n",
+        encoding="utf-8",
+    )
+    mapping = base / "swap.map"
+    mapping.write_text("[map]\ns0 -> s1\ns1 -> s0\n", encoding="utf-8")
+    return str(model), str(model), str(mapping)
+
+
 class TestVerbs:
     def test_trace_words(self, lts_file):
         text, code = run_command(["trace", lts_file, "--depth", "3"])
@@ -113,6 +129,14 @@ class TestVerbs:
         assert code == 1
         assert "verdict: not-open" in text
         assert "witness square" in text
+
+    def test_hom_refuses_a_map_moving_the_pointing(self, swap_files):
+        assert run_command(["hom", *swap_files]) == ("lax: no\nstrict: no\n", 1)
+
+    def test_open_refuses_a_map_moving_the_pointing(self, swap_files):
+        assert run_command(["open", *swap_files]) == (
+            "verdict: not-open (bound 3)\nreason: map does not preserve the pointing\n", 1
+        )
 
     def test_verify_exit_zero(self):
         text, code = run_command(

@@ -12,10 +12,10 @@ from coalgpath.coalgebra import (
     lts_coalgebra,
     random_coalgebra,
 )
-from coalgpath.functors import TupleTerm, eval_functor, fmap, lts_functor
+from coalgpath.functors import AnSym, TupleTerm, eval_functor, fmap, functor, lts_functor
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
 
-from conftest import linear_word_system, single, var, whyplus1_system
+from conftest import linear_word_system, pair_sig, single, var, whyplus1_system
 from oracles import (
     all_functions,
     decompose_into_units,
@@ -293,6 +293,18 @@ class TestBisimulationRelations:
         r = {("s0", "t0"), ("s1", "t1")}
         assert lts_is_simulation(r, c1, c2)
         assert not lts_is_bisimulation(r, c1, c2)
+
+
+class TestConstructorTermCheck:
+    def test_non_canonical_analytic_term_rejected(self):
+        # pair is symmetric, so (x, y) is the orbit's representative
+        f = functor(pair_sig())
+        with pytest.raises(CoalgError) as refused:
+            PointedCoalgebra(
+                f, single(["*"]), single(["x", "y"]), {(DEFAULT_SORT, "*"): "x"},
+                {(DEFAULT_SORT, "x"): (AnSym("pair", (var("y"), var("x"))),), (DEFAULT_SORT, "y"): ()},
+            )
+        assert str(refused.value) == "xi(x) contains ill-formed term pair(y, x)"
 
 
 class TestRestrict:

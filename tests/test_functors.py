@@ -112,6 +112,42 @@ class TestEval:
         assert not term_in_functor(f, DEFAULT_SORT, stray, x)
 
 
+class TestTermMembership:
+    """``term_in_functor``, the public system constructor's term check,
+    at analytic and powerset nodes."""
+
+    SIG = functor(Analytic((
+        Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),
+        Symbol("leaf", (), trivial_group(0)),
+    )))
+    X = single(["x", "y"])
+
+    def test_canonical_analytic_terms_accepted(self):
+        for t in (ansym(symmetric_group(2), "pair", (var("y"), var("x"))), AnSym("leaf", ())):
+            assert term_in_functor(self.SIG, DEFAULT_SORT, t, self.X)
+
+    @pytest.mark.parametrize("t", [
+        AnSym("node", (var("x"), var("y"))),  # unknown symbol
+        AnSym("pair", (var("x"),)),  # wrong arity
+        AnSym("leaf", (var("x"),)),  # wrong arity
+        AnSym("pair", (var("y"), var("x"))),  # not the orbit's representative
+        TupleTerm((var("x"), var("y"))),  # no analytic term
+    ], ids=["unknown-symbol", "short-pair", "long-leaf", "non-canonical", "tuple"])
+    def test_analytic_rejections(self, t):
+        assert not term_in_functor(self.SIG, DEFAULT_SORT, t, self.X)
+
+    def test_powerset_node(self):
+        f = functor(Pf(Prod((Const(("a",)), SortRef()))))
+
+        def edge(name):
+            return TupleTerm((ConstElem("a"), var(name)))
+
+        assert term_in_functor(f, DEFAULT_SORT, SetOf(()), self.X)
+        assert term_in_functor(f, DEFAULT_SORT, SetOf((edge("x"), edge("y"))), self.X)
+        assert not term_in_functor(f, DEFAULT_SORT, SetOf((edge("x"), edge("z"))), self.X)
+        assert not term_in_functor(f, DEFAULT_SORT, edge("x"), self.X)
+
+
 class TestComposition:
     def test_substitutes_into_analytic_slots(self):
         inner = Prod((Const(("a", "b")), SortRef()))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -15,7 +16,8 @@ from coalgpath.coalgebra import (
 )
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
-    Const, Coprod, Prod, SortRef, TupleTerm, Var, fmap, functor, lts_functor, occurrences, plus1, subst_node,
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, lts_functor, occurrences, plus1,
+    subst_node,
 )
 from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import (
@@ -30,7 +32,6 @@ from coalgpath.openmap import (
     is_reachable_no_proper_sub,
     reachable_bfs,
     replay_witness,
-    run_reachable_states,
     serialize_witness,
     verify_theorems,
 )
@@ -39,7 +40,7 @@ from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
 from conftest import SYSTEM_FUNCTORS, SYSTEM_IDS, drop_last_bfs_level, linear_word_system, single, whyplus1_system
-from oracles import all_functions, run_image
+from oracles import all_functions, factorized_runs, run_image
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))
 
@@ -78,10 +79,11 @@ class TestPathReachability:
         assert is_path_reachable(whyplus1_system())
 
     def test_whyplus1_without_added_point(self):
+        # the notion without the added point, read off literal run
+        # enumeration: z1 and z2 are lost
         c = whyplus1_system()
-        assert not is_path_reachable(c, allow_bot=False)
-        covered = run_reachable_states(c, c.carrier.size())
-        assert ("*", "z1") not in covered
+        covered = set().union(*(run_image(r) for _p, r in factorized_runs(c, c.carrier.size(), allow_bot=False)))
+        assert covered == {("*", "x0"), ("*", "y1"), ("*", "y2")}
 
     def test_isolated_state_system(self):
         c = lts_coalgebra("a", ["s0", "iso"], "s0", [])
@@ -97,12 +99,8 @@ class TestPathReachability:
             c = random_coalgebra(
                 GenSpec(TREE_FUNCTOR if tree else lts_functor("ab"), {DEFAULT_SORT: size}, 0.3, seed)
             )
-            for allow_bot in (True, False):
-                literal = set()
-                for _p, r in enumerate_runs(c, c.carrier.size(), allow_bot=allow_bot):
-                    literal |= run_image(r)
-                fast = reachable_bfs(c)[1] if allow_bot else run_reachable_states(c, c.carrier.size())
-                assert fast == literal, f"seed {seed} allow_bot {allow_bot}"
+            literal = set().union(*(run_image(r) for _p, r in enumerate_runs(c, c.carrier.size())))
+            assert reachable_bfs(c)[1] == literal, f"seed {seed}"
 
     def test_agreement_with_subcoalgebra_reachability(self):
         rng = random.Random(8)
@@ -170,6 +168,52 @@ class TestIsOpen:
         m = CoalgMorphism(src, dst, fun)
         assert is_lax_hom(m)
         assert is_open(m, 3).is_open
+
+
+class TestReplayRejects:
+    """``replay_witness`` refuses a square that does not commute, an
+    extension of the wrong length and a square with a diagonal."""
+
+    @staticmethod
+    def fork():
+        # s0 branches to s1 and s2, sent to t1 and t2; t1 and t2 both
+        # loop back to t1, so the first failing state is s1 at level 1
+        src = lts_coalgebra("a", ["s0", "s1", "s2"], "s0", [("s0", "a", "s1"), ("s0", "a", "s2")])
+        dst = lts_coalgebra("a", ["t0", "t1", "t2"], "t0",
+                            [("t0", "a", "t1"), ("t0", "a", "t2"), ("t1", "a", "t1"), ("t2", "a", "t1")])
+        table = {(DEFAULT_SORT, f"s{i}"): f"t{i}" for i in range(3)}
+        m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
+        w = is_open(m, 4).witness
+        assert w is not None and w.path.length == 1 and replay_witness(m, w)
+        return m, w
+
+    def test_square_that_does_not_commute(self):
+        m, w = self.fork()
+        comps = list(w.dst_run.components)
+        # t2 steps to t1 as t1 does, so the target run stays a run
+        comps[1] = SortedFun(comps[1].dom, m.dst.carrier, {key: "t2" for key in comps[1].dom.pairs()})
+        moved = Run(w.extension, m.dst, tuple(comps))
+        assert is_run(moved)
+        assert not replay_witness(m, dataclasses.replace(w, dst_run=moved))
+
+    def test_extension_one_level_too_long(self):
+        m, w = self.fork()
+        ext = w.extension
+        empty = SortedSet.make({DEFAULT_SORT: []}, (DEFAULT_SORT,))
+        stop = {key: bot_of_plus1() for key in ext.levels[-1].pairs()}
+        longer = make_path(ext.functor, ext.pointing, [*ext.levels, empty], [st.table for st in ext.steps] + [stop])
+        assert validate_path(longer) == []
+        assert not replay_witness(m, dataclasses.replace(w, extension=longer))
+
+    def test_square_with_a_diagonal(self):
+        m, w = self.fork()
+        # the missing lift added to the source: s1 now steps to itself
+        src = lts_coalgebra("a", ["s0", "s1", "s2"], "s0",
+                            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "s1")])
+        lifted = CoalgMorphism(src, m.dst, m.map)
+        run = Run(w.path, src, w.run.components)
+        assert is_run(run)
+        assert not replay_witness(lifted, dataclasses.replace(w, run=run))
 
 
 def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
@@ -592,6 +636,8 @@ class TestHarnessFactsOnce:
 
     @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
     def test_lazy_witness_matches_eager(self, f, monkeypatch):
+        # each report against the enumerating check, which builds its
+        # witness from the first failing triple of the full enumeration
         calls = []
         real = openmap.is_open
 
@@ -626,7 +672,8 @@ class TestHarnessFactsOnce:
         monkeypatch.setattr(openmap, "_run_trial", run_trial)
         monkeypatch.setattr(openmap, "_materialize_witness", build)
         assert verify_theorems(harness_spec(f), 30).all_passed
-        # the guard's report is never read, so its square is never built
+        # one open-map check per trial, and is_open builds the square of
+        # a not-open verdict once
         assert built and set(built.values()) == {1}
 
 
