@@ -35,6 +35,9 @@ CASES = [
     ("tree-runs-ascii", ["--ascii", "runs", "tree.model", "--depth", "2"], 0),
     # the trace-enum benchmark's pair/leaf tree automaton (general trace path)
     ("enum-tree-trace", ["trace", "trace_enum_tree.model", "--depth", "4"], 0),
+    # a ternary symmetric symbol: one state's arguments share a pool, whose
+    # multisets give its traces; another's come from three distinct states
+    ("bag-trace", ["trace", "bag.model", "--depth", "3"], 0),
     # two pointed word systems, one stuck from depth 4 on (word trace path)
     ("twopoint-trace", ["trace", "twopoint.model", "--depth", "6"], 0),
     # level elements are numbered in the string order of their position
