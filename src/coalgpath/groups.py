@@ -9,8 +9,11 @@ whole group, which is only sensible at desk scale.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .sets import CoalgError
 
@@ -26,9 +29,10 @@ class ArityError(CoalgError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A subgroup of the symmetric group on ``arity`` slots."""
+    """A subgroup of the symmetric group on ``arity`` slots.  It compares
+    and hashes by arity and elements, whatever generators present it."""
 
     arity: int
     generators: tuple[tuple[int, ...], ...] = ()
@@ -41,6 +45,14 @@ class PermGroup:
         for g in self.generators:
             if sorted(g) != list(range(self.arity)):
                 raise ArityError(f"generator {g} is not a permutation of 0..{self.arity - 1}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return self.arity == other.arity and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.elements))
 
     @functools.cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -121,3 +133,14 @@ def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
         if candidate < best:
             best = candidate
     return best
+
+
+def orbit_minima(g: PermGroup, pool: Iterable) -> Iterator[tuple]:
+    """The least member of each orbit of ``pool^arity`` under ``g``, once
+    each, in a deterministic order.  Under the full symmetric group these
+    are the nondecreasing tuples, one per multiset, and no permuted tuple
+    is compared; otherwise each tuple of the product is canonicalized."""
+    ordered = sorted(pool)
+    if len(g.elements) == math.factorial(g.arity):
+        return itertools.combinations_with_replacement(ordered, g.arity)
+    return iter(dict.fromkeys([canonical_tuple(g, t) for t in itertools.product(ordered, repeat=g.arity)]))

@@ -9,7 +9,9 @@ implement it:
 
 - the general path, :func:`trace`, fills that recursion as a table of
   terms per (state, depth), depth by depth, and only for the states the
-  pointing reaches within the remaining depth; it serves every functor;
+  pointing reaches within the remaining depth; it serves every functor,
+  and builds the terms of a flat analytic transition over equal pools
+  once per orbit of argument tuples (:func:`groups.orbit_minima`);
 - the word path, :func:`word_traces`, serves every letter-labelled
   system, whose sorts are each ``Const x SortRef`` or a coproduct of such
   products and constants (:func:`functors.letter_shape`): a trace is
@@ -32,9 +34,11 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     UNIT_TERM,
     Analytic,
+    AnSym,
     Coprod,
     Functor,
     Letter,
+    SortRef,
     Term,
     letter_shape,
     map_leaves,
@@ -42,6 +46,7 @@ from .functors import (
     read_letter,
     word_separator,
 )
+from .groups import orbit_minima
 from .sets import DEFAULT_SORT, CoalgError, SortedSet
 
 
@@ -85,7 +90,9 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
     for each state the pointing reaches in at most ``max_depth - d`` steps.
 
     The table is filled depth by depth, without recursion, so the stack
-    does not grow with the depth.
+    does not grow with the depth.  An analytic transition whose slots are
+    all sort leaves and whose successors' depth-(d-1) sets are equal takes
+    one argument tuple per orbit of that set from :func:`orbit_minima`.
     """
     dist, moves = _reach(c.point_image(), max_depth, c.successors.__getitem__)
     table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
@@ -99,6 +106,13 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
             node = c.functor.node(key[0])
             out: set[Term] = set()
             for t, succ in moves[key]:
+                sym = node.symbol(t.sym) if isinstance(node, Analytic) else None
+                if sym is not None and all(isinstance(n, SortRef) for n in sym.slots):
+                    pools = {table[(y, d - 1)] for y in succ}
+                    if len(pools) <= 1:
+                        pool = pools.pop() if pools else ()
+                        out.update([AnSym(sym.name, args) for args in orbit_minima(sym.group, pool)])
+                        continue
                 # substitute, independently per occurrence, every continuation choice
                 for combo in itertools.product(*(table[(y, d - 1)] for y in succ)):
                     chosen = iter(combo)

@@ -47,6 +47,19 @@ SYSTEM_FUNCTORS = [*HARNESS_FUNCTORS, MULTISORTED]
 SYSTEM_IDS = ["lts", "lts-ok", "binary", "pair-tree", "const-or-binary", "multisorted"]
 
 
+def s3_model(generators: str) -> str:
+    """A tree automaton whose ternary symbol carries the group the cycles
+    ``generators`` generate, as ``print_model`` prints it."""
+    return (
+        f"[functor]\nanalytic{{ t/3 [{generators}] ; leaf/0 }}\n\n[pointing]\n*\n\n[states]\ns0 s1\n\n"
+        "[init]\n* -> s0\n\n[trans]\ns0 -> t(s0, s1, s1)\ns1 -> leaf\n"
+    )
+
+
+# two presentations of the symmetric group on three slots
+S3_PRESENTATIONS = ("(1 2 3), (1 2)", "(1 2), (1 3)")
+
+
 def single(elems):
     return SortedSet.single(elems)
 

@@ -4,7 +4,7 @@ import pytest
 
 from coalgpath.cli import run_command
 
-from conftest import drop_last_bfs_level
+from conftest import S3_PRESENTATIONS, drop_last_bfs_level, s3_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -83,6 +83,20 @@ def swap_files(tmp_path_factory):
     return str(model), str(model), str(mapping)
 
 
+@pytest.fixture(scope="module")
+def s3_files(tmp_path_factory):
+    """One system written with two presentations of S3, and the identity."""
+    base = tmp_path_factory.mktemp("models")
+    paths = []
+    for name, gens in zip("ab", S3_PRESENTATIONS):
+        path = base / f"{name}.model"
+        path.write_text(s3_model(gens), encoding="utf-8")
+        paths.append(str(path))
+    mapping = base / "id.map"
+    mapping.write_text("[map]\ns0 -> s0\ns1 -> s1\n", encoding="utf-8")
+    return *paths, str(mapping)
+
+
 class TestVerbs:
     def test_trace_words(self, lts_file):
         text, code = run_command(["trace", lts_file, "--depth", "3"])
@@ -129,6 +143,11 @@ class TestVerbs:
         assert code == 1
         assert "verdict: not-open" in text
         assert "witness square" in text
+
+    def test_open_across_two_presentations_of_one_group(self, s3_files):
+        text, code = run_command(["open", *s3_files])
+        assert code == 0
+        assert text.startswith("verdict: open")
 
     def test_hom_refuses_a_map_moving_the_pointing(self, swap_files):
         assert run_command(["hom", *swap_files]) == ("lax: no\nstrict: no\n", 1)

@@ -18,6 +18,7 @@ from coalgpath.functors import (
     Symbol,
     TermError,
     TupleTerm,
+    UNIT_TERM,
     Var,
     ansym,
     compose,
@@ -39,6 +40,7 @@ from coalgpath.groups import (
     canonical_tuple,
     cyclic_group,
     group_elements,
+    orbit_minima,
     symmetric_group,
     trivial_group,
 )
@@ -73,6 +75,63 @@ class TestCanonicalTuple:
     def test_group_order_cap(self):
         with pytest.raises(GroupBoundError):
             PermGroup(7, ())
+
+
+# every group up to arity 4 that the analytic symbols can carry, by kind
+SMALL_GROUPS = [
+    *[(f"trivial{n}", trivial_group(n)) for n in range(5)],
+    *[(f"cyclic{n}", cyclic_group(n)) for n in range(2, 5)],
+    *[(f"symmetric{n}", symmetric_group(n)) for n in range(5)],
+    ("transposition3", PermGroup(3, ((1, 0, 2),))),
+    ("transposition4", PermGroup(4, ((0, 1, 3, 2),))),
+    ("klein4", PermGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1)))),
+    ("generator-twice", PermGroup(3, ((1, 2, 0), (1, 2, 0)))),
+]
+
+# mutually comparable pool entries: strings, and terms of every kind a trace holds
+STRING_POOL = ["d", "b", "a", "c"]
+TERM_POOL = [
+    UNIT_TERM,
+    AnSym("leaf", ()),
+    AnSym("pair", (UNIT_TERM, AnSym("leaf", ()))),
+    AnSym("pair", (UNIT_TERM, UNIT_TERM)),
+]
+
+
+class TestOrbitMinima:
+    @pytest.mark.parametrize("g", [g for _name, g in SMALL_GROUPS], ids=[name for name, _g in SMALL_GROUPS])
+    @pytest.mark.parametrize("entries", [STRING_POOL, TERM_POOL], ids=["strings", "terms"])
+    def test_one_least_member_per_orbit(self, g, entries):
+        for size in range(len(entries) + 1):
+            pool = entries[:size]
+            got = list(orbit_minima(g, pool))
+            brute = {canonical_tuple(g, t) for t in itertools.product(pool, repeat=g.arity)}
+            assert len(got) == len(set(got)), f"pool of {size}"
+            assert set(got) == brute, f"pool of {size}"
+            # the order does not follow the pool's
+            assert list(orbit_minima(g, reversed(pool))) == got
+
+    def test_symmetric_minima_are_the_multisets(self):
+        got = list(orbit_minima(symmetric_group(3), {"b", "a"}))
+        assert got == [("a", "a", "a"), ("a", "a", "b"), ("a", "b", "b"), ("b", "b", "b")]
+
+
+class TestGroupEquality:
+    def test_presentations_of_one_group_are_equal(self):
+        s3_by_cycle_and_swap = PermGroup(3, ((1, 2, 0), (1, 0, 2)))
+        s3_by_two_swaps = PermGroup(3, ((1, 0, 2), (2, 1, 0)))
+        assert s3_by_cycle_and_swap == s3_by_two_swaps == symmetric_group(3)
+        assert hash(s3_by_cycle_and_swap) == hash(s3_by_two_swaps) == hash(symmetric_group(3))
+        assert symmetric_group(2) == PermGroup(2, ((1, 0),))
+        assert PermGroup(3, ((1, 2, 0), (1, 2, 0))) == cyclic_group(3)
+        # each keeps the generators it was given
+        assert s3_by_two_swaps.generators == ((1, 0, 2), (2, 1, 0))
+
+    def test_distinct_groups_differ(self):
+        assert cyclic_group(3) != symmetric_group(3)
+        assert trivial_group(2) != trivial_group(3)
+        assert PermGroup(4, ((0, 1, 3, 2),)) != PermGroup(4, ((1, 0, 2, 3),))
+        assert trivial_group(1) != (1, ())
 
 
 class TestEval:

@@ -55,7 +55,7 @@ from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, enumerate_runs, make_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
-from conftest import MULTISORTED, poset_category
+from conftest import MULTISORTED, S3_PRESENTATIONS, poset_category, s3_model
 from oracles import comp_as_word
 
 BOT = chr(0x22A5)
@@ -487,6 +487,19 @@ class TestModelDispatch:
             obj = parse_model(text)
             canon = print_model(obj)
             assert print_model(parse_model(canon)) == canon
+
+
+class TestGroupPresentations:
+    def test_two_presentations_parse_equal_and_print_their_own(self):
+        from coalgpath.modelio import parse_model, print_model
+
+        texts = [s3_model(gens) for gens in S3_PRESENTATIONS]
+        systems = [parse_model(text) for text in texts]
+        assert systems[0].functor == systems[1].functor
+        assert hash(systems[0].functor) == hash(systems[1].functor)
+        for text, c in zip(texts, systems):
+            assert print_model(c) == text
+            assert print_model(parse_model(print_model(c))) == text
 
 
 class TestGeneratedNameRoundtrips:

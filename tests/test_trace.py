@@ -26,11 +26,12 @@ from coalgpath.functors import (
     multisorted,
     strip_plus1,
 )
-from coalgpath.groups import symmetric_group, trivial_group
+from coalgpath.groups import orbit_minima, symmetric_group, trivial_group
 from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import reachable_bfs
 from coalgpath.paths import comp, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
+from coalgpath import trace as trace_module
 from coalgpath.trace import lts_language, trace, trace_equiv, tree_partial_runs, word_traces
 
 from conftest import linear_word_system, single, trace_pairs, var
@@ -137,12 +138,15 @@ class TestRestrictedTable:
     with the whole-carrier table."""
 
     # name, functor, carrier sizes, density, depth; sizes and densities keep
-    # the product and tree trace sets small at the depth used
+    # the product and tree trace sets small at the depth used, and leave a
+    # state unreachable at one seed or more
     SYSTEMS = [
         ("lts", lts_functor("ab"), {DEFAULT_SORT: 5}, 0.2, 4),
         ("lts-check", WORD_CHECK, {DEFAULT_SORT: 5}, 0.2, 4),
         ("binary", functor(Prod((SortRef(), SortRef()))), {DEFAULT_SORT: 4}, 0.12, 3),
         ("pair-leaf", functor(parse_functor_text("analytic{ pair/2 [(1 2)] ; leaf/0 }")), {DEFAULT_SORT: 4}, 0.3, 3),
+        ("bag3", functor(parse_functor_text("analytic{ bag/3 [(1 2), (1 2 3)] ; leaf/0 }")), {DEFAULT_SORT: 3}, 0.2, 3),
+        ("tri3-cyclic", functor(parse_functor_text("analytic{ tri/3 [(1 2 3)] ; leaf/0 }")), {DEFAULT_SORT: 3}, 0.2, 3),
         ("composite", functor(parse_functor_text("compose(prod(id, id), coprod(const(c), id))")),
          {DEFAULT_SORT: 3}, 0.05, 2),
         (
@@ -156,7 +160,15 @@ class TestRestrictedTable:
     ]
 
     @pytest.mark.parametrize("name, f, sizes, density, depth", SYSTEMS, ids=[s[0] for s in SYSTEMS])
-    def test_agrees_with_eager_table(self, name, f, sizes, density, depth):
+    def test_agrees_with_eager_table(self, monkeypatch, name, f, sizes, density, depth):
+        # the orbit rule serves the flat analytic transitions, and only them
+        calls = []
+
+        def spy(g, pool):
+            calls.append(g)
+            return orbit_minima(g, pool)
+
+        monkeypatch.setattr(trace_module, "orbit_minima", spy)
         unreachable = 0
         for seed in range(20):
             # every other system points at two states
@@ -166,6 +178,7 @@ class TestRestrictedTable:
             unreachable += union != set(c.states())
             assert trace(c, depth).per_depth == _eager_per_depth(c, depth), f"seed {seed}"
         assert unreachable
+        assert bool(calls) == isinstance(f.node(f.sorts[0]), Analytic)
 
 
 class TestTraceEquiv:
