@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .sets import CoalgError
 
@@ -135,7 +135,7 @@ def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
     return best
 
 
-def orbit_minima(g: PermGroup, pool: Iterable) -> Iterator[tuple]:
+def orbit_minima(g: PermGroup, pool: Iterable) -> Iterable[tuple]:
     """The least member of each orbit of ``pool^arity`` under ``g``, once
     each, in a deterministic order.  Under the full symmetric group these
     are the nondecreasing tuples, one per multiset, and no permuted tuple
@@ -143,4 +143,4 @@ def orbit_minima(g: PermGroup, pool: Iterable) -> Iterator[tuple]:
     ordered = sorted(pool)
     if len(g.elements) == math.factorial(g.arity):
         return itertools.combinations_with_replacement(ordered, g.arity)
-    return iter(dict.fromkeys([canonical_tuple(g, t) for t in itertools.product(ordered, repeat=g.arity)]))
+    return list(dict.fromkeys([canonical_tuple(g, t) for t in itertools.product(ordered, repeat=g.arity)]))
