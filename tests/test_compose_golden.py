@@ -35,6 +35,9 @@ CASES = [
     ("tree-runs-ascii", ["--ascii", "runs", "tree.model", "--depth", "2"], 0),
     # the trace-enum benchmark's pair/leaf tree automaton (general trace path)
     ("enum-tree-trace", ["trace", "trace_enum_tree.model", "--depth", "4"], 0),
+    # ... and its paths: 138 chains over 94 distinct steps, each step
+    # printed in every chain that shares it
+    ("enum-tree-paths", ["paths", "trace_enum_tree.model", "--depth", "3"], 0),
     # a ternary symmetric symbol: one state's arguments share a pool, whose
     # multisets give its traces; another's come from three distinct states
     ("bag-trace", ["trace", "bag.model", "--depth", "3"], 0),
