@@ -26,8 +26,8 @@ from .modelio import (
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
 from .paths import comp, comps_are_words, enumerate_runs, step_letter
-from .precise import is_precise, precise_chains, precise_factorize
-from .sets import CoalgError
+from .precise import TermMap, is_precise, precise_chains, precise_factorize
+from .sets import CoalgError, SortedFun
 from .trace import lts_language, trace
 
 
@@ -144,12 +144,18 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "paths":
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
+        # chains share their step objects: the lines of step k are built
+        # once per (k, step), keyed by id, each value keeping its step alive
+        blocks: dict[tuple[int, int], tuple[TermMap, list[str]]] = {}
         # the first chain is the empty one, so count is always bound
         for count, chain in enumerate(precise_chains(fp1, system.pointing, args.depth)):
             out.append(f"path {count}: length {len(chain)}")
             for k, step in enumerate(chain):
-                for (s, e) in step.dom.pairs():
-                    out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
+                kept = blocks.get((k, id(step)))
+                if kept is None:
+                    lines = [f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}" for s, e in step.dom.pairs()]
+                    kept = blocks[(k, id(step))] = step, lines
+                out.extend(kept[1])
         out.append(f"{count + 1} paths")
         return 0
 
@@ -163,18 +169,38 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         # last run, words[k] the word of its first k steps
         states: list[str] = []
         words: list[str] = [""]
+        # enumerate_runs builds the children of a level of at most one
+        # element once: the text of such a child's run component, when its
+        # own level is that narrow too, and the letter of the step to it
+        # are kept by id, each value keeping its object alive, so a hit is
+        # that object.  A child of a wider level is built anew on each
+        # visit, so keeping it would only hold it alive
+        own_text: dict[tuple[int, int], tuple[SortedFun, str]] = {}
+        letters: dict[int, tuple[TermMap, str]] = {}
         count = 0
         for path, run in enumerate_runs(system, args.depth):
             n = path.length
             del states[n:]
             x_n = run.components[n]
-            own = " ".join(f"{n}:{e}->{x_n(s, e)}" for s, e in path.levels[n].pairs())
+            kept = own_text.get((n, id(x_n)))
+            if kept is None:
+                level = path.levels[n]
+                kept = x_n, " ".join(f"{n}:{e}->{x_n(s, e)}" for s, e in level.pairs())
+                if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
+                    own_text[(n, id(x_n))] = kept
+            own = kept[1]
             head = states[-1] if states else ""
             states.append(f"{head} {own}" if head and own else head or own)
             if as_words:
                 if n:
                     del words[n:]
-                    words.append(f"{words[-1]}{sep if n > 1 else ''}{step_letter(path, n - 1)}")
+                    step = path.steps[n - 1]
+                    letter = letters.get(id(step))
+                    if letter is None:
+                        letter = step, step_letter(path, n - 1)
+                        if path.levels[n - 1].size() <= 1:
+                            letters[id(step)] = letter
+                    words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
                 terms = words[n] or "ε"
             else:
                 terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in comp(path).values)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
@@ -140,17 +141,40 @@ def ansym(group: PermGroup, sym: str, args: Iterable[Term]) -> AnSym:
 MAX_PRINT_DEPTH = 400
 
 
+# a bare name; only a ``-`` looks ahead, since ``->`` never belongs to one
+_NAME_CHAR = r"[A-Za-z0-9_*.:+'⊥•✓]"
+NAME_RE = re.compile(rf"{_NAME_CHAR}+(?:-(?!>){_NAME_CHAR}*)*|-(?!>){_NAME_CHAR}*(?:-(?!>){_NAME_CHAR}*)*")
+
+
+def format_name(name: str) -> str:
+    """Quote identifiers that the bare-name grammar cannot carry."""
+    if NAME_RE.fullmatch(name):
+        return name
+    if '"' in name:
+        raise CoalgError(f"name {name!r} holds a double quote, which no model file can carry")
+    return f'"{name}"'
+
+
 def print_term(t: Term, memo: dict | None = None) -> str:
-    """``t`` as text.  With ``memo``, a dict the caller keeps for one
-    batch of terms, each subterm object of the batch is printed once.
-    The memo is keyed by ``id``, as a tuple rehashes all its items on
-    every lookup, and keeps each term alive, so no other term takes
-    over its id.
+    """``t`` as text, each name written by :func:`format_name`.  With
+    ``memo``, a dict the caller keeps for one batch of terms, each
+    subterm object of the batch is printed once and each name formatted
+    once.  Terms are kept under their ``id``, as a tuple rehashes all
+    its items on every lookup, with each term in its value, so no other
+    term takes over its id; names are kept under themselves.
 
     A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
     :class:`TermError`.
     """
     return _printed(t, {} if memo is None else memo)[0]
+
+
+def _name_text(name: str, memo: dict) -> str:
+    """``format_name(name)``, through ``memo``."""
+    text = memo.get(name)
+    if text is None:
+        text = memo[name] = format_name(name)
+    return text
 
 
 def _printed(t: Term, memo: dict) -> tuple[str, int]:
@@ -159,7 +183,7 @@ def _printed(t: Term, memo: dict) -> tuple[str, int]:
     if kept is not None:
         return kept[1]
     if isinstance(t, (ConstElem, Var)):
-        hit = (t.name, 0)
+        hit = (_name_text(t.name, memo), 0)
     elif isinstance(t, UnitLeaf):
         hit = (UNIT, 0)
     elif isinstance(t, Inj):
@@ -172,7 +196,8 @@ def _printed(t: Term, memo: dict) -> tuple[str, int]:
         if isinstance(t, TupleTerm):
             hit = (f"({body})", depth)
         elif isinstance(t, AnSym):
-            hit = (f"{t.sym}({body})" if t.args else t.sym, depth)
+            sym = _name_text(t.sym, memo)
+            hit = (f"{sym}({body})" if t.args else sym, depth)
         else:
             hit = ("{" + body + "}", depth)
     else:

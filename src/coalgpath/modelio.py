@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from .coalgebra import PointedCoalgebra
 from .functors import (
-    BOT, CHECK, UNIT,
+    BOT, CHECK, NAME_RE, UNIT,
     Analytic,
     AnSym,
     Const,
@@ -51,6 +51,7 @@ from .functors import (
     Var,
     ansym,
     compose,
+    format_name,
     functor,
     multisorted,
     plus1,
@@ -62,9 +63,6 @@ from .paths import PathObj, make_path, validate_path
 from .precise import TermMap
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
-# a bare name; only a ``-`` looks ahead, since ``->`` never belongs to one
-_NAME_CHAR = r"[A-Za-z0-9_*.:+'⊥•✓]"
-NAME_RE = re.compile(rf"{_NAME_CHAR}+(?:-(?!>){_NAME_CHAR}*)*|-(?!>){_NAME_CHAR}*(?:-(?!>){_NAME_CHAR}*)*")
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
 GLYPH_ASCII = {UNIT: "unit", BOT: "bot", CHECK: "ok"}
 # the added point's summand of F+1, built once
@@ -138,15 +136,6 @@ def _parse_int(text: str, line: int | None = None) -> int:
         return int(text)
     except ValueError:
         raise ModelParseError(f"expected an integer, got {text.strip()!r}", line) from None
-
-
-def format_name(name: str) -> str:
-    """Quote identifiers that the bare-name grammar cannot carry."""
-    if NAME_RE.fullmatch(name):
-        return name
-    if '"' in name:
-        raise CoalgError(f"name {name!r} holds a double quote, which no model file can carry")
-    return f'"{name}"'
 
 
 def _sort_name(sort: str, line: int | None = None) -> str:

@@ -193,16 +193,22 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
     Every domain element independently takes a term shape over fresh
     variables; the union of the fresh variables is the new carrier,
     renamed v001, v002, ... in first-occurrence order over the whole map.
+    A shape renumbered from one offset is renumbered once per call, and
+    the maps that share it share its term.
     """
     keys = list(p.pairs())
     shape_lists = [element_shapes(f_expr, s) for s, _ in keys]
+    renumbered: dict[tuple[str, Term, int], tuple[Term, list[Var]]] = {}
     seen = set()
     for combo in itertools.product(*shape_lists):
         counter = 0
         fresh_elems: dict[str, list[str]] = {s: [] for s in p.sorts}
         table: dict[tuple[str, str], Term] = {}
         for (sort, elem), shape in zip(keys, combo):
-            table[(sort, elem)], names = _renumber(f_expr.node(sort), shape, counter)
+            hit = renumbered.get((sort, shape, counter))
+            if hit is None:
+                hit = renumbered[(sort, shape, counter)] = _renumber(f_expr.node(sort), shape, counter)
+            table[(sort, elem)], names = hit
             counter += len(names)
             for v in names:
                 fresh_elems[v.sort].append(v.name)

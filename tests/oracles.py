@@ -42,7 +42,11 @@ fit test-sized inputs:
   ``paths.step_letter`` reads off its steps;
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
-  ``precise.precise_chains``, which enumerates once per distinct level;
+  ``precise.precise_chains``, which enumerates once per distinct level,
+  and the precise maps out of a level with every shape renumbered afresh
+  per combination (:func:`fresh_precise_maps`), against
+  ``precise.enumerate_precise_maps``, which renumbers each (sort, shape,
+  offset) once per call;
 - a term line read character by character, ``->`` as one token and a
   quoted name with its quotes (:func:`char_loop_tokenize`), and parsed
   through a token stream with one method call per token
@@ -109,7 +113,7 @@ from coalgpath.nominal import (
     parse_state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
-from coalgpath.precise import Factorization, TermMap, enumerate_precise_maps, is_precise, precise_factorize
+from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, trace
 
@@ -351,10 +355,17 @@ def legacy_term_key(t: Term) -> tuple:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _written_name(name: str) -> str:
+    """A name as a model file writes it: bare when the bare-name grammar
+    carries it, in double quotes otherwise."""
+    return name if NAME_RE.fullmatch(name) else f'"{name}"'
+
+
 def recursive_print_term(t: Term) -> str:
-    """``t`` printed by plain recursion, each subterm as often as it occurs."""
+    """``t`` printed by plain recursion, each subterm as often as it
+    occurs, each name as a model file writes it."""
     if isinstance(t, (ConstElem, Var)):
-        return t.name
+        return _written_name(t.name)
     if isinstance(t, UnitLeaf):
         return UNIT
     if isinstance(t, TupleTerm):
@@ -362,7 +373,7 @@ def recursive_print_term(t: Term) -> str:
     if isinstance(t, Inj):
         return f"in{t.index}({recursive_print_term(t.arg)})"
     if isinstance(t, AnSym):
-        return t.sym + ("(" + ", ".join(recursive_print_term(a) for a in t.args) + ")" if t.args else "")
+        return _written_name(t.sym) + ("(" + ", ".join(recursive_print_term(a) for a in t.args) + ")" if t.args else "")
     if isinstance(t, SetOf):
         return "{" + ", ".join(recursive_print_term(a) for a in t.args) + "}"
     raise TypeError(f"not a term: {t!r}")
@@ -426,11 +437,36 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
     yield from rec([c.pointing], [], [point_fun])
 
 
+def fresh_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[SortedSet, TermMap]]:
+    """The maps of ``precise.enumerate_precise_maps``, from the loop it
+    once ran: every combination of shapes renumbers each of its shapes
+    afresh, however often a shape recurs at the same offset."""
+    keys = list(p.pairs())
+    shape_lists = [element_shapes(f_expr, s) for s, _ in keys]
+    seen = set()
+    for combo in itertools.product(*shape_lists):
+        counter = 0
+        fresh_elems: dict[str, list[str]] = {s: [] for s in p.sorts}
+        table: dict[tuple[str, str], Term] = {}
+        for (sort, elem), shape in zip(keys, combo):
+            table[(sort, elem)], names = _renumber(f_expr.node(sort), shape, counter)
+            counter += len(names)
+            for v in names:
+                fresh_elems[v.sort].append(v.name)
+        codomain = SortedSet.make({s: fresh_elems[s] for s in p.sorts}, p.sorts)
+        term_map = TermMap(p, f_expr, codomain, table)
+        dedupe_key = tuple(table.items())
+        if dedupe_key in seen:
+            continue
+        seen.add(dedupe_key)
+        yield codomain, term_map
+
+
 def frontier_chains(f_expr: Functor, start: SortedSet, depth: int) -> list[tuple[TermMap, ...]]:
     """The chains of ``precise.precise_chains``, from the breadth-first
     frontier loop the ``paths`` verb once ran: every chain enumerates the
     precise maps out of its last level afresh, however often that level
-    repeats."""
+    repeats, through :func:`fresh_precise_maps`."""
     chains = []
     frontier: list[tuple[SortedSet, tuple[TermMap, ...]]] = [(start, ())]
     for length in range(depth + 1):
@@ -438,7 +474,7 @@ def frontier_chains(f_expr: Functor, start: SortedSet, depth: int) -> list[tuple
         for level, prefix in frontier:
             chains.append(prefix)
             if length < depth:
-                for codomain, term_map in enumerate_precise_maps(level, f_expr):
+                for codomain, term_map in fresh_precise_maps(level, f_expr):
                     new_frontier.append((codomain, prefix + (term_map,)))
         frontier = new_frontier
     return chains

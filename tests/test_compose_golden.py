@@ -41,6 +41,9 @@ CASES = [
     # a ternary symmetric symbol: one state's arguments share a pool, whose
     # multisets give its traces; another's come from three distinct states
     ("bag-trace", ["trace", "bag.model", "--depth", "3"], 0),
+    # a constant named "p(x, y)" beside the term p(x, y): the two depth-2
+    # traces print apart, the constant quoted as the model files write it
+    ("quoted-trace", ["trace", "quoted.model", "--depth", "2"], 0),
     # two pointed word systems, one stuck from depth 4 on (word trace path)
     ("twopoint-trace", ["trace", "twopoint.model", "--depth", "6"], 0),
     # level elements are numbered in the string order of their position

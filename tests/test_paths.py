@@ -1,9 +1,12 @@
+import gc
 import itertools
 import pathlib
+import weakref
 
 import pytest
 
-from coalgpath import paths
+from coalgpath import cli, paths
+from coalgpath.cli import run_command
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, random_coalgebra
 from coalgpath.functors import (
     Analytic,
@@ -516,6 +519,43 @@ class TestRunChildrenBuiltOnce:
         wide_steps = [p for p, _r in pairs if p.length and p.steps[-1].dom.size() > 1]
         assert wide_steps
         assert sum(size > 1 for size in built) == len(wide_steps)
+
+    @pytest.mark.parametrize("model, depth, wide", [
+        ("trace_enum_tree.model", 3, True),
+        ("trace_enum_lts.model", 4, False),
+        ("twosorted.model", 3, True),
+    ])
+    def test_runs_text_keeps_no_component_of_a_wide_level(self, monkeypatch, model, depth, wide):
+        """The runs verb keeps the text of a run component, with the
+        component, only where enumerate_runs shares it: its level and the
+        level before hold at most one element each.  Once the pairs are
+        spent, no other component outlives its run."""
+        made = []  # per pair: its last component, weakly, and the sizes of its last two levels
+        kept = []
+
+        class TrackedFun(paths.SortedFun):
+            __slots__ = ("__weakref__",)
+
+        def spying(c, d):
+            pairs = enumerate_runs(c, d)
+            first = next(pairs)
+            yield first
+            for path, run in pairs:
+                n = path.length
+                made.append((weakref.ref(run.components[n]), (path.levels[n - 1].size(), path.levels[n].size())))
+                yield path, run
+            # the first pair again, so the verb's loop lets go of the last
+            del path, run
+            yield first
+            gc.collect()
+            kept.extend(sizes for ref, sizes in made if ref() is not None)
+
+        monkeypatch.setattr(paths, "SortedFun", TrackedFun)
+        monkeypatch.setattr(cli, "enumerate_runs", spying)
+        _text, code = run_command(["runs", str(COMPOSE / model), "--depth", str(depth)])
+        assert code == 0
+        assert any(max(sizes) > 1 for _ref, sizes in made) == wide
+        assert kept and all(max(sizes) <= 1 for sizes in kept)
 
 
 class TestEmbeddingIntegration:

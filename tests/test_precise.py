@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 from collections import Counter
 
 import pytest
@@ -16,11 +17,12 @@ from coalgpath.functors import (
     eval_functor,
     fmap,
     functor,
+    plus1,
     plus1_node,
     step_of_plus1,
 )
 from coalgpath.lasota import lasota_functor, lasota_pointing
-from coalgpath.modelio import parse_functor_text
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.precise import (
     TermMap,
     bag_abstraction,
@@ -31,10 +33,23 @@ from coalgpath.precise import (
     precise_chains,
     precise_factorize,
 )
-from coalgpath.sets import DEFAULT_SORT, SortedFun
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, all_term_maps, poset_category, single, term_map, var
-from oracles import factorization_commutes, frontier_chains, is_bijective, is_precise_oracle
+from conftest import (
+    BAG2_PLUS1,
+    CONST_PLUS1,
+    FIG2,
+    LTS_AB_PLUS1,
+    MULTISORTED,
+    all_term_maps,
+    poset_category,
+    single,
+    term_map,
+    var,
+)
+from oracles import factorization_commutes, fresh_precise_maps, frontier_chains, is_bijective, is_precise_oracle
+
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
 
 def fig2_map() -> TermMap:
@@ -309,6 +324,71 @@ class TestPreciseChains:
         extended = [chain[-1].cod if chain else start for chain in chains if len(chain) < 3]
         assert len(set(extended)) < len(extended)  # levels repeat
         assert calls == Counter(set(extended))
+
+
+def _levels(sorts, sizes, at=None):
+    """Levels of the given sizes over ``sorts``, their elements spread
+    over the sorts ``at`` (default all) in turn and named as precise maps
+    name their codomains."""
+    at = at or sorts
+    out = []
+    for size in sizes:
+        per_sort = {s: [] for s in sorts}
+        for i in range(size):
+            per_sort[at[i % len(at)]].append(f"v{i + 1:03d}")
+        out.append(SortedSet.make(per_sort, sorts))
+    return out
+
+
+CHAIN5 = poset_category(5)
+MEMO_CASES = [
+    (PAIR_LEAF_PLUS1, _levels(PAIR_LEAF_PLUS1.sorts, range(5))),
+    (LTS_AB_PLUS1, _levels(LTS_AB_PLUS1.sorts, range(5))),
+    (BAG2_PLUS1, _levels(BAG2_PLUS1.sorts, range(5))),
+    (plus1(MULTISORTED), _levels(MULTISORTED.sorts, range(5))),
+    # the 5-chain's sorts are its objects: levels of 0-4 elements at each
+    # object, and the pointing
+    (lasota_functor(CHAIN5), [
+        *(level for s in CHAIN5.objects for level in _levels(CHAIN5.objects, range(5), (s,))),
+        lasota_pointing(CHAIN5),
+    ]),
+]
+
+
+class TestRenumberMemo:
+    """``enumerate_precise_maps`` renumbers each (sort, shape, offset) once
+    per call; ``oracles.fresh_precise_maps`` renumbers per combination."""
+
+    @pytest.mark.parametrize("f_expr, levels", MEMO_CASES, ids=["pair-leaf", "lts", "bag2", "two-sorted", "lasota-chain"])
+    def test_same_maps_in_the_same_order(self, f_expr, levels):
+        for level in levels:
+            memoized = [(cod, list(m.table.items())) for cod, m in enumerate_precise_maps(level, f_expr)]
+            fresh = [(cod, list(m.table.items())) for cod, m in fresh_precise_maps(level, f_expr)]
+            assert memoized == fresh
+            assert memoized
+
+    def test_one_renumbering_per_sort_shape_and_offset(self, monkeypatch):
+        model = (COMPOSE / "trace_enum_tree.model").read_text(encoding="utf-8")
+        fp1 = plus1(parse_coalgebra(model).functor)
+        element_shapes(fp1, DEFAULT_SORT)  # shapes are cached per functor: fill it first
+        per_call: list[list] = []
+        enumerate_maps, renumber = precise.enumerate_precise_maps, precise._renumber
+
+        def enumerating(p, f_expr):
+            per_call.append([])
+            return enumerate_maps(p, f_expr)
+
+        def renumbering(node, term, start):
+            per_call[-1].append((node, term, start))
+            return renumber(node, term, start)
+
+        monkeypatch.setattr(precise, "enumerate_precise_maps", enumerating)
+        monkeypatch.setattr(precise, "_renumber", renumbering)
+        chains = list(precise_chains(fp1, single(["*"]), 3))
+        assert len(chains) == 138 and len(per_call) == 4
+        # each call renumbers each (shape, offset) once: 21 in all, not 345
+        assert all(len(calls) == len(set(calls)) for calls in per_call)
+        assert sum(map(len, per_call)) == 21
 
 
 class TestEnumerationCompleteness:

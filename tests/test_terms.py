@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from coalgpath import functors
 from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import (
     BOT_TERM,
@@ -40,7 +41,7 @@ from coalgpath.functors import (
 from coalgpath.groups import symmetric_group
 from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import element_shapes
-from coalgpath.sets import DEFAULT_SORT, SortedSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
 from coalgpath.trace import trace
 
 from oracles import legacy_term_key, recursive_print_term
@@ -181,7 +182,64 @@ def test_memo_printer_prints_as_the_plain_one():
     memo = {}
     for t in shuffled:
         assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
-    assert {type(t) for t, _hit in memo.values()} == set(KINDS)
+    # terms are kept under their ids, names under themselves
+    assert {type(kept[0]) for key, kept in memo.items() if isinstance(key, int)} == set(KINDS)
+    assert {key for key in memo if isinstance(key, str)} == _names(POOL)
+
+
+def _names(terms):
+    """The constant, variable and symbol names in ``terms`` and their subterms."""
+    names = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ConstElem, Var)):
+            names.add(t.name)
+        elif isinstance(t, AnSym):
+            names.add(t.sym)
+        stack.extend(_children(t))
+    return names
+
+
+# names the bare-name grammar cannot carry, beside names it can
+QUOTED = [
+    AnSym("p(x, y)", ()),
+    AnSym("p", (AnSym("x", ()), AnSym("y", ()))),
+    TupleTerm((Var("*", "a b"), ConstElem("c->d"), ConstElem("#"))),
+    Inj(1, AnSym("sym bol", (Var("*", "(x;0.1)"), Var("*", "x")))),
+    SetOf([ConstElem("c d"), ConstElem("cd"), ConstElem("")]),
+]
+
+
+def test_names_print_as_model_files_write_them():
+    memo = {}
+    for t in QUOTED:
+        assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
+    assert print_term(QUOTED[0]) == '"p(x, y)"' and print_term(QUOTED[1]) == "p(x, y)"
+    assert print_term(QUOTED[2]) == '("a b", "c->d", "#")'
+    assert print_term(QUOTED[4]) == '{"", "c d", cd}'
+
+
+def test_memo_formats_each_name_once(monkeypatch):
+    calls = []
+    original = functors.format_name
+
+    def counting(name):
+        calls.append(name)
+        return original(name)
+
+    monkeypatch.setattr(functors, "format_name", counting)
+    memo = {}
+    for t in [*QUOTED, *POOL]:
+        print_term(t, memo)
+        # equal terms built apart are other objects, with the same names
+        print_term(_rebuild(t), memo)
+    assert sorted(calls) == sorted(_names([*QUOTED, *POOL]))
+
+
+def test_name_with_double_quote_is_refused():
+    with pytest.raises(CoalgError, match="double quote"):
+        print_term(TupleTerm((ConstElem('a"b'),)), {})
 
 
 def test_memo_prints_equal_terms_built_apart_alike():
