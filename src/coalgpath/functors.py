@@ -169,11 +169,10 @@ def print_term(t: Term, memo: dict | None = None) -> str:
     return _printed(t, {} if memo is None else memo)[0]
 
 
-def _name_text(name: str, memo: dict) -> str:
-    """``format_name(name)``, through ``memo``."""
-    text = memo.get(name)
-    if text is None:
-        text = memo[name] = format_name(name)
+def _kept_name(name: str, memo: dict) -> str:
+    """``format_name(name)``, kept in ``memo`` under the name; callers
+    look the name up first, as no written name is empty."""
+    text = memo[name] = format_name(name)
     return text
 
 
@@ -183,7 +182,7 @@ def _printed(t: Term, memo: dict) -> tuple[str, int]:
     if kept is not None:
         return kept[1]
     if isinstance(t, (ConstElem, Var)):
-        hit = (_name_text(t.name, memo), 0)
+        hit = (memo.get(t.name) or _kept_name(t.name, memo), 0)
     elif isinstance(t, UnitLeaf):
         hit = (UNIT, 0)
     elif isinstance(t, Inj):
@@ -196,7 +195,7 @@ def _printed(t: Term, memo: dict) -> tuple[str, int]:
         if isinstance(t, TupleTerm):
             hit = (f"({body})", depth)
         elif isinstance(t, AnSym):
-            sym = _name_text(t.sym, memo)
+            sym = memo.get(t.sym) or _kept_name(t.sym, memo)
             hit = (f"{sym}({body})" if t.args else sym, depth)
         else:
             hit = ("{" + body + "}", depth)
