@@ -395,6 +395,28 @@ def is_path_morphism(m: PathMorphism) -> bool:
     return True
 
 
+def _bijections(dom: SortedSet, cod: SortedSet) -> Iterator[SortedFun]:
+    """Every sort-preserving bijection from ``dom`` to ``cod``."""
+    sorts = dom.sorts
+    if any(len(dom.elems(s)) != len(cod.elems(s)) for s in sorts):
+        return
+    for images in itertools.product(*[itertools.permutations(cod.elems(s)) for s in sorts]):
+        table = {(s, x): y for s, ys in zip(sorts, images) for x, y in zip(dom.elems(s), ys)}
+        yield SortedFun(dom, cod, table)
+
+
+def brute_path_morphisms(p: PathObj, q: PathObj) -> list[PathMorphism]:
+    """Every path morphism ``p -> q``, found by trying every family of
+    sort-preserving level bijections with the identity at level 0 and
+    keeping those :func:`is_path_morphism` accepts."""
+    if p.length > q.length:
+        return []
+    rest = [_bijections(p.levels[k], q.levels[k]) for k in range(1, p.length + 1)]
+    identity = SortedFun.identity(p.pointing)
+    candidates = (PathMorphism(p, q, (identity, *family)) for family in itertools.product(*rest))
+    return [m for m in candidates if is_path_morphism(m)]
+
+
 def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> Iterator[tuple[PathObj, Run]]:
     """Every (path, run) pair up to the given length, in the order of
     ``paths.enumerate_runs``, each next level built the long way: the

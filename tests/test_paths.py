@@ -27,7 +27,8 @@ from coalgpath.functors import (
     strip_plus1,
 )
 from coalgpath.groups import symmetric_group, trivial_group
-from coalgpath.modelio import parse_coalgebra
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
+from coalgpath.precise import precise_chains
 from coalgpath.paths import (
     CompValue,
     PathObj,
@@ -50,7 +51,7 @@ from coalgpath.paths import (
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortError, SortedSet
 
 from conftest import linear_word_system, single, trace_pairs, var, whyplus1_system
-from oracles import comp_as_word, factorized_runs, is_bijective, is_path_morphism, run_image
+from oracles import brute_path_morphisms, comp_as_word, factorized_runs, is_bijective, is_path_morphism, run_image
 
 BOT = chr(0x22A5)
 
@@ -288,7 +289,40 @@ class TestPathMorphisms:
         assert all(is_bijective(c) for c in m.components)
 
 
-class TestEmbedding:
+# the product, the symmetric pair/leaf tree, a cyclic ternary symbol and
+# a symmetric pair over composite slots
+MORPHISM_FUNCTORS = {
+    "prod": "prod(id, id)",
+    "pair-leaf": "analytic{ pair/2 [(1 2)] ; leaf/0 }",
+    "cyclic": "analytic{ t/3 [(1 2 3)] ; leaf/0 }",
+    "pair-of-coprods": "compose(analytic{ pair/2 [(1 2)] }, coprod(const(c), id))",
+}
+
+
+def _family(m) -> tuple:
+    return tuple(tuple(sorted(c.table.items())) for c in m.components)
+
+
+class TestPathMorphismsAgainstBruteForce:
+    @pytest.mark.parametrize("text", MORPHISM_FUNCTORS.values(), ids=MORPHISM_FUNCTORS.keys())
+    def test_every_family_once(self, text):
+        f = functor(parse_functor_text(text))
+        start = single(["*"])
+        paths = [
+            PathObj(f, start, levels, chain)
+            for chain in precise_chains(plus1(f), start, 2)
+            for levels in [(start, *[step.cod for step in chain])]
+            if all(level.size() <= 4 for level in levels)
+        ]
+        found = 0
+        for p, q in itertools.product(paths, repeat=2):
+            families = [_family(m) for m in all_path_morphisms(p, q)]
+            assert len(families) == len(set(families))
+            assert set(families) == {_family(m) for m in brute_path_morphisms(p, q)}
+            found += len(families)
+        assert found > len(paths)  # more morphisms than the identities
+
+
     def test_word_system(self):
         p = word_path("ab", 3)
         c = j_embed(p)
