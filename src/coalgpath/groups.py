@@ -62,7 +62,7 @@ class PermGroup:
     @functools.cached_property
     def _getters(self) -> tuple[itemgetter, ...]:
         """Each element but the identity as an ``itemgetter``.  Each moves
-        two slots or more, so it returns a tuple, as :func:`apply_perm_tuple`."""
+        two slots or more, so it returns a tuple."""
         identity = tuple(range(self.arity))
         return tuple([itemgetter(*p) for p in self.elements if p != identity])
 
@@ -112,10 +112,6 @@ def cyclic_group(arity: int) -> PermGroup:
     if arity <= 1:
         return trivial_group(arity)
     return PermGroup(arity, (tuple(range(1, arity)) + (0,),))
-
-
-def apply_perm_tuple(p: tuple[int, ...], t: tuple) -> tuple:
-    return tuple(t[i] for i in p)
 
 
 def canonical_tuple(g: PermGroup, t: tuple) -> tuple:

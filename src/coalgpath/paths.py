@@ -19,13 +19,14 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT,
     UNIT_TERM,
+    AnSym,
     Functor,
-    Node,
+    Inj,
     SortRef,
     Term,
-    TermError,
     TupleTerm,
     Var,
+    _leaf_states,
     bot_of_plus1,
     fmap,
     map_leaves,
@@ -173,29 +174,22 @@ def path_from_comp(u: CompValue) -> PathObj:
     current = u.pointing
     for k in range(u.depth):
         # treat depth-1 subterm values as variables named in encounter order
-        sub_values: dict[str, dict] = {s: {} for s in u.pointing.sorts}
+        named: dict[str, dict[Term, str]] = {s: {} for s in u.pointing.sorts}
 
         def collect(ref: SortRef, t: Term) -> Term:
-            known = sub_values[ref.sort]
-            for existing_name, existing in known.items():
-                if existing == t:
-                    return Var(ref.sort, existing_name)
-            name = f"z{len(known):03d}"
-            known[name] = t
-            return Var(ref.sort, name)
+            known = named[ref.sort]
+            return Var(ref.sort, known.setdefault(t, f"z{len(known):03d}"))
 
         table: dict[tuple[str, str], Term] = {}
         for key in current.pairs():
             table[key] = map_leaves(fp1.node(key[0]), residual[key], collect)
-        var_carrier = SortedSet.make({s: list(sub_values[s].keys()) for s in u.pointing.sorts}, u.pointing.sorts)
+        var_carrier = SortedSet.make({s: list(named[s].values()) for s in u.pointing.sorts}, u.pointing.sorts)
         f_k = TermMap(current, fp1, var_carrier, table)
         fac = precise_factorize(f_k)
         steps.append(fac.precise.table)
         next_level = fac.codomain
-        residual = {
-            (s, name): sub_values[s][fac.connect(s, name)]
-            for s, name in next_level.pairs()
-        }
+        value_of = {(s, name): t for s in u.pointing.sorts for t, name in named[s].items()}
+        residual = {(s, name): value_of[(s, fac.connect(s, name))] for s, name in next_level.pairs()}
         levels.append(next_level)
         current = next_level
     return make_path(functor, u.pointing, levels, steps)
@@ -211,60 +205,42 @@ class PathMorphism:
     components: tuple[SortedFun, ...]  # phi_0 .. phi_n
 
 
-def _match_terms(node: Node, t_src: Term, t_dst: Term, binding: dict) -> Iterator[dict]:
-    """Bindings of source variables to destination variables making the
-    terms equal under the expression grammar (analytic nodes match up to
-    their group)."""
-    from .functors import Analytic, AnSym, Const, Coprod, Inj, Prod
-    from .groups import apply_perm_tuple
-
-    kind = {SortRef: Var, Prod: TupleTerm, Coprod: Inj, Analytic: AnSym}.get(type(node))
-    if kind is not None and not (isinstance(t_src, kind) and isinstance(t_dst, kind)):
-        raise TermError(f"{t_src!r} or {t_dst!r} does not fit {node!r}")
-    if isinstance(node, SortRef):
-        key = (t_src.sort, t_src.name)
-        bound = binding.get(key)
-        if bound is None:
-            new_binding = dict(binding)
-            new_binding[key] = t_dst.name
-            yield new_binding
-        elif bound == t_dst.name:
-            yield binding
-        return
-    if isinstance(node, Const):
-        if t_src == t_dst:
-            yield binding
-        return
-    if isinstance(node, Prod):
-        yield from _match_all(node.parts, t_src.args, t_dst.args, binding)
-        return
-    if isinstance(node, Coprod):
-        if t_src.index != t_dst.index:
-            return
-        yield from _match_terms(node.parts[t_src.index], t_src.arg, t_dst.arg, binding)
-        return
-    if isinstance(node, Analytic):
-        if t_src.sym != t_dst.sym:
-            return
-        sym = node.symbol(t_src.sym)
-        seen: set[tuple] = set()
-        for perm in sym.group.elements:
-            permuted = apply_perm_tuple(perm, t_dst.args)
-            if permuted in seen:
-                continue
-            seen.add(permuted)
-            yield from _match_all(sym.slots, t_src.args, permuted, binding)
-        return
-    raise TermError(f"unsupported node {node!r}")
+def _leaf_orders(t: Term) -> Iterator[tuple[Var, ...]]:
+    """The variable leaves of ``t`` in every order that permuting the
+    arguments of its analytic symbols gives: a tuple keeps its order and
+    an injection passes through."""
+    if isinstance(t, Var):
+        yield (t,)
+    elif isinstance(t, Inj):
+        yield from _leaf_orders(t.arg)
+    elif isinstance(t, (TupleTerm, AnSym)):
+        children = [list(_leaf_orders(a)) for a in t.args]
+        arrangements = itertools.permutations(children) if isinstance(t, AnSym) else (children,)
+        for arranged in arrangements:
+            for parts in itertools.product(*arranged):
+                yield tuple(itertools.chain.from_iterable(parts))
+    else:
+        yield ()
 
 
-def _match_all(nodes: tuple[Node, ...], srcs: tuple[Term, ...], dsts: tuple[Term, ...], binding: dict) -> Iterator[dict]:
-    """Bindings matching the terms pairwise, extending ``binding`` from the left."""
-    if not nodes:
-        yield binding
-        return
-    for b in _match_terms(nodes[0], srcs[0], dsts[0], binding):
-        yield from _match_all(nodes[1:], srcs[1:], dsts[1:], b)
+def _renamings(fp1: Functor, sort: str, t_src: Term, t_dst: Term) -> list[dict[tuple[str, str], str]]:
+    """The renamings of ``t_src``'s variables that map it to ``t_dst``.
+
+    Each distinct order of ``t_dst``'s leaves pairs them with ``t_src``'s
+    in occurrence order; the candidate is kept when :func:`map_leaves`
+    under it gives ``t_dst``, so re-canonicalization decides what each
+    symbol's group allows.
+    """
+    keys = _leaf_states(fp1, sort, t_src)
+    node = fp1.node(sort)
+    found = []
+    for order in dict.fromkeys(_leaf_orders(t_dst)):
+        renaming = dict(zip(keys, [v.name for v in order]))
+        if len(order) == len(keys) and map_leaves(
+            node, t_src, lambda _ref, t: Var(t.sort, renaming[(t.sort, t.name)])
+        ) == t_dst:
+            found.append(renaming)
+    return found
 
 
 def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
@@ -272,49 +248,37 @@ def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
 
     Components are bijections; the search does not assume the connecting
     morphisms are unique, so functors like the bag functor are handled
-    (they may admit several morphisms between the same paths).
+    (they may admit several morphisms between the same paths).  phi_{k+1}
+    is merged from one renaming per element of level k, each mapping the
+    element's step onto the step of its image under phi_k.
     """
     if p.functor != q.functor or p.pointing != q.pointing:
         raise CoalgError("paths over different functors or pointings")
-    if p.length > q.length:
+    if p.length > q.length or p.levels[0] != q.levels[0]:
         return
     fp1 = plus1(p.functor)
 
-    def search(k: int, phi_k: SortedFun, acc: list[SortedFun]) -> Iterator[PathMorphism]:
+    def search(k: int, acc: tuple[SortedFun, ...]) -> Iterator[PathMorphism]:
         if k == p.length:
-            yield PathMorphism(p, q, tuple(acc))
+            yield PathMorphism(p, q, acc)
             return
-        if p.levels[k + 1].size() != q.levels[k + 1].size():
+        src, dst = p.levels[k + 1], q.levels[k + 1]
+        if src.size() != dst.size():
             return
-        # constraints: fmap(phi_{k+1})(p_k(x)) = q_k(phi_k(x)) for all x
-        bindings: list[dict] = [{}]
-        for (s, x) in p.levels[k].pairs():
-            t_src = p.steps[k](s, x)
-            t_dst = q.steps[k](s, phi_k(s, x))
-            new_bindings = []
-            for b in bindings:
-                new_bindings.extend(_match_terms(fp1.node(s), t_src, t_dst, b))
-            bindings = new_bindings
-            if not bindings:
-                return
+        phi_k = acc[-1]
+        choices = [_renamings(fp1, s, p.steps[k](s, x), q.steps[k](s, phi_k(s, x))) for s, x in p.levels[k].pairs()]
         seen = set()
-        for b in bindings:
-            frozen = tuple(sorted(b.items()))
-            if frozen in seen:
-                continue
-            seen.add(frozen)
-            if len({(key[0], v) for key, v in b.items()}) != len(b):
-                continue  # not injective within a sort
-            if len(b) != p.levels[k + 1].size():
-                continue  # not total (cannot happen for precise steps)
-            table = {key: b[key] for key in p.levels[k + 1].pairs()}
-            phi_next = SortedFun(p.levels[k + 1], q.levels[k + 1], table)
-            yield from search(k + 1, phi_next, acc + [phi_next])
+        for combo in itertools.product(*choices):
+            table: dict[tuple[str, str], str] = {}
+            if any(table.setdefault(key, name) != name for renaming in combo for key, name in renaming.items()):
+                continue  # two elements rename one variable apart
+            frozen = tuple(sorted(table.items()))
+            # a bijection: total and injective within each sort
+            if len(table) == len({(s, y) for (s, _x), y in frozen}) == src.size() and frozen not in seen:
+                seen.add(frozen)
+                yield from search(k + 1, acc + (SortedFun(src, dst, table),))
 
-    if p.levels[0] != q.levels[0]:
-        return
-    phi0 = SortedFun.identity(p.pointing)
-    yield from search(0, phi0, [phi0])
+    yield from search(0, (SortedFun.identity(p.pointing),))
 
 
 def find_path_morphism(p: PathObj, q: PathObj) -> PathMorphism | None:

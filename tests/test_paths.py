@@ -281,6 +281,15 @@ class TestPathMorphisms:
         assert len(morphisms) == 2  # the identity and the swap
         assert all(is_path_morphism(m) for m in morphisms)
 
+    def test_only_bijections_are_components(self):
+        # q's step is not precise: renaming u and v to a maps p's step onto
+        # it, but no bijection does
+        f = functor(Prod((SortRef(), SortRef())))
+        level = single(["*"])
+        p = make_path(f, level, [level, single(["u", "v"])], [{(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var("u"), var("v"))))}])
+        q = make_path(f, level, [level, single(["a", "b"])], [{(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var("a"), var("a"))))}])
+        assert list(all_path_morphisms(p, q)) == []
+
     def test_components_are_isomorphisms(self):
         p = word_path("ab", 2)
         q = word_path("ab", 3)
