@@ -121,9 +121,12 @@ def _read(path: str) -> str:
 
 
 def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
-    for name in ("depth", "bound"):
-        if getattr(args, name, 0) < 0:
-            raise CoalgError(f"{name} must be non-negative")
+    for option in ("depth", "bound"):
+        if getattr(args, option, 0) < 0:
+            raise CoalgError(f"{option} must be non-negative")
+    # every element, state, letter and marker prints as the model files
+    # write it, each distinct name formatted once
+    name = functools.cache(format_name)
 
     if args.verb == "precise-factor":
         problem = parse_factor_problem(_read(args.file))
@@ -131,14 +134,14 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         out.append(f"precise: {'yes' if is_precise(problem.term_map) else 'no'}")
         out.append("[codomain]")
         for s in fac.codomain.sorts:
-            elems = " ".join(format_name(e) for e in fac.codomain.elems(s))
+            elems = " ".join(map(name, fac.codomain.elems(s)))
             out.append(f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
         out.append("[precise-map]")
         for (s, x) in problem.domain.pairs():
-            out.append(f"{format_name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
+            out.append(f"{name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
         out.append("[connecting]")
         for (s, y) in fac.codomain.pairs():
-            out.append(f"{format_name(y)} -> {format_name(fac.connect(s, y))}")
+            out.append(f"{name(y)} -> {name(fac.connect(s, y))}")
         return 0
 
     if args.verb == "paths":
@@ -153,7 +156,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             for k, step in enumerate(chain):
                 kept = blocks.get((k, id(step)))
                 if kept is None:
-                    lines = [f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}" for s, e in step.dom.pairs()]
+                    lines = [f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}" for s, e in step.dom.pairs()]
                     kept = blocks[(k, id(step))] = step, lines
                 out.extend(kept[1])
         out.append(f"{count + 1} paths")
@@ -185,7 +188,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             kept = own_text.get((n, id(x_n)))
             if kept is None:
                 level = path.levels[n]
-                kept = x_n, " ".join(f"{n}:{e}->{x_n(s, e)}" for s, e in level.pairs())
+                kept = x_n, " ".join(f"{n}:{name(e)}->{name(x_n(s, e))}" for s, e in level.pairs())
                 if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
                     own_text[(n, id(x_n))] = kept
             own = kept[1]
@@ -197,7 +200,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                     step = path.steps[n - 1]
                     letter = letters.get(id(step))
                     if letter is None:
-                        letter = step, step_letter(path, n - 1)
+                        letter = step, name(step_letter(path, n - 1))
                         if path.levels[n - 1].size() <= 1:
                             letters[id(step)] = letter
                     words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
@@ -220,7 +223,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         named = system.pointing.size() > 1
         for d, items in ts.per_depth:
             for (s, i), terms in items:
-                prefix = f"{i} : {d} : " if named else f"{d} : "
+                prefix = f"{name(i)} : {d} : " if named else f"{d} : "
                 lines.extend([prefix + print_term(t, memo) for t in terms])
         for line in sorted(set(lines)):
             out.append(line)
@@ -230,9 +233,8 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         system = parse_coalgebra(_read(args.file))
         levels, union = reachable_bfs(system)
         for k, level in enumerate(levels):
-            names = " ".join(sorted(e for _s, e in level))
-            out.append(f"level {k}: {names}")
-        out.append(f"union: {' '.join(sorted(e for _s, e in union))}")
+            out.append(f"level {k}: {' '.join(map(name, sorted(e for _s, e in level)))}")
+        out.append(f"union: {' '.join(map(name, sorted(e for _s, e in union)))}")
         pr = is_path_reachable(system)
         nps = is_reachable_no_proper_sub(system)
         out.append(f"path-reachable: {'yes' if pr else 'no'}")
@@ -261,10 +263,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             fp1 = plus1(src.functor)
             for k, step in enumerate(w.extension.steps):
                 for (s, e) in w.extension.levels[k].pairs():
-                    out.append(f"  {k} : {e} -> {print_term_for(fp1, s, step(s, e))}")
+                    out.append(f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}")
             last = w.dst_run.components[-1]
             for (s, e) in w.extension.levels[-1].pairs():
-                out.append(f"  target run sends {e} to {last(s, e)}")
+                out.append(f"  target run sends {name(e)} to {name(last(s, e))}")
         return 0 if report.is_open else 1
 
     if args.verb == "verify":

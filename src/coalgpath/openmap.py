@@ -16,6 +16,7 @@ diagonal search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -29,8 +30,8 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, Var, _leaf_states, _named_image, bot_of_plus1, fmap, map_leaves, step_of_plus1,
-    subst_node,
+    Functor, Term, TermError, Var, _leaf_states, _named_image, bot_of_plus1, fmap, format_name, map_leaves,
+    step_of_plus1, subst_node,
 )
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
@@ -143,7 +144,7 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
             shape, phi = _least_failing_triple(functor, dst, s, missing)
             return OpenCheckReport(
                 "not-open", bound,
-                reason=f"no lift at state {v} for shape {shape!r}",
+                reason=f"no lift at state {format_name(v)} for shape {shape!r}",
                 witness=_materialize_witness(m, levels, level_index, (s, v), shape, phi),
                 states_checked=len(checked),
             )
@@ -310,16 +311,17 @@ def serialize_witness(w: SquareWitness) -> list[str]:
     from .modelio import print_term_for
 
     fp1 = plus1(w.extension.functor)
+    name = functools.cache(format_name)
     lines = [f"square: path length {w.path.length}, extension length {w.extension.length}"]
     for k, step in enumerate(w.extension.steps):
         for (s, e) in w.extension.levels[k].pairs():
             run_note = ""
             if k < len(w.run.components):
-                run_note = f"  [src {w.run.components[k](s, e)} -> dst {w.dst_run.components[k](s, e)}]"
-            lines.append(f"{k} : {e} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
+                run_note = f"  [src {name(w.run.components[k](s, e))} -> dst {name(w.dst_run.components[k](s, e))}]"
+            lines.append(f"{k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
     last = w.dst_run.components[-1]
     for (s, e) in w.extension.levels[-1].pairs():
-        lines.append(f"{w.extension.length} : {e} [dst {last(s, e)}, no source lift]")
+        lines.append(f"{w.extension.length} : {name(e)} [dst {name(last(s, e))}, no source lift]")
     return lines
 
 

@@ -26,6 +26,7 @@ run-enumeration definition is the test oracle for the general path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -40,6 +41,7 @@ from .functors import (
     Letter,
     SortRef,
     Term,
+    format_name,
     letter_shape,
     map_leaves,
     print_term,
@@ -209,11 +211,12 @@ def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Wo
 
 def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None = None) -> set[str]:
     """The words of :func:`word_traces` over all pointing elements, each
-    spelt as its constants in order (a marker word keeps the marker) and
-    apart by ``word_separator``, which reads the constants as ``aliases``
-    prints them."""
+    spelt as its constants in order (a marker word keeps the marker),
+    each written by ``format_name`` and apart by ``word_separator``, which
+    reads the constants as ``aliases`` prints them."""
     sep = word_separator(c.functor, aliases)
-    return {sep.join([name for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
+    spelt = functools.cache(format_name)
+    return {sep.join([spelt(name) for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
 
 
 def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:

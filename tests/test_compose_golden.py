@@ -84,6 +84,14 @@ CASES = [
     ("twosorted-open", ["open", "twosorted.model", "twosorted_open_dst.model", "twosorted.map"], 1),
     # ... and with eleven slots, n010 is the last slot, unlike in runs
     ("wide-open", ["open", "wide_open_src.model", "wide_open_dst.model", "wide.map"], 1),
+    # a pointed element and states whose names hold spaces print quoted,
+    # as the model files write them, in every verb; the one-letter word
+    # "a b" prints apart from the two-letter word a b
+    ("quotednames-trace", ["trace", "quotednames.model", "--depth", "2"], 0),
+    ("quotednames-runs", ["runs", "quotednames.model", "--depth", "2"], 0),
+    ("quotednames-paths", ["paths", "quotednames.model", "--depth", "1"], 0),
+    ("quotednames-reach", ["reach", "quotednames.model"], 0),
+    ("quotednames-open", ["open", "quotednames.model", "quotednames_dst.model", "quotednames.map"], 1),
 ]
 
 

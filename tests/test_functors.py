@@ -420,6 +420,8 @@ class TestWordSeparator:
             ),
             # a constant of a sort that is not letter-shaped spells no word
             (functor(Prod((Const(("ab",)), SortRef(), SortRef()))), ""),
+            # one character, but it prints quoted, as "#"
+            (lts_functor(["a", "#"]), " "),
         ],
     )
     def test_space_only_for_a_long_letter_or_marker(self, f, sep):

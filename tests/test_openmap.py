@@ -16,8 +16,8 @@ from coalgpath.coalgebra import (
 )
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
-    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, lts_functor, occurrences, plus1,
-    subst_node,
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, format_name, functor, lts_functor, occurrences,
+    plus1, subst_node,
 )
 from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import (
@@ -159,6 +159,19 @@ class TestIsOpen:
         report = is_open(CoalgMorphism(src, dst, fun), 3)
         assert not report.is_open
         assert report.lax_violation is not None
+
+    def test_witness_names_print_quoted(self):
+        # the names hold spaces, so they print as the model files write them
+        src = lts_coalgebra("a", ["s 0", "s 1"], "s 0", [])
+        dst = lts_coalgebra("a", ["d 0", "d 1"], "d 0", [("d 0", "a", "d 1")])
+        fun = SortedFun(src.carrier, dst.carrier, {(DEFAULT_SORT, "s 0"): "d 0", (DEFAULT_SORT, "s 1"): "d 1"})
+        report = is_open(CoalgMorphism(src, dst, fun), 3)
+        assert report.reason == 'no lift at state "s 0" for shape (a, v001)'
+        assert serialize_witness(report.witness) == [
+            "square: path length 0, extension length 1",
+            '0 : * -> in0((a, w000))  [src "s 0" -> dst "d 0"]',
+            '1 : w000 [dst "d 1", no source lift]',
+        ]
 
     def test_unreachable_defect_is_ignored(self):
         # a missing lift behind an unreachable state does not break openness
@@ -318,7 +331,7 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                         continue
                     if not _has_lift(m, s, v, shape, fresh_vars, phi):
                         witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
-                        return OpenCheckReport("not-open", bound, reason=f"no lift at state {v} for shape {shape!r}",
+                        return OpenCheckReport("not-open", bound, reason=f"no lift at state {format_name(v)} for shape {shape!r}",
                                                witness=witness)
     return OpenCheckReport("open", bound)
 
