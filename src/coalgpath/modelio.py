@@ -373,6 +373,10 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
             except ModelParseError:
                 continue
             matches.append((i, arg, end))
+        if len(matches) > 1:
+            # the printer writes the added point bare: a term that fits its
+            # summand is the added point, whatever else it fits
+            matches = [m for m in matches if node.parts[m[0]] == _BOT_CONST] or matches
         if len(matches) == 1:
             i, arg, end = matches[0]
             return Inj(i, arg), end

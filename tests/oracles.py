@@ -906,6 +906,9 @@ def _stream_term(s: _TokenStream, node: Node, carrier: SortedSet) -> Term:
                 matches.append((i, arg, s.pos))
             except ModelParseError:
                 continue
+        if len(matches) > 1:
+            # a term that fits the added point's summand is the added point
+            matches = [m for m in matches if node.parts[m[0]] == Const((BOT,))] or matches
         if len(matches) == 1:
             i, arg, end = matches[0]
             s.pos = end

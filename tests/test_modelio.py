@@ -159,6 +159,17 @@ class TestCoalgebraFiles:
         assert again.xi == c.xi and again.point == c.point
         assert print_coalgebra(again) == text
 
+    def test_added_point_reads_back_beside_a_state_named_bot(self):
+        # over plus1(id) a bare ⊥ fits both the state ⊥ and the added point;
+        # the printer writes the added point bare and the state as in0(⊥)
+        text = "[functor]\nplus1(id)\n\n[states]\nq ⊥\n\n[init]\n* -> q\n\n[trans]\nq -> in1(⊥)\nq -> in0(⊥)\n"
+        c = parse_coalgebra(text)
+        printed = print_coalgebra(c)
+        assert "q -> in0(⊥)\nq -> ⊥\n" in printed
+        again = parse_coalgebra(printed)
+        assert again.xi == c.xi
+        assert print_coalgebra(again) == printed
+
     def test_roundtrip_on_random_systems_fifty_seeds(self):
         for seed in range(50):
             c = random_coalgebra(GenSpec(lts_functor("ab"), {DEFAULT_SORT: 4}, 0.4, seed))

@@ -28,11 +28,16 @@ def _ascii(text):
     return text
 
 
-# the harness functors, the two-sorted one, and one whose bare term q0
-# fits two coproduct branches
-ORACLE_FUNCTORS = [*SYSTEM_FUNCTORS, functor(parse_functor_text("coprod(const(c q0), id)"))]
+# the harness functors, the two-sorted one, one whose bare term q0 fits
+# two coproduct branches, and one whose bare term ⊥ fits the state ⊥ and
+# the added point
+ORACLE_FUNCTORS = [
+    *SYSTEM_FUNCTORS,
+    functor(parse_functor_text("coprod(const(c q0), id)")),
+    functor(parse_functor_text("plus1(id)")),
+]
 ORACLE_CARRIERS = {
-    (DEFAULT_SORT,): SortedSet.single(["q0", "q1", "p q", "in0", CHECK]),
+    (DEFAULT_SORT,): SortedSet.single(["q0", "q1", "p q", "in0", CHECK, BOT]),
     MULTISORTED.sorts: SortedSet.make({"a": ["a0", "a1"], "b": ["b0", "p q"]}, MULTISORTED.sorts),
 }
 # every printed term of every functor over its carrier, with its sort,
