@@ -70,10 +70,6 @@ class Perm:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Perm) and self.mapping == other.mapping
 
-    def after(self, first: "Perm") -> "Perm":
-        keys = set(self.mapping) | set(first.mapping)
-        return Perm({k: self(first(k)) for k in keys})
-
     @staticmethod
     def identity() -> "Perm":
         return Perm({})

@@ -1,4 +1,4 @@
-"""Every top-level function and class in ``src/`` is used or documented.
+"""Every top-level function, class and method in ``src/`` is used or documented.
 
 A public name (no leading underscore) defined at the top level of a
 ``coalgpath`` module must be referenced somewhere in ``src/`` outside its
@@ -7,6 +7,10 @@ module's row in the README's library-layout table, before the colon
 that starts the reason it stays.  A private name must be referenced in
 ``src/`` outside its own definition.  Code that only the tests call
 belongs in ``tests/`` (``oracles.py``, ``conftest.py``).
+
+A method of a top-level class, other than a dunder, must be referenced
+in ``src/`` outside its own body, or be named in its module's API
+column, by the same rule.
 
 A defaulted parameter of a top-level function or of a method written in
 a top-level class must be passed, by keyword or by position, at some
@@ -86,6 +90,34 @@ def test_referenced_in_src_or_listed_as_api(module, node):
 def test_private_referenced_in_src(module, node):
     assert any(node.name in names for stmt, names in USES if stmt is not node), (
         f"{module}.{node.name} is called from nowhere in src/; delete it or move it beside the tests"
+    )
+
+
+def _methods(trees) -> list[tuple[str, ast.ClassDef, ast.FunctionDef]]:
+    """Every method of a top-level class that is not a dunder."""
+    return [
+        (module, cls, fn)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not (fn.name.startswith("__") and fn.name.endswith("__"))
+    ]
+
+
+METHODS = _methods(TREES)
+
+
+@pytest.mark.parametrize(
+    "module, cls, fn", METHODS, ids=[f"{m}.{c.name}.{f.name}" for m, c, f in METHODS]
+)
+def test_method_referenced_in_src_or_listed_as_api(module, cls, fn):
+    used = any(fn.name in names for stmt, names in USES if stmt is not cls) or any(
+        fn.name in _names_in(member) for member in [*cls.decorator_list, *cls.bases, *cls.body] if member is not fn
+    )
+    assert used or fn.name in README_API.get(module, set()), (
+        f"{module}.{cls.name}.{fn.name} is called from nowhere in src/ outside its own body and not listed as "
+        "API in README.md; move it beside the tests or document it"
     )
 
 
