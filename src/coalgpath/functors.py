@@ -736,8 +736,8 @@ def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
     letter-shaped sort, see :func:`letter_shape`) is longer than one
     character as printed, quoted by :func:`format_name` where it needs
     quotes, so that the words ``ab`` and ``a b`` stay apart, and nothing
-    otherwise.  ``aliases`` maps a constant to the
-    text that prints for it, when that is not the constant itself."""
+    otherwise.  ``aliases`` maps a constant to the text that prints for
+    it, when that is not the constant itself."""
     aliases = aliases or {}
     shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
     parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
