@@ -19,6 +19,10 @@ fit test-sized inputs:
 - direct checks of what the library builds: a factorization commutes,
   a binding factorization round-trips, a trace set is prefix-closed, a
   family of maps is a path morphism, and the states a run visits;
+- every path morphism between two paths, found by trying every family
+  of sort-preserving level bijections (:func:`brute_path_morphisms`),
+  against the renamings ``paths.all_path_morphisms`` tests through
+  ``map_leaves``;
 - the depth-d trace sets of every carrier state at every depth
   (:func:`eager_state_traces`), against the table ``trace.trace`` fills
   only where the pointing reaches;
