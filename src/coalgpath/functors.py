@@ -730,16 +730,20 @@ def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
     return node.parts[0].elems, marker
 
 
-def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
-    """What goes between the letters of a word spelt out over ``f``: a
-    space when some letter or marker of ``f`` (a constant of a
-    letter-shaped sort, see :func:`letter_shape`) is longer than one
-    character as printed, quoted by :func:`format_name` where it needs
-    quotes, so that the words ``ab`` and ``a b`` stay apart, and nothing
-    otherwise.  ``aliases`` maps a constant to the text that prints for
-    it, when that is not the constant itself."""
-    aliases = aliases or {}
+def _word_constants(f: Functor) -> list[str]:
+    """The letters and markers of ``f``: the constants of its
+    letter-shaped sorts (see :func:`letter_shape`)."""
     shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
     parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
-    consts = [p.parts[0] if isinstance(p, Prod) else p for p in parts]
-    return " " if any(len(format_name(aliases.get(c, c))) > 1 for const in consts for c in const.elems) else ""
+    return [c for p in parts for c in (p.parts[0] if isinstance(p, Prod) else p).elems]
+
+
+def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
+    """What goes between the letters of a word spelt out over ``f``: a
+    space when some letter or marker of ``f`` (see :func:`_word_constants`)
+    is longer than one character as printed, quoted by :func:`format_name`
+    where it needs quotes, so that the words ``ab`` and ``a b`` stay apart,
+    and nothing otherwise.  ``aliases`` maps a constant to the text that
+    prints for it, when that is not the constant itself."""
+    aliases = aliases or {}
+    return " " if any(len(format_name(aliases.get(c, c))) > 1 for c in _word_constants(f)) else ""

@@ -26,7 +26,6 @@ run-enumeration definition is the test oracle for the general path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -41,6 +40,7 @@ from .functors import (
     Letter,
     SortRef,
     Term,
+    _word_constants,
     format_name,
     letter_shape,
     map_leaves,
@@ -215,8 +215,9 @@ def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None
     each written by ``format_name`` and apart by ``word_separator``, which
     reads the constants as ``aliases`` prints them."""
     sep = word_separator(c.functor, aliases)
-    spelt = functools.cache(format_name)
-    return {sep.join([spelt(name) for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
+    # every letter is one of these, so each is formatted once
+    spelt = {name: format_name(name) for name in _word_constants(c.functor)}
+    return {sep.join([spelt[name] for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
 
 
 def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:

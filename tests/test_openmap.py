@@ -331,8 +331,8 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                         continue
                     if not _has_lift(m, s, v, shape, fresh_vars, phi):
                         witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
-                        return OpenCheckReport("not-open", bound, reason=f"no lift at state {format_name(v)} for shape {shape!r}",
-                                               witness=witness)
+                        reason = f"no lift at state {format_name(v)} for shape {shape!r}"
+                        return OpenCheckReport("not-open", bound, reason=reason, witness=witness)
     return OpenCheckReport("open", bound)
 
 

@@ -285,10 +285,13 @@ class TestPathMorphisms:
         # q's step is not precise: renaming u and v to a maps p's step onto
         # it, but no bijection does
         f = functor(Prod((SortRef(), SortRef())))
-        level = single(["*"])
-        p = make_path(f, level, [level, single(["u", "v"])], [{(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var("u"), var("v"))))}])
-        q = make_path(f, level, [level, single(["a", "b"])], [{(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var("a"), var("a"))))}])
-        assert list(all_path_morphisms(p, q)) == []
+        start = single(["*"])
+
+        def path(level, x, y):
+            step = {(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var(x), var(y))))}
+            return make_path(f, start, [start, single(level)], [step])
+
+        assert list(all_path_morphisms(path(["u", "v"], "u", "v"), path(["a", "b"], "a", "a"))) == []
 
     def test_components_are_isomorphisms(self):
         p = word_path("ab", 2)
