@@ -335,6 +335,7 @@ class TestPathMorphismsAgainstBruteForce:
         assert found > len(paths)  # more morphisms than the identities
 
 
+class TestEmbedding:
     def test_word_system(self):
         p = word_path("ab", 3)
         c = j_embed(p)
