@@ -11,6 +11,7 @@ of a tree automaton.
 import copy
 import gc
 import itertools
+import pathlib
 import pickle
 import random
 
@@ -39,12 +40,14 @@ from coalgpath.functors import (
     print_term,
 )
 from coalgpath.groups import symmetric_group
-from coalgpath.modelio import parse_functor_text
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
 from coalgpath.trace import trace
 
 from oracles import legacy_term_key, recursive_print_term
+
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
 HARNESS_TEXTS = (
     "prod(const(a b), id)",
@@ -264,8 +267,9 @@ def test_memo_keeps_its_terms_so_no_id_is_reused():
             assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
 
 
-@pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: SetOf([t])],
-                         ids=["inj", "tuple", "set"])
+@pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: SetOf([t]),
+                                  lambda t: AnSym("s", (t,))],
+                         ids=["inj", "tuple", "set", "ansym"])
 def test_too_deep_terms_refused_with_and_without_memo(kind):
     memo = {}
     t = UNIT_TERM
@@ -278,3 +282,35 @@ def test_too_deep_terms_refused_with_and_without_memo(kind):
         print_term(deeper, memo)
     with pytest.raises((TermError, RecursionError)):
         print_term(deeper)
+
+
+@pytest.mark.parametrize("value", [(4, "x", ()), "x"], ids=["plain-tuple", "str"])
+def test_printer_fails_closed_on_a_value_that_is_no_term(value):
+    # a plain tuple carrying a kind tag is still no term
+    with pytest.raises(TermError, match="unknown term"):
+        print_term(value)
+    with pytest.raises(TermError, match="unknown term"):
+        print_term(TupleTerm((value,)), {})
+
+
+def test_trace_memo_holds_one_entry_per_subterm_object():
+    system = parse_coalgebra((COMPOSE / "trace_enum_tree.model").read_text())
+    # printed depth by depth through one memo, as the trace verb does
+    memo = {}
+    printed = [(t, print_term(t, memo))
+               for _d, items in trace(system, 5).per_depth for _key, terms in items for t in terms]
+    for t, text in printed:
+        assert text == recursive_print_term(t)
+    subterms = {}
+    stack = [t for t, _text in printed]
+    while stack:
+        t = stack.pop()
+        subterms[id(t)] = t
+        stack.extend(_children(t))
+    # one int key per distinct subterm object, one str key per name
+    assert {key for key in memo if not isinstance(key, str)} == set(subterms)
+    assert {key for key in memo if isinstance(key, str)} == _names(subterms.values())
+    size = len(memo)
+    for t, text in printed:
+        assert print_term(t, memo) is text
+    assert len(memo) == size
