@@ -14,6 +14,7 @@ from .functors import DEFAULT_SORT, functor, plus1, print_term, word_separator, 
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
+    _key,
     format_name,
     parse_category,
     parse_coalgebra,
@@ -223,10 +224,9 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         named = system.pointing.size() > 1
         for d, items in ts.per_depth:
             for (s, i), terms in items:
-                prefix = f"{name(i)} : {d} : " if named else f"{d} : "
+                prefix = f"{_key(system.pointing, s, i)} : {d} : " if named else f"{d} : "
                 lines.extend([prefix + print_term(t, memo) for t in terms])
-        for line in sorted(set(lines)):
-            out.append(line)
+        out.extend(sorted(set(lines)))
         return 0
 
     if args.verb == "reach":

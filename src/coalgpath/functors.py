@@ -134,7 +134,7 @@ def ansym(group: PermGroup, sym: str, args: Iterable[Term]) -> AnSym:
     return AnSym(sym, canonical_tuple(group, tuple(args)))
 
 
-# The printer recurses twice per level of a term, so it refuses terms
+# The printer recurses once per level of a term, so it refuses terms
 # nesting deeper than this, well inside Python's default recursion limit:
 # a memo that holds a deep term's subterms must not let it print what the
 # plain recursion could not.
@@ -160,13 +160,16 @@ def print_term(t: Term, memo: dict | None = None) -> str:
     ``memo``, a dict the caller keeps for one batch of terms, each
     subterm object of the batch is printed once and each name formatted
     once.  Terms are kept under their ``id``, as a tuple rehashes all
-    its items on every lookup, with each term in its value, so no other
-    term takes over its id; names are kept under themselves.
+    its items on every lookup, in the entry ``(t, text, depth)``, whose
+    term keeps its id from being taken over; names are kept under
+    themselves.
 
     A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
     :class:`TermError`.
     """
-    return _printed(t, {} if memo is None else memo)[0]
+    if memo is None:
+        memo = {}
+    return (memo.get(id(t)) or _printed(t, memo))[1]
 
 
 def _kept_name(name: str, memo: dict) -> str:
@@ -176,35 +179,43 @@ def _kept_name(name: str, memo: dict) -> str:
     return text
 
 
-def _printed(t: Term, memo: dict) -> tuple[str, int]:
-    """``t`` as text, and how deep it nests, through ``memo``."""
-    kept = memo.get(id(t))
-    if kept is not None:
-        return kept[1]
-    if isinstance(t, (ConstElem, Var)):
-        hit = (memo.get(t.name) or _kept_name(t.name, memo), 0)
-    elif isinstance(t, UnitLeaf):
-        hit = (UNIT, 0)
-    elif isinstance(t, Inj):
-        text, depth = _printed(t.arg, memo)
-        hit = (f"in{t.index}({text})", depth + 1)
-    elif isinstance(t, (TupleTerm, AnSym, SetOf)):
-        parts = [_printed(a, memo) for a in t.args]
-        body = ", ".join([text for text, _depth in parts])
-        depth = 1 + max([depth for _text, depth in parts], default=0)
-        if isinstance(t, TupleTerm):
-            hit = (f"({body})", depth)
-        elif isinstance(t, AnSym):
-            sym = memo.get(t.sym) or _kept_name(t.sym, memo)
-            hit = (f"{sym}({body})" if t.args else sym, depth)
+def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
+    """The entry ``(t, text, depth)`` of a term ``memo`` does not hold
+    yet, kept in it; each child's entry is read from ``memo`` in place,
+    and made only when missing."""
+    kind = t[0] if isinstance(t, Term) else None
+    if kind == 2 or kind == 4 or kind == 5:
+        args = t[-1]
+        texts = []
+        depth = 0
+        for a in args:
+            kept = memo.get(id(a)) or _printed(a, memo)
+            texts.append(kept[1])
+            if kept[2] > depth:
+                depth = kept[2]
+        body = ", ".join(texts)
+        if kind == 4:
+            sym = memo.get(t[1]) or _kept_name(t[1], memo)
+            text = f"{sym}({body})" if args else sym
         else:
-            hit = ("{" + body + "}", depth)
+            text = f"({body})" if kind == 2 else "{" + body + "}"
+        depth += 1
+    elif kind == 3:
+        kept = memo.get(id(t[2])) or _printed(t[2], memo)
+        text = f"in{t[1]}({kept[1]})"
+        depth = kept[2] + 1
+    elif kind == 0 or kind == 1:
+        text = memo.get(t[-1]) or _kept_name(t[-1], memo)
+        depth = 0
+    elif kind == 6:
+        text = UNIT
+        depth = 0
     else:
         raise TermError(f"unknown term {t!r}")
-    if hit[1] > MAX_PRINT_DEPTH:
+    if depth > MAX_PRINT_DEPTH:
         raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
-    memo[id(t)] = t, hit
-    return hit
+    entry = memo[id(t)] = t, text, depth
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ CASES = [
     # a word functor over two sorts (word trace path)
     ("twosorted-word-trace", ["trace", "twosorted_word.model", "--depth", "3"], 0),
     ("twosorted-word-runs", ["runs", "twosorted_word.model", "--depth", "2"], 0),
+    # a point in each sort, both named p: each trace line names its point
+    # with its sort, so the two points' equal depth-0 lines stay apart
+    ("twosorted-points-trace", ["trace", "twosorted_points.model", "--depth", "3"], 0),
     # sort * reads like a word functor, but the sort it leads to does not:
     # both verbs print terms
     ("mixed-runs", ["runs", "mixed.model", "--depth", "2"], 0),
