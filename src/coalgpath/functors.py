@@ -184,7 +184,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
     yet, kept in it; each child's entry is read from ``memo`` in place,
     and made only when missing."""
     kind = t[0] if isinstance(t, Term) else None
-    if kind == 2 or kind == 4 or kind == 5:
+    if kind in (2, 4, 5):  # TupleTerm, AnSym, SetOf: the children last
         args = t[-1]
         texts = []
         depth = 0
@@ -200,14 +200,14 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
         else:
             text = f"({body})" if kind == 2 else "{" + body + "}"
         depth += 1
-    elif kind == 3:
+    elif kind == 3:  # Inj
         kept = memo.get(id(t[2])) or _printed(t[2], memo)
         text = f"in{t[1]}({kept[1]})"
         depth = kept[2] + 1
-    elif kind == 0 or kind == 1:
+    elif kind in (0, 1):  # ConstElem, Var: the name last
         text = memo.get(t[-1]) or _kept_name(t[-1], memo)
         depth = 0
-    elif kind == 6:
+    elif kind == 6:  # UnitLeaf
         text = UNIT
         depth = 0
     else:
