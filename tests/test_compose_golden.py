@@ -38,9 +38,15 @@ CASES = [
     # ... and its paths: 138 chains over 94 distinct steps, each step
     # printed in every chain that shares it
     ("enum-tree-paths", ["paths", "trace_enum_tree.model", "--depth", "3"], 0),
+    # ... and its runs, the benchmark's own op: 138 composites that share
+    # most of their subterms
+    ("enum-tree-runs", ["runs", "trace_enum_tree.model", "--depth", "3"], 0),
     # a ternary symmetric symbol: one state's arguments share a pool, whose
     # multisets give its traces; another's come from three distinct states
     ("bag-trace", ["trace", "bag.model", "--depth", "3"], 0),
+    # substituting a run's next level into a symmetric symbol reorders
+    # its arguments
+    ("bag-runs", ["runs", "bag.model", "--depth", "2"], 0),
     # a constant named "p(x, y)" beside the term p(x, y): the two depth-2
     # traces print apart, the constant quoted as the model files write it
     ("quoted-trace", ["trace", "quoted.model", "--depth", "2"], 0),
