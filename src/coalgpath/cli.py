@@ -181,6 +181,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         # visit, so keeping it would only hold it alive
         own_text: dict[tuple[int, int], tuple[SortedFun, str]] = {}
         letters: dict[int, tuple[TermMap, str]] = {}
+        # a run's composite shares most subterms with the runs before it:
+        # comp builds, and print_term_for prints, each once for the call
+        values: dict = {}
+        texts: dict = {}
         count = 0
         for path, run in enumerate_runs(system, args.depth):
             n = path.length
@@ -207,7 +211,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
                     words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
                 terms = words[n] or "ε"
             else:
-                terms = " ".join(print_term_for(fp1, s, t) for (s, _i), t in comp(path).values)
+                terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values).values)
             out.append(f"run {count}: length {n} comp {terms} [{states[n]}]")
             count += 1
         out.append(f"{count} runs")

@@ -183,7 +183,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
     """The entry ``(t, text, depth)`` of a term ``memo`` does not hold
     yet, kept in it; each child's entry is read from ``memo`` in place,
     and made only when missing."""
-    kind = t[0] if isinstance(t, Term) else None
+    kind = t[0] if isinstance(t, Term) and t else None
     if kind in (2, 4, 5):  # TupleTerm, AnSym, SetOf: the children last
         args = t[-1]
         texts = []
@@ -211,7 +211,8 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
         text = UNIT
         depth = 0
     else:
-        raise TermError(f"unknown term {t!r}")
+        # a term's repr is this printer, so it is not asked to name one
+        raise TermError(f"unknown term {tuple.__repr__(t) if isinstance(t, Term) else repr(t)}")
     if depth > MAX_PRINT_DEPTH:
         raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
     entry = memo[id(t)] = t, text, depth

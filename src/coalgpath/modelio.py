@@ -26,11 +26,13 @@ the identity on canonical files.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterable
 from .coalgebra import PointedCoalgebra
 from .functors import (
-    BOT, CHECK, NAME_RE, UNIT,
+    BOT, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
     Analytic,
     AnSym,
     Const,
@@ -412,38 +414,85 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
     raise ModelParseError(f"cannot parse a term of {node!r}", line)
 
 
-def print_term_for(f: Functor, sort: str, term: Term) -> str:
+def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) -> str:
     """``term`` written against the expression of ``f`` at ``sort``.
 
     A sort leaf that holds a nested term instead of a variable, as in a
-    composite value of (F+1)^n(1), is read against ``f`` again.
+    composite value of (F+1)^n(1), is read against ``f`` again.  With
+    ``memo``, a dict the caller keeps for terms of one functor, each
+    such nested term object is printed once, as
+    :func:`functors.print_term` prints a subterm: kept under
+    ``(sort, id(term))`` in the entry ``(term, text, depth)``, whose term
+    keeps its id from being taken over.  A sort leaf whose term is in
+    the memo prints from it.
+
+    A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
+    :class:`TermError`.
     """
-    def walk(node: Node, t: Term) -> str:
-        if isinstance(t, UnitLeaf):
-            return UNIT
-        if isinstance(node, SortRef):
-            if isinstance(t, Var):
-                return format_name(t.name)
-            return walk(f.node(node.sort), t)
-        if isinstance(node, Coprod) and isinstance(t, Inj):
+    kept = None if memo is None else memo.get((sort, id(term)))
+    return (kept or _entry_for(f, memo, sort, term))[1]
+
+
+def _entry_for(f: Functor, memo: dict | None, sort: str, t: Term) -> tuple[Term, str, int]:
+    """The entry ``(t, text, depth)`` of a term at ``sort``, kept in
+    ``memo`` when there is one."""
+    text, depth = _text_for(f, memo, f.node(sort), t)
+    if depth > MAX_PRINT_DEPTH:
+        raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
+    kept = t, text, depth
+    if memo is not None:
+        memo[(sort, id(t))] = kept
+    return kept
+
+
+def _listed_for(f: Functor, memo: dict | None, nodes: Iterable[Node], args: tuple[Term, ...]) -> tuple[str, int]:
+    """The texts of ``args`` against ``nodes``, joined, and the depth of
+    the term they are the arguments of."""
+    texts = []
+    depth = 0
+    for node, t in zip(nodes, args):
+        text, d = _text_for(f, memo, node, t)
+        texts.append(text)
+        if d > depth:
+            depth = d
+    return ", ".join(texts), depth + 1
+
+
+def _text_for(f: Functor, memo: dict | None, node: Node, t: Term) -> tuple[str, int]:
+    """The text of ``t`` against ``node`` and how many term levels nest in it."""
+    if isinstance(t, UnitLeaf):
+        return UNIT, 0
+    if isinstance(node, SortRef):
+        if isinstance(t, Var):
+            return format_name(t.name), 0
+        kept = None if memo is None else memo.get((node.sort, id(t)))
+        return (kept or _entry_for(f, memo, node.sort, t))[1:]
+    if isinstance(node, Coprod):
+        if isinstance(t, Inj):
             branch = node.parts[t.index]
             if branch == _BOT_CONST:
-                return BOT
-            return f"in{t.index}({walk(branch, t.arg)})"
-        if isinstance(node, Const) and isinstance(t, ConstElem):
-            return format_name(t.name)
-        if isinstance(node, Prod) and isinstance(t, TupleTerm):
-            return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
-        if isinstance(node, Analytic) and isinstance(t, AnSym):
-            sym = node.symbol(t.sym)
+                return BOT, 1
+            text, depth = _text_for(f, memo, branch, t.arg)
+            return f"in{t.index}({text})", depth + 1
+    elif isinstance(node, Analytic):
+        if isinstance(t, AnSym):
+            slots = node.symbol(t.sym).slots
             if not t.args:
-                return format_name(t.sym)
-            return format_name(t.sym) + "(" + ", ".join(walk(n, a) for n, a in zip(sym.slots, t.args)) + ")"
-        if isinstance(node, Pf) and isinstance(t, SetOf):
-            return "{" + ", ".join(walk(node.inner, a) for a in t.args) + "}"
-        raise CoalgError(f"cannot print {t!r} against {node!r}")
-
-    return walk(f.node(sort), term)
+                return format_name(t.sym), 1
+            body, depth = _listed_for(f, memo, slots, t.args)
+            return f"{format_name(t.sym)}({body})", depth
+    elif isinstance(node, Prod):
+        if isinstance(t, TupleTerm):
+            body, depth = _listed_for(f, memo, node.parts, t.args)
+            return f"({body})", depth
+    elif isinstance(node, Const):
+        if isinstance(t, ConstElem):
+            return format_name(t.name), 0
+    elif isinstance(node, Pf):
+        if isinstance(t, SetOf):
+            body, depth = _listed_for(f, memo, itertools.repeat(node.inner), t.args)
+            return "{" + body + "}", depth
+    raise CoalgError(f"cannot print {t!r} against {node!r}")
 
 
 # ---------------------------------------------------------------------------

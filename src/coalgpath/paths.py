@@ -27,6 +27,7 @@ from .functors import (
     TupleTerm,
     Var,
     _leaf_states,
+    _named_image,
     bot_of_plus1,
     fmap,
     map_leaves,
@@ -112,14 +113,33 @@ def make_comp_value(functor: Functor, pointing: SortedSet, depth: int, values: d
     return CompValue(functor, pointing, depth, tuple(sorted(values.items())))
 
 
-def comp(p: PathObj) -> CompValue:
-    """Substitute the levels backwards, replacing the last level by units."""
+def comp(p: PathObj, memo: dict | None = None) -> CompValue:
+    """Substitute the levels backwards, replacing the last level by units.
+
+    Each value is interned in ``memo`` under its sort, its step term and
+    the ids of the values at its leaves: ``memo[(sort, term)]`` holds the
+    term's leaves and a dict from those ids to the value, so a subterm
+    met again is built once and each step term is hashed once per use.
+    The leaves' values are the unit or values of the memo, which keeps
+    them alive, so no id is reused.  A caller that keeps ``memo`` for
+    many paths over one functor, as the ``runs`` verb does, builds each
+    subterm they share once; without it, the memo lasts one call.
+    """
+    if memo is None:
+        memo = {}
     current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
     fp1 = plus1(p.functor)
     for k in range(p.length - 1, -1, -1):
         nxt: dict[tuple[str, str], Term] = {}
         for (s, x), t in p.steps[k].table.items():
-            nxt[(s, x)] = subst_node(fp1.node(s), t, current)
+            kept = memo.get((s, t))
+            if kept is None:
+                kept = memo[(s, t)] = _leaf_states(fp1, s, t), {}
+            ids = tuple([id(current[leaf]) for leaf in kept[0]])
+            value = kept[1].get(ids)
+            if value is None:
+                value = kept[1][ids] = subst_node(fp1.node(s), t, current)
+            nxt[(s, x)] = value
         current = nxt
     return make_comp_value(p.functor, p.pointing, p.length, current)
 
@@ -384,9 +404,12 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     The children of a level of at most one element are built once per
     (level, state) in a call; a wider level builds them on each visit.
     So levels, steps and run components are shared between pairs, and
-    callers must not write to their tables.
+    callers must not write to their tables.  They are built through the
+    trusted constructors, as they are well formed by construction, and
+    each chosen term is renamed through the functor's term memo.
     """
     fp1 = plus1(c.functor)
+    bot = bot_of_plus1()
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
     sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}
     # two level-0 elements of one name in different sorts may claim the
@@ -426,25 +449,32 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
             ]
             if check_names:
                 SortedSet.make({s: [o[1] for o in occ if o[2] == s] for s in c.carrier.sorts}, c.carrier.sorts)
-            fresh: list[Var | None] = [None] * len(occ)
+            fresh: list[str] = [""] * len(occ)
             per_sort: dict[str, list[str]] = {s: [] for s in space_sorts}
             x_table: dict[tuple[str, str], str] = {}
             for i, j in enumerate(sorted(range(len(occ)), key=occ.__getitem__)):
                 _rank, _pos, vs, target = occ[j]
                 name = f"n{i:03d}"
-                fresh[j] = Var(vs, name)
+                fresh[j] = name
                 per_sort[vs].append(name)
                 x_table[(vs, name)] = target
-            next_level = SortedSet.make(per_sort, space_sorts)
-            chosen = iter(fresh)
-            step_table = {
-                key: bot_of_plus1() if choice is None else step_of_plus1(
-                    map_leaves(c.functor.node(key[0]), choice[0], lambda _ref, _t: next(chosen))
-                )
-                for key, choice in zip(keys, combo)
-            }
-            step = TermMap(current, fp1, next_level, step_table)
-            yield next_level, step, SortedFun(next_level, c.carrier, x_table)
+            # each sort's names come in numbering order, which is their
+            # string order while they have three digits (n1000 < n101)
+            if len(occ) <= 1000:
+                next_level = SortedSet._built(space_sorts, tuple([tuple(per_sort[s]) for s in space_sorts]))
+            else:
+                next_level = SortedSet.make(per_sort, space_sorts)
+            step_table: dict[tuple[str, str], Term] = {}
+            start = 0
+            for key, choice in zip(keys, combo):
+                if choice is None:
+                    step_table[key] = bot
+                else:
+                    end = start + len(choice[1])
+                    step_table[key] = step_of_plus1(_named_image(c.functor, key[0], choice[0], tuple(fresh[start:end])))
+                    start = end
+            yield (next_level, TermMap._built(current, fp1, next_level, step_table),
+                   SortedFun._built(next_level, c.carrier, x_table))
 
     # children of the levels of at most one element, of which there are
     # (sorts + 1)|X| + 1 at most; wider ones multiply and rarely recur

@@ -54,6 +54,14 @@ class TermMap:
         if extra:
             raise CoalgError(f"term map defined outside domain: {sorted(extra)}")
 
+    @classmethod
+    def _built(cls, dom: SortedSet, functor: Functor, cod: SortedSet, table: dict[tuple[str, str], Term]) -> "TermMap":
+        """A map whose ``table`` is keyed by exactly the pairs of ``dom``
+        by construction, taken as it is: no copy and no check."""
+        f = object.__new__(cls)
+        f.dom, f.functor, f.cod, f.table = dom, functor, cod, table
+        return f
+
     def __call__(self, sort: str, elem: str) -> Term:
         return self.table[(sort, elem)]
 

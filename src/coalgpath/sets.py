@@ -56,6 +56,17 @@ class SortedSet:
         sort_list = tuple(sorts) if sorts is not None else tuple(per_sort.keys())
         return SortedSet(sort_list, tuple(tuple(sorted(per_sort.get(s, ()))) for s in sort_list))
 
+    @classmethod
+    def _built(cls, sorts: tuple[str, ...], data: tuple[tuple[str, ...], ...]) -> "SortedSet":
+        """A set whose sorts are distinct and whose elements are distinct
+        and in canonical order by construction: every field
+        ``__post_init__`` sets, none of its checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "sorts", sorts)
+        object.__setattr__(s, "data", data)
+        object.__setattr__(s, "_members", {sort: frozenset(elems) for sort, elems in zip(sorts, data)})
+        return s
+
     @staticmethod
     def single(elems: Iterable[str]) -> "SortedSet":
         """A set over the default sort ``*``."""
@@ -115,6 +126,14 @@ class SortedFun:
         for (s, x), y in self.table.items():
             if not cod.has(s, y):
                 raise SortError(f"image of {(s, x)} is {y!r}, not in codomain sort {s!r}")
+
+    @classmethod
+    def _built(cls, dom: SortedSet, cod: SortedSet, table: dict[tuple[str, str], str]) -> "SortedFun":
+        """A map whose ``table`` is total on ``dom`` and lands in ``cod``
+        by construction, taken as it is: no copy and no check."""
+        f = object.__new__(cls)
+        f.dom, f.cod, f.table = dom, cod, table
+        return f
 
     def __call__(self, sort: str, elem: str) -> str:
         return self.table[(sort, elem)]

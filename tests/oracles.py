@@ -37,13 +37,16 @@ fit test-sized inputs:
 - the nested comparison key of a term built from its fields alone
   (:func:`legacy_term_key`), against the order, equality and hash a
   term has as a tuple, and a term printed by plain recursion
-  (:func:`recursive_print_term`), against ``functors.print_term`` with
-  and without a memo;
+  (:func:`recursive_print_term`, and against a functor
+  :func:`recursive_print_term_for`), against ``functors.print_term`` and
+  ``modelio.print_term_for`` with and without a memo;
 - runs whose next levels come from precise factorization followed by a
   renaming (:func:`factorized_runs`), against the one-pass level
   construction of ``paths.enumerate_runs``, and a path's word decoded
   from its composite (:func:`comp_as_word`), against the letters
-  ``paths.step_letter`` reads off its steps;
+  ``paths.step_letter`` reads off its steps, and a path's composite
+  built from scratch (:func:`fresh_comp`), against ``paths.comp``, which
+  interns each value it builds;
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level,
@@ -98,6 +101,7 @@ from coalgpath.functors import (
     occurrences,
     plus1,
     step_of_plus1,
+    subst_node,
     word_shape,
 )
 from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError
@@ -383,6 +387,34 @@ def recursive_print_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+def recursive_print_term_for(f: Functor, sort: str, term: Term) -> str:
+    """``term`` written against ``f`` at ``sort`` by plain recursion,
+    each nested term at a sort leaf read against ``f`` again and printed
+    as often as it occurs."""
+
+    def walk(node: Node, t: Term) -> str:
+        if isinstance(t, UnitLeaf):
+            return UNIT
+        if isinstance(node, SortRef):
+            return _written_name(t.name) if isinstance(t, Var) else walk(f.node(node.sort), t)
+        if isinstance(node, Coprod) and isinstance(t, Inj):
+            branch = node.parts[t.index]
+            return BOT if branch == Const((BOT,)) else f"in{t.index}({walk(branch, t.arg)})"
+        if isinstance(node, Const) and isinstance(t, ConstElem):
+            return _written_name(t.name)
+        if isinstance(node, Prod) and isinstance(t, TupleTerm):
+            return "(" + ", ".join(walk(p, a) for p, a in zip(node.parts, t.args)) + ")"
+        if isinstance(node, Analytic) and isinstance(t, AnSym):
+            slots = node.symbol(t.sym).slots
+            body = "(" + ", ".join(walk(n, a) for n, a in zip(slots, t.args)) + ")" if t.args else ""
+            return _written_name(t.sym) + body
+        if isinstance(node, Pf) and isinstance(t, SetOf):
+            return "{" + ", ".join(walk(node.inner, a) for a in t.args) + "}"
+        raise TypeError(f"cannot print {t!r} against {node!r}")
+
+    return walk(f.node(sort), term)
+
+
 def is_path_morphism(m: PathMorphism) -> bool:
     if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
         return False
@@ -512,6 +544,16 @@ def comp_as_word(cv: CompValue) -> str:
     composite's depth."""
     letters, stopped = decode_word(cv.values[0][1])
     return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
+
+
+def fresh_comp(p: PathObj) -> CompValue:
+    """The composite of ``p`` built from scratch: the levels substituted
+    backwards, the last one replaced by units, each value built anew."""
+    current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
+    fp1 = plus1(p.functor)
+    for k in range(p.length - 1, -1, -1):
+        current = {(s, x): subst_node(fp1.node(s), t, current) for (s, x), t in p.steps[k].table.items()}
+    return CompValue(p.functor, p.pointing, p.length, tuple(sorted(current.items())))
 
 
 def run_image(r: Run) -> set[tuple[str, str]]:

@@ -18,12 +18,16 @@ from coalgpath.functors import (
     Prod,
     SortRef,
     Symbol,
+    TermError,
     TupleTerm,
+    UNIT_TERM,
+    MAX_PRINT_DEPTH,
     Var,
     bot_of_plus1,
     functor,
     lts_functor,
     multisorted,
+    plus1,
     step_of_plus1,
 )
 from coalgpath.lasota import validate_category
@@ -603,6 +607,41 @@ class TestQuotedNames:
         for term, text in [(AnSym("a b", (Var(DEFAULT_SORT, "q r"),)), '"a b"("q r")'), (AnSym(",", ()), '","')]:
             assert print_term_for(f, DEFAULT_SORT, term) == text
             assert parse_term_text(text, node, SortedSet.single(["q r"])) == term
+
+
+@pytest.mark.parametrize("node, wrap", [
+    (SortRef(), lambda t: Inj(0, t)),
+    (Prod((SortRef(), Const(("a",)))), lambda t: Inj(0, TupleTerm((t, ConstElem("a"))))),
+], ids=["id", "id-times-a"])
+def test_too_deep_composites_refused_with_and_without_memo(node, wrap):
+    # composites of (F+1)^n(1) for F = node: with a memo, each shallower
+    # composite is printed first, as the runs verb does
+    fp1 = plus1(functor(node))
+    memo = {}
+    t = UNIT_TERM
+    for _ in range(MAX_PRINT_DEPTH + 1):
+        t = wrap(t)
+        try:
+            print_term_for(fp1, DEFAULT_SORT, t, memo)
+        except TermError as exc:
+            assert "nest too deeply" in str(exc)
+            break
+    else:
+        pytest.fail("a composite nesting deeper than MAX_PRINT_DEPTH printed")
+    # the refused term nests one level too deep, each step adding one
+    # level (F = id) or two (F = id x {a})
+    assert MAX_PRINT_DEPTH < _depth(t) <= MAX_PRINT_DEPTH + 2
+    with pytest.raises((TermError, RecursionError)):
+        print_term_for(fp1, DEFAULT_SORT, t)
+
+
+def _depth(t) -> int:
+    """How many term levels nest in ``t``."""
+    depth = 0
+    while isinstance(t, (Inj, TupleTerm)):
+        t = t.arg if isinstance(t, Inj) else t.args[0]
+        depth += 1
+    return depth
 
 
 class TestLineGrammar:

@@ -25,10 +25,11 @@ from coalgpath.functors import (
     plus1,
     step_of_plus1,
     strip_plus1,
+    subst_node,
 )
 from coalgpath.groups import symmetric_group, trivial_group
-from coalgpath.modelio import parse_coalgebra, parse_functor_text
-from coalgpath.precise import precise_chains
+from coalgpath.modelio import parse_coalgebra, parse_functor_text, print_term_for
+from coalgpath.precise import TermMap, precise_chains
 from coalgpath.paths import (
     CompValue,
     PathObj,
@@ -51,7 +52,16 @@ from coalgpath.paths import (
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortError, SortedSet
 
 from conftest import linear_word_system, single, trace_pairs, var, whyplus1_system
-from oracles import brute_path_morphisms, comp_as_word, factorized_runs, is_bijective, is_path_morphism, run_image
+from oracles import (
+    brute_path_morphisms,
+    comp_as_word,
+    factorized_runs,
+    fresh_comp,
+    is_bijective,
+    is_path_morphism,
+    recursive_print_term_for,
+    run_image,
+)
 
 BOT = chr(0x22A5)
 
@@ -541,9 +551,11 @@ class TestRunChildrenBuiltOnce:
         class CountingTermMap(paths.TermMap):
             __slots__ = ()
 
-            def __init__(self, dom, *args):
+            # enumerate_runs builds its steps through the trusted route
+            @classmethod
+            def _built(cls, dom, *args):
                 built.append(dom.size())
-                super().__init__(dom, *args)
+                return super()._built(dom, *args)
 
         monkeypatch.setattr(paths, "TermMap", CountingTermMap)
         return built, list(enumerate_runs(c, depth))
@@ -603,6 +615,93 @@ class TestRunChildrenBuiltOnce:
         assert code == 0
         assert any(max(sizes) > 1 for _ref, sizes in made) == wide
         assert kept and all(max(sizes) <= 1 for sizes in kept)
+
+
+# one model per functor shape the runs verb prints terms for: a symmetric
+# pair, a ternary symmetric bag, two sorts, and a word sort beside a tree sort
+MEMO_CASES = [("trace_enum_tree.model", 3), ("bag.model", 2), ("twosorted.model", 3), ("mixed.model", 2)]
+
+
+class TestInternedComp:
+    """``comp`` interns each value under its sort, its step term and the
+    ids of its leaves' values, and ``print_term_for`` prints each
+    interned value once per memo; over every run of a call both agree
+    with building and printing each composite from scratch."""
+
+    @pytest.mark.parametrize("model, depth", MEMO_CASES)
+    def test_interned_comp_and_memo_printer_match_the_oracles(self, monkeypatch, model, depth):
+        c = parse_coalgebra((COMPOSE / model).read_text(encoding="utf-8"))
+        fp1 = plus1(c.functor)
+        built = []
+
+        def counting_subst(*args):
+            built.append(args)
+            return subst_node(*args)
+
+        monkeypatch.setattr(paths, "subst_node", counting_subst)
+        values, texts = {}, {}
+        pairs = list(enumerate_runs(c, depth))
+        for path, _run in pairs:
+            got = comp(path, values)
+            assert got == fresh_comp(path)
+            for (s, _i), t in got.values:
+                text = print_term_for(fp1, s, t, texts)
+                assert text == print_term_for(fp1, s, t) == recursive_print_term_for(fp1, s, t)
+        # each interned value was built once, fewer than the values built
+        # from scratch, and building every composite again builds nothing
+        # and gives the same objects
+        fresh = sum(path.levels[k].size() for path, _run in pairs for k in range(path.length))
+        interned = sum(len(by_ids) for _leaves, by_ids in values.values())
+        assert len(built) == interned < fresh
+        size = len(texts)
+        for path, _run in pairs:
+            again = comp(path, values)
+            assert all(a is b for (_k, a), (_k2, b) in zip(again.values, comp(path, values).values))
+            for (s, _i), t in again.values:
+                print_term_for(fp1, s, t, texts)
+        assert len(built) == interned
+        assert len(texts) == size
+
+
+class TestTrustedRunParts:
+    """``enumerate_runs`` builds its levels, steps and run components
+    through the trusted constructors; each equals what the checking
+    constructors build from its fields, and the pairs are runs."""
+
+    @staticmethod
+    def assert_parts_check(pairs):
+        for path, run in pairs:
+            assert validate_path(path) == [] and is_run(run)
+            if not path.length:
+                continue
+            level, step, x_n = path.levels[-1], path.steps[-1], run.components[-1]
+            made = SortedSet.make({s: level.elems(s) for s in level.sorts}, level.sorts)
+            assert (level.sorts, level.data, level._members) == (made.sorts, made.data, made._members)
+            assert step == TermMap(step.dom, step.functor, step.cod, step.table)
+            assert x_n == SortedFun(x_n.dom, x_n.cod, x_n.table)
+
+    @pytest.mark.parametrize("model, depth", MEMO_CASES)
+    def test_trusted_parts_pass_the_checks(self, model, depth):
+        c = parse_coalgebra((COMPOSE / model).read_text(encoding="utf-8"))
+        self.assert_parts_check(enumerate_runs(c, depth))
+
+    def test_fresh_names_past_n999_sort_as_strings(self):
+        # 1001 slots: the names n000 .. n1000 sort with n1000 before n101
+        width = 1001
+        c = PointedCoalgebra(
+            functor(Prod((SortRef(),) * width)),
+            single(["*"]),
+            single(["s0"]),
+            {(DEFAULT_SORT, "*"): "s0"},
+            {(DEFAULT_SORT, "s0"): (TupleTerm((var("s0"),) * width),)},
+        )
+        pairs = list(enumerate_runs(c, 1))
+        self.assert_parts_check(pairs)
+        [_, _, (p, r)] = pairs
+        [_, _, (p_want, r_want)] = factorized_runs(c, 1)
+        assert (p.levels, p.steps, r.components) == (p_want.levels, p_want.steps, r_want.components)
+        elems = p.levels[1].elems(DEFAULT_SORT)
+        assert elems.index("n1000") == elems.index("n100") + 1 == elems.index("n101") - 1
 
 
 class TestEmbeddingIntegration:

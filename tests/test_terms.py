@@ -29,6 +29,7 @@ from coalgpath.functors import (
     SetOf,
     SortRef,
     Symbol,
+    Term,
     TupleTerm,
     UnitLeaf,
     MAX_PRINT_DEPTH,
@@ -284,9 +285,11 @@ def test_too_deep_terms_refused_with_and_without_memo(kind):
         print_term(deeper)
 
 
-@pytest.mark.parametrize("value", [(4, "x", ()), "x"], ids=["plain-tuple", "str"])
+@pytest.mark.parametrize("value", [(4, "x", ()), "x", Term((9,)), Term(())],
+                         ids=["plain-tuple", "str", "unknown-kind", "no-kind"])
 def test_printer_fails_closed_on_a_value_that_is_no_term(value):
-    # a plain tuple carrying a kind tag is still no term
+    # a plain tuple carrying a kind tag is still no term, and a Term whose
+    # kind tag is none of the printer's is named without the printer
     with pytest.raises(TermError, match="unknown term"):
         print_term(value)
     with pytest.raises(TermError, match="unknown term"):
