@@ -418,79 +418,96 @@ def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) 
     """``term`` written against the expression of ``f`` at ``sort``.
 
     A sort leaf that holds a nested term instead of a variable, as in a
-    composite value of (F+1)^n(1), is read against ``f`` again.  With
-    ``memo``, a dict the caller keeps for terms of one functor, each
-    such nested term object is printed once, as
-    :func:`functors.print_term` prints a subterm: kept under
+    composite value of (F+1)^n(1), is read against ``f`` again.  Each
+    such nested term object, and ``term`` itself, is printed once per
+    memo, as :func:`functors.print_term` prints a subterm: kept under
     ``(sort, id(term))`` in the entry ``(term, text, depth)``, whose term
-    keeps its id from being taken over.  A sort leaf whose term is in
-    the memo prints from it.
+    keeps its id from being taken over.  A caller that passes ``memo``, a
+    dict it keeps for terms of one functor, shares the entries between
+    calls; without one, they last for the call.
 
     A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
-    :class:`TermError`.
+    :class:`TermError`; the walk stops on the way down, at the first
+    level too deep, so Python's recursion limit is not reached first.
     """
-    kept = None if memo is None else memo.get((sort, id(term)))
-    return (kept or _entry_for(f, memo, sort, term))[1]
+    if memo is None:
+        memo = {}
+    key = (sort, id(term))
+    kept = memo.get(key)
+    if kept is None:
+        text, depth = _text_for(f, memo, f.node(sort), term, MAX_PRINT_DEPTH)
+        if depth > MAX_PRINT_DEPTH:
+            raise _too_deep()
+        memo[key] = term, text, depth
+        return text
+    return kept[1]
 
 
-def _entry_for(f: Functor, memo: dict | None, sort: str, t: Term) -> tuple[Term, str, int]:
-    """The entry ``(t, text, depth)`` of a term at ``sort``, kept in
-    ``memo`` when there is one."""
-    text, depth = _text_for(f, memo, f.node(sort), t)
+def _too_deep() -> TermError:
+    return TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
+
+
+def _kept_for(memo: dict, key: tuple[str, int], t: Term, text: str, depth: int) -> tuple[Term, str, int]:
+    """The entry ``(t, text, depth)``, kept in ``memo`` under ``key``."""
     if depth > MAX_PRINT_DEPTH:
-        raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
-    kept = t, text, depth
-    if memo is not None:
-        memo[(sort, id(t))] = kept
+        raise _too_deep()
+    kept = memo[key] = t, text, depth
     return kept
 
 
-def _listed_for(f: Functor, memo: dict | None, nodes: Iterable[Node], args: tuple[Term, ...]) -> tuple[str, int]:
+def _listed_for(f: Functor, memo: dict, nodes: Iterable[Node], args: tuple[Term, ...], room: int) -> tuple[str, int]:
     """The texts of ``args`` against ``nodes``, joined, and the depth of
     the term they are the arguments of."""
     texts = []
     depth = 0
     for node, t in zip(nodes, args):
-        text, d = _text_for(f, memo, node, t)
+        text, d = _text_for(f, memo, node, t, room)
         texts.append(text)
         if d > depth:
             depth = d
     return ", ".join(texts), depth + 1
 
 
-def _text_for(f: Functor, memo: dict | None, node: Node, t: Term) -> tuple[str, int]:
-    """The text of ``t`` against ``node`` and how many term levels nest in it."""
+def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[str, int]:
+    """The text of ``t`` against ``node`` and how many term levels nest
+    in it, where ``MAX_PRINT_DEPTH - room`` levels nest above it."""
+    if room < 0:
+        raise _too_deep()
     if isinstance(t, UnitLeaf):
         return UNIT, 0
     if isinstance(node, SortRef):
         if isinstance(t, Var):
             return format_name(t.name), 0
-        kept = None if memo is None else memo.get((node.sort, id(t)))
-        return (kept or _entry_for(f, memo, node.sort, t))[1:]
+        # read against the sort's node from this frame: each level of a
+        # composite of (F+1)^n(1) then costs at most two frames, so the
+        # walk refuses a term before the recursion limit
+        key = (node.sort, id(t))
+        kept = memo.get(key) or _kept_for(memo, key, t, *_text_for(f, memo, f.node(node.sort), t, room))
+        return kept[1:]
     if isinstance(node, Coprod):
         if isinstance(t, Inj):
             branch = node.parts[t.index]
             if branch == _BOT_CONST:
                 return BOT, 1
-            text, depth = _text_for(f, memo, branch, t.arg)
+            text, depth = _text_for(f, memo, branch, t.arg, room - 1)
             return f"in{t.index}({text})", depth + 1
     elif isinstance(node, Analytic):
         if isinstance(t, AnSym):
             slots = node.symbol(t.sym).slots
             if not t.args:
                 return format_name(t.sym), 1
-            body, depth = _listed_for(f, memo, slots, t.args)
+            body, depth = _listed_for(f, memo, slots, t.args, room - 1)
             return f"{format_name(t.sym)}({body})", depth
     elif isinstance(node, Prod):
         if isinstance(t, TupleTerm):
-            body, depth = _listed_for(f, memo, node.parts, t.args)
+            body, depth = _listed_for(f, memo, node.parts, t.args, room - 1)
             return f"({body})", depth
     elif isinstance(node, Const):
         if isinstance(t, ConstElem):
             return format_name(t.name), 0
     elif isinstance(node, Pf):
         if isinstance(t, SetOf):
-            body, depth = _listed_for(f, memo, itertools.repeat(node.inner), t.args)
+            body, depth = _listed_for(f, memo, itertools.repeat(node.inner), t.args, room - 1)
             return "{" + body + "}", depth
     raise CoalgError(f"cannot print {t!r} against {node!r}")
 

@@ -458,12 +458,9 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
                 fresh[j] = name
                 per_sort[vs].append(name)
                 x_table[(vs, name)] = target
-            # each sort's names come in numbering order, which is their
-            # string order while they have three digits (n1000 < n101)
-            if len(occ) <= 1000:
-                next_level = SortedSet._built(space_sorts, tuple([tuple(per_sort[s]) for s in space_sorts]))
-            else:
-                next_level = SortedSet.make(per_sort, space_sorts)
+            # each sort's names come in numbering order, so sorting them
+            # is linear, but from n1000 on that is not their string order
+            next_level = SortedSet._built(space_sorts, tuple([tuple(sorted(per_sort[s])) for s in space_sorts]))
             step_table: dict[tuple[str, str], Term] = {}
             start = 0
             for key, choice in zip(keys, combo):

@@ -1,5 +1,6 @@
 import pathlib
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -631,8 +632,16 @@ def test_too_deep_composites_refused_with_and_without_memo(node, wrap):
     # the refused term nests one level too deep, each step adding one
     # level (F = id) or two (F = id x {a})
     assert MAX_PRINT_DEPTH < _depth(t) <= MAX_PRINT_DEPTH + 2
-    with pytest.raises((TermError, RecursionError)):
+    with pytest.raises(TermError, match="nest too deeply"):
         print_term_for(fp1, DEFAULT_SORT, t)
+    # the walk stops on the way down, so a term nesting deeper than the
+    # recursion limit is refused the same way
+    for _ in range(sys.getrecursionlimit()):
+        t = wrap(t)
+    with pytest.raises(TermError, match="nest too deeply"):
+        print_term_for(fp1, DEFAULT_SORT, t)
+    with pytest.raises(TermError, match="nest too deeply"):
+        print_term_for(fp1, DEFAULT_SORT, t, memo)
 
 
 def _depth(t) -> int:
