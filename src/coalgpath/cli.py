@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
@@ -28,7 +29,7 @@ from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
 from .paths import comp, comps_are_words, enumerate_runs, step_letter
 from .precise import TermMap, is_precise, precise_chains, precise_factorize
-from .sets import CoalgError, SortedFun
+from .sets import CoalgError, SortedFun, SortedSet
 from .trace import lts_language, trace
 
 
@@ -117,6 +118,12 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     return (_deglyph(text) if args.ascii else text), code
 
 
+def _state_names(x: SortedSet) -> dict[tuple[str, str], str]:
+    """Each state of ``x`` by its name, or as ``sort.name`` if the name lies in two or more sorts."""
+    shared = Counter(e for _s, e in x.pairs())
+    return {(s, e): _key(x, s, e) if shared[e] > 1 else format_name(e) for s, e in x.pairs()}
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -148,18 +155,13 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "paths":
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
-        # chains share their step objects: the lines of step k are built
-        # once per (k, step), keyed by id, each value keeping its step alive
-        blocks: dict[tuple[int, int], tuple[TermMap, list[str]]] = {}
+        texts: dict = {}  # steps share their term objects: each prints once for the call
         # the first chain is the empty one, so count is always bound
         for count, chain in enumerate(precise_chains(fp1, system.pointing, args.depth)):
             out.append(f"path {count}: length {len(chain)}")
             for k, step in enumerate(chain):
-                kept = blocks.get((k, id(step)))
-                if kept is None:
-                    lines = [f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}" for s, e in step.dom.pairs()]
-                    kept = blocks[(k, id(step))] = step, lines
-                out.extend(kept[1])
+                for s, e in step.dom.pairs():
+                    out.append(f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e), texts)}")
         out.append(f"{count + 1} paths")
         return 0
 
@@ -167,6 +169,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
         as_words = comps_are_words(system.functor, system.pointing)
+        state = _state_names(system.carrier)
         sep = word_separator(system.functor, _aliases(args))
         # runs come depth first, each extending the last run one level
         # shorter: states[k] holds the k:e->x states of levels 0..k of the
@@ -193,7 +196,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             kept = own_text.get((n, id(x_n)))
             if kept is None:
                 level = path.levels[n]
-                kept = x_n, " ".join(f"{n}:{name(e)}->{name(x_n(s, e))}" for s, e in level.pairs())
+                kept = x_n, " ".join(f"{n}:{name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs())
                 if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
                     own_text[(n, id(x_n))] = kept
             own = kept[1]
@@ -236,9 +239,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     if args.verb == "reach":
         system = parse_coalgebra(_read(args.file))
         levels, union = reachable_bfs(system)
+        state = _state_names(system.carrier)
         for k, level in enumerate(levels):
-            out.append(f"level {k}: {' '.join(map(name, sorted(e for _s, e in level)))}")
-        out.append(f"union: {' '.join(map(name, sorted(e for _s, e in union)))}")
+            out.append(f"level {k}: {' '.join(state[s, e] for e, s in sorted((e, s) for s, e in level))}")
+        out.append(f"union: {' '.join(state[s, e] for e, s in sorted((e, s) for s, e in union))}")
         pr = is_path_reachable(system)
         nps = is_reachable_no_proper_sub(system)
         out.append(f"path-reachable: {'yes' if pr else 'no'}")

@@ -554,22 +554,16 @@ def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
     return map_leaves(node, term, _substituting(sigma.__getitem__))
 
 
-def _substituting(image_of: Callable[[tuple[str, str]], Term], seen: list | None = None):
-    """The leaf function of :func:`subst_node`, taking each variable's
-    image from ``image_of``; with ``seen``, it also appends each leaf's
-    ``(sort, name)`` to it, in occurrence order."""
+def _substituting(image_of: Callable[[tuple[str, str]], Term]):
+    """The leaf function of :func:`subst_node`, each variable's image read from ``image_of``."""
 
     def leaf(ref: SortRef, t: Term) -> Term:
         if not isinstance(t, Var):
             raise TermError(f"expected a variable at sort {ref.sort!r}, got {t!r}")
-        key = (t.sort, t.name)
         try:
-            image = image_of(key)
+            return image_of((t.sort, t.name))
         except KeyError:
             raise TermError(f"variable {t.name!r} (sort {t.sort!r}) not in substitution") from None
-        if seen is not None:
-            seen.append(key)
-        return image
 
     return leaf
 
@@ -577,25 +571,18 @@ def _substituting(image_of: Callable[[tuple[str, str]], Term], seen: list | None
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
     """The functorial action F(fun) applied to one term at an output sort.
 
-    The image is kept in the functor's term memo, keyed by the term and
-    the names its leaves map to, so mapping an equal term to equal names
-    again, by any map, looks it up.
+    On a powerset-free functor the image is read through the term memo's
+    readers :func:`_leaf_states` and :func:`_named_image`, so mapping an
+    equal term to equal names again, by any map, looks it up.
     """
-    memo, table = f._memo, fun.table
-    leaves = None if memo is None else memo.leaves.get((sort, term))
-    if leaves is not None:
-        try:
-            names = tuple([table[key] for key in leaves])
-        except KeyError:
-            pass  # the walk below names the leaf outside the map
-        else:
-            return _named_image(f, sort, term, names)
-    seen: list[tuple[str, str]] = []
-    image = map_leaves(f.node(sort), term, _substituting(lambda key: Var(key[0], table[key]), seen))
-    if memo is not None:
-        leaves = memo.leaves[(sort, term)] = tuple(seen)
-        memo.images[(sort, term, tuple([table[key] for key in leaves]))] = image
-    return image
+    table = fun.table
+    if f._memo is None:
+        return map_leaves(f.node(sort), term, _substituting(lambda key: Var(key[0], table[key])))
+    try:
+        names = tuple([table[key] for key in _leaf_states(f, sort, term)])
+    except KeyError as exc:  # the (sort, name) of a leaf outside the map
+        raise TermError("variable {1!r} (sort {0!r}) not in substitution".format(*exc.args[0])) from None
+    return _named_image(f, sort, term, names)
 
 
 def _leaf_states(f: Functor, sort: str, term: Term) -> tuple[tuple[str, str], ...]:
@@ -640,7 +627,7 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
     """
     if isinstance(node, SortRef):
         if not isinstance(term, Var):
-            raise TermError(f"expected a variable, got {term!r}")
+            raise TermError(f"expected a variable at sort {node.sort!r}, got {term!r}")
         return [(term, _path)]
     if isinstance(node, Const):
         if isinstance(term, ConstElem) and term.name in node.elems:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable
 from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
@@ -414,6 +413,9 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
     raise ModelParseError(f"cannot parse a term of {node!r}", line)
 
 
+_TOO_DEEP = f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels"
+
+
 def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) -> str:
     """``term`` written against the expression of ``f`` at ``sort``.
 
@@ -437,79 +439,62 @@ def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) 
     if kept is None:
         text, depth = _text_for(f, memo, f.node(sort), term, MAX_PRINT_DEPTH)
         if depth > MAX_PRINT_DEPTH:
-            raise _too_deep()
+            raise TermError(_TOO_DEEP)
         memo[key] = term, text, depth
         return text
     return kept[1]
-
-
-def _too_deep() -> TermError:
-    return TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
-
-
-def _kept_for(memo: dict, key: tuple[str, int], t: Term, text: str, depth: int) -> tuple[Term, str, int]:
-    """The entry ``(t, text, depth)``, kept in ``memo`` under ``key``."""
-    if depth > MAX_PRINT_DEPTH:
-        raise _too_deep()
-    kept = memo[key] = t, text, depth
-    return kept
-
-
-def _listed_for(f: Functor, memo: dict, nodes: Iterable[Node], args: tuple[Term, ...], room: int) -> tuple[str, int]:
-    """The texts of ``args`` against ``nodes``, joined, and the depth of
-    the term they are the arguments of."""
-    texts = []
-    depth = 0
-    for node, t in zip(nodes, args):
-        text, d = _text_for(f, memo, node, t, room)
-        texts.append(text)
-        if d > depth:
-            depth = d
-    return ", ".join(texts), depth + 1
 
 
 def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[str, int]:
     """The text of ``t`` against ``node`` and how many term levels nest
     in it, where ``MAX_PRINT_DEPTH - room`` levels nest above it."""
     if room < 0:
-        raise _too_deep()
+        raise TermError(_TOO_DEEP)
     if isinstance(t, UnitLeaf):
         return UNIT, 0
     if isinstance(node, SortRef):
         if isinstance(t, Var):
             return format_name(t.name), 0
-        # read against the sort's node from this frame: each level of a
-        # composite of (F+1)^n(1) then costs at most two frames, so the
-        # walk refuses a term before the recursion limit
+        # read, refused and kept in this frame: each level of a composite
+        # of (F+1)^n(1) then costs at most two frames, so the walk refuses
+        # a term before the recursion limit
         key = (node.sort, id(t))
-        kept = memo.get(key) or _kept_for(memo, key, t, *_text_for(f, memo, f.node(node.sort), t, room))
-        return kept[1:]
-    if isinstance(node, Coprod):
-        if isinstance(t, Inj):
-            branch = node.parts[t.index]
-            if branch == _BOT_CONST:
-                return BOT, 1
-            text, depth = _text_for(f, memo, branch, t.arg, room - 1)
-            return f"in{t.index}({text})", depth + 1
-    elif isinstance(node, Analytic):
-        if isinstance(t, AnSym):
-            slots = node.symbol(t.sym).slots
-            if not t.args:
-                return format_name(t.sym), 1
-            body, depth = _listed_for(f, memo, slots, t.args, room - 1)
-            return f"{format_name(t.sym)}({body})", depth
-    elif isinstance(node, Prod):
-        if isinstance(t, TupleTerm):
-            body, depth = _listed_for(f, memo, node.parts, t.args, room - 1)
-            return f"({body})", depth
-    elif isinstance(node, Const):
-        if isinstance(t, ConstElem):
-            return format_name(t.name), 0
-    elif isinstance(node, Pf):
-        if isinstance(t, SetOf):
-            body, depth = _listed_for(f, memo, itertools.repeat(node.inner), t.args, room - 1)
-            return "{" + body + "}", depth
-    raise CoalgError(f"cannot print {t!r} against {node!r}")
+        kept = memo.get(key)
+        if kept is None:
+            text, depth = _text_for(f, memo, f.node(node.sort), t, room)
+            if depth > MAX_PRINT_DEPTH:
+                raise TermError(_TOO_DEEP)
+            memo[key] = t, text, depth
+            return text, depth
+        return kept[1], kept[2]
+    if isinstance(node, Coprod) and isinstance(t, Inj):
+        branch = node.parts[t.index]
+        if branch == _BOT_CONST:
+            return BOT, 1
+        text, depth = _text_for(f, memo, branch, t.arg, room - 1)
+        return f"in{t.index}({text})", depth + 1
+    # a product, analytic or set body: its arguments joined in one loop
+    if isinstance(node, Analytic) and isinstance(t, AnSym):
+        nodes = node.symbol(t.sym).slots
+        if not t.args:
+            return format_name(t.sym), 1
+        head, close = format_name(t.sym) + "(", ")"
+    elif isinstance(node, Prod) and isinstance(t, TupleTerm):
+        nodes, head, close = node.parts, "(", ")"
+    elif isinstance(node, Const) and isinstance(t, ConstElem):
+        return format_name(t.name), 0
+    elif isinstance(node, Pf) and isinstance(t, SetOf):
+        nodes, head, close = itertools.repeat(node.inner), "{", "}"
+    else:
+        raise CoalgError(f"cannot print {t!r} against {node!r}")
+    texts = []
+    depth = 0
+    for n, a in zip(nodes, t.args):
+        text, d = _text_for(f, memo, n, a, room - 1)
+        texts.append(text)
+        if d > depth:
+            depth = d
+    return head + ", ".join(texts) + close, depth + 1
 
 
 # ---------------------------------------------------------------------------

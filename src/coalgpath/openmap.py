@@ -30,8 +30,7 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, Var, _leaf_states, _named_image, bot_of_plus1, fmap, format_name, map_leaves,
-    step_of_plus1, subst_node,
+    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, fmap, format_name, step_of_plus1,
 )
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
@@ -198,16 +197,12 @@ def _run_reaching(
     comps = [SortedFun(pointing, src.carrier, dict(src.point))]
     tables: list[dict] = []
     for (sort, _x), t, later in chain:
-        leaves: list[tuple[str, str]] = []
-
-        def name(_ref, var: Var) -> Var:
-            leaves.append((var.sort, var.name))
-            return Var(var.sort, f"n{len(leaves) - 1:03d}")
-
+        leaves = _leaf_states(functor, sort, t)
+        names = tuple([f"n{i:03d}" for i in range(len(leaves))])
         table = dict.fromkeys(path_levels[-1].pairs(), bot_of_plus1())
-        table[current] = step_of_plus1(map_leaves(functor.node(sort), t, name))
+        table[current] = step_of_plus1(_named_image(functor, sort, t, names))
         tables.append(table)
-        named = {(vs, f"n{i:03d}"): x for i, (vs, x) in enumerate(leaves)}
+        named = {(vs, n): x for n, (vs, x) in zip(names, leaves)}
         level = SortedSet.make({s: [e for vs, e in named if vs == s] for s in pointing.sorts}, pointing.sorts)
         path_levels.append(level)
         comps.append(SortedFun(level, src.carrier, named))
@@ -229,11 +224,12 @@ def _materialize_witness(
     whose variables become elements ``w000, w001, ...`` in ``phi``'s order."""
     src, dst = m.src, m.dst
     path, run, hit = _run_reaching(src, levels, level_index, state)
-    fresh = {key: Var(key[0], f"w{i:03d}") for i, key in enumerate(phi)}
+    fresh = {key: f"w{i:03d}" for i, key in enumerate(phi)}
     sorts = src.pointing.sorts
-    new_level = SortedSet.make({s: [w.name for w in fresh.values() if w.sort == s] for s in sorts}, sorts)
+    new_level = SortedSet.make({s: [w for key, w in fresh.items() if key[0] == s] for s in sorts}, sorts)
+    names = tuple([fresh[key] for key in _leaf_states(src.functor, hit[0], shape)])
     table = dict.fromkeys(path.levels[-1].pairs(), bot_of_plus1())
-    table[hit] = step_of_plus1(subst_node(src.functor.node(hit[0]), shape, fresh))
+    table[hit] = step_of_plus1(_named_image(src.functor, hit[0], shape, names))
     extension = make_path(
         src.functor, src.pointing, [*path.levels, new_level], [st.table for st in path.steps] + [table]
     )
@@ -241,7 +237,7 @@ def _materialize_witness(
         SortedFun(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
         for level, comp in zip(path.levels, run.components)
     ]
-    y_last = SortedFun(new_level, dst.carrier, {(w.sort, w.name): phi[key] for key, w in fresh.items()})
+    y_last = SortedFun(new_level, dst.carrier, {(key[0], w): phi[key] for key, w in fresh.items()})
     dst_run = Run(extension, dst, (*y_components, y_last))
     return SquareWitness(path, run, extension, dst_run)
 

@@ -29,10 +29,9 @@ from .functors import (
     Var,
     _leaf_states,
     eval_node,
+    map_leaves,
     node_has_pf,
-    occurrences,
     rebuild_with_fresh,
-    subst_node,
 )
 from .sets import CoalgError, SortedFun, SortedSet
 
@@ -152,7 +151,7 @@ def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
     node = f_expr.node(sort)
     if not isinstance(node, Analytic):
         raise TermError("bag abstraction needs an analytic expression")
-    return Counter((var.sort, var.name) for var, _path in occurrences(node, term))
+    return Counter(_leaf_states(f_expr, sort, term))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +187,14 @@ def _renumber(node: Node, term: Term, start: int) -> tuple[Term, list[Var]]:
     """``term`` with its variables renamed v<start+1>, v<start+2>, ... in
     first-occurrence order, and the new variables in that order."""
     mapping: dict[tuple[str, str], Var] = {}
-    for var, _path in occurrences(node, term):
+
+    def rename(_ref, var: Var) -> Var:
         key = (var.sort, var.name)
         if key not in mapping:
             mapping[key] = Var(var.sort, f"v{start + len(mapping) + 1:03d}")
-    return subst_node(node, term, mapping), list(mapping.values())
+        return mapping[key]
+
+    return map_leaves(node, term, rename), list(mapping.values())
 
 
 def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[SortedSet, TermMap]]:

@@ -101,6 +101,10 @@ CASES = [
     ("quotednames-paths", ["paths", "quotednames.model", "--depth", "1"], 0),
     ("quotednames-reach", ["reach", "quotednames.model"], 0),
     ("quotednames-open", ["open", "quotednames.model", "quotednames_dst.model", "quotednames.map"], 1),
+    # states named p and q in both sorts: reach and runs write each as
+    # sort.name, as [init] and [trans] do, in the order of name, then sort
+    ("sharednames-reach", ["reach", "sharednames.model"], 0),
+    ("sharednames-runs", ["runs", "sharednames.model", "--depth", "2"], 0),
 ]
 
 

@@ -536,6 +536,21 @@ class TestGeneratedNameRoundtrips:
         assert reparsed.term_map == produced.term_map
         assert print_factor_problem(reparsed) == printed
 
+    def test_powerset_factor_problem_roundtrips(self):
+        from coalgpath.modelio import parse_model, print_model
+
+        # the printer's set body, empty and with two members in sorted order
+        text = (
+            "[functor]\nprod(const(a), pf(id))\n\n[domain]\nx1 x2\n\n[codomain]\ny1 y2\n\n"
+            "[map]\nx1 -> (a, {})\nx2 -> (a, {y2, y1})\n"
+        )
+        problem = parse_model(text)
+        printed = print_model(problem)
+        assert printed.endswith("[map]\nx1 -> (a, {})\nx2 -> (a, {y1, y2})\n")
+        reparsed = parse_model(printed)
+        assert reparsed.term_map == problem.term_map
+        assert print_model(reparsed) == printed
+
     def test_embedded_path_coalgebra_roundtrips(self):
         from conftest import linear_word_system
         from coalgpath.paths import enumerate_runs, j_embed
