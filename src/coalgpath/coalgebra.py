@@ -23,7 +23,7 @@ from .functors import (
     fmap,
     term_in_functor,
 )
-from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
+from .sets import CoalgError, SortedFun, SortedSet, singleton_pointing
 
 
 State = tuple[str, str]  # (sort, element)
@@ -271,27 +271,3 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
         chosen = [t for t in terms[s] if rng.random() < spec.density]
         xi[(s, x)] = tuple(sorted(chosen))
     return PointedCoalgebra._built(spec.functor, pointing, carrier, point, xi)
-
-
-def lts_coalgebra(
-    alphabet: Iterable[str],
-    states: Iterable[str],
-    init: str,
-    edges: Iterable[tuple[str, str, str]],
-) -> PointedCoalgebra:
-    """Convenience constructor for single-pointed LTSs."""
-    from .functors import lts_functor, lts_term
-
-    f = lts_functor(alphabet)
-    carrier = SortedSet.single(states)
-    pointing = SortedSet.single(["*"])
-    xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
-    for (x, a, y) in edges:
-        xi[(DEFAULT_SORT, x)].append(lts_term(a, y))
-    return PointedCoalgebra(
-        f,
-        pointing,
-        carrier,
-        {(DEFAULT_SORT, "*"): init},
-        {k: tuple(sorted(set(v))) for k, v in xi.items()},
-    )

@@ -659,15 +659,6 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
 # ---------------------------------------------------------------------------
 # Common functor shapes
 
-def lts_functor(alphabet: Iterable[str]) -> Functor:
-    """F(X) = A x X, the labelled-transition-system step functor."""
-    return functor(Prod((Const(tuple(alphabet)), SortRef(DEFAULT_SORT))))
-
-
-def lts_term(label: str, target: str) -> Term:
-    return TupleTerm((ConstElem(label), Var(DEFAULT_SORT, target)))
-
-
 Letter = tuple[int | None, str]
 
 

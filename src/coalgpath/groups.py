@@ -96,24 +96,6 @@ def group_elements(g: PermGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(elements))
 
 
-def trivial_group(arity: int) -> PermGroup:
-    return PermGroup(arity, ())
-
-
-def symmetric_group(arity: int) -> PermGroup:
-    if arity <= 1:
-        return trivial_group(arity)
-    swap = (1, 0) + tuple(range(2, arity))
-    cycle = tuple(range(1, arity)) + (0,)
-    return PermGroup(arity, (swap, cycle))
-
-
-def cyclic_group(arity: int) -> PermGroup:
-    if arity <= 1:
-        return trivial_group(arity)
-    return PermGroup(arity, (tuple(range(1, arity)) + (0,),))
-
-
 def canonical_tuple(g: PermGroup, t: tuple) -> tuple:
     """The least element of the orbit of ``t`` under ``g``.
 

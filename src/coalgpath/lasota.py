@@ -156,20 +156,12 @@ def composable_sequences(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
-def enumerate_lasota_paths(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:
-    """Morphism sequences read off the paths of length n out of the pointing.
-
-    Paths are the chains of the generic ``precise_chains``; by the
-    characteristic-family structure every level is a singleton at one
-    sort and each step carries exactly one morphism.
-    """
-    return _lasota_paths_by_length(cat, lasota_functor(cat), n)[n]
-
-
 def _lasota_paths_by_length(cat: FiniteCategory, f: Functor, n: int) -> list[list[tuple[str, ...]]]:
-    """The sequences of ``enumerate_lasota_paths`` at every length up to n,
-    read off the chains of precise maps out of the pointing: each step maps
-    the one element of its level to the letter ``(m, v)`` of a morphism m."""
+    """Per length up to n, the morphism sequences read off the paths of
+    that length out of the pointing, sorted.  Paths are the chains of
+    precise maps of ``precise_chains``; by the characteristic-family
+    structure every level is a singleton at one sort, and each step maps
+    its one element to the letter ``(m, v)`` of one morphism m."""
     by_length: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
     for chain in precise_chains(f, lasota_pointing(cat), n):
         if any(len(step.table) != 1 for step in chain):

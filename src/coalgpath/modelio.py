@@ -20,8 +20,10 @@ for the unit, the added point and the final marker have ASCII aliases
 ``unit``, ``bot`` and ``ok``, read as the glyphs wherever a name
 stands.  Parsing a term is guided by the expected expression node, so
 constant names and state names never clash; coproduct injections may
-be left implicit when exactly one branch parses.  ``parse . print`` is
-the identity on canonical files.
+be left implicit when exactly one branch parses.  The verbs read model
+files and write only their results; the canonical writer of each model
+kind lives beside the round-trip tests, in ``tests/model_writers.py``,
+where ``parse . print`` is checked to be the identity on canonical files.
 """
 
 from __future__ import annotations
@@ -55,12 +57,10 @@ from .functors import (
     format_name,
     functor,
     multisorted,
-    plus1,
 )
 from .groups import PermGroup
 from .lasota import FiniteCategory
 from .nominal import RnnaPresentation, RnnaRule
-from .paths import PathObj, make_path, validate_path
 from .precise import TermMap
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
@@ -262,55 +262,6 @@ def _parse_cycles(tokens: list[str], pos: int, arity: int, line: int | None) -> 
             perm[slot] = cycle[(i + 1) % len(cycle)]
         if _token(tokens, pos, line) != "(":
             return tuple(perm), pos
-
-
-def print_functor_node(node: Node) -> str:
-    if isinstance(node, SortRef):
-        return "id" if node.sort == DEFAULT_SORT else f"sort({format_name(node.sort)})"
-    if isinstance(node, Const):
-        return "const(" + " ".join(map(format_name, node.elems)) + ")"
-    if isinstance(node, Prod):
-        return "prod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
-    if isinstance(node, Coprod):
-        if len(node.parts) == 2 and node.parts[1] == _BOT_CONST:
-            return f"plus1({print_functor_node(node.parts[0])})"
-        return "coprod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
-    if isinstance(node, Pf):
-        return f"pf({print_functor_node(node.inner)})"
-    if isinstance(node, Analytic):
-        chunks = []
-        for sym in node.symbols:
-            gens = ""
-            if sym.group.generators:
-                gens = " [" + ", ".join(_print_cycles(g) for g in sym.group.generators) + "]"
-            chunks.append(f"{format_name(sym.name)}/{sym.group.arity}{gens}")
-        text = "analytic{ " + " ; ".join(chunks) + " }"
-        # the parser fills every slot with one node: id, or the inner
-        # expression of a composition
-        slots = {n for sym in node.symbols for n in sym.slots}
-        if slots <= {SortRef(DEFAULT_SORT)}:
-            return text
-        if len(slots) == 1:
-            return f"compose({text}, {print_functor_node(slots.pop())})"
-        raise CoalgError(f"analytic slots {sorted(map(repr, slots))}cannot be written in the functor grammar")
-    raise CoalgError(f"unknown node {node!r}")
-
-
-def _print_cycles(perm: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    out = ""
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = perm[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = perm[cur]
-        out += "(" + " ".join(str(i + 1) for i in cycle) + ")"
-    return out or "()"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +489,7 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
     for lineno, line in lines:
         sort, colon, rest = line.partition(":")
         sort = sort.strip()
-        # as _elem_lines writes them, sorts are named in multisorted files only
+        # sorts are named in multisorted files only, as the writers name them
         if not (colon and sorts != (DEFAULT_SORT,) and sort in sorts):
             sort, rest = sorts[0], line
         tokens = tokenize(rest, lineno)
@@ -644,23 +595,6 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
     return sorts, multisorted(sorts, nodes)
 
 
-def _signature_lines(f: Functor) -> list[str]:
-    """[functor], preceded by [sorts] unless ``f`` has the default sort only."""
-    if f.sorts == (DEFAULT_SORT,):
-        return ["[functor]", print_functor_node(f.node(DEFAULT_SORT)), ""]
-    lines = ["[sorts]", " ".join(map(_sort_name, f.sorts)), "", "[functor]"]
-    lines.extend(f"{s} = {print_functor_node(f.node(s))}" for s in f.sorts)
-    return lines + [""]
-
-
-def _elem_lines(x: SortedSet) -> list[str]:
-    """The lines of a carrier section: the names alone over the default
-    sort, else ``S : names`` for each sort with elements."""
-    if x.sorts == (DEFAULT_SORT,):
-        return [" ".join(format_name(e) for e in x.data[0])]
-    return [f"{_sort_name(s)} : {' '.join(map(format_name, elems))}" for s, elems in zip(x.sorts, x.data) if elems]
-
-
 def _key(x: SortedSet, sort: str, elem: str) -> str:
     """An element of ``x`` as ``_read_elem`` reads it."""
     return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{_sort_name(sort)}." + format_name(elem)
@@ -682,76 +616,6 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
     )
 
 
-def print_coalgebra(c: PointedCoalgebra) -> str:
-    lines = _signature_lines(c.functor)
-    lines += ["[pointing]", *_elem_lines(c.pointing), "", "[states]", *_elem_lines(c.carrier), "", "[init]"]
-    for (s, i) in c.pointing.pairs():
-        lines.append(f"{_key(c.pointing, s, i)} -> {_key(c.carrier, s, c.point[(s, i)])}")
-    lines += ["", "[trans]"]
-    for (s, x) in c.carrier.pairs():
-        for t in c.xi[(s, x)]:
-            lines.append(f"{_key(c.carrier, s, x)} -> {print_term_for(c.functor, s, t)}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Path files
-
-def parse_path(text: str) -> PathObj:
-    sections = split_sections(text)
-    sorts, f = _parse_signature(sections)
-    pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
-    # a level may span several lines, one per sort
-    level_lines: dict[int, Lines] = {}
-    for lineno, line in _section(sections, "levels"):
-        if ":" not in line:
-            raise ModelParseError("expected '<k> : elements'", lineno)
-        idx_text, rest = line.split(":", 1)
-        k = _parse_int(idx_text, lineno)
-        if k < 0:
-            raise ModelParseError(f"level index {k} out of range", lineno)
-        level_lines.setdefault(k, []).append((lineno, rest))
-    n = max(level_lines.keys(), default=0)
-    levels = []
-    for k in range(n + 1):
-        if k not in level_lines:
-            raise ModelParseError(f"missing level {k}")
-        levels.append(_parse_sorted_elems(level_lines[k], sorts))
-    fp1 = plus1(f)
-    tables: list[dict[tuple[str, str], Term]] = [dict() for _ in range(n)]
-    for lineno, line in sections.get("steps", []):
-        idx_text, colon, rest = line.partition(":")
-        tokens = tokenize(rest, lineno)
-        if not colon or "->" not in tokens:
-            raise ModelParseError("expected '<k> : elem -> term'", lineno)
-        k = _parse_int(idx_text, lineno)
-        if not 0 <= k < n:
-            raise ModelParseError(f"step index {k} out of range", lineno)
-        key, pos = _read_elem(tokens, 0, levels[k], lineno)
-        pos = _expect(tokens, pos, "->", lineno)
-        if key in tables[k]:
-            raise ModelParseError(f"duplicate step {k} for {_key(levels[k], *key)!r}", lineno)
-        tables[k][key] = _term_to_end(tokens, pos, fp1.node(key[0]), levels[k + 1], lineno)
-    path = make_path(f, pointing, levels, tables)
-    problems = validate_path(path)
-    if problems:
-        raise ModelParseError("invalid path: " + "; ".join(problems))
-    return path
-
-
-def print_path(p: PathObj) -> str:
-    lines = _signature_lines(p.functor)
-    lines += ["[pointing]", *_elem_lines(p.pointing), "", "[levels]"]
-    for k, level in enumerate(p.levels):
-        lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
-    lines += ["", "[steps]"]
-    fp1 = plus1(p.functor)
-    for k, step in enumerate(p.steps):
-        for (s, e) in p.levels[k].pairs():
-            lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e))}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Carrier map files
 
@@ -768,15 +632,6 @@ class FactorProblem:
     domain: SortedSet
     codomain: SortedSet
     term_map: TermMap
-
-
-def print_factor_problem(problem: FactorProblem) -> str:
-    lines = _signature_lines(problem.functor)
-    lines += ["[domain]", *_elem_lines(problem.domain), "", "[codomain]", *_elem_lines(problem.codomain), "", "[map]"]
-    for (s, x) in problem.domain.pairs():
-        term = print_term_for(problem.functor, s, problem.term_map(s, x))
-        lines.append(f"{_key(problem.domain, s, x)} -> {term}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_factor_problem(text: str) -> FactorProblem:
@@ -852,19 +707,6 @@ def parse_category(text: str) -> FiniteCategory:
     return FiniteCategory(tuple(objects), tuple(morphisms), identities, comp, initial)
 
 
-def print_category(cat: FiniteCategory) -> str:
-    lines = ["[objects]", " ".join(cat.objects), "", "[initial]", cat.initial, "", "[morphisms]"]
-    for (name, d, c) in sorted(cat.morphisms):
-        lines.append(f"{name} : {d} -> {c}")
-    lines += ["", "[identities]"]
-    # a missing identity is reported by validate_category, not here
-    lines.extend(f"{obj} : {cat.identities[obj]}" for obj in cat.objects if obj in cat.identities)
-    lines += ["", "[composition]"]
-    for (g, f), h in sorted(cat.comp.items()):
-        lines.append(f"{g} o {f} = {h}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Register-automaton files
 
@@ -899,49 +741,3 @@ def parse_rnna(text: str) -> RnnaPresentation:
             continue
         raise ModelParseError("unrecognized rule", lineno)
     return RnnaPresentation(states, init, tuple(rules))
-
-
-def print_rnna(r: RnnaPresentation) -> str:
-    lines = ["[states]", " ".join(f"{q}/{n}" for q, n in sorted(r.states.items())), "", "[init]", r.init, "", "[rules]"]
-    for rule in r.rules:
-        sigma = " ".join(str(j) for j in rule.sigma)
-        if rule.kind == "ok":
-            lines.append(f"{rule.src} -> ok")
-        elif rule.kind == "bind":
-            lines.append(f"{rule.src} -> bar {rule.target} [{sigma}]")
-        else:
-            lines.append(f"{rule.src} -> reg({rule.register}) {rule.target} [{sigma}]")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Kind dispatch
-
-def parse_model(text: str):
-    """Parse any model file, dispatching on the sections present."""
-    sections = split_sections(text)
-    if "levels" in sections:
-        return parse_path(text)
-    if "objects" in sections:
-        return parse_category(text)
-    if "rules" in sections or ("states" in sections and "trans" not in sections and "init" in sections
-                               and any("/" in line for _n, line in sections["states"])):
-        return parse_rnna(text)
-    if "domain" in sections:
-        return parse_factor_problem(text)
-    return parse_coalgebra(text)
-
-
-def print_model(obj) -> str:
-    """Canonical serialization; ``parse_model . print_model`` is the identity."""
-    if isinstance(obj, PointedCoalgebra):
-        return print_coalgebra(obj)
-    if isinstance(obj, PathObj):
-        return print_path(obj)
-    if isinstance(obj, FactorProblem):
-        return print_factor_problem(obj)
-    if isinstance(obj, FiniteCategory):
-        return print_category(obj)
-    if isinstance(obj, RnnaPresentation):
-        return print_rnna(obj)
-    raise CoalgError(f"cannot serialize {type(obj).__name__}")

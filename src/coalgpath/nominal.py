@@ -1,19 +1,19 @@
 """Bounded-atom-pool shadow of nominal automata with binders.
 
-A finite pool stands in for the countable atom universe: permutation
-actions, support, alpha-equivalence of bar strings and register automata
-are all computed exactly over the pool.  Register-tuple states carry
-their support atoms in fixed slots, which gives the unique-extension
-property for equivariant maps defined on orbit representatives; binder
-successors are stored alpha-canonically (least admissible binder) so the
-quotient never materializes.
+A finite pool stands in for the countable atom universe: alpha-
+equivalence of bar strings and register automata are computed exactly
+over the pool.  Register-tuple states carry their support atoms in fixed
+slots, so a map given on orbit representatives extends uniquely;
+binder successors are stored alpha-canonically (least admissible binder)
+so the quotient never materializes.  The binding-layer factorization
+and the pool actions on words, states and terms, which no verb reads,
+live beside the nominal tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
@@ -81,12 +81,6 @@ class Perm:
         return Perm({a: b, b: a})
 
 
-def all_perms(pool: AtomPool) -> Iterator[Perm]:
-    atoms = pool.atoms
-    for image in itertools.permutations(atoms):
-        yield Perm(dict(zip(atoms, image)))
-
-
 # ---------------------------------------------------------------------------
 # Bar strings
 
@@ -110,35 +104,6 @@ class BarString:
         for kind, _atom in self.tokens:
             if kind not in ("free", "bar"):
                 raise PoolError(f"unknown token kind {kind!r}")
-
-
-def bar(atom: str) -> tuple[str, str]:
-    return ("bar", atom)
-
-
-def free(atom: str) -> tuple[str, str]:
-    return ("free", atom)
-
-
-def support(w: BarString) -> set[str]:
-    """Free atoms of the word itself (binders capture to the right)."""
-    bound: set[str] = set()
-    out: set[str] = set()
-    for kind, atom in w.tokens:
-        if kind == "bar":
-            bound.add(atom)
-        elif atom not in bound:
-            out.add(atom)
-    return out
-
-
-def apply_perm(pi: Perm, w: BarString) -> BarString:
-    """Rename every atom, binders included; an action of the perm group."""
-    return BarString(
-        tuple((kind, pi(atom)) for kind, atom in w.tokens),
-        w.terminal,
-        tuple(pi(a) for a in w.context),
-    )
 
 
 def alpha_canonical(w: BarString) -> tuple:
@@ -204,71 +169,16 @@ class NomElem:
         return NomElem(self.tag, tuple(pi(a) for a in self.atoms))
 
 
-@dataclass(frozen=True)
-class FreshPair:
-    """An element of the fresh-pair set: an atom outside the base support."""
-
-    atom: str
-    base: NomElem
-
-    def support(self) -> set[str]:
-        return {self.atom} | self.base.support()
-
-    def rename(self, pi: Perm) -> "FreshPair":
-        return FreshPair(pi(self.atom), self.base.rename(pi))
-
-
-def extend_equivariant(
-    reps: list[tuple[object, object]],
-    elements: list,
-    pool: AtomPool,
-    act_elem: Callable,
-    act_value: Callable,
-    supp_elem: Callable,
-    supp_value: Callable,
-) -> dict:
-    """The unique equivariant extension of values given on orbit representatives.
-
-    Every element must be pi . rep for exactly one rep, and each value
-    may only use atoms from its representative's support; the extension
-    is checked for well-definedness over all permutations fixing a
-    representative (vacuous for strong elements, but verified anyway).
-    """
-    for rep, value in reps:
-        if not supp_value(value) <= supp_elem(rep):
-            raise PoolError(f"value support {supp_value(value)} exceeds representative support of {rep}")
-    perms = list(all_perms(pool))
-    for rep, value in reps:
-        for pi in perms:
-            if act_elem(pi, rep) == rep and act_value(pi, value) != value:
-                raise PoolError(f"value at {rep} not fixed by a stabilizer of it")
-    result: dict = {}
-    origin: dict = {}
-    for element in elements:
-        found = None
-        for rep, value in reps:
-            for pi in perms:
-                if act_elem(pi, rep) == element:
-                    if found is not None and origin[element] != rep:
-                        raise PoolError(f"element {element} generated by two representatives")
-                    if found is None:
-                        found = act_value(pi, value)
-                        origin[element] = rep
-                        result[element] = found
-        if found is None:
-            raise PoolError(f"element {element} has no generating representative")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # The binding layer
 
 @dataclass(frozen=True)
 class BindTerm:
-    """A binder applied to an element: one representative of the alpha-class."""
+    """A binder applied to an element: one representative of the alpha-class.
+    The body is any element with ``support()`` and ``rename(pi)``."""
 
     atom: str
-    body: NomElem | FreshPair
+    body: NomElem
 
     def support(self) -> set[str]:
         return self.body.support() - {self.atom}
@@ -285,45 +195,6 @@ def canonical_bind(atom: str, body, pool: AtomPool):
         raise PoolError("pool exhausted: no admissible binder")
     b = candidates[0]
     return BindTerm(b, body.rename(Perm.swap(atom, b)))
-
-
-def alpha_equal_bind(t1: BindTerm, t2: BindTerm, pool: AtomPool) -> bool:
-    return canonical_bind(t1.atom, t1.body, pool) == canonical_bind(t2.atom, t2.body, pool)
-
-
-@dataclass
-class BindingFactorization:
-    codomain: list[FreshPair]            # Y' = one canonical fresh pair per x
-    precise: dict[NomElem, BindTerm]     # f': x -> <a>(a, x)
-    connect: dict[FreshPair, NomElem]    # h: instantiated bodies
-
-
-def binding_factorize(f: dict[NomElem, BindTerm], pool: AtomPool) -> BindingFactorization:
-    """Factorize through the binding layer via its fresh-pair left adjoint.
-
-    f'(x) = <a>(a, x) for the least atom a fresh for x; h sends the pair
-    to the body of f(x) instantiated at that atom.  The composite
-    [A]h . f' is alpha-equal to f.
-    """
-    codomain: list[FreshPair] = []
-    precise: dict[NomElem, BindTerm] = {}
-    connect: dict[FreshPair, NomElem] = {}
-    for x in sorted(f.keys(), key=lambda e: (e.tag, e.atoms)):
-        fresh_candidates = [a for a in pool.atoms if a not in x.support()]
-        if not fresh_candidates:
-            raise PoolError(f"pool exhausted: no fresh atom for {x}")
-        a = fresh_candidates[0]
-        bind_term = f[x]
-        body = bind_term.body
-        if not isinstance(body, NomElem):
-            raise PoolError("binding factorization expects plain elements as bodies")
-        if not (body.support() - {bind_term.atom}) <= x.support():
-            raise PoolError(f"map at {x} is not support-respecting")
-        pair = FreshPair(a, x)
-        codomain.append(pair)
-        precise[x] = BindTerm(a, pair)
-        connect[pair] = body.rename(Perm.swap(bind_term.atom, a))
-    return BindingFactorization(codomain, precise, connect)
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +336,6 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
         (DEFAULT_SORT, context_name(c)): state_name(presentation.init, c) for c in contexts
     }
     return PointedCoalgebra(rnna_functor(pool), pointing, carrier, point, xi)
-
-
-def perm_state(pi: Perm, name: str) -> str:
-    q, regs = parse_state_name(name)
-    return state_name(q, tuple(pi(a) for a in regs))
-
-
-def perm_term(pi: Perm, t: Term, pool: AtomPool) -> Term:
-    """The pool action on transition terms, re-canonicalizing binders."""
-    if isinstance(t, Inj) and t.index == 0:
-        return t
-    if not (isinstance(t, Inj) and isinstance(t.arg, TupleTerm)):
-        raise CoalgError(f"not an automaton transition term: {t!r}")
-    atom = t.arg.args[0].name  # type: ignore[union-attr]
-    target = t.arg.args[1].name  # type: ignore[union-attr]
-    q, regs = parse_state_name(target)
-    return _transition(t.index, pi(atom), NomElem(q, tuple(pi(a) for a in regs)), pool)
 
 
 # ---------------------------------------------------------------------------

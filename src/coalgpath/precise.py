@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .functors import (
-    Analytic,
     Functor,
     Node,
     PowersetNodeError,
     Term,
-    TermError,
     Var,
     _leaf_states,
     eval_node,
@@ -137,21 +135,6 @@ def precise_factorize(f: TermMap) -> Factorization:
     precise = TermMap(f.dom, f.functor, codomain, new_terms)
     connect = SortedFun(codomain, y, connect_table)
     return Factorization(codomain, precise, connect)
-
-
-# ---------------------------------------------------------------------------
-# Bag abstraction
-
-def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
-    """The multiset of argument occurrences of an analytic term.
-
-    Natural in the carrier: taking the multiset commutes with renaming
-    arguments, independently of the chosen orbit representative.
-    """
-    node = f_expr.node(sort)
-    if not isinstance(node, Analytic):
-        raise TermError("bag abstraction needs an analytic expression")
-    return Counter(_leaf_states(f_expr, sort, term))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .functors import (
     UNIT_TERM,
     Analytic,
     AnSym,
-    Coprod,
     Functor,
     Letter,
     SortRef,
@@ -44,12 +43,11 @@ from .functors import (
     format_name,
     letter_shape,
     map_leaves,
-    print_term,
     read_letter,
     word_separator,
 )
 from .groups import orbit_minima
-from .sets import DEFAULT_SORT, CoalgError, SortedSet
+from .sets import CoalgError, SortedSet
 
 
 @dataclass(frozen=True)
@@ -218,12 +216,3 @@ def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None
     # every letter is one of these, so each is formatted once
     spelt = {name: format_name(name) for name in _word_constants(c.functor)}
     return {sep.join([spelt[name] for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
-
-
-def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:
-    """Trace values over a tree signature, printed with units at the cut."""
-    if not isinstance(c.functor.node(DEFAULT_SORT), (Analytic, Coprod)):
-        raise CoalgError("not a tree-signature functor")
-    memo: dict = {}
-    return {print_term(t, memo) for _d, items in trace(c, depth).per_depth for _key, terms in items for t in terms}
-

@@ -1,15 +1,21 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, among them the constructors that
+only tests call: the LTS step functor and systems over it, the symmetric
+and cyclic slot groups, and the partial-run language of a tree automaton."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from coalgpath.coalgebra import PointedCoalgebra, lts_coalgebra
+from typing import Iterable
+
+from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
     Analytic,
     Const,
+    ConstElem,
     Coprod,
+    Functor,
     Prod,
     SortRef,
     Symbol,
@@ -19,13 +25,63 @@ from coalgpath.functors import (
     functor,
     multisorted,
     plus1_node,
+    print_term,
 )
-from coalgpath.groups import symmetric_group
+from coalgpath.groups import PermGroup
 from coalgpath.lasota import FiniteCategory
 from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import TermMap
-from coalgpath.sets import DEFAULT_SORT, SortedSet
-from coalgpath.trace import TraceSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
+from coalgpath.trace import TraceSet, trace
+
+
+def symmetric_group(arity: int) -> PermGroup:
+    if arity <= 1:
+        return PermGroup(arity)
+    swap = (1, 0) + tuple(range(2, arity))
+    cycle = tuple(range(1, arity)) + (0,)
+    return PermGroup(arity, (swap, cycle))
+
+
+def cyclic_group(arity: int) -> PermGroup:
+    if arity <= 1:
+        return PermGroup(arity)
+    return PermGroup(arity, (tuple(range(1, arity)) + (0,),))
+
+
+def lts_functor(alphabet: Iterable[str]) -> Functor:
+    """F(X) = A x X, the labelled-transition-system step functor."""
+    return functor(Prod((Const(tuple(alphabet)), SortRef(DEFAULT_SORT))))
+
+
+def lts_coalgebra(
+    alphabet: Iterable[str],
+    states: Iterable[str],
+    init: str,
+    edges: Iterable[tuple[str, str, str]],
+) -> PointedCoalgebra:
+    """Convenience constructor for single-pointed LTSs."""
+    f = lts_functor(alphabet)
+    carrier = SortedSet.single(states)
+    pointing = SortedSet.single(["*"])
+    xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
+    for (x, a, y) in edges:
+        xi[(DEFAULT_SORT, x)].append(TupleTerm((ConstElem(a), Var(DEFAULT_SORT, y))))
+    return PointedCoalgebra(
+        f,
+        pointing,
+        carrier,
+        {(DEFAULT_SORT, "*"): init},
+        {k: tuple(sorted(set(v))) for k, v in xi.items()},
+    )
+
+
+def tree_partial_runs(c: PointedCoalgebra, depth: int) -> set[str]:
+    """Trace values over a tree signature, printed with units at the cut."""
+    if not isinstance(c.functor.node(DEFAULT_SORT), (Analytic, Coprod)):
+        raise CoalgError("not a tree-signature functor")
+    memo: dict = {}
+    return {print_term(t, memo) for _d, items in trace(c, depth).per_depth for _key, terms in items for t in terms}
 
 
 # the functors of the benchmark's theorem harness, and one multisorted one

@@ -68,7 +68,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterator, Mapping
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping
 
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
@@ -93,6 +95,7 @@ from coalgpath.functors import (
     TupleTerm,
     UnitLeaf,
     Var,
+    _leaf_states,
     ansym,
     bot_of_plus1,
     eval_functor,
@@ -109,16 +112,15 @@ from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
     BarString,
-    BindingFactorization,
     BindTerm,
     NomElem,
+    Perm,
     PoolError,
-    all_perms,
+    _transition,
     alpha_canonical,
-    alpha_equal_bind,
     canonical_bind,
-    extend_equivariant,
     parse_state_name,
+    state_name,
 )
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
 from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
@@ -176,6 +178,18 @@ def homset_leq(f: BehaviourMap, g: BehaviourMap) -> bool:
 # ---------------------------------------------------------------------------
 # Direct checks of what the library builds
 
+def bag_abstraction(f_expr: Functor, sort: str, term: Term) -> Counter:
+    """The multiset of argument occurrences of an analytic term.
+
+    Natural in the carrier: taking the multiset commutes with renaming
+    arguments, independently of the chosen orbit representative.
+    """
+    node = f_expr.node(sort)
+    if not isinstance(node, Analytic):
+        raise TermError("bag abstraction needs an analytic expression")
+    return Counter(_leaf_states(f_expr, sort, term))
+
+
 def factorization_commutes(f: TermMap, fac: Factorization) -> bool:
     """Check F(h) . f' = f."""
     for (sort, x) in f.dom.pairs():
@@ -189,7 +203,7 @@ def binding_roundtrip_ok(f: dict[NomElem, BindTerm], fac: BindingFactorization, 
     for x, bind_term in f.items():
         lifted = fac.precise[x]
         body = fac.connect[lifted.body]  # type: ignore[index]
-        if not alpha_equal_bind(BindTerm(lifted.atom, body), bind_term, pool):
+        if canonical_bind(lifted.atom, body, pool) != canonical_bind(bind_term.atom, bind_term.body, pool):
             return False
     return True
 
@@ -673,6 +687,145 @@ def precise_iff_characteristic_oracle(f: Functor, objects: tuple[str, ...], max_
 
 
 # ---------------------------------------------------------------------------
+# The binding layer and the pool actions: no verb reads them, the nominal
+# battery checks them (acceptance criterion 9)
+
+def all_perms(pool: AtomPool) -> Iterator[Perm]:
+    atoms = pool.atoms
+    for image in itertools.permutations(atoms):
+        yield Perm(dict(zip(atoms, image)))
+
+
+def support(w: BarString) -> set[str]:
+    """Free atoms of the word itself (binders capture to the right)."""
+    bound: set[str] = set()
+    out: set[str] = set()
+    for kind, atom in w.tokens:
+        if kind == "bar":
+            bound.add(atom)
+        elif atom not in bound:
+            out.add(atom)
+    return out
+
+
+def apply_perm(pi: Perm, w: BarString) -> BarString:
+    """Rename every atom, binders included; an action of the perm group."""
+    return BarString(
+        tuple((kind, pi(atom)) for kind, atom in w.tokens),
+        w.terminal,
+        tuple(pi(a) for a in w.context),
+    )
+
+
+def perm_state(pi: Perm, name: str) -> str:
+    q, regs = parse_state_name(name)
+    return state_name(q, tuple(pi(a) for a in regs))
+
+
+def perm_term(pi: Perm, t: Term, pool: AtomPool) -> Term:
+    """The pool action on transition terms, re-canonicalizing binders."""
+    if isinstance(t, Inj) and t.index == 0:
+        return t
+    if not (isinstance(t, Inj) and isinstance(t.arg, TupleTerm)):
+        raise CoalgError(f"not an automaton transition term: {t!r}")
+    atom = t.arg.args[0].name  # type: ignore[union-attr]
+    target = t.arg.args[1].name  # type: ignore[union-attr]
+    q, regs = parse_state_name(target)
+    return _transition(t.index, pi(atom), NomElem(q, tuple(pi(a) for a in regs)), pool)
+
+
+@dataclass(frozen=True)
+class FreshPair:
+    """An element of the fresh-pair set: an atom outside the base support."""
+
+    atom: str
+    base: NomElem
+
+    def support(self) -> set[str]:
+        return {self.atom} | self.base.support()
+
+    def rename(self, pi: Perm) -> "FreshPair":
+        return FreshPair(pi(self.atom), self.base.rename(pi))
+
+
+def extend_equivariant(
+    reps: list[tuple[object, object]],
+    elements: list,
+    pool: AtomPool,
+    act_elem: Callable,
+    act_value: Callable,
+    supp_elem: Callable,
+    supp_value: Callable,
+) -> dict:
+    """The unique equivariant extension of values given on orbit representatives.
+
+    Every element must be pi . rep for exactly one rep, and each value
+    may only use atoms from its representative's support; the extension
+    is checked for well-definedness over all permutations fixing a
+    representative (vacuous for strong elements, but verified anyway).
+    """
+    for rep, value in reps:
+        if not supp_value(value) <= supp_elem(rep):
+            raise PoolError(f"value support {supp_value(value)} exceeds representative support of {rep}")
+    perms = list(all_perms(pool))
+    for rep, value in reps:
+        for pi in perms:
+            if act_elem(pi, rep) == rep and act_value(pi, value) != value:
+                raise PoolError(f"value at {rep} not fixed by a stabilizer of it")
+    result: dict = {}
+    origin: dict = {}
+    for element in elements:
+        found = None
+        for rep, value in reps:
+            for pi in perms:
+                if act_elem(pi, rep) == element:
+                    if found is not None and origin[element] != rep:
+                        raise PoolError(f"element {element} generated by two representatives")
+                    if found is None:
+                        found = act_value(pi, value)
+                        origin[element] = rep
+                        result[element] = found
+        if found is None:
+            raise PoolError(f"element {element} has no generating representative")
+    return result
+
+
+@dataclass
+class BindingFactorization:
+    codomain: list[FreshPair]            # Y' = one canonical fresh pair per x
+    precise: dict[NomElem, BindTerm]     # f': x -> <a>(a, x)
+    connect: dict[FreshPair, NomElem]    # h: instantiated bodies
+
+
+def binding_factorize(f: dict[NomElem, BindTerm], pool: AtomPool) -> BindingFactorization:
+    """Factorize through the binding layer via its fresh-pair left adjoint.
+
+    f'(x) = <a>(a, x) for the least atom a fresh for x; h sends the pair
+    to the body of f(x) instantiated at that atom.  The composite
+    [A]h . f' is alpha-equal to f.
+    """
+    codomain: list[FreshPair] = []
+    precise: dict[NomElem, BindTerm] = {}
+    connect: dict[FreshPair, NomElem] = {}
+    for x in sorted(f.keys(), key=lambda e: (e.tag, e.atoms)):
+        fresh_candidates = [a for a in pool.atoms if a not in x.support()]
+        if not fresh_candidates:
+            raise PoolError(f"pool exhausted: no fresh atom for {x}")
+        a = fresh_candidates[0]
+        bind_term = f[x]
+        body = bind_term.body
+        if not isinstance(body, NomElem):
+            raise PoolError("binding factorization expects plain elements as bodies")
+        if not (body.support() - {bind_term.atom}) <= x.support():
+            raise PoolError(f"map at {x} is not support-respecting")
+        pair = FreshPair(a, x)
+        codomain.append(pair)
+        precise[x] = BindTerm(a, pair)
+        connect[pair] = body.rename(Perm.swap(bind_term.atom, a))
+    return BindingFactorization(codomain, precise, connect)
+
+
+# ---------------------------------------------------------------------------
 # The binding layer: the lifting definition over strong carriers
 
 def _strong_carriers(pool: AtomPool, max_orbits: int, max_arity: int) -> Iterator[list[NomElem]]:
@@ -706,13 +859,12 @@ def binding_precise_oracle(
             k_pools = []
             for x in xs:
                 target = f_precise[x]
+                want = canonical_bind(target.atom, target.body, pool)
                 options = []
                 for c in carrier:
                     for a in pool.atoms:
-                        candidate = BindTerm(a, c)
-                        mapped = BindTerm(a, h[c])
-                        if alpha_equal_bind(mapped, target, pool):
-                            canon = canonical_bind(candidate.atom, candidate.body, pool)
+                        if canonical_bind(a, h[c], pool) == want:
+                            canon = canonical_bind(a, c, pool)
                             if canon not in options:
                                 options.append(canon)
                 k_pools.append(options)
@@ -729,8 +881,7 @@ def _binding_diagonal_exists(f, k, carrier, h, y_elems, pool: AtomPool) -> bool:
             continue
         ok = True
         for x, target in f.items():
-            mapped = BindTerm(target.atom, d[target.body])
-            if not alpha_equal_bind(mapped, k[x], pool):
+            if canonical_bind(target.atom, d[target.body], pool) != canonical_bind(k[x].atom, k[x].body, pool):
                 ok = False
                 break
         if ok:

@@ -1,16 +1,21 @@
-"""Every top-level function, class and method in ``src/`` is used or documented.
+"""Every top-level function, class and method in ``src/`` is run by a verb or documented.
 
-A public name (no leading underscore) defined at the top level of a
-``coalgpath`` module must be referenced somewhere in ``src/`` outside its
-own definition, or be named in the "API no verb calls" column of that
-module's row in the README's library-layout table, before the colon
-that starts the reason it stays.  A private name must be referenced in
-``src/`` outside its own definition.  Code that only the tests call
-belongs in ``tests/`` (``oracles.py``, ``conftest.py``).
+A top-level definition is reached when ``cli.main`` names it, or names a
+definition whose body names it, and so on; the names in the "API no
+verb calls" column of the README's library-layout table (before the
+colon that starts the reason they stay) are followed the same way.
+Only bare names are followed, across modules by name as the package
+imports them, so a method call ``x.support()`` reaches no top-level
+``support``.  A module-level assignment is reached with a name it binds;
+any other module-level statement runs at import and is followed from
+the start.  A public name that is not reached and not listed, or a
+private name that is not reached, fails: code that only the tests call
+belongs in ``tests/`` (``oracles.py``, ``conftest.py``,
+``model_writers.py``), beside its callers.
 
-A method of a top-level class, other than a dunder, must be referenced
-in ``src/`` outside its own body, or be named in its module's API
-column, by the same rule.
+A method of a top-level class, other than a dunder, must be named in
+reached code outside its own body, as an attribute or a name, or be
+named in its module's API column.
 
 A defaulted parameter of a top-level function or of a method written in
 a top-level class must be passed, by keyword or by position, at some
@@ -65,12 +70,42 @@ def _readme_api() -> dict[str, set[str]]:
     return api
 
 
+def _reached(trees, api: dict[str, set[str]]) -> list[ast.stmt]:
+    """The top-level statements of ``src/`` that ``cli.main``, the listed
+    API names and the statements run at import reach by bare name."""
+    bound: dict[str, list[ast.stmt]] = {}
+    todo: list[ast.stmt] = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound.setdefault(stmt.name, []).append(stmt)
+                if (module, stmt.name) == ("cli", "main") or stmt.name in api.get(module, set()):
+                    todo.append(stmt)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            bound.setdefault(name.id, []).append(stmt)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                todo.append(stmt)
+    reached: dict[int, ast.stmt] = {}
+    while todo:
+        stmt = todo.pop()
+        if id(stmt) not in reached:
+            reached[id(stmt)] = stmt
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    todo.extend(bound.get(sub.id, []))
+    return list(reached.values())
+
+
 TREES = _trees()
 DEFINITIONS = _definitions(TREES, private=False)
 PRIVATE_DEFINITIONS = _definitions(TREES, private=True)
 README_API = _readme_api()
-# the names each top-level statement of src/ uses
-USES = [(stmt, _names_in(stmt)) for tree in TREES.values() for stmt in tree.body]
+REACHED = _reached(TREES, README_API)
+# the names each reached top-level statement of src/ uses
+USES = [(stmt, _names_in(stmt)) for stmt in REACHED]
 
 
 def test_readme_table_has_a_row_per_module():
@@ -79,17 +114,17 @@ def test_readme_table_has_a_row_per_module():
 
 @pytest.mark.parametrize("module, node", DEFINITIONS, ids=[f"{m}.{n.name}" for m, n in DEFINITIONS])
 def test_referenced_in_src_or_listed_as_api(module, node):
-    used = any(node.name in names for stmt, names in USES if stmt is not node)
-    assert used or node.name in README_API.get(module, set()), (
-        f"{module}.{node.name} is called from nowhere in src/ and not listed as API in README.md; "
+    assert any(stmt is node for stmt in REACHED), (
+        f"{module}.{node.name} is reached from no verb (cli.main) and no name listed as API in README.md; "
         "move it beside the tests or document it"
     )
 
 
 @pytest.mark.parametrize("module, node", PRIVATE_DEFINITIONS, ids=[f"{m}.{n.name}" for m, n in PRIVATE_DEFINITIONS])
 def test_private_referenced_in_src(module, node):
-    assert any(node.name in names for stmt, names in USES if stmt is not node), (
-        f"{module}.{node.name} is called from nowhere in src/; delete it or move it beside the tests"
+    assert any(stmt is node for stmt in REACHED), (
+        f"{module}.{node.name} is reached from no verb (cli.main) and no name listed as API in README.md; "
+        "delete it or move it beside the tests"
     )
 
 
@@ -116,7 +151,7 @@ def test_method_referenced_in_src_or_listed_as_api(module, cls, fn):
         fn.name in _names_in(member) for member in [*cls.decorator_list, *cls.bases, *cls.body] if member is not fn
     )
     assert used or fn.name in README_API.get(module, set()), (
-        f"{module}.{cls.name}.{fn.name} is called from nowhere in src/ outside its own body and not listed as "
+        f"{module}.{cls.name}.{fn.name} is named in no reached code outside its own body and not listed as "
         "API in README.md; move it beside the tests or document it"
     )
 

@@ -39,8 +39,6 @@ from coalgpath.functors import (
     eval_node,
     fmap,
     functor,
-    lts_functor,
-    lts_term,
     multisorted,
     node_has_pf,
     occurrences,
@@ -49,12 +47,20 @@ from coalgpath.functors import (
     subst_node,
     term_in_functor,
 )
-from coalgpath.groups import PermGroup, cyclic_group, group_elements, symmetric_group, trivial_group
+from coalgpath.groups import PermGroup, group_elements
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import HARNESS_FUNCTORS, MULTISORTED, SYSTEM_FUNCTORS, SYSTEM_IDS
+from conftest import (
+    HARNESS_FUNCTORS,
+    MULTISORTED,
+    SYSTEM_FUNCTORS,
+    SYSTEM_IDS,
+    cyclic_group,
+    lts_functor,
+    symmetric_group,
+)
 from oracles import literal_bfs
 
 
@@ -384,7 +390,7 @@ class TestTermMemo:
         f, g = lts_functor("ab"), lts_functor("ba")
         assert f is not g and f._memo is g._memo
         assert lts_functor("abc")._memo is not f._memo
-        t = lts_term("a", "p")
+        t = TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "p")))
         fmap(f, SortedFun.identity(SortedSet.single(["p"])), DEFAULT_SORT, t)
         assert g._memo.leaves[(DEFAULT_SORT, t)] == ((DEFAULT_SORT, "p"),)
 
@@ -405,8 +411,8 @@ class TestTermMemo:
         forget(f)
         node, x = f.node(DEFAULT_SORT), SortedSet.single(["p", "q"])
         whole, partial = SortedFun.identity(x), SortedFun(SortedSet.single(["q"]), x, {(DEFAULT_SORT, "q"): "q"})
-        kept = lts_term("a", "p")
-        misfits = [lts_term("c", "p"), TupleTerm((ConstElem("a"), ConstElem("p"))), Var(DEFAULT_SORT, "p")]
+        kept = TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "p")))
+        misfits = [TupleTerm((ConstElem("c"), Var(DEFAULT_SORT, "p"))), TupleTerm((ConstElem("a"), ConstElem("p"))), Var(DEFAULT_SORT, "p")]
         want_outside = raised(lambda: subst_node(node, kept, {(DEFAULT_SORT, "q"): Var(DEFAULT_SORT, "q")}))
         assert want_outside == "variable 'p' (sort '*') not in substitution"
         whole_sigma = {(DEFAULT_SORT, e): Var(DEFAULT_SORT, e) for e in "pq"}
@@ -472,7 +478,7 @@ class TestMemoLeakGuard:
 
 class TestGroupElements:
     def test_elements_kept_on_the_group_match_a_fresh_enumeration(self):
-        made = [maker(n) for n in range(7) for maker in (trivial_group, cyclic_group, symmetric_group)]
+        made = [maker(n) for n in range(7) for maker in (PermGroup, cyclic_group, symmetric_group)]
         made += [PermGroup(4, ((1, 0, 3, 2),)), PermGroup(4, ((0, 1, 3, 2),))]
         for g in made:
             # a group equal to g but built apart: nothing kept on it yet

@@ -303,7 +303,7 @@ class TestVerbs:
         ids=lambda argv: argv[0],
     )
     def test_negative_depth_exit_two(self, lts_file, tmp_path, argv):
-        from coalgpath.modelio import print_category
+        from model_writers import print_category
         from conftest import poset_category
 
         cat = tmp_path / "poset.cat"
@@ -345,7 +345,7 @@ class TestVerbs:
         assert text.splitlines()[-1] == "all passed (3 trials)"
 
     def test_lasota(self, tmp_path):
-        from coalgpath.modelio import print_category
+        from model_writers import print_category
         from conftest import poset_category
 
         path = tmp_path / "poset.cat"

@@ -3,19 +3,11 @@ import random
 
 import pytest
 
-from coalgpath.coalgebra import (
-    CoalgMorphism,
-    GenSpec,
-    PointedCoalgebra,
-    is_lax_hom,
-    is_strict_hom,
-    lts_coalgebra,
-    random_coalgebra,
-)
-from coalgpath.functors import AnSym, TupleTerm, eval_functor, fmap, functor, lts_functor
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom, random_coalgebra
+from coalgpath.functors import AnSym, TupleTerm, eval_functor, fmap, functor
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
 
-from conftest import linear_word_system, pair_sig, single, var, whyplus1_system
+from conftest import linear_word_system, lts_coalgebra, lts_functor, pair_sig, single, var, whyplus1_system
 from oracles import (
     all_functions,
     decompose_into_units,

@@ -25,7 +25,6 @@ from coalgpath.functors import (
     eval_functor,
     fmap,
     functor,
-    lts_functor,
     multisorted,
     occurrences,
     plus1,
@@ -34,21 +33,12 @@ from coalgpath.functors import (
     term_in_functor,
     word_separator,
 )
-from coalgpath.groups import (
-    GroupBoundError,
-    PermGroup,
-    canonical_tuple,
-    cyclic_group,
-    group_elements,
-    orbit_minima,
-    symmetric_group,
-    trivial_group,
-)
+from coalgpath.groups import GroupBoundError, PermGroup, canonical_tuple, group_elements, orbit_minima
 from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
-from conftest import pair_sig, single, var
+from conftest import cyclic_group, lts_functor, pair_sig, single, symmetric_group, var
 from oracles import compose_maps
 
 
@@ -57,7 +47,7 @@ class TestCanonicalTuple:
         assert canonical_tuple(symmetric_group(2), ("y", "x")) == ("x", "y")
 
     def test_trivial_group_keeps_order(self):
-        assert canonical_tuple(trivial_group(2), ("y", "x")) == ("y", "x")
+        assert canonical_tuple(PermGroup(2), ("y", "x")) == ("y", "x")
 
     def test_cyclic_orbit_minimum(self):
         # orbit of (b,a,c) under the 3-cycle has three elements; (a,c,b) is least
@@ -79,7 +69,7 @@ class TestCanonicalTuple:
 
 # every group up to arity 4 that the analytic symbols can carry, by kind
 SMALL_GROUPS = [
-    *[(f"trivial{n}", trivial_group(n)) for n in range(5)],
+    *[(f"trivial{n}", PermGroup(n)) for n in range(5)],
     *[(f"cyclic{n}", cyclic_group(n)) for n in range(2, 5)],
     *[(f"symmetric{n}", symmetric_group(n)) for n in range(5)],
     ("transposition3", PermGroup(3, ((1, 0, 2),))),
@@ -129,9 +119,9 @@ class TestGroupEquality:
 
     def test_distinct_groups_differ(self):
         assert cyclic_group(3) != symmetric_group(3)
-        assert trivial_group(2) != trivial_group(3)
+        assert PermGroup(2) != PermGroup(3)
         assert PermGroup(4, ((0, 1, 3, 2),)) != PermGroup(4, ((1, 0, 2, 3),))
-        assert trivial_group(1) != (1, ())
+        assert PermGroup(1) != (1, ())
 
 
 class TestEval:
@@ -177,7 +167,7 @@ class TestTermMembership:
 
     SIG = functor(Analytic((
         Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),
-        Symbol("leaf", (), trivial_group(0)),
+        Symbol("leaf", (), PermGroup(0)),
     )))
     X = single(["x", "y"])
 

@@ -6,7 +6,7 @@ from coalgpath.functors import Const, Coprod, Prod, SortRef, eval_functor, multi
 from coalgpath.lasota import (
     FiniteCategory,
     composable_sequences,
-    enumerate_lasota_paths,
+    _lasota_paths_by_length,
     lasota_functor,
     lasota_pointing,
     paths_bijection_check,
@@ -130,14 +130,14 @@ class TestPathsBijection:
 
     def test_paths_decode_to_sequences(self):
         cat = poset_category(2)
-        assert enumerate_lasota_paths(cat, 2) == composable_sequences(cat, 2)
+        assert _lasota_paths_by_length(cat, lasota_functor(cat), 2)[2] == composable_sequences(cat, 2)
 
     def test_level_of_two_elements_raises_coalg_error(self, monkeypatch):
         # chains whose first step maps two elements, as no Lasota pointing gives
         two = SortedSet.single(["x", "y"])
         monkeypatch.setattr(lasota, "precise_chains", lambda f, start, n: precise_chains(LTS_AB_PLUS1, two, n))
         with pytest.raises(CoalgError, match="lasota path level did not decode to one morphism"):
-            enumerate_lasota_paths(poset_category(2), 1)
+            _lasota_paths_by_length(poset_category(2), lasota_functor(poset_category(2)), 1)
 
     def test_precise_iff_characteristic_flag(self):
         report = paths_bijection_check(poset_category(2), 1)

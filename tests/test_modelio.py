@@ -26,13 +26,12 @@ from coalgpath.functors import (
     Var,
     bot_of_plus1,
     functor,
-    lts_functor,
     multisorted,
     plus1,
     step_of_plus1,
 )
 from coalgpath.lasota import validate_category
-from coalgpath.groups import trivial_group
+from coalgpath.groups import PermGroup
 from coalgpath.modelio import (
     ALIASES,
     MAX_NESTING,
@@ -44,24 +43,26 @@ from coalgpath.modelio import (
     parse_factor_problem,
     parse_functor_text,
     parse_map,
-    parse_model,
-    parse_path,
     parse_rnna,
     parse_term_text,
-    print_category,
-    print_model,
-    print_coalgebra,
-    print_functor_node,
-    print_path,
-    print_rnna,
     print_term_for,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, enumerate_runs, make_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
-from conftest import MULTISORTED, S3_PRESENTATIONS, poset_category, s3_model
+from conftest import MULTISORTED, S3_PRESENTATIONS, lts_functor, poset_category, s3_model
 from oracles import comp_as_word
+from model_writers import (
+    parse_model,
+    parse_path,
+    print_category,
+    print_coalgebra,
+    print_functor_node,
+    print_model,
+    print_path,
+    print_rnna,
+)
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -121,7 +122,7 @@ class TestFunctorGrammar:
         assert node == parse_functor_text("prod(coprod(const(c), id), const(a))")
 
     def test_analytic_with_mixed_slots_has_no_text(self):
-        node = Analytic((Symbol("p", (SortRef(), Const(("a",))), trivial_group(2)),))
+        node = Analytic((Symbol("p", (SortRef(), Const(("a",))), PermGroup(2)),))
         with pytest.raises(CoalgError):
             print_functor_node(node)
 
@@ -331,7 +332,7 @@ a : *
     def test_lasota_paths_roundtrip(self):
         from coalgpath.functors import plus1
         from coalgpath.lasota import lasota_functor, lasota_pointing
-        from coalgpath.modelio import parse_model, print_model
+        from model_writers import parse_model, print_model
         from coalgpath.paths import make_path
         from coalgpath.precise import enumerate_precise_maps
 
@@ -476,7 +477,7 @@ class TestModelDispatch:
     def test_parse_model_detects_all_kinds(self):
         from coalgpath.coalgebra import PointedCoalgebra
         from coalgpath.lasota import FiniteCategory
-        from coalgpath.modelio import parse_model, print_model
+        from model_writers import parse_model, print_model
         from coalgpath.paths import PathObj
 
         lts = parse_model(LTS_TEXT)
@@ -491,7 +492,7 @@ class TestModelDispatch:
         assert isinstance(rnna, RnnaPresentation)
 
     def test_print_model_roundtrips_each_kind(self):
-        from coalgpath.modelio import parse_model, print_model
+        from model_writers import parse_model, print_model
 
         for text in (
             LTS_TEXT,
@@ -507,7 +508,7 @@ class TestModelDispatch:
 
 class TestGroupPresentations:
     def test_two_presentations_parse_equal_and_print_their_own(self):
-        from coalgpath.modelio import parse_model, print_model
+        from model_writers import parse_model, print_model
 
         texts = [s3_model(gens) for gens in S3_PRESENTATIONS]
         systems = [parse_model(text) for text in texts]
@@ -520,7 +521,8 @@ class TestGroupPresentations:
 
 class TestGeneratedNameRoundtrips:
     def test_fig2_factorization_output_roundtrips(self):
-        from coalgpath.modelio import FactorProblem, print_factor_problem
+        from coalgpath.modelio import FactorProblem
+        from model_writers import print_factor_problem
         from coalgpath.precise import precise_factorize
 
         text = (
@@ -537,7 +539,7 @@ class TestGeneratedNameRoundtrips:
         assert print_factor_problem(reparsed) == printed
 
     def test_powerset_factor_problem_roundtrips(self):
-        from coalgpath.modelio import parse_model, print_model
+        from model_writers import parse_model, print_model
 
         # the printer's set body, empty and with two members in sorted order
         text = (
@@ -616,7 +618,7 @@ class TestQuotedNames:
     def test_sort_and_symbol_names_print_quoted_when_bare_text_cannot_carry_them(self):
         assert print_functor_node(SortRef("p q")) == 'sort("p q")'
         assert parse_functor_text('sort("p q")') == SortRef("p q")
-        node = Analytic((Symbol("a b", (SortRef(),), trivial_group(1)), Symbol(",", (), trivial_group(0))))
+        node = Analytic((Symbol("a b", (SortRef(),), PermGroup(1)), Symbol(",", (), PermGroup(0))))
         assert print_functor_node(node) == 'analytic{ "a b"/1 ; ","/0 }'
         assert parse_functor_text(print_functor_node(node)) == node
         f = functor(node)
@@ -874,7 +876,7 @@ class TestPrintedNamesReadBack:
     def test_symbol_names(self, symbols, data):
         # analytic{ s/1 ; t/0 }: each state x -> s(y) and x -> t
         s, t = symbols
-        f = functor(Analytic((Symbol(s, (SortRef(),), trivial_group(1)), Symbol(t, (), trivial_group(0)))))
+        f = functor(Analytic((Symbol(s, (SortRef(),), PermGroup(1)), Symbol(t, (), PermGroup(0)))))
         carrier = _sorted_names(data, (DEFAULT_SORT,))
         names = carrier.elems(DEFAULT_SORT)
         xi = {
@@ -975,7 +977,7 @@ r0 -> y
 class TestFig3PathFile:
     def test_prints_parses_and_validates(self):
         from test_paths import fig3_path
-        from coalgpath.modelio import parse_model, print_path
+        from model_writers import parse_model, print_path
         from coalgpath.paths import comp, validate_path
 
         p = fig3_path()

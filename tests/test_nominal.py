@@ -11,31 +11,34 @@ from coalgpath.nominal import (
     AtomPool,
     BarString,
     BindTerm,
-    FreshPair,
     NomElem,
     Perm,
     PoolError,
     RnnaPresentation,
     RnnaRule,
-    all_perms,
     alpha_canonical,
-    apply_perm,
-    bar,
     bar_trace,
-    binding_factorize,
     canonical_bind,
-    extend_equivariant,
-    free,
     parse_state_name,
-    perm_state,
-    perm_term,
     rnna_expand,
     state_name,
-    support,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
 
-from oracles import binding_precise_oracle, binding_roundtrip_ok, decode_bar_term, table_bar_trace
+from oracles import (
+    FreshPair,
+    all_perms,
+    apply_perm,
+    binding_factorize,
+    binding_precise_oracle,
+    binding_roundtrip_ok,
+    decode_bar_term,
+    extend_equivariant,
+    perm_state,
+    perm_term,
+    support,
+    table_bar_trace,
+)
 
 CHECK = chr(0x2713)
 
@@ -56,14 +59,14 @@ def tokens(pool_size=3, max_len=4):
 
 class TestSupport:
     def test_two_free_atoms(self):
-        assert support(BarString((free("a1"), free("a2")))) == {"a1", "a2"}
+        assert support(BarString((("free", "a1"), ("free", "a2")))) == {"a1", "a2"}
 
     def test_bound_atom_removed(self):
-        assert support(BarString((bar("a1"), free("a1")))) == set()
+        assert support(BarString((("bar", "a1"), ("free", "a1")))) == set()
 
     def test_binder_scopes_to_the_right(self):
-        assert support(BarString((bar("a1"), free("a2")))) == {"a2"}
-        assert support(BarString((free("a1"), bar("a1")))) == {"a1"}
+        assert support(BarString((("bar", "a1"), ("free", "a2")))) == {"a2"}
+        assert support(BarString((("free", "a1"), ("bar", "a1")))) == {"a1"}
 
     @given(tokens())
     @settings(max_examples=60, deadline=None)
@@ -75,15 +78,15 @@ class TestSupport:
 
 class TestPermAction:
     def test_identity(self):
-        w = BarString((bar("a1"), free("a2")))
+        w = BarString((("bar", "a1"), ("free", "a2")))
         assert apply_perm(Perm.identity(), w) == w
 
     def test_free_atom_renamed(self):
-        w = BarString((free("a1"),))
-        assert apply_perm(Perm.swap("a1", "a2"), w) == BarString((free("a2"),))
+        w = BarString((("free", "a1"),))
+        assert apply_perm(Perm.swap("a1", "a2"), w) == BarString((("free", "a2"),))
 
     def test_swap_preserves_alpha_class_of_closed_word(self):
-        w = BarString((bar("a1"), free("a1")))
+        w = BarString((("bar", "a1"), ("free", "a1")))
         assert alpha_canonical(apply_perm(Perm.swap("a1", "a2"), w)) == alpha_canonical(w)
 
     @given(tokens())
@@ -101,27 +104,27 @@ class TestPermAction:
 
 class TestAlphaCanonical:
     def test_renamed_binder_identified(self):
-        assert alpha_canonical(BarString((bar("a1"), free("a1")))) == alpha_canonical(
-            BarString((bar("a2"), free("a2")))
+        assert alpha_canonical(BarString((("bar", "a1"), ("free", "a1")))) == alpha_canonical(
+            BarString((("bar", "a2"), ("free", "a2")))
         )
 
     def test_binder_order_distinguishes(self):
-        u = alpha_canonical(BarString((bar("a1"), bar("a2"), free("a1"), free("a2"))))
-        v = alpha_canonical(BarString((bar("a1"), bar("a2"), free("a2"), free("a1"))))
+        u = alpha_canonical(BarString((("bar", "a1"), ("bar", "a2"), ("free", "a1"), ("free", "a2"))))
+        v = alpha_canonical(BarString((("bar", "a1"), ("bar", "a2"), ("free", "a2"), ("free", "a1"))))
         assert u != v
 
     def test_mixed_free_and_bound(self):
         # a |c b c: a and b stay free, c is bound
-        w = BarString((free("a1"), bar("a3"), free("a2"), free("a3")))
+        w = BarString((("free", "a1"), ("bar", "a3"), ("free", "a2"), ("free", "a3")))
         assert alpha_canonical(w) == (("free", "a1"), ("bar",), ("free", "a2"), ("ref", 1))
 
     def test_shadowing_inner_binder_wins(self):
-        w = BarString((bar("a1"), bar("a1"), free("a1")))
+        w = BarString((("bar", "a1"), ("bar", "a1"), ("free", "a1")))
         assert alpha_canonical(w) == (("bar",), ("bar",), ("ref", 1))
 
     def test_context_closure(self):
-        w = BarString((free("a1"),), context=("a1",))
-        v = BarString((free("a2"),), context=("a2",))
+        w = BarString((("free", "a1"),), context=("a1",))
+        v = BarString((("free", "a2"),), context=("a2",))
         assert alpha_canonical(w) == alpha_canonical(v) == (("bar",), ("ref", 1))
 
     @given(tokens())
@@ -138,7 +141,7 @@ class TestAlphaCanonical:
             assert alpha_canonical(moved) == expected
 
     def test_terminals_preserved(self):
-        w = BarString((bar("a1"), free("a1")), terminal=CHECK)
+        w = BarString((("bar", "a1"), ("free", "a1")), terminal=CHECK)
         assert alpha_canonical(w)[-1] == ("ok",)
         v = BarString((), terminal="cut")
         assert alpha_canonical(v) == (("cut",),)
@@ -429,13 +432,13 @@ def presentation_trace_oracle(r: RnnaPresentation, pool: AtomPool, depth: int) -
             elif rule.kind == "read":
                 letter = regs[rule.register - 1]
                 nxt = tuple(regs[j - 1] for j in rule.sigma)
-                explore(rule.target, nxt, toks + [free(letter)], remaining - 1, context)
+                explore(rule.target, nxt, toks + [("free", letter)], remaining - 1, context)
             else:
                 for a in pool.atoms:
                     if a in regs:
                         continue
                     nxt = tuple(a if j == 0 else regs[j - 1] for j in rule.sigma)
-                    explore(rule.target, nxt, toks + [bar(a)], remaining - 1, context)
+                    explore(rule.target, nxt, toks + [("bar", a)], remaining - 1, context)
 
     for context in itertools.permutations(pool.atoms, r.context_arity):
         explore(r.init, context, [], depth, context)

@@ -6,17 +6,10 @@ from collections import Counter
 import pytest
 
 from coalgpath import openmap
-from coalgpath.coalgebra import (
-    CoalgMorphism,
-    GenSpec,
-    is_lax_hom,
-    is_strict_hom,
-    lts_coalgebra,
-    random_coalgebra,
-)
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
-    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, format_name, functor, lts_functor, occurrences,
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, format_name, functor, occurrences,
     plus1, subst_node,
 )
 from coalgpath.modelio import parse_functor_text
@@ -39,7 +32,16 @@ from coalgpath.paths import Run, enumerate_runs, is_run, make_path, validate_pat
 from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
-from conftest import SYSTEM_FUNCTORS, SYSTEM_IDS, drop_last_bfs_level, linear_word_system, single, whyplus1_system
+from conftest import (
+    SYSTEM_FUNCTORS,
+    SYSTEM_IDS,
+    drop_last_bfs_level,
+    linear_word_system,
+    lts_coalgebra,
+    lts_functor,
+    single,
+    whyplus1_system,
+)
 from oracles import all_functions, factorized_runs, run_image
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))

@@ -27,7 +27,7 @@ from coalgpath.functors import (
     strip_plus1,
     subst_node,
 )
-from coalgpath.groups import symmetric_group, trivial_group
+from coalgpath.groups import PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text, print_term_for
 from coalgpath.precise import TermMap, precise_chains
 from coalgpath.paths import (
@@ -51,7 +51,7 @@ from coalgpath.paths import (
 )
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortError, SortedSet
 
-from conftest import linear_word_system, single, trace_pairs, var, whyplus1_system
+from conftest import linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
 from oracles import (
     brute_path_morphisms,
     comp_as_word,
@@ -69,9 +69,9 @@ BOT = chr(0x22A5)
 def fig3_functor():
     sig = Analytic(
         (
-            Symbol("b", (SortRef(), SortRef()), trivial_group(2)),
-            Symbol("c", (), trivial_group(0)),
-            Symbol("u", (SortRef(),), trivial_group(1)),
+            Symbol("b", (SortRef(), SortRef()), PermGroup(2)),
+            Symbol("c", (), PermGroup(0)),
+            Symbol("u", (SortRef(),), PermGroup(1)),
         )
     )
     return functor(sig)
@@ -84,7 +84,7 @@ def an(name, *args):
 def _ansym(name, args):
     from coalgpath.functors import ansym
 
-    return ansym(trivial_group(len(args)), name, tuple(args))
+    return ansym(PermGroup(len(args)), name, tuple(args))
 
 
 def fig3_path() -> PathObj:
@@ -455,7 +455,7 @@ ORACLE_SYSTEMS = [
         "sym-tree",
         functor(Analytic((
             Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),
-            Symbol("leaf", (), trivial_group(0)),
+            Symbol("leaf", (), PermGroup(0)),
         ))),
         {DEFAULT_SORT: 3},
         3,

@@ -25,7 +25,6 @@ from coalgpath.lasota import lasota_functor, lasota_pointing
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.precise import (
     TermMap,
-    bag_abstraction,
     element_shapes,
     enumerate_precise_maps,
     is_precise,
@@ -47,7 +46,14 @@ from conftest import (
     term_map,
     var,
 )
-from oracles import factorization_commutes, fresh_precise_maps, frontier_chains, is_bijective, is_precise_oracle
+from oracles import (
+    bag_abstraction,
+    factorization_commutes,
+    fresh_precise_maps,
+    frontier_chains,
+    is_bijective,
+    is_precise_oracle,
+)
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
@@ -201,7 +207,7 @@ def _factorizations_isomorphic(f, fac1, fac2) -> bool:
 class TestBagAbstraction:
     def test_multiset_of_occurrences(self):
         from coalgpath.functors import ansym
-        from coalgpath.groups import symmetric_group
+        from conftest import symmetric_group
 
         f_expr = functor(plus1_node(_bare_pair()))
         t = ansym(symmetric_group(2), "pair", (var("x"), var("y")))
@@ -251,13 +257,13 @@ class TestEnumeratePreciseMaps:
 
     def test_fig3_layer_shapes(self):
         from coalgpath.functors import Analytic, Symbol
-        from coalgpath.groups import trivial_group
+        from coalgpath.groups import PermGroup
 
         sig = Analytic(
             (
-                Symbol("b", (SortRef(), SortRef()), trivial_group(2)),
-                Symbol("c", (), trivial_group(0)),
-                Symbol("u", (SortRef(),), trivial_group(1)),
+                Symbol("b", (SortRef(), SortRef()), PermGroup(2)),
+                Symbol("c", (), PermGroup(0)),
+                Symbol("u", (SortRef(),), PermGroup(1)),
             )
         )
         f_expr = functor(plus1_node(sig))

@@ -40,13 +40,13 @@ from coalgpath.functors import (
     plus1,
     print_term,
 )
-from coalgpath.groups import symmetric_group
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
 from coalgpath.trace import trace
 
 from oracles import legacy_term_key, recursive_print_term
+from conftest import symmetric_group
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 

@@ -2,14 +2,7 @@ import random
 
 import pytest
 
-from coalgpath.coalgebra import (
-    CoalgMorphism,
-    GenSpec,
-    PointedCoalgebra,
-    is_lax_hom,
-    lts_coalgebra,
-    random_coalgebra,
-)
+from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, random_coalgebra
 from coalgpath.functors import (
     Analytic,
     Const,
@@ -22,19 +15,27 @@ from coalgpath.functors import (
     TupleTerm,
     Var,
     functor,
-    lts_functor,
     multisorted,
     strip_plus1,
 )
-from coalgpath.groups import orbit_minima, symmetric_group, trivial_group
+from coalgpath.groups import orbit_minima, PermGroup
 from coalgpath.modelio import parse_functor_text
 from coalgpath.openmap import reachable_bfs
 from coalgpath.paths import comp, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
 from coalgpath import trace as trace_module
-from coalgpath.trace import lts_language, trace, trace_equiv, tree_partial_runs, word_traces
+from coalgpath.trace import lts_language, trace, trace_equiv, word_traces
 
-from conftest import linear_word_system, single, trace_pairs, var
+from conftest import (
+    linear_word_system,
+    lts_coalgebra,
+    lts_functor,
+    single,
+    symmetric_group,
+    trace_pairs,
+    tree_partial_runs,
+    var,
+)
 from oracles import decoded_word_traces, eager_state_traces, prefix_closed, trace_words
 
 CHECK = chr(0x2713)
@@ -408,7 +409,7 @@ class TestTreePartialRuns:
         sig = Analytic(
             (
                 Symbol("b", (SortRef(), SortRef()), group),
-                Symbol("c", (), trivial_group(0)),
+                Symbol("c", (), PermGroup(0)),
             )
         )
         f = functor(sig)
@@ -423,13 +424,13 @@ class TestTreePartialRuns:
             {
                 (DEFAULT_SORT, "q"): (
                     ansym(group, "b", (var("q"), var("q"))),
-                    ansym(trivial_group(0), "c", ()),
+                    ansym(PermGroup(0), "c", ()),
                 ),
             },
         )
 
     def test_depth_two_partial_runs(self):
-        c = self._automaton(trivial_group(2))
+        c = self._automaton(PermGroup(2))
         runs = tree_partial_runs(c, 2)
         assert "b(•, •)" in runs
         assert "b(c, c)" in runs
@@ -442,7 +443,7 @@ class TestTreePartialRuns:
         assert "b(•, c)" not in runs
 
     def test_no_rules(self):
-        sig = Analytic((Symbol("c", (), trivial_group(0)),))
+        sig = Analytic((Symbol("c", (), PermGroup(0)),))
         c = PointedCoalgebra(
             functor(sig), single(["*"]), single(["q"]), {(DEFAULT_SORT, "*"): "q"}, {(DEFAULT_SORT, "q"): ()}
         )
