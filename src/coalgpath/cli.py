@@ -145,23 +145,28 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             elems = " ".join(map(name, fac.codomain.elems(s)))
             out.append(f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
         out.append("[precise-map]")
+        dom = _state_names(problem.domain)
         for (s, x) in problem.domain.pairs():
-            out.append(f"{name(x)} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
+            out.append(f"{dom[s, x]} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
         out.append("[connecting]")
+        cod = _state_names(problem.codomain)
         for (s, y) in fac.codomain.pairs():
-            out.append(f"{name(y)} -> {name(fac.connect(s, y))}")
+            out.append(f"{name(y)} -> {cod[s, fac.connect(s, y)]}")
         return 0
 
     if args.verb == "paths":
         system = parse_coalgebra(_read(args.file))
         fp1 = plus1(system.functor)
         texts: dict = {}  # steps share their term objects: each prints once for the call
+        # only level 0, the pointing, can hold a name in two sorts
+        point = _state_names(system.pointing)
         # the first chain is the empty one, so count is always bound
         for count, chain in enumerate(precise_chains(fp1, system.pointing, args.depth)):
             out.append(f"path {count}: length {len(chain)}")
             for k, step in enumerate(chain):
                 for s, e in step.dom.pairs():
-                    out.append(f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e), texts)}")
+                    elem = point[s, e] if k == 0 else name(e)
+                    out.append(f"  {k} : {elem} -> {print_term_for(fp1, s, step(s, e), texts)}")
         out.append(f"{count + 1} paths")
         return 0
 
@@ -170,6 +175,8 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         fp1 = plus1(system.functor)
         as_words = comps_are_words(system.functor, system.pointing)
         state = _state_names(system.carrier)
+        # only level 0, the pointing, can hold a name in two sorts
+        point = _state_names(system.pointing)
         sep = word_separator(system.functor, _aliases(args))
         # runs come depth first, each extending the last run one level
         # shorter: states[k] holds the k:e->x states of levels 0..k of the
@@ -196,7 +203,9 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             kept = own_text.get((n, id(x_n)))
             if kept is None:
                 level = path.levels[n]
-                kept = x_n, " ".join(f"{n}:{name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs())
+                kept = x_n, " ".join(
+                    f"{n}:{point[s, e] if n == 0 else name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs()
+                )
                 if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
                     own_text[(n, id(x_n))] = kept
             own = kept[1]

@@ -40,7 +40,7 @@ from .functors import (
     term_in_functor,
     word_shape,
 )
-from .precise import TermMap, is_precise, precise_factorize
+from .precise import TermMap, element_labels, is_precise, precise_factorize
 from .sets import CoalgError, SortedFun, SortedSet
 
 
@@ -390,7 +390,8 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     in the chosen terms becomes a fresh next-level element, as in
     precise factorization.  The occurrences are ordered as the
     factorization's codomain orders its ``(x;path)`` names (sort first,
-    then the string order of the name), numbered ``n000``, ``n001``, ...
+    then the string order of the name, x labelled by
+    ``precise.element_labels``), numbered ``n000``, ``n001``, ...
     in that order, and each chosen term is rebuilt once over those names.
     Level-wise-bijective duplicates never arise because distinct choices
     induce distinct labelled levels.
@@ -412,9 +413,6 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     bot = bot_of_plus1()
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
     sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}
-    # two level-0 elements of one name in different sorts may claim the
-    # same position name; the factorization's codomain then rejects it
-    names_clash = len({e for _s, e in c.pointing.pairs()}) != c.pointing.size()
     options_of: dict[tuple[str, str], list[tuple | None]] = {}
 
     def options(state: tuple[str, str]) -> list[tuple | None]:
@@ -433,22 +431,21 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
             ]
         return opts
 
-    def children(current: SortedSet, states: tuple, check_names: bool) -> Iterator[tuple]:
+    def children(current: SortedSet, states: tuple) -> Iterator[tuple]:
         """The next level, step and next run component of each extension
         of a level ``current`` whose elements sit at ``states``."""
         keys = list(current.pairs())
+        labels = element_labels(current)
         space_sorts = c.pointing.sorts
         for combo in itertools.product(*[options(state) for state in states]):
             # one (rank, position name, sort, target) per occurrence; the
             # choice under Inj(0, .) puts 0 at the head of every path
             occ = [
                 (rank, f"({e};0{suffix})", vs, target)
-                for (_s, e), choice in zip(keys, combo)
+                for e, choice in zip(labels, combo)
                 if choice is not None
                 for rank, vs, target, suffix in choice[1]
             ]
-            if check_names:
-                SortedSet.make({s: [o[1] for o in occ if o[2] == s] for s in c.carrier.sorts}, c.carrier.sorts)
             fresh: list[str] = [""] * len(occ)
             per_sort: dict[str, list[str]] = {s: [] for s in space_sorts}
             x_table: dict[tuple[str, str], str] = {}
@@ -483,11 +480,11 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
         x_k = run.components[-1]
         states = tuple([(s, x_k(s, e)) for s, e in current.pairs()])
         if len(states) > 1:
-            found = children(current, states, names_clash and path.length == 0)
+            found = children(current, states)
         else:
             found = built.get((current, states))
             if found is None:
-                found = built[(current, states)] = list(children(current, states, False))
+                found = built[(current, states)] = list(children(current, states))
         for next_level, step, x_next in found:
             longer = PathObj(c.functor, c.pointing, path.levels + (next_level,), path.steps + (step,))
             yield longer, Run(longer, c, run.components + (x_next,))

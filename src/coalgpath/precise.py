@@ -8,7 +8,8 @@ and a brute-force oracle over small sets guards that claim in the tests.
 
 Factorization rewrites an arbitrary ``f`` as ``F(h) . f'`` with ``f'``
 precise by giving every variable occurrence its own fresh codomain
-element, named ``(x;path)`` after the occurrence position.
+element, named ``(x;path)`` after the occurrence position (x written
+``sort.name`` when the domain has that name in two sorts).
 """
 
 from __future__ import annotations
@@ -109,22 +110,35 @@ def position_name(elem: str, path: tuple[int, ...]) -> str:
     return f"({elem};{'.'.join(str(i) for i in path)})"
 
 
+def element_labels(x: SortedSet) -> list[str]:
+    """Each element of ``x``, in pair order, by its name, or as
+    ``sort.name`` when the name lies in two or more sorts, as the model
+    files qualify it."""
+    names = [e for _s, e in x.pairs()]
+    if len(set(names)) == len(names):
+        return names
+    counts = Counter(names)
+    return [f"{s}.{e}" if counts[e] > 1 else e for s, e in x.pairs()]
+
+
 def precise_factorize(f: TermMap) -> Factorization:
     """Split ``f`` into a precise part and a connecting map.
 
     Every occurrence of a codomain variable becomes its own fresh
-    element ``(x;path)``; unused elements of Y simply do not appear.
+    element ``(x;path)``, where x is the domain element's label from
+    :func:`element_labels`; unused elements of Y simply do not appear.
     """
     if f.functor.has_pf:
         raise PowersetNodeError("cannot factorize through powerset nodes")
     y = f.cod
+    label = dict(zip(f.dom.pairs(), element_labels(f.dom)))
     fresh_elems: dict[str, list[str]] = {s: [] for s in y.sorts}
     connect_table: dict[tuple[str, str], str] = {}
     new_terms: dict[tuple[str, str], Term] = {}
     for (sort, x), term in sorted(f.table.items()):
         node = f.functor.node(sort)
 
-        def fresh(var: Var, path: tuple[int, ...], _x=x) -> Var:
+        def fresh(var: Var, path: tuple[int, ...], _x=label[sort, x]) -> Var:
             name = position_name(_x, path)
             fresh_elems[var.sort].append(name)
             connect_table[(var.sort, name)] = var.name

@@ -105,6 +105,13 @@ CASES = [
     # sort.name, as [init] and [trans] do, in the order of name, then sort
     ("sharednames-reach", ["reach", "sharednames.model"], 0),
     ("sharednames-runs", ["runs", "sharednames.model", "--depth", "2"], 0),
+    # points named p in both sorts whose terms put a variable of sort a
+    # at one position: each position is named after its point's sort,
+    # (a.p;0.1) beside (b.p;0.1), and runs, paths and precise-factor
+    # write each point as sort.name
+    ("sharedpoints-runs", ["runs", "sharedpoints.model", "--depth", "2"], 0),
+    ("sharedpoints-paths", ["paths", "sharedpoints.model", "--depth", "1"], 0),
+    ("sharedpoints-factor", ["precise-factor", "sharedpoints.factor"], 0),
 ]
 
 

@@ -49,7 +49,7 @@ from coalgpath.paths import (
     step_letter,
     validate_path,
 )
-from coalgpath.sets import DEFAULT_SORT, SortedFun, SortError, SortedSet
+from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
 from conftest import linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
 from oracles import (
@@ -522,18 +522,18 @@ class TestRunLevelsAgainstFactorization:
         assert p.steps[0](DEFAULT_SORT, "*") == step_of_plus1(TupleTerm(tuple(var(n) for n in names)))
         assert [r.components[1](DEFAULT_SORT, n) for n in names] == [f"s{i % 2}" for i in range(11)]
 
-    def test_clashing_position_names_rejected_alike(self):
+    def test_shared_point_names_enumerate_alike(self):
         # level-0 elements named p in both sorts both put a variable of
-        # sort a at position 0.0: the factorization's codomain rejects it
+        # sort a at position 0.0: each position is named after its
+        # element's sort, (a.p;0.0) and (b.p;0.0), so both enumerations
+        # succeed and agree
         f = multisorted(("a", "b"), {"a": Prod((SortRef("a"), SortRef("b"))), "b": Prod((SortRef("a"), SortRef("a")))})
         pointing = SortedSet.make({"a": ["p"], "b": ["p"]}, ("a", "b"))
         c = random_coalgebra(GenSpec(f, {"a": 1, "b": 1}, 1.0, 0, pointing))
-        errors = []
-        for runs in (enumerate_runs(c, 1), factorized_runs(c, 1)):
-            with pytest.raises(SortError) as info:
-                list(runs)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        got = [(p.levels, p.steps, r.components) for p, r in enumerate_runs(c, 2)]
+        want = [(p.levels, p.steps, r.components) for p, r in factorized_runs(c, 2)]
+        assert got == want
+        assert len(got) > 1
 
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
