@@ -60,7 +60,7 @@ from .functors import (
 )
 from .groups import PermGroup
 from .lasota import FiniteCategory
-from .nominal import RnnaPresentation, RnnaRule
+from .nominal import RnnaPresentation, RnnaRule, check_rule
 from .precise import TermMap
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
@@ -721,23 +721,27 @@ def parse_rnna(text: str) -> RnnaPresentation:
             if m.group(1) in states:
                 raise ModelParseError(f"duplicate state {m.group(1)!r}", lineno)
             states[m.group(1)] = _parse_int(m.group(2), lineno)
-    init = " ".join(line for _n, line in _section(sections, "init")).strip()
+    init_lines = _section(sections, "init")
+    init = " ".join(line for _n, line in init_lines).strip()
+    if init not in states:
+        raise ModelParseError(f"unknown initial control state {init!r}", init_lines[0][0] if init_lines else None)
     rules: list[RnnaRule] = []
     for lineno, line in sections.get("rules", []):
         m = re.fullmatch(r"(\S+)\s*->\s*ok", line)
         if m:
-            rules.append(RnnaRule("ok", m.group(1)))
-            continue
-        m = re.fullmatch(r"(\S+)\s*->\s*bar\s+(\S+)\s*\[([^\]]*)\]", line)
-        if m:
+            rule = RnnaRule("ok", m.group(1))
+        elif m := re.fullmatch(r"(\S+)\s*->\s*bar\s+(\S+)\s*\[([^\]]*)\]", line):
             sigma = tuple(_parse_int(x, lineno) for x in m.group(3).split())
-            rules.append(RnnaRule("bind", m.group(1), m.group(2), sigma=sigma))
-            continue
-        m = re.fullmatch(r"(\S+)\s*->\s*reg\((\d+)\)\s+(\S+)\s*\[([^\]]*)\]", line)
-        if m:
+            rule = RnnaRule("bind", m.group(1), m.group(2), sigma=sigma)
+        elif m := re.fullmatch(r"(\S+)\s*->\s*reg\((\d+)\)\s+(\S+)\s*\[([^\]]*)\]", line):
             sigma = tuple(_parse_int(x, lineno) for x in m.group(4).split())
             register = _parse_int(m.group(2), lineno)
-            rules.append(RnnaRule("read", m.group(1), m.group(3), register=register, sigma=sigma))
-            continue
-        raise ModelParseError("unrecognized rule", lineno)
+            rule = RnnaRule("read", m.group(1), m.group(3), register=register, sigma=sigma)
+        else:
+            raise ModelParseError("unrecognized rule", lineno)
+        try:
+            check_rule(rule, states)
+        except CoalgError as exc:
+            raise ModelParseError(str(exc), lineno) from None
+        rules.append(rule)
     return RnnaPresentation(states, init, tuple(rules))

@@ -208,6 +208,44 @@ class RnnaRule:
     register: int | None = None       # read: 1-based source register
     sigma: tuple[int, ...] = ()       # target registers from source registers; 0 = fresh atom
 
+    def __str__(self) -> str:
+        """The rule as a ``[rules]`` line writes it."""
+        if self.kind == "ok":
+            return f"{self.src} -> ok"
+        sigma = " ".join(str(j) for j in self.sigma)
+        if self.kind == "bind":
+            return f"{self.src} -> bar {self.target} [{sigma}]"
+        return f"{self.src} -> reg({self.register}) {self.target} [{sigma}]"
+
+
+def check_rule(rule: RnnaRule, states: dict[str, int]) -> None:
+    """Refuse a rule that no register-tuple expansion over ``states``
+    (control state to register count) can carry, naming it as the file
+    writes it."""
+    if rule.src not in states:
+        raise CoalgError(f"rule source {rule.src!r} unknown in rule {rule}")
+    arity = states[rule.src]
+    if rule.kind == "ok":
+        return
+    if rule.target not in states:
+        raise CoalgError(f"rule target {rule.target!r} unknown in rule {rule}")
+    if len(rule.sigma) != states[rule.target]:
+        raise CoalgError(f"reassignment arity mismatch in rule {rule}")
+    fresh_slots = [j for j in rule.sigma if j == 0]
+    if rule.kind == "read":
+        if rule.register is None or not 1 <= rule.register <= arity:
+            raise CoalgError(f"read register out of range in rule {rule}")
+        if fresh_slots:
+            raise CoalgError(f"read rules cannot place a fresh atom in rule {rule}")
+    if rule.kind == "bind" and len(fresh_slots) > 1:
+        raise CoalgError(f"bind rules place the fresh atom in at most one slot in rule {rule}")
+    non_fresh = [j for j in rule.sigma if j != 0]
+    if len(set(non_fresh)) != len(non_fresh):
+        raise CoalgError(f"register tuples must stay injective in rule {rule}")
+    for j in non_fresh:
+        if not 1 <= j <= arity:
+            raise CoalgError(f"reassignment source {j} out of range in rule {rule}")
+
 
 @dataclass
 class RnnaPresentation:
@@ -226,30 +264,7 @@ class RnnaPresentation:
         if self.init not in self.states:
             raise CoalgError(f"unknown initial control state {self.init!r}")
         for rule in self.rules:
-            if rule.src not in self.states:
-                raise CoalgError(f"rule source {rule.src!r} unknown")
-            arity = self.states[rule.src]
-            if rule.kind == "ok":
-                continue
-            if rule.target not in self.states:
-                raise CoalgError(f"rule target {rule.target!r} unknown")
-            target_arity = self.states[rule.target]
-            if len(rule.sigma) != target_arity:
-                raise CoalgError(f"reassignment arity mismatch in rule {rule}")
-            fresh_slots = [j for j in rule.sigma if j == 0]
-            if rule.kind == "read":
-                if rule.register is None or not 1 <= rule.register <= arity:
-                    raise CoalgError(f"read register out of range in rule {rule}")
-                if fresh_slots:
-                    raise CoalgError("read rules cannot place a fresh atom")
-            if rule.kind == "bind" and len(fresh_slots) > 1:
-                raise CoalgError("bind rules place the fresh atom in at most one slot")
-            non_fresh = [j for j in rule.sigma if j != 0]
-            if len(set(non_fresh)) != len(non_fresh):
-                raise CoalgError(f"register tuples must stay injective in rule {rule}")
-            for j in non_fresh:
-                if not 1 <= j <= arity:
-                    raise CoalgError(f"reassignment source {j} out of range in rule {rule}")
+            check_rule(rule, self.states)
 
 
 def state_name(q: str, regs: tuple[str, ...]) -> str:

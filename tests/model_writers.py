@@ -209,14 +209,7 @@ def print_category(cat: FiniteCategory) -> str:
 
 def print_rnna(r: RnnaPresentation) -> str:
     lines = ["[states]", " ".join(f"{q}/{n}" for q, n in sorted(r.states.items())), "", "[init]", r.init, "", "[rules]"]
-    for rule in r.rules:
-        sigma = " ".join(str(j) for j in rule.sigma)
-        if rule.kind == "ok":
-            lines.append(f"{rule.src} -> ok")
-        elif rule.kind == "bind":
-            lines.append(f"{rule.src} -> bar {rule.target} [{sigma}]")
-        else:
-            lines.append(f"{rule.src} -> reg({rule.register}) {rule.target} [{sigma}]")
+    lines.extend(map(str, r.rules))
     return "\n".join(lines) + "\n"
 
 

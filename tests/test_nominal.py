@@ -326,6 +326,41 @@ class TestRnnaExpand:
         assert printed["q(x"] == printed["qx"] == ("states: 3\ntransitions: 3\n|. •\n|. ✓\n•\n", 0)
 
 
+class TestRuleRefusals:
+    """Each refusal of an automaton file names its line and writes the
+    rule as the file does; ``RnnaPresentation`` refuses the same rules
+    through the same check."""
+
+    # control states q0 and q1 with one register, q2 with two; the
+    # [init] state stands on line 5, the rule on line 8
+    @pytest.mark.parametrize(
+        "init, rule, message",
+        [
+            ("zz", "q0 -> ok", "line 5: unknown initial control state 'zz'"),
+            ("q0", "zz -> ok", "line 8: rule source 'zz' unknown in rule zz -> ok"),
+            ("q0", "q0 -> bar zz []", "line 8: rule target 'zz' unknown in rule q0 -> bar zz []"),
+            ("q0", "q0 -> bar q1 [1 0]", "line 8: reassignment arity mismatch in rule q0 -> bar q1 [1 0]"),
+            ("q0", "q0 -> reg(3) q0 [1]", "line 8: read register out of range in rule q0 -> reg(3) q0 [1]"),
+            ("q0", "q0 -> reg(1) q0 [0]", "line 8: read rules cannot place a fresh atom in rule q0 -> reg(1) q0 [0]"),
+            ("q0", "q0 -> bar q2 [0 0]",
+             "line 8: bind rules place the fresh atom in at most one slot in rule q0 -> bar q2 [0 0]"),
+            ("q0", "q0 -> bar q2 [1 1]", "line 8: register tuples must stay injective in rule q0 -> bar q2 [1 1]"),
+            ("q0", "q0 -> bar q1 [2]", "line 8: reassignment source 2 out of range in rule q0 -> bar q1 [2]"),
+        ],
+        ids=["init", "source", "target", "arity", "register", "read-fresh", "bind-fresh", "injective", "reassign"],
+    )
+    def test_rnna_verb_names_the_line(self, tmp_path, init, rule, message):
+        path = tmp_path / "bad.rnna"
+        path.write_text(f"[states]\nq0/1 q1/1 q2/2\n\n[init]\n{init}\n\n[rules]\n{rule}\n", encoding="utf-8")
+        assert run_command(["rnna", str(path), "--pool", "3", "--depth", "1"]) == (f"error: {message}\n", 2)
+
+    def test_presentation_built_in_python_refuses_alike(self):
+        rule = RnnaRule("read", "q0", "q0", register=3, sigma=(1,))
+        with pytest.raises(CoalgError) as info:
+            RnnaPresentation({"q0": 1}, "q0", (rule,))
+        assert str(info.value) == "read register out of range in rule q0 -> reg(3) q0 [1]"
+
+
 class TestBarTrace:
     def test_three_rule_example_matches_spec_word(self):
         traces = bar_trace(rnna_expand(three_rule_presentation(), POOL2), 3)
