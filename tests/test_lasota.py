@@ -1,6 +1,7 @@
 import pytest
 
 from coalgpath import lasota
+from coalgpath.cli import run_command
 from coalgpath.coalgebra import GenSpec
 from coalgpath.functors import Const, Coprod, Prod, SortRef, eval_functor, multisorted
 from coalgpath.lasota import (
@@ -16,6 +17,7 @@ from coalgpath.openmap import verify_theorems
 from coalgpath.sets import CoalgError, SortedSet
 from coalgpath.precise import element_shapes, precise_chains
 from conftest import BAG2_PLUS1, CONST_PLUS1, FIG2, LTS_AB_PLUS1, one_object_category, poset_category, random_category
+from model_writers import print_category
 from oracles import precise_iff_characteristic_oracle
 
 
@@ -247,6 +249,49 @@ class TestPreciseIffCharacteristicOracle:
         monkeypatch.setattr(lasota, "is_precise", forbidden)
         report = paths_bijection_check(poset_category(5), 3)
         assert report.ok and report.mismatches == []
+
+
+class TestLasotaVerbFailsVisibly:
+    """Each comparison of the ``lasota`` verb, seen to fire: with one fault
+    injected into what it compares, the verb prints the disagreement and
+    exits 1."""
+
+    @staticmethod
+    def lasota_verb(tmp_path) -> tuple[str, int]:
+        path = tmp_path / "poset.cat"
+        path.write_text(print_category(poset_category(3)), encoding="utf-8")
+        return run_command(["lasota", str(path), "--depth", "2"])
+
+    def test_a_dropped_chain_breaks_the_bijection(self, monkeypatch, tmp_path):
+        real = lasota.precise_chains
+        monkeypatch.setattr(lasota, "precise_chains", lambda f, start, n: list(real(f, start, n))[:-1])
+        text, code = self.lasota_verb(tmp_path)
+        assert code == 1
+        assert "length 2: paths 5 sequences 6\n" in text
+        assert "\nprecise-iff-characteristic: ok\nmismatch: length 2: paths " in text
+        assert text.endswith("bijection: FAIL\n")
+
+    def test_an_added_sequence_breaks_the_bijection(self, monkeypatch, tmp_path):
+        real = lasota.composable_sequences
+        monkeypatch.setattr(lasota, "composable_sequences", lambda cat, n: real(cat, n) + [("extra",) * n] * (n == 1))
+        text, code = self.lasota_verb(tmp_path)
+        assert code == 1
+        assert "length 1: paths 3 sequences 4\n" in text
+        assert "\nmismatch: length 1: paths [('id0',), ('m01',), ('m02',)] != sequences " in text
+        assert text.endswith("bijection: FAIL\n")
+
+    def test_a_precise_test_wrong_on_one_shape_breaks_the_criterion(self, monkeypatch, tmp_path):
+        real = lasota.is_precise
+        # wrong on the terms of one shape: the letter of m01 out of the point
+        monkeypatch.setattr(lasota, "is_precise", lambda tm: real(tm) != ("m01" in repr(tm)))
+        # the shapes decide that no carrier disagrees, so no carrier is
+        # read; send every sort through the carrier-by-carrier check
+        monkeypatch.setattr(lasota, "_shape_disagrees", lambda node, shape, max_y: True)
+        text, code = self.lasota_verb(tmp_path)
+        assert code == 1
+        assert "length 2: paths 6 sequences 6\nprecise-iff-characteristic: FAIL\n" in text
+        assert "\nmismatch: precise-iff-characteristic fails at sort 0, carrier " in text
+        assert text.endswith("bijection: FAIL\n")
 
 
 class TestLasotaHarness:
