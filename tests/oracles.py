@@ -62,6 +62,15 @@ fit test-sized inputs:
   term for term and error message for error message;
 - finite maps: every total map between two carriers, composition,
   injectivity and surjectivity, and the homset order of behaviour maps.
+
+Beside them lives library code that no verb runs and only the tests
+call: the binding-layer factorization through fresh pairs
+(:func:`binding_factorize`), equivariant extension from orbit
+representatives (:func:`extend_equivariant`), the pool actions on words,
+states and transition terms (:func:`apply_perm`, :func:`perm_state`,
+:func:`perm_term`) with the support of a word (:func:`support`), all
+checked by the nominal battery (acceptance criterion 9), and the
+multiset of arguments of an analytic term (:func:`bag_abstraction`).
 """
 
 from __future__ import annotations
