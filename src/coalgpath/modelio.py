@@ -727,8 +727,7 @@ def parse_rnna(text: str) -> RnnaPresentation:
         raise ModelParseError(f"unknown initial control state {init!r}", init_lines[0][0] if init_lines else None)
     rules: list[RnnaRule] = []
     for lineno, line in sections.get("rules", []):
-        m = re.fullmatch(r"(\S+)\s*->\s*ok", line)
-        if m:
+        if m := re.fullmatch(r"(\S+)\s*->\s*ok", line):
             rule = RnnaRule("ok", m.group(1))
         elif m := re.fullmatch(r"(\S+)\s*->\s*bar\s+(\S+)\s*\[([^\]]*)\]", line):
             sigma = tuple(_parse_int(x, lineno) for x in m.group(3).split())

@@ -114,10 +114,7 @@ def element_labels(x: SortedSet) -> list[str]:
     """Each element of ``x``, in pair order, by its name, or as
     ``sort.name`` when the name lies in two or more sorts, as the model
     files qualify it."""
-    names = [e for _s, e in x.pairs()]
-    if len(set(names)) == len(names):
-        return names
-    counts = Counter(names)
+    counts = Counter(e for _s, e in x.pairs())
     return [f"{s}.{e}" if counts[e] > 1 else e for s, e in x.pairs()]
 
 
