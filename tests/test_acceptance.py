@@ -32,6 +32,7 @@ from conftest import (
     poset_category,
     whyplus1_system,
 )
+from model_writers import print_category
 from oracles import (
     binding_factorize,
     binding_roundtrip_ok,
@@ -40,7 +41,6 @@ from oracles import (
     prefix_closed,
     run_image,
 )
-from model_writers import print_category
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)

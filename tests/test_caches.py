@@ -412,7 +412,11 @@ class TestTermMemo:
         node, x = f.node(DEFAULT_SORT), SortedSet.single(["p", "q"])
         whole, partial = SortedFun.identity(x), SortedFun(SortedSet.single(["q"]), x, {(DEFAULT_SORT, "q"): "q"})
         kept = TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "p")))
-        misfits = [TupleTerm((ConstElem("c"), Var(DEFAULT_SORT, "p"))), TupleTerm((ConstElem("a"), ConstElem("p"))), Var(DEFAULT_SORT, "p")]
+        misfits = [
+            TupleTerm((ConstElem("c"), Var(DEFAULT_SORT, "p"))),
+            TupleTerm((ConstElem("a"), ConstElem("p"))),
+            Var(DEFAULT_SORT, "p"),
+        ]
         want_outside = raised(lambda: subst_node(node, kept, {(DEFAULT_SORT, "q"): Var(DEFAULT_SORT, "q")}))
         assert want_outside == "variable 'p' (sort '*') not in substitution"
         whole_sigma = {(DEFAULT_SORT, e): Var(DEFAULT_SORT, e) for e in "pq"}

@@ -52,7 +52,6 @@ from coalgpath.paths import comp, enumerate_runs, make_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 from conftest import MULTISORTED, S3_PRESENTATIONS, lts_functor, poset_category, s3_model
-from oracles import comp_as_word
 from model_writers import (
     parse_model,
     parse_path,
@@ -63,6 +62,7 @@ from model_writers import (
     print_path,
     print_rnna,
 )
+from oracles import comp_as_word
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
