@@ -1,8 +1,8 @@
 """Bounded-atom-pool shadow of nominal automata with binders.
 
-A finite pool stands in for the countable atom universe: alpha-
-equivalence of bar strings and register automata are computed exactly
-over the pool.  Register-tuple states carry their support atoms in fixed
+A finite pool stands in for the countable atom universe:
+alpha-equivalence of bar strings and register automata are computed
+exactly over the pool.  Register-tuple states carry their support atoms in fixed
 slots, so a map given on orbit representatives extends uniquely;
 binder successors are stored alpha-canonically (least admissible binder)
 so the quotient never materializes.  The binding-layer factorization
