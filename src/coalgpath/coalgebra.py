@@ -29,32 +29,10 @@ from .sets import CoalgError, SortedFun, SortedSet, singleton_pointing
 State = tuple[str, str]  # (sort, element)
 
 
-class _SuccessorTable(dict):
-    """Per state, each transition term with the states occurring in it,
-    in occurrence order.  An entry is built when it is first indexed, so
-    states nobody asks about are never walked."""
-
-    __slots__ = ("functor", "xi")
-
-    def __init__(self, functor: Functor, xi: dict[State, tuple[Term, ...]]):
-        super().__init__()
-        self.functor = functor
-        self.xi = xi
-
-    def __missing__(self, key: State) -> tuple[tuple[Term, tuple[State, ...]], ...]:
-        f, sort = self.functor, key[0]
-        entry = self[key] = tuple([(t, _leaf_states(f, sort, t)) for t in self.xi[key]])
-        return entry
-
-
 @dataclass(frozen=True)
 class PointedCoalgebra:
-    """A finite I-pointed coalgebra for Pf . F.
-
-    Frozen, and its tables are never written after construction, so the
-    successor table and the breadth-first levels are built on first use
-    and kept.
-    """
+    """A finite I-pointed coalgebra for Pf . F: its validated tables and
+    nothing derived from them.  Frozen."""
 
     functor: Functor
     pointing: SortedSet
@@ -105,36 +83,10 @@ class PointedCoalgebra:
                     if not term_in_functor(self.functor, s, t, self.carrier):
                         raise CoalgError(f"xi({x}) contains ill-formed term {t!r}")
 
-    @functools.cached_property
-    def successors(self) -> _SuccessorTable:
-        """Per state, each transition term with the states occurring in
-        it, in occurrence order; index it by state."""
-        return _SuccessorTable(self.functor, self.xi)
-
-    @functools.cached_property
-    def bfs(self) -> tuple[tuple[frozenset[State], ...], frozenset[State]]:
-        """Breadth-first levels from the pointing and their union.
-
-        Level k+1 collects every state occurring in a transition term of
-        a level-k state.  Iteration stops at the first empty or previously
-        seen level, or after ``|X| + 2`` levels: every state first appears
-        within ``|X|`` levels, so the cap cuts off only levels of states
-        seen before.  The union is the least subcoalgebra carrier.
-        """
-        successors = self.successors
-        level = frozenset(self.point_image())
-        levels = [level]
-        union = set(level)
-        while True:
-            nxt = frozenset(y for x in level for _t, succ in successors[x] for y in succ)
-            if not nxt or nxt in levels:
-                break
-            levels.append(nxt)
-            union |= nxt
-            level = nxt
-            if len(levels) > self.carrier.size() + 1:
-                break
-        return tuple(levels), frozenset(union)
+    def successors(self, state: State) -> tuple[tuple[Term, tuple[State, ...]], ...]:
+        """Each transition term of ``state`` with the states occurring in
+        it, in occurrence order, read from the functor's term memo."""
+        return tuple([(t, _leaf_states(self.functor, state[0], t)) for t in self.xi[state]])
 
     def states(self) -> Iterator[tuple[str, str]]:
         return self.carrier.pairs()
@@ -145,7 +97,7 @@ class PointedCoalgebra:
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "PointedCoalgebra":
         """The subcoalgebra on a closed subset of states.
 
-        Closedness is read off the successor table: a kept state with a
+        Closedness is read off the successors: a kept state with a
         transition to a dropped state raises :class:`CoalgError` naming
         the first such transition, with the constructor's ill-formed-term
         message.
@@ -156,9 +108,8 @@ class PointedCoalgebra:
             raise CoalgError(f"cannot drop pointed states {sorted(missing)}")
         carrier = self.carrier.restrict(keep_set)
         xi = {key: terms for key, terms in self.xi.items() if key in keep_set}
-        successors = self.successors
         for key in xi:
-            for t, succ in successors[key]:
+            for t, succ in self.successors(key):
                 if not keep_set.issuperset(succ):
                     raise CoalgError(f"xi({key[1]}) contains ill-formed term {t!r}")
         return PointedCoalgebra._built(self.functor, self.pointing, carrier, dict(self.point), xi)

@@ -41,16 +41,31 @@ from .sets import CoalgError, SortedFun, SortedSet
 # Reachability
 
 def reachable_bfs(c: PointedCoalgebra) -> tuple[list[frozenset[tuple[str, str]]], frozenset[tuple[str, str]]]:
-    """Breadth-first levels from the pointing and their union (see
-    :attr:`PointedCoalgebra.bfs`); the list is a fresh copy."""
-    levels, union = c.bfs
-    return list(levels), union
+    """Breadth-first levels from the pointing and their union.
+
+    Level k+1 collects every state occurring in a transition term of a
+    level-k state.  Iteration stops at the first empty or previously seen
+    level, or after ``|X| + 2`` levels: every state first appears within
+    ``|X|`` levels, so the cap cuts off only levels of states seen before.
+    The union is the least subcoalgebra carrier.
+    """
+    level = frozenset(c.point_image())
+    levels = [level]
+    union = set(level)
+    while True:
+        level = frozenset([y for x in level for _t, succ in c.successors(x) for y in succ])
+        if not level or level in levels:
+            break
+        levels.append(level)
+        union |= level
+        if len(levels) > c.carrier.size() + 1:
+            break
+    return levels, frozenset(union)
 
 
 def _least_subcoalgebra(c: PointedCoalgebra) -> set[tuple[str, str]]:
     """The least subcoalgebra carrier: the pointing image closed under the
-    leaves of ``xi``, by a worklist that reads neither the successor table
-    nor the BFS levels."""
+    leaves of ``xi``, by a worklist, not by breadth-first levels."""
     closed = c.point_image()
     todo = list(closed)
     while todo:
@@ -185,7 +200,7 @@ def _run_reaching(
     front = state
     for k in range(level_index, 0, -1):
         step = next(
-            ((x, t, front) for x in sorted(levels[k - 1]) for t, succ in src.successors[x] if front in succ), None
+            ((x, t, front) for x in sorted(levels[k - 1]) for t, succ in src.successors(x) if front in succ), None
         )
         if step is None:
             raise CoalgError("internal error: breadth-first chain broken")

@@ -94,7 +94,7 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
     all sort leaves and whose successors' depth-(d-1) sets are equal takes
     one argument tuple per orbit of that set from :func:`orbit_minima`.
     """
-    dist, moves = _reach(c.point_image(), max_depth, c.successors.__getitem__)
+    dist, moves = _reach(c.point_image(), max_depth, c.successors)
     table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
     for d in range(max_depth + 1):
         for key, k in dist.items():

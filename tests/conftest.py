@@ -9,6 +9,7 @@ import random
 
 from typing import Iterable
 
+from coalgpath import cli, openmap
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
     Analytic,
@@ -194,14 +195,15 @@ def linear_word_system(alphabet, word) -> PointedCoalgebra:
 def drop_last_bfs_level(monkeypatch) -> None:
     """A broken breadth-first walk: every system's BFS loses its last
     level, and the union loses the states that level reached first."""
-    real = PointedCoalgebra.__dict__["bfs"].func
+    real = openmap.reachable_bfs
 
-    def bfs(c):
+    def reachable_bfs(c):
         levels, union = real(c)
         kept = levels[:-1] or levels
         return kept, frozenset().union(*kept)
 
-    monkeypatch.setattr(PointedCoalgebra, "bfs", property(bfs))
+    monkeypatch.setattr(openmap, "reachable_bfs", reachable_bfs)
+    monkeypatch.setattr(cli, "reachable_bfs", reachable_bfs)
 
 
 def trace_pairs(ts: TraceSet) -> set:

@@ -124,18 +124,7 @@ class TestSystemFacts:
             for (s, x), terms in c.xi.items():
                 node = c.functor.node(s)
                 walked = tuple((t, tuple((v.sort, v.name) for v, _p in occurrences(node, t))) for t in terms)
-                assert c.successors[(s, x)] == walked
-            assert set(c.successors) == set(c.xi)
-
-    def test_successors_are_walked_only_where_asked(self):
-        for c in random_systems(HARNESS_FUNCTORS[0]):
-            _levels, union = reachable_bfs(c)
-            assert set(c.successors) == union
-
-    def test_tables_are_built_once(self):
-        c = next(random_systems(HARNESS_FUNCTORS[2]))
-        assert c.successors is c.successors
-        assert c.bfs is c.bfs
+                assert c.successors((s, x)) == walked
 
     def test_mutating_the_answer_leaves_the_next_one_unchanged(self):
         c = next(c for c in random_systems(HARNESS_FUNCTORS[0]) if len(reachable_bfs(c)[0]) > 1)
@@ -152,7 +141,7 @@ class TestSystemFacts:
 
     def test_system_is_frozen(self):
         c = next(random_systems(HARNESS_FUNCTORS[0]))
-        for name, value in (("xi", {}), ("functor", lts_functor("a")), ("successors", {}), ("bfs", None)):
+        for name, value in (("xi", {}), ("functor", lts_functor("a"))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(c, name, value)
 

@@ -5,6 +5,7 @@ import pytest
 
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.functors import AnSym, TupleTerm, eval_functor, fmap, functor
+from coalgpath.openmap import reachable_bfs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
 
 from conftest import linear_word_system, lts_coalgebra, lts_functor, pair_sig, single, var, whyplus1_system
@@ -310,7 +311,7 @@ class TestRestrict:
         for seed in range(40):
             c = random_coalgebra(GenSpec(lts_functor("ab"), {DEFAULT_SORT: 5}, 0.3, seed))
             pointed = c.point_image()
-            union = c.bfs[1]
+            union = reachable_bfs(c)[1]
             dropped = sorted(union - pointed)
             if not dropped:
                 continue

@@ -521,7 +521,7 @@ class TestHarnessClauses:
 
         def spy(m, bound):
             calls.append((m, bound))
-            return real(m, len(m.src.bfs[0]) - 1) if short else real(m, bound)
+            return real(m, len(reachable_bfs(m.src)[0]) - 1) if short else real(m, bound)
 
         monkeypatch.setattr(openmap, "is_open", spy)
 
