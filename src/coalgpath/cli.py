@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
@@ -16,6 +15,7 @@ from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
     _key,
+    _state_names,
     format_name,
     parse_category,
     parse_coalgebra,
@@ -116,12 +116,6 @@ def run_command(argv: list[str]) -> tuple[str, int]:
         return f"error: terms nest too deeply: {exc}\n", 2
     text = "\n".join(out) + ("\n" if out else "")
     return (_deglyph(text) if args.ascii else text), code
-
-
-def _state_names(x: SortedSet) -> dict[tuple[str, str], str]:
-    """Each state of ``x`` by its name, or as ``sort.name`` if the name lies in two or more sorts."""
-    shared = Counter(e for _s, e in x.pairs())
-    return {(s, e): _key(x, s, e) if shared[e] > 1 else format_name(e) for s, e in x.pairs()}
 
 
 def _read(path: str) -> str:
@@ -278,12 +272,15 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             out.append("witness square:")
             out.append(f"  path length {w.path.length}, extension length {w.extension.length}")
             fp1 = plus1(src.functor)
+            # only level 0, the pointing, can hold a name in two sorts
+            point, state = _state_names(src.pointing), _state_names(dst.carrier)
             for k, step in enumerate(w.extension.steps):
                 for (s, e) in w.extension.levels[k].pairs():
-                    out.append(f"  {k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}")
+                    elem = point[s, e] if k == 0 else name(e)
+                    out.append(f"  {k} : {elem} -> {print_term_for(fp1, s, step(s, e))}")
             last = w.dst_run.components[-1]
             for (s, e) in w.extension.levels[-1].pairs():
-                out.append(f"  target run sends {name(e)} to {name(last(s, e))}")
+                out.append(f"  target run sends {name(e)} to {state[s, last(s, e)]}")
         return 0 if report.is_open else 1
 
     if args.verb == "verify":

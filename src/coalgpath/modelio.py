@@ -61,7 +61,7 @@ from .functors import (
 from .groups import PermGroup
 from .lasota import FiniteCategory
 from .nominal import RnnaPresentation, RnnaRule, check_rule
-from .precise import TermMap
+from .precise import TermMap, element_labels
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
@@ -598,6 +598,15 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
 def _key(x: SortedSet, sort: str, elem: str) -> str:
     """An element of ``x`` as ``_read_elem`` reads it."""
     return format_name(elem) if x.sorts == (DEFAULT_SORT,) else f"{_sort_name(sort)}." + format_name(elem)
+
+
+def _state_names(x: SortedSet) -> dict[tuple[str, str], str]:
+    """Each element of ``x`` as the verbs write it: by its name, or as
+    :func:`_key` writes it where :func:`element_labels` qualifies it."""
+    return {
+        (s, e): format_name(e) if label == e else _key(x, s, e)
+        for (s, e), label in zip(x.pairs(), element_labels(x))
+    }
 
 
 def parse_coalgebra(text: str) -> PointedCoalgebra:

@@ -336,10 +336,8 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
             if rule.kind == "read":
                 index, atom = FREE_INDEX, regs[rule.register - 1]  # type: ignore[operator]
             else:
-                fresh = [a for a in pool.atoms if a not in regs]
-                if not fresh:
-                    raise PoolError("pool too small: no fresh atom available")
-                index, atom = BAR_INDEX, fresh[0]
+                # the pool holds a spare atom, checked above
+                index, atom = BAR_INDEX, next(a for a in pool.atoms if a not in regs)
             # a read rule places no fresh atom (slot 0), a bind rule the bound one
             target_regs = tuple(atom if j == 0 else regs[j - 1] for j in rule.sigma)
             terms.add(_transition(index, atom, NomElem(rule.target or "", target_regs), pool))

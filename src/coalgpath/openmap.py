@@ -30,11 +30,14 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, fmap, format_name, step_of_plus1,
+    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, plus1,
+    step_of_plus1,
 )
+from .modelio import _state_names, print_term_for
 from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
 from .sets import CoalgError, SortedFun, SortedSet
+from .trace import trace_equiv
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
             shape, phi = _least_failing_triple(functor, dst, s, missing)
             return OpenCheckReport(
                 "not-open", bound,
-                reason=f"no lift at state {format_name(v)} for shape {shape!r}",
+                reason=f"no lift at state {_state_names(src.carrier)[s, v]} for shape {shape!r}",
                 witness=_materialize_witness(m, levels, level_index, (s, v), shape, phi),
                 states_checked=len(checked),
             )
@@ -318,21 +321,23 @@ class HarnessReport:
 
 def serialize_witness(w: SquareWitness) -> list[str]:
     """Line rendering of a counterexample square."""
-    from .functors import plus1
-    from .modelio import print_term_for
-
     fp1 = plus1(w.extension.functor)
     name = functools.cache(format_name)
+    # only level 0, the pointing, can hold a name in two sorts
+    point = _state_names(w.path.levels[0])
+    src_state, dst_state = _state_names(w.run.target.carrier), _state_names(w.dst_run.target.carrier)
     lines = [f"square: path length {w.path.length}, extension length {w.extension.length}"]
     for k, step in enumerate(w.extension.steps):
         for (s, e) in w.extension.levels[k].pairs():
             run_note = ""
             if k < len(w.run.components):
-                run_note = f"  [src {name(w.run.components[k](s, e))} -> dst {name(w.dst_run.components[k](s, e))}]"
-            lines.append(f"{k} : {name(e)} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
+                x, y = w.run.components[k](s, e), w.dst_run.components[k](s, e)
+                run_note = f"  [src {src_state[s, x]} -> dst {dst_state[s, y]}]"
+            elem = point[s, e] if k == 0 else name(e)
+            lines.append(f"{k} : {elem} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
     last = w.dst_run.components[-1]
     for (s, e) in w.extension.levels[-1].pairs():
-        lines.append(f"{w.extension.length} : {name(e)} [dst {name(last(s, e))}, no source lift]")
+        lines.append(f"{w.extension.length} : {name(e)} [dst {dst_state[s, last(s, e)]}, no source lift]")
     return lines
 
 
@@ -366,8 +371,6 @@ def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> Co
 
 
 def _add_noise(rng: random.Random, c: PointedCoalgebra, amount: int) -> PointedCoalgebra:
-    from .functors import eval_functor
-
     terms = eval_functor(c.functor, c.carrier)
     xi = {k: set(v) for k, v in c.xi.items()}
     keys = sorted(xi.keys())
@@ -466,10 +469,7 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     if report.witness is not None and not replay_witness(m, report.witness):
         passed = False
         clauses.append("witness does not replay")
-    if check_traces and report.is_open:
-        from .trace import trace_equiv
-
-        if not trace_equiv(src, m.dst, bound):
-            passed = False
-            clauses.append("open map does not preserve traces")
+    if check_traces and report.is_open and not trace_equiv(src, m.dst, bound):
+        passed = False
+        clauses.append("open map does not preserve traces")
     return TrialResult(index, passed, clauses, witness_lines)

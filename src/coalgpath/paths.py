@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coalgebra import PointedCoalgebra
+from .coalgebra import CoalgMorphism, PointedCoalgebra
 from .functors import (
     BOT,
     UNIT_TERM,
@@ -336,10 +336,8 @@ def j_embed(p: PathObj) -> PointedCoalgebra:
     return PointedCoalgebra(p.functor, p.pointing, carrier, point, xi)
 
 
-def morphism_to_lax(m: PathMorphism) -> "object":
+def morphism_to_lax(m: PathMorphism) -> CoalgMorphism:
     """The carrier map induced on the embedded coalgebras by a path morphism."""
-    from .coalgebra import CoalgMorphism
-
     src_c = j_embed(m.src)
     dst_c = j_embed(m.dst)
     table: dict[tuple[str, str], str] = {}

@@ -113,9 +113,15 @@ def position_name(elem: str, path: tuple[int, ...]) -> str:
 def element_labels(x: SortedSet) -> list[str]:
     """Each element of ``x``, in pair order, by its name, or as
     ``sort.name`` when the name lies in two or more sorts, as the model
-    files qualify it."""
-    counts = Counter(e for _s, e in x.pairs())
-    return [f"{s}.{e}" if counts[e] > 1 else e for s, e in x.pairs()]
+    files qualify it.  When two of those labels meet (``"a.p"`` beside
+    ``p`` in sorts ``a`` and ``b``), every element is labelled
+    ``sort.name``; a sort name holds no ``.``, so those labels differ."""
+    pairs = list(x.pairs())
+    counts = Counter(e for _s, e in pairs)
+    labels = [f"{s}.{e}" if counts[e] > 1 else e for s, e in pairs]
+    if len(set(labels)) < len(labels):
+        return [f"{s}.{e}" for s, e in pairs]
+    return labels
 
 
 def precise_factorize(f: TermMap) -> Factorization:
@@ -198,12 +204,13 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
     variables; the union of the fresh variables is the new carrier,
     renamed v001, v002, ... in first-occurrence order over the whole map.
     A shape renumbered from one offset is renumbered once per call, and
-    the maps that share it share its term.
+    the maps that share it share its term.  A sort's shapes are distinct
+    canonical terms and renumbering is a bijection on names, so distinct
+    combinations give distinct maps.
     """
     keys = list(p.pairs())
     shape_lists = [element_shapes(f_expr, s) for s, _ in keys]
     renumbered: dict[tuple[str, Term, int], tuple[Term, list[Var]]] = {}
-    seen = set()
     for combo in itertools.product(*shape_lists):
         counter = 0
         fresh_elems: dict[str, list[str]] = {s: [] for s in p.sorts}
@@ -217,13 +224,7 @@ def enumerate_precise_maps(p: SortedSet, f_expr: Functor) -> Iterator[tuple[Sort
             for v in names:
                 fresh_elems[v.sort].append(v.name)
         codomain = SortedSet.make({s: fresh_elems[s] for s in p.sorts}, p.sorts)
-        term_map = TermMap(p, f_expr, codomain, table)
-        # the table is filled in the same key order for every combination
-        dedupe_key = tuple(table.items())
-        if dedupe_key in seen:
-            continue
-        seen.add(dedupe_key)
-        yield codomain, term_map
+        yield codomain, TermMap(p, f_expr, codomain, table)
 
 
 def precise_chains(f_expr: Functor, start: SortedSet, depth: int) -> Iterator[tuple[TermMap, ...]]:

@@ -112,6 +112,13 @@ CASES = [
     ("sharedpoints-runs", ["runs", "sharedpoints.model", "--depth", "2"], 0),
     ("sharedpoints-paths", ["paths", "sharedpoints.model", "--depth", "1"], 0),
     ("sharedpoints-factor", ["precise-factor", "sharedpoints.factor"], 0),
+    # a domain element named "a.p" beside p in two sorts: the labels
+    # qualified by shared name alone would meet, so every element is
+    # labelled sort.name
+    ("sharedlabels-factor", ["precise-factor", "sharedlabels.factor"], 0),
+    # open writes the failing state, the pointed elements and the target
+    # run's states as reach and runs do, a.p and b.p
+    ("sharednames-open", ["open", "sharednames.model", "sharednames_dst.model", "sharednames.map"], 1),
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pathlib
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from coalgpath.functors import (
     Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, format_name, functor, occurrences,
     plus1, subst_node,
 )
-from coalgpath.modelio import parse_functor_text
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import (
     OpenCheckReport,
     _add_noise,
@@ -43,6 +44,8 @@ from conftest import (
     whyplus1_system,
 )
 from oracles import all_functions, factorized_runs, run_image
+
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
 TREE_FUNCTOR = functor(Coprod((Prod((SortRef(), SortRef())), Const(("a", "b")))))
 
@@ -174,6 +177,32 @@ class TestIsOpen:
             '0 : * -> in0((a, w000))  [src "s 0" -> dst "d 0"]',
             '1 : w000 [dst "d 1", no source lift]',
         ]
+
+    @pytest.mark.parametrize("model, extra, state, want", [
+        # states p and q in both sorts: the failing state and the target
+        # run's states are written sort.name
+        ("sharednames.model", "a.p -> (p, p)", "a.p", [
+            "square: path length 0, extension length 1",
+            "0 : z -> in0((w001, w000))  [src a.p -> dst a.p]",
+            "1 : w000 [dst a.p, no source lift]",
+            "1 : w001 [dst b.p, no source lift]",
+        ]),
+        # points named p in both sorts: level 0 writes each point sort.name
+        ("sharedpoints.model", "a.as0 -> (bs0, as0)", "as0", [
+            "square: path length 0, extension length 1",
+            "0 : a.p -> in0((w001, w000))  [src as0 -> dst as0]",
+            "0 : b.p -> ⊥  [src bs1 -> dst bs1]",
+            "1 : w000 [dst as0, no source lift]",
+            "1 : w001 [dst bs0, no source lift]",
+        ]),
+    ])
+    def test_witness_names_shared_by_two_sorts_print_qualified(self, model, extra, state, want):
+        text = (COMPOSE / model).read_text(encoding="utf-8")
+        src, dst = parse_coalgebra(text), parse_coalgebra(f"{text}{extra}\n")
+        fun = SortedFun(src.carrier, dst.carrier, {key: key[1] for key in src.carrier.pairs()})
+        report = is_open(CoalgMorphism(src, dst, fun), 5)
+        assert report.reason == f"no lift at state {state} for shape (v001, v002)"
+        assert serialize_witness(report.witness) == want
 
     def test_unreachable_defect_is_ignored(self):
         # a missing lift behind an unreachable state does not break openness

@@ -25,6 +25,7 @@ from coalgpath.lasota import lasota_functor, lasota_pointing
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.precise import (
     TermMap,
+    element_labels,
     element_shapes,
     enumerate_precise_maps,
     is_precise,
@@ -177,6 +178,16 @@ class TestFactorization:
             again = precise_factorize(f)
             iso_found = _factorizations_isomorphic(f, fac, again)
             assert iso_found
+
+    @pytest.mark.parametrize("elems, want", [
+        ({"a": ["p", "q"], "b": ["r"]}, ["p", "q", "r"]),
+        ({"a": ["p", "q"], "b": ["p"]}, ["a.p", "q", "b.p"]),
+        # "a.p" beside a.p: qualifying shared names alone would label two
+        # elements alike, so every element is qualified
+        ({"a": ["a.p", "p"], "b": ["p"]}, ["a.a.p", "a.p", "b.p"]),
+    ])
+    def test_element_labels_are_distinct(self, elems, want):
+        assert element_labels(SortedSet.make(elems, ("a", "b"))) == want
 
     def test_unused_elements_absent(self):
         def pr(a, b):
