@@ -416,6 +416,53 @@ class TestVerbs:
         assert BOT not in text
 
 
+TWO_SORTS = "[sorts]\na b\n\n[functor]\na = prod(sort(b), sort(a))\nb = coprod(const(c), sort(a))\n"
+SHARED_P = f"{TWO_SORTS}\n[pointing]\na : z\n\n[states]\na : p\nb : p\n\n[init]\n"
+CATEGORY = "[objects]\n0\n\n[initial]\n0\n\n[morphisms]\n"
+
+
+class TestRefusalsThroughVerbs:
+    """Each refusal of a model reader, reached through a verb: the message
+    names its line where it has one, and bad input exits 2."""
+
+    @pytest.mark.parametrize(
+        "verb, suffix, text, message",
+        [
+            ("reach", "model", "[functor]\nid\n\n[states]\nq0\n\n[states]\nq1\n",
+             "line 7: duplicate section [states]"),
+            ("reach", "model", f"{SHARED_P}z -> p\n", "line 16: ambiguous element 'p'; qualify as sort.elem"),
+            ("reach", "model", f"{SHARED_P}a.z -> b.p\n", "line 16: pointing must stay within its sort"),
+            ("reach", "model", "[sorts]\na b\n\n[functor]\na = prod(sort(b), sort(a))\n\n[states]\na : p\nb : p\n",
+             "no functor expression for sorts ['b']"),
+            ("precise-factor", "factor", "[functor]\nprod(id, id)\n\n[domain]\nx\n\n[map]\nx -> (x, x)\n",
+             "need [domain] and [codomain] sections"),
+            ("lasota", "cat", f"{CATEGORY}id0 0 -> 0\n", "line 8: expected 'name : dom -> cod'"),
+            ("lasota", "cat", f"{CATEGORY}id0 : 0 -> 0\n\n[identities]\n0 id0 x\n",
+             "line 11: expected 'object : identity-name'"),
+            ("lasota", "cat", f"{CATEGORY}id0 : 0 -> 0\n\n[identities]\n0 : id0\n\n[composition]\nid0 id0 = id0\n",
+             "line 14: expected 'g o f = h'"),
+            ("rnna", "rnna", "[states]\nq0/1 q1\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n",
+             "line 2: expected 'name/registers'"),
+        ],
+        ids=["duplicate-section", "ambiguous-element", "across-sorts", "missing-expression", "missing-codomain",
+             "morphism-line", "identity-line", "composition-line", "register-state"],
+    )
+    def test_refusal_exits_two(self, tmp_path, verb, suffix, text, message):
+        path = tmp_path / f"bad.{suffix}"
+        path.write_text(text, encoding="utf-8")
+        options = {"lasota": ["--depth", "1"], "rnna": ["--pool", "3", "--depth", "1"]}.get(verb, [])
+        assert run_command([verb, str(path), *options]) == (f"error: {message}\n", 2)
+
+    def test_duplicate_morphism_names_fail_the_category(self, tmp_path):
+        path = tmp_path / "dup.cat"
+        path.write_text(
+            f"{CATEGORY}id0 : 0 -> 0\nid0 : 0 -> 0\n\n[identities]\n0 : id0\n\n[composition]\nid0 o id0 = id0\n",
+            encoding="utf-8",
+        )
+        text, code = run_command(["lasota", str(path), "--depth", "1"])
+        assert (text, code) == ("invalid category: duplicate: duplicate morphism names: ['id0', 'id0']\n", 1)
+
+
 class TestDeterminism:
     COMMANDS = [
         ["trace", "{lts}", "--depth", "4"],
