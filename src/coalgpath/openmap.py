@@ -50,13 +50,18 @@ def reachable_bfs(c: PointedCoalgebra) -> tuple[list[frozenset[tuple[str, str]]]
     level-k state.  Iteration stops at the first empty or previously seen
     level, or after ``|X| + 2`` levels: every state first appears within
     ``|X|`` levels, so the cap cuts off only levels of states seen before.
-    The union is the least subcoalgebra carrier.
+    The union is the least subcoalgebra carrier.  A state's successors
+    are read once per call, however many levels hold it.
     """
+    after: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
     level = frozenset(c.point_image())
     levels = [level]
     union = set(level)
     while True:
-        level = frozenset([y for x in level for _t, succ in c.successors(x) for y in succ])
+        for x in level:
+            if x not in after:
+                after[x] = frozenset([y for _t, succ in c.successors(x) for y in succ])
+        level = frozenset().union(*[after[x] for x in level])
         if not level or level in levels:
             break
         levels.append(level)
