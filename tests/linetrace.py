@@ -72,9 +72,9 @@ class LineTracer:
 
     def trace(self, frame: types.FrameType, event: str, arg):
         filename = frame.f_code.co_filename
-        path = self._known.get(filename, ...)
-        if path is ...:
-            path = self._known[filename] = self.paths.get(os.path.realpath(filename))
+        if filename not in self._known:
+            self._known[filename] = self.paths.get(os.path.realpath(filename))
+        path = self._known[filename]
         if path is None:
             return None
         inside, outside = self.inside[path], self.outside[path]
