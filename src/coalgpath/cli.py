@@ -26,7 +26,9 @@ from .modelio import (
     print_term_for,
 )
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
-from .openmap import is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems
+from .openmap import (
+    is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems, witness_ends, witness_steps,
+)
 from .paths import comp, comps_are_words, enumerate_runs, step_letter
 from .precise import TermMap, is_precise, precise_chains, precise_factorize
 from .sets import CoalgError, SortedFun, SortedSet
@@ -271,16 +273,10 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
             w = report.witness
             out.append("witness square:")
             out.append(f"  path length {w.path.length}, extension length {w.extension.length}")
-            fp1 = plus1(src.functor)
-            # only level 0, the pointing, can hold a name in two sorts
-            point, state = _state_names(src.pointing), _state_names(dst.carrier)
-            for k, step in enumerate(w.extension.steps):
-                for (s, e) in w.extension.levels[k].pairs():
-                    elem = point[s, e] if k == 0 else name(e)
-                    out.append(f"  {k} : {elem} -> {print_term_for(fp1, s, step(s, e))}")
-            last = w.dst_run.components[-1]
-            for (s, e) in w.extension.levels[-1].pairs():
-                out.append(f"  target run sends {name(e)} to {state[s, last(s, e)]}")
+            for k, _, elem, term in witness_steps(w):
+                out.append(f"  {k} : {elem} -> {term}")
+            for elem, target in witness_ends(w):
+                out.append(f"  target run sends {elem} to {target}")
         return 0 if report.is_open else 1
 
     if args.verb == "verify":

@@ -16,10 +16,10 @@ diagonal search.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .coalgebra import (
     CoalgMorphism,
@@ -324,25 +324,40 @@ class HarnessReport:
         return out
 
 
-def serialize_witness(w: SquareWitness) -> list[str]:
-    """Line rendering of a counterexample square."""
+def witness_steps(w: SquareWitness) -> Iterator[tuple[int, tuple[str, str], str, str]]:
+    """Each step of the witness's extension as ``(k, (sort, elem), elem
+    written, term written)``, level by level: the one rule by which both
+    witness printers write an element and its step."""
     fp1 = plus1(w.extension.functor)
-    name = functools.cache(format_name)
     # only level 0, the pointing, can hold a name in two sorts
-    point = _state_names(w.path.levels[0])
-    src_state, dst_state = _state_names(w.run.target.carrier), _state_names(w.dst_run.target.carrier)
-    lines = [f"square: path length {w.path.length}, extension length {w.extension.length}"]
+    point = _state_names(w.extension.levels[0])
     for k, step in enumerate(w.extension.steps):
         for (s, e) in w.extension.levels[k].pairs():
-            run_note = ""
-            if k < len(w.run.components):
-                x, y = w.run.components[k](s, e), w.dst_run.components[k](s, e)
-                run_note = f"  [src {src_state[s, x]} -> dst {dst_state[s, y]}]"
-            elem = point[s, e] if k == 0 else name(e)
-            lines.append(f"{k} : {elem} -> {print_term_for(fp1, s, step(s, e))}{run_note}")
+            elem = point[s, e] if k == 0 else format_name(e)
+            yield k, (s, e), elem, print_term_for(fp1, s, step(s, e))
+
+
+def witness_ends(w: SquareWitness) -> Iterator[tuple[str, str]]:
+    """Each element of the extension's last level, written, with the
+    target state the destination run sends it to, written."""
+    state = _state_names(w.dst_run.target.carrier)
     last = w.dst_run.components[-1]
     for (s, e) in w.extension.levels[-1].pairs():
-        lines.append(f"{w.extension.length} : {name(e)} [dst {dst_state[s, last(s, e)]}, no source lift]")
+        yield format_name(e), state[s, last(s, e)]
+
+
+def serialize_witness(w: SquareWitness) -> list[str]:
+    """Line rendering of a counterexample square."""
+    src_state, dst_state = _state_names(w.run.target.carrier), _state_names(w.dst_run.target.carrier)
+    lines = [f"square: path length {w.path.length}, extension length {w.extension.length}"]
+    for k, (s, e), elem, term in witness_steps(w):
+        run_note = ""
+        if k < len(w.run.components):
+            x, y = w.run.components[k](s, e), w.dst_run.components[k](s, e)
+            run_note = f"  [src {src_state[s, x]} -> dst {dst_state[s, y]}]"
+        lines.append(f"{k} : {elem} -> {term}{run_note}")
+    for elem, target in witness_ends(w):
+        lines.append(f"{w.extension.length} : {elem} [dst {target}, no source lift]")
     return lines
 
 

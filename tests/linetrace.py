@@ -3,16 +3,16 @@
 An opt-in pytest plugin, loaded by name with ``tests`` and ``src`` on the
 path::
 
-    PYTHONPATH=src:tests python -m pytest -q -p linetrace [--linetrace-lines]
+    PYTHONPATH=src:tests python -m pytest -q -p linetrace
 
 It traces the lines the tests run in ``src/coalgpath`` through
 ``sys.settrace`` and, after the run, prints per module its statements,
 those no test runs, and those inside a function that run only outside
-``cli.run_command``: code the tests reach and no verb does.
-``--linetrace-lines`` also lists their line numbers.  A statement counts
-as run when a line event fires on its first line; a statement that
-compiles to no code (a docstring, a bare annotation in a function) is not
-counted.  Tracing makes the run several times slower.
+``cli.run_command``: code the tests reach and no verb does, each count
+followed by its line numbers.  A statement counts as run when a line
+event fires on its first line; a statement that compiles to no code (a
+docstring, a bare annotation in a function) is not counted.  Tracing
+makes the run several times slower.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class LineTracer:
 
         return local
 
-    def report(self, list_lines: bool) -> list[str]:
+    def report(self) -> list[str]:
         rows = []
         totals = [0, 0, 0]
         for path in self.paths.values():
@@ -102,19 +102,13 @@ class LineTracer:
             counts = (len(every), len(unrun), len(outside_only))
             totals = [t + c for t, c in zip(totals, counts)]
             rows.append(f"{path.stem:<12}{counts[0]:>11}{counts[1]:>7}{counts[2]:>14}")
-            if list_lines:
-                rows.append(f"  unrun: {' '.join(map(str, unrun)) or '-'}")
-                rows.append(f"  outside verbs only: {' '.join(map(str, outside_only)) or '-'}")
+            rows.append(f"  unrun: {' '.join(map(str, unrun)) or '-'}")
+            rows.append(f"  outside verbs only: {' '.join(map(str, outside_only)) or '-'}")
         header = f"{'module':<12}{'statements':>11}{'unrun':>7}{'outside verbs':>14}"
         return [header, *rows, f"{'total':<12}{totals[0]:>11}{totals[1]:>7}{totals[2]:>14}"]
 
 
 TRACER = LineTracer()
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption("--linetrace-lines", action="store_true",
-                     help="list the line numbers of the statements linetrace counts")
 
 
 @pytest.hookimpl(tryfirst=True)
@@ -131,5 +125,5 @@ def pytest_sessionfinish(session, exitstatus) -> None:
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     terminalreporter.section("statements of src/coalgpath the tests do not run")
-    for line in TRACER.report(config.getoption("--linetrace-lines")):
+    for line in TRACER.report():
         terminalreporter.write_line(line)

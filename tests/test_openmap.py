@@ -10,10 +10,10 @@ from coalgpath import openmap
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
-    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, format_name, functor, occurrences,
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, occurrences,
     plus1, subst_node,
 )
-from coalgpath.modelio import parse_coalgebra, parse_functor_text
+from coalgpath.modelio import _state_names, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import (
     OpenCheckReport,
     _add_noise,
@@ -362,7 +362,7 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                         continue
                     if not _has_lift(m, s, v, shape, fresh_vars, phi):
                         witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
-                        reason = f"no lift at state {format_name(v)} for shape {shape!r}"
+                        reason = f"no lift at state {_state_names(src.carrier)[s, v]} for shape {shape!r}"
                         return OpenCheckReport("not-open", bound, reason=reason, witness=witness)
     return OpenCheckReport("open", bound)
 
