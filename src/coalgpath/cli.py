@@ -133,20 +133,21 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
     name = functools.cache(format_name)
 
     if args.verb == "precise-factor":
-        problem = parse_factor_problem(_read(args.file))
-        fac = precise_factorize(problem.term_map)
-        out.append(f"precise: {'yes' if is_precise(problem.term_map) else 'no'}")
+        f = parse_factor_problem(_read(args.file))
+        fac = precise_factorize(f)
+        codomain = fac.precise.cod
+        out.append(f"precise: {'yes' if is_precise(f) else 'no'}")
         out.append("[codomain]")
-        for s in fac.codomain.sorts:
-            elems = " ".join(map(name, fac.codomain.elems(s)))
-            out.append(f"{s} : {elems}" if len(fac.codomain.sorts) > 1 else elems)
+        for s in codomain.sorts:
+            elems = " ".join(map(name, codomain.elems(s)))
+            out.append(f"{s} : {elems}" if len(codomain.sorts) > 1 else elems)
         out.append("[precise-map]")
-        dom = _state_names(problem.domain)
-        for (s, x) in problem.domain.pairs():
-            out.append(f"{dom[s, x]} -> {print_term_for(problem.functor, s, fac.precise(s, x))}")
+        dom = _state_names(f.dom)
+        for (s, x) in f.dom.pairs():
+            out.append(f"{dom[s, x]} -> {print_term_for(f.functor, s, fac.precise(s, x))}")
         out.append("[connecting]")
-        cod = _state_names(problem.codomain)
-        for (s, y) in fac.codomain.pairs():
+        cod = _state_names(f.cod)
+        for (s, y) in codomain.pairs():
             out.append(f"{name(y)} -> {cod[s, fac.connect(s, y)]}")
         return 0
 
@@ -272,7 +273,7 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         if report.witness is not None:
             w = report.witness
             out.append("witness square:")
-            out.append(f"  path length {w.path.length}, extension length {w.extension.length}")
+            out.append(f"  path length {w.run.path.length}, extension length {w.extension.length}")
             for k, _, elem, term in witness_steps(w):
                 out.append(f"  {k} : {elem} -> {term}")
             for elem, target in witness_ends(w):
@@ -301,8 +302,8 @@ def _dispatch(args: argparse.Namespace, out: list[str]) -> int:
         out.append(f"precise-iff-characteristic: {'ok' if report.precise_ok else 'FAIL'}")
         for mismatch in report.mismatches:
             out.append(f"mismatch: {mismatch}")
-        out.append("bijection: ok" if report.ok else "bijection: FAIL")
-        return 0 if report.ok else 1
+        out.append("bijection: FAIL" if report.mismatches else "bijection: ok")
+        return 1 if report.mismatches else 0
 
     if args.verb == "rnna":
         system = rnna_expand(parse_rnna(_read(args.file)), AtomPool(args.pool))

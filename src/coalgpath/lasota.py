@@ -173,10 +173,9 @@ def _lasota_paths_by_length(cat: FiniteCategory, f: Functor, n: int) -> list[lis
 
 @dataclass
 class BijectionReport:
-    ok: bool
     per_length: list[tuple[int, int, int]] = field(default_factory=list)  # (n, paths, sequences)
     precise_ok: bool = True
-    mismatches: list[str] = field(default_factory=list)
+    mismatches: list[str] = field(default_factory=list)  # none when the check holds
 
 
 def _shape_disagrees(node: Node, shape: Term, max_y: int) -> bool:
@@ -237,17 +236,15 @@ def paths_bijection_check(cat: FiniteCategory, n: int) -> BijectionReport:
     """Paths of length <= n against composable sequences, plus the
     precise-iff-characteristic criterion for maps out of the pointing,
     over carriers with at most ``MAX_Y`` elements per sort."""
-    report = BijectionReport(ok=True)
+    report = BijectionReport()
     f = lasota_functor(cat)
     for length, paths in enumerate(_lasota_paths_by_length(cat, f, n)):
         seqs = composable_sequences(cat, length)
         report.per_length.append((length, len(paths), len(seqs)))
         if paths != seqs:
-            report.ok = False
             report.mismatches.append(f"length {length}: paths {paths} != sequences {seqs}")
     mismatches = _precise_iff_characteristic(f, tuple(cat.objects), MAX_Y)
     if mismatches:
-        report.ok = False
         report.precise_ok = False
         report.mismatches.extend(mismatches)
     return report

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
@@ -635,15 +634,7 @@ def parse_map(text: str, dom: SortedSet, cod: SortedSet):
 # ---------------------------------------------------------------------------
 # Precise-factorization problem files
 
-@dataclass
-class FactorProblem:
-    functor: Functor
-    domain: SortedSet
-    codomain: SortedSet
-    term_map: TermMap
-
-
-def parse_factor_problem(text: str) -> FactorProblem:
+def parse_factor_problem(text: str) -> TermMap:
     sections = split_sections(text)
     sorts, f = _parse_signature(sections)
     if "domain" not in sections or "codomain" not in sections:
@@ -655,7 +646,7 @@ def parse_factor_problem(text: str) -> FactorProblem:
         if key in table:
             raise ModelParseError(f"duplicate image for {_key(dom, *key)!r}", lineno)
         table[key] = _term_to_end(tokens, pos, f.node(key[0]), cod, lineno)
-    return FactorProblem(f, dom, cod, TermMap(dom, f, cod, table))
+    return TermMap(dom, f, cod, table)
 
 
 # ---------------------------------------------------------------------------

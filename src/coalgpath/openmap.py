@@ -105,9 +105,8 @@ def is_path_reachable(c: PointedCoalgebra) -> bool:
 
 @dataclass
 class SquareWitness:
-    """A commuting square with no diagonal filler."""
+    """A commuting square with no diagonal filler, over the run's path."""
 
-    path: PathObj
     run: Run
     extension: PathObj
     dst_run: Run
@@ -230,7 +229,7 @@ def _run_reaching(
         path_levels.append(level)
         comps.append(SortedFun(level, src.carrier, named))
         current = next(key for key, x in named.items() if (key[0], x) == later)
-    path = make_path(functor, pointing, path_levels, tables)
+    path = make_path(functor, path_levels, tables)
     return path, Run(path, src, tuple(comps)), current
 
 
@@ -253,29 +252,28 @@ def _materialize_witness(
     names = tuple([fresh[key] for key in _leaf_states(src.functor, hit[0], shape)])
     table = dict.fromkeys(path.levels[-1].pairs(), bot_of_plus1())
     table[hit] = step_of_plus1(_named_image(src.functor, hit[0], shape, names))
-    extension = make_path(
-        src.functor, src.pointing, [*path.levels, new_level], [st.table for st in path.steps] + [table]
-    )
+    extension = make_path(src.functor, [*path.levels, new_level], [st.table for st in path.steps] + [table])
     y_components = [
         SortedFun(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
         for level, comp in zip(path.levels, run.components)
     ]
     y_last = SortedFun(new_level, dst.carrier, {(key[0], w): phi[key] for key, w in fresh.items()})
     dst_run = Run(extension, dst, (*y_components, y_last))
-    return SquareWitness(path, run, extension, dst_run)
+    return SquareWitness(run, extension, dst_run)
 
 
 def replay_witness(m: CoalgMorphism, w: SquareWitness) -> bool:
     """True when the witness square commutes and no diagonal exists."""
-    if validate_path(w.path) or validate_path(w.extension):
+    path = w.run.path
+    if validate_path(path) or validate_path(w.extension):
         return False
     if not is_run(w.run) or not is_run(w.dst_run):
         return False
-    n = w.path.length
-    if w.extension.length != n + 1 or w.extension.levels[: n + 1] != w.path.levels:
+    n = path.length
+    if w.extension.length != n + 1 or w.extension.levels[: n + 1] != path.levels:
         return False
     for k in range(n + 1):
-        for key in w.path.levels[k].pairs():
+        for key in path.levels[k].pairs():
             if m.map(key[0], w.run.components[k](*key)) != w.dst_run.components[k](*key):
                 return False
     last_level = w.extension.levels[-1]
@@ -297,30 +295,24 @@ def replay_witness(m: CoalgMorphism, w: SquareWitness) -> bool:
 
 @dataclass
 class TrialResult:
-    index: int
-    passed: bool
-    clauses: list[str] = field(default_factory=list)
+    clauses: list[str] = field(default_factory=list)  # the clauses failed: none when the trial passed
     witness_lines: list[str] = field(default_factory=list)
 
 
 @dataclass
 class HarnessReport:
-    results: list[TrialResult]
-    trials: int
+    results: list[TrialResult]  # trial i is results[i]
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        return not any(r.clauses for r in self.results)
 
     def lines(self) -> list[str]:
         out = []
-        for r in self.results:
-            status = "PASS" if r.passed else "FAIL"
-            detail = f" {'; '.join(r.clauses)}" if r.clauses else ""
-            out.append(f"trial {r.index}: {status}{detail}")
-            if not r.passed:
-                out.extend(f"  {line}" for line in r.witness_lines)
-        out.append(f"{'all passed' if self.all_passed else 'FAILURES'} ({self.trials} trials)")
+        for index, r in enumerate(self.results):
+            out.append(f"trial {index}: FAIL {'; '.join(r.clauses)}" if r.clauses else f"trial {index}: PASS")
+            out.extend(f"  {line}" for line in r.witness_lines)  # a failed clause's witness
+        out.append(f"{'all passed' if self.all_passed else 'FAILURES'} ({len(self.results)} trials)")
         return out
 
 
@@ -349,7 +341,7 @@ def witness_ends(w: SquareWitness) -> Iterator[tuple[str, str]]:
 def serialize_witness(w: SquareWitness) -> list[str]:
     """Line rendering of a counterexample square."""
     src_state, dst_state = _state_names(w.run.target.carrier), _state_names(w.dst_run.target.carrier)
-    lines = [f"square: path length {w.path.length}, extension length {w.extension.length}"]
+    lines = [f"square: path length {w.run.path.length}, extension length {w.extension.length}"]
     for k, (s, e), elem, term in witness_steps(w):
         run_note = ""
         if k < len(w.run.components):
@@ -395,8 +387,6 @@ def _add_noise(rng: random.Random, c: PointedCoalgebra, amount: int) -> PointedC
     xi = {k: set(v) for k, v in c.xi.items()}
     keys = sorted(xi.keys())
     for _ in range(amount):
-        if not keys:
-            break
         key = keys[rng.randrange(len(keys))]
         pool = terms[key[0]]
         if pool:
@@ -441,14 +431,13 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
         try:
             results.append(_run_trial(spec, index, subseeds[index], check_traces))
         except CoalgError as exc:  # a red report, never a crash
-            results.append(TrialResult(index, False, [f"internal error: {exc}"]))
-    return HarnessReport(results, trials)
+            results.append(TrialResult([f"internal error: {exc}"]))
+    return HarnessReport(results)
 
 
 def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> TrialResult:
     rng = random.Random(subseed)
     clauses: list[str] = []
-    passed = True
     sizes = {s: rng.randint(1, n) for s, n in spec.sizes.items()}
     raw = random_coalgebra(
         GenSpec(spec.functor, sizes, spec.density, rng.randrange(2**63), spec.pointing)
@@ -456,7 +445,6 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     # (c) the two reachability notions agree on the unrepaired source
     union, closure = reachable_bfs(raw)[1], _least_subcoalgebra(raw)
     if union != closure:
-        passed = False
         clauses.append(f"reachability mismatch: path={len(union)} sub={len(closure)} states")
     src = raw.restrict(closure) if closure != set(raw.carrier.pairs()) else raw
     style = index % 3
@@ -476,20 +464,15 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
     report = is_open(m, bound)
     witness_lines: list[str] = []
     if strict and not report.is_open:
-        passed = False
         clauses.append("strict hom reported not-open")
         if report.witness is not None:
             witness_lines = serialize_witness(report.witness)
     if report.is_open and not strict:
-        passed = False
         clauses.append("open map on path-reachable source is not strict")
     if report.is_open and report.states_checked != src.carrier.size():
-        passed = False
         clauses.append(f"bound guard: open at {bound} after {report.states_checked} of {src.carrier.size()} states")
     if report.witness is not None and not replay_witness(m, report.witness):
-        passed = False
         clauses.append("witness does not replay")
     if check_traces and report.is_open and not trace_equiv(src, m.dst, bound):
-        passed = False
         clauses.append("open map does not preserve traces")
-    return TrialResult(index, passed, clauses, witness_lines)
+    return TrialResult(clauses, witness_lines)

@@ -49,8 +49,7 @@ class PathObj:
     """Levels P_0 .. P_n with (F+1)-precise steps between them, P_0 = I."""
 
     functor: Functor          # the inner functor F (powerset-free)
-    pointing: SortedSet
-    levels: tuple[SortedSet, ...]
+    levels: tuple[SortedSet, ...]  # levels[0] is the pointing
     steps: tuple[TermMap, ...]  # step k: P_k -> (F+1)(P_{k+1})
 
     @property
@@ -58,20 +57,17 @@ class PathObj:
         return len(self.steps)
 
 
-def make_path(functor: Functor, pointing: SortedSet, levels, raw_steps) -> PathObj:
+def make_path(functor: Functor, levels, raw_steps) -> PathObj:
     """Assemble a path from raw step tables (terms of F+1 over the next level)."""
     level_tuple = tuple(levels)
     fp1 = plus1(functor)
     steps = tuple(TermMap(level_tuple[k], fp1, level_tuple[k + 1], table) for k, table in enumerate(raw_steps))
-    return PathObj(functor, pointing, level_tuple, steps)
+    return PathObj(functor, level_tuple, steps)
 
 
 def validate_path(p: PathObj) -> list[str]:
     """Empty list when the path is well-formed; first-violation reports otherwise."""
     problems: list[str] = []
-    if p.levels[0] != p.pointing:
-        problems.append("level 0 is not the pointing object")
-        return problems
     if len(p.levels) != p.length + 1:
         problems.append("level/step count mismatch")
         return problems
@@ -141,7 +137,7 @@ def comp(p: PathObj, memo: dict | None = None) -> CompValue:
                 value = kept[1][ids] = subst_node(fp1.node(s), t, current)
             nxt[(s, x)] = value
         current = nxt
-    return make_comp_value(p.functor, p.pointing, p.length, current)
+    return make_comp_value(p.functor, p.levels[0], p.length, current)
 
 
 def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
@@ -207,12 +203,12 @@ def path_from_comp(u: CompValue) -> PathObj:
         f_k = TermMap(current, fp1, var_carrier, table)
         fac = precise_factorize(f_k)
         steps.append(fac.precise.table)
-        next_level = fac.codomain
+        next_level = fac.precise.cod
         value_of = {(s, name): t for s in u.pointing.sorts for t, name in named[s].items()}
         residual = {(s, name): value_of[(s, fac.connect(s, name))] for s, name in next_level.pairs()}
         levels.append(next_level)
         current = next_level
-    return make_path(functor, u.pointing, levels, steps)
+    return make_path(functor, levels, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +268,9 @@ def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
     is merged from one renaming per element of level k, each mapping the
     element's step onto the step of its image under phi_k.
     """
-    if p.functor != q.functor or p.pointing != q.pointing:
+    if p.functor != q.functor or p.levels[0] != q.levels[0]:
         raise CoalgError("paths over different functors or pointings")
-    if p.length > q.length or p.levels[0] != q.levels[0]:
+    if p.length > q.length:
         return
     fp1 = plus1(p.functor)
 
@@ -298,7 +294,7 @@ def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
                 seen.add(frozen)
                 yield from search(k + 1, acc + (SortedFun(src, dst, table),))
 
-    yield from search(0, (SortedFun.identity(p.pointing),))
+    yield from search(0, (SortedFun.identity(p.levels[0]),))
 
 
 def find_path_morphism(p: PathObj, q: PathObj) -> PathMorphism | None:
@@ -314,13 +310,13 @@ def level_name(k: int, elem: str) -> str:
 
 def j_embed(p: PathObj) -> PointedCoalgebra:
     """The disjoint union of the levels as a pointed coalgebra."""
-    sorts = p.pointing.sorts
+    sorts = p.levels[0].sorts
     per_sort: dict[str, list[str]] = {s: [] for s in sorts}
     for k, level in enumerate(p.levels):
         for s, e in level.pairs():
             per_sort[s].append(level_name(k, e))
     carrier = SortedSet.make(per_sort, sorts)
-    point = {(s, i): level_name(0, i) for s, i in p.pointing.pairs()}
+    point = {(s, i): level_name(0, i) for s, i in p.levels[0].pairs()}
     xi: dict[tuple[str, str], tuple[Term, ...]] = {key: () for key in carrier.pairs()}
     for k in range(p.length):
         rename = SortedFun(
@@ -333,7 +329,7 @@ def j_embed(p: PathObj) -> PointedCoalgebra:
             if inner is None:
                 continue
             xi[(s, level_name(k, x))] = (fmap(p.functor, rename, s, inner),)
-    return PointedCoalgebra(p.functor, p.pointing, carrier, point, xi)
+    return PointedCoalgebra(p.functor, p.levels[0], carrier, point, xi)
 
 
 def morphism_to_lax(m: PathMorphism) -> CoalgMorphism:
@@ -364,7 +360,7 @@ def is_run(r: Run) -> bool:
     if len(r.components) != p.length + 1:
         return False
     x0 = r.components[0]
-    for (s, i) in p.pointing.pairs():
+    for (s, i) in p.levels[0].pairs():
         if x0(s, i) != c.point[(s, i)]:
             return False
     for k in range(p.length):
@@ -484,10 +480,10 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
             if found is None:
                 found = built[(current, states)] = list(children(current, states))
         for next_level, step, x_next in found:
-            longer = PathObj(c.functor, c.pointing, path.levels + (next_level,), path.steps + (step,))
+            longer = PathObj(c.functor, path.levels + (next_level,), path.steps + (step,))
             yield longer, Run(longer, c, run.components + (x_next,))
 
-    root = PathObj(c.functor, c.pointing, (c.pointing,), ())
+    root = PathObj(c.functor, (c.pointing,), ())
     first = (root, Run(root, c, (point_fun,)))
     yield first
     # depth first: one iterator of extensions per level of the last pair

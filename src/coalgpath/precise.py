@@ -101,8 +101,7 @@ def is_precise(f: TermMap) -> bool:
 
 @dataclass
 class Factorization:
-    codomain: SortedSet          # Y': one element per occurrence position
-    precise: TermMap             # f': X -> F(Y')
+    precise: TermMap             # f': X -> F(Y'), Y' one element per occurrence position
     connect: SortedFun           # h: Y' -> Y
 
 
@@ -151,7 +150,7 @@ def precise_factorize(f: TermMap) -> Factorization:
     codomain = SortedSet.make({s: fresh_elems[s] for s in y.sorts}, y.sorts)
     precise = TermMap(f.dom, f.functor, codomain, new_terms)
     connect = SortedFun(codomain, y, connect_table)
-    return Factorization(codomain, precise, connect)
+    return Factorization(precise, connect)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from coalgpath.functors import (
 from coalgpath.lasota import FiniteCategory
 from coalgpath.modelio import (
     _BOT_CONST,
-    FactorProblem,
     Lines,
     ModelParseError,
     _expect,
@@ -49,6 +48,7 @@ from coalgpath.modelio import (
 )
 from coalgpath.nominal import RnnaPresentation
 from coalgpath.paths import PathObj, make_path, validate_path
+from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 
 
@@ -165,7 +165,9 @@ def parse_path(text: str) -> PathObj:
         if key in tables[k]:
             raise ModelParseError(f"duplicate step {k} for {_key(levels[k], *key)!r}", lineno)
         tables[k][key] = _term_to_end(tokens, pos, fp1.node(key[0]), levels[k + 1], lineno)
-    path = make_path(f, pointing, levels, tables)
+    if levels[0] != pointing:
+        raise ModelParseError("invalid path: level 0 is not the pointing object")
+    path = make_path(f, levels, tables)
     problems = validate_path(path)
     if problems:
         raise ModelParseError("invalid path: " + "; ".join(problems))
@@ -174,7 +176,7 @@ def parse_path(text: str) -> PathObj:
 
 def print_path(p: PathObj) -> str:
     lines = _signature_lines(p.functor)
-    lines += ["[pointing]", *_elem_lines(p.pointing), "", "[levels]"]
+    lines += ["[pointing]", *_elem_lines(p.levels[0]), "", "[levels]"]
     for k, level in enumerate(p.levels):
         lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
     lines += ["", "[steps]"]
@@ -185,12 +187,11 @@ def print_path(p: PathObj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def print_factor_problem(problem: FactorProblem) -> str:
-    lines = _signature_lines(problem.functor)
-    lines += ["[domain]", *_elem_lines(problem.domain), "", "[codomain]", *_elem_lines(problem.codomain), "", "[map]"]
-    for (s, x) in problem.domain.pairs():
-        term = print_term_for(problem.functor, s, problem.term_map(s, x))
-        lines.append(f"{_key(problem.domain, s, x)} -> {term}")
+def print_factor_problem(f: TermMap) -> str:
+    lines = _signature_lines(f.functor)
+    lines += ["[domain]", *_elem_lines(f.dom), "", "[codomain]", *_elem_lines(f.cod), "", "[map]"]
+    for (s, x) in f.dom.pairs():
+        lines.append(f"{_key(f.dom, s, x)} -> {print_term_for(f.functor, s, f(s, x))}")
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +235,7 @@ def print_model(obj) -> str:
         return print_coalgebra(obj)
     if isinstance(obj, PathObj):
         return print_path(obj)
-    if isinstance(obj, FactorProblem):
+    if isinstance(obj, TermMap):
         return print_factor_problem(obj)
     if isinstance(obj, FiniteCategory):
         return print_category(obj)

@@ -441,7 +441,7 @@ def recursive_print_term_for(f: Functor, sort: str, term: Term) -> str:
 def is_path_morphism(m: PathMorphism) -> bool:
     if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
         return False
-    if m.components[0].table != SortedFun.identity(m.src.pointing).table:
+    if m.components[0].table != SortedFun.identity(m.src.levels[0]).table:
         return False
     fp1 = plus1(m.src.functor)
     for k in range(m.src.length):
@@ -471,7 +471,7 @@ def brute_path_morphisms(p: PathObj, q: PathObj) -> list[PathMorphism]:
     if p.length > q.length:
         return []
     rest = [_bijections(p.levels[k], q.levels[k]) for k in range(1, p.length + 1)]
-    identity = SortedFun.identity(p.pointing)
+    identity = SortedFun.identity(p.levels[0])
     candidates = (PathMorphism(p, q, (identity, *family)) for family in itertools.product(*rest))
     return [m for m in candidates if is_path_morphism(m)]
 
@@ -486,7 +486,7 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
 
     def rec(levels: list[SortedSet], steps: list[TermMap], comps: list[SortedFun]) -> Iterator[tuple[PathObj, Run]]:
-        path = PathObj(c.functor, c.pointing, tuple(levels), tuple(steps))
+        path = PathObj(c.functor, tuple(levels), tuple(steps))
         yield path, Run(path, c, tuple(comps))
         if len(steps) >= depth:
             return
@@ -504,14 +504,14 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
             fac = precise_factorize(TermMap(current, fp1, c.carrier, table))
             rename: dict[tuple[str, str], str] = {}
             per_sort: dict[str, list[str]] = {s: [] for s in c.pointing.sorts}
-            for i, (s, pos) in enumerate(fac.codomain.pairs()):
+            for i, (s, pos) in enumerate(fac.precise.cod.pairs()):
                 rename[(s, pos)] = f"n{i:03d}"
                 per_sort[s].append(rename[(s, pos)])
             next_level = SortedSet.make(per_sort, c.pointing.sorts)
-            rename_fun = SortedFun(fac.codomain, next_level, rename)
+            rename_fun = SortedFun(fac.precise.cod, next_level, rename)
             step_table = {key: fmap(fp1, rename_fun, key[0], t) for key, t in fac.precise.table.items()}
             step = TermMap(current, fp1, next_level, step_table)
-            x_table = {(s, rename[(s, pos)]): fac.connect(s, pos) for (s, pos) in fac.codomain.pairs()}
+            x_table = {(s, rename[(s, pos)]): fac.connect(s, pos) for (s, pos) in fac.precise.cod.pairs()}
             x_next = SortedFun(next_level, c.carrier, x_table)
             yield from rec(levels + [next_level], steps + [step], comps + [x_next])
 
@@ -576,7 +576,7 @@ def fresh_comp(p: PathObj) -> CompValue:
     fp1 = plus1(p.functor)
     for k in range(p.length - 1, -1, -1):
         current = {(s, x): subst_node(fp1.node(s), t, current) for (s, x), t in p.steps[k].table.items()}
-    return CompValue(p.functor, p.pointing, p.length, tuple(sorted(current.items())))
+    return CompValue(p.functor, p.levels[0], p.length, tuple(sorted(current.items())))
 
 
 def run_image(r: Run) -> set[tuple[str, str]]:

@@ -164,7 +164,7 @@ def _binary_paths_up_to(max_len: int):
     for _length in range(max_len + 1):
         new_frontier = []
         for levels, steps in frontier:
-            out.append(PathObj(f, pointing, tuple(levels), tuple(s for s in steps)))
+            out.append(PathObj(f, tuple(levels), tuple(s for s in steps)))
             for codomain, term_map in enumerate_precise_maps(levels[-1], fp1):
                 new_frontier.append((levels + [codomain], steps + [term_map]))
         frontier = new_frontier
@@ -212,7 +212,7 @@ def test_criterion_08_lasota():
         cat = poset_category(objects)
         assert validate_category(cat) == []
         result = paths_bijection_check(cat, 3)
-        assert result.ok, result.mismatches
+        assert not result.mismatches, result.mismatches
         assert result.precise_ok
     report(8, "paths == composable sequences at depth 3; precise iff characteristic at |Y| <= 2")
 

@@ -35,7 +35,6 @@ from coalgpath.groups import PermGroup
 from coalgpath.modelio import (
     ALIASES,
     MAX_NESTING,
-    FactorProblem,
     ModelParseError,
     _key,
     parse_category,
@@ -343,7 +342,7 @@ a : *
         for _length in range(3):
             grown = []
             for levels, tables in frontier:
-                p = make_path(f, levels[0], levels, tables)
+                p = make_path(f, levels, tables)
                 text = print_model(p)
                 again = parse_model(text)
                 assert comp(again) == comp(p)
@@ -396,13 +395,13 @@ x4 -> bot
             parse_factor_problem(self.FIG2_TEXT + "x2 -> bot\n")
 
     def test_fig2_file(self):
-        problem = parse_factor_problem(self.FIG2_TEXT)
-        assert problem.domain.size() == 4
+        f = parse_factor_problem(self.FIG2_TEXT)
+        assert f.dom.size() == 4
         from coalgpath.precise import is_precise, precise_factorize
 
-        assert not is_precise(problem.term_map)
-        fac = precise_factorize(problem.term_map)
-        assert fac.codomain.size() == 4
+        assert not is_precise(f)
+        fac = precise_factorize(f)
+        assert fac.precise.cod.size() == 4
 
 
 class TestCategoryFiles:
@@ -521,7 +520,6 @@ class TestGroupPresentations:
 
 class TestGeneratedNameRoundtrips:
     def test_fig2_factorization_output_roundtrips(self):
-        from coalgpath.modelio import FactorProblem
         from model_writers import print_factor_problem
         from coalgpath.precise import precise_factorize
 
@@ -529,13 +527,11 @@ class TestGeneratedNameRoundtrips:
             "[functor]\nplus1(prod(id, id))\n\n[domain]\nx1 x2 x3 x4\n\n[codomain]\ny1 y2 y3 y4\n\n"
             "[map]\nx1 -> bot\nx2 -> (y1, y2)\nx3 -> (y2, y2)\nx4 -> bot\n"
         )
-        problem = parse_factor_problem(text)
-        fac = precise_factorize(problem.term_map)
-        produced = FactorProblem(problem.functor, problem.domain, fac.codomain, fac.precise)
+        produced = precise_factorize(parse_factor_problem(text)).precise
         printed = print_factor_problem(produced)
         assert '"(x2;0.0)"' in printed  # generated names are quoted
         reparsed = parse_factor_problem(printed)
-        assert reparsed.term_map == produced.term_map
+        assert reparsed == produced
         assert print_factor_problem(reparsed) == printed
 
     def test_powerset_factor_problem_roundtrips(self):
@@ -550,7 +546,7 @@ class TestGeneratedNameRoundtrips:
         printed = print_model(problem)
         assert printed.endswith("[map]\nx1 -> (a, {})\nx2 -> (a, {y1, y2})\n")
         reparsed = parse_model(printed)
-        assert reparsed.term_map == problem.term_map
+        assert reparsed == problem
         assert print_model(reparsed) == printed
 
     def test_embedded_path_coalgebra_roundtrips(self):
@@ -842,7 +838,7 @@ class TestPrintedNamesReadBack:
             {(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((u, v)))},
             {(DEFAULT_SORT, u.name): step_of_plus1(TupleTerm((w, z))), (DEFAULT_SORT, v.name): bot_of_plus1()},
         ]
-        _reads_back(make_path(f, singleton_pointing(), levels, steps))
+        _reads_back(make_path(f, levels, steps))
 
     @given(NAMES, NAMES)
     @ROUNDTRIP
@@ -858,7 +854,7 @@ class TestPrintedNamesReadBack:
             {("a", "*"): step_of_plus1(TupleTerm((Var("a", x), Var("b", y))))},
             {("a", x): bot_of_plus1(), ("b", y): step_of_plus1(ConstElem("c"))},
         ]
-        _reads_back(make_path(f, singleton_pointing(f.sorts), levels, steps))
+        _reads_back(make_path(f, levels, steps))
 
     @given(st.data())
     @ROUNDTRIP
@@ -869,7 +865,7 @@ class TestPrintedNamesReadBack:
         pairs = st.tuples(targets, targets).map(lambda pair: step_of_plus1(TupleTerm(pair)))
         terms = st.one_of(st.just(bot_of_plus1()), pairs)
         table = {key: data.draw(terms) for key in dom.pairs()}
-        _reads_back(FactorProblem(f, dom, cod, TermMap(dom, f, cod, table)))
+        _reads_back(TermMap(dom, f, cod, table))
 
     @given(st.lists(NAMES, min_size=2, max_size=2, unique=True), st.data())
     @ROUNDTRIP

@@ -154,7 +154,7 @@ class TestIsOpen:
         report = is_open(m, 3)
         assert not report.is_open
         assert report.witness is not None
-        assert report.witness.path.length == 1
+        assert report.witness.run.path.length == 1
         assert replay_witness(m, report.witness)
 
     def test_non_lax_map_reported(self):
@@ -228,7 +228,7 @@ class TestReplayRejects:
         table = {(DEFAULT_SORT, f"s{i}"): f"t{i}" for i in range(3)}
         m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
         w = is_open(m, 4).witness
-        assert w is not None and w.path.length == 1 and replay_witness(m, w)
+        assert w is not None and w.run.path.length == 1 and replay_witness(m, w)
         return m, w
 
     def test_square_that_does_not_commute(self):
@@ -245,7 +245,7 @@ class TestReplayRejects:
         ext = w.extension
         empty = SortedSet.make({DEFAULT_SORT: []}, (DEFAULT_SORT,))
         stop = {key: bot_of_plus1() for key in ext.levels[-1].pairs()}
-        longer = make_path(ext.functor, ext.pointing, [*ext.levels, empty], [st.table for st in ext.steps] + [stop])
+        longer = make_path(ext.functor, [*ext.levels, empty], [st.table for st in ext.steps] + [stop])
         assert validate_path(longer) == []
         assert not replay_witness(m, dataclasses.replace(w, extension=longer))
 
@@ -255,7 +255,7 @@ class TestReplayRejects:
         src = lts_coalgebra("a", ["s0", "s1", "s2"], "s0",
                             [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "s1")])
         lifted = CoalgMorphism(src, m.dst, m.map)
-        run = Run(w.path, src, w.run.components)
+        run = Run(w.run.path, src, w.run.components)
         assert is_run(run)
         assert not replay_witness(lifted, dataclasses.replace(w, run=run))
 
@@ -271,7 +271,6 @@ def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
         for codomain, qn in enumerate_precise_maps(path.levels[-1], fp1):
             ext = make_path(
                 src.functor,
-                src.pointing,
                 list(path.levels) + [codomain],
                 [st.table for st in path.steps] + [qn.table],
             )
@@ -501,7 +500,7 @@ class TestLargeSystems:
         bound = m.src.carrier.size() + 1
         report = is_open(m, bound)
         assert not report.is_open
-        assert report.witness is not None and report.witness.path.length == 0
+        assert report.witness is not None and report.witness.run.path.length == 0
         assert replay_witness(m, report.witness)
         # the defect sits at the pointed state, so the enumeration stops early
         assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
@@ -756,10 +755,10 @@ class TestDeepWitness:
         report = is_open(m, src.carrier.size() + 1)
         assert not report.is_open
         assert report.witness is not None
-        assert report.witness.path.length == 2  # the defect sits at BFS level 2
+        assert report.witness.run.path.length == 2  # the defect sits at BFS level 2
         assert replay_witness(m, report.witness)
         # the padded sibling branch shows up as an added-point step
         from coalgpath.functors import strip_plus1
 
-        step1 = report.witness.path.steps[1]
+        step1 = report.witness.run.path.steps[1]
         assert sorted(strip_plus1(t) is None for t in step1.table.values()) == [False, True]

@@ -113,7 +113,7 @@ def fig3_path() -> PathObj:
             (DEFAULT_SORT, "s23"): an("c"),
         },
     ]
-    return make_path(f, single(["*"]), levels, steps)
+    return make_path(f, levels, steps)
 
 
 def word_path(word: str, length: int) -> PathObj:
@@ -134,13 +134,13 @@ def word_path(word: str, length: int) -> PathObj:
                 steps.append({(DEFAULT_SORT, current): bot_of_plus1()})
             else:
                 steps.append({})
-    return make_path(f, single(["*"]), levels, steps)
+    return make_path(f, levels, steps)
 
 
 class TestValidatePath:
     def test_length_zero_ok(self):
         f = fig3_functor()
-        p = make_path(f, single(["*"]), [single(["*"])], [])
+        p = make_path(f, [single(["*"])], [])
         assert validate_path(p) == []
 
     def test_fig3_ok(self):
@@ -161,14 +161,9 @@ class TestValidatePath:
                 (DEFAULT_SORT, "x4"): bot_of_plus1(),
             }
         ]
-        p = make_path(inner, single(["x1", "x2", "x3", "x4"]), levels, steps)
+        p = make_path(inner, levels, steps)
         problems = validate_path(p)
         assert problems and "step 0" in problems[0]
-
-    def test_wrong_first_level(self):
-        f = fig3_functor()
-        p = make_path(f, single(["*"]), [single(["q"])], [])
-        assert validate_path(p) == ["level 0 is not the pointing object"]
 
 
 class TestComp:
@@ -178,7 +173,7 @@ class TestComp:
 
     def test_length_zero_unit(self):
         f = fig3_functor()
-        p = make_path(f, single(["*"]), [single(["*"])], [])
+        p = make_path(f, [single(["*"])], [])
         value = comp(p)
         assert value.depth == 0
         assert value.values == (((DEFAULT_SORT, "*"), UNIT_TERM),)
@@ -286,7 +281,7 @@ class TestPathMorphisms:
 
         level1 = single(["v1", "v2"])
         step = {(DEFAULT_SORT, "*"): step_of_plus1(ansym(symmetric_group(2), "pair", (var("v1"), var("v2"))))}
-        p = make_path(f, single(["*"]), [single(["*"]), level1], [step])
+        p = make_path(f, [single(["*"]), level1], [step])
         morphisms = list(all_path_morphisms(p, p))
         assert len(morphisms) == 2  # the identity and the swap
         assert all(is_path_morphism(m) for m in morphisms)
@@ -299,7 +294,7 @@ class TestPathMorphisms:
 
         def path(level, x, y):
             step = {(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((var(x), var(y))))}
-            return make_path(f, start, [start, single(level)], [step])
+            return make_path(f, [start, single(level)], [step])
 
         assert list(all_path_morphisms(path(["u", "v"], "u", "v"), path(["a", "b"], "a", "a"))) == []
 
@@ -331,7 +326,7 @@ class TestPathMorphismsAgainstBruteForce:
         f = functor(parse_functor_text(text))
         start = single(["*"])
         paths = [
-            PathObj(f, start, levels, chain)
+            PathObj(f, levels, chain)
             for chain in precise_chains(plus1(f), start, 2)
             for levels in [(start, *[step.cod for step in chain])]
             if all(level.size() <= 4 for level in levels)
@@ -355,7 +350,7 @@ class TestEmbedding:
 
     def test_length_zero_is_initial_object(self):
         f = fig3_functor()
-        p = make_path(f, single(["*"]), [single(["*"])], [])
+        p = make_path(f, [single(["*"])], [])
         c = j_embed(p)
         assert c.carrier.size() == 1
         assert c.xi[(DEFAULT_SORT, "0:*")] == ()

@@ -137,7 +137,7 @@ class TestFactorization:
     def test_fig2_shape(self):
         f = fig2_map()
         fac = precise_factorize(f)
-        assert fac.codomain.size() == 4
+        assert fac.precise.cod.size() == 4
         assert is_precise(fac.precise)
         assert factorization_commutes(f, fac)
         # connecting map hits y1 once and y2 three times; y3, y4 are dropped
@@ -160,7 +160,7 @@ class TestFactorization:
         const = functor(Const(("c",)))
         f = term_map(const, ["x1", "x2"], ["y1"], {"x1": ConstElem("c"), "x2": ConstElem("c")})
         fac = precise_factorize(f)
-        assert fac.codomain.size() == 0
+        assert fac.precise.cod.size() == 0
         assert fac.connect.table == {}
 
     def test_soundness_sweep(self):
@@ -199,12 +199,12 @@ class TestFactorization:
 
 
 def _factorizations_isomorphic(f, fac1, fac2) -> bool:
-    e1 = fac1.codomain.elems(DEFAULT_SORT)
-    e2 = fac2.codomain.elems(DEFAULT_SORT)
+    e1 = fac1.precise.cod.elems(DEFAULT_SORT)
+    e2 = fac2.precise.cod.elems(DEFAULT_SORT)
     if len(e1) != len(e2):
         return False
     for image in itertools.permutations(e2):
-        bij = SortedFun(fac1.codomain, fac2.codomain, {(DEFAULT_SORT, a): b for a, b in zip(e1, image)})
+        bij = SortedFun(fac1.precise.cod, fac2.precise.cod, {(DEFAULT_SORT, a): b for a, b in zip(e1, image)})
         if any(fac1.connect(DEFAULT_SORT, a) != fac2.connect(DEFAULT_SORT, bij(DEFAULT_SORT, a)) for a in e1):
             continue
         if all(
@@ -490,7 +490,7 @@ class TestComposedFunctors:
         m = term_map(f, ["x"], ["y0"], {"x": t})
         assert not is_precise(m)
         fac = precise_factorize(m)
-        assert fac.codomain.size() == 2
+        assert fac.precise.cod.size() == 2
         assert is_precise(fac.precise)
         assert factorization_commutes(m, fac)
 
