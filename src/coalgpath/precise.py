@@ -32,7 +32,7 @@ from .functors import (
     node_has_pf,
     rebuild_with_fresh,
 )
-from .sets import CoalgError, SortedFun, SortedSet
+from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 
 class TermMap:
@@ -111,13 +111,16 @@ def position_name(elem: str, path: tuple[int, ...]) -> str:
 
 def element_labels(x: SortedSet) -> list[str]:
     """Each element of ``x``, in pair order, by its name, or as
-    ``sort.name`` when the name lies in two or more sorts, as the model
-    files qualify it.  When two of those labels meet (``"a.p"`` beside
-    ``p`` in sorts ``a`` and ``b``), every element is labelled
-    ``sort.name``; a sort name holds no ``.``, so those labels differ."""
+    ``sort.name`` when the name lies in two or more sorts, or when the
+    files name sorts and its text before its first ``.`` is a sort, as
+    the model files qualify it (``b.q`` would read as ``q`` of sort
+    ``b``).  When two of those labels meet (``"a.p"`` beside ``p`` in
+    sorts ``a`` and ``b``), every element is labelled ``sort.name``; a
+    sort name holds no ``.``, so those labels differ."""
     pairs = list(x.pairs())
     counts = Counter(e for _s, e in pairs)
-    labels = [f"{s}.{e}" if counts[e] > 1 else e for s, e in pairs]
+    prefixes = set(x.sorts) if x.sorts != (DEFAULT_SORT,) else set()
+    labels = [f"{s}.{e}" if counts[e] > 1 or "." in e and e.partition(".")[0] in prefixes else e for s, e in pairs]
     if len(set(labels)) < len(labels):
         return [f"{s}.{e}" for s, e in pairs]
     return labels

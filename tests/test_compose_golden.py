@@ -119,6 +119,10 @@ CASES = [
     # open writes the failing state, the pointed elements and the target
     # run's states as reach and runs do, a.p and b.p
     ("sharednames-open", ["open", "sharednames.model", "sharednames_dst.model", "sharednames.map"], 1),
+    # a state of sort a named "b.q" beside q of sort b: written bare it
+    # would read as q of sort b, so reach and runs write it a.b.q
+    ("dotted-reach", ["reach", "dotted.model"], 0),
+    ("dotted-runs", ["runs", "dotted.model", "--depth", "1"], 0),
 ]
 
 

@@ -37,6 +37,8 @@ from coalgpath.modelio import (
     MAX_NESTING,
     ModelParseError,
     _key,
+    _read_elem,
+    _state_names,
     parse_category,
     parse_coalgebra,
     parse_factor_problem,
@@ -45,6 +47,7 @@ from coalgpath.modelio import (
     parse_rnna,
     parse_term_text,
     print_term_for,
+    tokenize,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
 from coalgpath.paths import comp, enumerate_runs, make_path
@@ -800,6 +803,18 @@ def _sorted_names(data, sorts):
 
 
 class TestPrintedNamesReadBack:
+    @pytest.mark.parametrize("elems, sorts", [
+        ({"a": ["b.q"], "b": ["q"]}, ("a", "b")),
+        ({"*": ["*", "b.x"], "b": ["*.y", "r"]}, ("*", "b")),
+        ({"b": ["b.q", "q"]}, ("b",)),
+        ({"a": ["a.p", "p"], "b": ["p"]}, ("a", "b")),
+    ])
+    def test_verb_names_read_back(self, elems, sorts):
+        # each element as the verbs write it reads back as that element
+        x = SortedSet.make(elems, sorts)
+        for key, text in _state_names(x).items():
+            assert _read_elem(tokenize(text, 1), 0, x, 1)[0] == key
+
     @given(st.data())
     @ROUNDTRIP
     def test_single_sorted_systems(self, data):

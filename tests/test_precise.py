@@ -185,6 +185,11 @@ class TestFactorization:
         # "a.p" beside a.p: qualifying shared names alone would label two
         # elements alike, so every element is qualified
         ({"a": ["a.p", "p"], "b": ["p"]}, ["a.a.p", "a.p", "b.p"]),
+        # a name whose text before its first dot is a sort would read as
+        # an element of that sort; without the dot, or before a dot that
+        # follows no sort, it reads as itself
+        ({"a": ["b.q"], "b": ["q"]}, ["a.b.q", "q"]),
+        ({"a": ["a", "c.q"], "b": ["b"]}, ["a", "c.q", "b"]),
     ])
     def test_element_labels_are_distinct(self, elems, want):
         assert element_labels(SortedSet.make(elems, ("a", "b"))) == want
