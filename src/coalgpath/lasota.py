@@ -103,6 +103,8 @@ def validate_category(cat: FiniteCategory) -> list[CategoryViolation]:
                 problems.append(CategoryViolation("identity-law", f"{fname} o {ident} != {fname}"))
             if fc == obj and cat.comp.get((ident, fname)) != fname:
                 problems.append(CategoryViolation("identity-law", f"{ident} o {fname} != {fname}"))
+    if any(v.kind == "typing" for v in problems):
+        return problems  # associativity would compose an ill-typed composite further
     for (hname, hd, hc) in cat.morphisms:
         for (gname, gd, gc) in cat.morphisms:
             if gc != hd:

@@ -1,8 +1,9 @@
 import pathlib
+import sys
 
 import pytest
 
-from coalgpath.cli import run_command
+from coalgpath.cli import main, run_command
 
 from conftest import S3_PRESENTATIONS, drop_last_bfs_level, s3_model
 
@@ -167,20 +168,24 @@ class TestVerbs:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--functor", "pf(id)"],
-            ["--functor", "prod(id, id)", "--states", "0"],
-            ["--functor", "prod(id, id)", "--density", "-3"],
-            ["--functor", "prod(id, id)", "--density", "nan"],
-            ["--functor", "prod(" * 1500 + "id" + ", id)" * 1500],
-            ["--functor", "analytic{ a/x }"],
-            ["--functor", "analytic{ a/2 [(1 x)] }"],
-            ["--functor", "analytic{ a/3 [(1 2)(2 3)] }"],
+            (["--functor", "pf(id)"], "the branching layer is implicit; F must be powerset-free"),
+            (["--functor", "prod(id, id)", "--states", "0"], "carrier size for sort '*' must be at least 1, got 0"),
+            (["--functor", "prod(id, id)", "--density", "-3"], "density must lie in [0, 1], got -3.0"),
+            (["--functor", "prod(id, id)", "--density", "nan"], "density must lie in [0, 1], got nan"),
+            (["--functor", "prod(" * 1500 + "id" + ", id)" * 1500], "functor expression nested deeper than 100 levels"),
+            (["--functor", "analytic{ a/x }"], "expected an integer, got 'x'"),
+            (["--functor", "analytic{ a/2 [(1 x)] }"], "expected an integer, got 'x'"),
+            (["--functor", "analytic{ a/3 [(1 2)(2 3)] }"], "cycle entry 2 repeated within one generator"),
+            (["--functor", "prod(id, id)", "--states", "-1"], "negative carrier size for sort '*'"),
+            (["--functor", "analytic{ a/0 ; a/0 }"], "duplicate symbol names: ['a', 'a']"),
+            (["--functor", "analytic{ a/-1 }"], "arity must be non-negative"),
+            # the powerset branch of compose
+            (["--functor", "compose(pf(id), id)"], "the branching layer is implicit; F must be powerset-free"),
         ],
     )
     def test_verify_invalid_spec_exit_two(self, extra):
-        text, code = run_command(["verify", *extra, "--trials", "3"])
-        assert code == 2
-        assert text.startswith("error: ") and "FAILURES" not in text
+        argv, message = extra
+        assert run_command(["verify", *argv, "--trials", "3"]) == (f"error: {message}\n", 2)
 
     def test_empty_functor_section_exit_two(self, tmp_path):
         path = tmp_path / "empty.model"
@@ -419,6 +424,8 @@ class TestVerbs:
 TWO_SORTS = "[sorts]\na b\n\n[functor]\na = prod(sort(b), sort(a))\nb = coprod(const(c), sort(a))\n"
 SHARED_P = f"{TWO_SORTS}\n[pointing]\na : z\n\n[states]\na : p\nb : p\n\n[init]\n"
 CATEGORY = "[objects]\n0\n\n[initial]\n0\n\n[morphisms]\n"
+PAIR_FACTOR = "[functor]\nprod(id, id)\n\n[domain]\nx1 x2\n\n[codomain]\ny\n\n[map]\n"
+TWO_OBJECTS = "[objects]\n0 1\n\n[morphisms]\n"
 
 
 class TestRefusalsThroughVerbs:
@@ -443,9 +450,13 @@ class TestRefusalsThroughVerbs:
              "line 14: expected 'g o f = h'"),
             ("rnna", "rnna", "[states]\nq0/1 q1\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n",
              "line 2: expected 'name/registers'"),
+            ("precise-factor", "factor", f"{PAIR_FACTOR}x1 -> (y, y)\n", "term map not total: missing [('*', 'x2')]"),
+            ("precise-factor", "factor", "[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n",
+             "cannot factorize through powerset nodes"),
         ],
         ids=["duplicate-section", "ambiguous-element", "across-sorts", "missing-expression", "missing-codomain",
-             "morphism-line", "identity-line", "composition-line", "register-state"],
+             "morphism-line", "identity-line", "composition-line", "register-state", "map-not-total",
+             "factor-powerset"],
     )
     def test_refusal_exits_two(self, tmp_path, verb, suffix, text, message):
         path = tmp_path / f"bad.{suffix}"
@@ -461,6 +472,54 @@ class TestRefusalsThroughVerbs:
         )
         text, code = run_command(["lasota", str(path), "--depth", "1"])
         assert (text, code) == ("invalid category: duplicate: duplicate morphism names: ['id0', 'id0']\n", 1)
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            (f"{TWO_OBJECTS}id1 : 1 -> 1\nm : 0 -> 1\n\n[identities]\n0 : m\n1 : id1\n\n"
+             "[composition]\nid1 o id1 = id1\nid1 o m = m\n",
+             ["identity: identity of '0' has wrong end points", "identity-law: m o m != m"]),
+            # associativity is not checked past an ill-typed composite, whose
+            # composites with the pairs around it do not exist
+            (f"{TWO_OBJECTS}id0 : 0 -> 0\nid1 : 1 -> 1\nm : 0 -> 1\n\n[identities]\n0 : id0\n1 : id1\n\n"
+             "[composition]\nid0 o id0 = id0\nid1 o id1 = id1\nm o id0 = id0\nid1 o m = m\n",
+             ["typing: composite m o id0 = id0 ill-typed", "identity-law: m o id0 != m"]),
+        ],
+        ids=["identity-end-points", "ill-typed-composite"],
+    )
+    def test_invalid_category_exits_one(self, tmp_path, text, lines):
+        path = tmp_path / "bad.cat"
+        path.write_text(text, encoding="utf-8")
+        out = "".join(f"invalid category: {line}\n" for line in lines)
+        assert run_command(["lasota", str(path), "--depth", "1"]) == (out, 1)
+
+    @pytest.mark.parametrize("verb", ["open", "hom"])
+    def test_endpoints_over_two_functors_exit_two(self, tmp_path, verb):
+        files = []
+        for name, node, term in (("two", "prod(id, id)", "(s, s)"), ("three", "prod(id, id, id)", "(s, s, s)")):
+            path = tmp_path / f"{name}.model"
+            path.write_text(f"[functor]\n{node}\n\n[states]\ns\n\n[init]\n* -> s\n\n[trans]\ns -> {term}\n",
+                            encoding="utf-8")
+            files.append(str(path))
+        mapping = tmp_path / "id.map"
+        mapping.write_text("[map]\ns -> s\n", encoding="utf-8")
+        assert run_command([verb, *files, str(mapping)]) == ("error: morphism endpoints disagree on the functor\n", 2)
+
+    def test_empty_atom_pool_exit_two(self, tmp_path):
+        path = tmp_path / "auto.rnna"
+        path.write_text("[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n", encoding="utf-8")
+        assert run_command(["rnna", str(path), "--pool", "0", "--depth", "1"]) == (
+            "error: atom pool must contain at least one atom\n", 2)
+
+
+@pytest.mark.parametrize("argv, code", [(["reach", "{lts}"], 0), (["reach", "/nonexistent/nothing.model"], 2)])
+def test_main_writes_the_verb_text_and_exits_with_its_code(monkeypatch, capsys, lts_file, argv, code):
+    argv = [arg.format(lts=lts_file) for arg in argv]
+    monkeypatch.setattr(sys, "argv", ["coalgpath", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert (capsys.readouterr().out, exit_.value.code) == run_command(argv)
+    assert exit_.value.code == code
 
 
 class TestDeterminism:

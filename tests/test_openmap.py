@@ -644,6 +644,23 @@ class TestHarnessClauses:
             "FAILURES (9 trials)",
         ]
 
+    def test_traces_not_preserved(self, monkeypatch):
+        # the clause is checked only with check_traces, and only on open maps
+        monkeypatch.setattr(openmap, "trace_equiv", lambda c1, c2, bound: False)
+        assert verify_theorems(CLAUSE_SPEC, 9).all_passed
+        assert verify_theorems(CLAUSE_SPEC, 9, check_traces=True).lines() == [
+            "trial 0: FAIL open map does not preserve traces",
+            "trial 1: PASS",
+            "trial 2: PASS",
+            "trial 3: FAIL open map does not preserve traces",
+            "trial 4: PASS",
+            "trial 5: PASS",
+            "trial 6: FAIL open map does not preserve traces",
+            "trial 7: PASS",
+            "trial 8: PASS",
+            "FAILURES (9 trials)",
+        ]
+
     def test_unpatched_run_passes(self):
         assert verify_theorems(CLAUSE_SPEC, 9).lines() == [f"trial {i}: PASS" for i in range(9)] + [
             "all passed (9 trials)"

@@ -49,7 +49,7 @@ from coalgpath.paths import (
     step_letter,
     validate_path,
 )
-from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 from conftest import linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
 from oracles import (
@@ -257,6 +257,12 @@ class TestPathMorphisms:
         assert m is not None
         assert is_path_morphism(m)
         assert all(c.table == SortedFun.identity(p.levels[k]).table for k, c in enumerate(m.components))
+
+    def test_paths_out_of_different_pointings_refused(self):
+        f = fig3_functor()
+        p, q = make_path(f, [single(["*"])], []), make_path(f, [single(["q"])], [])
+        with pytest.raises(CoalgError, match="different functors or pointings"):
+            find_path_morphism(p, q)
 
     def test_prefix_inclusion(self):
         p = word_path("a", 1)
