@@ -5,10 +5,9 @@ exactly once, the text that replaces it, and the test files that should
 fail on the result.  The runner applies each mutant to a fresh copy of
 ``src/`` in a temporary directory and runs its test files there with
 ``PYTHONPATH=<copy>/src:tests``.  A mutant whose tests pass survives.
-Run from the root of the repository::
+Run it from the root of the repository::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants
+    python tests/mutants.py
 
 It exits 1 when a mutant survives that ``EQUIVALENT`` does not name with
 the reason no test can tell it from the library, when an old text does
@@ -128,24 +127,18 @@ def run(mutant: Mutant) -> str:
     return f"error: pytest exited {done.returncode}: {(done.stdout + done.stderr).strip().splitlines()[-1:]}"
 
 
-def main(names: list[str]) -> int:
-    known = {m.name for m in MUTANTS}
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        print(f"unknown mutants: {unknown}", file=sys.stderr)
-        return 1
+def main() -> int:
     bad = 0
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    for mutant in chosen:
+    for mutant in MUTANTS:
         outcome = run(mutant)
         if outcome == "survived" and mutant.name in EQUIVALENT:
             outcome = f"equivalent: {EQUIVALENT[mutant.name]}"
         elif outcome != "killed":
             bad += 1
         print(f"{mutant.name}: {outcome}", flush=True)
-    print(f"{len(chosen)} mutants, {bad} survived or failed to run")
+    print(f"{len(MUTANTS)} mutants, {bad} survived or failed to run")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

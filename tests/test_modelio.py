@@ -289,6 +289,11 @@ class TestPathFiles:
         with pytest.raises(ModelParseError, match=r"^line 15: duplicate step 0 for '\*'$"):
             parse_path(twice)
 
+    def test_pointing_other_than_level_0_rejected(self):
+        bad = self.PATH_TEXT.replace("[pointing]\n*\n", "[pointing]\npt\n")
+        with pytest.raises(ModelParseError, match=r"^invalid path: level 0 is not the pointing object$"):
+            parse_path(bad)
+
     def test_runs_roundtrip_through_printer(self):
         from conftest import linear_word_system
 
