@@ -608,6 +608,59 @@ def _state_names(x: SortedSet) -> dict[tuple[str, str], str]:
     }
 
 
+class _FlatReads(dict):
+    """What a token reads as in a flat ``[trans]`` line, worked out the
+    first time it is seen: under ``(None, tok)`` the state on a line's
+    left, as :func:`_read_elem` reads it; under ``(sort, tok)`` and
+    ``(constants, tok)`` the term it is in a slot of that sort or of those
+    constants, as ``_parse_term`` reads it.  ``None`` where the token is
+    no such thing."""
+
+    def __init__(self, carrier: SortedSet):
+        super().__init__()
+        self.carrier = carrier
+
+    def __missing__(self, key):
+        slot, tok = key
+        hit = None
+        try:
+            if slot is None and self.carrier.sorts == (DEFAULT_SORT,):
+                # a bare name, as _read_elem reads it where no sort is named
+                var = self[DEFAULT_SORT, tok]
+                hit = var and (DEFAULT_SORT, var.name)
+            elif slot is None:
+                hit = _read_elem([tok], 0, self.carrier, None)[0]
+            elif slot.__class__ is str:
+                if self.carrier.has(slot, name := _elem([tok], 0, None)):
+                    hit = Var(slot, name)
+            elif (name := _elem([tok], 0, None)) in slot:
+                hit = ConstElem(name)
+        except ModelParseError:
+            pass
+        self[key] = hit
+        return hit
+
+
+def _flat_forms(node: Node) -> dict[str, tuple | None]:
+    """The flat term forms of ``node`` by their first token, each as the
+    token count of its line, the position of its first slot, the slot
+    keys of :class:`_FlatReads`, the marks around the slots (every other
+    token from the one before the first slot) and the symbol (``None``
+    for a tuple); ``None`` for a form that is not flat.  A product, or an
+    analytic symbol, is flat when every slot is a sort or a constant."""
+
+    def form(at: int, slots: tuple[Node, ...], sym: Symbol | None) -> tuple | None:
+        keys = [s.sort if isinstance(s, SortRef) else s.elems if isinstance(s, Const) else None for s in slots]
+        marks = ["(", *[","] * (len(keys) - 1), ")"] if keys else []
+        return None if None in keys else (at - 1 + len(marks) + len(keys), at, keys, marks, sym)
+
+    if isinstance(node, Prod):
+        return {"(": form(3, node.parts, None)}
+    if isinstance(node, Analytic):
+        return {format_name(sym.name): form(4, sym.slots, sym) for sym in node.symbols}
+    return {}
+
+
 def parse_coalgebra(text: str) -> PointedCoalgebra:
     sections = split_sections(text)
     sorts, f = _parse_signature(sections)
@@ -615,7 +668,23 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
     pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
     point = _elem_table(_section(sections, "init"), pointing, carrier, "pointing", "*")
     xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
-    for lineno, tokens, key, pos in _arrow_lines(sections.get("trans", []), carrier, "state -> term"):
+    forms = {sort: _flat_forms(node) for sort, node in f.nodes}
+    reads = _FlatReads(carrier)
+    for lineno, line in sections.get("trans", []):
+        tokens = tokenize(line, lineno)
+        # a line whose term has a flat form is read with no call per token
+        key = len(tokens) > 2 and tokens[1] == "->" and reads[None, tokens[0]]
+        form = key and forms[key[0]].get(tokens[2])
+        if form:
+            size, at, keys, marks, sym = form
+            if len(tokens) == size and tokens[at - 1::2] == marks:
+                args = [reads[k, tok] for k, tok in zip(keys, tokens[at::2])]
+                if None not in args:
+                    xi[key].append(TupleTerm(tuple(args)) if sym is None else ansym(sym.group, sym.name, args))
+                    continue
+        # any other line, or one that misses anywhere, is read by the
+        # recursive parser, which words every parse message
+        [(_n, tokens, key, pos)] = _arrow_lines([(lineno, line)], carrier, "state -> term")
         xi[key].append(_term_to_end(tokens, pos, f.node(key[0]), carrier, lineno))
     # each term was checked against the functor and the carrier as it was
     # parsed, so the system skips the constructor's second walk

@@ -92,6 +92,21 @@ MUTANTS = [
     # associativity is checked past an ill-typed composite
     Mutant("associativity-past-ill-typed-composites", "lasota.py",
            '    if any(v.kind == "typing" for v in problems):', "    if False:", ("tests/test_cli.py",)),
+    # the flat [trans] route reads a slot's name without its alias
+    Mutant("flat-route-skips-aliases", "modelio.py",
+           "if self.carrier.has(slot, name := _elem([tok], 0, None)):",
+           "if self.carrier.has(slot, name := _name([tok], 0, None)):", ("tests/test_caches.py",)),
+    # the flat [trans] route takes any name for a state
+    Mutant("flat-route-skips-the-carrier", "modelio.py",
+           "if self.carrier.has(slot, name := _elem([tok], 0, None)):", "if (name := _elem([tok], 0, None)):",
+           ("tests/test_caches.py",)),
+    # the flat [trans] route keeps a symbol's arguments in the order written
+    Mutant("flat-route-skips-canonical-order", "modelio.py",
+           "ansym(sym.group, sym.name, args)", "AnSym(sym.name, tuple(args))", ("tests/test_caches.py",)),
+    # the flat [trans] route reads a line of the wrong length
+    Mutant("flat-route-skips-the-length", "modelio.py",
+           "if len(tokens) == size and tokens[at - 1::2] == marks:", "if tokens[at - 1::2] == marks:",
+           ("tests/test_caches.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

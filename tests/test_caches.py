@@ -17,10 +17,12 @@ import weakref
 
 import pytest
 
-from coalgpath import coalgebra, functors
+from coalgpath import coalgebra, functors, modelio
 from coalgpath.cli import run_command
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.functors import (
+    BOT,
+    UNIT,
     Const,
     ConstElem,
     Coprod,
@@ -48,7 +50,7 @@ from coalgpath.functors import (
     term_in_functor,
 )
 from coalgpath.groups import PermGroup, group_elements
-from coalgpath.modelio import parse_coalgebra, parse_functor_text
+from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
@@ -230,10 +232,11 @@ def open_check_style_texts(count):
                    "[trans]\n" + "\n".join(trans) + "\n")
 
 
-PARSED_SYSTEMS = [
-    *(parse_coalgebra(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.rglob("*.model"))),
-    *(parse_coalgebra(text) for text in open_check_style_texts(30)),
+PARSED_TEXTS = [
+    *(p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.model"))),
+    *open_check_style_texts(30),
 ]
+PARSED_SYSTEMS = [parse_coalgebra(text) for text in PARSED_TEXTS]
 
 
 class TestTrustedParse:
@@ -264,6 +267,128 @@ class TestTrustedParse:
         assert calls == []
         PointedCoalgebra(c.functor, c.pointing, c.carrier, c.point, c.xi)
         assert len(calls) == sum(len(terms) for terms in c.xi.values()) > 0
+
+
+def model_text(functor_text, states, trans):
+    return (f"[functor]\n{functor_text}\n\n[states]\n{states}\n\n[init]\n* -> {states.split()[0]}\n\n[trans]\n"
+            + "\n".join(trans) + "\n")
+
+
+def recursive_parse(text):
+    """``parse_coalgebra`` with every ``[trans]`` line read by the
+    recursive term parser: no node has a flat form."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelio, "_flat_forms", lambda _node: {})
+        return parse_coalgebra(text)
+
+
+def parse_outcome(parse, text):
+    """The system ``parse`` reads from ``text`` with its terms printed, or
+    the message and line it refuses ``text`` with."""
+    try:
+        c = parse(text)
+    except ModelParseError as exc:
+        return str(exc), exc.line
+    return c, repr(c.xi)
+
+
+# [trans] lines that the flat route reads, or declines to the recursive parser
+FLAT_CASES = {
+    "aliases": ("prod(const(a b unit bot), id)", "s unit",
+                ["s -> (unit, s)", 's -> ("unit", unit)', 'unit -> (bot, "unit")', "unit -> (a, s)"]),
+    "quoted": ("prod(id, id)", 'r "p q"', ['"p q" -> ("p q", r)', 'r -> (r, "p q")']),
+    "symbol-and-constant-names": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "leaf a",
+                                  ["leaf -> pair(leaf, a)", "a -> leaf", "leaf -> leaf"]),
+    "constant-named-state": ("prod(const(a b), id)", "a b", ["a -> (a, a)", "a -> (b, b)", "b -> (a, b)"]),
+    "out-of-order": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "x y", ["x -> pair(y, x)", "y -> pair(x, y)"]),
+}
+
+# a good line, then a bad one: the message and line the parser gave
+# before the flat route, which it still gives
+BAD_CASES = {
+    "trailing-token": ("prod(id, id)", "s t", ["s -> (s, t)", "t -> (s, s) s"], "trailing input after term: 's'"),
+    "missing-comma": ("prod(id, id)", "s t", ["s -> (s, t)", "t -> (s s)"], "expected ',', got 's'"),
+    "outside-the-carrier": ("prod(id, id)", "s t", ["s -> (s, t)", "t -> (s, u)"],
+                            "'u' is not an element of sort '*'"),
+    "unknown-state": ("prod(id, id)", "s t", ["s -> (s, t)", "u -> (s, s)"], "unknown element 'u'"),
+    "no-arrow": ("prod(id, id)", "s t", ["s -> (s, t)", "t (s, s)"], "expected 'state -> term'"),
+    "cut-short": ("prod(id, id)", "s t", ["s -> (s, t)", "t -> (s, t"], "unexpected end of input"),
+    "mark-in-a-slot": ("prod(id, id)", "s t", ["s -> (s, t)", "t -> (s, ,)"], "expected a name, got ','"),
+    "not-a-constant": ("prod(const(a b), id)", "s t", ["s -> (a, t)", "t -> (c, s)"],
+                       "'c' is not one of the constants ('a', 'b')"),
+    "constant-in-a-state-slot": ("prod(const(a b), id)", "s t", ["s -> (a, t)", "t -> (a, a)"],
+                                 "'a' is not an element of sort '*'"),
+    "too-few-arguments": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "s t", ["s -> leaf", "t -> pair(s)"],
+                          "expected ',', got ')'"),
+    "arguments-of-a-constant": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "s t", ["s -> leaf", "t -> leaf(s)"],
+                                "trailing input after term: '('"),
+    "unknown-symbol": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "s t", ["s -> leaf", "t -> tri(s, t, s)"],
+                       "unknown symbol 'tri'"),
+}
+
+
+class TestFlatRoute:
+    """``parse_coalgebra`` reads a ``[trans]`` line whose term is a flat
+    product or analytic symbol in one loop over its tokens; the system,
+    or the refusal, is the one the recursive parser reads."""
+
+    def test_every_parsed_text_agrees_with_the_recursive_parser(self):
+        for text in PARSED_TEXTS:
+            assert parse_outcome(parse_coalgebra, text) == parse_outcome(recursive_parse, text)
+
+    @pytest.mark.parametrize("case", FLAT_CASES.values(), ids=list(FLAT_CASES))
+    def test_hand_case_agrees_with_the_recursive_parser(self, case):
+        text = model_text(*case)
+        outcome = parse_outcome(parse_coalgebra, text)
+        assert isinstance(outcome[0], PointedCoalgebra)
+        assert outcome == parse_outcome(recursive_parse, text)
+
+    def test_names_read_as_in_the_recursive_parser(self):
+        c = parse_coalgebra(model_text(*FLAT_CASES["aliases"]))
+        assert set(c.xi[(DEFAULT_SORT, UNIT)]) == {TupleTerm((ConstElem(BOT), Var(DEFAULT_SORT, UNIT))),
+                                                   TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "s")))}
+        assert set(c.xi[(DEFAULT_SORT, "s")]) == {TupleTerm((ConstElem(UNIT), Var(DEFAULT_SORT, "s"))),
+                                                  TupleTerm((ConstElem(UNIT), Var(DEFAULT_SORT, UNIT)))}
+        c = parse_coalgebra(model_text(*FLAT_CASES["out-of-order"]))
+        assert c.xi[(DEFAULT_SORT, "x")] == c.xi[(DEFAULT_SORT, "y")]
+        assert c.xi[(DEFAULT_SORT, "x")][0].args == (Var(DEFAULT_SORT, "x"), Var(DEFAULT_SORT, "y"))
+
+    @pytest.mark.parametrize("case", BAD_CASES.values(), ids=list(BAD_CASES))
+    def test_refusal_is_the_recursive_parsers(self, case):
+        *model, message = case
+        text = model_text(*model)
+        assert parse_outcome(parse_coalgebra, text) == (f"line 12: {message}", 12)
+        assert parse_outcome(recursive_parse, text) == (f"line 12: {message}", 12)
+
+
+class TestFlatRouteSpy:
+    """The flat route is taken where it applies: no ``[trans]`` line of
+    an open-check-style model or a flat hand case reaches the recursive
+    term parser, and the lines it does not apply to still do.  A route that stopped being taken
+    would show in no answer, only in time."""
+
+    @staticmethod
+    def term_parses(monkeypatch, text):
+        calls = []
+        real = modelio._parse_term
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modelio, "_parse_term", counted)
+        parse_coalgebra(text)
+        return len(calls)
+
+    def test_flat_lines_skip_the_recursive_parser(self, monkeypatch):
+        texts = [*open_check_style_texts(10), *(model_text(*case) for case in FLAT_CASES.values())]
+        for text in texts:
+            assert self.term_parses(monkeypatch, text) == 0
+
+    @pytest.mark.parametrize("name", ["check.model", "tree.model", "twosorted.model"],
+                             ids=["coproduct", "compose", "multisorted"])
+    def test_other_lines_reach_it(self, monkeypatch, name):
+        assert self.term_parses(monkeypatch, (FIXTURES / "compose" / name).read_text(encoding="utf-8")) > 0
 
 
 class TestSortedSetHas:
