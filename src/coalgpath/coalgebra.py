@@ -190,9 +190,10 @@ class GenSpec:
     pointing: SortedSet | None = None
 
     def __post_init__(self) -> None:
-        for s, n in self.sizes.items():
-            if n < 0:
-                raise CoalgError(f"negative carrier size for sort {s!r}")
+        for s in self.functor.sorts:
+            n = self.sizes.get(s, 0)
+            if n < 1:
+                raise CoalgError(f"carrier size for sort {s!r} must be at least 1, got {n}")
 
 
 def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
@@ -204,7 +205,7 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     rng = random.Random(spec.seed)
     sorts = spec.functor.sorts
     carrier = SortedSet.make(
-        {s: [f"s{i}" if len(sorts) == 1 else f"{s}s{i}" for i in range(spec.sizes.get(s, 0))] for s in sorts},
+        {s: [f"s{i}" if len(sorts) == 1 else f"{s}s{i}" for i in range(spec.sizes[s])] for s in sorts},
         sorts,
     )
     pointing = spec.pointing
@@ -213,8 +214,6 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     point: dict[tuple[str, str], str] = {}
     for s, i in pointing.pairs():
         pool = carrier.elems(s)
-        if not pool:
-            raise CoalgError(f"pointing requires a non-empty carrier at sort {s!r}")
         point[(s, i)] = pool[rng.randrange(len(pool))]
     terms = eval_functor(spec.functor, carrier)
     xi: dict[tuple[str, str], tuple[Term, ...]] = {}

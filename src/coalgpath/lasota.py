@@ -79,6 +79,7 @@ def validate_category(cat: FiniteCategory) -> list[CategoryViolation]:
         return problems
     if cat.initial not in cat.objects:
         problems.append(CategoryViolation("initial", f"initial object {cat.initial!r} unknown"))
+    misplaced = set()
     for obj in cat.objects:
         ident = cat.identities.get(obj)
         if ident is None:
@@ -86,6 +87,7 @@ def validate_category(cat: FiniteCategory) -> list[CategoryViolation]:
             return problems
         if cat.dom(ident) != obj or cat.cod(ident) != obj:
             problems.append(CategoryViolation("identity", f"identity of {obj!r} has wrong end points"))
+            misplaced.add(obj)
     for (gname, gd, gc) in cat.morphisms:
         for (fname, fd, fc) in cat.morphisms:
             if fc != gd:
@@ -97,6 +99,8 @@ def validate_category(cat: FiniteCategory) -> list[CategoryViolation]:
             if cat.dom(h) != fd or cat.cod(h) != gc:
                 problems.append(CategoryViolation("typing", f"composite {gname} o {fname} = {h} ill-typed"))
     for obj in cat.objects:
+        if obj in misplaced:
+            continue  # its identity laws would compose pairs that do not compose
         ident = cat.identities[obj]
         for (fname, fd, fc) in cat.morphisms:
             if fd == obj and cat.comp.get((fname, ident)) != fname:

@@ -419,9 +419,6 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
     # a spec every trial would fail on is bad input, not a failed trial
     if spec.functor.has_pf:
         raise TermError("the branching layer is implicit; F must be powerset-free")
-    for s, n in spec.sizes.items():
-        if n < 1:
-            raise CoalgError(f"carrier size for sort {s!r} must be at least 1, got {n}")
     if not 0 <= spec.density <= 1:  # false for nan too
         raise CoalgError(f"density must lie in [0, 1], got {spec.density}")
     seed_rng = random.Random(spec.seed)
