@@ -3,7 +3,8 @@
 Each cached fact is checked against a fresh computation: the functor
 flags and ``+1`` functor, a system's successor table and breadth-first
 levels (against the literal walk in ``oracles.literal_bfs``), the
-terms of systems built or parsed without the constructor's term walk, set
+terms of systems built or parsed without the constructor's term walk,
+the flat ``[trans]`` route against the recursive term parser, set
 membership, the bounded evaluation cache, the term memo each functor
 value shares (its leaf states and images) and the elements kept on each
 permutation group.
@@ -329,8 +330,8 @@ BAD_CASES = {
 
 class TestFlatRoute:
     """``parse_coalgebra`` reads a ``[trans]`` line whose term is a flat
-    product or analytic symbol in one loop over its tokens; the system,
-    or the refusal, is the one the recursive parser reads."""
+    product or analytic symbol with no call per token; the system, or
+    the refusal, is the one the recursive parser reads."""
 
     def test_every_parsed_text_agrees_with_the_recursive_parser(self):
         for text in PARSED_TEXTS:
@@ -361,34 +362,35 @@ class TestFlatRoute:
         assert parse_outcome(recursive_parse, text) == (f"line 12: {message}", 12)
 
 
+def term_parses(text):
+    """How many times ``_parse_term`` is called while ``text`` is parsed."""
+    calls = []
+    real = modelio._parse_term
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelio, "_parse_term", counted)
+        parse_coalgebra(text)
+    return len(calls)
+
+
 class TestFlatRouteSpy:
     """The flat route is taken where it applies: no ``[trans]`` line of
     an open-check-style model or a flat hand case reaches the recursive
-    term parser, and the lines it does not apply to still do.  A route that stopped being taken
-    would show in no answer, only in time."""
+    term parser, and the lines it does not apply to still do.  A route
+    that stopped being taken would show in no answer, only in time."""
 
-    @staticmethod
-    def term_parses(monkeypatch, text):
-        calls = []
-        real = modelio._parse_term
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(modelio, "_parse_term", counted)
-        parse_coalgebra(text)
-        return len(calls)
-
-    def test_flat_lines_skip_the_recursive_parser(self, monkeypatch):
-        texts = [*open_check_style_texts(10), *(model_text(*case) for case in FLAT_CASES.values())]
-        for text in texts:
-            assert self.term_parses(monkeypatch, text) == 0
+    def test_flat_lines_skip_the_recursive_parser(self):
+        for text in [*open_check_style_texts(10), *(model_text(*case) for case in FLAT_CASES.values())]:
+            assert term_parses(text) == 0
 
     @pytest.mark.parametrize("name", ["check.model", "tree.model", "twosorted.model"],
                              ids=["coproduct", "compose", "multisorted"])
-    def test_other_lines_reach_it(self, monkeypatch, name):
-        assert self.term_parses(monkeypatch, (FIXTURES / "compose" / name).read_text(encoding="utf-8")) > 0
+    def test_other_lines_reach_it(self, name):
+        assert term_parses((FIXTURES / "compose" / name).read_text(encoding="utf-8")) > 0
 
 
 class TestSortedSetHas:
