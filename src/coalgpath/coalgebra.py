@@ -10,9 +10,10 @@ lax ones up to inclusion (the functional-simulation analogue).
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .functors import (
     Functor,
@@ -76,7 +77,8 @@ class PointedCoalgebra:
             if key not in self.xi:
                 raise CoalgError(f"structure map not total: missing {key}")
         for (s, x), terms in self.xi.items():
-            if tuple(sorted(set(terms))) != terms:
+            # strictly increasing: sorted with no duplicate, in one pass
+            if not isinstance(terms, tuple) or not all(map(operator.lt, terms, terms[1:])):
                 raise CoalgError(f"xi({x}) must be a sorted duplicate-free tuple")
             if walk_terms:
                 for t in terms:
@@ -88,7 +90,7 @@ class PointedCoalgebra:
         it, in occurrence order, read from the functor's term memo."""
         return tuple([(t, _leaf_states(self.functor, state[0], t)) for t in self.xi[state]])
 
-    def states(self) -> Iterator[tuple[str, str]]:
+    def states(self) -> tuple[tuple[str, str], ...]:
         return self.carrier.pairs()
 
     def point_image(self) -> set[tuple[str, str]]:
@@ -218,6 +220,6 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     terms = eval_functor(spec.functor, carrier)
     xi: dict[tuple[str, str], tuple[Term, ...]] = {}
     for s, x in carrier.pairs():
-        chosen = [t for t in terms[s] if rng.random() < spec.density]
-        xi[(s, x)] = tuple(sorted(chosen))
+        # a filter of eval_functor's terms keeps their canonical order
+        xi[(s, x)] = tuple([t for t in terms[s] if rng.random() < spec.density])
     return PointedCoalgebra._built(spec.functor, pointing, carrier, point, xi)

@@ -115,12 +115,13 @@ class SquareWitness:
 @dataclass
 class OpenCheckReport:
     """The verdict of :func:`is_open`, with a witness square when a reached
-    state has no lift."""
+    state has no lift.  A not-open verdict with neither a lax violation
+    nor a missing lift is a map that does not preserve the pointing."""
 
     verdict: str  # "open" | "not-open"
     bound: int
-    reason: str = ""
     lax_violation: tuple | None = None  # ((sort, state), term) breaking laxness
+    no_lift: tuple | None = None  # ((sort, state), shape) with no lift; the witness's run ends there
     witness: SquareWitness | None = None
     states_checked: int = 0  # reached states whose lifts were checked
 
@@ -128,17 +129,32 @@ class OpenCheckReport:
     def is_open(self) -> bool:
         return self.verdict == "open"
 
+    @property
+    def reason(self) -> str:
+        """Why the map is not open, written from the facts above; empty
+        when it is open."""
+        if self.no_lift is not None:
+            (s, v), shape = self.no_lift
+            return f"no lift at state {_state_names(self.witness.run.target.carrier)[s, v]} for shape {shape!r}"
+        if self.lax_violation is not None:
+            return "not a lax homomorphism"
+        return "" if self.is_open else "map does not preserve the pointing"
 
-def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
+
+def is_open(
+    m: CoalgMorphism, bound: int, levels: list[frozenset[tuple[str, str]]] | None = None
+) -> OpenCheckReport:
     """Check openness of a lax morphism against path extensions up to ``bound``.
 
     A map that is not even a lax morphism is reported not-open with the
     offending transition: it is not a morphism of the system category,
-    so no square lifting discipline applies to it.
+    so no square lifting discipline applies to it.  ``levels`` are the
+    breadth-first levels of the source, when the caller has walked them
+    already; otherwise they are walked here.
     """
     src, dst = m.src, m.dst
     if not m.preserves_pointing():
-        return OpenCheckReport("not-open", bound, reason="map does not preserve the pointing")
+        return OpenCheckReport("not-open", bound)
     functor = src.functor
     images = m.images
     for (s, x), image in images.items():
@@ -148,11 +164,9 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
         # the first term, in term order, whose image is no target
         for t in src.xi[(s, x)]:
             if fmap(functor, m.map, s, t) not in targets:
-                return OpenCheckReport(
-                    "not-open", bound, reason="not a lax homomorphism",
-                    lax_violation=((s, x), t),
-                )
-    levels, _union = reachable_bfs(src)
+                return OpenCheckReport("not-open", bound, lax_violation=((s, x), t))
+    if levels is None:
+        levels = reachable_bfs(src)[0]
     checked: set[tuple[str, str]] = set()
     for level_index, level in enumerate(levels):
         if level_index >= bound:
@@ -164,8 +178,7 @@ def is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                 continue
             shape, phi = _least_failing_triple(functor, dst, s, missing)
             return OpenCheckReport(
-                "not-open", bound,
-                reason=f"no lift at state {_state_names(src.carrier)[s, v]} for shape {shape!r}",
+                "not-open", bound, no_lift=((s, v), shape),
                 witness=_materialize_witness(m, levels, level_index, (s, v), shape, phi),
                 states_checked=len(checked),
             )
@@ -265,12 +278,17 @@ def _materialize_witness(
 def replay_witness(m: CoalgMorphism, w: SquareWitness) -> bool:
     """True when the witness square commutes and no diagonal exists."""
     path = w.run.path
-    if validate_path(path) or validate_path(w.extension):
+    n = path.length
+    # the extension is the path and one step more, so validating the
+    # extension validates the path's steps too
+    if (
+        w.extension.length != n + 1
+        or w.extension.levels[: n + 1] != path.levels
+        or w.extension.steps[:n] != path.steps
+        or validate_path(w.extension)
+    ):
         return False
     if not is_run(w.run) or not is_run(w.dst_run):
-        return False
-    n = path.length
-    if w.extension.length != n + 1 or w.extension.levels[: n + 1] != path.levels:
         return False
     for k in range(n + 1):
         for key in path.levels[k].pairs():
@@ -440,7 +458,8 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
         GenSpec(spec.functor, sizes, spec.density, rng.randrange(2**63), spec.pointing)
     )
     # (c) the two reachability notions agree on the unrepaired source
-    union, closure = reachable_bfs(raw)[1], _least_subcoalgebra(raw)
+    levels, union = reachable_bfs(raw)
+    closure = _least_subcoalgebra(raw)
     if union != closure:
         clauses.append(f"reachability mismatch: path={len(union)} sub={len(closure)} states")
     src = raw.restrict(closure) if closure != set(raw.carrier.pairs()) else raw
@@ -458,7 +477,9 @@ def _run_trial(spec: GenSpec, index: int, subseed: int, check_traces: bool) -> T
         m = CoalgMorphism(src, dst, _random_map(rng, src, dst))
     strict = is_strict_hom(m)
     bound = src.carrier.size() + 1
-    report = is_open(m, bound)
+    # the least subcoalgebra has the levels of the system it restricts;
+    # when the walk missed states, is_open walks the source itself
+    report = is_open(m, bound, levels if union == closure else None)
     witness_lines: list[str] = []
     if strict and not report.is_open:
         clauses.append("strict hom reported not-open")

@@ -11,7 +11,7 @@ string order of the element names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 DEFAULT_SORT = "*"
 
@@ -28,8 +28,9 @@ class SortError(CoalgError):
 class SortedSet:
     """A finite set per sort, with elements kept in canonical order.
 
-    The elements of each sort are also indexed as a frozenset when the
-    set is built, for :meth:`has`.
+    When the set is built, the elements of each sort are also indexed as
+    a frozenset, for :meth:`has`, and listed as ``(sort, element)``
+    pairs in one tuple, for :meth:`pairs` and :meth:`size`.
     """
 
     sorts: tuple[str, ...]
@@ -50,6 +51,7 @@ class SortedSet:
             if tuple(sorted(elems)) != elems:
                 raise SortError(f"elements of sort {sort!r} not in canonical order")
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_pairs", _pairs_of(self.sorts, self.data))
 
     @staticmethod
     def make(per_sort: Mapping[str, Iterable[str]], sorts: Iterable[str] | None = None) -> "SortedSet":
@@ -65,6 +67,7 @@ class SortedSet:
         object.__setattr__(s, "sorts", sorts)
         object.__setattr__(s, "data", data)
         object.__setattr__(s, "_members", {sort: frozenset(elems) for sort, elems in zip(sorts, data)})
+        object.__setattr__(s, "_pairs", _pairs_of(sorts, data))
         return s
 
     @staticmethod
@@ -78,14 +81,12 @@ class SortedSet:
         except ValueError:
             raise SortError(f"unknown sort {sort!r}") from None
 
-    def pairs(self) -> Iterator[tuple[str, str]]:
+    def pairs(self) -> tuple[tuple[str, str], ...]:
         """All (sort, element) pairs in canonical order."""
-        for sort, elems in zip(self.sorts, self.data):
-            for e in elems:
-                yield (sort, e)
+        return self._pairs
 
     def size(self) -> int:
-        return sum(len(elems) for elems in self.data)
+        return len(self._pairs)
 
     def has(self, sort: str, elem: str) -> bool:
         members = self._members.get(sort)
@@ -97,6 +98,10 @@ class SortedSet:
             self.sorts,
             tuple(tuple(e for e in elems if (s, e) in keep_set) for s, elems in zip(self.sorts, self.data)),
         )
+
+
+def _pairs_of(sorts: tuple[str, ...], data: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, str], ...]:
+    return tuple([(sort, e) for sort, elems in zip(sorts, data) for e in elems])
 
 
 def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None = None, name: str = "*") -> SortedSet:

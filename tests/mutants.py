@@ -107,6 +107,21 @@ MUTANTS = [
     Mutant("flat-route-skips-the-length", "modelio.py",
            "if len(tokens) == size and tokens[at - 1::2] == marks:", "if tokens[at - 1::2] == marks:",
            ("tests/test_caches.py",)),
+    # a set lists its (sort, element) pairs with the sorts in another order
+    Mutant("pairs-in-another-sort-order", "sets.py",
+           "for sort, elems in zip(sorts, data) for e in elems]",
+           "for sort, elems in zip(sorts[::-1], data[::-1]) for e in elems]", ("tests/test_caches.py",)),
+    # the not-open reason writes the shape before the state
+    Mutant("reason-shape-before-state", "openmap.py",
+           'return f"no lift at state {_state_names(self.witness.run.target.carrier)[s, v]} for shape {shape!r}"',
+           'return f"no lift for shape {shape!r} at state {_state_names(self.witness.run.target.carrier)[s, v]}"',
+           ("tests/test_openmap.py",)),
+    # a witness whose extension changes an earlier step of its path replays
+    Mutant("replay-skips-the-path-steps", "openmap.py",
+           "        or w.extension.steps[:n] != path.steps\n", "", ("tests/test_openmap.py",)),
+    # a system takes a sorted list of terms where a tuple belongs
+    Mutant("term-order-check-takes-a-list", "coalgebra.py",
+           "not isinstance(terms, tuple) or ", "", ("tests/test_caches.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

@@ -53,7 +53,7 @@ from coalgpath.functors import (
 from coalgpath.groups import PermGroup, group_elements
 from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs
-from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 from conftest import (
     HARNESS_FUNCTORS,
@@ -205,6 +205,33 @@ class TestTrustedBuilders:
         for name in ("map", "dst", "images"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(m, name, None)
+
+
+class TestTermOrderCheck:
+    """Both constructors take each state's terms only as a strictly
+    increasing tuple: sorted, with no term twice."""
+
+    @staticmethod
+    def system_parts():
+        c = random_coalgebra(GenSpec(HARNESS_FUNCTORS[2], {DEFAULT_SORT: 2}, 1.0, 3))
+        key = (DEFAULT_SORT, "s0")
+        assert len(c.xi[key]) > 2
+        return c, key
+
+    @pytest.mark.parametrize("bad", ["sorted-list", "unsorted-tuple", "duplicate"])
+    @pytest.mark.parametrize("build", ["public", "built"])
+    def test_refused_with_one_message(self, bad, build):
+        c, key = self.system_parts()
+        terms = c.xi[key]
+        value = {
+            "sorted-list": list(terms),
+            "unsorted-tuple": (terms[1], terms[0], *terms[2:]),
+            "duplicate": (terms[0], *terms),
+        }[bad]
+        make = PointedCoalgebra if build == "public" else PointedCoalgebra._built
+        with pytest.raises(CoalgError) as err:
+            make(c.functor, c.pointing, c.carrier, dict(c.point), {**c.xi, key: value})
+        assert str(err.value) == "xi(s0) must be a sorted duplicate-free tuple"
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -403,6 +430,42 @@ class TestSortedSetHas:
                 for elem in ["p", "q", "r", "s", "t"]:
                     scan = sort in x.sorts and elem in x.data[x.sorts.index(sort)]
                     assert x.has(sort, elem) == scan
+
+
+class TestSortedSetPairs:
+    """The pairs and size a set keeps against a walk of its data, sort by
+    sort, for every way a set is built."""
+
+    @staticmethod
+    def walked(x):
+        out = []
+        for i, sort in enumerate(x.sorts):
+            for e in x.data[i]:
+                out.append((sort, e))
+        return out
+
+    @staticmethod
+    def sets():
+        wide = [f"n{i:03d}" for i in range(1002)]  # n1000 sorts before n101
+        yield SortedSet.make({"b": ["q", "p"], "a": [], "c": ["r"]}, ("b", "a", "c"))
+        yield SortedSet.make({DEFAULT_SORT: wide})
+        yield SortedSet.single(["s2", "s0", "s1"])
+        yield SortedSet.single([])
+        yield SortedSet._built(("x", "y"), (tuple(sorted(wide[995:])), ()))
+        yield SortedSet._built(("y", "x", "z"), (("p",), (), tuple(sorted(wide[::97]))))
+        full = SortedSet.make({"a": ["p", "q", "r"], "b": ["p", "s"], "c": ["t"]}, ("a", "b", "c"))
+        yield full
+        yield full.restrict([("a", "q"), ("c", "t"), ("b", "s")])
+        yield full.restrict([("b", "p")])
+        rng = random.Random(7)
+        for _ in range(20):
+            sorts = tuple(rng.sample(["a", "b", "c", DEFAULT_SORT], rng.randint(1, 4)))
+            yield SortedSet.make({s: rng.sample(wide, rng.randint(0, 5)) for s in sorts}, sorts)
+
+    def test_pairs_and_size_match_a_walk(self):
+        for x in self.sets():
+            assert list(x.pairs()) == self.walked(x)
+            assert x.size() == len(self.walked(x))
 
 
 class TestEvalCache:

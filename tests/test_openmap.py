@@ -11,7 +11,7 @@ from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_ho
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
     Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, occurrences,
-    plus1, subst_node,
+    plus1, step_of_plus1, subst_node,
 )
 from coalgpath.modelio import _state_names, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import (
@@ -34,6 +34,7 @@ from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
 from conftest import (
+    HARNESS_FUNCTORS,
     SYSTEM_FUNCTORS,
     SYSTEM_IDS,
     drop_last_bfs_level,
@@ -259,6 +260,32 @@ class TestReplayRejects:
         assert is_run(run)
         assert not replay_witness(lifted, dataclasses.replace(w, run=run))
 
+    def test_extension_that_changes_an_earlier_step(self):
+        # x0 steps to (a, b), both sent to ab; b has no lift of ab's
+        # transition, so the square runs one step down to b
+        src = product_coalgebra(2, ["x0", "a", "b", "c"], [("x0", ("a", "b")), ("a", ("c", "c"))])
+        dst = product_coalgebra(2, ["y0", "ab", "c"], [("y0", ("ab", "ab")), ("ab", ("c", "c"))])
+        table = {(DEFAULT_SORT, x): y for x, y in (("x0", "y0"), ("a", "ab"), ("b", "ab"), ("c", "c"))}
+        m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
+        w = is_open(m, 5).witness
+        assert w is not None and w.run.path.length == 1 and replay_witness(m, w)
+
+        def pair(a, b):
+            return step_of_plus1(TupleTerm((Var(DEFAULT_SORT, a), Var(DEFAULT_SORT, b))))
+
+        ext = w.extension
+        point = (DEFAULT_SORT, "*")
+        assert ext.steps[0].table == {point: pair("n000", "n001")}
+        # the extension's first step swapped: still precise, and the
+        # target run still a run, since n000 and n001 both go to ab
+        swapped = make_path(ext.functor, ext.levels, [{point: pair("n001", "n000")}, ext.steps[1].table])
+        assert validate_path(swapped) == []
+        dst_run = Run(swapped, dst, w.dst_run.components)
+        assert is_run(dst_run)
+        # every diagonal candidate now breaks the swapped step, so only
+        # the check that the extension keeps the path's steps refuses it
+        assert not replay_witness(m, dataclasses.replace(w, extension=swapped, dst_run=dst_run))
+
 
 def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
     """Literal definition: identity-prefix extension squares with full
@@ -331,19 +358,32 @@ def _has_lift(m, sort, v, shape, fresh_vars, phi):
     return False
 
 
-def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
+@dataclasses.dataclass
+class EnumeratedReport:
+    """The enumerating check's verdict, with its reason written as text
+    when the verdict is reached, for comparison with the rendered
+    ``OpenCheckReport.reason``."""
+
+    verdict: str
+    bound: int
+    reason: str = ""
+    lax_violation: tuple | None = None
+    witness: object = None
+
+
+def enumerating_is_open(m: CoalgMorphism, bound: int) -> EnumeratedReport:
     """Every (reached state, precise shape, instantiation over the whole
     target carrier) triple, in that order, checked for a source lift; the
     first target transition without one gives the witness.  Exponential
     in the shape arity; for cross-checks only."""
     src, dst = m.src, m.dst
     if not m.preserves_pointing():
-        return OpenCheckReport("not-open", bound, reason="map does not preserve the pointing")
+        return EnumeratedReport("not-open", bound, reason="map does not preserve the pointing")
     for (s, x) in src.states():
         for t in src.xi[(s, x)]:
             if fmap(src.functor, m.map, s, t) not in dst.xi[(s, m.map(s, x))]:
-                return OpenCheckReport("not-open", bound, reason="not a lax homomorphism",
-                                       lax_violation=((s, x), t))
+                return EnumeratedReport("not-open", bound, reason="not a lax homomorphism",
+                                        lax_violation=((s, x), t))
     levels, _union = reachable_bfs(src)
     f_expr = src.functor
     checked = set()
@@ -362,11 +402,11 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> OpenCheckReport:
                     if not _has_lift(m, s, v, shape, fresh_vars, phi):
                         witness = _materialize_witness(m, levels, level_index, (s, v), shape, phi)
                         reason = f"no lift at state {_state_names(src.carrier)[s, v]} for shape {shape!r}"
-                        return OpenCheckReport("not-open", bound, reason=reason, witness=witness)
-    return OpenCheckReport("open", bound)
+                        return EnumeratedReport("not-open", bound, reason=reason, witness=witness)
+    return EnumeratedReport("open", bound)
 
 
-def report_bytes(report: OpenCheckReport):
+def report_bytes(report: OpenCheckReport | EnumeratedReport):
     witness = serialize_witness(report.witness) if report.witness is not None else None
     return report.verdict, report.reason, report.lax_violation, witness
 
@@ -547,9 +587,9 @@ class TestHarnessClauses:
         stops one BFS level early."""
         real = openmap.is_open
 
-        def spy(m, bound):
+        def spy(m, bound, levels=None):
             calls.append((m, bound))
-            return real(m, len(reachable_bfs(m.src)[0]) - 1) if short else real(m, bound)
+            return real(m, len(reachable_bfs(m.src)[0]) - 1, levels) if short else real(m, bound, levels)
 
         monkeypatch.setattr(openmap, "is_open", spy)
 
@@ -701,8 +741,8 @@ class TestHarnessFactsOnce:
         calls = []
         real = openmap.is_open
 
-        def spy(m, bound):
-            report = real(m, bound)
+        def spy(m, bound, levels=None):
+            report = real(m, bound, levels)
             calls.append((m, bound, report))
             return report
 
@@ -714,6 +754,30 @@ class TestHarnessFactsOnce:
             assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
             squares += report.witness is not None
         assert squares
+
+    def test_verify_renders_no_reason(self, monkeypatch):
+        # a report writes its reason only when it is read, and the
+        # harness reads none; the open verb's reason line is pinned by
+        # the compose goldens
+        calls, reports = [], []
+        real_names, real_open = openmap._state_names, openmap.is_open
+
+        def names(carrier):
+            calls.append(carrier)
+            return real_names(carrier)
+
+        def spy(m, bound, levels=None):
+            reports.append(real_open(m, bound, levels))
+            return reports[-1]
+
+        monkeypatch.setattr(openmap, "_state_names", names)
+        monkeypatch.setattr(openmap, "is_open", spy)
+        for f in HARNESS_FUNCTORS:
+            assert verify_theorems(harness_spec(f), 30).all_passed
+        failing = [r for r in reports if r.no_lift is not None]
+        assert len(reports) == 150 and failing and calls == []
+        assert all(r.reason.startswith("no lift at state ") for r in failing)
+        assert len(calls) == len(failing)
 
     @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
     def test_one_square_per_trial(self, f, monkeypatch):
