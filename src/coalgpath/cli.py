@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
 from .functors import DEFAULT_SORT, functor, plus1, print_term, word_separator, word_shape
@@ -112,7 +111,7 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     out: list[str] = []
     try:
         code = _dispatch(args, out)
-    except (CoalgError, FileNotFoundError) as exc:
+    except (CoalgError, OSError) as exc:
         return f"error: {exc}\n", 2
     except RecursionError as exc:
         return f"error: terms nest too deeply: {exc}\n", 2
@@ -121,7 +120,14 @@ def run_command(argv: list[str]) -> tuple[str, int]:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of the file at ``path``; ``splitlines`` in every reader
+    breaks lines at ``\r\n`` and ``\r`` as universal newlines do."""
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CoalgError(f"{path!r} is not UTF-8 (byte {exc.start}: {exc.reason})") from None
 
 
 def _dispatch(args: argparse.Namespace, out: list[str]) -> int:

@@ -28,6 +28,7 @@ where ``parse . print`` is checked to be the identity on canonical files.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from .coalgebra import PointedCoalgebra
@@ -485,6 +486,7 @@ def split_sections(text: str) -> dict[str, Lines]:
 
 def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
     per_sort: dict[str, list[str]] = {s: [] for s in sorts}
+    seen: set[tuple[str, str]] = set()
     for lineno, line in lines:
         sort, colon, rest = line.partition(":")
         sort = sort.strip()
@@ -494,8 +496,9 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
         tokens = tokenize(rest, lineno)
         for pos in range(len(tokens)):
             name = _elem(tokens, pos, lineno)
-            if name in per_sort[sort]:
+            if (sort, name) in seen:
                 raise ModelParseError(f"duplicate element {name!r}", lineno)
+            seen.add((sort, name))
             per_sort[sort].append(name)
     return SortedSet.make(per_sort, sorts)
 
@@ -558,10 +561,19 @@ def _elem_table(lines: Lines, dom: SortedSet, cod: SortedSet, what: str, default
 
 def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Functor]:
     """The sorts listed in [sorts] (the default sort without one) and the
-    functor of [functor]."""
-    if "sorts" in sections:
+    functor of [functor]; files whose two sections hold the same numbered
+    lines share one functor object, so what is kept on it is derived once."""
+    sorts, section = sections.get("sorts"), sections.get("functor")
+    return _signature(None if sorts is None else tuple(sorts), None if section is None else tuple(section))
+
+
+# keyed by numbered lines, so every error names its own line; a raised
+# error is never cached
+@functools.lru_cache(maxsize=32)
+def _signature(sort_lines: tuple | None, section: tuple | None) -> tuple[tuple[str, ...], Functor]:
+    if sort_lines is not None:
         listed: list[str] = []
-        for lineno, line in sections["sorts"]:
+        for lineno, line in sort_lines:
             for sort in line.split():
                 if _sort_name(sort, lineno) in listed:
                     raise ModelParseError(f"duplicate sort {sort!r}", lineno)
@@ -569,7 +581,8 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
         sorts = tuple(listed)
     else:
         sorts = (DEFAULT_SORT,)
-    section = _section(sections, "functor")
+    if section is None:
+        raise ModelParseError("missing [functor] section")
     if not section:
         raise ModelParseError("empty [functor] section")
     # a line names its sort by an '=' before its first quoted name
@@ -614,11 +627,17 @@ class _FlatReads(dict):
     left, as :func:`_read_elem` reads it; under ``(sort, tok)`` and
     ``(constants, tok)`` the term it is in a slot of that sort or of those
     constants, as ``_parse_term`` reads it.  ``None`` where the token is
-    no such thing."""
+    no such thing.  On a single-sort carrier, a state whose name is a bare
+    name and no alias is filled in at the start: its token is its name."""
 
     def __init__(self, carrier: SortedSet):
         super().__init__()
         self.carrier = carrier
+        if carrier.sorts == (DEFAULT_SORT,):
+            for key in carrier.pairs():
+                if key[1] not in ALIASES and NAME_RE.fullmatch(key[1]):
+                    self[None, key[1]] = key
+                    self[key] = Var(*key)
 
     def __missing__(self, key):
         slot, tok = key
@@ -724,10 +743,12 @@ def parse_factor_problem(text: str) -> TermMap:
 def parse_category(text: str) -> FiniteCategory:
     sections = split_sections(text)
     objects: list[str] = []
+    known: set[str] = set()  # the objects, for membership
     for lineno, line in _section(sections, "objects"):
         for obj in line.split():
-            if obj in objects:
+            if obj in known:
                 raise ModelParseError(f"duplicate object {obj!r}", lineno)
+            known.add(obj)
             objects.append(obj)
     if not objects:
         raise ModelParseError("empty [objects] section")
@@ -737,7 +758,7 @@ def parse_category(text: str) -> FiniteCategory:
         if not initial_lines:
             raise ModelParseError("empty [initial] section")
         initial = " ".join(line for _n, line in initial_lines).strip()
-        if initial not in objects:
+        if initial not in known:
             raise ModelParseError(f"initial object {initial!r} is not an object", initial_lines[0][0])
     morphisms: list[tuple[str, str, str]] = []
     for lineno, line in sections.get("morphisms", []):
@@ -745,7 +766,7 @@ def parse_category(text: str) -> FiniteCategory:
         if not m:
             raise ModelParseError("expected 'name : dom -> cod'", lineno)
         for end in (m.group(2), m.group(3)):
-            if end not in objects:
+            if end not in known:
                 raise ModelParseError(f"morphism {m.group(1)!r} names {end!r}, which is not an object", lineno)
         morphisms.append((m.group(1), m.group(2), m.group(3)))
     used: list[tuple[str, int]] = []  # morphism names, checked once every line has parsed
@@ -754,7 +775,7 @@ def parse_category(text: str) -> FiniteCategory:
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)", line)
         if not m:
             raise ModelParseError("expected 'object : identity-name'", lineno)
-        if m.group(1) not in objects:
+        if m.group(1) not in known:
             raise ModelParseError(f"identity {m.group(2)!r} names {m.group(1)!r}, which is not an object", lineno)
         if m.group(1) in identities:
             raise ModelParseError(f"duplicate identity for {m.group(1)!r}", lineno)

@@ -122,6 +122,26 @@ MUTANTS = [
     # a system takes a sorted list of terms where a tuple belongs
     Mutant("term-order-check-takes-a-list", "coalgebra.py",
            "not isinstance(terms, tuple) or ", "", ("tests/test_caches.py",)),
+    # two files share a signature on their [functor] lines alone
+    Mutant("signature-key-without-the-sorts", "modelio.py",
+           "@functools.lru_cache(maxsize=32)\ndef _signature(",
+           "def _signature(sort_lines, section, _kept={}):\n"
+           "    if section not in _kept:\n"
+           "        _kept[section] = _signature_of(sort_lines, section)\n"
+           "    return _kept[section]\n\n\ndef _signature_of(",
+           ("tests/test_caches.py",)),
+    # the flat [trans] table fills in a state named by an alias word
+    Mutant("flat-fill-ignores-aliases", "modelio.py",
+           "if key[1] not in ALIASES and NAME_RE.fullmatch(key[1]):", "if NAME_RE.fullmatch(key[1]):",
+           ("tests/test_caches.py",)),
+    # a model file that is not UTF-8 ends in a traceback
+    Mutant("read-lets-decode-errors-through", "cli.py",
+           "    try:\n        return data.decode(\"utf-8\")\n    except UnicodeDecodeError as exc:\n"
+           "        raise CoalgError(", "    return data.decode(\"utf-8\")\n    raise CoalgError(",
+           ("tests/test_cli.py",)),
+    # a [states] line that names an element twice is read
+    Mutant("states-duplicate-set-never-filled", "modelio.py",
+           "            seen.add((sort, name))\n", "", ("tests/test_modelio.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

@@ -62,6 +62,7 @@ from conftest import (
     SYSTEM_IDS,
     cyclic_group,
     lts_functor,
+    s3_model,
     symmetric_group,
 )
 from oracles import literal_bfs
@@ -418,6 +419,91 @@ class TestFlatRouteSpy:
                              ids=["coproduct", "compose", "multisorted"])
     def test_other_lines_reach_it(self, name):
         assert term_parses((FIXTURES / "compose" / name).read_text(encoding="utf-8")) > 0
+
+
+def signature(text):
+    return modelio._parse_signature(modelio.split_sections(text))
+
+
+class TestSignatureCache:
+    """Files whose ``[sorts]`` and ``[functor]`` sections hold the same
+    numbered lines share one functor object, and with it everything kept
+    on it; any other difference builds the functor apart."""
+
+    def test_equal_sections_give_one_functor_object(self):
+        base = "[functor]\nprod(id, id)\n\n[states]\n"
+        one = parse_coalgebra(base + "p q\n\n[init]\n* -> p\n\n[trans]\np -> (p, q)\n")
+        two = parse_coalgebra(base + "r\n\n[init]\n* -> r\n\n[trans]\nr -> (r, r)\n")
+        assert one.functor is two.functor
+        assert one.functor.plus1 is two.functor.plus1
+        assert one.functor._memo is two.functor._memo
+
+    def test_one_group_written_two_ways_is_built_apart(self):
+        from model_writers import print_model
+
+        texts = [s3_model(gens).replace("t/3", "tri/3").replace("t(", "tri(")
+                 for gens in ("(1 2), (1 2 3)", "(1 2), (2 3)")]
+        one, two = (parse_coalgebra(text) for text in texts)
+        assert one.functor == two.functor
+        assert one.functor is not two.functor
+        assert [print_model(c) for c in (one, two)] == texts
+
+    def test_sorts_in_another_order_are_another_signature(self):
+        lines = "[functor]\na = prod(sort(b), sort(a))\nb = coprod(const(c), sort(a))\n"
+        ab, ba = (signature(f"[sorts]\n{sorts}\n\n{lines}") for sorts in ("a b", "b a"))
+        assert (ab[0], ba[0]) == (("a", "b"), ("b", "a"))
+        assert ab[1].sorts == ("a", "b") and ba[1].sorts == ("b", "a")
+        assert ab[1] != ba[1]
+
+    def test_the_same_bad_text_names_its_own_line(self):
+        for blank in (0, 3):
+            text = "\n" * blank + "[functor]\nprod(id, frob)\n"
+            for _again in range(2):
+                with pytest.raises(ModelParseError, match=rf"^line {blank + 2}: unknown functor constructor"):
+                    signature(text)
+
+    def test_the_cache_is_bounded(self):
+        maxsize = modelio._signature.cache_info().maxsize
+        assert maxsize is not None
+        for k in range(maxsize + 5):
+            signature(f"[functor]\nprod({', '.join(['id'] * (k + 1))})\n")
+        assert modelio._signature.cache_info().currsize == maxsize
+
+
+class TestFilledFlatReads:
+    """The entries the flat ``[trans]`` table fills from a single-sort
+    carrier are what reading each token on an empty table gives."""
+
+    @staticmethod
+    def checked(carrier):
+        reads = modelio._FlatReads(carrier)
+        filled = dict(reads)
+        reads.clear()
+        for key, hit in filled.items():
+            assert reads[key] == hit, key
+        return filled
+
+    def test_every_parsed_carrier(self):
+        filled = 0
+        for c in PARSED_SYSTEMS:
+            entries = self.checked(c.carrier)
+            if c.carrier.sorts != (DEFAULT_SORT,):
+                assert entries == {}
+            filled += len(entries)
+        assert filled > 500
+
+    def test_aliases_quoted_and_dotted_names(self):
+        names = ["bot", "unit", "ok", "p q", "a.b", ".x", "s", "in0", "-"]
+        carrier = SortedSet.single([*names, BOT])
+        filled = self.checked(carrier)
+        # a state named by a glyph reads as itself; the alias words do not
+        assert {tok for _slot, tok in filled} == {"a.b", ".x", "s", "in0", "-", BOT}
+        assert filled[DEFAULT_SORT, "a.b"] == Var(DEFAULT_SORT, "a.b")
+        assert filled[None, "s"] == (DEFAULT_SORT, "s")
+
+    def test_a_multisorted_carrier_fills_nothing(self):
+        assert self.checked(SortedSet.make({"a": ["p", "q"], "b": ["p"]}, ("a", "b"))) == {}
+        assert self.checked(SortedSet.make({"a": ["p", "q"]}, ("a",))) == {}
 
 
 class TestSortedSetHas:

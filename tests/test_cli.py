@@ -1,8 +1,12 @@
+import errno
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
+from coalgpath import cli
 from coalgpath.cli import main, run_command
 
 from conftest import S3_PRESENTATIONS, drop_last_bfs_level, s3_model
@@ -510,6 +514,57 @@ class TestRefusalsThroughVerbs:
         path.write_text("[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n", encoding="utf-8")
         assert run_command(["rnna", str(path), "--pool", "0", "--depth", "1"]) == (
             "error: atom pool must contain at least one atom\n", 2)
+
+
+class TestUnreadableFiles:
+    """A model file that cannot be read, or is not UTF-8, is bad input:
+    one ``error:`` line naming the path, and exit 2."""
+
+    def test_a_directory(self, tmp_path):
+        out, code = run_command(["reach", str(tmp_path)])
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1 and repr(str(tmp_path)) in out
+
+    @pytest.mark.parametrize("data, where", [
+        (b"[functor]\nid\n\n[states]\nq\xe9\n", "byte 24: invalid continuation byte"),
+        (b"\xff", "byte 0: invalid start byte"),
+    ], ids=["latin-1", "0xff"])
+    def test_a_file_that_is_not_utf8(self, tmp_path, data, where):
+        path = tmp_path / "bad.model"
+        path.write_bytes(data)
+        assert run_command(["reach", str(path)]) == (f"error: {str(path)!r} is not UTF-8 ({where})\n", 2)
+
+    def test_a_file_without_read_permission(self, tmp_path, monkeypatch):
+        # the tests may run as root, whom chmod does not keep out of a
+        # file, so open is patched to refuse the way it refuses a file
+        # without read permission
+        path = tmp_path / "locked.model"
+        path.write_text("[functor]\nid\n", encoding="utf-8")
+
+        def refuse(file, *_args, **_kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert run_command(["reach", str(path)]) == (f"error: [Errno 13] Permission denied: {str(path)!r}\n", 2)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_read_as_newlines(self, lts_file, tmp_path, newline):
+        path = tmp_path / "lts.model"
+        path.write_bytes(pathlib.Path(lts_file).read_bytes().replace(b"\n", newline.encode()))
+        assert run_command(["reach", str(path)]) == run_command(["reach", lts_file])
+
+    @pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+    def test_the_module_exits_two_with_no_traceback(self, tmp_path, bad):
+        path = tmp_path
+        if bad == "not-utf8":
+            path = tmp_path / "bad.model"
+            path.write_bytes(b"\xff")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-m", "coalgpath.cli", "reach", str(path)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith("error: ") and str(path) in done.stdout
 
 
 @pytest.mark.parametrize("argv, code", [(["reach", "{lts}"], 0), (["reach", "/nonexistent/nothing.model"], 2)])

@@ -210,6 +210,15 @@ class TestCoalgebraFiles:
             parse_coalgebra(bad)
         assert "line" in str(err.value)
 
+    def test_duplicate_state_on_a_later_line_and_one_name_in_two_sorts(self):
+        with pytest.raises(ModelParseError, match=r"^line 6: duplicate element 'q1'$"):
+            parse_coalgebra("[functor]\nid\n\n[states]\nq0 q1\nq2 q1\n")
+        text = "[sorts]\na b\n\n[functor]\na = sort(b)\nb = sort(a)\n\n[states]\na : p\nb : p\na : q p\n"
+        with pytest.raises(ModelParseError, match=r"^line 11: duplicate element 'p'$"):
+            parse_coalgebra(text)
+        c = parse_coalgebra(text.replace("a : q p", "a : q") + "\n[init]\n* -> a.p\n")
+        assert c.carrier.pairs() == (("a", "p"), ("a", "q"), ("b", "p"))
+
     def test_unknown_state_in_transition(self):
         bad = LTS_TEXT + "q9 -> (a, q0)\n"
         with pytest.raises(ModelParseError):
