@@ -111,7 +111,7 @@ def run_command(argv: list[str]) -> tuple[str, int]:
     out: list[str] = []
     try:
         code = _dispatch(args, out)
-    except (CoalgError, OSError) as exc:
+    except CoalgError as exc:
         return f"error: {exc}\n", 2
     except RecursionError as exc:
         return f"error: terms nest too deeply: {exc}\n", 2
@@ -122,10 +122,11 @@ def run_command(argv: list[str]) -> tuple[str, int]:
 def _read(path: str) -> str:
     """The text of the file at ``path``; ``splitlines`` in every reader
     breaks lines at ``\r\n`` and ``\r`` as universal newlines do."""
-    with open(path, "rb") as file:
-        data = file.read()
     try:
-        return data.decode("utf-8")
+        with open(path, "rb") as file:
+            return file.read().decode("utf-8")
+    except OSError as exc:
+        raise CoalgError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise CoalgError(f"{path!r} is not UTF-8 (byte {exc.start}: {exc.reason})") from None
 

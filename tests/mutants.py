@@ -136,8 +136,7 @@ MUTANTS = [
            ("tests/test_caches.py",)),
     # a model file that is not UTF-8 ends in a traceback
     Mutant("read-lets-decode-errors-through", "cli.py",
-           "    try:\n        return data.decode(\"utf-8\")\n    except UnicodeDecodeError as exc:\n"
-           "        raise CoalgError(", "    return data.decode(\"utf-8\")\n    raise CoalgError(",
+           "    except UnicodeDecodeError as exc:\n", "    except UnicodeDecodeError as exc:\n        raise\n",
            ("tests/test_cli.py",)),
     # a [states] line that names an element twice is read
     Mutant("states-duplicate-set-never-filled", "modelio.py",
