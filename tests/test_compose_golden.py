@@ -123,6 +123,14 @@ CASES = [
     # would read as q of sort b, so reach and runs write it a.b.q
     ("dotted-reach", ["reach", "dotted.model"], 0),
     ("dotted-runs", ["runs", "dotted.model", "--depth", "1"], 0),
+    # a map that is lax and not strict: hom exits 1
+    ("tree-hom", ["hom", "tree_src.model", "tree_dst.model", "tree.map"], 1),
+    # two leaves merged into one: a strict homomorphism of a path-reachable
+    # system, so hom exits 0 and the map is open
+    ("merge-hom", ["hom", "tree_merge.model", "tree_src.model", "tree_merge.map"], 0),
+    ("merge-open", ["open", "tree_merge.model", "tree_src.model", "tree_merge.map"], 0),
+    # the theorem harness at a fixed seed
+    ("prod-verify", ["verify", "--functor", "prod(id, id)", "--trials", "5", "--seed", "3"], 0),
 ]
 
 
