@@ -66,17 +66,17 @@ MUTANTS = [
            "({len(self.results)} trials)", "({len(self.results) + 1} trials)", ("tests/test_cli.py",)),
     # the lasota verb prints the bijection ok despite mismatches
     Mutant("bijection-ok-despite-mismatches", "cli.py",
-           'out.append("bijection: FAIL" if report.mismatches else "bijection: ok")', 'out.append("bijection: ok")',
+           'yield "bijection: FAIL" if report.mismatches else "bijection: ok"', 'yield "bijection: ok"',
            ("tests/test_lasota.py",)),
     # the lasota verb exits 0 despite mismatches
     Mutant("lasota-exits-zero-despite-mismatches", "cli.py",
-           "        return 1 if report.mismatches else 0", "        return 0", ("tests/test_lasota.py",)),
+           "    return 1 if report.mismatches else 0", "    return 0", ("tests/test_lasota.py",)),
     # a witness is replayed against its extension where its path belongs
     Mutant("replay-reads-the-extension-as-the-path", "openmap.py",
            "    path = w.run.path\n", "    path = w.extension\n", ("tests/test_openmap.py",)),
     # precise-factor prints the given codomain, not the factorization's
     Mutant("factor-prints-the-given-codomain", "cli.py",
-           "        codomain = fac.precise.cod\n", "        codomain = f.cod\n", ("tests/test_compose_golden.py",)),
+           "    codomain = fac.precise.cod\n", "    codomain = f.cod\n", ("tests/test_compose_golden.py",)),
     # path morphisms between paths out of different pointings are searched
     Mutant("path-morphisms-across-pointings", "paths.py",
            "    if p.functor != q.functor or p.levels[0] != q.levels[0]:", "    if p.functor != q.functor:",

@@ -1,4 +1,6 @@
+import argparse
 import errno
+import inspect
 import os
 import pathlib
 import subprocess
@@ -8,6 +10,8 @@ import pytest
 
 from coalgpath import cli
 from coalgpath.cli import main, run_command
+from coalgpath.modelio import format_name
+from coalgpath.sets import CoalgError
 
 from conftest import S3_PRESENTATIONS, drop_last_bfs_level, s3_model
 
@@ -347,6 +351,35 @@ class TestVerbs:
         assert code == 2
         assert text.startswith("error: ")
 
+    def test_an_error_discards_the_lines_yielded_before_it(self, deep_file):
+        """``runs`` yields 25 lines on this file before its terms nest too
+        deeply; the text is then the error line alone."""
+        args = cli._parser().parse_args(["runs", deep_file, "--depth", "6"])
+        yielded = []
+        with pytest.raises(CoalgError, match="terms nest too deeply"):
+            for line in args.run(args, format_name):
+                yielded.append(line)
+        assert len(yielded) == 25
+        text, code = run_command(["runs", deep_file, "--depth", "6"])
+        assert (text.count("\n"), code) == (1, 2)
+        assert text.startswith("error: ")
+
+    def test_a_recursion_error_mid_output_is_the_one_error_line(self, monkeypatch):
+        """A ``RecursionError`` from a library call after two lines were
+        yielded: the text is the error line alone, with exit 2."""
+        real, calls = cli.print_term_for, []
+
+        def print_term_for(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "print_term_for", print_term_for)
+        text, code = run_command(["paths", str(FIXTURES / "compose" / "tree.model"), "--depth", "1"])
+        assert (text, code) == ("error: terms nest too deeply: maximum recursion depth exceeded\n", 2)
+        assert len(calls) == 2
+
     def test_verify_nested_composition_in_outer_slot(self):
         functor_text = "compose(compose(prod(id, id), coprod(const(c), id)), id)"
         text, code = run_command(["verify", "--functor", functor_text, "--trials", "3"])
@@ -565,6 +598,16 @@ class TestUnreadableFiles:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stdout.startswith("error: ") and str(path) in done.stdout
+
+
+def test_the_parser_binds_each_verb_to_a_generator_function():
+    """The parser is the one verb table: every subcommand runs a
+    generator function of ``cli``."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 10
+    for verb, parser in sub.choices.items():
+        run = parser.get_default("run")
+        assert inspect.isgeneratorfunction(run) and getattr(cli, run.__name__) is run, verb
 
 
 @pytest.mark.parametrize("argv, code", [(["reach", "{lts}"], 0), (["reach", "/nonexistent/nothing.model"], 2)])

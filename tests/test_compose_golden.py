@@ -7,10 +7,11 @@ verbs print for it.
 """
 
 import pathlib
+import sys
 
 import pytest
 
-from coalgpath.cli import run_command
+from coalgpath.cli import main, run_command
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
@@ -134,9 +135,23 @@ CASES = [
 ]
 
 
+def _resolved(argv: list[str]) -> list[str]:
+    return [str(COMPOSE / a) if (COMPOSE / a).is_file() else a for a in argv]
+
+
 @pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv, code):
-    resolved = [str(COMPOSE / a) if (COMPOSE / a).is_file() else a for a in argv]
-    text, got = run_command(resolved)
+    text, got = run_command(_resolved(argv))
     assert got == code
     assert text == (COMPOSE / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_main_writes_the_golden_bytes(monkeypatch, capsys, name, argv, code):
+    """The entry point writes the same bytes to stdout and exits with the
+    same code."""
+    monkeypatch.setattr(sys, "argv", ["coalgpath", *_resolved(argv)])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == code
+    assert capsys.readouterr().out == (COMPOSE / f"{name}.out").read_text(encoding="utf-8")
