@@ -571,16 +571,16 @@ def _parse_signature(sections: dict[str, Lines]) -> tuple[tuple[str, ...], Funct
 # error is never cached
 @functools.lru_cache(maxsize=32)
 def _signature(sort_lines: tuple | None, section: tuple | None) -> tuple[tuple[str, ...], Functor]:
-    if sort_lines is not None:
-        listed: list[str] = []
-        for lineno, line in sort_lines:
-            for sort in line.split():
-                if _sort_name(sort, lineno) in listed:
-                    raise ModelParseError(f"duplicate sort {sort!r}", lineno)
-                listed.append(sort)
-        sorts = tuple(listed)
-    else:
-        sorts = (DEFAULT_SORT,)
+    # the sorts in the order listed, and as a set for the membership tests
+    listed = [DEFAULT_SORT] if sort_lines is None else []
+    known = set(listed)
+    for lineno, line in sort_lines or ():
+        for sort in line.split():
+            if _sort_name(sort, lineno) in known:
+                raise ModelParseError(f"duplicate sort {sort!r}", lineno)
+            known.add(sort)
+            listed.append(sort)
+    sorts = tuple(listed)
     if section is None:
         raise ModelParseError("missing [functor] section")
     if not section:
@@ -596,7 +596,7 @@ def _signature(sort_lines: tuple | None, section: tuple | None) -> tuple[tuple[s
             raise ModelParseError("expected '<sort> = <functor>'", lineno)
         sort, expr = line.split("=", 1)
         sort = sort.strip()
-        if sort not in sorts:
+        if sort not in known:
             raise ModelParseError(f"unknown sort {sort!r}", lineno)
         if sort in nodes:
             raise ModelParseError(f"duplicate expression for sort {sort!r}", lineno)

@@ -141,6 +141,9 @@ MUTANTS = [
     # a [states] line that names an element twice is read
     Mutant("states-duplicate-set-never-filled", "modelio.py",
            "            seen.add((sort, name))\n", "", ("tests/test_modelio.py",)),
+    # a [sorts] line that names a sort twice is read
+    Mutant("sorts-duplicate-set-never-filled", "modelio.py",
+           "            known.add(sort)\n", "", ("tests/test_modelio.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason
