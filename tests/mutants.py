@@ -142,8 +142,9 @@ MUTANTS = [
     Mutant("states-duplicate-set-never-filled", "modelio.py",
            "            seen.add((sort, name))\n", "", ("tests/test_modelio.py",)),
     # a [sorts] line that names a sort twice is read
-    Mutant("sorts-duplicate-set-never-filled", "modelio.py",
-           "            known.add(sort)\n", "", ("tests/test_modelio.py",)),
+    Mutant("sorts-duplicate-check-off", "modelio.py",
+           "            if _sort_name(sort, lineno) in known:\n", "            if not _sort_name(sort, lineno):\n",
+           ("tests/test_modelio.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

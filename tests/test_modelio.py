@@ -221,8 +221,8 @@ class TestCoalgebraFiles:
 
     def test_duplicate_sort_late_in_a_long_line_and_unknown_sorts(self):
         """A repeat at the end of a line of 2,000 sorts is refused with its
-        line, and a ``[functor]`` line must name a listed sort (``*`` where
-        no ``[sorts]`` section lists any)."""
+        line, and a multisorted ``[functor]`` line must name a listed sort
+        (``*`` where no ``[sorts]`` section lists any)."""
         names = " ".join(f"s{i}" for i in range(2000))
         with pytest.raises(ModelParseError, match=r"^line 3: duplicate sort 's7'$"):
             parse_coalgebra(f"[sorts]\na\n{names} s7\n")
@@ -230,6 +230,8 @@ class TestCoalgebraFiles:
             parse_coalgebra("[sorts]\na b\n\n[functor]\na = sort(b)\nc = sort(a)\n")
         with pytest.raises(ModelParseError, match=r"^line 2: unknown sort 'a'$"):
             parse_coalgebra("[functor]\na = id\n")
+        with pytest.raises(ModelParseError, match=r"^line 6: expected '<sort> = <functor>'$"):
+            parse_coalgebra("[sorts]\na b\n\n[functor]\na = sort(b)\nsort(a)\n")
 
     def test_unknown_state_in_transition(self):
         bad = LTS_TEXT + "q9 -> (a, q0)\n"
