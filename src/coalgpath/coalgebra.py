@@ -198,6 +198,15 @@ class GenSpec:
                 raise CoalgError(f"carrier size for sort {s!r} must be at least 1, got {n}")
 
 
+@functools.lru_cache(maxsize=64)
+def _random_carrier(sorts: tuple[str, ...], sizes: tuple[int, ...]) -> SortedSet:
+    """The carrier of a random system of ``sizes`` states per sort; one
+    object per arguments, as a set is frozen."""
+    return SortedSet.make(
+        {s: [f"s{i}" if len(sorts) == 1 else f"{s}s{i}" for i in range(n)] for s, n in zip(sorts, sizes)}, sorts
+    )
+
+
 def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     """A random system: every F(X)-term included with the given density.
 
@@ -206,10 +215,7 @@ def random_coalgebra(spec: GenSpec) -> PointedCoalgebra:
     """
     rng = random.Random(spec.seed)
     sorts = spec.functor.sorts
-    carrier = SortedSet.make(
-        {s: [f"s{i}" if len(sorts) == 1 else f"{s}s{i}" for i in range(spec.sizes[s])] for s in sorts},
-        sorts,
-    )
+    carrier = _random_carrier(sorts, tuple([spec.sizes[s] for s in sorts]))
     pointing = spec.pointing
     if pointing is None:
         pointing = singleton_pointing(sorts)

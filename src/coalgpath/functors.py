@@ -292,19 +292,24 @@ class Pf(Node):
 class Functor:
     """A finite-set endofunctor: one expression node per output sort.
 
-    Frozen, so what is derived from it (its hash, whether it contains
-    the powerset, its ``+1`` functor, its term memo) is computed on
-    first use and kept.
+    Frozen, so what is derived from it (its hash, its node per sort,
+    whether it contains the powerset, its ``+1`` functor, its term memo)
+    is computed on first use and kept.
     """
 
     sorts: tuple[str, ...]
     nodes: tuple[tuple[str, Node], ...]
 
     def node(self, sort: str) -> Node:
-        for s, n in self.nodes:
-            if s == sort:
-                return n
-        raise TermError(f"no expression for sort {sort!r}")
+        try:
+            return self._node_of[sort]
+        except KeyError:
+            raise TermError(f"no expression for sort {sort!r}") from None
+
+    @functools.cached_property
+    def _node_of(self) -> dict[str, Node]:
+        # the first expression for a sort, as a scan of nodes finds it
+        return {s: n for s, n in reversed(self.nodes)}
 
     def __hash__(self) -> int:
         return self._hash

@@ -491,7 +491,7 @@ def _parse_sorted_elems(lines: Lines, sorts: tuple[str, ...]) -> SortedSet:
         sort, colon, rest = line.partition(":")
         sort = sort.strip()
         # sorts are named in multisorted files only, as the writers name them
-        if not (colon and sorts != (DEFAULT_SORT,) and sort in sorts):
+        if not (colon and sorts != (DEFAULT_SORT,) and sort in per_sort):
             sort, rest = sorts[0], line
         tokens = tokenize(rest, lineno)
         for pos in range(len(tokens)):
@@ -508,9 +508,9 @@ def _read_elem(tokens: list[str], pos: int, x: SortedSet, line: int) -> tuple[tu
     or ``P."x y"`` (the tokens ``P.`` and ``"x y"``) where ``_key`` names
     the sort, else a name that lies in exactly one sort."""
     sort, dot, name = _token(tokens, pos, line).partition(".")
-    if not (dot and x.sorts != (DEFAULT_SORT,) and sort in x.sorts):
+    if not (dot and x.sorts != (DEFAULT_SORT,) and sort in x._members):
         name = _elem(tokens, pos, line)
-        hits = [s for s in x.sorts if x.has(s, name)]
+        hits = [s for s in x.sorts if x.has(s, name)] if len(x.sorts) == 1 else x._sorts_of.get(name, ())
         if len(hits) == 1:
             return (hits[0], name), pos + 1
         if not hits:

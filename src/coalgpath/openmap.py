@@ -229,7 +229,7 @@ def _run_reaching(
     functor, pointing = src.functor, src.pointing
     current = next(key for key in pointing.pairs() if (key[0], src.point[key]) == front)
     path_levels = [pointing]
-    comps = [SortedFun(pointing, src.carrier, dict(src.point))]
+    comps = [SortedFun._built(pointing, src.carrier, {key: src.point[key] for key in pointing.pairs()})]
     tables: list[dict] = []
     for (sort, _x), t, later in chain:
         leaves = _leaf_states(functor, sort, t)
@@ -240,7 +240,7 @@ def _run_reaching(
         named = {(vs, n): x for n, (vs, x) in zip(names, leaves)}
         level = SortedSet.make({s: [e for vs, e in named if vs == s] for s in pointing.sorts}, pointing.sorts)
         path_levels.append(level)
-        comps.append(SortedFun(level, src.carrier, named))
+        comps.append(SortedFun._built(level, src.carrier, named))
         current = next(key for key, x in named.items() if (key[0], x) == later)
     path = make_path(functor, path_levels, tables)
     return path, Run(path, src, tuple(comps)), current
@@ -267,10 +267,10 @@ def _materialize_witness(
     table[hit] = step_of_plus1(_named_image(src.functor, hit[0], shape, names))
     extension = make_path(src.functor, [*path.levels, new_level], [st.table for st in path.steps] + [table])
     y_components = [
-        SortedFun(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
+        SortedFun._built(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
         for level, comp in zip(path.levels, run.components)
     ]
-    y_last = SortedFun(new_level, dst.carrier, {(key[0], w): phi[key] for key, w in fresh.items()})
+    y_last = SortedFun._built(new_level, dst.carrier, {(key[0], w): phi[key] for key, w in fresh.items()})
     dst_run = Run(extension, dst, (*y_components, y_last))
     return SquareWitness(run, extension, dst_run)
 
@@ -301,7 +301,7 @@ def replay_witness(m: CoalgMorphism, w: SquareWitness) -> bool:
     ]
     keys = list(last_level.pairs())
     for combo in itertools.product(*pools):
-        x_last = SortedFun(last_level, m.src.carrier, dict(zip(keys, combo)))
+        x_last = SortedFun._built(last_level, m.src.carrier, dict(zip(keys, combo)))
         candidate = Run(w.extension, m.src, tuple(w.run.components) + (x_last,))
         if is_run(candidate):
             return False  # a diagonal exists after all
@@ -384,11 +384,10 @@ def _quotient_map(rng: random.Random, src: PointedCoalgebra, classes: int) -> Co
             class_names[s].append(f"c{i}")
         for x in elems:
             assignment[(s, x)] = class_names[s][rng.randrange(n_classes)]
-    used: dict[str, list[str]] = {
-        s: sorted({assignment[(s, x)] for x in src.carrier.elems(s)}) for s in src.carrier.sorts
-    }
-    carrier = SortedSet.make(used, src.carrier.sorts)
-    fun = SortedFun(src.carrier, carrier, assignment)
+    # per sort, the classes its states fall in, sorted and each once
+    used = [tuple(sorted({assignment[(s, x)] for x in elems})) for s, elems in zip(src.carrier.sorts, src.carrier.data)]
+    carrier = SortedSet._built(src.carrier.sorts, tuple(used))
+    fun = SortedFun._built(src.carrier, carrier, assignment)
     point = {(s, i): assignment[(s, src.point[(s, i)])] for s, i in src.pointing.pairs()}
     images = _image_table(src, fun)
     xi: dict[tuple[str, str], set] = {key: set() for key in carrier.pairs()}
@@ -421,7 +420,7 @@ def _random_map(rng: random.Random, src: PointedCoalgebra, dst: PointedCoalgebra
         table[(s, x)] = pool[rng.randrange(len(pool))]
     for (s, i) in src.pointing.pairs():
         table[(s, src.point[(s, i)])] = dst.point[(s, i)]
-    return SortedFun(src.carrier, dst.carrier, table)
+    return SortedFun._built(src.carrier, dst.carrier, table)
 
 
 def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> HarnessReport:

@@ -10,6 +10,8 @@ string order of the element names.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -46,9 +48,10 @@ class SortedSet:
         members = {}
         for sort, elems in zip(self.sorts, self.data):
             members[sort] = frozenset(elems)
-            if len(members[sort]) != len(elems):
-                raise SortError(f"duplicate elements in sort {sort!r}: {elems}")
-            if tuple(sorted(elems)) != elems:
+            # strictly increasing: sorted with no duplicate, in one pass
+            if not isinstance(elems, tuple) or not all(map(operator.lt, elems, elems[1:])):
+                if len(members[sort]) != len(elems):
+                    raise SortError(f"duplicate elements in sort {sort!r}: {elems}")
                 raise SortError(f"elements of sort {sort!r} not in canonical order")
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_pairs", _pairs_of(self.sorts, self.data))
@@ -92,11 +95,21 @@ class SortedSet:
         members = self._members.get(sort)
         return members is not None and elem in members
 
+    @functools.cached_property
+    def _sorts_of(self) -> dict[str, list[str]]:
+        """Per element name, the sorts holding it, in sort order: built
+        on first use, so a set costs no more to build."""
+        index: dict[str, list[str]] = {}
+        for sort, e in self._pairs:
+            index.setdefault(e, []).append(sort)
+        return index
+
     def restrict(self, keep: Iterable[tuple[str, str]]) -> "SortedSet":
+        # a filter of a strictly increasing tuple is one
         keep_set = set(keep)
-        return SortedSet(
+        return SortedSet._built(
             self.sorts,
-            tuple(tuple(e for e in elems if (s, e) in keep_set) for s, elems in zip(self.sorts, self.data)),
+            tuple([tuple([e for e in elems if (s, e) in keep_set]) for s, elems in zip(self.sorts, self.data)]),
         )
 
 
@@ -104,8 +117,10 @@ def _pairs_of(sorts: tuple[str, ...], data: tuple[tuple[str, ...], ...]) -> tupl
     return tuple([(sort, e) for sort, elems in zip(sorts, data) for e in elems])
 
 
+@functools.lru_cache(maxsize=32)
 def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None = None, name: str = "*") -> SortedSet:
-    """The pointing object with one element at one sort and nothing elsewhere."""
+    """The pointing object with one element at one sort and nothing
+    elsewhere; one object per arguments, as a set is frozen."""
     target = at if at is not None else sorts[0]
     return SortedSet.make({s: ([name] if s == target else []) for s in sorts}, sorts)
 

@@ -145,6 +145,15 @@ MUTANTS = [
     Mutant("sorts-duplicate-check-off", "modelio.py",
            "            if _sort_name(sort, lineno) in known:\n", "            if not _sort_name(sort, lineno):\n",
            ("tests/test_modelio.py",)),
+    # a set's one-pass order check lets a duplicate element through
+    Mutant("set-order-check-takes-duplicates", "sets.py",
+           "all(map(operator.lt, elems, elems[1:]))", "all(map(operator.le, elems, elems[1:]))",
+           ("tests/test_caches.py",)),
+    # a harness map handed to the trusted constructor misses a state
+    Mutant("random-map-misses-a-state", "openmap.py",
+           "    for (s, x) in src.carrier.pairs():\n        pool = dst.carrier.elems(s)\n",
+           "    for (s, x) in src.carrier.pairs()[1:]:\n        pool = dst.carrier.elems(s)\n",
+           ("tests/test_caches.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

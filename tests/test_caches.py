@@ -14,6 +14,8 @@ import dataclasses
 import gc
 import pathlib
 import random
+import re
+import sys
 import weakref
 
 import pytest
@@ -52,8 +54,10 @@ from coalgpath.functors import (
 )
 from coalgpath.groups import PermGroup, group_elements
 from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_text
-from coalgpath.openmap import _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs
-from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
+from coalgpath.openmap import (
+    _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs, verify_theorems,
+)
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, SortError, singleton_pointing
 
 from conftest import (
     HARNESS_FUNCTORS,
@@ -206,6 +210,75 @@ class TestTrustedBuilders:
         for name in ("map", "dst", "images"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(m, name, None)
+
+
+def spied_trusted_builds(monkeypatch, cls):
+    """Every ``cls._built`` call as ``(caller, args, result)``, the caller
+    by its function name."""
+    calls = []
+    original = cls._built
+
+    def spy(_cls, *args):
+        result = original(*args)
+        calls.append((sys._getframe(1).f_code.co_name, args, result))
+        return result
+
+    monkeypatch.setattr(cls, "_built", classmethod(spy))
+    return calls
+
+
+class TestTrustedHarnessParts:
+    """The harness hands the tables and sets its own builders make total
+    and sorted to the trusted constructors, and shares its carriers and
+    pointings; each part must be what the checking constructors build."""
+
+    @staticmethod
+    def verify(f, trials=60):
+        sizes = {s: 4 for s in f.sorts}
+        return verify_theorems(GenSpec(f, sizes, 0.3, 11), trials)
+
+    @pytest.mark.parametrize("f", HARNESS_FUNCTORS, ids=SYSTEM_IDS[:5])
+    def test_every_trusted_map_is_the_checked_one(self, f, monkeypatch):
+        calls = spied_trusted_builds(monkeypatch, SortedFun)
+        assert self.verify(f).all_passed
+        for _caller, (dom, cod, table), built in calls:
+            assert SortedFun(dom, cod, table) == built
+        callers = {caller for caller, _args, _built in calls}
+        assert {"_run_reaching", "_materialize_witness", "replay_witness", "_quotient_map", "_random_map"} <= callers
+
+    @pytest.mark.parametrize("f", HARNESS_FUNCTORS, ids=SYSTEM_IDS[:5])
+    def test_every_trusted_set_is_the_checked_one(self, f, monkeypatch):
+        calls = spied_trusted_builds(monkeypatch, SortedSet)
+        assert self.verify(f).all_passed
+        for _caller, (sorts, data), built in calls:
+            assert SortedSet(sorts, data) == built
+        callers = [caller for caller, _args, _built in calls]
+        assert "restrict" in callers and "_quotient_map" in callers
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_shared_carrier_and_pointing_equal_fresh_ones(self, f):
+        rng = random.Random(repr(f))
+        for seed in range(40):
+            sizes = {s: rng.randint(1, 5) for s in f.sorts}
+            c = random_coalgebra(GenSpec(f, sizes, 0.3, seed))
+            names = {s: [f"s{i}" if len(f.sorts) == 1 else f"{s}s{i}" for i in range(n)] for s, n in sizes.items()}
+            assert c.carrier == SortedSet.make(names, f.sorts)
+            assert c.pointing == SortedSet.make({f.sorts[0]: ["*"]}, f.sorts)
+
+    def test_one_pointing_per_arguments(self):
+        assert singleton_pointing() is singleton_pointing()
+        assert singleton_pointing(("a", "b"), at="b", name="p") is singleton_pointing(("a", "b"), at="b", name="p")
+        assert singleton_pointing(("a", "b"), at="b", name="p") is not singleton_pointing(("a", "b"), at="a", name="p")
+
+    @pytest.mark.parametrize("elems, message", [
+        (("b", "a"), "elements of sort 'x' not in canonical order"),
+        (("a", "a"), "duplicate elements in sort 'x': ('a', 'a')"),
+        (("b", "a", "b"), "duplicate elements in sort 'x': ('b', 'a', 'b')"),
+        (["a", "b"], "elements of sort 'x' not in canonical order"),
+    ], ids=["unsorted", "duplicate", "unsorted-and-duplicate", "list"])
+    def test_set_refusals_keep_their_messages(self, elems, message):
+        with pytest.raises(SortError, match=f"^{re.escape(message)}$"):
+            SortedSet(("w", "x"), (("p",), elems))
 
 
 class TestTermOrderCheck:
@@ -516,6 +589,93 @@ class TestSortedSetHas:
                 for elem in ["p", "q", "r", "s", "t"]:
                     scan = sort in x.sorts and elem in x.data[x.sorts.index(sort)]
                     assert x.has(sort, elem) == scan
+
+
+def scanned_read_elem(tokens, pos, x, line):
+    """``modelio._read_elem`` as it read by scanning every sort: the
+    reference its per-sort and per-name lookups must agree with."""
+    sort, dot, name = modelio._token(tokens, pos, line).partition(".")
+    if not (dot and x.sorts != (DEFAULT_SORT,) and sort in x.sorts):
+        name = modelio._elem(tokens, pos, line)
+        hits = [s for s in x.sorts if x.has(s, name)]
+        if len(hits) == 1:
+            return (hits[0], name), pos + 1
+        if not hits:
+            raise ModelParseError(f"unknown element {name!r}", line)
+        raise ModelParseError(f"ambiguous element {name!r}; qualify as sort.elem", line)
+    if not name:
+        pos += 1
+        name = modelio._name(tokens, pos, line)
+    name = modelio.ALIASES.get(name, name)
+    if not x.has(sort, name):
+        raise ModelParseError(f"unknown element {name!r} of sort {sort!r}", line)
+    return (sort, name), pos + 1
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except CoalgError as exc:
+        return type(exc), str(exc)
+
+
+class TestSortLookups:
+    """A functor's node per sort and the element reader's sort tests read
+    indexes, not scans of every sort; each must answer as the scan did."""
+
+    SORTS = ["a", "b", "c", "d", "e", DEFAULT_SORT]
+    NAMES = ["p", "q", "r", "a.p", "b.q", "x y", "⊥"]
+
+    def test_node_matches_a_scan(self):
+        rng = random.Random(3)
+        pool = [SortRef("a"), Const(("k",)), Prod((SortRef("b"), SortRef("c"))), Coprod((Const(("z",)), SortRef("e")))]
+        for _ in range(40):
+            sorts = tuple(rng.sample(self.SORTS, rng.randint(1, 6)))
+            f = multisorted(sorts, {s: rng.choice(pool) for s in sorts})
+            for sort in self.SORTS + ["zz"]:
+                scan = next((n for s, n in f.nodes if s == sort), None)
+                if scan is None:
+                    assert outcome(lambda: f.node(sort)) == (TermError, f"no expression for sort {sort!r}")
+                else:
+                    assert f.node(sort) is scan
+
+    def test_read_elem_matches_a_scan(self):
+        rng = random.Random(4)
+        texts = [
+            *(modelio.format_name(n) for n in self.NAMES),
+            *(f"{s}.{modelio.format_name(n)}" for s in self.SORTS + ["zz"] for n in self.NAMES),
+            "bot", "a.bot", "a.", "->",
+        ]
+        agreed = set()
+        for _ in range(60):
+            sorts = tuple(rng.sample(self.SORTS, rng.randint(1, 5)))
+            x = SortedSet.make({s: rng.sample(self.NAMES, rng.randint(0, 4)) for s in sorts}, sorts)
+            for text in texts:
+                tokens = modelio.tokenize(text, 7)
+                got = outcome(lambda: modelio._read_elem(tokens, 0, x, 7))
+                assert got == outcome(lambda: scanned_read_elem(tokens, 0, x, 7)), (x, text)
+                agreed.add(got[1].split(" '")[0] if got[0] is ModelParseError else "read")
+        assert agreed >= {"read", "line 7: unknown element", "line 7: ambiguous element"}
+
+    def test_refusals_through_a_file_name_their_line(self):
+        head = "[sorts]\na b\n[functor]\na = sort(b)\nb = sort(a)\n[states]\na : p q\nb : p r\n[init]\n* -> a.p\n[trans]\n"
+        for trans, message in [
+            ("zz.p -> a.p", "line 12: unknown element 'zz.p'"),
+            ("s -> a.p", "line 12: unknown element 's'"),
+            ("p -> a.p", "line 12: ambiguous element 'p'; qualify as sort.elem"),
+            ("a.r -> b.p", "line 12: unknown element 'r' of sort 'a'"),
+        ]:
+            with pytest.raises(ModelParseError, match=f"^{re.escape(message)}$"):
+                parse_coalgebra(head + trans + "\n")
+
+    def test_the_name_index_is_built_on_a_read_of_many_sorts_alone(self):
+        one = parse_coalgebra("[functor]\nprod(id, id)\n[states]\np q\n[init]\np\n[trans]\np -> (p, q)\n")
+        two = parse_coalgebra("[sorts]\na b\n[functor]\na = sort(b)\nb = sort(a)\n[states]\na : p\nb : q\n"
+                              "[init]\n* -> a.p\n[trans]\np -> q\n")
+        assert "_sorts_of" not in vars(one.carrier) and "_sorts_of" not in vars(one.pointing)
+        assert vars(two.carrier)["_sorts_of"] == {"p": ["a"], "q": ["b"]}
+        assert "_sorts_of" not in vars(SortedSet.make({"a": ["p"], "b": ["p"]}, ("a", "b")))
 
 
 class TestSortedSetPairs:
