@@ -73,9 +73,15 @@ class PointedCoalgebra:
             s, _ = key
             if not self.carrier.has(s, self.point[key]):
                 raise CoalgError(f"pointing image {self.point[key]!r} not in carrier")
+        if len(self.point) != self.pointing.size():
+            extra = set(self.point) - set(self.pointing.pairs())
+            raise CoalgError(f"pointing defined outside the pointing object: {sorted(extra)}")
         for key in self.carrier.pairs():
             if key not in self.xi:
                 raise CoalgError(f"structure map not total: missing {key}")
+        if len(self.xi) != self.carrier.size():
+            extra = set(self.xi) - set(self.carrier.pairs())
+            raise CoalgError(f"structure map defined outside the carrier: {sorted(extra)}")
         for (s, x), terms in self.xi.items():
             # strictly increasing: sorted with no duplicate, in one pass
             if not isinstance(terms, tuple) or not all(map(operator.lt, terms, terms[1:])):

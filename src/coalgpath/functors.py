@@ -742,3 +742,10 @@ def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
     prints for it, when that is not the constant itself."""
     aliases = aliases or {}
     return " " if any(len(format_name(aliases.get(c, c))) > 1 for c in _word_constants(f)) else ""
+
+
+def _ansyms(sym: str, arg_tuples: Iterable[tuple[Term, ...]]) -> list[AnSym]:
+    """``AnSym(sym, args)`` for each canonical argument tuple, each built
+    by ``tuple.__new__`` with no ``AnSym.__new__`` call per term."""
+    new = tuple.__new__
+    return [new(AnSym, (4, sym, args)) for args in arg_tuples]

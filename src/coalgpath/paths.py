@@ -468,31 +468,34 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     # (sorts + 1)|X| + 1 at most; wider ones multiply and rarely recur
     built: dict[tuple, list[tuple[SortedSet, TermMap, SortedFun]]] = {}
 
-    def extensions(path: PathObj, run: Run) -> Iterator[tuple[PathObj, Run]]:
-        """The pairs one level longer than ``(path, run)`` that extend it."""
+    def children_of(path: PathObj, run: Run) -> Iterator[tuple[SortedSet, TermMap, SortedFun]]:
+        """The children of the last level of ``(path, run)``."""
         current = path.levels[-1]
         x_k = run.components[-1]
         states = tuple([(s, x_k(s, e)) for s, e in current.pairs()])
         if len(states) > 1:
-            found = children(current, states)
-        else:
-            found = built.get((current, states))
-            if found is None:
-                found = built[(current, states)] = list(children(current, states))
-        for next_level, step, x_next in found:
-            longer = PathObj(c.functor, path.levels + (next_level,), path.steps + (step,))
-            yield longer, Run(longer, c, run.components + (x_next,))
+            return children(current, states)
+        found = built.get((current, states))
+        if found is None:
+            found = built[(current, states)] = list(children(current, states))
+        return iter(found)
 
     root = PathObj(c.functor, (c.pointing,), ())
-    first = (root, Run(root, c, (point_fun,)))
-    yield first
-    # depth first: one iterator of extensions per level of the last pair
-    stack = [extensions(*first)] if depth > 0 else []
+    root_run = Run(root, c, (point_fun,))
+    yield root, root_run
+    # depth first: per pair on the way down, its path, its run and the
+    # children of its last level not yet extended; the pair at stack[k]
+    # has length k, so its children have length k + 1
+    stack = [(root, root_run, children_of(root, root_run))] if depth > 0 else []
     while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
+        path, run, rest = stack[-1]
+        child = next(rest, None)
+        if child is None:
             stack.pop()
             continue
-        yield pair
-        if pair[0].length < depth:
-            stack.append(extensions(*pair))
+        next_level, step, x_next = child
+        longer = PathObj(c.functor, path.levels + (next_level,), path.steps + (step,))
+        longer_run = Run(longer, c, run.components + (x_next,))
+        yield longer, longer_run
+        if len(stack) < depth:
+            stack.append((longer, longer_run, children_of(longer, longer_run)))

@@ -12,16 +12,19 @@ implement it:
   pointing reaches within the remaining depth; it serves every functor,
   and builds the terms of a flat analytic transition over equal pools
   once per orbit of argument tuples (:func:`groups.orbit_minima`);
-- the word path, :func:`word_traces`, serves every letter-labelled
-  system, whose sorts are each ``Const x SortRef`` or a coproduct of such
-  products and constants (:func:`functors.letter_shape`): a trace is
-  then a word of (summand, constant) letters, optionally ending at a
-  marker, and the words come from a subset construction, memoized per
-  (state set, depth).  :func:`lts_language` spells them as strings, and
-  ``nominal.bar_trace`` reads them as bar strings.
+- the word path serves every letter-labelled system, whose sorts are
+  each ``Const x SortRef`` or a coproduct of such products and constants
+  (:func:`functors.letter_shape`): a trace is then a word of (summand,
+  constant) letters, optionally ending at a marker, and the words come
+  from one forward walk, :func:`_word_walk`, over (word, set of states
+  the word reaches) pairs, which builds each word once from its prefix.
+  It builds them in two forms: :func:`word_traces` as letter tuples,
+  which ``nominal.bar_trace`` reads as bar strings, and
+  :func:`lts_language` as spelt strings.
 
-The general path, decoded, is the oracle for the word path; the literal
-run-enumeration definition is the test oracle for the general path.
+The general path, decoded, and the backward subset construction the
+word path replaced are its oracles; the literal run-enumeration
+definition is the test oracle for the general path.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from .coalgebra import PointedCoalgebra
 from .functors import (
     UNIT_TERM,
     Analytic,
-    AnSym,
     Functor,
     Letter,
     SortRef,
     Term,
+    _ansyms,
     _word_constants,
     format_name,
     letter_shape,
@@ -111,7 +114,7 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
                     pools = {table[(y, d - 1)] for y in succ}
                     if len(pools) <= 1:
                         pool = pools.pop() if pools else ()
-                        out.update([AnSym(sym.name, args) for args in orbit_minima(sym.group, pool)])
+                        out.update(_ansyms(sym.name, orbit_minima(sym.group, pool)))
                         continue
                 # substitute, independently per occurrence, every continuation choice
                 for combo in itertools.product(*(table[(y, d - 1)] for y in succ)):
@@ -146,73 +149,119 @@ def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
 Word = tuple[Letter, ...]
 
 
+def _word_walk(
+    c: PointedCoalgebra, depth: int, empty: Any, pieces: Callable[[Letter], tuple[Any, Any]]
+) -> dict[tuple[str, str], list]:
+    """The traces of a letter-labelled system per pointing element, each
+    word built once, as its one-letter-shorter prefix ``w`` followed by
+    a piece from ``pieces(letter)``: the first piece when ``w`` is
+    ``empty``, the second otherwise.
+
+    The walk runs forward, one frontier per start state, which groups its
+    words of d - 1 letters by the set of states each reaches: at depth d,
+    such a word w followed by a marker of a state of its set is a
+    finished word, and w followed by a letter is a word of the next
+    frontier, which reaches the letter's successors.  A word of depth d
+    is a frontier word of d letters or a marker word of at most d items,
+    as a marker term has no sort leaf to cut.  As in :func:`trace`, depth
+    d counts only when every pointed element has a word of depth d; once
+    one has none, no deeper one has either, so the walk stops.
+
+    A set's letters with equal pieces (two summands' equal constants,
+    spelt) are merged when the set is read, so no two frontier words are
+    equal.  Its states are read in sorted order, so what is read first
+    does not follow the hash seed.
+
+    Raises :class:`CoalgError` when a state that a returned word reaches
+    sits at a sort that is not letter-shaped.
+    """
+    if depth < 0:
+        raise CoalgError("depth must be non-negative")
+    state_reads: dict[tuple[str, str], tuple[list[tuple], dict[tuple, list]]] = {}
+    set_reads: dict[frozenset, tuple[list[tuple], list[tuple[tuple, frozenset]]]] = {}
+
+    def read(states: frozenset) -> tuple[list[tuple], list[tuple[tuple, frozenset]]]:
+        """The pieces of the markers of ``states``, and of its letters,
+        each with the successors of the letters that have it."""
+        marks: dict[tuple, None] = {}
+        step: dict[tuple, set] = {}
+        for x in sorted(states):
+            if x not in state_reads:
+                if letter_shape(c.functor.node(x[0])) is None:
+                    raise CoalgError(f"state {x[1]!r} sits at sort {x[0]!r}, which is not letter-shaped")
+                x_marks, post = [], {}
+                for letter, succ in map(read_letter, c.xi[x]):
+                    if succ is None:
+                        x_marks.append(pieces(letter))
+                    else:
+                        post.setdefault(pieces(letter), []).append((succ.sort, succ.name))
+                state_reads[x] = x_marks, post
+            x_marks, post = state_reads[x]
+            marks.update(dict.fromkeys(x_marks))
+            for piece, ys in post.items():
+                step.setdefault(piece, set()).update(ys)
+        got = set_reads[states] = list(marks), [(piece, frozenset(ys)) for piece, ys in step.items()]
+        return got
+
+    starts = {key: (key[0], c.point[key]) for key in c.pointing.pairs()}
+    frontiers: dict[tuple[str, str], dict[frozenset, list]] = {x: {frozenset([x]): [empty]} for x in starts.values()}
+    found = {x: [empty] for x in frontiers}
+    marked: set[tuple[str, str]] = set()
+    for d in range(depth):
+        at = 0 if d == 0 else 1
+        level = {}
+        for x, frontier in frontiers.items():
+            done: list = []
+            nxt: dict[frozenset, list] = {}
+            for states, words in frontier.items():
+                marks, step = set_reads.get(states) or read(states)
+                for piece in marks:
+                    tail = piece[at]
+                    done += [w + tail for w in words]
+                for piece, target in step:
+                    tail = piece[at]
+                    nxt.setdefault(target, []).extend([w + tail for w in words])
+            level[x] = done, nxt
+        if not all(nxt or done or x in marked for x, (done, nxt) in level.items()):
+            break
+        for x, (done, nxt) in level.items():
+            if done:
+                marked.add(x)
+            found[x] += done
+            for words in nxt.values():
+                found[x] += words
+            frontiers[x] = nxt
+    else:
+        # the sets the deepest words reach are read for their sorts only
+        for frontier in frontiers.values():
+            for states in frontier:
+                set_reads.get(states) or read(states)
+    return {key: found[x] for key, x in starts.items()}
+
+
 def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Word]]:
     """The traces of a letter-labelled system as words, per pointing element.
 
     A word is a tuple of letters (see :func:`functors.letter_shape`); a
     word that stops at a marker ``m`` ends with ``(None, m)``, and one that
-    stops at the cut has no end item.  The words of a state set S at
-    depth d are the markers of its states and ``l + w`` for each word w
-    of ``post_l(S)`` at depth d - 1, built depth by depth for the sets
-    the pointing reaches.  As in :func:`trace`, depth d contributes only
-    when every pointed element has a word of depth d.
+    stops at the cut has no end item.  The words come from the forward
+    walk of :func:`_word_walk`.
 
-    Raises :class:`CoalgError` when a reached state sits at a sort that
-    is not letter-shaped.
+    Raises :class:`CoalgError` when a state that a returned word reaches
+    sits at a sort that is not letter-shaped.
     """
-    if depth < 0:
-        raise CoalgError("depth must be non-negative")
-    read: dict[tuple[str, str], tuple[set[Word], dict[Letter, set]]] = {}
-
-    def read_state(x: tuple[str, str]) -> tuple[set[Word], dict[Letter, set]]:
-        """The marker words of state ``x``, and its successors per letter."""
-        if x not in read:
-            if letter_shape(c.functor.node(x[0])) is None:
-                raise CoalgError(f"state {x[1]!r} sits at sort {x[0]!r}, which is not letter-shaped")
-            marks, post = set(), {}
-            for letter, succ in map(read_letter, c.xi[x]):
-                if succ is None:
-                    marks.add((letter,))
-                else:
-                    post.setdefault(letter, set()).add((succ.sort, succ.name))
-            read[x] = marks, post
-        return read[x]
-
-    def moves_of(states: frozenset) -> list[tuple[Letter, tuple[frozenset]]]:
-        step: dict[Letter, set] = {}
-        for x in states:
-            for letter, ys in read_state(x)[1].items():
-                step.setdefault(letter, set()).update(ys)
-        return [(letter, (frozenset(ys),)) for letter, ys in step.items()]
-
-    starts = {key: frozenset([(key[0], c.point[key])]) for key in c.pointing.pairs()}
-    dist, moves = _reach(starts.values(), depth, moves_of)
-    # reading the marker words of every reached set checks its sorts too
-    marked = {states: set().union(*(read_state(x)[0] for x in states)) for states in dist}
-    # W(S, d), depth by depth, for each set S reached in at most depth - d steps
-    found = {key: {()} for key in starts}
-    prev = dict.fromkeys(dist, {()})
-    for d in range(1, depth + 1):
-        cur: dict[frozenset, set[Word]] = {}
-        for states, k in dist.items():
-            if k <= depth - d:
-                out = set(marked[states])
-                for letter, (target,) in moves[states]:
-                    out.update([(letter,) + w for w in prev[target]])
-                cur[states] = out
-        if all(cur[states] for states in starts.values()):
-            for key, states in starts.items():
-                found[key] |= cur[states]
-        prev = cur
-    return found
+    found = _word_walk(c, depth, (), lambda letter: ((letter,), (letter,)))
+    return {key: set(words) for key, words in found.items()}
 
 
 def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None = None) -> set[str]:
     """The words of :func:`word_traces` over all pointing elements, each
     spelt as its constants in order (a marker word keeps the marker),
     each written by ``format_name`` and apart by ``word_separator``, which
-    reads the constants as ``aliases`` prints them."""
+    reads the constants as ``aliases`` prints them.  The walk builds each
+    word spelt, so no word is spelt again."""
     sep = word_separator(c.functor, aliases)
     # every letter is one of these, so each is formatted once
     spelt = {name: format_name(name) for name in _word_constants(c.functor)}
-    return {sep.join([spelt[name] for _index, name in w]) for ws in word_traces(c, depth).values() for w in ws}
+    found = _word_walk(c, depth, "", lambda letter: (spelt[letter[1]], sep + spelt[letter[1]]))
+    return set().union(*found.values())

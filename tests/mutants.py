@@ -154,6 +154,19 @@ MUTANTS = [
            "    for (s, x) in src.carrier.pairs():\n        pool = dst.carrier.elems(s)\n",
            "    for (s, x) in src.carrier.pairs()[1:]:\n        pool = dst.carrier.elems(s)\n",
            ("tests/test_caches.py",)),
+    # a system takes point entries outside its pointing
+    Mutant("point-table-extra-keys-taken", "coalgebra.py",
+           "        if len(self.point) != self.pointing.size():\n", "        if False:\n", ("tests/test_caches.py",)),
+    # a system takes xi entries outside its carrier
+    Mutant("xi-table-extra-keys-taken", "coalgebra.py",
+           "        if len(self.xi) != self.carrier.size():\n", "        if False:\n", ("tests/test_caches.py",)),
+    # the word walk counts a depth at which some pointed element has no word
+    Mutant("word-walk-counts-dead-depths", "trace.py",
+           "        if not all(nxt or done or x in marked for x, (done, nxt) in level.items()):\n            break\n",
+           "", ("tests/test_trace.py",)),
+    # the word walk forgets that a marker word counts at every deeper depth
+    Mutant("word-walk-drops-marker-liveness", "trace.py",
+           "if not all(nxt or done or x in marked for", "if not all(nxt or done for", ("tests/test_trace.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

@@ -28,9 +28,11 @@ fit test-sized inputs:
   only where the pointing reaches;
 - the traces of a letter-labelled system decoded from that table as
   words (:func:`decode_letters`, :func:`trace_words`) and as bar strings
-  (:func:`table_bar_trace`), against the subset construction of
-  ``trace.word_traces`` and the bar strings ``nominal.bar_trace`` reads
-  off its words;
+  (:func:`table_bar_trace`), and built by a backward subset construction
+  per (state set, depth) and spelt letter by letter afterwards
+  (:func:`backward_word_traces`, :func:`spelt_language`), against the
+  forward walk of ``trace.word_traces`` and ``trace.lts_language`` and
+  the bar strings ``nominal.bar_trace`` reads off its words;
 - the breadth-first levels of a system walked afresh from its
   transition terms (:func:`literal_bfs`), against the levels a
   ``PointedCoalgebra`` computes once from its successor table;
@@ -109,11 +111,15 @@ from coalgpath.functors import (
     bot_of_plus1,
     eval_functor,
     fmap,
+    format_name,
+    letter_shape,
     map_leaves,
     occurrences,
     plus1,
+    read_letter,
     step_of_plus1,
     subst_node,
+    word_separator,
     word_shape,
 )
 from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError
@@ -134,7 +140,7 @@ from coalgpath.nominal import (
 from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
 from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
-from coalgpath.trace import TraceSet, trace
+from coalgpath.trace import TraceSet, _reach, trace
 
 BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
 
@@ -306,32 +312,109 @@ def trace_words(ts: TraceSet, marker: str | None) -> set[str]:
     return words
 
 
-def decode_letters(term: Term) -> tuple:
+def decode_letters(term: Term, memo: dict[int, tuple] | None = None) -> tuple:
     """A nested term of a letter-labelled system as the word
     ``trace.word_traces`` gives it: (summand, constant) letters, then
-    ``(None, m)`` if it stops at a marker ``m``."""
-    out: list[tuple] = []
+    ``(None, m)`` if it stops at a marker ``m``.  With ``memo``, kept by
+    the caller while the terms live, the word of each subterm is kept
+    under its id, and a decoding stops at a kept subterm."""
+    if memo is None:
+        memo = {}
+    chain: list[tuple[int, tuple]] = []
     t = term
+    word: tuple = ()
     while not isinstance(t, UnitLeaf):
-        index = 0
-        if isinstance(t, Inj):
-            index, t = t.index, t.arg
-        if isinstance(t, ConstElem):
-            out.append((None, t.name))
+        if id(t) in memo:
+            word = memo[id(t)]
             break
-        out.append((index, t.args[0].name))
-        t = t.args[1]
-    return tuple(out)
+        index, inner = (t.index, t.arg) if isinstance(t, Inj) else (0, t)
+        if isinstance(inner, ConstElem):
+            chain.append((id(t), (None, inner.name)))
+            break
+        chain.append((id(t), (index, inner.args[0].name)))
+        t = inner.args[1]
+    for key, letter in reversed(chain):
+        word = memo[key] = (letter,) + word
+    return word
 
 
-def decoded_word_traces(ts: TraceSet) -> dict[tuple[str, str], set[tuple]]:
+def decoded_word_traces(ts: TraceSet, memo: dict[int, tuple] | None = None) -> dict[tuple[str, str], set[tuple]]:
     """Per pointing element, the terms of a trace set decoded by
-    :func:`decode_letters`."""
+    :func:`decode_letters`, through ``memo`` when the caller keeps one
+    while the terms live.  Shallower terms come first, so a deeper one,
+    which holds them as suffixes, is decoded in one step."""
+    memo = {} if memo is None else memo
     out: dict[tuple[str, str], set[tuple]] = {key: set() for key in ts.pointing.pairs()}
     for _d, items in ts.per_depth:
         for key, terms in items:
-            out[key].update(decode_letters(t) for t in terms)
+            out[key].update([decode_letters(t, memo) for t in terms])
     return out
+
+
+def backward_word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[tuple]]:
+    """``trace.word_traces`` by the backward subset construction: the
+    words of a state set S at depth d are the marker words of its states
+    and ``l + w`` for each word w of ``post_l(S)`` at depth d - 1, filled
+    depth by depth for every set the pointing reaches within ``depth``
+    steps, whose states are all read for their sorts.  Depth d counts
+    only when every pointed element has a word of depth d."""
+    if depth < 0:
+        raise CoalgError("depth must be non-negative")
+    read: dict[tuple[str, str], tuple[set, dict]] = {}
+
+    def read_state(x: tuple[str, str]) -> tuple[set, dict]:
+        if x not in read:
+            if letter_shape(c.functor.node(x[0])) is None:
+                raise CoalgError(f"state {x[1]!r} sits at sort {x[0]!r}, which is not letter-shaped")
+            marks, post = set(), {}
+            for letter, succ in map(read_letter, c.xi[x]):
+                if succ is None:
+                    marks.add((letter,))
+                else:
+                    post.setdefault(letter, set()).add((succ.sort, succ.name))
+            read[x] = marks, post
+        return read[x]
+
+    def moves_of(states: frozenset) -> list[tuple[tuple, tuple[frozenset]]]:
+        step: dict[tuple, set] = {}
+        for x in sorted(states):
+            for letter, ys in read_state(x)[1].items():
+                step.setdefault(letter, set()).update(ys)
+        return [(letter, (frozenset(ys),)) for letter, ys in step.items()]
+
+    starts = {key: frozenset([(key[0], c.point[key])]) for key in c.pointing.pairs()}
+    dist, moves = _reach(starts.values(), depth, moves_of)
+    marked = {states: set().union(*(read_state(x)[0] for x in sorted(states))) for states in dist}
+    found = {key: {()} for key in starts}
+    prev = dict.fromkeys(dist, {()})
+    for d in range(1, depth + 1):
+        cur: dict[frozenset, set[tuple]] = {}
+        for states, k in dist.items():
+            if k <= depth - d:
+                out = set(marked[states])
+                for letter, (target,) in moves[states]:
+                    out.update([(letter,) + w for w in prev[target]])
+                cur[states] = out
+        if all(cur[states] for states in starts.values()):
+            for key, states in starts.items():
+                found[key] |= cur[states]
+        prev = cur
+    return found
+
+
+def spelt_language(
+    words: dict[tuple[str, str], set[tuple]], f: Functor, aliases: dict[str, str] | None = None
+) -> set[str]:
+    """The words of every pointing element spelt letter by letter, as
+    ``trace.lts_language`` spells them: each constant, markers included,
+    written by ``format_name`` and apart by ``word_separator``."""
+    sep = word_separator(f, aliases)
+    spelt: dict[str, str] = {}
+    return {
+        sep.join([spelt.get(name) or spelt.setdefault(name, format_name(name)) for _index, name in w])
+        for ws in words.values()
+        for w in ws
+    }
 
 
 def decode_bar_term(t: Term) -> tuple[tuple[tuple[str, str], ...], str | None]:

@@ -308,7 +308,38 @@ class TestTermOrderCheck:
         assert str(err.value) == "xi(s0) must be a sorted duplicate-free tuple"
 
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+class TestTableKeysCheck:
+    """Both constructors refuse a ``point`` table with keys outside the
+    pointing and an ``xi`` table with keys outside the carrier, naming the
+    extra keys as ``SortedFun`` does."""
+
+    @pytest.mark.parametrize("build", ["public", "built"])
+    def test_point_outside_the_pointing(self, build):
+        c, _key = TestTermOrderCheck.system_parts()
+        make = PointedCoalgebra if build == "public" else PointedCoalgebra._built
+        point = {**c.point, (DEFAULT_SORT, "zz"): "s1", (DEFAULT_SORT, "zy"): "s0"}
+        with pytest.raises(CoalgError) as err:
+            make(c.functor, c.pointing, c.carrier, point, dict(c.xi))
+        assert str(err.value) == "pointing defined outside the pointing object: [('*', 'zy'), ('*', 'zz')]"
+
+    @pytest.mark.parametrize("build", ["public", "built"])
+    def test_xi_outside_the_carrier(self, build):
+        c, _key = TestTermOrderCheck.system_parts()
+        make = PointedCoalgebra if build == "public" else PointedCoalgebra._built
+        with pytest.raises(CoalgError) as err:
+            make(c.functor, c.pointing, c.carrier, dict(c.point), {**c.xi, (DEFAULT_SORT, "q"): ()})
+        assert str(err.value) == "structure map defined outside the carrier: [('*', 'q')]"
+
+    @pytest.mark.parametrize("build", ["public", "built"])
+    def test_missing_keys_still_refused_first(self, build):
+        c, key = TestTermOrderCheck.system_parts()
+        make = PointedCoalgebra if build == "public" else PointedCoalgebra._built
+        xi = {k: v for k, v in c.xi.items() if k != key}
+        with pytest.raises(CoalgError, match="structure map not total"):
+            make(c.functor, c.pointing, c.carrier, dict(c.point), {**xi, (DEFAULT_SORT, "q"): ()})
+
+
+FIXTURES =pathlib.Path(__file__).parent / "fixtures"
 # the functors of the benchmark's open-check workload
 OPEN_CHECK_FUNCTORS = ("prod(id, id)", "prod(id, id, id)", "analytic{ pair/2 [(1 2)] ; tri/3 [(1 2 3)] ; leaf/0 }")
 

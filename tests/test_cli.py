@@ -202,6 +202,11 @@ class TestVerbs:
         assert code == 2
         assert text == "error: empty [functor] section\n"
 
+    def test_missing_functor_section_exit_two(self, tmp_path):
+        path = tmp_path / "nofunctor.model"
+        path.write_text("[states]\nq0\n\n[init]\n* -> q0\n", encoding="utf-8")
+        assert run_command(["trace", str(path), "--depth", "2"]) == ("error: missing [functor] section\n", 2)
+
     def test_empty_objects_section_exit_two(self, tmp_path):
         path = tmp_path / "empty.cat"
         path.write_text("[objects]\n\n[morphisms]\n", encoding="utf-8")

@@ -20,6 +20,7 @@ from coalgpath.functors import (
     TupleTerm,
     UNIT_TERM,
     Var,
+    _ansyms,
     ansym,
     compose,
     eval_functor,
@@ -104,6 +105,25 @@ class TestOrbitMinima:
     def test_symmetric_minima_are_the_multisets(self):
         got = list(orbit_minima(symmetric_group(3), {"b", "a"}))
         assert got == [("a", "a", "a"), ("a", "a", "b"), ("a", "b", "b"), ("b", "b", "b")]
+
+
+class TestBulkAnalyticTerms:
+    """``functors._ansyms``, which builds the orbit route's terms with no
+    ``AnSym.__new__`` call each, builds what ``AnSym`` builds."""
+
+    @pytest.mark.parametrize("g", [g for _name, g in SMALL_GROUPS], ids=[name for name, _g in SMALL_GROUPS])
+    def test_terms_equal_hash_and_type_like_ansym(self, g):
+        tuples = list(orbit_minima(g, TERM_POOL))
+        got = _ansyms("pair", iter(tuples))
+        assert len(got) == len(tuples)
+        for term, args in zip(got, tuples):
+            plain = AnSym("pair", args)
+            assert type(term) is AnSym
+            assert term == plain and hash(term) == hash(plain)
+            assert (term.sym, term.args) == ("pair", args)
+            assert not term < plain and not plain < term
+        assert _ansyms("leaf", [()]) == [AnSym("leaf", ())]
+        assert _ansyms("leaf", []) == []
 
 
 class TestGroupEquality:

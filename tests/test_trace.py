@@ -1,4 +1,8 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +23,7 @@ from coalgpath.functors import (
     strip_plus1,
 )
 from coalgpath.groups import orbit_minima, PermGroup
-from coalgpath.modelio import parse_functor_text
+from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import reachable_bfs
 from coalgpath.paths import comp, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
@@ -36,7 +40,14 @@ from conftest import (
     tree_partial_runs,
     var,
 )
-from oracles import decoded_word_traces, eager_state_traces, prefix_closed, trace_words
+from oracles import (
+    backward_word_traces,
+    decoded_word_traces,
+    eager_state_traces,
+    prefix_closed,
+    spelt_language,
+    trace_words,
+)
 
 CHECK = chr(0x2713)
 
@@ -359,17 +370,113 @@ def random_letter_system(seed: int) -> PointedCoalgebra:
     return random_coalgebra(GenSpec(f, sizes, rng.choice([0.2, 0.3]), seed, pointing))
 
 
+def trace_enum_lts(seed: int = 1) -> PointedCoalgebra:
+    """The complete a/b LTS on five states of the benchmark's trace-enum
+    workload at ``seed``: an a-edge, a b-edge and one more edge per state,
+    drawn as ``perfbench/workloads.py`` draws them."""
+    rng = random.Random(f"trace-enum/{seed}")
+    states = [f"q{i}" for i in range(5)]
+    lines = []
+    for x in states:
+        out = {("a", rng.choice(states)), ("b", rng.choice(states))}
+        while len(out) < 3:
+            out.add((rng.choice("ab"), rng.choice(states)))
+        lines += [f"{x} -> ({a}, {y})" for a, y in sorted(out)]
+    return parse_coalgebra(
+        f"[functor]\nprod(const(a b), id)\n\n[states]\n{' '.join(states)}\n\n[init]\n* -> q0\n\n[trans]\n"
+        + "\n".join(lines) + "\n"
+    )
+
+
 class TestWordTraces:
+    @staticmethod
+    def assert_agree(c, max_depth, note=""):
+        """At each depth up to ``max_depth``, the forward walk against the
+        backward subset construction and the general table, decoded, as
+        tuples and spelt.  The general table is filled once, to
+        ``max_depth``: its traces to a smaller depth are its first depths."""
+        general = trace(c, max_depth)
+        memo: dict = {}
+        for depth in range(max_depth + 1):
+            words = word_traces(c, depth)
+            assert words == backward_word_traces(c, depth), f"{note} depth {depth}"
+            per_depth = tuple(e for e in general.per_depth if e[0] <= depth)
+            shallow = dataclasses.replace(general, depth=depth, per_depth=per_depth)
+            assert words == decoded_word_traces(shallow, memo), f"{note} depth {depth}"
+            assert lts_language(c, depth) == spelt_language(words, c.functor), f"{note} depth {depth}"
+
     def test_oracle_agreement_on_random_letter_systems(self):
-        """The subset construction against the general table, decoded, per
-        pointing element and depth."""
+        """Per pointing element and depth, on one and two sorts and one
+        and two pointed elements."""
         shapes = set()
         for seed in range(120):
             c = random_letter_system(seed)
             shapes.add((len(c.functor.sorts), c.pointing.size()))
-            for depth in range(7):
-                assert word_traces(c, depth) == decoded_word_traces(trace(c, depth)), f"seed {seed} depth {depth}"
+            self.assert_agree(c, 8, f"seed {seed}")
         assert shapes == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+    def test_general_table_to_a_smaller_depth_is_its_first_depths(self):
+        for seed in range(0, 120, 7):
+            c = random_letter_system(seed)
+            deep = trace(c, 6).per_depth
+            for depth in range(6):
+                assert trace(c, depth).per_depth == tuple(e for e in deep if e[0] <= depth), (seed, depth)
+
+    def test_two_pointed_elements_share_a_start_state(self):
+        step = lambda a, y: Inj(0, TupleTerm((ConstElem(a), var(y))))  # noqa: E731
+        c = PointedCoalgebra(
+            WORD_CHECK,
+            single(["i", "j"]),
+            single(["q0", "q1"]),
+            {(DEFAULT_SORT, "i"): "q0", (DEFAULT_SORT, "j"): "q0"},
+            {
+                (DEFAULT_SORT, "q0"): tuple(sorted([step("a", "q1"), step("b", "q0")])),
+                (DEFAULT_SORT, "q1"): (Inj(1, ConstElem(CHECK)),),
+            },
+        )
+        self.assert_agree(c, 5)
+        words = word_traces(c, 4)
+        assert words[(DEFAULT_SORT, "i")] == words[(DEFAULT_SORT, "j")]
+        assert words[(DEFAULT_SORT, "i")] is not words[(DEFAULT_SORT, "j")]
+        assert ((0, "b"), (0, "b"), (0, "a"), (None, CHECK)) in words[(DEFAULT_SORT, "i")]
+
+    def test_kept_alive_only_by_a_marker(self):
+        # j's words end at depth 2 with a marker, and that marker word
+        # counts at every deeper depth, so i's deeper words count too
+        c = TestLtsLanguage._two_pointed((Inj(1, ConstElem(CHECK)),))
+        self.assert_agree(c, 5)
+        words = word_traces(c, 5)
+        assert words[(DEFAULT_SORT, "j")] == {(), ((0, "a"),), ((0, "a"), (None, CHECK))}
+        assert ((0, "a"), (0, "b"), (0, "a"), (0, "b"), (0, "a")) in words[(DEFAULT_SORT, "i")]
+
+    def test_each_word_built_once(self, monkeypatch):
+        """On the trace-enum LTS at depth 9 the walk builds exactly as
+        many words as it returns, the empty word aside, in both forms:
+        every word grows from the walk's empty word, here a spy that
+        counts each word built from it."""
+        c = trace_enum_lts()
+        walk = trace_module._word_walk
+        built = []
+
+        def counting(kind):
+            class Counted(kind):
+                def __add__(self, other):
+                    built.append(other)
+                    return Counted(kind.__add__(self, other))
+
+            return Counted
+
+        def spied_walk(c, depth, empty, pieces):
+            return walk(c, depth, counting(type(empty))(empty), pieces)
+
+        monkeypatch.setattr(trace_module, "_word_walk", spied_walk)
+        language = lts_language(c, 9)
+        assert len(language) == 2 ** 10 - 1
+        assert len(built) == len(language) - 1
+        built.clear()
+        (words,) = word_traces(c, 9).values()
+        assert len(built) == len(words) - 1 == 2 ** 10 - 2
+        assert spelt_language({"*": words}, c.functor) == language
 
     def test_letters_keep_their_summand(self):
         # the same constant in two summands makes two letters
@@ -402,6 +509,36 @@ class TestWordTraces:
         assert word_traces(c, 0) == {(DEFAULT_SORT, "*"): {()}}
         with pytest.raises(CoalgError, match="not letter-shaped"):
             word_traces(c, 1)
+
+    EIGHT_UNSHAPED = (
+        "from coalgpath.functors import Coprod, Const, Prod, SortRef, TupleTerm, ConstElem, Var, multisorted\n"
+        "from coalgpath.coalgebra import PointedCoalgebra\n"
+        "from coalgpath.sets import SortedSet, CoalgError\n"
+        "from coalgpath.trace import word_traces\n"
+        "f = multisorted(('*', 'b'), {'*': Prod((Const(('a',)), SortRef('b'))),\n"
+        "                             'b': Coprod((Const(('c',)), SortRef('*')))})\n"
+        "rs = [f'r{k}' for k in range(8)]\n"
+        "c = PointedCoalgebra(f, SortedSet.make({'*': ['*'], 'b': []}, f.sorts),\n"
+        "    SortedSet.make({'*': ['q0'], 'b': rs}, f.sorts), {('*', '*'): 'q0'},\n"
+        "    {('*', 'q0'): tuple(sorted(TupleTerm((ConstElem('a'), Var('b', r))) for r in rs)),\n"
+        "     **{('b', r): () for r in rs}})\n"
+        "try:\n"
+        "    word_traces(c, 1)\n"
+        "except CoalgError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_unshaped_refusal_does_not_follow_the_hash_seed(self):
+        """The * state steps to eight unshaped states; each reached set is
+        read in sorted order, so every hash seed names r0."""
+        for hash_seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.EIGHT_UNSHAPED],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
+            )
+            assert proc.stdout == "state 'r0' sits at sort 'b', which is not letter-shaped\n", (hash_seed, proc.stderr)
 
 
 class TestTreePartialRuns:
