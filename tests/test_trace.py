@@ -478,6 +478,12 @@ class TestWordTraces:
         assert len(built) == len(words) - 1 == 2 ** 10 - 2
         assert spelt_language({"*": words}, c.functor) == language
 
+    def test_negative_depth_rejected(self):
+        c = linear_word_system("ab", "ab")
+        for words_of in (word_traces, lts_language):
+            with pytest.raises(CoalgError, match="depth must be non-negative"):
+                words_of(c, -1)
+
     def test_letters_keep_their_summand(self):
         # the same constant in two summands makes two letters
         f = functor(Coprod((Prod((Const(("a",)), SortRef())), Prod((Const(("a",)), SortRef())), Const(("m",)))))
