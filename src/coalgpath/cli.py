@@ -227,7 +227,7 @@ def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
 
 def _trace(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     system = parse_coalgebra(_read(args.file))
-    if word_shape(system.functor) is not None:
+    if all(word_shape(system.functor, s) for s in {s for s, _i in system.pointing.pairs()}):
         yield from (w or "ε" for w in sorted(lts_language(system, args.depth, GLYPH_ASCII if args.ascii else None)))
         return 0
     ts = trace(system, args.depth)
@@ -238,7 +238,9 @@ def _trace(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
         for (s, i), terms in items:
             prefix = f"{_key(system.pointing, s, i)} : {d} : " if named else f"{d} : "
             lines.extend([prefix + print_term(t, memo) for t in terms])
-    yield from sorted(set(lines))
+    # the table keeps its terms in input order, mostly term order: the
+    # lines come nearly sorted, where a set would shuffle them
+    yield from sorted(dict.fromkeys(lines))
     return 0
 
 

@@ -697,15 +697,29 @@ def read_letter(term: Term) -> tuple[Letter, Var | None]:
     raise TermError(f"{term!r} is neither a letter nor a marker")
 
 
-def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
+def letter_labelled(f: Functor, sorts: Iterable[str]) -> bool:
+    """Whether every sort in ``sorts``, and every sort those reach through
+    sort leaves, is letter-shaped (see :func:`letter_shape`): then every
+    trace from a state at one of ``sorts`` is a word, and the word walk
+    of ``trace`` serves it.  The word routes read it at the sorts the
+    pointed elements sit at, never at the default sort alone."""
+    seen = list(dict.fromkeys(sorts))
+    for s in seen:  # grows while it is walked
+        targets = letter_shape(f.node(s))
+        if targets is None:
+            return False
+        seen.extend(t for t in targets if t not in seen)
+    return True
+
+
+def word_shape(f: Functor, sort: str = DEFAULT_SORT) -> tuple[tuple[str, ...], str | None] | None:
     """``(A, None)`` for the word functor ``A x Id`` and ``(A, m)`` for
-    ``A x Id + {m}``, read at the default sort, where ``Id`` is any sort
-    leaf and every sort the default sort reaches through sort leaves is
-    letter-shaped (see :func:`letter_shape`); None for any other functor.
+    ``A x Id + {m}``, read at ``sort``, where ``Id`` is any sort leaf and
+    ``sort`` is :func:`letter_labelled`; None for any other functor.
 
     ``plus1(A x Id)`` is word-shaped with the added point as its marker.
     """
-    node = f.node(DEFAULT_SORT) if DEFAULT_SORT in f.sorts else None
+    node = f.node(sort) if sort in f.sorts else None
     marker = None
     if (
         isinstance(node, Coprod)
@@ -714,14 +728,8 @@ def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
         and len(node.parts[1].elems) == 1
     ):
         node, marker = node.parts[0], node.parts[1].elems[0]
-    if not isinstance(node, Prod) or letter_shape(node) is None:
+    if not isinstance(node, Prod) or not letter_labelled(f, [sort]):
         return None
-    seen = [DEFAULT_SORT]
-    for s in seen:  # grows while it is walked
-        targets = letter_shape(f.node(s))
-        if targets is None:
-            return None
-        seen.extend(t for t in targets if t not in seen)
     return node.parts[0].elems, marker
 
 

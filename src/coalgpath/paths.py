@@ -149,8 +149,9 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
 
 def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
     """Whether the composites of paths over ``functor`` from ``pointing``
-    decode as words: LTS-shaped, with one pointed element."""
-    return pointing.size() == 1 and word_shape(plus1(functor)) is not None
+    decode as words: one pointed element, at a sort where ``F + 1`` is
+    word-shaped (see :func:`functors.word_shape`)."""
+    return pointing.size() == 1 and word_shape(plus1(functor), pointing.pairs()[0][0]) is not None
 
 
 def step_letter(p: PathObj, k: int) -> str:

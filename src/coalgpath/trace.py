@@ -11,7 +11,10 @@ implement it:
   terms per (state, depth), depth by depth, and only for the states the
   pointing reaches within the remaining depth; it serves every functor,
   and builds the terms of a flat analytic transition over equal pools
-  once per orbit of argument tuples (:func:`groups.orbit_minima`);
+  once per orbit of argument tuples (:func:`groups.orbit_minima`).  Each
+  entry is a duplicate-free tuple: where every transition took that
+  route, the orbit runs joined in term order, with no term hashed, and
+  otherwise its terms in first-seen order;
 - the word path serves every letter-labelled system, whose sorts are
   each ``Const x SortRef`` or a coproduct of such products and constants
   (:func:`functors.letter_shape`): a trace is then a word of (summand,
@@ -19,12 +22,16 @@ implement it:
   from one forward walk, :func:`_word_walk`, over (word, set of states
   the word reaches) pairs, which builds each word once from its prefix.
   It builds them in two forms: :func:`word_traces` as letter tuples,
-  which ``nominal.bar_trace`` reads as bar strings, and
-  :func:`lts_language` as spelt strings.
+  which ``nominal.bar_trace`` reads as bar strings and
+  :func:`trace_equiv` compares on every system whose pointed sorts are
+  :func:`functors.letter_labelled`, and :func:`lts_language` as spelt
+  strings.
 
 The general path, decoded, and the backward subset construction the
-word path replaced are its oracles; the literal run-enumeration
-definition is the test oracle for the general path.
+word path replaced are its oracles, and the general tables compared
+entry by entry are the oracle of :func:`trace_equiv`'s words; the
+literal run-enumeration definition is the test oracle for the general
+path.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .functors import (
     _ansyms,
     _word_constants,
     format_name,
+    letter_labelled,
     letter_shape,
     map_leaves,
     read_letter,
@@ -58,14 +66,16 @@ class TraceSet:
     """Bottom-free composite values up to a depth bound.
 
     ``per_depth`` lists, for each depth d <= bound that carries at least
-    one composite, the per-pointing-element sets of ground terms; a depth
+    one composite, the per-pointing-element ground terms, each once, in
+    the order the table built them (term order where orbit runs joined,
+    first-seen order otherwise; so compare entries as sets); a depth
     with any empty component contributes no composites and is omitted.
     """
 
     functor: Functor
     pointing: SortedSet
     depth: int
-    per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], frozenset[Term]], ...]], ...]
+    per_depth: tuple[tuple[int, tuple[tuple[tuple[str, str], tuple[Term, ...]], ...]], ...]
 
 
 def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], Sequence[tuple]]) -> tuple[dict, dict]:
@@ -88,39 +98,68 @@ def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], Sequence[tupl
     return dist, moves
 
 
-def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], frozenset[Term]]:
+# one object for every state, so the depth-1 pools meet by identity
+_UNIT_ENTRY = (UNIT_TERM,)
+
+
+def _same_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
+    """Whether two duplicate-free entries hold the same terms: the same
+    object, equal tuples, or equal sets, tried in that order, so terms
+    are hashed only when two tuples of one length differ."""
+    return a is b or a == b or (len(a) == len(b) and set(a) == set(b))
+
+
+def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], tuple[Term, ...]]:
     """traces[(state, d)]: ground terms of depth-d bottom-free unfoldings,
-    for each state the pointing reaches in at most ``max_depth - d`` steps.
+    for each state the pointing reaches in at most ``max_depth - d`` steps,
+    each once.
 
     The table is filled depth by depth, without recursion, so the stack
     does not grow with the depth.  An analytic transition whose slots are
-    all sort leaves and whose successors' depth-(d-1) sets are equal takes
-    one argument tuple per orbit of that set from :func:`orbit_minima`.
+    all sort leaves and whose successors' depth-(d-1) entries hold the
+    same terms takes one argument tuple per orbit of that pool from
+    :func:`orbit_minima`, a run strictly increasing in term order.  When
+    every transition of a state takes that route and each run's last
+    term is below the next run's first, the entry is the runs joined, and
+    no term is hashed; any other entry drops repeats in first-seen order.
     """
     dist, moves = _reach(c.point_image(), max_depth, c.successors)
-    table: dict[tuple[tuple[str, str], int], frozenset[Term]] = {}
+    table: dict[tuple[tuple[str, str], int], tuple[Term, ...]] = {}
     for d in range(max_depth + 1):
         for key, k in dist.items():
             if k > max_depth - d:
                 continue
             if d == 0:
-                table[(key, 0)] = frozenset([UNIT_TERM])
+                table[(key, 0)] = _UNIT_ENTRY
                 continue
             node = c.functor.node(key[0])
-            out: set[Term] = set()
+            # orbit runs joined while each starts above the last one's end;
+            # from the first run or product term that does not, every term
+            # in first-seen order, each kept once as it is built
+            joined: list[Term] = []
+            seen: dict[Term, None] | None = None
             for t, succ in moves[key]:
+                run = None
                 sym = node.symbol(t.sym) if isinstance(node, Analytic) else None
                 if sym is not None and all(isinstance(n, SortRef) for n in sym.slots):
-                    pools = {table[(y, d - 1)] for y in succ}
-                    if len(pools) <= 1:
-                        pool = pools.pop() if pools else ()
-                        out.update(_ansyms(sym.name, orbit_minima(sym.group, pool)))
-                        continue
+                    pools = [table[(y, d - 1)] for y in succ]
+                    pool = pools[0] if pools else ()
+                    # list.count tries identity, then tuple equality
+                    if pools.count(pool) == len(pools) or all(_same_terms(pool, p) for p in pools):
+                        run = _ansyms(sym.name, orbit_minima(sym.group, pool))
+                        if seen is None and (not run or not joined or joined[-1] < run[0]):
+                            joined += run
+                            continue
+                if seen is None:
+                    seen = dict.fromkeys(joined)
+                if run is not None:
+                    seen.update(dict.fromkeys(run))
+                    continue
                 # substitute, independently per occurrence, every continuation choice
                 for combo in itertools.product(*(table[(y, d - 1)] for y in succ)):
                     chosen = iter(combo)
-                    out.add(map_leaves(node, t, lambda _ref, _t: next(chosen)))
-            table[(key, d)] = frozenset(out)
+                    seen[map_leaves(node, t, lambda _ref, _t: next(chosen))] = None
+            table[(key, d)] = tuple(joined if seen is None else seen)
     return table
 
 
@@ -138,9 +177,19 @@ def trace(c: PointedCoalgebra, depth: int) -> TraceSet:
 
 
 def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
+    """Whether two systems over one functor and pointing have the same
+    traces up to ``depth``: compared as the words of :func:`word_traces`
+    when the pointed sorts are :func:`functors.letter_labelled`, and as
+    the general table's entries, each as a set, otherwise."""
     if c1.functor != c2.functor or c1.pointing != c2.pointing:
         raise CoalgError("trace comparison needs a common functor and pointing")
-    return trace(c1, depth).per_depth == trace(c2, depth).per_depth
+    if letter_labelled(c1.functor, {s for s, _i in c1.pointing.pairs()}):
+        return word_traces(c1, depth) == word_traces(c2, depth)
+    ds1, ds2 = trace(c1, depth).per_depth, trace(c2, depth).per_depth
+    return [d for d, _items in ds1] == [d for d, _items in ds2] and all(
+        _same_terms(a, b) for (_d, items1), (_d2, items2) in zip(ds1, ds2)
+        for (_k, a), (_k2, b) in zip(items1, items2)
+    )
 
 
 # ---------------------------------------------------------------------------

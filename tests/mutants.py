@@ -167,6 +167,16 @@ MUTANTS = [
     # the word walk forgets that a marker word counts at every deeper depth
     Mutant("word-walk-drops-marker-liveness", "trace.py",
            "if not all(nxt or done or x in marked for", "if not all(nxt or done for", ("tests/test_trace.py",)),
+    # the trace table joins its orbit runs without testing that they meet
+    # nowhere and follow term order
+    Mutant("table-joins-runs-untested", "trace.py",
+           "if seen is None and (not run or not joined or joined[-1] < run[0]):",
+           "if seen is None:", ("tests/test_trace.py",)),
+    # trace_equiv's word route compares the first pointed element's words only
+    Mutant("word-equiv-reads-one-pointed-element", "trace.py",
+           "        return word_traces(c1, depth) == word_traces(c2, depth)\n",
+           "        return [*word_traces(c1, depth).values()][:1] == [*word_traces(c2, depth).values()][:1]\n",
+           ("tests/test_trace.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

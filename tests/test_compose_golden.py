@@ -80,6 +80,10 @@ CASES = [
     # both verbs print terms
     ("mixed-runs", ["runs", "mixed.model", "--depth", "2"], 0),
     ("mixed-trace", ["trace", "mixed.model", "--depth", "3"], 0),
+    # sort * reads like a word functor, but the point sits at the tree
+    # sort t: the word routes read the pointed sort, so both print terms
+    ("pointedsort-trace", ["trace", "pointedsort.model", "--depth", "3"], 0),
+    ("pointedsort-runs", ["runs", "pointedsort.model", "--depth", "2"], 0),
     # letters longer than one character: the words ab and a b print apart
     ("multiletter-trace", ["trace", "multiletter.model", "--depth", "2"], 0),
     ("multiletter-runs", ["runs", "multiletter.model", "--depth", "2"], 0),

@@ -1,11 +1,14 @@
 import dataclasses
+import operator
 import os
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
+from coalgpath.cli import run_command
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, random_coalgebra
 from coalgpath.functors import (
     Analytic,
@@ -19,13 +22,16 @@ from coalgpath.functors import (
     TupleTerm,
     Var,
     functor,
+    letter_labelled,
+    map_leaves,
     multisorted,
     strip_plus1,
+    word_shape,
 )
 from coalgpath.groups import orbit_minima, PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import reachable_bfs
-from coalgpath.paths import comp, enumerate_runs
+from coalgpath.paths import comp, comps_are_words, enumerate_runs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
 from coalgpath import trace as trace_module
 from coalgpath.trace import lts_language, trace, trace_equiv, word_traces
@@ -44,12 +50,19 @@ from oracles import (
     backward_word_traces,
     decoded_word_traces,
     eager_state_traces,
+    per_depth_sets,
     prefix_closed,
     spelt_language,
+    table_trace_equiv,
     trace_words,
 )
 
 CHECK = chr(0x2713)
+COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
+
+
+def compose_system(name: str) -> PointedCoalgebra:
+    return parse_coalgebra((COMPOSE / name).read_text(encoding="utf-8"))
 
 
 def graph_bfs_language(c: PointedCoalgebra, depth: int) -> set[str]:
@@ -188,9 +201,96 @@ class TestRestrictedTable:
             c = random_coalgebra(GenSpec(f, sizes, density, seed, pointing))
             _levels, union = reachable_bfs(c)
             unreachable += union != set(c.states())
-            assert trace(c, depth).per_depth == _eager_per_depth(c, depth), f"seed {seed}"
+            ts = trace(c, depth)
+            # each entry holds its terms once, in an order the set compare ignores
+            assert all(len(set(terms)) == len(terms) for _d, items in ts.per_depth for _k, terms in items), seed
+            assert per_depth_sets(ts) == _eager_per_depth(c, depth), f"seed {seed}"
         assert unreachable
         assert bool(calls) == isinstance(f.node(f.sorts[0]), Analytic)
+
+    @staticmethod
+    def first_seen_spy(monkeypatch) -> list:
+        """Record each one-argument ``dict.fromkeys`` call in ``trace``,
+        the route of a table entry whose runs do not join in term order;
+        ``_reach`` passes a value, and ``trace`` does not walk words."""
+        taken = []
+
+        class Spy(dict):
+            @classmethod
+            def fromkeys(cls, keys, *value):
+                if not value:
+                    taken.append(keys)
+                return dict.fromkeys(keys, *value)
+
+        monkeypatch.setattr(trace_module, "dict", Spy, raising=False)
+        return taken
+
+    def test_tree_entries_are_joined_runs_in_term_order(self, monkeypatch):
+        # every state of the trace-enum tree has the same traces, so each
+        # pair transition takes the orbit route, and its run follows leaf's
+        taken = self.first_seen_spy(monkeypatch)
+        table = trace_module._state_traces(compose_system("trace_enum_tree.model"), 5)
+        assert [len(table[((DEFAULT_SORT, "t0"), d)]) for d in range(6)] == [1, 2, 4, 11, 67, 2279]
+        for key, terms in table.items():
+            assert type(terms) is tuple and all(map(operator.lt, terms, terms[1:])), key
+        assert not taken
+
+    def test_runs_that_meet_drop_repeats_in_first_seen_order(self, monkeypatch):
+        # x's two pair runs both hold pair(leaf, leaf): they meet, so the
+        # entry drops the repeat, each term kept where it is first seen
+        taken = self.first_seen_spy(monkeypatch)
+        c = parse_coalgebra(
+            "[functor]\nanalytic{ pair/2 [(1 2)] ; leaf/0 }\n\n[states]\na b x\n\n[init]\n* -> x\n\n"
+            "[trans]\na -> leaf\nb -> leaf\nx -> pair(a, a)\nx -> pair(b, b)\n"
+        )
+        (_d, ((_key, terms),)) = trace(c, 2).per_depth[2]
+        assert [repr(t) for t in terms] == ["pair(leaf, leaf)"]
+        assert taken
+
+    def test_product_route_entries_hold_each_term_once(self, monkeypatch):
+        # z -> bag(x, y, z) builds the same multiset from several tuples
+        taken = self.first_seen_spy(monkeypatch)
+        ts = trace(compose_system("bag.model"), 3)
+        assert taken
+        for _d, items in ts.per_depth:
+            for _key, terms in items:
+                assert len(set(terms)) == len(terms)
+
+
+def _split_state(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
+    """``c`` with a copy of one state added: each transition into the
+    state, and each pointed element at it, moves to the copy at random.
+    The state and its copy are bisimilar, so the traces stay the same."""
+    s, x = rng.choice(c.carrier.pairs())
+    copy = f"{x}c"
+    moved = Var(s, copy)
+
+    def move(_ref, leaf):
+        return moved if leaf == Var(s, x) and rng.random() < 0.5 else leaf
+
+    xi = {key: tuple(sorted({map_leaves(c.functor.node(key[0]), t, move) for t in terms}))
+          for key, terms in c.xi.items()}
+    xi[(s, copy)] = xi[(s, x)]
+    point = {key: copy if key[0] == s and y == x and rng.random() < 0.5 else y for key, y in c.point.items()}
+    carrier = SortedSet.make({t: c.carrier.elems(t) + ((copy,) if t == s else ()) for t in c.functor.sorts},
+                             c.functor.sorts)
+    return PointedCoalgebra(c.functor, c.pointing, carrier, point, xi)
+
+
+def _repointed(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
+    """``c`` with one pointed element moved to a random state of its sort."""
+    key = rng.choice(c.pointing.pairs())
+    point = {**c.point, key: rng.choice(c.carrier.elems(key[0]))}
+    return PointedCoalgebra(c.functor, c.pointing, c.carrier, point, c.xi)
+
+
+def _dropped(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
+    """``c`` with one transition of a random state dropped, if it has one."""
+    key = rng.choice(c.carrier.pairs())
+    terms = list(c.xi[key])
+    if terms:
+        terms.pop(rng.randrange(len(terms)))
+    return PointedCoalgebra(c.functor, c.pointing, c.carrier, c.point, {**c.xi, key: tuple(terms)})
 
 
 class TestTraceEquiv:
@@ -235,6 +335,95 @@ class TestTraceEquiv:
     def test_functor_mismatch_rejected(self):
         with pytest.raises(CoalgError):
             trace_equiv(linear_word_system("a", "a"), linear_word_system("ab", "ab"), 2)
+
+    @staticmethod
+    def letter_pairs():
+        """Pairs of letter-labelled systems over one functor and pointing:
+        random letter systems of one and two sorts and ``A x Id + {✓}``
+        systems, each with one or two pointed elements, against a copy
+        with a split state, a moved pointed element, a dropped transition
+        and a fresh random system."""
+        for seed in range(200):
+            rng = random.Random(f"equiv/{seed}")
+            if seed % 2:
+                c = random_letter_system(seed)
+            else:
+                pointing = SortedSet.single(["i", "j"][: rng.randint(1, 2)])
+                c = random_coalgebra(GenSpec(WORD_CHECK, {DEFAULT_SORT: rng.randint(1, 4)}, 0.3, seed, pointing))
+            sizes = {s: rng.randint(1, 3) for s in c.functor.sorts}
+            fresh = random_coalgebra(GenSpec(c.functor, sizes, rng.choice([0.2, 0.3]), seed + 1000, c.pointing))
+            for other in (_split_state(c, rng), _repointed(c, rng), _dropped(c, rng), fresh):
+                yield c, other
+
+    def test_word_route_agrees_with_the_table(self, monkeypatch):
+        table_calls = []
+        table = trace_module._state_traces
+        monkeypatch.setattr(trace_module, "_state_traces", lambda *a: table_calls.append(a) or table(*a))
+        verdicts = []
+        shapes = set()
+        for c1, c2 in self.letter_pairs():
+            shapes.add((len(c1.functor.sorts), c1.pointing.size(), CHECK in str(c1.functor)))
+            for depth in range(5):
+                got = trace_equiv(c1, c2, depth), trace_equiv(c2, c1, depth)
+                assert not table_calls
+                want = table_trace_equiv(c1, c2, depth)
+                table_calls.clear()
+                assert got == (want, want), (c1, c2, depth)
+                verdicts.append(want)
+        assert shapes >= {(1, 1, False), (1, 2, False), (2, 1, False), (2, 2, False), (1, 1, True), (1, 2, True)}
+        assert len(verdicts) == 4000 and 1000 < sum(verdicts) < 3000
+
+    def test_each_pointed_element_compared(self):
+        # i's traces are equal on both sides; j's differ from depth 1 on
+        c1 = TestLtsLanguage._two_pointed((Inj(1, ConstElem(CHECK)),))
+        c2 = PointedCoalgebra(c1.functor, c1.pointing, c1.carrier, {**c1.point, (DEFAULT_SORT, "j"): "q0"}, c1.xi)
+        assert trace_equiv(c1, c2, 0) and table_trace_equiv(c1, c2, 0)
+        assert not trace_equiv(c1, c2, 1) and not table_trace_equiv(c1, c2, 1)
+
+
+class TestPointedSorts:
+    """The word routes read the sorts the pointed elements sit at."""
+
+    TWO_POINTED = (COMPOSE / "pointedsort.model").read_text(encoding="utf-8").replace(
+        "t : j\n", "* : i\nt : j\n").replace("t.j -> t.u\n", "*.i -> *.p\nt.j -> t.u\n")
+
+    def test_word_sort_beside_a_tree_sort(self):
+        c = compose_system("pointedsort.model")
+        assert word_shape(c.functor) is not None and word_shape(c.functor, "t") is None
+        assert letter_labelled(c.functor, [DEFAULT_SORT]) and not letter_labelled(c.functor, ["t"])
+        assert not comps_are_words(c.functor, c.pointing)
+        for depth in range(4):
+            assert trace_equiv(c, c, depth) and table_trace_equiv(c, c, depth)
+
+    def test_two_points_one_at_a_tree_sort(self, tmp_path):
+        path = tmp_path / "two.model"
+        path.write_text(self.TWO_POINTED, encoding="utf-8")
+        text, code = run_command(["trace", str(path), "--depth", "2"])
+        assert code == 0
+        assert text.splitlines() == [
+            "*.i : 0 : •", "*.i : 1 : (a, •)", "*.i : 2 : (a, (b, •))",
+            "t.j : 0 : •", "t.j : 1 : (•, •)", "t.j : 2 : ((•, •), (•, •))",
+        ]
+        c = parse_coalgebra(self.TWO_POINTED)
+        variant = _repointed(c, random.Random(0))
+        for depth in range(4):
+            assert trace_equiv(c, variant, depth) == table_trace_equiv(c, variant, depth)
+
+    def test_point_at_a_word_sort_beside_a_tree_default(self, tmp_path):
+        # the default sort is a tree, the pointed sort t a word sort: the
+        # verbs print words
+        path = tmp_path / "words.model"
+        path.write_text(
+            "[sorts]\n* t\n\n[functor]\n* = prod(sort(*), sort(*))\nt = prod(const(a b), sort(t))\n\n"
+            "[pointing]\nt : j\n\n[states]\n* : p\nt : u v\n\n[init]\nt.j -> t.u\n\n"
+            "[trans]\n*.p -> (p, p)\nt.u -> (a, v)\nt.v -> (b, u)\n",
+            encoding="utf-8",
+        )
+        c = parse_coalgebra(path.read_text(encoding="utf-8"))
+        assert comps_are_words(c.functor, c.pointing)
+        assert run_command(["trace", str(path), "--depth", "3"]) == ("ε\na\nab\naba\n", 0)
+        runs, code = run_command(["runs", str(path), "--depth", "2"])
+        assert code == 0 and "comp ab [" in runs
 
 
 class TestLtsLanguage:
