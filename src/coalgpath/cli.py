@@ -10,7 +10,7 @@ import sys
 from collections.abc import Callable, Generator
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, plus1, print_term, word_separator, word_shape
+from .functors import DEFAULT_SORT, functor, plus1, print_term, word_route, word_separator
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
@@ -227,7 +227,7 @@ def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
 
 def _trace(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     system = parse_coalgebra(_read(args.file))
-    if all(word_shape(system.functor, s) for s in {s for s, _i in system.pointing.pairs()}):
+    if word_route(system.functor, [s for s, _i in system.pointing.pairs()]):
         yield from (w or "ε" for w in sorted(lts_language(system, args.depth, GLYPH_ASCII if args.ascii else None)))
         return 0
     ts = trace(system, args.depth)

@@ -701,8 +701,7 @@ def letter_labelled(f: Functor, sorts: Iterable[str]) -> bool:
     """Whether every sort in ``sorts``, and every sort those reach through
     sort leaves, is letter-shaped (see :func:`letter_shape`): then every
     trace from a state at one of ``sorts`` is a word, and the word walk
-    of ``trace`` serves it.  The word routes read it at the sorts the
-    pointed elements sit at, never at the default sort alone."""
+    of ``trace`` serves it."""
     seen = list(dict.fromkeys(sorts))
     for s in seen:  # grows while it is walked
         targets = letter_shape(f.node(s))
@@ -712,14 +711,15 @@ def letter_labelled(f: Functor, sorts: Iterable[str]) -> bool:
     return True
 
 
-def word_shape(f: Functor, sort: str = DEFAULT_SORT) -> tuple[tuple[str, ...], str | None] | None:
+def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
     """``(A, None)`` for the word functor ``A x Id`` and ``(A, m)`` for
-    ``A x Id + {m}``, read at ``sort``, where ``Id`` is any sort leaf and
-    ``sort`` is :func:`letter_labelled`; None for any other functor.
+    ``A x Id + {m}``, read at the default sort, where ``Id`` is any sort
+    leaf and the default sort is :func:`letter_labelled`; None for any
+    other functor.
 
     ``plus1(A x Id)`` is word-shaped with the added point as its marker.
     """
-    node = f.node(sort) if sort in f.sorts else None
+    node = f.node(DEFAULT_SORT) if DEFAULT_SORT in f.sorts else None
     marker = None
     if (
         isinstance(node, Coprod)
@@ -728,9 +728,18 @@ def word_shape(f: Functor, sort: str = DEFAULT_SORT) -> tuple[tuple[str, ...], s
         and len(node.parts[1].elems) == 1
     ):
         node, marker = node.parts[0], node.parts[1].elems[0]
-    if not isinstance(node, Prod) or not letter_labelled(f, [sort]):
+    if not isinstance(node, Prod) or not letter_labelled(f, [DEFAULT_SORT]):
         return None
     return node.parts[0].elems, marker
+
+
+def word_route(f: Functor, sorts: Iterable[str]) -> bool:
+    """Whether the word routes of the ``trace`` and ``runs`` verbs serve a
+    system over ``f`` whose pointed elements sit at ``sorts``: ``f`` is
+    word-shaped at the default sort (see :func:`word_shape`), and every
+    pointed sort is :func:`letter_labelled`, so the walk meets no sort of
+    another shape.  ``runs`` asks it of ``F + 1``."""
+    return word_shape(f) is not None and letter_labelled(f, sorts)
 
 
 def _word_constants(f: Functor) -> list[str]:

@@ -38,7 +38,7 @@ from .functors import (
     strip_plus1,
     subst_node,
     term_in_functor,
-    word_shape,
+    word_route,
 )
 from .precise import TermMap, element_labels, is_precise, precise_factorize
 from .sets import CoalgError, SortedFun, SortedSet
@@ -149,9 +149,9 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
 
 def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
     """Whether the composites of paths over ``functor`` from ``pointing``
-    decode as words: one pointed element, at a sort where ``F + 1`` is
-    word-shaped (see :func:`functors.word_shape`)."""
-    return pointing.size() == 1 and word_shape(plus1(functor), pointing.pairs()[0][0]) is not None
+    decode as words: one pointed element, and ``F + 1`` takes the word
+    route there (see :func:`functors.word_route`)."""
+    return pointing.size() == 1 and word_route(plus1(functor), [pointing.pairs()[0][0]])
 
 
 def step_letter(p: PathObj, k: int) -> str:

@@ -22,16 +22,13 @@ implement it:
   from one forward walk, :func:`_word_walk`, over (word, set of states
   the word reaches) pairs, which builds each word once from its prefix.
   It builds them in two forms: :func:`word_traces` as letter tuples,
-  which ``nominal.bar_trace`` reads as bar strings and
-  :func:`trace_equiv` compares on every system whose pointed sorts are
-  :func:`functors.letter_labelled`, and :func:`lts_language` as spelt
-  strings.
+  which ``nominal.bar_trace`` reads as bar strings, and
+  :func:`lts_language` as spelt strings.
 
+:func:`trace_equiv` compares the general tables, each entry as a set.
 The general path, decoded, and the backward subset construction the
-word path replaced are its oracles, and the general tables compared
-entry by entry are the oracle of :func:`trace_equiv`'s words; the
-literal run-enumeration definition is the test oracle for the general
-path.
+word path replaced are its oracles; the literal run-enumeration
+definition is the test oracle for the general path.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .functors import (
     _ansyms,
     _word_constants,
     format_name,
-    letter_labelled,
     letter_shape,
     map_leaves,
     read_letter,
@@ -144,8 +140,7 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
                 if sym is not None and all(isinstance(n, SortRef) for n in sym.slots):
                     pools = [table[(y, d - 1)] for y in succ]
                     pool = pools[0] if pools else ()
-                    # list.count tries identity, then tuple equality
-                    if pools.count(pool) == len(pools) or all(_same_terms(pool, p) for p in pools):
+                    if all(_same_terms(pool, p) for p in pools):
                         run = _ansyms(sym.name, orbit_minima(sym.group, pool))
                         if seen is None and (not run or not joined or joined[-1] < run[0]):
                             joined += run
@@ -178,13 +173,10 @@ def trace(c: PointedCoalgebra, depth: int) -> TraceSet:
 
 def trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
     """Whether two systems over one functor and pointing have the same
-    traces up to ``depth``: compared as the words of :func:`word_traces`
-    when the pointed sorts are :func:`functors.letter_labelled`, and as
-    the general table's entries, each as a set, otherwise."""
+    traces up to ``depth``: the same depths, and at each the same terms
+    per pointed element, each entry compared as a set."""
     if c1.functor != c2.functor or c1.pointing != c2.pointing:
         raise CoalgError("trace comparison needs a common functor and pointing")
-    if letter_labelled(c1.functor, {s for s, _i in c1.pointing.pairs()}):
-        return word_traces(c1, depth) == word_traces(c2, depth)
     ds1, ds2 = trace(c1, depth).per_depth, trace(c2, depth).per_depth
     return [d for d, _items in ds1] == [d for d, _items in ds2] and all(
         _same_terms(a, b) for (_d, items1), (_d2, items2) in zip(ds1, ds2)

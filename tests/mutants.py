@@ -172,11 +172,10 @@ MUTANTS = [
     Mutant("table-joins-runs-untested", "trace.py",
            "if seen is None and (not run or not joined or joined[-1] < run[0]):",
            "if seen is None:", ("tests/test_trace.py",)),
-    # trace_equiv's word route compares the first pointed element's words only
-    Mutant("word-equiv-reads-one-pointed-element", "trace.py",
-           "        return word_traces(c1, depth) == word_traces(c2, depth)\n",
-           "        return [*word_traces(c1, depth).values()][:1] == [*word_traces(c2, depth).values()][:1]\n",
-           ("tests/test_trace.py",)),
+    # the word routes read the default sort alone, not the pointed sorts
+    Mutant("word-route-skips-pointed-sorts", "functors.py",
+           "    return word_shape(f) is not None and letter_labelled(f, sorts)\n",
+           "    return word_shape(f) is not None\n", ("tests/test_trace.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

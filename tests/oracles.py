@@ -26,9 +26,6 @@ fit test-sized inputs:
 - the depth-d trace sets of every carrier state at every depth
   (:func:`eager_state_traces`), against the table ``trace.trace`` fills
   only where the pointing reaches;
-- trace equivalence read off the general table alone
-  (:func:`table_trace_equiv`), against ``trace.trace_equiv``, which
-  compares words on letter-labelled systems;
 - the traces of a letter-labelled system decoded from that table as
   words (:func:`decode_letters`, :func:`trace_words`) and as bar strings
   (:func:`table_bar_trace`), and built by a backward subset construction
@@ -245,15 +242,6 @@ def prefix_closed(ts: TraceSet) -> bool:
 def per_depth_sets(ts: TraceSet) -> tuple:
     """``ts.per_depth`` with each entry as a frozenset of its terms."""
     return tuple((d, tuple((key, frozenset(terms)) for key, terms in items)) for d, items in ts.per_depth)
-
-
-def table_trace_equiv(c1: PointedCoalgebra, c2: PointedCoalgebra, depth: int) -> bool:
-    """``trace.trace_equiv`` from the general table alone: the depths of
-    the two trace sets, and per depth and pointed element their terms,
-    are equal."""
-    if c1.functor != c2.functor or c1.pointing != c2.pointing:
-        raise CoalgError("trace comparison needs a common functor and pointing")
-    return per_depth_sets(trace(c1, depth)) == per_depth_sets(trace(c2, depth))
 
 
 def eager_state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], frozenset[Term]]:

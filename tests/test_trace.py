@@ -23,9 +23,9 @@ from coalgpath.functors import (
     Var,
     functor,
     letter_labelled,
-    map_leaves,
     multisorted,
     strip_plus1,
+    word_route,
     word_shape,
 )
 from coalgpath.groups import orbit_minima, PermGroup
@@ -53,7 +53,6 @@ from oracles import (
     per_depth_sets,
     prefix_closed,
     spelt_language,
-    table_trace_equiv,
     trace_words,
 )
 
@@ -257,42 +256,6 @@ class TestRestrictedTable:
                 assert len(set(terms)) == len(terms)
 
 
-def _split_state(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
-    """``c`` with a copy of one state added: each transition into the
-    state, and each pointed element at it, moves to the copy at random.
-    The state and its copy are bisimilar, so the traces stay the same."""
-    s, x = rng.choice(c.carrier.pairs())
-    copy = f"{x}c"
-    moved = Var(s, copy)
-
-    def move(_ref, leaf):
-        return moved if leaf == Var(s, x) and rng.random() < 0.5 else leaf
-
-    xi = {key: tuple(sorted({map_leaves(c.functor.node(key[0]), t, move) for t in terms}))
-          for key, terms in c.xi.items()}
-    xi[(s, copy)] = xi[(s, x)]
-    point = {key: copy if key[0] == s and y == x and rng.random() < 0.5 else y for key, y in c.point.items()}
-    carrier = SortedSet.make({t: c.carrier.elems(t) + ((copy,) if t == s else ()) for t in c.functor.sorts},
-                             c.functor.sorts)
-    return PointedCoalgebra(c.functor, c.pointing, carrier, point, xi)
-
-
-def _repointed(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
-    """``c`` with one pointed element moved to a random state of its sort."""
-    key = rng.choice(c.pointing.pairs())
-    point = {**c.point, key: rng.choice(c.carrier.elems(key[0]))}
-    return PointedCoalgebra(c.functor, c.pointing, c.carrier, point, c.xi)
-
-
-def _dropped(c: PointedCoalgebra, rng: random.Random) -> PointedCoalgebra:
-    """``c`` with one transition of a random state dropped, if it has one."""
-    key = rng.choice(c.carrier.pairs())
-    terms = list(c.xi[key])
-    if terms:
-        terms.pop(rng.randrange(len(terms)))
-    return PointedCoalgebra(c.functor, c.pointing, c.carrier, c.point, {**c.xi, key: tuple(terms)})
-
-
 class TestTraceEquiv:
     def test_reflexive(self):
         c = linear_word_system("ab", "ab")
@@ -336,94 +299,88 @@ class TestTraceEquiv:
         with pytest.raises(CoalgError):
             trace_equiv(linear_word_system("a", "a"), linear_word_system("ab", "ab"), 2)
 
-    @staticmethod
-    def letter_pairs():
-        """Pairs of letter-labelled systems over one functor and pointing:
-        random letter systems of one and two sorts and ``A x Id + {✓}``
-        systems, each with one or two pointed elements, against a copy
-        with a split state, a moved pointed element, a dropped transition
-        and a fresh random system."""
-        for seed in range(200):
-            rng = random.Random(f"equiv/{seed}")
-            if seed % 2:
-                c = random_letter_system(seed)
-            else:
-                pointing = SortedSet.single(["i", "j"][: rng.randint(1, 2)])
-                c = random_coalgebra(GenSpec(WORD_CHECK, {DEFAULT_SORT: rng.randint(1, 4)}, 0.3, seed, pointing))
-            sizes = {s: rng.randint(1, 3) for s in c.functor.sorts}
-            fresh = random_coalgebra(GenSpec(c.functor, sizes, rng.choice([0.2, 0.3]), seed + 1000, c.pointing))
-            for other in (_split_state(c, rng), _repointed(c, rng), _dropped(c, rng), fresh):
-                yield c, other
-
-    def test_word_route_agrees_with_the_table(self, monkeypatch):
-        table_calls = []
-        table = trace_module._state_traces
-        monkeypatch.setattr(trace_module, "_state_traces", lambda *a: table_calls.append(a) or table(*a))
-        verdicts = []
-        shapes = set()
-        for c1, c2 in self.letter_pairs():
-            shapes.add((len(c1.functor.sorts), c1.pointing.size(), CHECK in str(c1.functor)))
-            for depth in range(5):
-                got = trace_equiv(c1, c2, depth), trace_equiv(c2, c1, depth)
-                assert not table_calls
-                want = table_trace_equiv(c1, c2, depth)
-                table_calls.clear()
-                assert got == (want, want), (c1, c2, depth)
-                verdicts.append(want)
-        assert shapes >= {(1, 1, False), (1, 2, False), (2, 1, False), (2, 2, False), (1, 1, True), (1, 2, True)}
-        assert len(verdicts) == 4000 and 1000 < sum(verdicts) < 3000
+    def test_entries_compared_as_sets(self):
+        # x steps by a to p and to q; c2 swaps p's and q's letters, so x's
+        # depth-2 entry holds the same terms in the other order
+        edges = [("x", "a", "p"), ("x", "a", "q"), ("p", "a", "r"), ("q", "b", "r")]
+        c1 = lts_coalgebra("ab", ["p", "q", "r", "x"], "x", edges)
+        c2 = lts_coalgebra("ab", ["p", "q", "r", "x"], "x", edges[:2] + [("p", "b", "r"), ("q", "a", "r")])
+        (_d, ((_k, terms1),)), (_d2, ((_k2, terms2),)) = trace(c1, 2).per_depth[2], trace(c2, 2).per_depth[2]
+        assert terms1 != terms2 and set(terms1) == set(terms2)
+        assert trace_equiv(c1, c2, 2)
+        c3 = lts_coalgebra("ab", ["p", "q", "r", "x"], "x", edges[:2] + [("p", "b", "r"), ("q", "b", "r")])
+        assert trace_equiv(c1, c3, 1) and not trace_equiv(c1, c3, 2)
 
     def test_each_pointed_element_compared(self):
         # i's traces are equal on both sides; j's differ from depth 1 on
         c1 = TestLtsLanguage._two_pointed((Inj(1, ConstElem(CHECK)),))
         c2 = PointedCoalgebra(c1.functor, c1.pointing, c1.carrier, {**c1.point, (DEFAULT_SORT, "j"): "q0"}, c1.xi)
-        assert trace_equiv(c1, c2, 0) and table_trace_equiv(c1, c2, 0)
-        assert not trace_equiv(c1, c2, 1) and not table_trace_equiv(c1, c2, 1)
+        assert trace_equiv(c1, c2, 0)
+        assert not trace_equiv(c1, c2, 1)
 
 
 class TestPointedSorts:
-    """The word routes read the sorts the pointed elements sit at."""
+    """The word routes take a system whose default sort is word-shaped
+    only when every pointed sort is letter-labelled too; every other
+    system keeps the route it had."""
 
     TWO_POINTED = (COMPOSE / "pointedsort.model").read_text(encoding="utf-8").replace(
         "t : j\n", "* : i\nt : j\n").replace("t.j -> t.u\n", "*.i -> *.p\nt.j -> t.u\n")
 
+    @staticmethod
+    def run_verbs(tmp_path, text: str, depth: int) -> tuple[list[str], list[str]]:
+        path = tmp_path / "sorts.model"
+        path.write_text(text, encoding="utf-8")
+        out = []
+        for verb in ("trace", "runs"):
+            printed, code = run_command([verb, str(path), "--depth", str(depth)])
+            assert code == 0, printed
+            out.append(printed.splitlines())
+        return out[0], out[1]
+
     def test_word_sort_beside_a_tree_sort(self):
         c = compose_system("pointedsort.model")
-        assert word_shape(c.functor) is not None and word_shape(c.functor, "t") is None
-        assert letter_labelled(c.functor, [DEFAULT_SORT]) and not letter_labelled(c.functor, ["t"])
+        assert word_shape(c.functor) is not None and letter_labelled(c.functor, [DEFAULT_SORT])
+        assert not word_route(c.functor, ["t"]) and word_route(c.functor, [DEFAULT_SORT])
         assert not comps_are_words(c.functor, c.pointing)
-        for depth in range(4):
-            assert trace_equiv(c, c, depth) and table_trace_equiv(c, c, depth)
 
     def test_two_points_one_at_a_tree_sort(self, tmp_path):
-        path = tmp_path / "two.model"
-        path.write_text(self.TWO_POINTED, encoding="utf-8")
-        text, code = run_command(["trace", str(path), "--depth", "2"])
-        assert code == 0
-        assert text.splitlines() == [
+        traces, _runs = self.run_verbs(tmp_path, self.TWO_POINTED, 2)
+        assert traces == [
             "*.i : 0 : •", "*.i : 1 : (a, •)", "*.i : 2 : (a, (b, •))",
             "t.j : 0 : •", "t.j : 1 : (•, •)", "t.j : 2 : ((•, •), (•, •))",
         ]
-        c = parse_coalgebra(self.TWO_POINTED)
-        variant = _repointed(c, random.Random(0))
-        for depth in range(4):
-            assert trace_equiv(c, variant, depth) == table_trace_equiv(c, variant, depth)
 
     def test_point_at_a_word_sort_beside_a_tree_default(self, tmp_path):
-        # the default sort is a tree, the pointed sort t a word sort: the
-        # verbs print words
-        path = tmp_path / "words.model"
-        path.write_text(
+        # the default sort is a tree: both verbs print terms, as they
+        # always have, though the pointed sort t is a word sort
+        traces, runs = self.run_verbs(
+            tmp_path,
             "[sorts]\n* t\n\n[functor]\n* = prod(sort(*), sort(*))\nt = prod(const(a b), sort(t))\n\n"
             "[pointing]\nt : j\n\n[states]\n* : p\nt : u v\n\n[init]\nt.j -> t.u\n\n"
             "[trans]\n*.p -> (p, p)\nt.u -> (a, v)\nt.v -> (b, u)\n",
-            encoding="utf-8",
+            2,
         )
-        c = parse_coalgebra(path.read_text(encoding="utf-8"))
-        assert comps_are_words(c.functor, c.pointing)
-        assert run_command(["trace", str(path), "--depth", "3"]) == ("ε\na\nab\naba\n", 0)
-        runs, code = run_command(["runs", str(path), "--depth", "2"])
-        assert code == 0 and "comp ab [" in runs
+        assert traces == ["0 : •", "1 : (a, •)", "2 : (a, (b, •))"]
+        assert "run 5: length 2 comp in0((a, in0((b, •)))) [0:j->u 1:n000->v 2:n000->u]" in runs
+
+    def test_letter_sort_beside_a_word_default(self, tmp_path):
+        # the pointed sort t has two letter summands: letter-labelled but
+        # not word-shaped.  trace prints words, as it always has; the
+        # composites of runs are no words of F + 1 there, so runs prints
+        # terms
+        traces, runs = self.run_verbs(
+            tmp_path,
+            "[sorts]\n* t\n\n[functor]\n* = prod(const(a b), sort(*))\n"
+            "t = coprod(prod(const(c), sort(t)), prod(const(d), sort(*)))\n\n"
+            "[pointing]\nt : j\n\n[states]\n* : p q\nt : u v\n\n[init]\nt.j -> t.u\n\n"
+            "[trans]\n*.p -> (a, q)\n*.q -> (b, p)\nt.u -> in0((c, v))\nt.u -> in1((d, p))\n"
+            "t.v -> in0((c, u))\n",
+            2,
+        )
+        assert traces == ["ε", "c", "cc", "d", "da"]
+        assert "run 8: length 2 comp in0(in1((d, in0((a, •))))) [0:j->u 1:n000->p 2:n000->q]" in runs
+        assert runs[-1] == "9 runs"
 
 
 class TestLtsLanguage:
