@@ -382,6 +382,21 @@ class TestPointedSorts:
         assert "run 8: length 2 comp in0(in1((d, in0((a, •))))) [0:j->u 1:n000->p 2:n000->q]" in runs
         assert runs[-1] == "9 runs"
 
+    def test_pointed_sort_reaching_a_tree_sort_it_never_steps_to(self, tmp_path):
+        # t reaches the tree sort w through the functor, so t is not
+        # letter-labelled and both verbs print terms, though u has no
+        # transition at all; the default-sort test alone printed words
+        traces, runs = self.run_verbs(
+            tmp_path,
+            "[sorts]\n* t w\n\n[functor]\n* = prod(const(a b), sort(*))\nt = prod(const(c), sort(w))\n"
+            "w = prod(sort(w), sort(w))\n\n[pointing]\nt : j\n\n[states]\n* : p\nt : u\nw : z\n\n"
+            "[init]\nt.j -> t.u\n\n[trans]\n*.p -> (a, p)\n",
+            2,
+        )
+        assert traces == ["0 : •"]
+        assert runs == ["run 0: length 0 comp • [0:j->u]", "run 1: length 1 comp ⊥ [0:j->u]",
+                        "run 2: length 2 comp ⊥ [0:j->u]", "3 runs"]
+
 
 class TestLtsLanguage:
     def test_linear_word(self):
