@@ -10,7 +10,7 @@ import sys
 from collections.abc import Callable, Generator
 
 from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, plus1, print_term, word_route, word_separator
+from .functors import DEFAULT_SORT, functor, print_term, word_route, word_separator
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
@@ -97,9 +97,7 @@ def run_command(argv: list[str]) -> tuple[str, int]:
         for option in ("depth", "bound"):
             if getattr(args, option, 0) < 0:
                 raise CoalgError(f"{option} must be non-negative")
-        # every element, state, letter and marker prints as the model files
-        # write it, each distinct name formatted once
-        lines = args.run(args, functools.cache(format_name))
+        lines = args.run(args)
         while True:
             out.append(next(lines))
     except StopIteration as stop:
@@ -128,14 +126,14 @@ def _read(path: str) -> str:
 _Lines = Generator[str, None, int]
 
 
-def _precise_factor(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _precise_factor(args: argparse.Namespace) -> _Lines:
     f = parse_factor_problem(_read(args.file))
     fac = precise_factorize(f)
     codomain = fac.precise.cod
     yield f"precise: {'yes' if is_precise(f) else 'no'}"
     yield "[codomain]"
     for s in codomain.sorts:
-        elems = " ".join(map(name, codomain.elems(s)))
+        elems = " ".join(map(format_name, codomain.elems(s)))
         yield f"{s} : {elems}" if len(codomain.sorts) > 1 else elems
     yield "[precise-map]"
     dom = _state_names(f.dom)
@@ -144,13 +142,13 @@ def _precise_factor(args: argparse.Namespace, name: Callable[[str], str]) -> _Li
     yield "[connecting]"
     cod = _state_names(f.cod)
     for (s, y) in codomain.pairs():
-        yield f"{name(y)} -> {cod[s, fac.connect(s, y)]}"
+        yield f"{format_name(y)} -> {cod[s, fac.connect(s, y)]}"
     return 0
 
 
-def _paths(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _paths(args: argparse.Namespace) -> _Lines:
     system = parse_coalgebra(_read(args.file))
-    fp1 = plus1(system.functor)
+    fp1 = system.functor.plus1
     texts: dict = {}  # steps share their term objects: each prints once for the call
     # only level 0, the pointing, can hold a name in two sorts
     point = _state_names(system.pointing)
@@ -159,15 +157,15 @@ def _paths(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
         yield f"path {count}: length {len(chain)}"
         for k, step in enumerate(chain):
             for s, e in step.dom.pairs():
-                elem = point[s, e] if k == 0 else name(e)
+                elem = point[s, e] if k == 0 else format_name(e)
                 yield f"  {k} : {elem} -> {print_term_for(fp1, s, step(s, e), texts)}"
     yield f"{count + 1} paths"
     return 0
 
 
-def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _runs(args: argparse.Namespace) -> _Lines:
     system = parse_coalgebra(_read(args.file))
-    fp1 = plus1(system.functor)
+    fp1 = system.functor.plus1
     as_words = comps_are_words(system.functor, system.pointing)
     state = _state_names(system.carrier)
     # only level 0, the pointing, can hold a name in two sorts
@@ -199,7 +197,7 @@ def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
         if kept is None:
             level = path.levels[n]
             kept = x_n, " ".join(
-                f"{n}:{point[s, e] if n == 0 else name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs()
+                f"{n}:{point[s, e] if n == 0 else format_name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs()
             )
             if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
                 own_text[(n, id(x_n))] = kept
@@ -212,7 +210,7 @@ def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
                 step = path.steps[n - 1]
                 letter = letters.get(id(step))
                 if letter is None:
-                    letter = step, name(step_letter(path, n - 1))
+                    letter = step, format_name(step_letter(path, n - 1))
                     if path.levels[n - 1].size() <= 1:
                         letters[id(step)] = letter
                 words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
@@ -225,7 +223,7 @@ def _runs(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 0
 
 
-def _trace(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _trace(args: argparse.Namespace) -> _Lines:
     system = parse_coalgebra(_read(args.file))
     if word_route(system.functor, [s for s, _i in system.pointing.pairs()]):
         yield from (w or "ε" for w in sorted(lts_language(system, args.depth, GLYPH_ASCII if args.ascii else None)))
@@ -244,7 +242,7 @@ def _trace(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 0
 
 
-def _reach(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _reach(args: argparse.Namespace) -> _Lines:
     system = parse_coalgebra(_read(args.file))
     levels, union = reachable_bfs(system)
     state = _state_names(system.carrier)
@@ -265,7 +263,7 @@ def _morphism(args: argparse.Namespace) -> CoalgMorphism:
     return CoalgMorphism(src, dst, parse_map(_read(args.mapfile), src.carrier, dst.carrier))
 
 
-def _hom(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _hom(args: argparse.Namespace) -> _Lines:
     m = _morphism(args)
     strict = is_strict_hom(m)
     yield f"lax: {'yes' if is_lax_hom(m) else 'no'}"
@@ -273,7 +271,7 @@ def _hom(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 0 if strict else 1
 
 
-def _open(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _open(args: argparse.Namespace) -> _Lines:
     m = _morphism(args)
     report = is_open(m, args.bound if args.bound > 0 else m.src.carrier.size() + 1)
     yield f"verdict: {report.verdict} (bound {report.bound})"
@@ -287,7 +285,7 @@ def _open(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 0 if report.is_open else 1
 
 
-def _verify(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _verify(args: argparse.Namespace) -> _Lines:
     node = parse_functor_text(args.functor)
     spec = GenSpec(functor(node), {DEFAULT_SORT: args.states}, args.density, args.seed)
     report = verify_theorems(spec, args.trials, check_traces=args.traces)
@@ -295,7 +293,7 @@ def _verify(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 0 if report.all_passed else 1
 
 
-def _lasota(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _lasota(args: argparse.Namespace) -> _Lines:
     cat = parse_category(_read(args.file))
     problems = validate_category(cat)
     if problems:
@@ -310,7 +308,7 @@ def _lasota(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
     return 1 if report.mismatches else 0
 
 
-def _rnna(args: argparse.Namespace, name: Callable[[str], str]) -> _Lines:
+def _rnna(args: argparse.Namespace) -> _Lines:
     system = rnna_expand(parse_rnna(_read(args.file)), AtomPool(args.pool))
     yield f"states: {system.carrier.size()}"
     yield f"transitions: {sum(len(v) for v in system.xi.values())}"

@@ -146,6 +146,9 @@ _NAME_CHAR = r"[A-Za-z0-9_*.:+'⊥•✓]"
 NAME_RE = re.compile(rf"{_NAME_CHAR}+(?:-(?!>){_NAME_CHAR}*)*|-(?!>){_NAME_CHAR}*(?:-(?!>){_NAME_CHAR}*)*")
 
 
+# every printer and verb writes its names through this one cache; bounded,
+# since a process may print names from any number of files
+@functools.lru_cache(maxsize=4096)
 def format_name(name: str) -> str:
     """Quote identifiers that the bare-name grammar cannot carry."""
     if NAME_RE.fullmatch(name):
@@ -158,11 +161,10 @@ def format_name(name: str) -> str:
 def print_term(t: Term, memo: dict | None = None) -> str:
     """``t`` as text, each name written by :func:`format_name`.  With
     ``memo``, a dict the caller keeps for one batch of terms, each
-    subterm object of the batch is printed once and each name formatted
-    once.  Terms are kept under their ``id``, as a tuple rehashes all
-    its items on every lookup, in the entry ``(t, text, depth)``, whose
-    term keeps its id from being taken over; names are kept under
-    themselves.
+    subterm object of the batch is printed once.  Terms are kept under
+    their ``id``, as a tuple rehashes all its items on every lookup, in
+    the entry ``(t, text, depth)``, whose term keeps its id from being
+    taken over.
 
     A term nesting deeper than ``MAX_PRINT_DEPTH`` raises
     :class:`TermError`.
@@ -170,13 +172,6 @@ def print_term(t: Term, memo: dict | None = None) -> str:
     if memo is None:
         memo = {}
     return (memo.get(id(t)) or _printed(t, memo))[1]
-
-
-def _kept_name(name: str, memo: dict) -> str:
-    """``format_name(name)``, kept in ``memo`` under the name; callers
-    look the name up first, as no written name is empty."""
-    text = memo[name] = format_name(name)
-    return text
 
 
 def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
@@ -195,7 +190,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
                 depth = kept[2]
         body = ", ".join(texts)
         if kind == 4:
-            sym = memo.get(t[1]) or _kept_name(t[1], memo)
+            sym = format_name(t[1])
             text = f"{sym}({body})" if args else sym
         else:
             text = f"({body})" if kind == 2 else "{" + body + "}"
@@ -205,7 +200,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
         text = f"in{t[1]}({kept[1]})"
         depth = kept[2] + 1
     elif kind in (0, 1):  # ConstElem, Var: the name last
-        text = memo.get(t[-1]) or _kept_name(t[-1], memo)
+        text = format_name(t[-1])
         depth = 0
     elif kind == 6:  # UnitLeaf
         text = UNIT
@@ -393,12 +388,12 @@ def compose(outer: Node, inner: Functor) -> Node:
     raise TermError(f"unknown node {outer!r}")
 
 
+# the added point's summand of F+1, built once
+BOT_CONST = Const((BOT,))
+
+
 def plus1_node(node: Node) -> Node:
-    return Coprod((node, Const((BOT,))))
-
-
-def plus1(f: Functor) -> Functor:
-    return f.plus1
+    return Coprod((node, BOT_CONST))
 
 
 def strip_plus1(term: Term) -> Term | None:
@@ -546,8 +541,6 @@ def map_leaves(node: Node, term: Term, leaf: Callable[[SortRef, Term], Term]) ->
     elif isinstance(node, Pf):
         if isinstance(term, SetOf):
             return SetOf([map_leaves(node.inner, a, leaf) for a in term.args])
-    else:
-        raise TermError(f"unknown node {node!r}")
     raise TermError(f"{term!r} does not fit {node!r}")
 
 
@@ -656,8 +649,6 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
                 return out
     elif isinstance(node, Pf):
         raise PowersetNodeError("occurrence analysis is undefined on powerset nodes")
-    else:
-        raise TermError(f"unknown node {node!r}")
     raise TermError(f"{term!r} does not fit {node!r}")
 
 

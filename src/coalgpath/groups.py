@@ -1,9 +1,9 @@
 """Permutation groups acting on argument tuples.
 
 Groups are given by generators (0-based images) and enumerated fully by
-closure under composition.  Enumeration is capped at arity 6 and order
-720: the canonicalization below takes a lexicographic minimum over the
-whole group, which is only sensible at desk scale.
+closure under composition.  Arity is capped at 6, so a group has at
+most 6! = 720 elements: the canonicalization below takes a lexicographic
+minimum over the whole group, which is only sensible at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterable
 from .sets import CoalgError
 
 MAX_ARITY = 6
-MAX_ORDER = 720
 
 
 class GroupBoundError(CoalgError):
@@ -88,10 +87,6 @@ def group_elements(g: PermGroup) -> tuple[tuple[int, ...], ...]:
                 if q not in elements:
                     elements.add(q)
                     new_frontier.append(q)
-                    if len(elements) > MAX_ORDER:
-                        raise GroupBoundError(
-                            f"group order exceeds cap {MAX_ORDER} (arity {g.arity})"
-                        )
         frontier = new_frontier
     return tuple(sorted(elements))
 

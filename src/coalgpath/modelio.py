@@ -33,7 +33,7 @@ import itertools
 import re
 from .coalgebra import PointedCoalgebra
 from .functors import (
-    BOT, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
+    BOT, BOT_CONST, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
     Analytic,
     AnSym,
     Const,
@@ -57,6 +57,7 @@ from .functors import (
     format_name,
     functor,
     multisorted,
+    plus1_node,
 )
 from .groups import PermGroup
 from .lasota import FiniteCategory
@@ -66,8 +67,6 @@ from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_poin
 
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
 GLYPH_ASCII = {UNIT: "unit", BOT: "bot", CHECK: "ok"}
-# the added point's summand of F+1, built once
-_BOT_CONST = Const((BOT,))
 
 
 class ModelParseError(CoalgError):
@@ -201,7 +200,7 @@ def _parse_node(tokens: list[str], pos: int, depth: int, line: int | None) -> tu
         inner, pos, height, size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
         pos = _expect(tokens, pos, ")", line)
         if head == "plus1":
-            return Coprod((inner, _BOT_CONST)), pos, height + 1, size + 2
+            return plus1_node(inner), pos, height + 1, size + 2
         return Pf(inner), pos, height + 1, size + 1
     if head == "compose":
         outer, pos, outer_height, outer_size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
@@ -328,7 +327,7 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
         if len(matches) > 1:
             # the printer writes the added point bare: a term that fits its
             # summand is the added point, whatever else it fits
-            matches = [m for m in matches if node.parts[m[0]] == _BOT_CONST] or matches
+            matches = [m for m in matches if node.parts[m[0]] == BOT_CONST] or matches
         if len(matches) == 1:
             i, arg, end = matches[0]
             return Inj(i, arg), end
@@ -420,7 +419,7 @@ def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[s
         return kept[1], kept[2]
     if isinstance(node, Coprod) and isinstance(t, Inj):
         branch = node.parts[t.index]
-        if branch == _BOT_CONST:
+        if branch == BOT_CONST:
             return BOT, 1
         text, depth = _text_for(f, memo, branch, t.arg, room - 1)
         return f"in{t.index}({text})", depth + 1

@@ -30,8 +30,7 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, plus1,
-    step_of_plus1,
+    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, step_of_plus1,
 )
 from .modelio import _state_names, print_term_for
 from .paths import PathObj, Run, is_run, make_path, validate_path
@@ -338,7 +337,7 @@ def witness_steps(w: SquareWitness) -> Iterator[tuple[int, tuple[str, str], str,
     """Each step of the witness's extension as ``(k, (sort, elem), elem
     written, term written)``, level by level: the one rule by which both
     witness printers write an element and its step."""
-    fp1 = plus1(w.extension.functor)
+    fp1 = w.extension.functor.plus1
     # only level 0, the pointing, can hold a name in two sorts
     point = _state_names(w.extension.levels[0])
     for k, step in enumerate(w.extension.steps):

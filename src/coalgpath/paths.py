@@ -32,7 +32,6 @@ from .functors import (
     fmap,
     map_leaves,
     occurrences,
-    plus1,
     read_letter,
     step_of_plus1,
     strip_plus1,
@@ -60,7 +59,7 @@ class PathObj:
 def make_path(functor: Functor, levels, raw_steps) -> PathObj:
     """Assemble a path from raw step tables (terms of F+1 over the next level)."""
     level_tuple = tuple(levels)
-    fp1 = plus1(functor)
+    fp1 = functor.plus1
     steps = tuple(TermMap(level_tuple[k], fp1, level_tuple[k + 1], table) for k, table in enumerate(raw_steps))
     return PathObj(functor, level_tuple, steps)
 
@@ -71,7 +70,7 @@ def validate_path(p: PathObj) -> list[str]:
     if len(p.levels) != p.length + 1:
         problems.append("level/step count mismatch")
         return problems
-    fp1 = plus1(p.functor)
+    fp1 = p.functor.plus1
     for k, step in enumerate(p.steps):
         if step.dom != p.levels[k]:
             problems.append(f"step {k} has wrong domain")
@@ -124,7 +123,7 @@ def comp(p: PathObj, memo: dict | None = None) -> CompValue:
     if memo is None:
         memo = {}
     current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
-    fp1 = plus1(p.functor)
+    fp1 = p.functor.plus1
     for k in range(p.length - 1, -1, -1):
         nxt: dict[tuple[str, str], Term] = {}
         for (s, x), t in p.steps[k].table.items():
@@ -151,7 +150,7 @@ def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
     """Whether the composites of paths over ``functor`` from ``pointing``
     decode as words: one pointed element, and ``F + 1`` takes the word
     route there (see :func:`functors.word_route`)."""
-    return pointing.size() == 1 and word_route(plus1(functor), [pointing.pairs()[0][0]])
+    return pointing.size() == 1 and word_route(functor.plus1, [pointing.pairs()[0][0]])
 
 
 def step_letter(p: PathObj, k: int) -> str:
@@ -174,7 +173,7 @@ def pathord_le(u: CompValue, v: CompValue) -> bool:
         raise CoalgError("composite values over different functors or pointings")
     if u.depth > v.depth:
         return False
-    step = plus1(u.functor)
+    step = u.functor.plus1
     for (key, tv) in v.values:
         if truncate_term(step, key[0], tv, u.depth) != u.value(*key):
             return False
@@ -184,7 +183,7 @@ def pathord_le(u: CompValue, v: CompValue) -> bool:
 def path_from_comp(u: CompValue) -> PathObj:
     """A canonical path composing to ``u``, built by iterated factorization."""
     functor = u.functor
-    fp1 = plus1(functor)
+    fp1 = functor.plus1
     levels = [u.pointing]
     steps = []
     residual: dict[tuple[str, str], Term] = dict(u.values)
@@ -273,7 +272,7 @@ def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
         raise CoalgError("paths over different functors or pointings")
     if p.length > q.length:
         return
-    fp1 = plus1(p.functor)
+    fp1 = p.functor.plus1
 
     def search(k: int, acc: tuple[SortedFun, ...]) -> Iterator[PathMorphism]:
         if k == p.length:
@@ -404,7 +403,7 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     trusted constructors, as they are well formed by construction, and
     each chosen term is renamed through the functor's term memo.
     """
-    fp1 = plus1(c.functor)
+    fp1 = c.functor.plus1
     bot = bot_of_plus1()
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
     sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}

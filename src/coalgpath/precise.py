@@ -114,9 +114,10 @@ def element_labels(x: SortedSet) -> list[str]:
     ``sort.name`` when the name lies in two or more sorts, or when the
     files name sorts and its text before its first ``.`` is a sort, as
     the model files qualify it (``b.q`` would read as ``q`` of sort
-    ``b``).  When two of those labels meet (``"a.p"`` beside ``p`` in
-    sorts ``a`` and ``b``), every element is labelled ``sort.name``; a
-    sort name holds no ``.``, so those labels differ."""
+    ``b``).  Two of those labels meet only where a sort name holds a
+    ``.``, as the objects of a category can (``p`` in sorts ``a.b`` and
+    ``c``, beside ``a.b.p`` in ``c``); then every element is labelled
+    ``sort.name``."""
     pairs = list(x.pairs())
     counts = Counter(e for _s, e in pairs)
     prefixes = set(x.sorts) if x.sorts != (DEFAULT_SORT,) else set()

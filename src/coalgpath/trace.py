@@ -46,9 +46,8 @@ from .functors import (
     SortRef,
     Term,
     _ansyms,
-    _word_constants,
     format_name,
-    letter_shape,
+    letter_labelled,
     map_leaves,
     read_letter,
     word_separator,
@@ -210,14 +209,15 @@ def _word_walk(
 
     A set's letters with equal pieces (two summands' equal constants,
     spelt) are merged when the set is read, so no two frontier words are
-    equal.  Its states are read in sorted order, so what is read first
-    does not follow the hash seed.
+    equal.
 
-    Raises :class:`CoalgError` when a state that a returned word reaches
-    sits at a sort that is not letter-shaped.
+    Raises :class:`CoalgError` when the functor is not
+    :func:`functors.letter_labelled` at the pointed sorts.
     """
     if depth < 0:
         raise CoalgError("depth must be non-negative")
+    if not letter_labelled(c.functor, [s for s, _i in c.pointing.pairs()]):
+        raise CoalgError("the pointed sorts reach a sort that is not letter-shaped")
     state_reads: dict[tuple[str, str], tuple[list[tuple], dict[tuple, list]]] = {}
     set_reads: dict[frozenset, tuple[list[tuple], list[tuple[tuple, frozenset]]]] = {}
 
@@ -226,10 +226,8 @@ def _word_walk(
         each with the successors of the letters that have it."""
         marks: dict[tuple, None] = {}
         step: dict[tuple, set] = {}
-        for x in sorted(states):
+        for x in states:
             if x not in state_reads:
-                if letter_shape(c.functor.node(x[0])) is None:
-                    raise CoalgError(f"state {x[1]!r} sits at sort {x[0]!r}, which is not letter-shaped")
                 x_marks, post = [], {}
                 for letter, succ in map(read_letter, c.xi[x]):
                     if succ is None:
@@ -272,11 +270,6 @@ def _word_walk(
             for words in nxt.values():
                 found[x] += words
             frontiers[x] = nxt
-    else:
-        # the sets the deepest words reach are read for their sorts only
-        for frontier in frontiers.values():
-            for states in frontier:
-                set_reads.get(states) or read(states)
     return {key: found[x] for key, x in starts.items()}
 
 
@@ -288,8 +281,8 @@ def word_traces(c: PointedCoalgebra, depth: int) -> dict[tuple[str, str], set[Wo
     stops at the cut has no end item.  The words come from the forward
     walk of :func:`_word_walk`.
 
-    Raises :class:`CoalgError` when a state that a returned word reaches
-    sits at a sort that is not letter-shaped.
+    Raises :class:`CoalgError` when the functor is not
+    :func:`functors.letter_labelled` at the pointed sorts.
     """
     found = _word_walk(c, depth, (), lambda letter: ((letter,), (letter,)))
     return {key: set(words) for key, words in found.items()}
@@ -302,7 +295,5 @@ def lts_language(c: PointedCoalgebra, depth: int, aliases: dict[str, str] | None
     reads the constants as ``aliases`` prints them.  The walk builds each
     word spelt, so no word is spelt again."""
     sep = word_separator(c.functor, aliases)
-    # every letter is one of these, so each is formatted once
-    spelt = {name: format_name(name) for name in _word_constants(c.functor)}
-    found = _word_walk(c, depth, "", lambda letter: (spelt[letter[1]], sep + spelt[letter[1]]))
+    found = _word_walk(c, depth, "", lambda letter: (format_name(letter[1]), sep + format_name(letter[1])))
     return set().union(*found.values())

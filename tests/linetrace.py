@@ -13,11 +13,18 @@ followed by its line numbers.  A statement counts as run when a line
 event fires on its first line; a statement that compiles to no code (a
 docstring, a bare annotation in a function) is not counted.  Tracing
 makes the run several times slower.
+
+It is also a ratchet: ``tests/probe_counts.json`` holds the two totals,
+the statements no test runs and those run only outside the verbs, and a
+run over the whole suite (no paths on the command line) fails when
+either total rises above its entry.  A change that lowers a total
+lowers the entry with it.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import sys
 import types
@@ -26,6 +33,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coalgpath"
+COUNTS = Path(__file__).resolve().parent / "probe_counts.json"
 
 
 def _code_lines(code: types.CodeType) -> set[int]:
@@ -91,7 +99,8 @@ class LineTracer:
 
         return local
 
-    def report(self) -> list[str]:
+    def report(self) -> tuple[list[str], dict[str, int]]:
+        """The report's lines, and its unrun and outside-verbs totals."""
         rows = []
         totals = [0, 0, 0]
         for path in self.paths.values():
@@ -105,10 +114,12 @@ class LineTracer:
             rows.append(f"  unrun: {' '.join(map(str, unrun)) or '-'}")
             rows.append(f"  outside verbs only: {' '.join(map(str, outside_only)) or '-'}")
         header = f"{'module':<12}{'statements':>11}{'unrun':>7}{'outside verbs':>14}"
-        return [header, *rows, f"{'total':<12}{totals[0]:>11}{totals[1]:>7}{totals[2]:>14}"]
+        lines = [header, *rows, f"{'total':<12}{totals[0]:>11}{totals[1]:>7}{totals[2]:>14}"]
+        return lines, {"unrun": totals[1], "outside_verbs": totals[2]}
 
 
 TRACER = LineTracer()
+RESULT: list[str] = []
 
 
 @pytest.hookimpl(tryfirst=True)
@@ -121,9 +132,21 @@ def pytest_load_initial_conftests(early_config, parser, args) -> None:
 @pytest.hookimpl(tryfirst=True)
 def pytest_sessionfinish(session, exitstatus) -> None:
     sys.settrace(None)
+    lines, totals = TRACER.report()
+    RESULT.extend(lines)
+    if session.config.args_source is not pytest.Config.ArgsSource.TESTPATHS:
+        RESULT.append(f"a run over part of the suite: {COUNTS.name} not checked")
+        return
+    kept = json.loads(COUNTS.read_text(encoding="utf-8"))
+    for key, total in totals.items():
+        if total > kept[key]:
+            RESULT.append(f"{key} rose from {kept[key]} to {total}: the run fails")
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
+        elif total < kept[key]:
+            RESULT.append(f"{key} fell from {kept[key]} to {total}: lower it in {COUNTS.name}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     terminalreporter.section("statements of src/coalgpath the tests do not run")
-    for line in TRACER.report():
+    for line in RESULT:
         terminalreporter.write_line(line)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
+    BOT_CONST,
     Analytic,
     Const,
     Coprod,
@@ -22,11 +23,9 @@ from coalgpath.functors import (
     SortRef,
     Term,
     format_name,
-    plus1,
 )
 from coalgpath.lasota import FiniteCategory
 from coalgpath.modelio import (
-    _BOT_CONST,
     Lines,
     ModelParseError,
     _expect,
@@ -60,7 +59,7 @@ def print_functor_node(node: Node) -> str:
     if isinstance(node, Prod):
         return "prod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Coprod):
-        if len(node.parts) == 2 and node.parts[1] == _BOT_CONST:
+        if len(node.parts) == 2 and node.parts[1] == BOT_CONST:
             return f"plus1({print_functor_node(node.parts[0])})"
         return "coprod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
     if isinstance(node, Pf):
@@ -150,7 +149,7 @@ def parse_path(text: str) -> PathObj:
         if k not in level_lines:
             raise ModelParseError(f"missing level {k}")
         levels.append(_parse_sorted_elems(level_lines[k], sorts))
-    fp1 = plus1(f)
+    fp1 = f.plus1
     tables: list[dict[tuple[str, str], Term]] = [dict() for _ in range(n)]
     for lineno, line in sections.get("steps", []):
         idx_text, colon, rest = line.partition(":")
@@ -180,7 +179,7 @@ def print_path(p: PathObj) -> str:
     for k, level in enumerate(p.levels):
         lines.extend(f"{k} : {line}".rstrip() for line in _elem_lines(level) or [""])
     lines += ["", "[steps]"]
-    fp1 = plus1(p.functor)
+    fp1 = p.functor.plus1
     for k, step in enumerate(p.steps):
         for (s, e) in p.levels[k].pairs():
             lines.append(f"{k} : {_key(p.levels[k], s, e)} -> {print_term_for(fp1, s, step(s, e))}")

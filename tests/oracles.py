@@ -115,7 +115,6 @@ from coalgpath.functors import (
     letter_shape,
     map_leaves,
     occurrences,
-    plus1,
     read_letter,
     step_of_plus1,
     subst_node,
@@ -531,7 +530,7 @@ def is_path_morphism(m: PathMorphism) -> bool:
         return False
     if m.components[0].table != SortedFun.identity(m.src.levels[0]).table:
         return False
-    fp1 = plus1(m.src.functor)
+    fp1 = m.src.functor.plus1
     for k in range(m.src.length):
         phi_k, phi_next = m.components[k], m.components[k + 1]
         for (s, x) in m.src.levels[k].pairs():
@@ -570,7 +569,7 @@ def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> 
     choice map of a combination is factorized with ``precise_factorize``
     (one ``(x;path)`` element per occurrence), and the factorization's
     codomain is renamed ``n000``, ``n001``, ... in its own order."""
-    fp1 = plus1(c.functor)
+    fp1 = c.functor.plus1
     point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
 
     def rec(levels: list[SortedSet], steps: list[TermMap], comps: list[SortedFun]) -> Iterator[tuple[PathObj, Run]]:
@@ -661,7 +660,7 @@ def fresh_comp(p: PathObj) -> CompValue:
     """The composite of ``p`` built from scratch: the levels substituted
     backwards, the last one replaced by units, each value built anew."""
     current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
-    fp1 = plus1(p.functor)
+    fp1 = p.functor.plus1
     for k in range(p.length - 1, -1, -1):
         current = {(s, x): subst_node(fp1.node(s), t, current) for (s, x), t in p.steps[k].table.items()}
     return CompValue(p.functor, p.levels[0], p.length, tuple(sorted(current.items())))

@@ -14,7 +14,7 @@ import pytest
 
 from coalgpath.cli import run_command
 from coalgpath.coalgebra import GenSpec, random_coalgebra
-from coalgpath.functors import Prod, SortRef, functor, plus1
+from coalgpath.functors import Prod, SortRef, functor
 from coalgpath.lasota import paths_bijection_check, validate_category
 from coalgpath.nominal import AtomPool, BarString, BindTerm, NomElem, alpha_canonical, bar_trace, rnna_expand
 from coalgpath.openmap import is_path_reachable, reachable_bfs, verify_theorems
@@ -157,7 +157,7 @@ def _binary_paths_up_to(max_len: int):
     from coalgpath.precise import enumerate_precise_maps
 
     f = functor(Prod((SortRef(), SortRef())))
-    fp1 = plus1(f)
+    fp1 = f.plus1
     pointing = SortedSet.single(["*"])
     frontier = [([pointing], [])]
     out = []

@@ -47,7 +47,6 @@ from coalgpath.functors import (
     multisorted,
     node_has_pf,
     occurrences,
-    plus1,
     plus1_node,
     subst_node,
     term_in_functor,
@@ -92,7 +91,7 @@ class TestFunctorFacts:
     def test_has_pf_and_plus1_match_an_uncached_computation(self, f):
         assert f.has_pf == any(node_has_pf(n) for _s, n in f.nodes)
         expected = Functor(f.sorts, tuple((s, plus1_node(n)) for s, n in f.nodes))
-        assert f.plus1 == expected and plus1(f) == expected
+        assert f.plus1 == expected
         assert hash(f.plus1) == hash(expected)
         assert hash(f) == hash((f.sorts, f.nodes))
 
@@ -101,7 +100,7 @@ class TestFunctorFacts:
 
     def test_plus1_is_built_once(self):
         f = lts_functor("ab")
-        assert plus1(f) is plus1(f) is f.plus1
+        assert f.plus1 is f.plus1
 
     def test_equal_functors_built_apart_agree(self):
         f, g = lts_functor("ab"), lts_functor("ab")

@@ -10,8 +10,10 @@ import pytest
 
 from coalgpath import cli
 from coalgpath.cli import main, run_command
-from coalgpath.modelio import format_name
+from coalgpath.functors import format_name
+from coalgpath.modelio import parse_coalgebra
 from coalgpath.sets import CoalgError
+from coalgpath.trace import lts_language
 
 from conftest import S3_PRESENTATIONS, drop_last_bfs_level, s3_model
 
@@ -362,7 +364,7 @@ class TestVerbs:
         args = cli._parser().parse_args(["runs", deep_file, "--depth", "6"])
         yielded = []
         with pytest.raises(CoalgError, match="terms nest too deeply"):
-            for line in args.run(args, format_name):
+            for line in args.run(args):
                 yielded.append(line)
         assert len(yielded) == 25
         text, code = run_command(["runs", deep_file, "--depth", "6"])
@@ -547,6 +549,20 @@ class TestRefusalsThroughVerbs:
         mapping.write_text("[map]\ns -> s\n", encoding="utf-8")
         assert run_command([verb, *files, str(mapping)]) == ("error: morphism endpoints disagree on the functor\n", 2)
 
+    @pytest.mark.parametrize("verb", ["open", "hom"])
+    def test_endpoints_with_two_pointings_exit_two(self, tmp_path, verb):
+        files = []
+        for name, pointing in (("star", ""), ("named", "[pointing]\np\n\n")):
+            path = tmp_path / f"{name}.model"
+            point = "p" if pointing else "*"
+            path.write_text(f"[functor]\nprod(const(a), id)\n\n{pointing}[states]\ns\n\n[init]\n{point} -> s\n\n"
+                            "[trans]\ns -> (a, s)\n", encoding="utf-8")
+            files.append(str(path))
+        mapping = tmp_path / "id.map"
+        mapping.write_text("[map]\ns -> s\n", encoding="utf-8")
+        assert run_command([verb, *files, str(mapping)]) == (
+            "error: morphism endpoints disagree on the pointing object\n", 2)
+
     def test_empty_atom_pool_exit_two(self, tmp_path):
         path = tmp_path / "auto.rnna"
         path.write_text("[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n", encoding="utf-8")
@@ -613,6 +629,30 @@ def test_the_parser_binds_each_verb_to_a_generator_function():
     for verb, parser in sub.choices.items():
         run = parser.get_default("run")
         assert inspect.isgeneratorfunction(run) and getattr(cli, run.__name__) is run, verb
+        # a verb reads its arguments alone: names print through format_name's one cache
+        assert list(inspect.signature(run).parameters) == ["args"], verb
+
+
+def test_each_name_is_formatted_once_across_verbs():
+    """``format_name`` keeps one bounded cache for the process, which every
+    verb and printer reads: after the ``trace`` verb, ``lts_language``
+    formats no name again, and a second round of ``trace``, ``runs`` and
+    ``lts_language`` formats none."""
+    path = FIXTURES / "compose" / "quotednames.model"
+    system = parse_coalgebra(path.read_text(encoding="utf-8"))
+    verbs = [lambda: run_command(["trace", str(path), "--depth", "3"]), lambda: lts_language(system, 3),
+             lambda: run_command(["runs", str(path), "--depth", "3"])]
+    format_name.cache_clear()
+    first, misses = [], []
+    for verb in verbs:
+        first.append(verb())
+        misses.append(format_name.cache_info().misses)
+    # the trace verb spells its words from the three constants, and runs
+    # writes the states and the pointed element too
+    assert misses[0] == misses[1] == 3 and misses[2] > 3
+    assert [verb() for verb in verbs] == first and format_name.cache_info().misses == misses[2]
+    info = format_name.cache_info()
+    assert info.currsize == info.misses and info.maxsize is not None
 
 
 @pytest.mark.parametrize("argv, code", [(["reach", "{lts}"], 0), (["reach", "/nonexistent/nothing.model"], 2)])

@@ -28,7 +28,6 @@ from coalgpath.functors import (
     functor,
     multisorted,
     occurrences,
-    plus1,
     plus1_node,
     subst_node,
     term_in_functor,
@@ -417,7 +416,7 @@ class TestWordSeparator:
         "f, sep",
         [
             (lts_functor(["a", "b"]), ""),
-            (plus1(lts_functor(["a", "b"])), ""),
+            (lts_functor(["a", "b"]).plus1, ""),
             (lts_functor(["a", "b", "ab"]), " "),
             # a marker spells a word too
             (functor(Coprod((Prod((Const(("a",)), SortRef())), Const(("stop",))))), " "),

@@ -27,7 +27,6 @@ from coalgpath.functors import (
     bot_of_plus1,
     functor,
     multisorted,
-    plus1,
     step_of_plus1,
 )
 from coalgpath.lasota import validate_category
@@ -360,7 +359,6 @@ a : *
         assert print_path(again) == text
 
     def test_lasota_paths_roundtrip(self):
-        from coalgpath.functors import plus1
         from coalgpath.lasota import lasota_functor, lasota_pointing
         from model_writers import parse_model, print_model
         from coalgpath.paths import make_path
@@ -379,7 +377,7 @@ a : *
                 assert comp(again) == comp(p)
                 assert print_model(again) == text
                 count += 1
-                for codomain, step in enumerate_precise_maps(levels[-1], plus1(f)):
+                for codomain, step in enumerate_precise_maps(levels[-1], f.plus1):
                     grown.append((levels + [codomain], tables + [step.table]))
             frontier = grown
         assert count == 15  # the empty path, 4 of length 1 and 10 of length 2
@@ -661,7 +659,7 @@ class TestQuotedNames:
 def test_too_deep_composites_refused_with_and_without_memo(node, wrap):
     # composites of (F+1)^n(1) for F = node: with a memo, each shallower
     # composite is printed first, as the runs verb does
-    fp1 = plus1(functor(node))
+    fp1 = functor(node).plus1
     memo = {}
     t = UNIT_TERM
     for _ in range(MAX_PRINT_DEPTH + 1):

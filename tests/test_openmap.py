@@ -11,7 +11,7 @@ from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_ho
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
     Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, occurrences,
-    plus1, step_of_plus1, subst_node,
+    step_of_plus1, subst_node,
 )
 from coalgpath.modelio import _state_names, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import (
@@ -293,7 +293,7 @@ def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
     if not m.preserves_pointing() or not is_lax_hom(m):
         return False
     src, dst = m.src, m.dst
-    fp1 = plus1(src.functor)
+    fp1 = src.functor.plus1
     for path, run in enumerate_runs(src, bound - 1):
         for codomain, qn in enumerate_precise_maps(path.levels[-1], fp1):
             ext = make_path(

@@ -22,7 +22,6 @@ from coalgpath.functors import (
     bot_of_plus1,
     functor,
     multisorted,
-    plus1,
     step_of_plus1,
     strip_plus1,
     subst_node,
@@ -333,7 +332,7 @@ class TestPathMorphismsAgainstBruteForce:
         start = single(["*"])
         paths = [
             PathObj(f, levels, chain)
-            for chain in precise_chains(plus1(f), start, 2)
+            for chain in precise_chains(f.plus1, start, 2)
             for levels in [(start, *[step.cod for step in chain])]
             if all(level.size() <= 4 for level in levels)
         ]
@@ -632,7 +631,7 @@ class TestInternedComp:
     @pytest.mark.parametrize("model, depth", MEMO_CASES)
     def test_interned_comp_and_memo_printer_match_the_oracles(self, monkeypatch, model, depth):
         c = parse_coalgebra((COMPOSE / model).read_text(encoding="utf-8"))
-        fp1 = plus1(c.functor)
+        fp1 = c.functor.plus1
         built = []
 
         def counting_subst(*args):

@@ -17,7 +17,6 @@ from coalgpath.functors import (
     eval_functor,
     fmap,
     functor,
-    plus1,
     plus1_node,
     step_of_plus1,
 )
@@ -182,8 +181,8 @@ class TestFactorization:
     @pytest.mark.parametrize("elems, want", [
         ({"a": ["p", "q"], "b": ["r"]}, ["p", "q", "r"]),
         ({"a": ["p", "q"], "b": ["p"]}, ["a.p", "q", "b.p"]),
-        # "a.p" beside a.p: qualifying shared names alone would label two
-        # elements alike, so every element is qualified
+        # "a.p" beside p in sort a: its text before the dot is a sort, so
+        # it is qualified too, and the labels stay apart
         ({"a": ["a.p", "p"], "b": ["p"]}, ["a.a.p", "a.p", "b.p"]),
         # a name whose text before its first dot is a sort would read as
         # an element of that sort; without the dot, or before a dot that
@@ -193,6 +192,13 @@ class TestFactorization:
     ])
     def test_element_labels_are_distinct(self, elems, want):
         assert element_labels(SortedSet.make(elems, ("a", "b"))) == want
+
+    def test_meeting_labels_qualify_every_element(self):
+        # a sort name holding a dot: p of sort a.b is labelled a.b.p, as
+        # the element a.b.p of sort c is, whose text before its first dot
+        # is no sort; so every element is labelled sort.name
+        x = SortedSet.make({"a.b": ["p"], "c": ["p", "a.b.p"]}, ("a.b", "c"))
+        assert element_labels(x) == ["a.b.p", "c.a.b.p", "c.p"]
 
     def test_unused_elements_absent(self):
         def pr(a, b):
@@ -367,7 +373,7 @@ MEMO_CASES = [
     (PAIR_LEAF_PLUS1, _levels(PAIR_LEAF_PLUS1.sorts, range(5))),
     (LTS_AB_PLUS1, _levels(LTS_AB_PLUS1.sorts, range(5))),
     (BAG2_PLUS1, _levels(BAG2_PLUS1.sorts, range(5))),
-    (plus1(MULTISORTED), _levels(MULTISORTED.sorts, range(5))),
+    (MULTISORTED.plus1, _levels(MULTISORTED.sorts, range(5))),
     # the 5-chain's sorts are its objects: levels of 0-4 elements at each
     # object, and the pointing
     (lasota_functor(CHAIN5), [
@@ -391,7 +397,7 @@ class TestRenumberMemo:
 
     def test_one_renumbering_per_sort_shape_and_offset(self, monkeypatch):
         model = (COMPOSE / "trace_enum_tree.model").read_text(encoding="utf-8")
-        fp1 = plus1(parse_coalgebra(model).functor)
+        fp1 = parse_coalgebra(model).functor.plus1
         element_shapes(fp1, DEFAULT_SORT)  # shapes are cached per functor: fill it first
         per_call: list[list] = []
         enumerate_maps, renumber = precise.enumerate_precise_maps, precise._renumber

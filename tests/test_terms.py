@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from coalgpath import functors
 from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import (
     BOT_TERM,
@@ -36,8 +35,8 @@ from coalgpath.functors import (
     TermError,
     Var,
     eval_functor,
+    format_name,
     functor,
-    plus1,
     print_term,
 )
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
@@ -77,7 +76,7 @@ def _term_pool():
     for f in [*harness, POWERSET, SYMMETRIC]:
         pool.update(eval_functor(f, carrier)[DEFAULT_SORT])
     for f in [*harness, SYMMETRIC]:
-        pool.update(element_shapes(plus1(f), DEFAULT_SORT))
+        pool.update(element_shapes(f.plus1, DEFAULT_SORT))
     for seed in range(4):
         c = random_coalgebra(GenSpec(PAIR_LEAF, {DEFAULT_SORT: 3}, 0.5, seed))
         for _depth, items in trace(c, 3).per_depth:
@@ -186,9 +185,9 @@ def test_memo_printer_prints_as_the_plain_one():
     memo = {}
     for t in shuffled:
         assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
-    # terms are kept under their ids, names under themselves
-    assert {type(kept[0]) for key, kept in memo.items() if isinstance(key, int)} == set(KINDS)
-    assert {key for key in memo if isinstance(key, str)} == _names(POOL)
+    # terms are kept under their ids, and nothing else is kept
+    assert all(isinstance(key, int) for key in memo)
+    assert {type(kept[0]) for kept in memo.values()} == set(KINDS)
 
 
 def _names(terms):
@@ -224,21 +223,20 @@ def test_names_print_as_model_files_write_them():
     assert print_term(QUOTED[4]) == '{"", "c d", cd}'
 
 
-def test_memo_formats_each_name_once(monkeypatch):
-    calls = []
-    original = functors.format_name
-
-    def counting(name):
-        calls.append(name)
-        return original(name)
-
-    monkeypatch.setattr(functors, "format_name", counting)
+def test_memo_formats_each_name_once():
+    """``format_name`` keeps what it wrote for the process: printing the
+    terms with a memo, equal terms built apart, and the terms again with
+    no memo formats each name once."""
+    format_name.cache_clear()
     memo = {}
     for t in [*QUOTED, *POOL]:
         print_term(t, memo)
         # equal terms built apart are other objects, with the same names
         print_term(_rebuild(t), memo)
-    assert sorted(calls) == sorted(_names([*QUOTED, *POOL]))
+        print_term(t)
+    info = format_name.cache_info()
+    assert info.misses == info.currsize == len(_names([*QUOTED, *POOL]))
+    assert info.maxsize is not None and info.currsize < info.maxsize
 
 
 def test_name_with_double_quote_is_refused():
@@ -310,9 +308,8 @@ def test_trace_memo_holds_one_entry_per_subterm_object():
         t = stack.pop()
         subterms[id(t)] = t
         stack.extend(_children(t))
-    # one int key per distinct subterm object, one str key per name
-    assert {key for key in memo if not isinstance(key, str)} == set(subterms)
-    assert {key for key in memo if isinstance(key, str)} == _names(subterms.values())
+    # one key per distinct subterm object, and no other
+    assert set(memo) == set(subterms)
     size = len(memo)
     for t, text in printed:
         assert print_term(t, memo) is text

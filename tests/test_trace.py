@@ -673,9 +673,11 @@ class TestWordTraces:
             {(DEFAULT_SORT, "*"): "q0"},
             {(DEFAULT_SORT, "q0"): (TupleTerm((ConstElem("a"), Var("b", "r0"))),), ("b", "r0"): ()},
         )
-        assert word_traces(c, 0) == {(DEFAULT_SORT, "*"): {()}}
-        with pytest.raises(CoalgError, match="not letter-shaped"):
-            word_traces(c, 1)
+        # refused from the functor, before any state is read
+        for depth in (0, 1):
+            for words_of in (word_traces, lts_language):
+                with pytest.raises(CoalgError, match="not letter-shaped"):
+                    words_of(c, depth)
 
     EIGHT_UNSHAPED = (
         "from coalgpath.functors import Coprod, Const, Prod, SortRef, TupleTerm, ConstElem, Var, multisorted\n"
@@ -696,8 +698,9 @@ class TestWordTraces:
     )
 
     def test_unshaped_refusal_does_not_follow_the_hash_seed(self):
-        """The * state steps to eight unshaped states; each reached set is
-        read in sorted order, so every hash seed names r0."""
+        """The * state steps to eight states at a sort that is not
+        letter-shaped; the refusal is read off the functor, so every hash
+        seed gives the same one."""
         for hash_seed in range(6):
             proc = subprocess.run(
                 [sys.executable, "-c", self.EIGHT_UNSHAPED],
@@ -705,7 +708,7 @@ class TestWordTraces:
                 text=True,
                 env=dict(os.environ, PYTHONHASHSEED=str(hash_seed)),
             )
-            assert proc.stdout == "state 'r0' sits at sort 'b', which is not letter-shaped\n", (hash_seed, proc.stderr)
+            assert proc.stdout == "the pointed sorts reach a sort that is not letter-shaped\n", (hash_seed, proc.stderr)
 
 
 class TestTreePartialRuns:
