@@ -552,9 +552,8 @@ class TestRefusalsThroughVerbs:
     @pytest.mark.parametrize("verb", ["open", "hom"])
     def test_endpoints_with_two_pointings_exit_two(self, tmp_path, verb):
         files = []
-        for name, pointing in (("star", ""), ("named", "[pointing]\np\n\n")):
+        for name, pointing, point in (("star", "", "*"), ("named", "[pointing]\np\n\n", "p")):
             path = tmp_path / f"{name}.model"
-            point = "p" if pointing else "*"
             path.write_text(f"[functor]\nprod(const(a), id)\n\n{pointing}[states]\ns\n\n[init]\n{point} -> s\n\n"
                             "[trans]\ns -> (a, s)\n", encoding="utf-8")
             files.append(str(path))
@@ -650,9 +649,9 @@ def test_each_name_is_formatted_once_across_verbs():
     # the trace verb spells its words from the three constants, and runs
     # writes the states and the pointed element too
     assert misses[0] == misses[1] == 3 and misses[2] > 3
-    assert [verb() for verb in verbs] == first and format_name.cache_info().misses == misses[2]
+    assert [verb() for verb in verbs] == first
     info = format_name.cache_info()
-    assert info.currsize == info.misses and info.maxsize is not None
+    assert info.misses == misses[2] and info.maxsize is not None
 
 
 @pytest.mark.parametrize("argv, code", [(["reach", "{lts}"], 0), (["reach", "/nonexistent/nothing.model"], 2)])
