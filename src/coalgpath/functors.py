@@ -461,9 +461,8 @@ def eval_functor(f: Functor, x: SortedSet) -> dict[str, tuple[Term, ...]]:
     return dict(_evaluated(f, x))
 
 
-# bounded, since the lasota check evaluates carriers only in its fallback
-# for a sort with a disagreeing shape, which on a 5-object category walks
-# 243 of them
+# bounded: the harness evaluates the carrier of every random system it
+# builds, so a long run meets many
 @functools.lru_cache(maxsize=1024)
 def _evaluated(f: Functor, x: SortedSet) -> tuple[tuple[str, tuple[Term, ...]], ...]:
     """``eval_functor``'s answer as (sort, terms) pairs, kept per (functor, carrier)."""

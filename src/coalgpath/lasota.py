@@ -8,36 +8,27 @@ pointing then correspond exactly to composable morphism sequences, which
 ``paths_bijection_check`` verifies by enumerating both sides.  Its
 second criterion, that a one-element map out of the pointing is precise
 exactly when the pointing is characteristic, is decided per sort from
-the sort's shapes; only a sort with a shape that disagrees is checked
-carrier by carrier.
+the leaf counts of the sort's shapes, for every carrier at once.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .functors import (
     Const,
     Coprod,
     Functor,
-    Node,
     Prod,
     SortRef,
-    Term,
-    eval_functor,
+    _leaf_states,
     multisorted,
-    occurrences,
     read_letter,
 )
-from .precise import TermMap, element_shapes, is_precise, precise_chains
+from .precise import element_shapes, precise_chains
 from .sets import CoalgError, SortedSet, singleton_pointing
 
 POINT_ELEM = "*"
-# the precise-iff-characteristic criterion is checked over carriers with
-# at most this many elements per sort
-MAX_Y = 2
 
 
 @dataclass
@@ -184,64 +175,29 @@ class BijectionReport:
     mismatches: list[str] = field(default_factory=list)  # none when the check holds
 
 
-def _shape_disagrees(node: Node, shape: Term, max_y: int) -> bool:
-    """Whether some carrier with at most ``max_y`` elements per sort has a
-    term of this shape on which "the one-element map picking it is
-    precise" and "the carrier has exactly one element" differ.
+def _precise_iff_characteristic(f: Functor) -> list[str]:
+    """Where the precise-iff-characteristic criterion fails for one-element
+    maps out of each sort, over every carrier: one line per shape whose
+    leaf count is not 1.
 
     The map picking ``t`` is precise iff ``t`` uses every element of the
-    carrier exactly once.  A shape without leaves is precise over the
-    empty carrier; a shape with one leaf is precise exactly over its one
-    element.  A shape with two or more leaves is not precise over a
-    one-element carrier, which it has a term over only when all its leaves
-    share a sort, and it is precise over a carrier of its own leaves,
-    which fits the bound only when no sort has more than ``max_y`` of
-    them.  So a shape with more than ``max_y`` leaves of one sort and a
-    leaf of another sort never disagrees within the bound.
-    """
-    leaf_sorts = Counter(var.sort for var, _path in occurrences(node, shape))
-    leaves = sum(leaf_sorts.values())
-    if leaves == 0:
-        return True
-    if leaves == 1 or max_y < 1:
-        return False
-    return len(leaf_sorts) == 1 or max(leaf_sorts.values()) <= max_y
-
-
-def _carrier_mismatches(f: Functor, sorts: tuple[str, ...], p: str, max_y: int) -> list[str]:
-    """The criterion at sort ``p`` checked term by term over every carrier
-    with at most ``max_y`` elements per sort, one line per failing term."""
-    chi_p = singleton_pointing(sorts, at=p, name=POINT_ELEM)
-    lines = []
-    for sizes in itertools.product(range(max_y + 1), repeat=len(sorts)):
-        y = SortedSet(sorts, tuple(tuple(f"y{i}" for i in range(k)) for k in sizes))
-        for t in eval_functor(f, y)[p]:
-            tm = TermMap(chi_p, f, y, {(p, POINT_ELEM): t})
-            if is_precise(tm) != (y.size() == 1):
-                lines.append(f"precise-iff-characteristic fails at sort {p}, carrier {y.data}, term {t!r}")
-    return lines
-
-
-def _precise_iff_characteristic(f: Functor, sorts: tuple[str, ...], max_y: int) -> list[str]:
-    """Where the precise-iff-characteristic criterion fails for one-element
-    maps out of each sort, over carriers with at most ``max_y`` elements
-    per sort.
-
-    Each sort is decided from its shapes; only a sort with a disagreeing
-    shape is checked carrier by carrier, for its mismatch lines.
+    carrier exactly once.  So a shape with one leaf is precise exactly
+    over its one element; a shape without leaves is precise over the empty
+    carrier, and one with k >= 2 leaves over the carrier of its own k
+    leaves, neither of which has one element.
     """
     lines = []
-    for p in sorts:
-        node = f.node(p)
-        if any(_shape_disagrees(node, shape, max_y) for shape in element_shapes(f, p)):
-            lines.extend(_carrier_mismatches(f, sorts, p, max_y))
+    for p in f.sorts:
+        for shape in element_shapes(f, p):
+            n = len(_leaf_states(f, p, shape))
+            if n != 1:
+                lines.append(f"precise-iff-characteristic fails at sort {p}: shape {shape!r} has {n} leaves")
     return lines
 
 
 def paths_bijection_check(cat: FiniteCategory, n: int) -> BijectionReport:
     """Paths of length <= n against composable sequences, plus the
-    precise-iff-characteristic criterion for maps out of the pointing,
-    over carriers with at most ``MAX_Y`` elements per sort."""
+    precise-iff-characteristic criterion for maps out of the pointing."""
     report = BijectionReport()
     f = lasota_functor(cat)
     for length, paths in enumerate(_lasota_paths_by_length(cat, f, n)):
@@ -249,7 +205,7 @@ def paths_bijection_check(cat: FiniteCategory, n: int) -> BijectionReport:
         report.per_length.append((length, len(paths), len(seqs)))
         if paths != seqs:
             report.mismatches.append(f"length {length}: paths {paths} != sequences {seqs}")
-    mismatches = _precise_iff_characteristic(f, tuple(cat.objects), MAX_Y)
+    mismatches = _precise_iff_characteristic(f)
     if mismatches:
         report.precise_ok = False
         report.mismatches.extend(mismatches)

@@ -180,12 +180,6 @@ class BindTerm:
     atom: str
     body: NomElem
 
-    def support(self) -> set[str]:
-        return self.body.support() - {self.atom}
-
-    def rename(self, pi: Perm) -> "BindTerm":
-        return BindTerm(pi(self.atom), self.body.rename(pi))
-
 
 def canonical_bind(atom: str, body, pool: AtomPool):
     """The least-binder representative of the alpha-class of <atom>body."""

@@ -51,8 +51,11 @@ MUTANTS = [
            "        if paths != seqs:", "        if False:", ("tests/test_lasota.py",)),
     # the lasota check ignores where precise and characteristic differ
     Mutant("bijection-precise-mismatches-ignored", "lasota.py",
-           "    mismatches = _precise_iff_characteristic(f, tuple(cat.objects), MAX_Y)", "    mismatches = []",
+           "    mismatches = _precise_iff_characteristic(f)", "    mismatches = []",
            ("tests/test_lasota.py",)),
+    # a shape without leaves passes the precise-iff-characteristic criterion
+    Mutant("leafless-shapes-pass-the-criterion", "lasota.py",
+           "            if n != 1:", "            if n > 1:", ("tests/test_lasota.py",)),
     # the harness report passes whatever its trials' clauses say
     Mutant("all-passed-ignores-clauses", "openmap.py",
            "        return not any(r.clauses for r in self.results)", "        return True",

@@ -10,8 +10,8 @@ fit test-sized inputs:
   (:func:`binding_precise_oracle`);
 - the precise-iff-characteristic criterion for one-element maps, checked
   term by term over every small carrier
-  (:func:`precise_iff_characteristic_oracle`), against the per-sort
-  decision ``lasota`` reads off the shapes;
+  (:func:`precise_iff_characteristic_oracle`), against the leaf counts
+  of the shapes ``lasota`` decides it from;
 - the homset-order structure of behaviour maps: unit decomposition and
   choice lifting;
 - simulation and bisimulation of labelled transition systems, as
@@ -767,8 +767,8 @@ def precise_iff_characteristic_oracle(f: Functor, objects: tuple[str, ...], max_
     """For every sort ``p``, every carrier Y with at most ``max_y``
     elements per sort and every term ``t`` of F(Y) at ``p``: the map from
     a singleton at ``p`` picking ``t`` is precise iff Y has exactly one
-    element.  One line per term where that fails, as
-    ``lasota.paths_bijection_check`` reports it.  Exhaustive: evaluates
+    element.  One line per term where that fails, naming the sort, the
+    carrier and the term.  Exhaustive: evaluates
     F at (max_y + 1)^|objects| carriers per sort.
     """
     lines = []

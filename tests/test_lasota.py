@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 
-from coalgpath import lasota
+from coalgpath import functors, lasota, precise
 from coalgpath.cli import run_command
 from coalgpath.coalgebra import GenSpec
-from coalgpath.functors import Const, Coprod, Prod, SortRef, eval_functor, multisorted
+from coalgpath.functors import Const, Coprod, Prod, SortRef, _leaf_states, eval_functor, multisorted
 from coalgpath.lasota import (
     FiniteCategory,
     composable_sequences,
@@ -171,21 +173,30 @@ TWO_SORT_NODES = {
 }
 
 
-def _flagged_sorts(f, objects, max_y):
-    return [p for p in objects if any(lasota._shape_disagrees(f.node(p), s, max_y) for s in element_shapes(f, p))]
+def _sorts_named(lines, end):
+    """The sorts the criterion's lines name, each line's sort ending at ``end``."""
+    return sorted({line.split("at sort ", 1)[1].split(end, 1)[0] for line in lines})
 
 
-def _failing_sorts(lines):
-    return sorted({line.split("at sort ", 1)[1].split(",", 1)[0] for line in lines})
+def _covering_bound(f):
+    """The least bound at which the oracle builds every carrier a shape's
+    leaves need: the most leaves of one sort in one shape, and at least 1."""
+    counts = [Counter(sort for sort, _name in _leaf_states(f, p, shape))
+              for p in f.sorts for shape in element_shapes(f, p)]
+    return max([1, *(max(c.values(), default=0) for c in counts)])
 
 
-def _agrees_with_oracle(f, objects, max_y):
-    """The shape rule flags exactly the sorts where the bounded loop finds
-    a failing term, and the mismatch lines are the loop's, byte for byte."""
-    want = precise_iff_characteristic_oracle(f, objects, max_y)
-    assert lasota._precise_iff_characteristic(f, objects, max_y) == want
-    assert sorted(_flagged_sorts(f, objects, max_y)) == _failing_sorts(want)
-    return want
+def _exact_against_oracle(f, objects, max_y):
+    """The leaf-count rule flags every sort where the bounded loop finds a
+    failing term, and exactly those once the bound covers every shape."""
+    lines = lasota._precise_iff_characteristic(f)
+    flagged = _sorts_named(lines, ":")
+    found = _sorts_named(precise_iff_characteristic_oracle(f, objects, max_y), ",")
+    if max_y >= _covering_bound(f):
+        assert flagged == found
+    else:
+        assert set(found) <= set(flagged)
+    return lines
 
 
 class TestPreciseIffCharacteristicOracle:
@@ -201,7 +212,8 @@ class TestPreciseIffCharacteristicOracle:
         cat = self.CATEGORIES[index]
         assert validate_category(cat) == []
         f = lasota_functor(cat)
-        assert _agrees_with_oracle(f, tuple(cat.objects), max_y) == []
+        assert _covering_bound(f) == 1
+        assert _exact_against_oracle(f, tuple(cat.objects), max_y) == []
 
     def test_random_categories_are_varied(self):
         cats = [random_category(seed) for seed in range(6)]
@@ -210,27 +222,26 @@ class TestPreciseIffCharacteristicOracle:
 
     @pytest.mark.parametrize("name_a", sorted(TWO_SORT_NODES))
     @pytest.mark.parametrize("name_b", ["const", "b", "ab", "bbb"])
-    @pytest.mark.parametrize("max_y", [0, 1, 2])
+    @pytest.mark.parametrize("max_y", [0, 1, 2, 3])
     def test_two_sort_functors(self, name_a, name_b, max_y):
         node_b = {"const": Const(("d",)), "b": SortRef("b"), "ab": Prod(_a() + _b()), "bbb": Prod(_b(3))}[name_b]
         f = multisorted(("a", "b"), {"a": TWO_SORT_NODES[name_a], "b": node_b})
-        _agrees_with_oracle(f, ("a", "b"), max_y)
+        assert _covering_bound(f) <= 3
+        _exact_against_oracle(f, ("a", "b"), max_y)
 
     @pytest.mark.parametrize("f", [FIG2, BAG2_PLUS1, LTS_AB_PLUS1, CONST_PLUS1], ids=["fig2", "bag2", "lts", "const"])
     @pytest.mark.parametrize("max_y", [0, 1, 2])
     def test_one_sort_functors(self, f, max_y):
-        _agrees_with_oracle(f, tuple(f.sorts), max_y)
+        assert _covering_bound(f) <= 2
+        _exact_against_oracle(f, tuple(f.sorts), max_y)
 
     def test_leaf_counts_decide(self):
-        # no leaf: fails at the empty carrier; one leaf: never; two leaves
-        # of one sort: fail at a one-element carrier
-        f = multisorted(("a", "b"), {"a": Coprod((Const(("c",)), SortRef("a"), Prod(_a(2)))), "b": SortRef("b")})
-        lines = _agrees_with_oracle(f, ("a", "b"), 1)
-        assert lines == [
-            "precise-iff-characteristic fails at sort a, carrier ((), ()), term in0(c)",
-            "precise-iff-characteristic fails at sort a, carrier ((), ('y0',)), term in0(c)",
-            "precise-iff-characteristic fails at sort a, carrier (('y0',), ()), term in0(c)",
-            "precise-iff-characteristic fails at sort a, carrier (('y0',), ()), term in2((y0, y0))",
+        # no leaf: fails at the empty carrier; one leaf: never; two leaves:
+        # fail at the carrier of the two
+        f = multisorted(("a", "b"), {"a": Coprod((Const(("c",)), SortRef("a"), Prod(_a() + _b()))), "b": SortRef("b")})
+        assert _exact_against_oracle(f, ("a", "b"), 1) == [
+            "precise-iff-characteristic fails at sort a: shape in0(c) has 0 leaves",
+            "precise-iff-characteristic fails at sort a: shape in2((v001, v002)) has 2 leaves",
         ]
 
     def test_blind_spot_of_the_bound(self):
@@ -238,15 +249,20 @@ class TestPreciseIffCharacteristicOracle:
         # elements of sort a, which max_y = 2 never builds, and never over a
         # one-element carrier, since it needs both sorts
         f = multisorted(("a", "b"), {"a": Prod(_a(3) + _b()), "b": SortRef("b")})
-        assert _agrees_with_oracle(f, ("a", "b"), 2) == []
-        assert _agrees_with_oracle(f, ("a", "b"), 3) != []
+        assert precise_iff_characteristic_oracle(f, ("a", "b"), 2) == []
+        assert _sorts_named(precise_iff_characteristic_oracle(f, ("a", "b"), 3), ",") == ["a"]
+        assert lasota._precise_iff_characteristic(f) == [
+            "precise-iff-characteristic fails at sort a: shape (v001, v002, v003, v004) has 4 leaves",
+        ]
 
     def test_bijection_check_reads_no_carrier(self, monkeypatch):
         def forbidden(*_args):
             raise AssertionError("carrier evaluated")
 
-        monkeypatch.setattr(lasota, "eval_functor", forbidden)
-        monkeypatch.setattr(lasota, "is_precise", forbidden)
+        monkeypatch.setattr(precise, "is_precise", forbidden)
+        monkeypatch.setattr(functors, "eval_functor", forbidden)
+        # every eval_functor, however its caller imported it, reads through here
+        monkeypatch.setattr(functors, "_evaluated", forbidden)
         report = paths_bijection_check(poset_category(5), 3)
         assert report.mismatches == []
 
@@ -281,16 +297,15 @@ class TestLasotaVerbFailsVisibly:
         assert text.endswith("bijection: FAIL\n")
 
     def test_a_precise_test_wrong_on_one_shape_breaks_the_criterion(self, monkeypatch, tmp_path):
-        real = lasota.is_precise
-        # wrong on the terms of one shape: the letter of m01 out of the point
-        monkeypatch.setattr(lasota, "is_precise", lambda tm: real(tm) != ("m01" in repr(tm)))
-        # the shapes decide that no carrier disagrees, so no carrier is
-        # read; send every sort through the carrier-by-carrier check
-        monkeypatch.setattr(lasota, "_shape_disagrees", lambda node, shape, max_y: True)
+        real = lasota._leaf_states
+        # wrong on one shape, the letter of m01 out of the point, which
+        # reads as two leaves: no term with two leaves fits a Lasota
+        # functor, so the shapes themselves cannot gain one
+        monkeypatch.setattr(lasota, "_leaf_states", lambda f, p, shape: real(f, p, shape) * (1 + ("m01" in repr(shape))))
         text, code = self.lasota_verb(tmp_path)
         assert code == 1
         assert "length 2: paths 6 sequences 6\nprecise-iff-characteristic: FAIL\n" in text
-        assert "\nmismatch: precise-iff-characteristic fails at sort 0, carrier " in text
+        assert "\nmismatch: precise-iff-characteristic fails at sort 0: shape in1((m01, v001)) has 2 leaves\n" in text
         assert text.endswith("bijection: FAIL\n")
 
 

@@ -217,7 +217,8 @@ class TestIsOpen:
 
 class TestReplayRejects:
     """``replay_witness`` refuses a square that does not commute, an
-    extension of the wrong length and a square with a diagonal."""
+    extension of the wrong length, a side that is no run and a square
+    with a diagonal."""
 
     @staticmethod
     def fork():
@@ -249,6 +250,20 @@ class TestReplayRejects:
         longer = make_path(ext.functor, [*ext.levels, empty], [st.table for st in ext.steps] + [stop])
         assert validate_path(longer) == []
         assert not replay_witness(m, dataclasses.replace(w, extension=longer))
+
+    def test_source_run_off_the_point(self):
+        m, w = self.fork()
+        comps = w.run.components
+        off = SortedFun(comps[0].dom, m.src.carrier, {key: "s1" for key in comps[0].dom.pairs()})
+        run = Run(w.run.path, m.src, (off, *comps[1:]))
+        assert not is_run(run)
+        assert not replay_witness(m, dataclasses.replace(w, run=run))
+
+    def test_target_run_missing_a_component(self):
+        m, w = self.fork()
+        dst_run = Run(w.extension, m.dst, w.dst_run.components[:-1])
+        assert not is_run(dst_run)
+        assert not replay_witness(m, dataclasses.replace(w, dst_run=dst_run))
 
     def test_square_with_a_diagonal(self):
         m, w = self.fork()

@@ -164,6 +164,20 @@ class TestValidatePath:
         problems = validate_path(p)
         assert problems and "step 0" in problems[0]
 
+    def test_level_count_mismatch_reported(self):
+        p = word_path("ab", 2)
+        assert validate_path(PathObj(p.functor, p.levels[:-1], p.steps)) == ["level/step count mismatch"]
+
+    def test_step_out_of_another_level_reported(self):
+        p = word_path("ab", 2)
+        moved = PathObj(p.functor, (single(["x"]), *p.levels[1:]), p.steps)
+        assert validate_path(moved) == ["step 0 has wrong domain"]
+
+    def test_term_outside_the_next_level_reported(self):
+        p = word_path("a", 1)
+        stray = {(DEFAULT_SORT, "*"): step_of_plus1(TupleTerm((ConstElem("a"), var("zz"))))}
+        assert validate_path(make_path(p.functor, p.levels, [stray])) == ["step 0: ill-formed term at *"]
+
 
 class TestComp:
     def test_word_with_padding(self):
@@ -442,6 +456,28 @@ class TestRuns:
             ),
         )
         assert not is_run(bad)
+
+    @staticmethod
+    def word_run():
+        c = linear_word_system("ab", "ab")
+        p = word_path("ab", 2)
+        states = ({"*": "q0"}, {"n0": "q1"}, {"n1": "q2"})
+        comps = tuple(
+            SortedFun(level, c.carrier, {(DEFAULT_SORT, e): x for e, x in table.items()})
+            for level, table in zip(p.levels, states)
+        )
+        r = Run(p, c, comps)
+        assert is_run(r)
+        return r
+
+    def test_run_missing_a_component_detected(self):
+        r = self.word_run()
+        assert not is_run(Run(r.path, r.target, r.components[:-1]))
+
+    def test_run_off_the_point_detected(self):
+        r = self.word_run()
+        off = SortedFun(r.path.levels[0], r.target.carrier, {(DEFAULT_SORT, "*"): "q1"})
+        assert not is_run(Run(r.path, r.target, (off, *r.components[1:])))
 
 
 # systems for the level-construction oracle: (name, functor, carrier
