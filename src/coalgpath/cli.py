@@ -216,7 +216,7 @@ def _runs(args: argparse.Namespace) -> _Lines:
                 words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
             terms = words[n] or "ε"
         else:
-            terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values).values)
+            terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values))
         yield f"run {count}: length {n} comp {terms} [{states[n]}]"
         count += 1
     yield f"{count} runs"

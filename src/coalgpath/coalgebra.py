@@ -96,9 +96,6 @@ class PointedCoalgebra:
         it, in occurrence order, read from the functor's term memo."""
         return tuple([(t, _leaf_states(self.functor, state[0], t)) for t in self.xi[state]])
 
-    def states(self) -> tuple[tuple[str, str], ...]:
-        return self.carrier.pairs()
-
     def point_image(self) -> set[tuple[str, str]]:
         return {(s, self.point[(s, i)]) for s, i in self.pointing.pairs()}
 
@@ -169,7 +166,7 @@ def _image_table(src: PointedCoalgebra, fun: SortedFun) -> dict[State, frozenset
     its transition terms.  States share terms, and ``fmap`` keeps each
     image in the functor's term memo, so a term is walked once."""
     f, xi = src.functor, src.xi
-    return {(s, x): frozenset([fmap(f, fun, s, t) for t in xi[(s, x)]]) for s, x in src.states()}
+    return {(s, x): frozenset([fmap(f, fun, s, t) for t in xi[(s, x)]]) for s, x in src.carrier.pairs()}
 
 
 def is_strict_hom(m: CoalgMorphism) -> bool:

@@ -1,11 +1,9 @@
-"""The path category for F+1: path objects, morphisms, composites, runs.
+"""Paths for F+1: path objects, composites and runs.
 
 A path is a finite sequence of (F+1)-precise maps starting at the
 pointing object.  Composing a path all the way down (replacing the last
-level by the unit) gives its composite value, an element of (F+1)^n(1);
-the poset of such values, under truncation, mirrors path morphisms.
-Paths embed into pointed coalgebras by taking the disjoint union of the
-levels, and a run is a level-indexed mapping into a system that respects
+level by the unit) gives its composite value, an element of (F+1)^n(1).
+A run is a level-indexed mapping into a system that respects
 transitions.
 """
 
@@ -15,22 +13,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coalgebra import CoalgMorphism, PointedCoalgebra
+from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT,
     UNIT_TERM,
-    AnSym,
     Functor,
-    Inj,
-    SortRef,
     Term,
-    TupleTerm,
-    Var,
     _leaf_states,
     _named_image,
     bot_of_plus1,
     fmap,
-    map_leaves,
     occurrences,
     read_letter,
     step_of_plus1,
@@ -39,8 +31,8 @@ from .functors import (
     term_in_functor,
     word_route,
 )
-from .precise import TermMap, element_labels, is_precise, precise_factorize
-from .sets import CoalgError, SortedFun, SortedSet
+from .precise import TermMap, element_labels, is_precise
+from .sets import SortedFun, SortedSet
 
 
 @dataclass
@@ -86,30 +78,12 @@ def validate_path(p: PathObj) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Composite values and the path poset
+# Composites
 
-@dataclass(frozen=True)
-class CompValue:
-    """A ground element of (F+1)^n(1), one nested term per pointing element."""
-
-    functor: Functor
-    pointing: SortedSet
-    depth: int
-    values: tuple[tuple[tuple[str, str], Term], ...]  # sorted by key
-
-    def value(self, sort: str, elem: str) -> Term:
-        for key, t in self.values:
-            if key == (sort, elem):
-                return t
-        raise CoalgError(f"no composite value at {(sort, elem)}")
-
-
-def make_comp_value(functor: Functor, pointing: SortedSet, depth: int, values: dict) -> CompValue:
-    return CompValue(functor, pointing, depth, tuple(sorted(values.items())))
-
-
-def comp(p: PathObj, memo: dict | None = None) -> CompValue:
-    """Substitute the levels backwards, replacing the last level by units.
+def comp(p: PathObj, memo: dict | None = None) -> tuple[tuple[tuple[str, str], Term], ...]:
+    """The composite of ``p``, an element of (F+1)^n(1) per pointing
+    element, as sorted ``((sort, elem), term)`` pairs: the levels
+    substituted backwards, the last one replaced by units.
 
     Each value is interned in ``memo`` under its sort, its step term and
     the ids of the values at its leaves: ``memo[(sort, term)]`` holds the
@@ -136,14 +110,7 @@ def comp(p: PathObj, memo: dict | None = None) -> CompValue:
                 value = kept[1][ids] = subst_node(fp1.node(s), t, current)
             nxt[(s, x)] = value
         current = nxt
-    return make_comp_value(p.functor, p.levels[0], p.length, current)
-
-
-def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
-    """Cut a nested (F+1)-term at the given depth, putting units at the cut."""
-    if depth == 0:
-        return UNIT_TERM
-    return map_leaves(fp1.node(sort), term, lambda ref, t: truncate_term(fp1, ref.sort, t, depth - 1))
+    return tuple(sorted(current.items()))
 
 
 def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
@@ -165,183 +132,6 @@ def step_letter(p: PathObj, k: int) -> str:
         return BOT
     (_index, name), _succ = read_letter(p.steps[k].table[keys[0]])
     return name
-
-
-def pathord_le(u: CompValue, v: CompValue) -> bool:
-    """Truncation order on composite values over a shared functor and pointing."""
-    if u.functor != v.functor or u.pointing != v.pointing:
-        raise CoalgError("composite values over different functors or pointings")
-    if u.depth > v.depth:
-        return False
-    step = u.functor.plus1
-    for (key, tv) in v.values:
-        if truncate_term(step, key[0], tv, u.depth) != u.value(*key):
-            return False
-    return True
-
-
-def path_from_comp(u: CompValue) -> PathObj:
-    """A canonical path composing to ``u``, built by iterated factorization."""
-    functor = u.functor
-    fp1 = functor.plus1
-    levels = [u.pointing]
-    steps = []
-    residual: dict[tuple[str, str], Term] = dict(u.values)
-    current = u.pointing
-    for k in range(u.depth):
-        # treat depth-1 subterm values as variables named in encounter order
-        named: dict[str, dict[Term, str]] = {s: {} for s in u.pointing.sorts}
-
-        def collect(ref: SortRef, t: Term) -> Term:
-            known = named[ref.sort]
-            return Var(ref.sort, known.setdefault(t, f"z{len(known):03d}"))
-
-        table: dict[tuple[str, str], Term] = {}
-        for key in current.pairs():
-            table[key] = map_leaves(fp1.node(key[0]), residual[key], collect)
-        var_carrier = SortedSet.make({s: list(named[s].values()) for s in u.pointing.sorts}, u.pointing.sorts)
-        f_k = TermMap(current, fp1, var_carrier, table)
-        fac = precise_factorize(f_k)
-        steps.append(fac.precise.table)
-        next_level = fac.precise.cod
-        value_of = {(s, name): t for s in u.pointing.sorts for t, name in named[s].items()}
-        residual = {(s, name): value_of[(s, fac.connect(s, name))] for s, name in next_level.pairs()}
-        levels.append(next_level)
-        current = next_level
-    return make_path(functor, levels, steps)
-
-
-# ---------------------------------------------------------------------------
-# Path morphisms
-
-@dataclass
-class PathMorphism:
-    src: PathObj
-    dst: PathObj
-    components: tuple[SortedFun, ...]  # phi_0 .. phi_n
-
-
-def _leaf_orders(t: Term) -> Iterator[tuple[Var, ...]]:
-    """The variable leaves of ``t`` in every order that permuting the
-    arguments of its analytic symbols gives: a tuple keeps its order and
-    an injection passes through."""
-    if isinstance(t, Var):
-        yield (t,)
-    elif isinstance(t, Inj):
-        yield from _leaf_orders(t.arg)
-    elif isinstance(t, (TupleTerm, AnSym)):
-        children = [list(_leaf_orders(a)) for a in t.args]
-        arrangements = itertools.permutations(children) if isinstance(t, AnSym) else (children,)
-        for arranged in arrangements:
-            for parts in itertools.product(*arranged):
-                yield tuple(itertools.chain.from_iterable(parts))
-    else:
-        yield ()
-
-
-def _renamings(fp1: Functor, sort: str, t_src: Term, t_dst: Term) -> list[dict[tuple[str, str], str]]:
-    """The renamings of ``t_src``'s variables that map it to ``t_dst``.
-
-    Each distinct order of ``t_dst``'s leaves pairs them with ``t_src``'s
-    in occurrence order; the candidate is kept when :func:`map_leaves`
-    under it gives ``t_dst``, so re-canonicalization decides what each
-    symbol's group allows.
-    """
-    keys = _leaf_states(fp1, sort, t_src)
-    node = fp1.node(sort)
-    found = []
-    for order in dict.fromkeys(_leaf_orders(t_dst)):
-        renaming = dict(zip(keys, [v.name for v in order]))
-        if len(order) == len(keys) and map_leaves(
-            node, t_src, lambda _ref, t: Var(t.sort, renaming[(t.sort, t.name)])
-        ) == t_dst:
-            found.append(renaming)
-    return found
-
-
-def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
-    """Backtracking search for path morphisms p -> q (lengths n <= m).
-
-    Components are bijections; the search does not assume the connecting
-    morphisms are unique, so functors like the bag functor are handled
-    (they may admit several morphisms between the same paths).  phi_{k+1}
-    is merged from one renaming per element of level k, each mapping the
-    element's step onto the step of its image under phi_k.
-    """
-    if p.functor != q.functor or p.levels[0] != q.levels[0]:
-        raise CoalgError("paths over different functors or pointings")
-    if p.length > q.length:
-        return
-    fp1 = p.functor.plus1
-
-    def search(k: int, acc: tuple[SortedFun, ...]) -> Iterator[PathMorphism]:
-        if k == p.length:
-            yield PathMorphism(p, q, acc)
-            return
-        src, dst = p.levels[k + 1], q.levels[k + 1]
-        if src.size() != dst.size():
-            return
-        phi_k = acc[-1]
-        choices = [_renamings(fp1, s, p.steps[k](s, x), q.steps[k](s, phi_k(s, x))) for s, x in p.levels[k].pairs()]
-        seen = set()
-        for combo in itertools.product(*choices):
-            table: dict[tuple[str, str], str] = {}
-            if any(table.setdefault(key, name) != name for renaming in combo for key, name in renaming.items()):
-                continue  # two elements rename one variable apart
-            frozen = tuple(sorted(table.items()))
-            # a bijection: total and injective within each sort
-            if len(table) == len({(s, y) for (s, _x), y in frozen}) == src.size() and frozen not in seen:
-                seen.add(frozen)
-                yield from search(k + 1, acc + (SortedFun(src, dst, table),))
-
-    yield from search(0, (SortedFun.identity(p.levels[0]),))
-
-
-def find_path_morphism(p: PathObj, q: PathObj) -> PathMorphism | None:
-    return next(all_path_morphisms(p, q), None)
-
-
-# ---------------------------------------------------------------------------
-# Embedding into pointed coalgebras
-
-def level_name(k: int, elem: str) -> str:
-    return f"{k}:{elem}"
-
-
-def j_embed(p: PathObj) -> PointedCoalgebra:
-    """The disjoint union of the levels as a pointed coalgebra."""
-    sorts = p.levels[0].sorts
-    per_sort: dict[str, list[str]] = {s: [] for s in sorts}
-    for k, level in enumerate(p.levels):
-        for s, e in level.pairs():
-            per_sort[s].append(level_name(k, e))
-    carrier = SortedSet.make(per_sort, sorts)
-    point = {(s, i): level_name(0, i) for s, i in p.levels[0].pairs()}
-    xi: dict[tuple[str, str], tuple[Term, ...]] = {key: () for key in carrier.pairs()}
-    for k in range(p.length):
-        rename = SortedFun(
-            p.levels[k + 1],
-            carrier,
-            {(s, e): level_name(k + 1, e) for s, e in p.levels[k + 1].pairs()},
-        )
-        for (s, x) in p.levels[k].pairs():
-            inner = strip_plus1(p.steps[k](s, x))
-            if inner is None:
-                continue
-            xi[(s, level_name(k, x))] = (fmap(p.functor, rename, s, inner),)
-    return PointedCoalgebra(p.functor, p.levels[0], carrier, point, xi)
-
-
-def morphism_to_lax(m: PathMorphism) -> CoalgMorphism:
-    """The carrier map induced on the embedded coalgebras by a path morphism."""
-    src_c = j_embed(m.src)
-    dst_c = j_embed(m.dst)
-    table: dict[tuple[str, str], str] = {}
-    for k, phi in enumerate(m.components):
-        for (s, e) in m.src.levels[k].pairs():
-            table[(s, level_name(k, e))] = level_name(k, phi(s, e))
-    fun = SortedFun(src_c.carrier, dst_c.carrier, table)
-    return CoalgMorphism(src_c, dst_c, fun)
 
 
 # ---------------------------------------------------------------------------

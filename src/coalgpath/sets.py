@@ -169,8 +169,3 @@ class SortedFun:
     def __repr__(self) -> str:
         items = ", ".join(f"{s}.{x}->{v}" for (s, x), v in sorted(self.table.items()))
         return f"SortedFun({items})"
-
-    @staticmethod
-    def identity(carrier: SortedSet) -> "SortedFun":
-        return SortedFun(carrier, carrier, {(s, e): e for s, e in carrier.pairs()})
-

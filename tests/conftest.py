@@ -1,6 +1,7 @@
 """Shared builders for the test suite, among them the constructors that
 only tests call: the LTS step functor and systems over it, the symmetric
-and cyclic slot groups, and the partial-run language of a tree automaton."""
+and cyclic slot groups, the identity map of a carrier, and the
+partial-run language of a tree automaton."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from coalgpath.groups import PermGroup
 from coalgpath.lasota import FiniteCategory
 from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import TermMap
-from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet
+from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 from coalgpath.trace import TraceSet, trace
 
 
@@ -119,6 +120,10 @@ S3_PRESENTATIONS = ("(1 2 3), (1 2)", "(1 2), (1 3)")
 
 def single(elems):
     return SortedSet.single(elems)
+
+
+def identity_map(carrier: SortedSet) -> SortedFun:
+    return SortedFun(carrier, carrier, {(s, e): e for s, e in carrier.pairs()})
 
 
 def var(name: str) -> Var:

@@ -80,9 +80,10 @@ MUTANTS = [
     # precise-factor prints the given codomain, not the factorization's
     Mutant("factor-prints-the-given-codomain", "cli.py",
            "    codomain = fac.precise.cod\n", "    codomain = f.cod\n", ("tests/test_compose_golden.py",)),
-    # path morphisms between paths out of different pointings are searched
-    Mutant("path-morphisms-across-pointings", "paths.py",
-           "    if p.functor != q.functor or p.levels[0] != q.levels[0]:", "    if p.functor != q.functor:",
+    # a composite value is interned under its step term alone, not the
+    # values at its leaves, so two paths sharing a step term share a value
+    Mutant("comp-interns-without-the-leaves", "paths.py",
+           "            ids = tuple([id(current[leaf]) for leaf in kept[0]])\n", "            ids = ()\n",
            ("tests/test_paths.py",)),
     # a name whose text before its first dot is a sort prints bare
     Mutant("dotted-name-rule-off", "precise.py",

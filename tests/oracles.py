@@ -21,7 +21,7 @@ fit test-sized inputs:
   family of maps is a path morphism, and the states a run visits;
 - every path morphism between two paths, found by trying every family
   of sort-preserving level bijections (:func:`brute_path_morphisms`),
-  against the renamings ``paths.all_path_morphisms`` tests through
+  against the renamings :func:`all_path_morphisms` tests through
   ``map_leaves``;
 - the depth-d trace sets of every carrier state at every depth
   (:func:`eager_state_traces`), against the table ``trace.trace`` fills
@@ -71,8 +71,15 @@ call: the binding-layer factorization through fresh pairs
 representatives (:func:`extend_equivariant`), the pool actions on words,
 states and transition terms (:func:`apply_perm`, :func:`perm_state`,
 :func:`perm_term`) with the support of a word (:func:`support`), all
-checked by the nominal battery (acceptance criterion 9), and the
-multiset of arguments of an analytic term (:func:`bag_abstraction`).
+checked by the nominal battery (acceptance criterion 9), the
+multiset of arguments of an analytic term (:func:`bag_abstraction`),
+and the path category of acceptance criterion 6: path morphisms
+(:func:`all_path_morphisms`, :func:`find_path_morphism`), the
+truncation order of composites (:func:`pathord_le`, through
+:func:`truncate_term`), a path rebuilt from its composite
+(:func:`path_from_comp`), and the embedding of a path as a system and
+of a path morphism as a lax map (:func:`j_embed`,
+:func:`morphism_to_lax`).
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from coalgpath.coalgebra import PointedCoalgebra
+from coalgpath.coalgebra import CoalgMorphism, PointedCoalgebra
 from coalgpath.functors import (
     BOT,
     CHECK,
@@ -117,6 +124,7 @@ from coalgpath.functors import (
     occurrences,
     read_letter,
     step_of_plus1,
+    strip_plus1,
     subst_node,
     word_separator,
     word_shape,
@@ -136,10 +144,12 @@ from coalgpath.nominal import (
     parse_state_name,
     state_name,
 )
-from coalgpath.paths import CompValue, PathMorphism, PathObj, Run, truncate_term
+from coalgpath.paths import PathObj, Run, comp, make_path
 from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, _reach, trace
+
+from conftest import identity_map
 
 BehaviourMap = Mapping[tuple[str, str], tuple[Term, ...]]
 
@@ -525,10 +535,190 @@ def recursive_print_term_for(f: Functor, sort: str, term: Term) -> str:
     return walk(f.node(sort), term)
 
 
+# ---------------------------------------------------------------------------
+# The path category: the truncation order of composites, path morphisms
+# and the embedding of paths as systems (acceptance criterion 6)
+
+def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
+    """Cut a nested (F+1)-term at the given depth, putting units at the cut."""
+    if depth == 0:
+        return UNIT_TERM
+    return map_leaves(fp1.node(sort), term, lambda ref, t: truncate_term(fp1, ref.sort, t, depth - 1))
+
+
+def pathord_le(p: PathObj, q: PathObj) -> bool:
+    """Truncation order on the composites of two paths over a shared
+    functor and pointing: ``comp(q)`` cut at ``p``'s length is ``comp(p)``."""
+    if p.functor != q.functor or p.levels[0] != q.levels[0]:
+        raise CoalgError("composite values over different functors or pointings")
+    if p.length > q.length:
+        return False
+    fp1 = p.functor.plus1
+    return comp(p) == tuple((key, truncate_term(fp1, key[0], t, p.length)) for key, t in comp(q))
+
+
+def path_from_comp(functor: Functor, pointing: SortedSet, depth: int, values) -> PathObj:
+    """A canonical path of length ``depth`` out of ``pointing`` whose
+    composite is ``values`` (sorted ``((sort, elem), term)`` pairs, as
+    ``paths.comp`` gives them), built by iterated factorization."""
+    fp1 = functor.plus1
+    levels = [pointing]
+    steps = []
+    residual: dict[tuple[str, str], Term] = dict(values)
+    current = pointing
+    for _k in range(depth):
+        # treat depth-1 subterm values as variables named in encounter order
+        named: dict[str, dict[Term, str]] = {s: {} for s in pointing.sorts}
+
+        def collect(ref: SortRef, t: Term) -> Term:
+            known = named[ref.sort]
+            return Var(ref.sort, known.setdefault(t, f"z{len(known):03d}"))
+
+        table: dict[tuple[str, str], Term] = {}
+        for key in current.pairs():
+            table[key] = map_leaves(fp1.node(key[0]), residual[key], collect)
+        var_carrier = SortedSet.make({s: list(named[s].values()) for s in pointing.sorts}, pointing.sorts)
+        fac = precise_factorize(TermMap(current, fp1, var_carrier, table))
+        steps.append(fac.precise.table)
+        next_level = fac.precise.cod
+        value_of = {(s, name): t for s in pointing.sorts for t, name in named[s].items()}
+        residual = {(s, name): value_of[(s, fac.connect(s, name))] for s, name in next_level.pairs()}
+        levels.append(next_level)
+        current = next_level
+    return make_path(functor, levels, steps)
+
+
+@dataclass
+class PathMorphism:
+    src: PathObj
+    dst: PathObj
+    components: tuple[SortedFun, ...]  # phi_0 .. phi_n
+
+
+def _leaf_orders(t: Term) -> Iterator[tuple[Var, ...]]:
+    """The variable leaves of ``t`` in every order that permuting the
+    arguments of its analytic symbols gives: a tuple keeps its order and
+    an injection passes through."""
+    if isinstance(t, Var):
+        yield (t,)
+    elif isinstance(t, Inj):
+        yield from _leaf_orders(t.arg)
+    elif isinstance(t, (TupleTerm, AnSym)):
+        children = [list(_leaf_orders(a)) for a in t.args]
+        arrangements = itertools.permutations(children) if isinstance(t, AnSym) else (children,)
+        for arranged in arrangements:
+            for parts in itertools.product(*arranged):
+                yield tuple(itertools.chain.from_iterable(parts))
+    else:
+        yield ()
+
+
+def _renamings(fp1: Functor, sort: str, t_src: Term, t_dst: Term) -> list[dict[tuple[str, str], str]]:
+    """The renamings of ``t_src``'s variables that map it to ``t_dst``.
+
+    Each distinct order of ``t_dst``'s leaves pairs them with ``t_src``'s
+    in occurrence order; the candidate is kept when :func:`map_leaves`
+    under it gives ``t_dst``, so re-canonicalization decides what each
+    symbol's group allows.
+    """
+    keys = _leaf_states(fp1, sort, t_src)
+    node = fp1.node(sort)
+    found = []
+    for order in dict.fromkeys(_leaf_orders(t_dst)):
+        renaming = dict(zip(keys, [v.name for v in order]))
+        if len(order) == len(keys) and map_leaves(
+            node, t_src, lambda _ref, t: Var(t.sort, renaming[(t.sort, t.name)])
+        ) == t_dst:
+            found.append(renaming)
+    return found
+
+
+def all_path_morphisms(p: PathObj, q: PathObj) -> Iterator[PathMorphism]:
+    """Backtracking search for path morphisms p -> q (lengths n <= m).
+
+    Components are bijections; the search does not assume the connecting
+    morphisms are unique, so functors like the bag functor are handled
+    (they may admit several morphisms between the same paths).  phi_{k+1}
+    is merged from one renaming per element of level k, each mapping the
+    element's step onto the step of its image under phi_k.
+    """
+    if p.functor != q.functor or p.levels[0] != q.levels[0]:
+        raise CoalgError("paths over different functors or pointings")
+    if p.length > q.length:
+        return
+    fp1 = p.functor.plus1
+
+    def search(k: int, acc: tuple[SortedFun, ...]) -> Iterator[PathMorphism]:
+        if k == p.length:
+            yield PathMorphism(p, q, acc)
+            return
+        src, dst = p.levels[k + 1], q.levels[k + 1]
+        if src.size() != dst.size():
+            return
+        phi_k = acc[-1]
+        choices = [_renamings(fp1, s, p.steps[k](s, x), q.steps[k](s, phi_k(s, x))) for s, x in p.levels[k].pairs()]
+        seen = set()
+        for combo in itertools.product(*choices):
+            table: dict[tuple[str, str], str] = {}
+            if any(table.setdefault(key, name) != name for renaming in combo for key, name in renaming.items()):
+                continue  # two elements rename one variable apart
+            frozen = tuple(sorted(table.items()))
+            # a bijection: total and injective within each sort
+            if len(table) == len({(s, y) for (s, _x), y in frozen}) == src.size() and frozen not in seen:
+                seen.add(frozen)
+                yield from search(k + 1, acc + (SortedFun(src, dst, table),))
+
+    yield from search(0, (identity_map(p.levels[0]),))
+
+
+def find_path_morphism(p: PathObj, q: PathObj) -> PathMorphism | None:
+    return next(all_path_morphisms(p, q), None)
+
+
+def level_name(k: int, elem: str) -> str:
+    return f"{k}:{elem}"
+
+
+def j_embed(p: PathObj) -> PointedCoalgebra:
+    """The disjoint union of the levels as a pointed coalgebra."""
+    sorts = p.levels[0].sorts
+    per_sort: dict[str, list[str]] = {s: [] for s in sorts}
+    for k, level in enumerate(p.levels):
+        for s, e in level.pairs():
+            per_sort[s].append(level_name(k, e))
+    carrier = SortedSet.make(per_sort, sorts)
+    point = {(s, i): level_name(0, i) for s, i in p.levels[0].pairs()}
+    xi: dict[tuple[str, str], tuple[Term, ...]] = {key: () for key in carrier.pairs()}
+    for k in range(p.length):
+        rename = SortedFun(
+            p.levels[k + 1],
+            carrier,
+            {(s, e): level_name(k + 1, e) for s, e in p.levels[k + 1].pairs()},
+        )
+        for (s, x) in p.levels[k].pairs():
+            inner = strip_plus1(p.steps[k](s, x))
+            if inner is None:
+                continue
+            xi[(s, level_name(k, x))] = (fmap(p.functor, rename, s, inner),)
+    return PointedCoalgebra(p.functor, p.levels[0], carrier, point, xi)
+
+
+def morphism_to_lax(m: PathMorphism) -> CoalgMorphism:
+    """The carrier map induced on the embedded coalgebras by a path morphism."""
+    src_c = j_embed(m.src)
+    dst_c = j_embed(m.dst)
+    table: dict[tuple[str, str], str] = {}
+    for k, phi in enumerate(m.components):
+        for (s, e) in m.src.levels[k].pairs():
+            table[(s, level_name(k, e))] = level_name(k, phi(s, e))
+    fun = SortedFun(src_c.carrier, dst_c.carrier, table)
+    return CoalgMorphism(src_c, dst_c, fun)
+
+
 def is_path_morphism(m: PathMorphism) -> bool:
     if m.src.length > m.dst.length or len(m.components) != m.src.length + 1:
         return False
-    if m.components[0].table != SortedFun.identity(m.src.levels[0]).table:
+    if m.components[0].table != identity_map(m.src.levels[0]).table:
         return False
     fp1 = m.src.functor.plus1
     for k in range(m.src.length):
@@ -558,7 +748,7 @@ def brute_path_morphisms(p: PathObj, q: PathObj) -> list[PathMorphism]:
     if p.length > q.length:
         return []
     rest = [_bijections(p.levels[k], q.levels[k]) for k in range(1, p.length + 1)]
-    identity = SortedFun.identity(p.levels[0])
+    identity = identity_map(p.levels[0])
     candidates = (PathMorphism(p, q, (identity, *family)) for family in itertools.product(*rest))
     return [m for m in candidates if is_path_morphism(m)]
 
@@ -648,22 +838,22 @@ def frontier_chains(f_expr: Functor, start: SortedSet, depth: int) -> list[tuple
     return chains
 
 
-def comp_as_word(cv: CompValue) -> str:
-    """A composite for which ``paths.comps_are_words`` holds, decoded as
-    a word over the alphabet and the added point, padded to the
-    composite's depth."""
-    letters, stopped = decode_word(cv.values[0][1])
-    return "".join(letters) + (BOT * (cv.depth - len(letters)) if stopped else "")
+def comp_as_word(p: PathObj) -> str:
+    """The composite of a path for which ``paths.comps_are_words`` holds,
+    decoded as a word over the alphabet and the added point, padded to
+    the path's length."""
+    letters, stopped = decode_word(comp(p)[0][1])
+    return "".join(letters) + (BOT * (p.length - len(letters)) if stopped else "")
 
 
-def fresh_comp(p: PathObj) -> CompValue:
+def fresh_comp(p: PathObj) -> tuple:
     """The composite of ``p`` built from scratch: the levels substituted
     backwards, the last one replaced by units, each value built anew."""
     current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
     fp1 = p.functor.plus1
     for k in range(p.length - 1, -1, -1):
         current = {(s, x): subst_node(fp1.node(s), t, current) for (s, x), t in p.steps[k].table.items()}
-    return CompValue(p.functor, p.levels[0], p.length, tuple(sorted(current.items())))
+    return tuple(sorted(current.items()))
 
 
 def run_image(r: Run) -> set[tuple[str, str]]:

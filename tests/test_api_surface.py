@@ -15,7 +15,15 @@ belongs in ``tests/`` (``oracles.py``, ``conftest.py``,
 
 A method of a top-level class, other than a dunder, must be named in
 reached code outside its own body, as an attribute or a name, or be
-named in its module's API column.
+named in its module's API column.  An attribute is read against its
+receiver where the receiver says which class it is: ``ClassName.attr``
+names that class's ``attr``, and ``self.attr`` or ``cls.attr`` in a class
+body names that class's; either also counts for the class's bases and
+subclasses, where the lookup may land.  An attribute of any other
+receiver (``x.attr``, ``f().attr``) counts for every class that defines
+the name, since the source does not say which.  A bare name names a
+method only in its own class's body, so a local ``identity`` elsewhere
+credits no ``identity`` method.
 
 A defaulted parameter of a top-level function or of a method written in
 a top-level class must be passed, by keyword or by position, at some
@@ -38,16 +46,6 @@ README = ROOT / "README.md"
 
 def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-
-
-def _names_in(node: ast.AST) -> set[str]:
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
 
 
 def _definitions(trees, private: bool) -> list[tuple[str, ast.stmt]]:
@@ -104,8 +102,53 @@ DEFINITIONS = _definitions(TREES, private=False)
 PRIVATE_DEFINITIONS = _definitions(TREES, private=True)
 README_API = _readme_api()
 REACHED = _reached(TREES, README_API)
+CLASSES = {cls.name: cls for tree in TREES.values() for cls in tree.body if isinstance(cls, ast.ClassDef)}
+
+
+def _ancestors(name: str) -> set[str]:
+    """``name`` and its bases among the top-level classes of ``src/``."""
+    out, todo = {name}, [name]
+    while todo:
+        for base in CLASSES[todo.pop()].bases:
+            if isinstance(base, ast.Name) and base.id in CLASSES and base.id not in out:
+                out.add(base.id)
+                todo.append(base.id)
+    return out
+
+
+ANCESTORS = {name: _ancestors(name) for name in CLASSES}
+# per class, the classes an attribute read off it may be defined in: the
+# class, its bases and its subclasses
+RELATED = {name: {other for other in CLASSES if name in ANCESTORS[other] or other in ANCESTORS[name]} for name in CLASSES}
+
+
+def _uses(node: ast.AST, own: str | None) -> set[tuple[str | None, str]]:
+    """(class, name) per name and attribute ``node`` uses, ``own`` being
+    the class whose body holds it: the class ``ClassName.attr`` names,
+    ``own`` for ``self.attr``, ``cls.attr`` and a bare name, and None for
+    any other receiver."""
+    uses: set[tuple[str | None, str]] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if own is not None:
+                uses.add((own, sub.id))
+        elif isinstance(sub, ast.Attribute):
+            receiver = sub.value.id if isinstance(sub.value, ast.Name) else None
+            if receiver in CLASSES:
+                uses.add((receiver, sub.attr))
+            elif receiver in ("self", "cls") and own is not None:
+                uses.add((own, sub.attr))
+            else:
+                uses.add((None, sub.attr))
+    return uses
+
+
 # the names each reached top-level statement of src/ uses
-USES = [(stmt, _names_in(stmt)) for stmt in REACHED]
+USES = [(stmt, _uses(stmt, stmt.name if isinstance(stmt, ast.ClassDef) else None)) for stmt in REACHED]
+
+
+def _names_method(uses: set[tuple[str | None, str]], cls: str, method: str) -> bool:
+    return any(name == method and (owner is None or owner in RELATED[cls]) for owner, name in uses)
 
 
 def test_readme_table_has_a_row_per_module():
@@ -147,8 +190,10 @@ METHODS = _methods(TREES)
     "module, cls, fn", METHODS, ids=[f"{m}.{c.name}.{f.name}" for m, c, f in METHODS]
 )
 def test_method_referenced_in_src_or_listed_as_api(module, cls, fn):
-    used = any(fn.name in names for stmt, names in USES if stmt is not cls) or any(
-        fn.name in _names_in(member) for member in [*cls.decorator_list, *cls.bases, *cls.body] if member is not fn
+    used = any(_names_method(uses, cls.name, fn.name) for stmt, uses in USES if stmt is not cls) or any(
+        _names_method(_uses(member, cls.name), cls.name, fn.name)
+        for member in [*cls.decorator_list, *cls.bases, *cls.body]
+        if member is not fn
     )
     assert used or fn.name in README_API.get(module, set()), (
         f"{module}.{cls.name}.{fn.name} is named in no reached code outside its own body and not listed as "

@@ -56,6 +56,7 @@ from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_te
 from coalgpath.openmap import (
     _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs, verify_theorems,
 )
+from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, SortError, singleton_pointing
 
 from conftest import (
@@ -64,6 +65,7 @@ from conftest import (
     SYSTEM_FUNCTORS,
     SYSTEM_IDS,
     cyclic_group,
+    identity_map,
     lts_functor,
     s3_model,
     symmetric_group,
@@ -122,7 +124,7 @@ class TestSystemFacts:
             assert levels == want_levels
             assert union == want_union
             assert _least_subcoalgebra(c) == want_union
-            partial += union != set(c.states())
+            partial += union != set(c.carrier.pairs())
         assert partial  # some systems leave states unreached
 
     @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
@@ -140,7 +142,7 @@ class TestSystemFacts:
         for kept in (levels[0], union):
             with pytest.raises(AttributeError):
                 kept.add(("*", "new"))
-        levels.append(set(c.states()))
+        levels.append(set(c.carrier.pairs()))
         levels[0] = set()
         del levels[1]
         again_levels, again_union = reachable_bfs(c)
@@ -181,7 +183,7 @@ class TestTrustedBuilders:
         dropped = 0
         for systems, _maps in harness_trials(f, 60):
             for c in systems:
-                assert set(c.xi) == set(c.states())
+                assert set(c.xi) == set(c.carrier.pairs())
                 for (s, _x), terms in c.xi.items():
                     assert terms == tuple(sorted(set(terms)))
                     assert all(term_in_functor(f, s, t, c.carrier) for t in terms)
@@ -193,14 +195,14 @@ class TestTrustedBuilders:
         for _systems, maps in harness_trials(f, 30):
             for m in maps:
                 fresh = {
-                    (s, x): {fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]} for s, x in m.src.states()
+                    (s, x): {fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]} for s, x in m.src.carrier.pairs()
                 }
                 assert m.images == fresh
                 assert is_strict_hom(m) == all(
-                    fresh[(s, x)] == set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.states()
+                    fresh[(s, x)] == set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.carrier.pairs()
                 )
                 assert is_lax_hom(m) == all(
-                    fresh[(s, x)] <= set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.states()
+                    fresh[(s, x)] <= set(m.dst.xi[(s, m.map(s, x))]) for s, x in m.src.carrier.pairs()
                 )
 
     def test_image_table_is_built_once_and_morphism_frozen(self):
@@ -278,6 +280,31 @@ class TestTrustedHarnessParts:
     def test_set_refusals_keep_their_messages(self, elems, message):
         with pytest.raises(SortError, match=f"^{re.escape(message)}$"):
             SortedSet(("w", "x"), (("p",), elems))
+
+
+_X, _Y = SortedSet.single(["x"]), SortedSet.single(["y"])
+_STRAY = {(DEFAULT_SORT, "x"): "y", (DEFAULT_SORT, "zz"): "y"}
+
+
+class TestPublicConstructorRefusals:
+    """The checking constructors of sets and maps refuse what no trusted
+    builder could make, each with its own message."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SortedSet((), ()), SortError, "sort list must be non-empty"),
+        (lambda: SortedSet(("a", "a"), ((), ())), SortError, "duplicate sort names in ('a', 'a')"),
+        (lambda: SortedSet(("a", "b"), ((),)), SortError, "per-sort data does not match sort list"),
+        (lambda: _X.elems("q"), SortError, "unknown sort 'q'"),
+        (lambda: SortedFun(_X, _Y, _STRAY), SortError, "map defined outside its domain: [('*', 'zz')]"),
+        (lambda: SortedFun(_X, _Y, {(DEFAULT_SORT, "x"): "x"}), SortError,
+         "image of ('*', 'x') is 'x', not in codomain sort '*'"),
+        (lambda: TermMap(_X, functor(SortRef()), _Y, {key: Var(DEFAULT_SORT, y) for key, y in _STRAY.items()}),
+         CoalgError, "term map defined outside domain: [('*', 'zz')]"),
+    ], ids=["no-sorts", "duplicate-sorts", "data-not-per-sort", "unknown-sort", "map-outside-domain",
+            "image-outside-codomain", "term-map-outside-domain"])
+    def test_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestTermOrderCheck:
@@ -378,7 +405,7 @@ class TestTrustedParse:
     def test_every_parsed_term_is_well_formed(self):
         assert len(PARSED_SYSTEMS) > 100
         for c in PARSED_SYSTEMS:
-            assert set(c.xi) == set(c.states())
+            assert set(c.xi) == set(c.carrier.pairs())
             for (s, _x), terms in c.xi.items():
                 assert terms == tuple(sorted(set(terms)))
                 assert all(term_in_functor(c.functor, s, t, c.carrier) for t in terms)
@@ -841,7 +868,7 @@ class TestTermMemo:
         assert f is not g and f._memo is g._memo
         assert lts_functor("abc")._memo is not f._memo
         t = TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "p")))
-        fmap(f, SortedFun.identity(SortedSet.single(["p"])), DEFAULT_SORT, t)
+        fmap(f, identity_map(SortedSet.single(["p"])), DEFAULT_SORT, t)
         assert g._memo.leaves[(DEFAULT_SORT, t)] == ((DEFAULT_SORT, "p"),)
 
     def test_memo_lives_as_long_as_a_functor_of_its_value(self):
@@ -860,7 +887,7 @@ class TestTermMemo:
         f = lts_functor("ab")
         forget(f)
         node, x = f.node(DEFAULT_SORT), SortedSet.single(["p", "q"])
-        whole, partial = SortedFun.identity(x), SortedFun(SortedSet.single(["q"]), x, {(DEFAULT_SORT, "q"): "q"})
+        whole, partial = identity_map(x), SortedFun(SortedSet.single(["q"]), x, {(DEFAULT_SORT, "q"): "q"})
         kept = TupleTerm((ConstElem("a"), Var(DEFAULT_SORT, "p")))
         misfits = [
             TupleTerm((ConstElem("c"), Var(DEFAULT_SORT, "p"))),

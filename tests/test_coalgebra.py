@@ -8,7 +8,7 @@ from coalgpath.functors import AnSym, TupleTerm, eval_functor, fmap, functor
 from coalgpath.openmap import reachable_bfs
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun
 
-from conftest import linear_word_system, lts_coalgebra, lts_functor, pair_sig, single, var, whyplus1_system
+from conftest import identity_map, linear_word_system, lts_coalgebra, lts_functor, pair_sig, single, var, whyplus1_system
 from oracles import (
     all_functions,
     decompose_into_units,
@@ -150,7 +150,7 @@ class TestAxioms:
     def test_ax5_identity_returns_target(self):
         f_expr = lts_functor("a")
         x = single(["x0"])
-        h = SortedFun.identity(x)
+        h = identity_map(x)
         t = TupleTerm((_const("a"), var("x0")))
         x_map = {(DEFAULT_SORT, "a0"): (t,)}
         y_map = {(DEFAULT_SORT, "a0"): t}
@@ -171,14 +171,14 @@ class TestAxioms:
     def test_ax5_all_bottom(self):
         f_expr = lts_functor("a")
         x = single(["x0"])
-        h = SortedFun.identity(x)
+        h = identity_map(x)
         x_map = {(DEFAULT_SORT, "a0"): ()}
         assert lift_choice(x_map, {(DEFAULT_SORT, "a0"): None}, h, f_expr) == {(DEFAULT_SORT, "a0"): None}
 
     def test_ax5_precondition_violation_reports_element(self):
         f_expr = lts_functor("a")
         x = single(["x0"])
-        h = SortedFun.identity(x)
+        h = identity_map(x)
         t = TupleTerm((_const("a"), var("x0")))
         with pytest.raises(CoalgError, match="a0"):
             lift_choice({(DEFAULT_SORT, "a0"): ()}, {(DEFAULT_SORT, "a0"): t}, h, f_expr)
@@ -193,7 +193,7 @@ def _const(name):
 class TestHomomorphisms:
     def test_identity_is_strict(self):
         c = linear_word_system("ab", "ab")
-        m = CoalgMorphism(c, c, SortedFun.identity(c.carrier))
+        m = CoalgMorphism(c, c, identity_map(c.carrier))
         assert is_strict_hom(m)
         assert is_lax_hom(m)
 

@@ -38,7 +38,7 @@ from coalgpath.modelio import parse_functor_text
 from coalgpath.precise import element_shapes
 from coalgpath.sets import DEFAULT_SORT, SortedFun
 
-from conftest import cyclic_group, lts_functor, pair_sig, single, symmetric_group, var
+from conftest import cyclic_group, identity_map, lts_functor, pair_sig, single, symmetric_group, var
 from oracles import compose_maps
 
 
@@ -291,7 +291,7 @@ class TestFunctorLaws:
     @settings(max_examples=60, deadline=None)
     def test_identity_law(self, data):
         f, x, _y, _z, _g1, _g2 = data
-        ident = SortedFun.identity(x)
+        ident = identity_map(x)
         for t in eval_functor(f, x)[DEFAULT_SORT]:
             assert fmap(f, ident, DEFAULT_SORT, t) == t
 
@@ -389,7 +389,7 @@ class TestFunctorLawsExhaustive:
         for f in self.FUNCTORS:
             for size in range(5):
                 x = single([f"x{i}" for i in range(size)])
-                ident = SortedFun.identity(x)
+                ident = identity_map(x)
                 for t in eval_functor(f, x)[DEFAULT_SORT]:
                     assert fmap(f, ident, DEFAULT_SORT, t) == t
 

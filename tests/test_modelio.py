@@ -285,7 +285,7 @@ class TestPathFiles:
     def test_parse_and_roundtrip(self):
         p = parse_path(self.PATH_TEXT)
         assert p.length == 2
-        assert comp_as_word(comp(p)) == "a" + BOT
+        assert comp_as_word(p) == "a" + BOT
         text = print_path(p)
         again = parse_path(text)
         assert print_path(again) == text
@@ -323,6 +323,7 @@ class TestPathFiles:
         for p, _r in enumerate_runs(c, 2):
             text = print_path(p)
             again = parse_path(text)
+            assert (again.functor, again.levels[0], again.length) == (p.functor, p.levels[0], p.length)
             assert comp(again) == comp(p)
 
 
@@ -580,7 +581,8 @@ class TestGeneratedNameRoundtrips:
 
     def test_embedded_path_coalgebra_roundtrips(self):
         from conftest import linear_word_system
-        from coalgpath.paths import enumerate_runs, j_embed
+        from coalgpath.paths import enumerate_runs
+        from oracles import j_embed
 
         c = linear_word_system("ab", "ab")
         for p, _r in enumerate_runs(c, 2):

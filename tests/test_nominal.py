@@ -25,6 +25,7 @@ from coalgpath.nominal import (
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
 
+from conftest import identity_map
 from oracles import (
     FreshPair,
     all_perms,
@@ -486,16 +487,14 @@ class TestRnnaOpenMaps:
     def test_identity_on_expansion_is_open(self):
         from coalgpath.coalgebra import CoalgMorphism
         from coalgpath.openmap import is_open, is_path_reachable
-        from coalgpath.sets import SortedFun
 
         c = rnna_expand(three_rule_presentation(), POOL2)
-        m = CoalgMorphism(c, c, SortedFun.identity(c.carrier))
+        m = CoalgMorphism(c, c, identity_map(c.carrier))
         assert is_open(m, c.carrier.size() + 1).is_open
 
     def test_hom_iff_open_on_two_state_presentations(self):
         from coalgpath.coalgebra import CoalgMorphism, is_strict_hom
         from coalgpath.openmap import is_open, is_path_reachable, reachable_bfs
-        from coalgpath.sets import SortedFun
 
         base = RnnaPresentation(
             {"q0": 0, "q1": 1},
@@ -516,7 +515,7 @@ class TestRnnaOpenMaps:
         assert is_path_reachable(src)
         dst_same = rnna_expand(base, POOL2).restrict(union)
         dst_more = rnna_expand(richer, POOL2).restrict(union)
-        ident = SortedFun.identity(src.carrier)
+        ident = identity_map(src.carrier)
         strict = CoalgMorphism(src, dst_same, ident)
         lax_only = CoalgMorphism(src, dst_more, ident)
         bound = src.carrier.size() + 1

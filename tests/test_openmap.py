@@ -38,6 +38,7 @@ from conftest import (
     SYSTEM_FUNCTORS,
     SYSTEM_IDS,
     drop_last_bfs_level,
+    identity_map,
     linear_word_system,
     lts_coalgebra,
     lts_functor,
@@ -137,7 +138,7 @@ def lax_only_counterexample():
 class TestIsOpen:
     def test_identity_is_open(self):
         c = whyplus1_system()
-        m = CoalgMorphism(c, c, SortedFun.identity(c.carrier))
+        m = CoalgMorphism(c, c, identity_map(c.carrier))
         assert is_open(m, c.carrier.size() + 1).is_open
 
     def test_strict_hom_is_open(self):
@@ -394,7 +395,7 @@ def enumerating_is_open(m: CoalgMorphism, bound: int) -> EnumeratedReport:
     src, dst = m.src, m.dst
     if not m.preserves_pointing():
         return EnumeratedReport("not-open", bound, reason="map does not preserve the pointing")
-    for (s, x) in src.states():
+    for (s, x) in src.carrier.pairs():
         for t in src.xi[(s, x)]:
             if fmap(src.functor, m.map, s, t) not in dst.xi[(s, m.map(s, x))]:
                 return EnumeratedReport("not-open", bound, reason="not a lax homomorphism",
@@ -540,7 +541,7 @@ class TestLargeSystems:
         names = [f"s{i:02d}" for i in range(n)]
         c = product_coalgebra(arity, names, [(names[i], tuple(names[j] for j in succ))
                                              for i, out in enumerate(wide_system(arity, n, 7)) for succ in out])
-        m = CoalgMorphism(c, c, SortedFun.identity(c.carrier))
+        m = CoalgMorphism(c, c, identity_map(c.carrier))
         assert reachable_bfs(c)[1] == set(c.carrier.pairs())
         assert is_open(m, n + 1).is_open
 
@@ -745,7 +746,7 @@ class TestHarnessFactsOnce:
         for index, (m, handed) in enumerate(morphisms):
             assert handed == (index % 3 != 2)  # quotient and noisy-quotient trials
             fresh = {
-                (s, x): frozenset(fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]) for s, x in m.src.states()
+                (s, x): frozenset(fmap(f, m.map, s, t) for t in m.src.xi[(s, x)]) for s, x in m.src.carrier.pairs()
             }
             assert m.images == fresh and list(m.images) == list(fresh)
 
@@ -846,7 +847,7 @@ class TestDeepWitness:
 
         src = system(False)
         dst = system(True)
-        m = CoalgMorphism(src, dst, SortedFun.identity(src.carrier))
+        m = CoalgMorphism(src, dst, identity_map(src.carrier))
         assert is_lax_hom(m) and not is_strict_hom(m)
         report = is_open(m, src.carrier.size() + 1)
         assert not report.is_open

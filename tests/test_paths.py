@@ -30,34 +30,32 @@ from coalgpath.groups import PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text, print_term_for
 from coalgpath.precise import TermMap, precise_chains
 from coalgpath.paths import (
-    CompValue,
     PathObj,
     Run,
-    all_path_morphisms,
     comp,
     comps_are_words,
     enumerate_runs,
-    find_path_morphism,
     is_run,
-    j_embed,
-    make_comp_value,
     make_path,
-    morphism_to_lax,
-    path_from_comp,
-    pathord_le,
     step_letter,
     validate_path,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
-from conftest import linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
+from conftest import identity_map, linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
 from oracles import (
+    all_path_morphisms,
     brute_path_morphisms,
     comp_as_word,
     factorized_runs,
+    find_path_morphism,
     fresh_comp,
     is_bijective,
     is_path_morphism,
+    j_embed,
+    morphism_to_lax,
+    path_from_comp,
+    pathord_le,
     recursive_print_term_for,
     run_image,
 )
@@ -182,51 +180,50 @@ class TestValidatePath:
 class TestComp:
     def test_word_with_padding(self):
         p = word_path("ab", 3)
-        assert comp_as_word(comp(p)) == "ab" + BOT
+        assert comp_as_word(p) == "ab" + BOT
 
     def test_length_zero_unit(self):
         f = fig3_functor()
         p = make_path(f, [single(["*"])], [])
-        value = comp(p)
-        assert value.depth == 0
-        assert value.values == (((DEFAULT_SORT, "*"), UNIT_TERM),)
+        assert comp(p) == (((DEFAULT_SORT, "*"), UNIT_TERM),)
 
     def test_fig3_tree(self):
-        value = comp(fig3_path())
-        rendered = repr(value.value(DEFAULT_SORT, "*"))
-        assert rendered == (
+        [((_s, point), value)] = comp(fig3_path())
+        assert point == "*"
+        assert repr(value) == (
             "in0(b(in0(b(in0(u(in0(c))), in0(b(in0(b(•, •)), in0(c))))), in0(u(in0(c)))))"
         )
-        assert value.depth == 4
 
     def test_monotone_under_morphisms(self):
         p = word_path("a", 1)
         q = word_path("ab", 2)
         m = find_path_morphism(p, q)
         assert m is not None
-        assert pathord_le(comp(p), comp(q))
+        assert pathord_le(p, q)
 
 
 class TestPathOrd:
     def test_reflexive(self):
-        u = comp(word_path("ab", 3))
-        assert pathord_le(u, u)
+        p = word_path("ab", 3)
+        assert pathord_le(p, p)
 
     def test_padded_word_prefix(self):
-        u = comp(word_path("ab", 3))
-        v = comp(word_path("ab", 4))
-        assert pathord_le(u, v)
-        assert not pathord_le(v, u)
+        p = word_path("ab", 3)
+        q = word_path("ab", 4)
+        assert pathord_le(p, q)
+        assert not pathord_le(q, p)
 
     def test_different_letters_incomparable(self):
-        u = comp(word_path("a", 1))
-        v = comp(word_path("b", 2))
-        assert not pathord_le(u, v)
+        assert not pathord_le(word_path("a", 1), word_path("b", 2))
 
     def test_depth_blocks(self):
-        u = comp(word_path("ab", 2))
-        v = comp(word_path("a", 1))
-        assert not pathord_le(u, v)
+        assert not pathord_le(word_path("ab", 2), word_path("a", 1))
+
+    def test_composites_out_of_different_pointings_refused(self):
+        f = fig3_functor()
+        p, q = make_path(f, [single(["*"])], []), make_path(f, [single(["q"])], [])
+        with pytest.raises(CoalgError, match="different functors or pointings"):
+            pathord_le(p, q)
 
 
 def all_comp_values(f, depth):
@@ -242,24 +239,25 @@ def all_comp_values(f, depth):
 
 class TestPathFromComp:
     def test_word_roundtrip(self):
-        u = comp(word_path("ab", 3))
-        p = path_from_comp(u)
+        q = word_path("ab", 3)
+        u = comp(q)
+        p = path_from_comp(q.functor, q.levels[0], q.length, u)
         assert validate_path(p) == []
         assert comp(p) == u
 
     def test_depth_zero(self):
         f = functor(Prod((SortRef(), SortRef())))
-        u = make_comp_value(f, single(["*"]), 0, {(DEFAULT_SORT, "*"): UNIT_TERM})
-        p = path_from_comp(u)
+        p = path_from_comp(f, single(["*"]), 0, (((DEFAULT_SORT, "*"), UNIT_TERM),))
         assert p.length == 0
 
     def test_exhaustive_binary_roundtrip(self):
         f = functor(Prod((SortRef(), SortRef())))
         for depth in range(4):
             for t in all_comp_values(f, depth):
-                u = make_comp_value(f, single(["*"]), depth, {(DEFAULT_SORT, "*"): t})
-                p = path_from_comp(u)
+                u = (((DEFAULT_SORT, "*"), t),)
+                p = path_from_comp(f, single(["*"]), depth, u)
                 assert validate_path(p) == []
+                assert p.length == depth
                 assert comp(p) == u
 
 
@@ -269,7 +267,7 @@ class TestPathMorphisms:
         m = find_path_morphism(p, p)
         assert m is not None
         assert is_path_morphism(m)
-        assert all(c.table == SortedFun.identity(p.levels[k]).table for k, c in enumerate(m.components))
+        assert all(c.table == identity_map(p.levels[k]).table for k, c in enumerate(m.components))
 
     def test_paths_out_of_different_pointings_refused(self):
         f = fig3_functor()
@@ -292,7 +290,7 @@ class TestPathMorphisms:
             if p.length > q.length:
                 continue
             exists = find_path_morphism(p, q) is not None
-            assert exists == pathord_le(comp(p), comp(q))
+            assert exists == pathord_le(p, q)
 
     def test_bag_functor_admits_two_morphisms(self):
         f = functor(Analytic((Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),)))
@@ -397,7 +395,7 @@ class TestRuns:
         words = set()
         for p, r in enumerate_runs(c, 2):
             assert is_run(r)
-            w = comp_as_word(comp(p))
+            w = comp_as_word(p)
             words.add(w)
         assert words == {"", BOT, BOT * 2, "a", "a" + BOT, "ab"}
 
@@ -536,7 +534,7 @@ class TestRunLevelsAgainstFactorization:
             assert p.steps == p_want.steps
             assert r.components == r_want.components
             if as_words:
-                assert "".join(step_letter(p, k) for k in range(p.length)) == comp_as_word(comp(p))
+                assert "".join(step_letter(p, k) for k in range(p.length)) == comp_as_word(p)
             count += 1
         assert count > 1
 
@@ -680,7 +678,7 @@ class TestInternedComp:
         for path, _run in pairs:
             got = comp(path, values)
             assert got == fresh_comp(path)
-            for (s, _i), t in got.values:
+            for (s, _i), t in got:
                 text = print_term_for(fp1, s, t, texts)
                 assert text == print_term_for(fp1, s, t) == recursive_print_term_for(fp1, s, t)
         # each interned value was built once, fewer than the values built
@@ -692,8 +690,8 @@ class TestInternedComp:
         size = len(texts)
         for path, _run in pairs:
             again = comp(path, values)
-            assert all(a is b for (_k, a), (_k2, b) in zip(again.values, comp(path, values).values))
-            for (s, _i), t in again.values:
+            assert all(a is b for (_k, a), (_k2, b) in zip(again, comp(path, values)))
+            for (s, _i), t in again:
                 print_term_for(fp1, s, t, texts)
         assert len(built) == interned
         assert len(texts) == size

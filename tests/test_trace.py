@@ -199,7 +199,7 @@ class TestRestrictedTable:
             pointing = None if seed % 2 else SortedSet.make({f.sorts[0]: ["i", "j"]}, f.sorts)
             c = random_coalgebra(GenSpec(f, sizes, density, seed, pointing))
             _levels, union = reachable_bfs(c)
-            unreachable += union != set(c.states())
+            unreachable += union != set(c.carrier.pairs())
             ts = trace(c, depth)
             # each entry holds its terms once, in an order the set compare ignores
             assert all(len(set(terms)) == len(terms) for _d, items in ts.per_depth for _k, terms in items), seed
