@@ -295,6 +295,15 @@ class Functor:
     sorts: tuple[str, ...]
     nodes: tuple[tuple[str, Node], ...]
 
+    def __post_init__(self) -> None:
+        # every sort leaf names a sort of the functor, so no reader of a
+        # node meets a leaf it has no states for
+        todo = [n for _s, n in self.nodes]
+        for node in todo:  # grows while it is walked
+            if isinstance(node, SortRef) and node.sort not in self.sorts:
+                raise TermError(f"expression refers to unknown sort {node.sort!r}")
+            todo.extend(_children(node))
+
     def node(self, sort: str) -> Node:
         try:
             return self._node_of[sort]
@@ -368,11 +377,13 @@ def multisorted(sorts: Iterable[str], nodes: Mapping[str, Node]) -> Functor:
     return Functor(sort_list, tuple((s, nodes[s]) for s in sort_list))
 
 
-def compose(outer: Node, inner: Functor) -> Node:
-    """``outer`` after ``inner``: each sort leaf of ``outer`` replaced by
-    the inner expression at that sort."""
+def compose(outer: Node, inner: Node) -> Node:
+    """``outer`` after ``inner``: each ``id`` leaf of ``outer`` (the sort
+    leaf of the default sort) replaced by ``inner``."""
     if isinstance(outer, SortRef):
-        return inner.node(outer.sort)
+        if outer.sort != DEFAULT_SORT:
+            raise TermError(f"no expression for sort {outer.sort!r}")
+        return inner
     if isinstance(outer, Const):
         return outer
     if isinstance(outer, Prod):
@@ -415,14 +426,17 @@ def step_of_plus1(t: Term) -> Term:
     return Inj(0, t)
 
 
-def node_has_pf(node: Node) -> bool:
-    if isinstance(node, Pf):
-        return True
+def _children(node: Node) -> tuple[Node, ...]:
+    """The expressions directly inside ``node``."""
     if isinstance(node, (Prod, Coprod)):
-        return any(node_has_pf(p) for p in node.parts)
+        return node.parts
     if isinstance(node, Analytic):
-        return any(node_has_pf(n) for sym in node.symbols for n in sym.slots)
-    return False
+        return tuple(n for sym in node.symbols for n in sym.slots)
+    return (node.inner,) if isinstance(node, Pf) else ()
+
+
+def node_has_pf(node: Node) -> bool:
+    return isinstance(node, Pf) or any(node_has_pf(p) for p in _children(node))
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +480,8 @@ def eval_functor(f: Functor, x: SortedSet) -> dict[str, tuple[Term, ...]]:
 @functools.lru_cache(maxsize=1024)
 def _evaluated(f: Functor, x: SortedSet) -> tuple[tuple[str, tuple[Term, ...]], ...]:
     """``eval_functor``'s answer as (sort, terms) pairs, kept per (functor, carrier)."""
-    env = {s: tuple(Var(s, e) for e in x.elems(s)) for s in x.sorts}
-
-    def leaf(ref: SortRef) -> tuple[Term, ...]:
-        try:
-            return env[ref.sort]
-        except KeyError:
-            raise TermError(f"expression refers to unknown sort {ref.sort!r}") from None
-
-    return tuple((s, tuple(sorted(set(eval_node(f.node(s), leaf))))) for s in f.sorts)
+    env = {s: tuple(Var(s, e) for e in x.elems(s)) for s in f.sorts}
+    return tuple((s, tuple(sorted(set(eval_node(f.node(s), lambda ref: env[ref.sort]))))) for s in f.sorts)
 
 
 def term_in_functor(f: Functor, sort: str, term: Term, x: SortedSet) -> bool:
@@ -701,54 +708,34 @@ def letter_labelled(f: Functor, sorts: Iterable[str]) -> bool:
     return True
 
 
-def word_shape(f: Functor) -> tuple[tuple[str, ...], str | None] | None:
-    """``(A, None)`` for the word functor ``A x Id`` and ``(A, m)`` for
-    ``A x Id + {m}``, read at the default sort, where ``Id`` is any sort
-    leaf and the default sort is :func:`letter_labelled`; None for any
-    other functor.
-
-    ``plus1(A x Id)`` is word-shaped with the added point as its marker.
-    """
-    node = f.node(DEFAULT_SORT) if DEFAULT_SORT in f.sorts else None
-    marker = None
-    if (
-        isinstance(node, Coprod)
-        and len(node.parts) == 2
-        and isinstance(node.parts[1], Const)
-        and len(node.parts[1].elems) == 1
-    ):
-        node, marker = node.parts[0], node.parts[1].elems[0]
-    if not isinstance(node, Prod) or not letter_labelled(f, [DEFAULT_SORT]):
-        return None
-    return node.parts[0].elems, marker
-
-
 def word_route(f: Functor, sorts: Iterable[str]) -> bool:
     """Whether the word routes of the ``trace`` and ``runs`` verbs serve a
-    system over ``f`` whose pointed elements sit at ``sorts``: ``f`` is
-    word-shaped at the default sort (see :func:`word_shape`), and every
-    pointed sort is :func:`letter_labelled`, so the walk meets no sort of
-    another shape.  ``runs`` asks it of ``F + 1``."""
-    return word_shape(f) is not None and letter_labelled(f, sorts)
-
-
-def _word_constants(f: Functor) -> list[str]:
-    """The letters and markers of ``f``: the constants of its
-    letter-shaped sorts (see :func:`letter_shape`)."""
-    shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
-    parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
-    return [c for p in parts for c in (p.parts[0] if isinstance(p, Prod) else p).elems]
+    system over ``f`` whose pointed elements sit at ``sorts``: the
+    default sort is the word functor ``A x Id``, or ``A x Id + {m}`` with
+    the marker ``m``, where ``Id`` is any sort leaf, and it and every
+    pointed sort are :func:`letter_labelled`, so the walk meets no sort of
+    another shape.  ``runs`` asks it of ``F + 1``, which is word-shaped
+    with the added point as its marker when ``F`` is ``A x Id``."""
+    node = f.node(DEFAULT_SORT) if DEFAULT_SORT in f.sorts else None
+    parts = node.parts if isinstance(node, Coprod) else ()
+    if len(parts) == 2 and isinstance(parts[1], Const) and len(parts[1].elems) == 1:
+        node = parts[0]
+    return isinstance(node, Prod) and letter_labelled(f, [DEFAULT_SORT, *sorts])
 
 
 def word_separator(f: Functor, aliases: dict[str, str] | None = None) -> str:
     """What goes between the letters of a word spelt out over ``f``: a
-    space when some letter or marker of ``f`` (see :func:`_word_constants`)
-    is longer than one character as printed, quoted by :func:`format_name`
-    where it needs quotes, so that the words ``ab`` and ``a b`` stay apart,
-    and nothing otherwise.  ``aliases`` maps a constant to the text that
-    prints for it, when that is not the constant itself."""
+    space when some letter or marker of ``f`` (a constant of one of its
+    letter-shaped sorts, see :func:`letter_shape`) is longer than one
+    character as printed, quoted by :func:`format_name` where it needs
+    quotes, so that the words ``ab`` and ``a b`` stay apart, and nothing
+    otherwise.  ``aliases`` maps a constant to the text that prints for
+    it, when that is not the constant itself."""
     aliases = aliases or {}
-    return " " if any(len(format_name(aliases.get(c, c))) > 1 for c in _word_constants(f)) else ""
+    shaped = [node for _s, node in f.nodes if letter_shape(node) is not None]
+    parts = [p for node in shaped for p in (node.parts if isinstance(node, Coprod) else (node,))]
+    constants = [c for p in parts for c in (p.parts[0] if isinstance(p, Prod) else p).elems]
+    return " " if any(len(format_name(aliases.get(c, c))) > 1 for c in constants) else ""
 
 
 def _ansyms(sym: str, arg_tuples: Iterable[tuple[Term, ...]]) -> list[AnSym]:

@@ -211,7 +211,7 @@ def _parse_node(tokens: list[str], pos: int, depth: int, line: int | None) -> tu
             raise ModelParseError(
                 f"composite functor exceeds {MAX_NESTING} levels or {MAX_NODES} nodes once substituted", line
             )
-        return compose(outer, functor(inner)), pos, height, size
+        return compose(outer, inner), pos, height, size
     if head == "analytic":
         pos = _expect(tokens, pos, "{", line)
         symbols = []
@@ -642,11 +642,7 @@ class _FlatReads(dict):
         slot, tok = key
         hit = None
         try:
-            if slot is None and self.carrier.sorts == (DEFAULT_SORT,):
-                # a bare name, as _read_elem reads it where no sort is named
-                var = self[DEFAULT_SORT, tok]
-                hit = var and (DEFAULT_SORT, var.name)
-            elif slot is None:
+            if slot is None:
                 hit = _read_elem([tok], 0, self.carrier, None)[0]
             elif slot.__class__ is str:
                 if self.carrier.has(slot, name := _elem([tok], 0, None)):

@@ -250,10 +250,6 @@ class RnnaPresentation:
     init: str
     rules: tuple[RnnaRule, ...]
 
-    @property
-    def context_arity(self) -> int:
-        return self.states[self.init]
-
     def __post_init__(self) -> None:
         if self.init not in self.states:
             raise CoalgError(f"unknown initial control state {self.init!r}")
@@ -336,8 +332,7 @@ def rnna_expand(presentation: RnnaPresentation, pool: AtomPool) -> PointedCoalge
             target_regs = tuple(atom if j == 0 else regs[j - 1] for j in rule.sigma)
             terms.add(_transition(index, atom, NomElem(rule.target or "", target_regs), pool))
         xi[(DEFAULT_SORT, state_name(q, regs))] = tuple(sorted(terms))
-    n = presentation.context_arity
-    contexts = list(itertools.permutations(pool.atoms, n))
+    contexts = list(itertools.permutations(pool.atoms, presentation.states[presentation.init]))
     pointing = SortedSet.single([context_name(c) for c in contexts])
     point = {
         (DEFAULT_SORT, context_name(c)): state_name(presentation.init, c) for c in contexts

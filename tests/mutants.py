@@ -178,8 +178,13 @@ MUTANTS = [
            "if seen is None:", ("tests/test_trace.py",)),
     # the word routes read the default sort alone, not the pointed sorts
     Mutant("word-route-skips-pointed-sorts", "functors.py",
-           "    return word_shape(f) is not None and letter_labelled(f, sorts)\n",
-           "    return word_shape(f) is not None\n", ("tests/test_trace.py",)),
+           "    return isinstance(node, Prod) and letter_labelled(f, [DEFAULT_SORT, *sorts])\n",
+           "    return isinstance(node, Prod) and letter_labelled(f, [DEFAULT_SORT])\n", ("tests/test_trace.py",)),
+    # a functor takes a sort leaf that names no sort of it
+    Mutant("functor-takes-unknown-sort-leaves", "functors.py",
+           "            if isinstance(node, SortRef) and node.sort not in self.sorts:\n"
+           "                raise TermError(f\"expression refers to unknown sort {node.sort!r}\")\n",
+           "", ("tests/test_functors.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

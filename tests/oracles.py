@@ -119,6 +119,7 @@ from coalgpath.functors import (
     eval_functor,
     fmap,
     format_name,
+    letter_labelled,
     letter_shape,
     map_leaves,
     occurrences,
@@ -127,7 +128,6 @@ from coalgpath.functors import (
     strip_plus1,
     subst_node,
     word_separator,
-    word_shape,
 )
 from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError
 from coalgpath.nominal import (
@@ -1252,8 +1252,8 @@ def lift_choice(
 # LTS relations
 
 def lts_edges(c: PointedCoalgebra) -> set[tuple[str, str, str]]:
-    shape = word_shape(c.functor)
-    if shape is None or shape[1] is not None:
+    node = c.functor.node(DEFAULT_SORT)
+    if not (isinstance(node, Prod) and letter_labelled(c.functor, [DEFAULT_SORT])):
         raise CoalgError("not an LTS-shaped functor (expected prod(const(A), id))")
     edges = set()
     for (_s, x), terms in c.xi.items():

@@ -30,11 +30,13 @@ from coalgpath.functors import (
     ConstElem,
     Coprod,
     Functor,
+    Inj,
     Pf,
     PowersetNodeError,
     Prod,
     SetOf,
     SortRef,
+    Symbol,
     TermError,
     TupleTerm,
     Var,
@@ -48,15 +50,21 @@ from coalgpath.functors import (
     node_has_pf,
     occurrences,
     plus1_node,
+    read_letter,
+    strip_plus1,
     subst_node,
     term_in_functor,
 )
-from coalgpath.groups import PermGroup, group_elements
-from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_text
+from coalgpath.groups import ArityError, PermGroup, canonical_tuple, group_elements
+from coalgpath.lasota import FiniteCategory, validate_category
+from coalgpath.modelio import ModelParseError, parse_coalgebra, parse_functor_text, print_term_for
+from coalgpath.nominal import (
+    AtomPool, BarString, NomElem, PoolError, RnnaPresentation, canonical_bind, print_canonical,
+)
 from coalgpath.openmap import (
     _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs, verify_theorems,
 )
-from coalgpath.precise import TermMap
+from coalgpath.precise import TermMap, element_shapes, is_precise
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, SortError, singleton_pointing
 
 from conftest import (
@@ -84,7 +92,7 @@ class TestFunctorFacts:
     FUNCTORS = [
         *HARNESS_FUNCTORS,
         MULTISORTED,
-        functor(compose(Prod((SortRef(), SortRef())), functor(Coprod((Const(("c",)), SortRef()))))),
+        functor(compose(Prod((SortRef(), SortRef())), Coprod((Const(("c",)), SortRef())))),
         functor(parse_functor_text("compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a), id))")),
         multisorted(("p", "q"), {"p": Pf(SortRef("q")), "q": Prod((SortRef("p"), Const(("z",))))}),
     ]
@@ -305,6 +313,64 @@ class TestPublicConstructorRefusals:
     def test_refused_with_its_message(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
+
+
+_LETTERS = functor(Prod((Const(("a",)), SortRef())))
+_POWERSET = functor(Pf(SortRef()))
+_CATEGORY = FiniteCategory(("p",), (("id", "p", "p"),), {"p": "id"}, {("id", "id"): "id"}, "q")
+
+
+def _one_state(point: str = "x") -> PointedCoalgebra:
+    """The system over ``A x Id`` with the one state ``x``, pointed at ``point``."""
+    return PointedCoalgebra(_LETTERS, singleton_pointing(), _X, {(DEFAULT_SORT, "*"): point}, {(DEFAULT_SORT, "x"): ()})
+
+
+class TestLibraryRefusals:
+    """The refusals a library caller reaches through a public call and no
+    verb does, each with its own message."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: _one_state("zz"), CoalgError, "pointing image 'zz' not in carrier"),
+        (lambda: _one_state().restrict([]), CoalgError, "cannot drop pointed states [('*', 'x')]"),
+        (lambda: CoalgMorphism(_one_state(), _one_state(), SortedFun(_Y, _Y, {(DEFAULT_SORT, "y"): "y"})),
+         CoalgError, "carrier map has the wrong end points"),
+        (lambda: Symbol("s", (SortRef(),), PermGroup(2)), TermError, "group arity mismatch for symbol 's'"),
+        (lambda: Symbol("s", (SortRef(), Const(("a",))), PermGroup(2, ((1, 0),))), TermError,
+         "generator of 's' does not preserve slot expressions"),
+        (lambda: strip_plus1(ConstElem("a")), TermError, "not a term of a +1 coproduct: a"),
+        (lambda: strip_plus1(Inj(1, ConstElem("a"))), TermError, "not a term of a +1 coproduct: in1(a)"),
+        (lambda: read_letter(Var(DEFAULT_SORT, "x")), TermError, "x is neither a letter nor a marker"),
+        (lambda: eval_functor(multisorted(("*", "b"), {"*": SortRef("b"), "b": Const(("c",))}), _X), SortError,
+         "unknown sort 'b'"),
+        (lambda: PermGroup(2, ((0, 0),)), ArityError, "generator (0, 0) is not a permutation of 0..1"),
+        (lambda: canonical_tuple(PermGroup(2), ("a",)), ArityError, "tuple of length 1 under group of arity 2"),
+        (lambda: _CATEGORY.dom("zz"), CoalgError, "unknown morphism 'zz'"),
+        (lambda: print_term_for(_LETTERS, DEFAULT_SORT, ConstElem("a")), CoalgError,
+         f"cannot print a against {_LETTERS.node(DEFAULT_SORT)!r}"),
+        (lambda: BarString((), None, ("a1", "a1")), PoolError, "context atoms must be distinct: ('a1', 'a1')"),
+        (lambda: BarString((("lit", "a1"),)), PoolError, "unknown token kind 'lit'"),
+        (lambda: canonical_bind("a3", NomElem("q", ("a1", "a2")), AtomPool(2)), PoolError,
+         "pool exhausted: no admissible binder"),
+        (lambda: RnnaPresentation({"q": 0}, "r", ()), CoalgError, "unknown initial control state 'r'"),
+        (lambda: is_precise(TermMap(_X, _POWERSET, _Y, {(DEFAULT_SORT, "x"): Var(DEFAULT_SORT, "y")})),
+         PowersetNodeError, "the occurrence criterion is undefined on powerset functors"),
+        (lambda: element_shapes(_POWERSET, DEFAULT_SORT), PowersetNodeError,
+         "shape enumeration is undefined on powerset nodes"),
+    ], ids=["point-outside-carrier", "restrict-drops-point", "morphism-end-points", "symbol-arity",
+            "symbol-slots", "strip-plus1-no-injection", "strip-plus1-bad-injection", "read-letter",
+            "carrier-without-a-functor-sort",
+            "generator-no-permutation", "canonical-tuple-arity", "unknown-morphism", "print-term-for-misfit",
+            "bar-context-repeats", "bar-token-kind", "bind-pool-exhausted", "rnna-unknown-init",
+            "precise-on-powerset", "shapes-on-powerset"])
+    def test_refused_with_its_message(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_unknown_initial_object_reported(self):
+        assert [(v.kind, v.detail) for v in validate_category(_CATEGORY)] == [("initial", "initial object 'q' unknown")]
+
+    def test_free_token_printed_bare(self):
+        assert print_canonical((("bar",), ("ref", 1), ("free", "a2"))) == "|. ^1 a2"
 
 
 class TestTermOrderCheck:
@@ -686,9 +752,11 @@ class TestSortLookups:
 
     def test_node_matches_a_scan(self):
         rng = random.Random(3)
-        pool = [SortRef("a"), Const(("k",)), Prod((SortRef("b"), SortRef("c"))), Coprod((Const(("z",)), SortRef("e")))]
         for _ in range(40):
             sorts = tuple(rng.sample(self.SORTS, rng.randint(1, 6)))
+            # the leaves name sorts of the functor, which refuses any other
+            a, b = sorts[0], sorts[-1]
+            pool = [SortRef(a), Const(("k",)), Prod((SortRef(a), SortRef(b))), Coprod((Const(("z",)), SortRef(b)))]
             f = multisorted(sorts, {s: rng.choice(pool) for s in sorts})
             for sort in self.SORTS + ["zz"]:
                 scan = next((n for s, n in f.nodes if s == sort), None)

@@ -191,6 +191,7 @@ class TestVerbs:
             (["--functor", "analytic{ a/-1 }"], "arity must be non-negative"),
             # the powerset branch of compose
             (["--functor", "compose(pf(id), id)"], "the branching layer is implicit; F must be powerset-free"),
+            (["--functor", "prod(id, sort(zz))"], "expression refers to unknown sort 'zz'"),
         ],
     )
     def test_verify_invalid_spec_exit_two(self, extra):
@@ -497,10 +498,14 @@ class TestRefusalsThroughVerbs:
             ("precise-factor", "factor", f"{PAIR_FACTOR}x1 -> (y, y)\n", "term map not total: missing [('*', 'x2')]"),
             ("precise-factor", "factor", "[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n",
              "cannot factorize through powerset nodes"),
+            ("precise-factor", "factor", "[functor]\nprod(id, sort(zz))\n\n[domain]\nx\n\n[codomain]\ny\n",
+             "expression refers to unknown sort 'zz'"),
+            # compose substitutes for id alone
+            ("reach", "model", "[functor]\ncompose(sort(b), id)\n\n[states]\nx\n", "no expression for sort 'b'"),
         ],
         ids=["duplicate-section", "ambiguous-element", "across-sorts", "missing-expression", "missing-codomain",
              "morphism-line", "identity-line", "composition-line", "register-state", "map-not-total",
-             "factor-powerset"],
+             "factor-powerset", "factor-unknown-sort", "compose-outer-sort"],
     )
     def test_refusal_exits_two(self, tmp_path, verb, suffix, text, message):
         path = tmp_path / f"bad.{suffix}"
@@ -567,6 +572,39 @@ class TestRefusalsThroughVerbs:
         path.write_text("[states]\nq0/0\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n", encoding="utf-8")
         assert run_command(["rnna", str(path), "--pool", "0", "--depth", "1"]) == (
             "error: atom pool must contain at least one atom\n", 2)
+
+
+# a sort leaf naming a sort that no [sorts] line lists, in a multisorted
+# file and in a single-sort one
+BAD_SORT_MODELS = {
+    "multisorted": "[sorts]\nt\n\n[functor]\nt = prod(const(a), sort(zz))\n\n[states]\nt : x\n\n[init]\n* -> t.x\n",
+    "single-sort": "[functor]\nprod(const(a), sort(zz))\n\n[states]\nx\n\n[init]\n* -> x\n",
+}
+
+
+class TestUnknownSortLeaves:
+    """A functor whose sort leaf names no sort of it is bad input to every
+    verb that reads a model file (``verify --functor`` and
+    ``precise-factor`` are among the refusals above): one error line
+    naming the sort, exit 2."""
+
+    @pytest.mark.parametrize("model", sorted(BAD_SORT_MODELS))
+    @pytest.mark.parametrize("verb", ["paths", "runs", "trace", "reach", "open", "hom"])
+    def test_model_verbs_exit_two(self, tmp_path, verb, model):
+        path = tmp_path / "bad.model"
+        path.write_text(BAD_SORT_MODELS[model], encoding="utf-8")
+        map_path = tmp_path / "id.map"
+        map_path.write_text("[map]\nx -> x\n", encoding="utf-8")
+        argv = {"paths": ["--depth", "1"], "runs": ["--depth", "1"], "trace": ["--depth", "1"],
+                "open": [str(path), str(map_path)], "hom": [str(path), str(map_path)]}.get(verb, [])
+        assert run_command([verb, str(path), *argv]) == ("error: expression refers to unknown sort 'zz'\n", 2)
+
+    def test_composite_leaf_of_a_listed_sort_runs(self, tmp_path):
+        # compose substitutes for id alone, so the inner sort leaf names a listed sort
+        path = tmp_path / "comp.model"
+        path.write_text("[sorts]\na b\n\n[functor]\na = compose(prod(id, id), sort(b))\nb = const(c)\n\n"
+                        "[states]\na : x\nb : y\n\n[init]\n* -> a.x\n\n[trans]\na.x -> (y, y)\n", encoding="utf-8")
+        assert run_command(["trace", str(path), "--depth", "1"]) == ("0 : •\n1 : (•, •)\n", 0)
 
 
 class TestUnreadableFiles:

@@ -165,7 +165,7 @@ class TestEval:
         assert len(terms) == 4
 
     def test_compose(self):
-        inner = functor(Prod((Const(("a",)), SortRef())))
+        inner = Prod((Const(("a",)), SortRef()))
         f = functor(compose(Prod((SortRef(), SortRef())), inner))
         terms = eval_functor(f, single(["x"]))[DEFAULT_SORT]
         assert [repr(t) for t in terms] == ["((a, x), (a, x))"]
@@ -220,7 +220,7 @@ class TestComposition:
     def test_substitutes_into_analytic_slots(self):
         inner = Prod((Const(("a", "b")), SortRef()))
         g = symmetric_group(2)
-        assert compose(pair_sig(g), functor(inner)) == Analytic((Symbol("pair", (inner, inner), g),))
+        assert compose(pair_sig(g), inner) == Analytic((Symbol("pair", (inner, inner), g),))
 
     def test_nested_composition_in_outer_slot(self):
         nested = functor(parse_functor_text("compose(compose(prod(id, id), coprod(const(c), id)), id)"))
@@ -231,6 +231,37 @@ class TestComposition:
         assert shapes == element_shapes(flat, DEFAULT_SORT)
         for shape in shapes:
             assert occurrences(nested.node(DEFAULT_SORT), shape) == occurrences(flat.node(DEFAULT_SORT), shape)
+
+    def test_inner_sort_leaves_kept(self):
+        # the inner expression goes in for id alone, and its own sort leaves stay
+        assert compose(Prod((SortRef(), SortRef())), SortRef("b")) == Prod((SortRef("b"), SortRef("b")))
+
+    def test_outer_leaf_of_another_sort_refused(self):
+        with pytest.raises(TermError, match="^no expression for sort 'b'$"):
+            compose(Prod((SortRef(), SortRef("b"))), Const(("c",)))
+
+
+class TestSortLeaves:
+    """A functor refuses a sort leaf that names no sort of it, wherever
+    the leaf sits, naming the first such leaf breadth first."""
+
+    @pytest.mark.parametrize("node, unknown", [
+        (SortRef("zz"), "zz"),
+        (Prod((Const(("a",)), SortRef("zz"))), "zz"),
+        (Coprod((Const(("a",)), Pf(SortRef("zz")))), "zz"),
+        (Analytic((Symbol("s", (SortRef("zz"), SortRef("zz")), PermGroup(2, ((1, 0),))),)), "zz"),
+        (Prod((SortRef("zz"), SortRef("zy"), SortRef())), "zz"),
+        (Prod((Pf(SortRef("zz")), SortRef("zy"))), "zy"),
+    ], ids=["leaf", "product", "powerset-in-coproduct", "analytic-slot", "first-of-two", "shallower-of-two"])
+    def test_unknown_sort_refused(self, node, unknown):
+        with pytest.raises(TermError, match=f"^expression refers to unknown sort '{unknown}'$"):
+            functor(node)
+        with pytest.raises(TermError, match=f"^expression refers to unknown sort '{unknown}'$"):
+            multisorted(("*", "b"), {"*": SortRef("b"), "b": node})
+
+    def test_leaves_of_listed_sorts_taken(self):
+        f = multisorted(("*", "b"), {"*": Prod((Const(("a",)), SortRef("b"))), "b": Pf(SortRef())})
+        assert f.node("b") == Pf(SortRef())
 
 
 class TestMalformedTerms:
@@ -268,8 +299,8 @@ def small_functors():
             functor(plus1_node(Prod((SortRef(), SortRef())))),
             functor(pair_sig()),
             functor(Coprod((Const(("c",)), SortRef()))),
-            functor(compose(Prod((SortRef(), SortRef())), functor(Coprod((Const(("c",)), SortRef()))))),
-            functor(compose(pair_sig(), functor(Prod((Const(("a", "b")), SortRef()))))),
+            functor(compose(Prod((SortRef(), SortRef())), Coprod((Const(("c",)), SortRef())))),
+            functor(compose(pair_sig(), Prod((Const(("a", "b")), SortRef())))),
         ]
     )
 
@@ -344,7 +375,7 @@ class TestOccurrences:
         assert occurrences(f.node(DEFAULT_SORT), bot_of_plus1()) == []
 
     def test_compose_flattens_paths(self):
-        inner = functor(Prod((Const(("a",)), SortRef())))
+        inner = Prod((Const(("a",)), SortRef()))
         f = functor(compose(Prod((SortRef(), SortRef())), inner))
         t = eval_functor(f, single(["x"]))[DEFAULT_SORT][0]
         assert [(v.name, p) for v, p in occurrences(f.node(DEFAULT_SORT), t)] == [

@@ -476,7 +476,7 @@ def presentation_trace_oracle(r: RnnaPresentation, pool: AtomPool, depth: int) -
                     nxt = tuple(a if j == 0 else regs[j - 1] for j in rule.sigma)
                     explore(rule.target, nxt, toks + [("bar", a)], remaining - 1, context)
 
-    for context in itertools.permutations(pool.atoms, r.context_arity):
+    for context in itertools.permutations(pool.atoms, r.states[r.init]):
         explore(r.init, context, [], depth, context)
     return frozenset(out)
 

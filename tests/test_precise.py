@@ -480,7 +480,7 @@ class TestComposedFunctors:
     def _composed(self):
         from coalgpath.functors import Const, Coprod, Prod, SortRef, compose, functor
 
-        inner = functor(Coprod((Const(("c",)), SortRef())))
+        inner = Coprod((Const(("c",)), SortRef()))
         return functor(compose(Prod((SortRef(), SortRef())), inner))
 
     def test_shapes(self):

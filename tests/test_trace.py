@@ -22,11 +22,9 @@ from coalgpath.functors import (
     TupleTerm,
     Var,
     functor,
-    letter_labelled,
     multisorted,
     strip_plus1,
     word_route,
-    word_shape,
 )
 from coalgpath.groups import orbit_minima, PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
@@ -340,7 +338,6 @@ class TestPointedSorts:
 
     def test_word_sort_beside_a_tree_sort(self):
         c = compose_system("pointedsort.model")
-        assert word_shape(c.functor) is not None and letter_labelled(c.functor, [DEFAULT_SORT])
         assert not word_route(c.functor, ["t"]) and word_route(c.functor, [DEFAULT_SORT])
         assert not comps_are_words(c.functor, c.pointing)
 
