@@ -31,7 +31,7 @@ from .openmap import (
 )
 from .paths import comp, comps_are_words, enumerate_runs, step_letter
 from .precise import TermMap, is_precise, precise_chains, precise_factorize
-from .sets import CoalgError, SortedFun, SortedSet
+from .sets import CoalgError, SortedFun
 from .trace import lts_language, trace
 
 

@@ -358,10 +358,9 @@ class TestLibraryRefusals:
          "shape enumeration is undefined on powerset nodes"),
     ], ids=["point-outside-carrier", "restrict-drops-point", "morphism-end-points", "symbol-arity",
             "symbol-slots", "strip-plus1-no-injection", "strip-plus1-bad-injection", "read-letter",
-            "carrier-without-a-functor-sort",
-            "generator-no-permutation", "canonical-tuple-arity", "unknown-morphism", "print-term-for-misfit",
-            "bar-context-repeats", "bar-token-kind", "bind-pool-exhausted", "rnna-unknown-init",
-            "precise-on-powerset", "shapes-on-powerset"])
+            "carrier-without-a-functor-sort", "generator-no-permutation", "canonical-tuple-arity",
+            "unknown-morphism", "print-term-for-misfit", "bar-context-repeats", "bar-token-kind",
+            "bind-pool-exhausted", "rnna-unknown-init", "precise-on-powerset", "shapes-on-powerset"])
     def test_refused_with_its_message(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
