@@ -30,6 +30,13 @@ CASES = [
     # compose(prod(const(a b), id), id) is the word functor A x Id
     ("word-runs", ["runs", "word.model", "--depth", "2"], 0),
     ("word-trace", ["trace", "word.model", "--depth", "3"], 0),
+    # ... under --ascii: the added point prints as bot, while the
+    # separator is still read off the functor's own letters, all one
+    # character long, so none goes between them
+    ("word-runs-ascii", ["--ascii", "runs", "word.model", "--depth", "3"], 0),
+    # a linear word system run past its last letter: q2 has no
+    # transition, so from there only the added point's tails continue
+    ("deadend-runs", ["runs", "lts_ab.model", "--depth", "4"], 0),
     # coprod(prod(const(a b), id), const(ok)) is the word functor A x Id + check
     ("check-runs", ["runs", "check.model", "--depth", "2"], 0),
     ("check-trace", ["trace", "check.model", "--depth", "3"], 0),
