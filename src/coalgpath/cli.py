@@ -9,8 +9,8 @@ import functools
 import sys
 from collections.abc import Callable, Generator
 
-from .coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom
-from .functors import DEFAULT_SORT, functor, print_term, word_route, word_separator
+from .coalgebra import CoalgMorphism, GenSpec, PointedCoalgebra, is_lax_hom, is_strict_hom
+from .functors import BOT, DEFAULT_SORT, functor, print_term, read_letter, word_route, word_separator
 from .lasota import paths_bijection_check, validate_category
 from .modelio import (
     GLYPH_ASCII,
@@ -29,8 +29,8 @@ from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
 from .openmap import (
     is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems, witness_ends, witness_steps,
 )
-from .paths import comp, comps_are_words, enumerate_runs, step_letter
-from .precise import TermMap, is_precise, precise_chains, precise_factorize
+from .paths import comp, comps_are_words, enumerate_runs
+from .precise import is_precise, precise_chains, precise_factorize
 from .sets import CoalgError, SortedFun
 from .trace import lts_language, trace
 
@@ -165,25 +165,24 @@ def _paths(args: argparse.Namespace) -> _Lines:
 
 def _runs(args: argparse.Namespace) -> _Lines:
     system = parse_coalgebra(_read(args.file))
+    if comps_are_words(system.functor, system.pointing):
+        return (yield from _word_runs(system, args.depth, word_separator(
+            system.functor, GLYPH_ASCII if args.ascii else None)))
     fp1 = system.functor.plus1
-    as_words = comps_are_words(system.functor, system.pointing)
     state = _state_names(system.carrier)
     # only level 0, the pointing, can hold a name in two sorts
     point = _state_names(system.pointing)
-    sep = word_separator(system.functor, GLYPH_ASCII if args.ascii else None)
     # runs come depth first, each extending the last run one level
     # shorter: states[k] holds the k:e->x states of levels 0..k of the
-    # last run, words[k] the word of its first k steps
+    # last run
     states: list[str] = []
-    words: list[str] = [""]
     # enumerate_runs builds the children of a level of at most one
     # element once: the text of such a child's run component, when its
-    # own level is that narrow too, and the letter of the step to it
-    # are kept by id, each value keeping its object alive, so a hit is
-    # that object.  A child of a wider level is built anew on each
-    # visit, so keeping it would only hold it alive
+    # own level is that narrow too, is kept by id, with the component
+    # keeping its object alive, so a hit is that object.  A child of a
+    # wider level is built anew on each visit, so keeping it would only
+    # hold it alive
     own_text: dict[tuple[int, int], tuple[SortedFun, str]] = {}
-    letters: dict[int, tuple[TermMap, str]] = {}
     # a run's composite shares most subterms with the runs before it:
     # comp builds, and print_term_for prints, each once for the call
     values: dict = {}
@@ -204,21 +203,69 @@ def _runs(args: argparse.Namespace) -> _Lines:
         own = kept[1]
         head = states[-1] if states else ""
         states.append(f"{head} {own}" if head and own else head or own)
-        if as_words:
-            if n:
-                del words[n:]
-                step = path.steps[n - 1]
-                letter = letters.get(id(step))
-                if letter is None:
-                    letter = step, format_name(step_letter(path, n - 1))
-                    if path.levels[n - 1].size() <= 1:
-                        letters[id(step)] = letter
-                words.append(f"{words[-1]}{sep if n > 1 else ''}{letter[1]}")
-            terms = words[n] or "ε"
-        else:
-            terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values))
+        terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values))
         yield f"run {count}: length {n} comp {terms} [{states[n]}]"
         count += 1
+    yield f"{count} runs"
+    return 0
+
+
+def _word_runs(system: PointedCoalgebra, depth: int, sep: str) -> _Lines:
+    """The ``runs`` verb on a system for which :func:`paths.comps_are_words`
+    holds, its runs in the order of :func:`paths.enumerate_runs`, from one
+    depth-first walk through the states that builds no path.
+
+    A run of such a system is a word and the states it visits.  Each
+    level holds one element, named ``n000`` past level 0, until a step
+    takes the added point or a marker; every level after that is empty,
+    and each further step takes the added point.  So a run's text is its
+    parent's word with one more letter, apart by ``sep``, and its
+    parent's states with at most one more level."""
+    state = _state_names(system.carrier)
+    ((s, i),) = system.pointing.pairs()
+    x0 = (s, system.point[s, i])
+    # the words of 0..depth added points, apart by sep
+    bots = [sep.join([BOT] * j) for j in range(depth + 1)]
+    # per state, its transitions in order, each as its letter, its
+    # successor (None for a marker) and the successor's name
+    moves: dict[tuple[str, str], list[tuple[str, tuple[str, str] | None, str]]] = {}
+    # the runs not yet printed, the next on top, each as its length, word
+    # and states, and the state its last level sits at, None when empty
+    stack = [(0, "", f"0:{_state_names(system.pointing)[s, i]}->{state[x0]}", x0)]
+    count = 0
+    while stack:
+        n, word, states, x = stack.pop()
+        yield f"run {count}: length {n} comp {word or 'ε'} [{states}]"
+        count += 1
+        if n == depth:
+            continue
+        lead = f"{word}{sep}" if word else ""
+        # its first child takes the added point, and so does each step of
+        # that child's one line of descendants
+        for j in range(1, depth - n + 1):
+            yield f"run {count}: length {n + j} comp {lead}{bots[j]} [{states}]"
+            count += 1
+        if x is None:
+            continue
+        out = moves.get(x)
+        if out is None:
+            out = moves[x] = []
+            for t in system.xi[x]:
+                (_index, name), succ = read_letter(t)
+                y = None if succ is None else (succ.sort, succ.name)
+                out.append((format_name(name), y, "" if y is None else state[y]))
+        m = n + 1
+        if m < depth:
+            stack.extend([
+                (m, f"{lead}{letter}", states if y is None else f"{states} {m}:n000->{name}", y)
+                for letter, y, name in reversed(out)
+            ])
+            continue
+        # the children at full depth are printed here, never stacked
+        for letter, y, name in out:
+            yield (f"run {count}: length {m} comp {lead}{letter} [{states}]" if y is None
+                   else f"run {count}: length {m} comp {lead}{letter} [{states} {m}:n000->{name}]")
+            count += 1
     yield f"{count} runs"
     return 0
 

@@ -23,7 +23,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .groups import PermGroup, canonical_tuple
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
@@ -298,11 +298,7 @@ class Functor:
     def __post_init__(self) -> None:
         # every sort leaf names a sort of the functor, so no reader of a
         # node meets a leaf it has no states for
-        todo = [n for _s, n in self.nodes]
-        for node in todo:  # grows while it is walked
-            if isinstance(node, SortRef) and node.sort not in self.sorts:
-                raise TermError(f"expression refers to unknown sort {node.sort!r}")
-            todo.extend(_children(node))
+        check_sort_leaves([n for _s, n in self.nodes], self.sorts)
 
     def node(self, sort: str) -> Node:
         try:
@@ -433,6 +429,16 @@ def _children(node: Node) -> tuple[Node, ...]:
     if isinstance(node, Analytic):
         return tuple(n for sym in node.symbols for n in sym.slots)
     return (node.inner,) if isinstance(node, Pf) else ()
+
+
+def check_sort_leaves(nodes: Iterable[Node], sorts: Container[str]) -> None:
+    """Raise :class:`TermError` naming the first sort leaf of ``nodes``,
+    breadth first, that names none of ``sorts``."""
+    todo = list(nodes)
+    for node in todo:  # grows while it is walked
+        if isinstance(node, SortRef) and node.sort not in sorts:
+            raise TermError(f"expression refers to unknown sort {node.sort!r}")
+        todo.extend(_children(node))
 
 
 def node_has_pf(node: Node) -> bool:

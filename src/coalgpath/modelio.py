@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Container
 from .coalgebra import PointedCoalgebra
 from .functors import (
     BOT, BOT_CONST, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
@@ -53,6 +54,7 @@ from .functors import (
     UnitLeaf,
     Var,
     ansym,
+    check_sort_leaves,
     compose,
     format_name,
     functor,
@@ -159,11 +161,19 @@ MAX_NESTING = 100
 MAX_NODES = 10_000
 
 
-def parse_functor_text(text: str, line: int | None = None) -> Node:
+def parse_functor_text(text: str, line: int | None = None, sorts: Container[str] | None = None) -> Node:
+    """The expression ``text``, read from ``line``; given ``sorts``, a sort
+    leaf left once compositions are substituted that names none of them
+    is refused there too, where the functor would refuse it line-less."""
     tokens = tokenize(text, line)
     node, pos, _height, _size = _parse_node(tokens, 0, 1, line)
     if pos < len(tokens):
         raise ModelParseError(f"trailing input after functor expression: {tokens[pos]!r}", line)
+    if sorts is not None:
+        try:
+            check_sort_leaves([node], sorts)
+        except TermError as exc:
+            raise ModelParseError(str(exc), line) from None
     return node
 
 
@@ -588,7 +598,7 @@ def _signature(sort_lines: tuple | None, section: tuple | None) -> tuple[tuple[s
     named = ["=" in line.partition('"')[0] for _n, line in section]
     if len(sorts) == 1 and not any(named):
         text = " ".join(line for _n, line in section)
-        return sorts, functor(parse_functor_text(text, section[0][0]))
+        return sorts, functor(parse_functor_text(text, section[0][0], sorts))
     nodes: dict[str, Node] = {}
     for (lineno, line), has_sort in zip(section, named):
         if not has_sort:
@@ -599,7 +609,7 @@ def _signature(sort_lines: tuple | None, section: tuple | None) -> tuple[tuple[s
             raise ModelParseError(f"unknown sort {sort!r}", lineno)
         if sort in nodes:
             raise ModelParseError(f"duplicate expression for sort {sort!r}", lineno)
-        nodes[sort] = parse_functor_text(expr, lineno)
+        nodes[sort] = parse_functor_text(expr, lineno, known)
     missing = [s for s in sorts if s not in nodes]
     if missing:
         raise ModelParseError(f"no functor expression for sorts {missing}")

@@ -15,7 +15,6 @@ from typing import Iterator
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
-    BOT,
     UNIT_TERM,
     Functor,
     Term,
@@ -24,7 +23,6 @@ from .functors import (
     bot_of_plus1,
     fmap,
     occurrences,
-    read_letter,
     step_of_plus1,
     strip_plus1,
     subst_node,
@@ -118,20 +116,6 @@ def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
     decode as words: one pointed element, and ``F + 1`` takes the word
     route there (see :func:`functors.word_route`)."""
     return pointing.size() == 1 and word_route(functor.plus1, [pointing.pairs()[0][0]])
-
-
-def step_letter(p: PathObj, k: int) -> str:
-    """Step k of a path for which :func:`comps_are_words` holds, as a
-    letter of the composite's word: the letter the step chose, or the
-    added point when it chose the added point or level k is empty.
-
-    The word of the composite is the letters of the steps in order.
-    """
-    keys = list(p.levels[k].pairs())
-    if not keys:
-        return BOT
-    (_index, name), _succ = read_letter(p.steps[k].table[keys[0]])
-    return name
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,15 @@ MUTANTS = [
            "    return isinstance(node, Prod) and letter_labelled(f, [DEFAULT_SORT])\n", ("tests/test_trace.py",)),
     # a functor takes a sort leaf that names no sort of it
     Mutant("functor-takes-unknown-sort-leaves", "functors.py",
-           "            if isinstance(node, SortRef) and node.sort not in self.sorts:\n"
-           "                raise TermError(f\"expression refers to unknown sort {node.sort!r}\")\n",
+           "        if isinstance(node, SortRef) and node.sort not in sorts:\n"
+           "            raise TermError(f\"expression refers to unknown sort {node.sort!r}\")\n",
            "", ("tests/test_functors.py",)),
+    # a [functor] line's sort leaf that names no sort is refused with no line
+    Mutant("functor-line-skips-sort-leaves", "modelio.py",
+           "    if sorts is not None:\n        try:\n", "    if False:\n        try:\n", ("tests/test_cli.py",)),
+    # the runs verb's word walk drops the runs that take the added point
+    Mutant("word-runs-drop-bot-tails", "cli.py",
+           "        for j in range(1, depth - n + 1):\n", "        for j in ():\n", ("tests/test_paths.py",)),
 ]
 
 # mutants no test can kill, by name, with the reason

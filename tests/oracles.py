@@ -46,9 +46,12 @@ fit test-sized inputs:
   renaming (:func:`factorized_runs`), against the one-pass level
   construction of ``paths.enumerate_runs``, and a path's word decoded
   from its composite (:func:`comp_as_word`), against the letters
-  ``paths.step_letter`` reads off its steps, and a path's composite
+  :func:`step_letter` reads off its steps, and a path's composite
   built from scratch (:func:`fresh_comp`), against ``paths.comp``, which
   interns each value it builds;
+- the ``runs`` verb's lines for a word system read off
+  ``paths.enumerate_runs`` pair by pair (:func:`reference_word_runs`),
+  against the verb's depth-first word walk, which builds no path;
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level,
@@ -129,7 +132,7 @@ from coalgpath.functors import (
     subst_node,
     word_separator,
 )
-from coalgpath.modelio import ALIASES, NAME_RE, ModelParseError
+from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _state_names
 from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
@@ -144,7 +147,7 @@ from coalgpath.nominal import (
     parse_state_name,
     state_name,
 )
-from coalgpath.paths import PathObj, Run, comp, make_path
+from coalgpath.paths import PathObj, Run, comp, enumerate_runs, make_path
 from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, _reach, trace
@@ -844,6 +847,45 @@ def comp_as_word(p: PathObj) -> str:
     the path's length."""
     letters, stopped = decode_word(comp(p)[0][1])
     return "".join(letters) + (BOT * (p.length - len(letters)) if stopped else "")
+
+
+def step_letter(p: PathObj, k: int) -> str:
+    """Step k of a path for which ``paths.comps_are_words`` holds, as a
+    letter of the composite's word: the letter the step chose, or the
+    added point when it chose the added point or level k is empty.
+
+    The word of the composite is the letters of the steps in order.
+    """
+    keys = list(p.levels[k].pairs())
+    if not keys:
+        return BOT
+    (_index, name), _succ = read_letter(p.steps[k].table[keys[0]])
+    return name
+
+
+def reference_word_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) -> str:
+    """What the ``runs`` verb prints for a system for which
+    ``paths.comps_are_words`` holds, read off ``paths.enumerate_runs``
+    pair by pair: each run's word is the letters :func:`step_letter`
+    reads off its steps, apart by ``word_separator``, and its states are
+    each level's elements with the states the run sends them to.  Under
+    ``ascii`` the glyphs print as their aliases, as in the verb."""
+    aliases = GLYPH_ASCII if ascii else {}
+    sep = word_separator(c.functor, aliases)
+    state, point = _state_names(c.carrier), _state_names(c.pointing)
+    lines = []
+    for count, (p, r) in enumerate(enumerate_runs(c, depth)):
+        word = sep.join(format_name(step_letter(p, k)) for k in range(p.length))
+        states = " ".join(
+            f"{k}:{point[s, e] if k == 0 else format_name(e)}->{state[s, x_k(s, e)]}"
+            for k, x_k in enumerate(r.components)
+            for s, e in p.levels[k].pairs()
+        )
+        lines.append(f"run {count}: length {p.length} comp {word or 'ε'} [{states}]")
+    text = "".join(f"{line}\n" for line in [*lines, f"{len(lines)} runs"])
+    for glyph, alias in aliases.items():
+        text = text.replace(glyph, alias)
+    return text
 
 
 def fresh_comp(p: PathObj) -> tuple:

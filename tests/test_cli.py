@@ -499,13 +499,16 @@ class TestRefusalsThroughVerbs:
             ("precise-factor", "factor", "[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n",
              "cannot factorize through powerset nodes"),
             ("precise-factor", "factor", "[functor]\nprod(id, sort(zz))\n\n[domain]\nx\n\n[codomain]\ny\n",
-             "expression refers to unknown sort 'zz'"),
+             "line 2: expression refers to unknown sort 'zz'"),
             # compose substitutes for id alone
             ("reach", "model", "[functor]\ncompose(sort(b), id)\n\n[states]\nx\n", "no expression for sort 'b'"),
+            # a pointed element that no [init] line sends anywhere
+            ("reach", "model", "[functor]\nprod(const(a), id)\n\n[pointing]\np q\n\n[states]\nx\n\n[init]\np -> x\n",
+             "pointing not total: missing ('*', 'q')"),
         ],
         ids=["duplicate-section", "ambiguous-element", "across-sorts", "missing-expression", "missing-codomain",
              "morphism-line", "identity-line", "composition-line", "register-state", "map-not-total",
-             "factor-powerset", "factor-unknown-sort", "compose-outer-sort"],
+             "factor-powerset", "factor-unknown-sort", "compose-outer-sort", "pointing-not-total"],
     )
     def test_refusal_exits_two(self, tmp_path, verb, suffix, text, message):
         path = tmp_path / f"bad.{suffix}"
@@ -597,7 +600,10 @@ class TestUnknownSortLeaves:
         map_path.write_text("[map]\nx -> x\n", encoding="utf-8")
         argv = {"paths": ["--depth", "1"], "runs": ["--depth", "1"], "trace": ["--depth", "1"],
                 "open": [str(path), str(map_path)], "hom": [str(path), str(map_path)]}.get(verb, [])
-        assert run_command([verb, str(path), *argv]) == ("error: expression refers to unknown sort 'zz'\n", 2)
+        # the [functor] line that holds the leaf: line 5 of the multisorted file, line 2 of the other
+        line = {"multisorted": 5, "single-sort": 2}[model]
+        assert run_command([verb, str(path), *argv]) == (
+            f"error: line {line}: expression refers to unknown sort 'zz'\n", 2)
 
     def test_composite_leaf_of_a_listed_sort_runs(self, tmp_path):
         # compose substitutes for id alone, so the inner sort leaf names a listed sort

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import pathlib
+import random
 import weakref
 
 import pytest
@@ -19,6 +20,7 @@ from coalgpath.functors import (
     Symbol,
     TupleTerm,
     UNIT_TERM,
+    Var,
     bot_of_plus1,
     functor,
     multisorted,
@@ -37,12 +39,12 @@ from coalgpath.paths import (
     enumerate_runs,
     is_run,
     make_path,
-    step_letter,
     validate_path,
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 from conftest import identity_map, linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
+from model_writers import print_coalgebra
 from oracles import (
     all_path_morphisms,
     brute_path_morphisms,
@@ -57,7 +59,9 @@ from oracles import (
     path_from_comp,
     pathord_le,
     recursive_print_term_for,
+    reference_word_runs,
     run_image,
+    step_letter,
 )
 
 BOT = chr(0x22A5)
@@ -570,7 +574,8 @@ class TestRunLevelsAgainstFactorization:
         assert len(got) > 1
 
 
-COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+COMPOSE = FIXTURES / "compose"
 
 
 class TestRunChildrenBuiltOnce:
@@ -615,7 +620,6 @@ class TestRunChildrenBuiltOnce:
 
     @pytest.mark.parametrize("model, depth, wide", [
         ("trace_enum_tree.model", 3, True),
-        ("trace_enum_lts.model", 4, False),
         ("twosorted.model", 3, True),
     ])
     def test_runs_text_keeps_no_component_of_a_wide_level(self, monkeypatch, model, depth, wide):
@@ -649,6 +653,29 @@ class TestRunChildrenBuiltOnce:
         assert code == 0
         assert any(max(sizes) > 1 for _ref, sizes in made) == wide
         assert kept and all(max(sizes) <= 1 for sizes in kept)
+
+    @pytest.mark.parametrize("model, words", [
+        ("trace_enum_lts.model", True),
+        ("word.model", True),
+        ("quotednames.model", True),
+        ("trace_enum_tree.model", False),
+        ("twosorted.model", False),
+        ("twosorted_word.model", False),
+    ])
+    def test_word_systems_never_reach_enumerate_runs(self, monkeypatch, model, words):
+        """The runs verb walks a system whose composites are words itself,
+        with no path or run object; every other system goes through
+        enumerate_runs, once per call."""
+        calls = []
+
+        def spying(c, d):
+            calls.append(d)
+            return enumerate_runs(c, d)
+
+        monkeypatch.setattr(cli, "enumerate_runs", spying)
+        text, code = run_command(["runs", str(COMPOSE / model), "--depth", "3"])
+        assert code == 0 and text.startswith("run 0: length 0 comp ")
+        assert calls == ([] if words else [3])
 
 
 # one model per functor shape the runs verb prints terms for: a symmetric
@@ -695,6 +722,85 @@ class TestInternedComp:
                 print_term_for(fp1, s, t, texts)
         assert len(built) == interned
         assert len(texts) == size
+
+
+def _word_fixtures() -> list[str]:
+    """The model fixtures, as paths under ``fixtures``, whose composites are words."""
+    found = []
+    for path in sorted(FIXTURES.rglob("*.model")):
+        c = parse_coalgebra(path.read_text(encoding="utf-8"))
+        if comps_are_words(c.functor, c.pointing):
+            found.append(path.relative_to(FIXTURES).as_posix())
+    return found
+
+
+WORD_FIXTURES = _word_fixtures()
+
+
+def _random_word_system(seed: int) -> PointedCoalgebra:
+    """A random system over ``A x Id`` for which ``comps_are_words``
+    holds: one sort, or a second sort b that either leads back with its
+    own letters or holds markers only, pointed at either sort; one to
+    three states per sort, some with no transition; letters, states and
+    the pointed element drawn from names some of which need quotes."""
+    rng = random.Random(seed)
+    letters = lambda: tuple(sorted(rng.sample(["a", "b", "a b", "cd"], rng.randint(1, 3))))
+    shape = seed % 3
+    if shape == 0:
+        f = functor(Prod((Const(letters()), SortRef())))
+    else:
+        back = Prod((Const(letters()), SortRef())) if shape == 1 else Const(letters())
+        f = multisorted((DEFAULT_SORT, "b"), {DEFAULT_SORT: Prod((Const(letters()), SortRef("b"))), "b": back})
+    names = ["s0", "s 1", "t2"]
+    carrier = SortedSet.make({s: rng.sample(names, rng.randint(1, 3)) for s in f.sorts}, f.sorts)
+    at = rng.choice(f.sorts)
+    pointing = SortedSet.make({at: [rng.choice(["*", "p t"])]}, f.sorts)
+    xi = {}
+    for s, x in carrier.pairs():
+        node = f.node(s)
+        if isinstance(node, Const):
+            terms = [ConstElem(m) for m in node.elems]
+        else:
+            (alphabet, leaf) = node.parts
+            terms = [TupleTerm((ConstElem(a), Var(leaf.sort, y))) for a in alphabet.elems
+                     for y in carrier.elems(leaf.sort)]
+        xi[(s, x)] = tuple(sorted(rng.sample(terms, min(len(terms), rng.choice([0, 1, 2, 2])))))
+    ((_s, i),) = pointing.pairs()
+    return PointedCoalgebra(f, pointing, carrier, {(at, i): rng.choice(carrier.elems(at))}, xi)
+
+
+class TestWordRunsAgainstReference:
+    """The runs verb's word walk prints what the reference printer reads
+    off enumerate_runs and the letters of each path's steps, byte for
+    byte, with and without --ascii: on every fixture whose composites are
+    words, and on random systems over A x Id."""
+
+    def test_fixtures_with_word_composites_are_found(self):
+        assert len(WORD_FIXTURES) >= 8
+        assert "compose/trace_enum_lts.model" in WORD_FIXTURES
+
+    @pytest.mark.parametrize("ascii_", [False, True])
+    @pytest.mark.parametrize("depth", range(7))
+    @pytest.mark.parametrize("model", WORD_FIXTURES)
+    def test_fixture(self, model, depth, ascii_):
+        path = FIXTURES / model
+        c = parse_coalgebra(path.read_text(encoding="utf-8"))
+        text, code = run_command([*(["--ascii"] if ascii_ else []), "runs", str(path), "--depth", str(depth)])
+        assert code == 0
+        assert text == reference_word_runs(c, depth, ascii_)
+
+    @pytest.mark.parametrize("seed", range(210))
+    def test_random_system(self, tmp_path, seed):
+        # the depth runs through 0..6 and --ascii alternates every seven seeds
+        depth, ascii_ = seed % 7, bool(seed // 7 % 2)
+        c = _random_word_system(seed)
+        assert comps_are_words(c.functor, c.pointing)
+        model = tmp_path / "system.model"
+        model.write_text(print_coalgebra(c), encoding="utf-8")
+        assert parse_coalgebra(model.read_text(encoding="utf-8")) == c
+        text, code = run_command([*(["--ascii"] if ascii_ else []), "runs", str(model), "--depth", str(depth)])
+        assert code == 0
+        assert text == reference_word_runs(c, depth, ascii_)
 
 
 class TestTrustedRunParts:
