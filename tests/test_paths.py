@@ -744,7 +744,10 @@ def _random_word_system(seed: int) -> PointedCoalgebra:
     three states per sort, some with no transition; letters, states and
     the pointed element drawn from names some of which need quotes."""
     rng = random.Random(seed)
-    letters = lambda: tuple(sorted(rng.sample(["a", "b", "a b", "cd"], rng.randint(1, 3))))
+
+    def letters() -> tuple[str, ...]:
+        return tuple(sorted(rng.sample(["a", "b", "a b", "cd"], rng.randint(1, 3))))
+
     shape = seed % 3
     if shape == 0:
         f = functor(Prod((Const(letters()), SortRef())))
