@@ -41,6 +41,8 @@ CASES = [
     ("check-runs", ["runs", "check.model", "--depth", "2"], 0),
     ("check-trace", ["trace", "check.model", "--depth", "3"], 0),
     ("tree-runs-ascii", ["--ascii", "runs", "tree.model", "--depth", "2"], 0),
+    # the term route's texts under --ascii: the cut prints as unit
+    ("tree-trace-ascii", ["--ascii", "trace", "tree.model", "--depth", "3"], 0),
     # the trace-enum benchmark's pair/leaf tree automaton (general trace path)
     ("enum-tree-trace", ["trace", "trace_enum_tree.model", "--depth", "4"], 0),
     # ... and its paths: 138 chains over 94 distinct steps, each step
@@ -97,6 +99,16 @@ CASES = [
     # a marker spelt in one glyph but two ASCII letters: under --ascii the
     # marker word ok and the word o k print apart
     ("okmarker-trace-ascii", ["--ascii", "trace", "okmarker.model", "--depth", "2"], 0),
+    # letter-labelled systems that no word route serves, so trace prints
+    # their words as terms: two letter summands beside a marker, pointed
+    # twice; letters over two sorts with no default sort; a tree default
+    # sort beside the pointed word sort
+    ("twoletters-trace", ["trace", "twoletters.model", "--depth", "3"], 0),
+    ("twoletters-trace-ascii", ["--ascii", "trace", "twoletters.model", "--depth", "3"], 0),
+    ("lettersorts-trace", ["trace", "lettersorts.model", "--depth", "3"], 0),
+    ("lettersorts-trace-ascii", ["--ascii", "trace", "lettersorts.model", "--depth", "3"], 0),
+    ("treeword-trace", ["trace", "treeword.model", "--depth", "3"], 0),
+    ("treeword-trace-ascii", ["--ascii", "trace", "treeword.model", "--depth", "3"], 0),
     # the trace-enum benchmark's category, the 5-object chain
     ("lasota-chain", ["lasota", "../chain.cat", "--depth", "3"], 0),
     # an open-map witness over two sorts: path elements are named in
