@@ -753,6 +753,10 @@ def parse_category(text: str) -> FiniteCategory:
         for obj in line.split():
             if obj in known:
                 raise ModelParseError(f"duplicate object {obj!r}", lineno)
+            # the objects are the sorts of the Lasota functor, whose
+            # elements would label alike as sort.name (a.b's p, a's b.p)
+            if "." in obj:
+                raise ModelParseError(f"object {obj!r} holds a '.', which no sort name can carry", lineno)
             known.add(obj)
             objects.append(obj)
     if not objects:

@@ -115,9 +115,9 @@ def element_labels(x: SortedSet) -> list[str]:
     files name sorts and its text before its first ``.`` is a sort, as
     the model files qualify it (``b.q`` would read as ``q`` of sort
     ``b``).  Two of those labels meet only where a sort name holds a
-    ``.``, as the objects of a category can (``p`` in sorts ``a.b`` and
-    ``c``, beside ``a.b.p`` in ``c``); then every element is labelled
-    ``sort.name``."""
+    ``.``, which neither a model file nor a category can name, only a
+    functor built in code (``p`` in sorts ``a.b`` and ``c``, beside
+    ``a.b.p`` in ``c``); then every element is labelled ``sort.name``."""
     pairs = list(x.pairs())
     counts = Counter(e for _s, e in pairs)
     prefixes = set(x.sorts) if x.sorts != (DEFAULT_SORT,) else set()

@@ -456,6 +456,15 @@ class TestCategoryFiles:
         with pytest.raises(ModelParseError, match=r"^line 3: duplicate object 'a'$"):
             parse_category("[objects]\na b\na\n")
 
+    def test_dotted_object_rejected_with_line(self, tmp_path):
+        # objects become the Lasota functor's sorts, and a sort name with
+        # a '.' makes a.b's p and a's b.p both label as a.b.p
+        (tmp_path / "dotted.cat").write_text("[objects]\na b\na.b\n", encoding="utf-8")
+        assert run_command(["lasota", str(tmp_path / "dotted.cat"), "--depth", "1"]) == (
+            "error: line 3: object 'a.b' holds a '.', which no sort name can carry\n", 2
+        )
+        assert run_command(["lasota", str(_FIXTURES / "chain.cat"), "--depth", "1"])[1] == 0
+
     def test_repeated_identity_rejected_with_line(self):
         text = "[objects]\na\n\n[morphisms]\nida : a -> a\nf : a -> a\n\n[identities]\na : f\na : ida\n"
         with pytest.raises(ModelParseError, match=r"^line 10: duplicate identity for 'a'$"):
