@@ -275,14 +275,18 @@ def _trace(args: argparse.Namespace) -> _Lines:
     if word_route(system.functor, [s for s, _i in system.pointing.pairs()]):
         yield from (w or "ε" for w in sorted(lts_language(system, args.depth, GLYPH_ASCII if args.ascii else None)))
         return 0
-    ts = trace(system, args.depth)
+    # the orbit route's entries come spelt from the table, each term's text
+    # made from its arguments' as it was built; the others print here
+    texts: dict = {}
+    ts = trace(system, args.depth, texts)
     lines = []
     memo: dict = {}
     named = system.pointing.size() > 1
     for d, items in ts.per_depth:
         for (s, i), terms in items:
             prefix = f"{_key(system.pointing, s, i)} : {d} : " if named else f"{d} : "
-            lines.extend([prefix + print_term(t, memo) for t in terms])
+            spelt = texts.get((d, (s, i))) or [print_term(t, memo) for t in terms]
+            lines.extend([prefix + text for text in spelt])
     # the table keeps its terms in input order, mostly term order: the
     # lines come nearly sorted, where a set would shuffle them
     yield from sorted(dict.fromkeys(lines))

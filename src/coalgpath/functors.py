@@ -139,6 +139,7 @@ def ansym(group: PermGroup, sym: str, args: Iterable[Term]) -> AnSym:
 # a memo that holds a deep term's subterms must not let it print what the
 # plain recursion could not.
 MAX_PRINT_DEPTH = 400
+TOO_DEEP = f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels"
 
 
 # a bare name; only a ``-`` looks ahead, since ``->`` never belongs to one
@@ -209,7 +210,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
         # a term's repr is this printer, so it is not asked to name one
         raise TermError(f"unknown term {tuple.__repr__(t) if isinstance(t, Term) else repr(t)}")
     if depth > MAX_PRINT_DEPTH:
-        raise TermError(f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels")
+        raise TermError(TOO_DEEP)
     entry = memo[id(t)] = t, text, depth
     return entry
 

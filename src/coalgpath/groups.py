@@ -59,6 +59,11 @@ class PermGroup:
         return group_elements(self)
 
     @functools.cached_property
+    def symmetric(self) -> bool:
+        """Whether the group is the whole symmetric group on its slots."""
+        return len(self.elements) == math.factorial(self.arity)
+
+    @functools.cached_property
     def _getters(self) -> tuple[itemgetter, ...]:
         """Each element but the identity as an ``itemgetter``.  Each moves
         two slots or more, so it returns a tuple."""
@@ -114,6 +119,6 @@ def orbit_minima(g: PermGroup, pool: Iterable) -> Iterable[tuple]:
     are the nondecreasing tuples, one per multiset, and no permuted tuple
     is compared; otherwise each tuple of the product is canonicalized."""
     ordered = sorted(pool)
-    if len(g.elements) == math.factorial(g.arity):
+    if g.symmetric:
         return itertools.combinations_with_replacement(ordered, g.arity)
     return list(dict.fromkeys([canonical_tuple(g, t) for t in itertools.product(ordered, repeat=g.arity)]))

@@ -39,12 +39,17 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .coalgebra import PointedCoalgebra
 from .functors import (
+    MAX_PRINT_DEPTH,
+    TOO_DEEP,
+    UNIT,
     UNIT_TERM,
     Analytic,
     Functor,
     Letter,
     SortRef,
+    Symbol,
     Term,
+    TermError,
     _ansyms,
     format_name,
     letter_labelled,
@@ -95,6 +100,8 @@ def _reach(starts: Iterable, depth: int, moves_of: Callable[[Any], Sequence[tupl
 
 # one object for every state, so the depth-1 pools meet by identity
 _UNIT_ENTRY = (UNIT_TERM,)
+# ... spelt: its terms nest 0 deep and print as the cut
+_UNIT_SPELT = (0, (UNIT,))
 
 
 def _same_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
@@ -104,7 +111,42 @@ def _same_terms(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
     return a is b or a == b or (len(a) == len(b) and set(a) == set(b))
 
 
-def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, str], int], tuple[Term, ...]]:
+# a spelt entry: the deepest nesting of its terms, and their texts in order
+Spelt = tuple[int, Sequence[str]]
+
+
+def _orbit_run(
+    sym: Symbol, pool: tuple[Term, ...], pool_spelt: Spelt | None
+) -> tuple[list[Term], list[str] | None, int]:
+    """The terms of ``sym`` over ``pool``, one per orbit of argument
+    tuples (:func:`orbit_minima`), in term order.  With ``pool_spelt``,
+    the deepest nesting of ``pool``'s terms and their texts in pool
+    order, also the run's texts and deepest nesting, ``(run, None, 0)``
+    otherwise.  Under the full symmetric group the terms and their texts
+    come from ``combinations_with_replacement`` of the sorted pool and of
+    its texts, the nondecreasing tuples ``orbit_minima`` takes, so the
+    pool is sorted once; under any other group each argument's text is
+    looked up by its ``id``."""
+    if pool_spelt is None:
+        return _ansyms(sym.name, orbit_minima(sym.group, pool)), None, 0
+    ordered = sorted(pool)
+    text_of = dict(zip(map(id, pool), pool_spelt[1]))
+    name, arity = format_name(sym.name), sym.group.arity
+    if not arity:
+        run, texts = _ansyms(sym.name, [()]), [name]
+    elif sym.group.symmetric:
+        run = _ansyms(sym.name, itertools.combinations_with_replacement(ordered, arity))
+        ordered_texts = [text_of[id(t)] for t in ordered]
+        texts = [f"{name}({', '.join(args)})" for args in itertools.combinations_with_replacement(ordered_texts, arity)]
+    else:
+        run = _ansyms(sym.name, orbit_minima(sym.group, ordered))
+        texts = [f"{name}({', '.join([text_of[id(a)] for a in t[2]])})" for t in run]
+    return run, texts, pool_spelt[0] + 1 if run else 0
+
+
+def _state_traces(
+    c: PointedCoalgebra, max_depth: int, spelt: dict[tuple[tuple[str, str], int], Spelt] | None = None
+) -> dict[tuple[tuple[str, str], int], tuple[Term, ...]]:
     """traces[(state, d)]: ground terms of depth-d bottom-free unfoldings,
     for each state the pointing reaches in at most ``max_depth - d`` steps,
     each once.
@@ -117,6 +159,13 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
     every transition of a state takes that route and each run's last
     term is below the next run's first, the entry is the runs joined, and
     no term is hashed; any other entry drops repeats in first-seen order.
+
+    With ``spelt``, a dict, the table also spells each entry whose every
+    transition took that route over a spelt pool, each term as it is
+    built (:func:`_orbit_run`): ``spelt[(state, d)]`` is then the deepest
+    nesting of the entry's terms, as ``print_term`` counts it, and their
+    texts in entry order, as ``print_term`` writes them.  Each depth-0
+    entry is spelt.
     """
     dist, moves = _reach(c.point_image(), max_depth, c.successors)
     table: dict[tuple[tuple[str, str], int], tuple[Term, ...]] = {}
@@ -126,13 +175,18 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
                 continue
             if d == 0:
                 table[(key, 0)] = _UNIT_ENTRY
+                if spelt is not None:
+                    spelt[(key, 0)] = _UNIT_SPELT
                 continue
             node = c.functor.node(key[0])
             # orbit runs joined while each starts above the last one's end;
             # from the first run or product term that does not, every term
-            # in first-seen order, each kept once as it is built
+            # in first-seen order, each kept once as it is built, with its
+            # text while every term so far has one
             joined: list[Term] = []
-            seen: dict[Term, None] | None = None
+            joined_texts: list[str] = []
+            seen: dict[Term, str | None] | None = None
+            spell, nest = spelt is not None, 0
             for t, succ in moves[key]:
                 run = None
                 sym = node.symbol(t.sym) if isinstance(node, Analytic) else None
@@ -140,33 +194,58 @@ def _state_traces(c: PointedCoalgebra, max_depth: int) -> dict[tuple[tuple[str, 
                     pools = [table[(y, d - 1)] for y in succ]
                     pool = pools[0] if pools else ()
                     if all(_same_terms(pool, p) for p in pools):
-                        run = _ansyms(sym.name, orbit_minima(sym.group, pool))
+                        pool_spelt = (spelt.get((succ[0], d - 1)) if succ else (0, ())) if spell else None
+                        run, texts, run_nest = _orbit_run(sym, pool, pool_spelt)
+                        spell, nest = texts is not None, max(nest, run_nest)
                         if seen is None and (not run or not joined or joined[-1] < run[0]):
                             joined += run
+                            if spell:
+                                joined_texts += texts
                             continue
                 if seen is None:
-                    seen = dict.fromkeys(joined)
+                    seen = dict(zip(joined, joined_texts)) if spell else dict.fromkeys(joined)
                 if run is not None:
-                    seen.update(dict.fromkeys(run))
+                    seen.update(zip(run, texts) if spell else dict.fromkeys(run))
                     continue
                 # substitute, independently per occurrence, every continuation choice
+                spell = False
                 for combo in itertools.product(*(table[(y, d - 1)] for y in succ)):
                     chosen = iter(combo)
                     seen[map_leaves(node, t, lambda _ref, _t: next(chosen))] = None
             table[(key, d)] = tuple(joined if seen is None else seen)
+            if spell:
+                spelt[(key, d)] = nest, joined_texts if seen is None else list(seen.values())
     return table
 
 
-def trace(c: PointedCoalgebra, depth: int) -> TraceSet:
-    """All composites of bottom-free runnable paths of length <= depth."""
+def trace(
+    c: PointedCoalgebra, depth: int, texts: dict[tuple[int, tuple[str, str]], Sequence[str]] | None = None
+) -> TraceSet:
+    """All composites of bottom-free runnable paths of length <= depth.
+
+    With ``texts``, a dict, each ``per_depth`` entry that the table spelt
+    as it built it (see :func:`_state_traces`) comes with its texts:
+    ``texts[d, key]`` lists them in entry order, as ``print_term`` writes
+    them.  As ``print_term`` does, a spelt entry with a term nesting
+    deeper than ``MAX_PRINT_DEPTH`` raises :class:`TermError`.
+    """
     if depth < 0:
         raise CoalgError("depth must be non-negative")
-    table = _state_traces(c, depth)
+    spelt = None if texts is None else {}
+    table = _state_traces(c, depth, spelt)
     per_depth = []
     for d in range(depth + 1):
         items = tuple((key, table[((key[0], c.point[key]), d)]) for key in c.pointing.pairs())
         if all(terms for _key, terms in items):
             per_depth.append((d, items))
+    if spelt is not None:
+        for d, items in per_depth:
+            for key, _terms in items:
+                got = spelt.get(((key[0], c.point[key]), d))
+                if got is not None:
+                    if got[0] > MAX_PRINT_DEPTH:
+                        raise TermError(TOO_DEEP)
+                    texts[d, key] = got[1]
     return TraceSet(c.functor, c.pointing, depth, tuple(per_depth))
 
 

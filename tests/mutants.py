@@ -176,6 +176,11 @@ MUTANTS = [
     Mutant("table-joins-runs-untested", "trace.py",
            "if seen is None and (not run or not joined or joined[-1] < run[0]):",
            "if seen is None:", ("tests/test_trace.py",)),
+    # the trace table spells a symmetric run's arguments from its pool in
+    # table order, where the run takes them in term order
+    Mutant("orbit-texts-in-table-order", "trace.py",
+           "        ordered_texts = [text_of[id(t)] for t in ordered]\n",
+           "        ordered_texts = pool_spelt[1]\n", ("tests/test_trace.py",)),
     # the word routes read the default sort alone, not the pointed sorts
     Mutant("word-route-skips-pointed-sorts", "functors.py",
            "    return isinstance(node, Prod) and letter_labelled(f, [DEFAULT_SORT, *sorts])\n",

@@ -52,6 +52,10 @@ fit test-sized inputs:
 - the ``runs`` verb's lines for a word system read off
   ``paths.enumerate_runs`` pair by pair (:func:`reference_word_runs`),
   against the verb's depth-first word walk, which builds no path;
+- the ``trace`` verb's lines for a system no word route serves, each
+  term of the bare ``trace.trace`` table printed by ``functors.print_term``
+  (:func:`reference_trace`), against the verb, which takes the texts the
+  table spells as it builds its orbit runs;
 - chains of precise maps from a frontier that enumerates the maps out
   of each chain's last level afresh (:func:`frontier_chains`), against
   ``precise.precise_chains``, which enumerates once per distinct level,
@@ -126,13 +130,14 @@ from coalgpath.functors import (
     letter_shape,
     map_leaves,
     occurrences,
+    print_term,
     read_letter,
     step_of_plus1,
     strip_plus1,
     subst_node,
     word_separator,
 )
-from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _state_names
+from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _key, _state_names
 from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
@@ -884,6 +889,26 @@ def reference_word_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) ->
         lines.append(f"run {count}: length {p.length} comp {word or 'ε'} [{states}]")
     text = "".join(f"{line}\n" for line in [*lines, f"{len(lines)} runs"])
     for glyph, alias in aliases.items():
+        text = text.replace(glyph, alias)
+    return text
+
+
+def reference_trace(c: PointedCoalgebra, depth: int, ascii: bool = False) -> str:
+    """What the ``trace`` verb prints for a system no word route serves:
+    each term of ``trace.trace(c, depth).per_depth`` printed by
+    ``functors.print_term`` with one memo for the call, after its depth
+    and, with more than one pointed element, its element, each line once,
+    sorted.  Under ``ascii`` the glyphs print as their aliases, as in the
+    verb."""
+    memo: dict = {}
+    named = c.pointing.size() > 1
+    lines = []
+    for d, items in trace(c, depth).per_depth:
+        for (s, i), terms in items:
+            prefix = f"{_key(c.pointing, s, i)} : {d} : " if named else f"{d} : "
+            lines.extend([prefix + print_term(t, memo) for t in terms])
+    text = "".join(f"{line}\n" for line in sorted(dict.fromkeys(lines)))
+    for glyph, alias in (GLYPH_ASCII if ascii else {}).items():
         text = text.replace(glyph, alias)
     return text
 

@@ -60,6 +60,9 @@ CASES = [
     # a constant named "p(x, y)" beside the term p(x, y): the two depth-2
     # traces print apart, the constant quoted as the model files write it
     ("quoted-trace", ["trace", "quoted.model", "--depth", "2"], 0),
+    # a symmetric pair over an entry whose two runs come out of term
+    # order: its arguments still print in term order
+    ("outoforder-trace", ["trace", "outoforder.model", "--depth", "3"], 0),
     # two pointed word systems, one stuck from depth 4 on (word trace path)
     ("twopoint-trace", ["trace", "twopoint.model", "--depth", "6"], 0),
     # level elements are numbered in the string order of their position

@@ -44,12 +44,14 @@ from conftest import (
     tree_partial_runs,
     var,
 )
+from model_writers import print_coalgebra
 from oracles import (
     backward_word_traces,
     decoded_word_traces,
     eager_state_traces,
     per_depth_sets,
     prefix_closed,
+    reference_trace,
     spelt_language,
     trace_words,
 )
@@ -252,6 +254,118 @@ class TestRestrictedTable:
         for _d, items in ts.per_depth:
             for _key, terms in items:
                 assert len(set(terms)) == len(terms)
+
+
+def _term_route(c: PointedCoalgebra) -> bool:
+    return not word_route(c.functor, [s for s, _i in c.pointing.pairs()])
+
+
+# every compose fixture the trace verb prints as terms, with the deepest
+# depth its test runs to: past it, bag and tree_dst grow to tens of
+# thousands of lines
+TERM_FIXTURES = [name for name in sorted(p.name for p in COMPOSE.glob("*.model")) if _term_route(compose_system(name))]
+TERM_FIXTURE_DEPTHS = [(name, depth) for name in TERM_FIXTURES
+                       for depth in range({"bag.model": 4, "tree_dst.model": 4}.get(name, 5) + 1)]
+
+
+class TestTraceTexts:
+    """The trace verb's term route, which takes the texts the table
+    spells as it builds its orbit runs, prints what ``print_term`` prints
+    over the bare table (``oracles.reference_trace``), byte for byte,
+    with and without --ascii: on every compose fixture it serves, and on
+    random analytic systems over the full symmetric, a cyclic and the
+    trivial group, and random product systems."""
+
+    # name, functor, states, density, deepest depth; an ordered pair or
+    # a ternary symbol's entries grow past ten thousand terms at depth 4
+    SYSTEMS = [
+        ("pair-leaf", "analytic{ pair/2 [(1 2)] ; leaf/0 }", 4, 0.3, 5),
+        ("bag3", "analytic{ bag/3 [(1 2), (1 2 3)] ; leaf/0 }", 3, 0.2, 3),
+        ("tri3-cyclic", "analytic{ tri/3 [(1 2 3)] ; leaf/0 }", 3, 0.2, 3),
+        ("trivial", "analytic{ p/2 ; s/1 ; z/0 }", 3, 0.2, 3),
+        ("mixed-groups", "analytic{ pair/2 [(1 2)] ; q/2 ; s/1 ; leaf/0 }", 3, 0.15, 3),
+        ("binary", "prod(id, id)", 4, 0.12, 5),
+        ("composite", "compose(prod(id, id), coprod(const(c), id))", 3, 0.05, 5),
+        ("letters", "coprod(prod(const(a b), id), prod(const(c), id), const(ok))", 3, 0.3, 5),
+    ]
+    CASES = [(system, seed) for system in SYSTEMS for seed in range(24)]
+
+    def test_fixtures_on_the_term_route_are_found(self):
+        assert {
+            "trace_enum_tree.model", "bag.model", "quoted.model", "tree.model", "pair.model", "mixed.model",
+            "pointedsort.model", "twosorted_points.model", "twoletters.model", "lettersorts.model", "treeword.model",
+            "outoforder.model",
+        } <= set(TERM_FIXTURES)
+        # its names need quotes, but its functor is the word functor
+        assert "quotednames.model" not in TERM_FIXTURES
+
+    @pytest.mark.parametrize("ascii_", [False, True])
+    @pytest.mark.parametrize("model, depth", TERM_FIXTURE_DEPTHS)
+    def test_fixture(self, model, depth, ascii_):
+        text, code = run_command([*(["--ascii"] if ascii_ else []), "trace", str(COMPOSE / model), "--depth", str(depth)])
+        assert code == 0
+        assert text == reference_trace(compose_system(model), depth, ascii_)
+
+    @pytest.mark.parametrize("system, seed", CASES, ids=[f"{s[0]}-{seed}" for s, seed in CASES])
+    def test_random_system(self, tmp_path, system, seed):
+        name, text, states, density, deepest = system
+        # the depth runs through 0..deepest, and --ascii alternates with
+        # each pass; every other seed points at two states
+        depth, ascii_ = seed % (deepest + 1), bool(seed // (deepest + 1) % 2)
+        f = functor(parse_functor_text(text))
+        pointing = None if seed % 2 else SortedSet.make({DEFAULT_SORT: ["i", "j"]}, f.sorts)
+        c = random_coalgebra(GenSpec(f, {DEFAULT_SORT: states}, density, seed, pointing))
+        assert _term_route(c)
+        model = tmp_path / "system.model"
+        model.write_text(print_coalgebra(c), encoding="utf-8")
+        assert parse_coalgebra(model.read_text(encoding="utf-8")) == c
+        got, code = run_command([*(["--ascii"] if ascii_ else []), "trace", str(model), "--depth", str(depth)])
+        assert code == 0
+        assert got == reference_trace(c, depth, ascii_)
+
+    def test_entries_come_spelt_from_the_orbit_route_alone(self):
+        # trace_enum_tree's every entry is built from orbit runs; pair's
+        # from products, which the verb prints with print_term
+        texts: dict = {}
+        ts = trace(compose_system("trace_enum_tree.model"), 4, texts)
+        assert set(texts) == {(d, key) for d, items in ts.per_depth for key, _terms in items}
+        assert all(len(texts[d, key]) == len(terms) for d, items in ts.per_depth for key, terms in items)
+        texts = {}
+        trace(compose_system("pair.model"), 4, texts)
+        assert set(texts) == {(0, (DEFAULT_SORT, "*"))}
+
+
+class TestTraceNestingBound:
+    """The trace verb refuses a term nesting deeper than MAX_PRINT_DEPTH
+    on both table routes, exactly where it printed the last depth it
+    could: one line per depth up to 400, and one error line past it."""
+
+    SYSTEMS = {
+        "orbit": "[functor]\nanalytic{ s/1 ; z/0 }\n\n[states]\nx\n\n[init]\n* -> x\n\n[trans]\nx -> s(x)\n",
+        "product": "[functor]\ncoprod(const(c), id)\n\n[states]\nx\n\n[init]\n* -> x\n\n[trans]\nx -> in1(x)\n",
+    }
+
+    @pytest.mark.parametrize("route", sorted(SYSTEMS))
+    def test_boundary(self, tmp_path, route):
+        model = tmp_path / "deep.model"
+        model.write_text(self.SYSTEMS[route], encoding="utf-8")
+        text, code = run_command(["trace", str(model), "--depth", "400"])
+        assert code == 0 and len(text.splitlines()) == 401
+        assert run_command(["trace", str(model), "--depth", "401"]) == (
+            "error: terms nest too deeply: more than 400 levels\n", 2
+        )
+
+    def test_a_deep_entry_that_prints_nothing_is_not_refused(self, tmp_path):
+        # x's orbit entries nest one level deeper at each depth, but y
+        # pairs them with the dead w, so only depths 0 and 1 print
+        model = tmp_path / "deep.model"
+        model.write_text(
+            "[sorts]\n* b\n\n[functor]\n* = analytic{ s/1 ; z/0 }\nb = prod(sort(*), sort(b))\n\n"
+            "[pointing]\nb : p\n\n[states]\n* : x\nb : y w\n\n[init]\nb.p -> b.y\n\n"
+            "[trans]\n*.x -> s(x)\nb.y -> (x, w)\n",
+            encoding="utf-8",
+        )
+        assert run_command(["trace", str(model), "--depth", "402"]) == ("0 : •\n1 : (•, •)\n", 0)
 
 
 class TestTraceEquiv:
