@@ -14,7 +14,9 @@ implement it:
   once per orbit of argument tuples (:func:`groups.orbit_minima`).  Each
   entry is a duplicate-free tuple: where every transition took that
   route, the orbit runs joined in term order, with no term hashed, and
-  otherwise its terms in first-seen order;
+  otherwise its terms in first-seen order.  For the ``trace`` verb it
+  also spells the entries it builds from orbit runs alone, each term's
+  text made from its arguments' texts as the term is built;
 - the word path serves every letter-labelled system, whose sorts are
   each ``Const x SortRef`` or a coproduct of such products and constants
   (:func:`functors.letter_shape`): a trace is then a word of (summand,
