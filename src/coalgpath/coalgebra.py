@@ -18,7 +18,6 @@ from typing import Iterable
 from .functors import (
     Functor,
     Term,
-    TermError,
     _leaf_states,
     eval_functor,
     fmap,
@@ -65,8 +64,6 @@ class PointedCoalgebra:
         return c
 
     def _check(self, walk_terms: bool) -> None:
-        if self.functor.has_pf:
-            raise TermError("the branching layer is implicit; F must be powerset-free")
         for key in self.pointing.pairs():
             if key not in self.point:
                 raise CoalgError(f"pointing not total: missing {key}")

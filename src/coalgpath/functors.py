@@ -1,13 +1,13 @@
 """Syntactic functor expressions over finite sorted sets, and their terms.
 
 A :class:`Functor` assigns to every output sort an expression built from
-constants, sort projections, finite products and coproducts, analytic
-quotients (tuples modulo a permutation group, whose slots are
-expressions) and the finite powerset.  Terms of ``F(X)`` are tuples of
-a kind tag and the term's fields, with child terms in place, so a term
-is its own comparison key.  They are kept in a canonical form: analytic
-arguments are the lexicographically least orbit representative and
-powerset contents are sorted and duplicate-free.
+constants, sort projections, finite products and coproducts, and
+analytic quotients (tuples modulo a permutation group, whose slots are
+expressions).  The finite powerset is the implicit branching layer of
+G = Pf . F, never a node of F.  Terms of ``F(X)`` are tuples of a kind
+tag and the term's fields, with child terms in place, so a term is its
+own comparison key.  They are kept in a canonical form: analytic
+arguments are the lexicographically least orbit representative.
 
 Composition is normalized when it is built: :func:`compose` substitutes
 the inner expressions for the sort leaves of the outer one, so a
@@ -31,10 +31,6 @@ from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 class TermError(CoalgError):
     pass
-
-
-class PowersetNodeError(CoalgError):
-    """Raised when an operation undefined on powerset nodes meets one."""
 
 
 BOT = "⊥"   # the added point of F+1
@@ -108,14 +104,6 @@ class AnSym(Term):
         return tuple.__new__(cls, (4, sym, args))
 
 
-class SetOf(Term):
-    __slots__ = ()
-    args = property(itemgetter(1))
-
-    def __new__(cls, args: Iterable[Term]):
-        return tuple.__new__(cls, (5, tuple(sorted(set(args)))))
-
-
 class UnitLeaf(Term):
     """The element of the terminal object; appears only at path cuts."""
 
@@ -180,7 +168,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
     yet, kept in it; each child's entry is read from ``memo`` in place,
     and made only when missing."""
     kind = t[0] if isinstance(t, Term) and t else None
-    if kind in (2, 4, 5):  # TupleTerm, AnSym, SetOf: the children last
+    if kind in (2, 4):  # TupleTerm, AnSym: the children last
         args = t[-1]
         texts = []
         depth = 0
@@ -194,7 +182,7 @@ def _printed(t: Term, memo: dict) -> tuple[Term, str, int]:
             sym = format_name(t[1])
             text = f"{sym}({body})" if args else sym
         else:
-            text = f"({body})" if kind == 2 else "{" + body + "}"
+            text = f"({body})"
         depth += 1
     elif kind == 3:  # Inj
         kept = memo.get(id(t[2])) or _printed(t[2], memo)
@@ -280,17 +268,11 @@ class Analytic(Node):
 
 
 @dataclass(frozen=True)
-class Pf(Node):
-    inner: Node
-
-
-@dataclass(frozen=True)
 class Functor:
     """A finite-set endofunctor: one expression node per output sort.
 
-    Frozen, so what is derived from it (its hash, its node per sort,
-    whether it contains the powerset, its ``+1`` functor, its term memo)
-    is computed on first use and kept.
+    Frozen, so what is derived from it (its hash, its node per sort, its
+    ``+1`` functor, its term memo) is computed on first use and kept.
     """
 
     sorts: tuple[str, ...]
@@ -320,20 +302,13 @@ class Functor:
         return hash((self.sorts, self.nodes))
 
     @functools.cached_property
-    def has_pf(self) -> bool:
-        return any(node_has_pf(n) for _s, n in self.nodes)
-
-    @functools.cached_property
     def plus1(self) -> "Functor":
         """F+1: the added point as a second summand at every sort."""
         return Functor(self.sorts, tuple((s, plus1_node(n)) for s, n in self.nodes))
 
     @functools.cached_property
-    def _memo(self) -> "_TermMemo | None":
-        """The term memo shared by every functor equal to this one, or
-        None when it contains the powerset."""
-        if self.has_pf:
-            return None
+    def _memo(self) -> "_TermMemo":
+        """The term memo shared by every functor equal to this one."""
         # keyed by the fields: a functor as key would keep its own memo alive
         key = (self.sorts, self.nodes)
         memo = _MEMOS.get(key)
@@ -391,8 +366,6 @@ def compose(outer: Node, inner: Node) -> Node:
         return Analytic(tuple(
             Symbol(sym.name, tuple(compose(n, inner) for n in sym.slots), sym.group) for sym in outer.symbols
         ))
-    if isinstance(outer, Pf):
-        return Pf(compose(outer.inner, inner))
     raise TermError(f"unknown node {outer!r}")
 
 
@@ -429,7 +402,7 @@ def _children(node: Node) -> tuple[Node, ...]:
         return node.parts
     if isinstance(node, Analytic):
         return tuple(n for sym in node.symbols for n in sym.slots)
-    return (node.inner,) if isinstance(node, Pf) else ()
+    return ()
 
 
 def check_sort_leaves(nodes: Iterable[Node], sorts: Container[str]) -> None:
@@ -440,10 +413,6 @@ def check_sort_leaves(nodes: Iterable[Node], sorts: Container[str]) -> None:
         if isinstance(node, SortRef) and node.sort not in sorts:
             raise TermError(f"expression refers to unknown sort {node.sort!r}")
         todo.extend(_children(node))
-
-
-def node_has_pf(node: Node) -> bool:
-    return isinstance(node, Pf) or any(node_has_pf(p) for p in _children(node))
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +440,6 @@ def eval_node(node: Node, leaf: Callable[[SortRef], tuple[Term, ...]]) -> tuple[
             for sym in node.symbols
             for combo in itertools.product(*[eval_node(n, leaf) for n in sym.slots])
         ))
-    if isinstance(node, Pf):
-        base = eval_node(node.inner, leaf)
-        return tuple(SetOf(combo) for r in range(len(base) + 1) for combo in itertools.combinations(base, r))
     raise TermError(f"unknown node {node!r}")
 
 
@@ -519,8 +485,6 @@ def term_in_functor(f: Functor, sort: str, term: Term, x: SortedSet) -> bool:
             if ansym(sym.group, sym.name, t.args) != t:
                 return False
             return all(check(n, a) for n, a in zip(sym.slots, t.args))
-        if isinstance(node, Pf):
-            return isinstance(t, SetOf) and all(check(node.inner, a) for a in t.args)
         raise TermError(f"unknown node {node!r}")
 
     return check(f.node(sort), term)
@@ -551,9 +515,6 @@ def map_leaves(node: Node, term: Term, leaf: Callable[[SortRef, Term], Term]) ->
             sym = node.symbol(term.sym)
             if len(term.args) == len(sym.slots):
                 return ansym(sym.group, sym.name, [map_leaves(n, a, leaf) for n, a in zip(sym.slots, term.args)])
-    elif isinstance(node, Pf):
-        if isinstance(term, SetOf):
-            return SetOf([map_leaves(node.inner, a, leaf) for a in term.args])
     raise TermError(f"{term!r} does not fit {node!r}")
 
 
@@ -582,13 +543,11 @@ def _substituting(image_of: Callable[[tuple[str, str]], Term]):
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
     """The functorial action F(fun) applied to one term at an output sort.
 
-    On a powerset-free functor the image is read through the term memo's
-    readers :func:`_leaf_states` and :func:`_named_image`, so mapping an
-    equal term to equal names again, by any map, looks it up.
+    The image is read through the term memo's readers
+    :func:`_leaf_states` and :func:`_named_image`, so mapping an equal
+    term to equal names again, by any map, looks it up.
     """
     table = fun.table
-    if f._memo is None:
-        return map_leaves(f.node(sort), term, _substituting(lambda key: Var(key[0], table[key])))
     try:
         names = tuple([table[key] for key in _leaf_states(f, sort, term)])
     except KeyError as exc:  # the (sort, name) of a leaf outside the map
@@ -598,21 +557,18 @@ def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:
 
 def _leaf_states(f: Functor, sort: str, term: Term) -> tuple[tuple[str, str], ...]:
     """The ``(sort, name)`` of each variable leaf of ``term``, in
-    occurrence order, kept in the functor's term memo.  Undefined on
-    powerset nodes, as :func:`occurrences` is."""
-    memo = f._memo
-    leaves = None if memo is None else memo.leaves.get((sort, term))
+    occurrence order, kept in the functor's term memo."""
+    memo = f._memo.leaves
+    leaves = memo.get((sort, term))
     if leaves is None:
-        leaves = tuple([(var.sort, var.name) for var, _path in occurrences(f.node(sort), term)])
-        if memo is not None:
-            memo.leaves[(sort, term)] = leaves
+        leaves = memo[(sort, term)] = tuple([(var.sort, var.name) for var, _path in occurrences(f.node(sort), term)])
     return leaves
 
 
 def _named_image(f: Functor, sort: str, term: Term, names: tuple[str, ...]) -> Term:
-    """``term`` of a powerset-free ``f`` with its i-th variable leaf, in
-    occurrence order, renamed to ``names[i]`` and re-canonicalized, kept
-    in the functor's term memo."""
+    """``term`` of ``f`` with its i-th variable leaf, in occurrence order,
+    renamed to ``names[i]`` and re-canonicalized, kept in the functor's
+    term memo."""
     images, key = f._memo.images, (sort, term, names)
     image = images.get(key)
     if image is None:
@@ -634,7 +590,7 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
     """Every variable leaf of ``term`` with its tree path.
 
     Paths are child indices: product/analytic slot positions and
-    coproduct injection indices.  Undefined on powerset nodes.
+    coproduct injection indices.
     """
     if isinstance(node, SortRef):
         if not isinstance(term, Var):
@@ -660,8 +616,6 @@ def occurrences(node: Node, term: Term, _path: tuple[int, ...] = ()) -> list[tup
                 for i, (n, a) in enumerate(zip(sym.slots, term.args)):
                     out.extend(occurrences(n, a, _path + (i,)))
                 return out
-    elif isinstance(node, Pf):
-        raise PowersetNodeError("occurrence analysis is undefined on powerset nodes")
     raise TermError(f"{term!r} does not fit {node!r}")
 
 

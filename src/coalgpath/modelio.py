@@ -10,17 +10,19 @@ a keyword or a sort prefix, and a bare punctuation mark is never a name.
 multisorted files only).  The functor grammar is
 
     const(e1 e2 ...) | id | sort(S) | prod(f, ...) | coprod(f, ...)
-    | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f) | pf(f)
+    | compose(f, g) | analytic{ sym/arity [(1 2)(3 4), (1 3)] ; ... } | plus1(f)
 
 where ``compose(f, g)`` is parsed as ``f`` with ``g`` substituted for
 ``id`` and the brackets list the generators of the slot group, separated
-by commas, each a product of disjoint cycles.  Terms are written
-``name``, ``(t, ..., t)``, ``in<k>(t)``, ``sym(t, ..., t)``; the glyphs
-for the unit, the added point and the final marker have ASCII aliases
-``unit``, ``bot`` and ``ok``, read as the glyphs wherever a name
-stands.  Parsing a term is guided by the expected expression node, so
-constant names and state names never clash; coproduct injections may
-be left implicit when exactly one branch parses.  The verbs read model
+by commas, each a product of disjoint cycles.  ``pf(f)`` is refused: the
+powerset is the implicit branching of G = Pf . F, never part of F.
+Terms are written ``name``, ``(t, ..., t)``, ``in<k>(t)``,
+``sym(t, ..., t)``; the glyphs for the unit, the added point and the
+final marker have ASCII aliases ``unit``, ``bot`` and ``ok``, read as
+the glyphs wherever a name stands.  Parsing a term is guided by the
+expected expression node, so constant names and state names never
+clash; coproduct injections may be left implicit when exactly one
+branch parses.  The verbs read model
 files and write only their results; the canonical writer of each model
 kind lives beside the round-trip tests, in ``tests/model_writers.py``,
 where ``parse . print`` is checked to be the identity on canonical files.
@@ -29,7 +31,6 @@ where ``parse . print`` is checked to be the identity on canonical files.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from collections.abc import Container
 from .coalgebra import PointedCoalgebra
@@ -43,9 +44,7 @@ from .functors import (
     Functor,
     Inj,
     Node,
-    Pf,
     Prod,
-    SetOf,
     SortRef,
     Symbol,
     Term,
@@ -206,12 +205,13 @@ def _parse_node(tokens: list[str], pos: int, depth: int, line: int | None) -> tu
         nodes = tuple(p[0] for p in parts)
         height, size = 1 + max(p[2] for p in parts), 1 + sum(p[3] for p in parts)
         return (Prod(nodes) if head == "prod" else Coprod(nodes)), pos, height, size
-    if head in ("plus1", "pf"):
+    if head == "pf":
+        # G = Pf . F: the powerset is the branching around F, and it has
+        # no precise factorizations, so no path category comes out of it
+        raise ModelParseError("the branching layer is implicit; F must be powerset-free", line)
+    if head == "plus1":
         inner, pos, height, size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
-        pos = _expect(tokens, pos, ")", line)
-        if head == "plus1":
-            return plus1_node(inner), pos, height + 1, size + 2
-        return Pf(inner), pos, height + 1, size + 1
+        return plus1_node(inner), _expect(tokens, pos, ")", line), height + 1, size + 2
     if head == "compose":
         outer, pos, outer_height, outer_size = _parse_node(tokens, _expect(tokens, pos, "(", line), depth + 1, line)
         inner, pos, inner_height, inner_size = _parse_node(tokens, _expect(tokens, pos, ",", line), depth + 1, line)
@@ -361,15 +361,6 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
                 args.append(arg)
             pos = _expect(tokens, pos, ")", line)
         return ansym(sym.group, sym.name, tuple(args)), pos
-    if isinstance(node, Pf):
-        pos = _expect(tokens, pos, "{", line)
-        args = []
-        while pos >= len(tokens) or tokens[pos] != "}":
-            if args:
-                pos = _expect(tokens, pos, ",", line)
-            arg, pos = _parse_term(tokens, pos, node.inner, carrier, line)
-            args.append(arg)
-        return SetOf(args), pos + 1
     raise ModelParseError(f"cannot parse a term of {node!r}", line)
 
 
@@ -433,7 +424,7 @@ def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[s
             return BOT, 1
         text, depth = _text_for(f, memo, branch, t.arg, room - 1)
         return f"in{t.index}({text})", depth + 1
-    # a product, analytic or set body: its arguments joined in one loop
+    # a product or analytic body: its arguments joined in one loop
     if isinstance(node, Analytic) and isinstance(t, AnSym):
         nodes = node.symbol(t.sym).slots
         if not t.args:
@@ -443,8 +434,6 @@ def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[s
         nodes, head, close = node.parts, "(", ")"
     elif isinstance(node, Const) and isinstance(t, ConstElem):
         return format_name(t.name), 0
-    elif isinstance(node, Pf) and isinstance(t, SetOf):
-        nodes, head, close = itertools.repeat(node.inner), "{", "}"
     else:
         raise CoalgError(f"cannot print {t!r} against {node!r}")
     texts = []

@@ -30,7 +30,7 @@ from .coalgebra import (
     random_coalgebra,
 )
 from .functors import (
-    Functor, Term, TermError, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, step_of_plus1,
+    Functor, Term, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, step_of_plus1,
 )
 from .modelio import _state_names, print_term_for
 from .paths import PathObj, Run, is_run, make_path, validate_path
@@ -432,9 +432,6 @@ def verify_theorems(spec: GenSpec, trials: int, check_traces: bool = False) -> H
     """
     if trials < 1:
         raise CoalgError("at least one trial required")
-    # a spec every trial would fail on is bad input, not a failed trial
-    if spec.functor.has_pf:
-        raise TermError("the branching layer is implicit; F must be powerset-free")
     if not 0 <= spec.density <= 1:  # false for nan too
         raise CoalgError(f"density must lie in [0, 1], got {spec.density}")
     seed_rng = random.Random(spec.seed)

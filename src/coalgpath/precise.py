@@ -1,8 +1,8 @@
 """Precise maps: testing, factorization, and enumeration.
 
 A map ``f: X -> F(Y)`` is precise when every element of Y is used in
-exactly one ``f(x)`` and exactly once within it.  For the powerset-free
-expression grammar this occurrence-counting criterion coincides with the
+exactly one ``f(x)`` and exactly once within it.  For the expression
+grammar this occurrence-counting criterion coincides with the
 categorical definition (those expressions all denote analytic functors),
 and a brute-force oracle over small sets guards that claim in the tests.
 
@@ -23,13 +23,11 @@ from typing import Iterator, Mapping
 from .functors import (
     Functor,
     Node,
-    PowersetNodeError,
     Term,
     Var,
     _leaf_states,
     eval_node,
     map_leaves,
-    node_has_pf,
     rebuild_with_fresh,
 )
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
@@ -87,8 +85,6 @@ def occurrence_counts(f: TermMap) -> Counter:
 
 def is_precise(f: TermMap) -> bool:
     """Occurrence criterion: every codomain element used exactly once."""
-    if f.functor.has_pf:
-        raise PowersetNodeError("the occurrence criterion is undefined on powerset functors")
     counts = occurrence_counts(f)
     for key in f.cod.pairs():
         if counts.get(key, 0) != 1:
@@ -134,8 +130,6 @@ def precise_factorize(f: TermMap) -> Factorization:
     element ``(x;path)``, where x is the domain element's label from
     :func:`element_labels`; unused elements of Y simply do not appear.
     """
-    if f.functor.has_pf:
-        raise PowersetNodeError("cannot factorize through powerset nodes")
     y = f.cod
     label = dict(zip(f.dom.pairs(), element_labels(f.dom)))
     fresh_elems: dict[str, list[str]] = {s: [] for s in y.sorts}
@@ -168,8 +162,6 @@ def element_shapes(f_expr: Functor, sort: str) -> tuple[Term, ...]:
     shapes at every failing state.
     """
     node = f_expr.node(sort)
-    if node_has_pf(node):
-        raise PowersetNodeError("shape enumeration is undefined on powerset nodes")
     count = itertools.count(1)
     shapes: set[Term] = set()
     # one fresh variable per sort leaf visited, so all are pairwise distinct

@@ -18,7 +18,6 @@ from coalgpath.functors import (
     Coprod,
     Functor,
     Node,
-    Pf,
     Prod,
     SortRef,
     Term,
@@ -62,8 +61,6 @@ def print_functor_node(node: Node) -> str:
         if len(node.parts) == 2 and node.parts[1] == BOT_CONST:
             return f"plus1({print_functor_node(node.parts[0])})"
         return "coprod(" + ", ".join(print_functor_node(p) for p in node.parts) + ")"
-    if isinstance(node, Pf):
-        return f"pf({print_functor_node(node.inner)})"
     if isinstance(node, Analytic):
         chunks = []
         for sym in node.symbols:

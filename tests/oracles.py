@@ -6,6 +6,11 @@ fit test-sized inputs:
 
 - the lifting definition of a precise map (:func:`is_precise_oracle`),
   against the occurrence criterion ``precise.is_precise``;
+- the same definition for maps into the finite powerset, which no
+  functor of the library holds (:func:`is_powerset_precise`, over the
+  subsets of :func:`subsets`), for acceptance criterion 3: the powerset
+  has no precise factorizations, so it stays the implicit branching of
+  G = Pf . F;
 - the lifting definition for the binding layer of register automata
   (:func:`binding_precise_oracle`);
 - the precise-iff-characteristic criterion for one-element maps, checked
@@ -95,7 +100,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from coalgpath.coalgebra import CoalgMorphism, PointedCoalgebra
 from coalgpath.functors import (
@@ -111,9 +116,7 @@ from coalgpath.functors import (
     Functor,
     Inj,
     Node,
-    Pf,
     Prod,
-    SetOf,
     SortRef,
     Term,
     TermError,
@@ -484,8 +487,6 @@ def legacy_term_key(t: Term) -> tuple:
         return (3, t.index, legacy_term_key(t.arg))
     if isinstance(t, AnSym):
         return (4, t.sym, tuple(legacy_term_key(a) for a in t.args))
-    if isinstance(t, SetOf):
-        return (5, tuple(legacy_term_key(a) for a in t.args))
     if isinstance(t, UnitLeaf):
         return (6,)
     raise TypeError(f"not a term: {t!r}")
@@ -510,8 +511,6 @@ def recursive_print_term(t: Term) -> str:
         return f"in{t.index}({recursive_print_term(t.arg)})"
     if isinstance(t, AnSym):
         return _written_name(t.sym) + ("(" + ", ".join(recursive_print_term(a) for a in t.args) + ")" if t.args else "")
-    if isinstance(t, SetOf):
-        return "{" + ", ".join(recursive_print_term(a) for a in t.args) + "}"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -536,8 +535,6 @@ def recursive_print_term_for(f: Functor, sort: str, term: Term) -> str:
             slots = node.symbol(t.sym).slots
             body = "(" + ", ".join(walk(n, a) for n, a in zip(slots, t.args)) + ")" if t.args else ""
             return _written_name(t.sym) + body
-        if isinstance(node, Pf) and isinstance(t, SetOf):
-            return "{" + ", ".join(walk(node.inner, a) for a in t.args) + "}"
         raise TypeError(f"cannot print {t!r} against {node!r}")
 
     return walk(f.node(sort), term)
@@ -1006,6 +1003,47 @@ def _has_diagonal(
         if all(fmap(functor, d, s, f(s, xe)) == k[(s, xe)] for (s, xe) in x.pairs()):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The finite powerset, kept out of the library: plain subsets of a
+# single-sorted carrier, and the lifting definition specialised to it
+
+def subsets(carrier: Iterable[str]) -> list[tuple[str, ...]]:
+    """Every subset of ``carrier``, each as a sorted tuple, smallest first."""
+    ordered = sorted(set(carrier))
+    return [s for r in range(len(ordered) + 1) for s in itertools.combinations(ordered, r)]
+
+
+def powerset_image(h: Mapping[str, str], subset: tuple[str, ...]) -> tuple[str, ...]:
+    """``Pf(h)`` on one subset: the image of its elements, as a sorted tuple."""
+    return tuple(sorted({h[e] for e in subset}))
+
+
+def _maps(dom: list[str], cod: list[str]) -> Iterator[dict[str, str]]:
+    """Every map ``dom -> cod`` between two plain lists, as a dict."""
+    for combo in itertools.product(cod, repeat=len(dom)):
+        yield dict(zip(dom, combo))
+
+
+def is_powerset_precise(f: Mapping[str, tuple[str, ...]], cod: Iterable[str], size_bound: int) -> bool:
+    """Whether ``f: X -> Pf(Y)``, each image a subset of ``cod`` as
+    :func:`subsets` gives it, is precise by the lifting definition: for
+    every carrier C of at most ``size_bound`` elements, every ``h: C -> Y``
+    and every ``k: X -> Pf(C)`` with ``Pf(h) . k = f``, some ``d: Y -> C``
+    has ``Pf(d) . f = k`` and ``h . d = id``.  Exhaustive and exponential."""
+    xs, ys = sorted(f), sorted(cod)
+    for n in range(size_bound + 1):
+        c = [f"c{i}" for i in range(n)]
+        pf_c = subsets(c)
+        # the sections of each h are the only candidates for d
+        for h in _maps(c, ys):
+            sections = [d for d in _maps(ys, c) if all(h[d[y]] == y for y in ys)]
+            fibers = [[s for s in pf_c if powerset_image(h, s) == f[x]] for x in xs]
+            for k in itertools.product(*fibers):
+                if not any(all(powerset_image(d, f[x]) == kx for x, kx in zip(xs, k)) for d in sections):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1502,13 +1540,4 @@ def _stream_term(s: _TokenStream, node: Node, carrier: SortedSet) -> Term:
                 args.append(_stream_term(s, slot, carrier))
             s.expect(")")
         return ansym(sym.group, sym.name, tuple(args))
-    if isinstance(node, Pf):
-        s.expect("{")
-        args = []
-        while s.peek() != "}":
-            if args:
-                s.expect(",")
-            args.append(_stream_term(s, node.inner, carrier))
-        s.expect("}")
-        return SetOf(args)
     raise ModelParseError(f"cannot parse a term of {node!r}", s.line)

@@ -31,10 +31,7 @@ from coalgpath.functors import (
     Coprod,
     Functor,
     Inj,
-    Pf,
-    PowersetNodeError,
     Prod,
-    SetOf,
     SortRef,
     Symbol,
     TermError,
@@ -47,7 +44,6 @@ from coalgpath.functors import (
     fmap,
     functor,
     multisorted,
-    node_has_pf,
     occurrences,
     plus1_node,
     read_letter,
@@ -64,7 +60,7 @@ from coalgpath.nominal import (
 from coalgpath.openmap import (
     _add_noise, _least_subcoalgebra, _quotient_map, _random_map, reachable_bfs, verify_theorems,
 )
-from coalgpath.precise import TermMap, element_shapes, is_precise
+from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, SortError, singleton_pointing
 
 from conftest import (
@@ -94,19 +90,14 @@ class TestFunctorFacts:
         MULTISORTED,
         functor(compose(Prod((SortRef(), SortRef())), Coprod((Const(("c",)), SortRef())))),
         functor(parse_functor_text("compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a), id))")),
-        multisorted(("p", "q"), {"p": Pf(SortRef("q")), "q": Prod((SortRef("p"), Const(("z",))))}),
     ]
 
     @pytest.mark.parametrize("f", FUNCTORS, ids=range(len(FUNCTORS)))
-    def test_has_pf_and_plus1_match_an_uncached_computation(self, f):
-        assert f.has_pf == any(node_has_pf(n) for _s, n in f.nodes)
+    def test_plus1_and_hash_match_an_uncached_computation(self, f):
         expected = Functor(f.sorts, tuple((s, plus1_node(n)) for s, n in f.nodes))
         assert f.plus1 == expected
         assert hash(f.plus1) == hash(expected)
         assert hash(f) == hash((f.sorts, f.nodes))
-
-    def test_one_functor_contains_pf(self):
-        assert [f.has_pf for f in self.FUNCTORS].count(True) == 1
 
     def test_plus1_is_built_once(self):
         f = lts_functor("ab")
@@ -119,7 +110,7 @@ class TestFunctorFacts:
     def test_functor_is_frozen(self):
         f = lts_functor("ab")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            f.has_pf = True
+            f.sorts = ("x",)
 
 
 class TestSystemFacts:
@@ -316,7 +307,6 @@ class TestPublicConstructorRefusals:
 
 
 _LETTERS = functor(Prod((Const(("a",)), SortRef())))
-_POWERSET = functor(Pf(SortRef()))
 _CATEGORY = FiniteCategory(("p",), (("id", "p", "p"),), {"p": "id"}, {("id", "id"): "id"}, "q")
 
 
@@ -352,15 +342,11 @@ class TestLibraryRefusals:
         (lambda: canonical_bind("a3", NomElem("q", ("a1", "a2")), AtomPool(2)), PoolError,
          "pool exhausted: no admissible binder"),
         (lambda: RnnaPresentation({"q": 0}, "r", ()), CoalgError, "unknown initial control state 'r'"),
-        (lambda: is_precise(TermMap(_X, _POWERSET, _Y, {(DEFAULT_SORT, "x"): Var(DEFAULT_SORT, "y")})),
-         PowersetNodeError, "the occurrence criterion is undefined on powerset functors"),
-        (lambda: element_shapes(_POWERSET, DEFAULT_SORT), PowersetNodeError,
-         "shape enumeration is undefined on powerset nodes"),
     ], ids=["point-outside-carrier", "restrict-drops-point", "morphism-end-points", "symbol-arity",
             "symbol-slots", "strip-plus1-no-injection", "strip-plus1-bad-injection", "read-letter",
             "carrier-without-a-functor-sort", "generator-no-permutation", "canonical-tuple-arity",
             "unknown-morphism", "print-term-for-misfit", "bar-context-repeats", "bar-token-kind",
-            "bind-pool-exhausted", "rnna-unknown-init", "precise-on-powerset", "shapes-on-powerset"])
+            "bind-pool-exhausted", "rnna-unknown-init"])
     def test_refused_with_its_message(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
@@ -974,21 +960,6 @@ class TestTermMemo:
                 assert raised(lambda t=t: _leaf_states(f, DEFAULT_SORT, t)) == walked
             assert fmap(f, whole, DEFAULT_SORT, kept) == kept
         assert set(f._memo.leaves) == {(DEFAULT_SORT, kept)}
-
-    def test_powerset_leaves_are_never_kept(self):
-        f = multisorted(("p", "q"), {"p": Pf(SortRef("q")), "q": Prod((SortRef("p"), Const(("z",))))})
-        assert f.has_pf and f._memo is None
-        x = SortedSet.make({"p": ["a"], "q": ["b", "c"]}, ("p", "q"))
-        fun = SortedFun(x, x, {("p", "a"): "a", ("q", "b"): "c", ("q", "c"): "c"})
-        t = SetOf([Var("q", "b"), Var("q", "c")])
-        for _round in range(2):
-            assert fmap(f, fun, "p", t) == SetOf([Var("q", "c")])
-            with pytest.raises(PowersetNodeError):
-                walked_leaves(f, "p", t)
-            with pytest.raises(PowersetNodeError):
-                _leaf_states(f, "p", t)
-        u = TupleTerm((Var("p", "a"), ConstElem("z")))
-        assert _leaf_states(f, "q", u) == walked_leaves(f, "q", u) == (("p", "a"),)
 
 
 class TestMemoLeakGuard:

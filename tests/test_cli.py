@@ -189,7 +189,7 @@ class TestVerbs:
             (["--functor", "prod(id, id)", "--states", "-1"], "carrier size for sort '*' must be at least 1, got -1"),
             (["--functor", "analytic{ a/0 ; a/0 }"], "duplicate symbol names: ['a', 'a']"),
             (["--functor", "analytic{ a/-1 }"], "arity must be non-negative"),
-            # the powerset branch of compose
+            # pf( inside compose: the reader refuses it before compose runs
             (["--functor", "compose(pf(id), id)"], "the branching layer is implicit; F must be powerset-free"),
             (["--functor", "prod(id, sort(zz))"], "expression refers to unknown sort 'zz'"),
         ],
@@ -345,13 +345,24 @@ class TestVerbs:
         assert "(bound 3)" in text
         assert (text, code) == run_command(["open", *hom_files, "--bound", "3"]) == run_command(["open", *hom_files])
 
-    @pytest.mark.parametrize("verb", ["runs", "trace", "paths"])
+    @pytest.mark.parametrize("verb", ["runs", "trace", "paths", "reach", "hom", "open", "precise-factor"])
     def test_powerset_functor_exit_two(self, tmp_path, verb):
-        path = tmp_path / "pf.model"
-        path.write_text("[functor]\npf(id)\n\n[states]\ns0\n\n[init]\n* -> s0\n\n[trans]\ns0 -> {s0}\n",
-                        encoding="utf-8")
-        text, code = run_command([verb, str(path), "--depth", "2"])
-        assert (text, code) == ("error: the branching layer is implicit; F must be powerset-free\n", 2)
+        # the reader refuses pf( on the [functor] line of each file
+        model = tmp_path / "pf.model"
+        model.write_text("[functor]\npf(id)\n\n[states]\ns0\n\n[init]\n* -> s0\n\n[trans]\ns0 -> {s0}\n",
+                         encoding="utf-8")
+        factor = tmp_path / "pf.factor"
+        factor.write_text("[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n", encoding="utf-8")
+        mapping = tmp_path / "pf.map"
+        mapping.write_text("[map]\ns0 -> s0\n", encoding="utf-8")
+        argv = {
+            "reach": [str(model)],
+            "hom": [str(model), str(model), str(mapping)],
+            "open": [str(model), str(model), str(mapping)],
+            "precise-factor": [str(factor)],
+        }.get(verb, [str(model), "--depth", "2"])
+        text, code = run_command([verb, *argv])
+        assert (text, code) == ("error: line 2: the branching layer is implicit; F must be powerset-free\n", 2)
 
     @pytest.mark.parametrize("verb", ["trace", "runs"])
     def test_deep_terms_exit_two(self, deep_file, verb):
@@ -497,7 +508,7 @@ class TestRefusalsThroughVerbs:
              "line 2: expected 'name/registers'"),
             ("precise-factor", "factor", f"{PAIR_FACTOR}x1 -> (y, y)\n", "term map not total: missing [('*', 'x2')]"),
             ("precise-factor", "factor", "[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n",
-             "cannot factorize through powerset nodes"),
+             "line 2: the branching layer is implicit; F must be powerset-free"),
             ("precise-factor", "factor", "[functor]\nprod(id, sort(zz))\n\n[domain]\nx\n\n[codomain]\ny\n",
              "line 2: expression refers to unknown sort 'zz'"),
             # compose substitutes for id alone

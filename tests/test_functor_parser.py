@@ -27,7 +27,7 @@ FUNCTOR_ERRORS = [
     ("prod(id; id)", "expected ')', got ';'"),
     ("sort x", "expected '(', got 'x'"),
     ("sort(x y)", "expected ')', got 'y'"),
-    ("pf id", "expected '(', got 'id'"),
+    ("plus1 id", "expected '(', got 'id'"),
     ("compose(id id)", "expected ',', got 'id'"),
     ("analytic[ p/0 ]", "expected '{', got '['"),
     ("analytic{ p 2 }", "expected '/', got '2'"),
@@ -47,6 +47,9 @@ FUNCTOR_ERRORS = [
     ("analytic{ p/0 ;", "unexpected end of input"),
     ('const("a)', "unterminated quoted name"),
     ("const(a?)", "unexpected character '?'"),
+    # G = Pf . F: the branching is implicit, so F never holds the powerset
+    ("pf(id)", "the branching layer is implicit; F must be powerset-free"),
+    ("compose(pf(id), id)", "the branching layer is implicit; F must be powerset-free"),
 ]
 IDS = [f"{i}-{message.split(' ')[0]}" for i, (_t, message) in enumerate(FUNCTOR_ERRORS)]
 

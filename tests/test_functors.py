@@ -11,9 +11,7 @@ from coalgpath.functors import (
     ConstElem,
     Coprod,
     Inj,
-    Pf,
     Prod,
-    SetOf,
     SortRef,
     Symbol,
     TermError,
@@ -159,11 +157,6 @@ class TestEval:
         terms = eval_functor(f, single([]))[DEFAULT_SORT]
         assert [repr(t) for t in terms] == [f"in1({chr(0x22a5)})"]
 
-    def test_powerset(self):
-        f = functor(Pf(SortRef()))
-        terms = eval_functor(f, single(["x", "y"]))[DEFAULT_SORT]
-        assert len(terms) == 4
-
     def test_compose(self):
         inner = Prod((Const(("a",)), SortRef()))
         f = functor(compose(Prod((SortRef(), SortRef())), inner))
@@ -182,7 +175,7 @@ class TestEval:
 
 class TestTermMembership:
     """``term_in_functor``, the public system constructor's term check,
-    at analytic and powerset nodes."""
+    at analytic nodes."""
 
     SIG = functor(Analytic((
         Symbol("pair", (SortRef(), SortRef()), symmetric_group(2)),
@@ -203,17 +196,6 @@ class TestTermMembership:
     ], ids=["unknown-symbol", "short-pair", "long-leaf", "non-canonical", "tuple"])
     def test_analytic_rejections(self, t):
         assert not term_in_functor(self.SIG, DEFAULT_SORT, t, self.X)
-
-    def test_powerset_node(self):
-        f = functor(Pf(Prod((Const(("a",)), SortRef()))))
-
-        def edge(name):
-            return TupleTerm((ConstElem("a"), var(name)))
-
-        assert term_in_functor(f, DEFAULT_SORT, SetOf(()), self.X)
-        assert term_in_functor(f, DEFAULT_SORT, SetOf((edge("x"), edge("y"))), self.X)
-        assert not term_in_functor(f, DEFAULT_SORT, SetOf((edge("x"), edge("z"))), self.X)
-        assert not term_in_functor(f, DEFAULT_SORT, edge("x"), self.X)
 
 
 class TestComposition:
@@ -248,11 +230,10 @@ class TestSortLeaves:
     @pytest.mark.parametrize("node, unknown", [
         (SortRef("zz"), "zz"),
         (Prod((Const(("a",)), SortRef("zz"))), "zz"),
-        (Coprod((Const(("a",)), Pf(SortRef("zz")))), "zz"),
         (Analytic((Symbol("s", (SortRef("zz"), SortRef("zz")), PermGroup(2, ((1, 0),))),)), "zz"),
         (Prod((SortRef("zz"), SortRef("zy"), SortRef())), "zz"),
-        (Prod((Pf(SortRef("zz")), SortRef("zy"))), "zy"),
-    ], ids=["leaf", "product", "powerset-in-coproduct", "analytic-slot", "first-of-two", "shallower-of-two"])
+        (Prod((Coprod((Const(("a",)), SortRef("zz"))), SortRef("zy"))), "zy"),
+    ], ids=["leaf", "product", "analytic-slot", "first-of-two", "shallower-of-two"])
     def test_unknown_sort_refused(self, node, unknown):
         with pytest.raises(TermError, match=f"^expression refers to unknown sort '{unknown}'$"):
             functor(node)
@@ -260,8 +241,9 @@ class TestSortLeaves:
             multisorted(("*", "b"), {"*": SortRef("b"), "b": node})
 
     def test_leaves_of_listed_sorts_taken(self):
-        f = multisorted(("*", "b"), {"*": Prod((Const(("a",)), SortRef("b"))), "b": Pf(SortRef())})
-        assert f.node("b") == Pf(SortRef())
+        b = Coprod((Const(("c",)), SortRef()))
+        f = multisorted(("*", "b"), {"*": Prod((Const(("a",)), SortRef("b"))), "b": b})
+        assert f.node("b") == b
 
 
 class TestMalformedTerms:
@@ -383,14 +365,6 @@ class TestOccurrences:
             ("x", (1, 1)),
         ]
 
-    def test_powerset_rejected(self):
-        from coalgpath.functors import PowersetNodeError
-
-        f = functor(Pf(SortRef()))
-        t = SetOf([var("x")])
-        with pytest.raises(PowersetNodeError):
-            occurrences(f.node(DEFAULT_SORT), t)
-
 
 class TestCanonicalization:
     @given(st.permutations(["x", "y", "z"]))
@@ -403,10 +377,6 @@ class TestCanonicalization:
         for p in group_elements(g):
             moved = tuple(args[i] for i in p)
             assert ansym(g, "c3", moved) == t
-
-    def test_setof_sorted_and_deduped(self):
-        s = SetOf([var("y"), var("x"), var("y")])
-        assert [a.name for a in s.args] == ["x", "y"]
 
 
 class TestFunctorLawsExhaustive:

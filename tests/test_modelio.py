@@ -93,7 +93,6 @@ class TestFunctorGrammar:
             "prod(const(a), id)",
             "coprod(prod(const(a b), id), const(ok))",
             "plus1(prod(id, id))",
-            "pf(id)",
             "compose(prod(id, id), coprod(const(c), id))",
             "analytic{ pair/2 [(1 2)] ; leaf/0 }",
             "compose(analytic{ pair/2 [(1 2)] ; leaf/0 }, prod(const(a b), id))",
@@ -572,21 +571,6 @@ class TestGeneratedNameRoundtrips:
         reparsed = parse_factor_problem(printed)
         assert reparsed == produced
         assert print_factor_problem(reparsed) == printed
-
-    def test_powerset_factor_problem_roundtrips(self):
-        from model_writers import parse_model, print_model
-
-        # the printer's set body, empty and with two members in sorted order
-        text = (
-            "[functor]\nprod(const(a), pf(id))\n\n[domain]\nx1 x2\n\n[codomain]\ny1 y2\n\n"
-            "[map]\nx1 -> (a, {})\nx2 -> (a, {y2, y1})\n"
-        )
-        problem = parse_model(text)
-        printed = print_model(problem)
-        assert printed.endswith("[map]\nx1 -> (a, {})\nx2 -> (a, {y1, y2})\n")
-        reparsed = parse_model(printed)
-        assert reparsed == problem
-        assert print_model(reparsed) == printed
 
     def test_embedded_path_coalgebra_roundtrips(self):
         from conftest import linear_word_system

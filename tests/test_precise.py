@@ -8,9 +8,7 @@ from coalgpath import precise
 from coalgpath.functors import (
     Const,
     Inj,
-    Pf,
     Prod,
-    SetOf,
     SortRef,
     TupleTerm,
     bot_of_plus1,
@@ -52,7 +50,9 @@ from oracles import (
     fresh_precise_maps,
     frontier_chains,
     is_bijective,
+    is_powerset_precise,
     is_precise_oracle,
+    subsets,
 )
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
@@ -109,19 +109,19 @@ class TestOracleAgreement:
 
 
 class TestPowersetNegative:
+    """Maps into the test-side powerset of ``tests/oracles.py``: the
+    library's functors are powerset-free."""
+
     def test_nonempty_image_is_never_precise(self):
-        pf = functor(Pf(SortRef()))
         for nx, ny in itertools.product(range(1, 3), range(1, 3)):
             xs = [f"x{i}" for i in range(nx)]
             ys = [f"y{i}" for i in range(ny)]
-            for f in all_term_maps(pf, xs, ys):
-                if any(len(t.args) for t in f.table.values()):
-                    assert not is_precise_oracle(f, max(2 * ny, nx))
+            for images in itertools.product(subsets(ys), repeat=nx):
+                if any(images):
+                    assert not is_powerset_precise(dict(zip(xs, images)), ys, max(2 * ny, nx))
 
     def test_constantly_empty_is_precise_on_empty_codomain(self):
-        pf = functor(Pf(SortRef()))
-        f = term_map(pf, ["x"], [], {"x": SetOf([])})
-        assert is_precise_oracle(f, 2)
+        assert is_powerset_precise({"x": ()}, [], 2)
 
     def test_vacuous_constant_case(self):
         const = functor(Const(("c",)))

@@ -3,9 +3,9 @@
 Each term is a tuple of its kind tag and its fields, so it compares,
 orders and hashes as the nested key ``oracles.legacy_term_key`` builds
 from its fields.  The terms come from every place the library makes
-them: ``eval_functor`` over the harness functors, a powerset functor and
-a symmetric analytic symbol, the shapes of precise maps, and the trace
-of a tree automaton.
+them: ``eval_functor`` over the harness functors and a symmetric
+analytic symbol, the shapes of precise maps, and the trace of a tree
+automaton.
 """
 
 import copy
@@ -25,7 +25,6 @@ from coalgpath.functors import (
     AnSym,
     ConstElem,
     Inj,
-    SetOf,
     SortRef,
     Symbol,
     Term,
@@ -56,7 +55,6 @@ HARNESS_TEXTS = (
     "analytic{ pair/2 [(1 2)] ; leaf/0 }",
     "coprod(const(c), prod(id, id))",
 )
-POWERSET = functor(parse_functor_text("pf(coprod(const(a), id))"))
 SYMMETRIC = functor(Analytic((Symbol("t", (SortRef(),) * 3, symmetric_group(3)), Symbol("e", (), symmetric_group(0)))))
 PAIR_LEAF = functor(parse_functor_text(HARNESS_TEXTS[3]))
 
@@ -71,11 +69,10 @@ def _height(t):
 
 def _term_pool():
     harness = [functor(parse_functor_text(text)) for text in HARNESS_TEXTS]
-    carrier = SortedSet.single(["w", "x", "y", "z"])
+    carrier = SortedSet.single(["v", "w", "x", "y", "z"])
     pool = {UNIT_TERM, BOT_TERM}
-    for f in [*harness, POWERSET, SYMMETRIC]:
-        pool.update(eval_functor(f, carrier)[DEFAULT_SORT])
     for f in [*harness, SYMMETRIC]:
+        pool.update(eval_functor(f, carrier)[DEFAULT_SORT])
         pool.update(element_shapes(f.plus1, DEFAULT_SORT))
     for seed in range(4):
         c = random_coalgebra(GenSpec(PAIR_LEAF, {DEFAULT_SORT: 3}, 0.5, seed))
@@ -92,7 +89,7 @@ def _term_pool():
 
 
 POOL = _term_pool()
-KINDS = (ConstElem, Var, TupleTerm, Inj, AnSym, SetOf, UnitLeaf)
+KINDS = (ConstElem, Var, TupleTerm, Inj, AnSym, UnitLeaf)
 
 
 def _rebuild(t):
@@ -107,8 +104,6 @@ def _rebuild(t):
         return Inj(t.index, _rebuild(t.arg))
     if isinstance(t, AnSym):
         return AnSym(t.sym, tuple(_rebuild(a) for a in t.args))
-    if isinstance(t, SetOf):
-        return SetOf(reversed([_rebuild(a) for a in t.args]))
     return UnitLeaf()
 
 
@@ -153,7 +148,7 @@ def test_terms_of_different_kinds_never_compare_equal():
             assert a != b and not a == b
     # same fields, different kinds
     assert ConstElem("x") != Var(DEFAULT_SORT, "x")
-    assert TupleTerm(()) != SetOf(()) != AnSym("e", ())
+    assert TupleTerm(()) != AnSym("e", ())
 
 
 def test_constructor_fields_read_back():
@@ -165,7 +160,6 @@ def test_constructor_fields_read_back():
     assert (inj.index, inj.arg) == (1, x)
     sym = AnSym("f", (y, x))
     assert (sym.sym, sym.args) == ("f", (y, x))
-    assert SetOf([y, x, y]).args == (x, y)
     assert UnitLeaf() == UNIT_TERM and repr(UnitLeaf()) == "•"
     with pytest.raises(AttributeError):
         inj.index = 2
@@ -210,7 +204,7 @@ QUOTED = [
     AnSym("p", (AnSym("x", ()), AnSym("y", ()))),
     TupleTerm((Var("*", "a b"), ConstElem("c->d"), ConstElem("#"))),
     Inj(1, AnSym("sym bol", (Var("*", "(x;0.1)"), Var("*", "x")))),
-    SetOf([ConstElem("c d"), ConstElem("cd"), ConstElem("")]),
+    TupleTerm((ConstElem("c d"), ConstElem("cd"), ConstElem(""))),
 ]
 
 
@@ -220,7 +214,7 @@ def test_names_print_as_model_files_write_them():
         assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
     assert print_term(QUOTED[0]) == '"p(x, y)"' and print_term(QUOTED[1]) == "p(x, y)"
     assert print_term(QUOTED[2]) == '("a b", "c->d", "#")'
-    assert print_term(QUOTED[4]) == '{"", "c d", cd}'
+    assert print_term(QUOTED[4]) == '("c d", cd, "")'
 
 
 def test_memo_formats_each_name_once():
@@ -266,9 +260,8 @@ def test_memo_keeps_its_terms_so_no_id_is_reused():
             assert print_term(t, memo) == print_term(t) == recursive_print_term(t)
 
 
-@pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: SetOf([t]),
-                                  lambda t: AnSym("s", (t,))],
-                         ids=["inj", "tuple", "set", "ansym"])
+@pytest.mark.parametrize("kind", [lambda t: Inj(0, t), lambda t: TupleTerm((t, BOT_TERM)), lambda t: AnSym("s", (t,))],
+                         ids=["inj", "tuple", "ansym"])
 def test_too_deep_terms_refused_with_and_without_memo(kind):
     memo = {}
     t = UNIT_TERM
