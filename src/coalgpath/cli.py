@@ -31,7 +31,7 @@ from .openmap import (
 )
 from .paths import comp, comps_are_words, enumerate_runs
 from .precise import is_precise, precise_chains, precise_factorize
-from .sets import CoalgError, SortedFun
+from .sets import CoalgError
 from .trace import lts_language, trace
 
 
@@ -168,42 +168,36 @@ def _runs(args: argparse.Namespace) -> _Lines:
     if comps_are_words(system.functor, system.pointing):
         return (yield from _word_runs(system, args.depth, word_separator(
             system.functor, GLYPH_ASCII if args.ascii else None)))
-    fp1 = system.functor.plus1
+    f = system.functor
+    fp1 = f.plus1
     state = _state_names(system.carrier)
-    # only level 0, the pointing, can hold a name in two sorts
+    # only level 0, the pointing, can hold a name in two sorts; the names
+    # of every later level are bare
     point = _state_names(system.pointing)
+    # the composite lists the pointed elements by (sort, name)
+    pairs = system.pointing.pairs()
+    heads = [(i, pairs[i][0]) for i in sorted(range(len(pairs)), key=pairs.__getitem__)]
     # runs come depth first, each extending the last run one level
     # shorter: states[k] holds the k:e->x states of levels 0..k of the
     # last run
     states: list[str] = []
-    # enumerate_runs builds the children of a level of at most one
-    # element once: the text of such a child's run component, when its
-    # own level is that narrow too, is kept by id, with the component
-    # keeping its object alive, so a hit is that object.  A child of a
-    # wider level is built anew on each visit, so keeping it would only
-    # hold it alive
-    own_text: dict[tuple[int, int], tuple[SortedFun, str]] = {}
     # a run's composite shares most subterms with the runs before it:
     # comp builds, and print_term_for prints, each once for the call
     values: dict = {}
     texts: dict = {}
     count = 0
-    for path, run in enumerate_runs(system, args.depth):
-        n = path.length
+    for run in enumerate_runs(system, args.depth):
+        levels = run[0]
+        n = len(levels) - 1
         del states[n:]
-        x_n = run.components[n]
-        kept = own_text.get((n, id(x_n)))
-        if kept is None:
-            level = path.levels[n]
-            kept = x_n, " ".join(
-                f"{n}:{point[s, e] if n == 0 else format_name(e)}->{state[s, x_n(s, e)]}" for s, e in level.pairs()
-            )
-            if n and path.levels[n - 1].size() <= 1 and level.size() <= 1:
-                own_text[(n, id(x_n))] = kept
-        own = kept[1]
-        head = states[-1] if states else ""
-        states.append(f"{head} {own}" if head and own else head or own)
-        terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in comp(path, values))
+        if n:
+            own = " ".join([f"{n}:{e}->{state[s, x]}" for s, e, x in levels[n]])
+            head = states[-1]
+            states.append(f"{head} {own}" if head and own else head or own)
+        else:
+            states.append(" ".join([f"0:{point[s, e]}->{state[s, x]}" for s, e, x in levels[0]]))
+        top = comp(f, run, values)
+        terms = " ".join([print_term_for(fp1, s, top[i], texts) for i, s in heads])
         yield f"run {count}: length {n} comp {terms} [{states[n]}]"
         count += 1
     yield f"{count} runs"

@@ -527,7 +527,8 @@ def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
 
 
 def _substituting(image_of: Callable[[tuple[str, str]], Term]):
-    """The leaf function of :func:`subst_node`, each variable's image read from ``image_of``."""
+    """The leaf function of :func:`subst_node` and of ``paths.comp``, each
+    variable's image read from ``image_of``, called with its (sort, name)."""
 
     def leaf(ref: SortRef, t: Term) -> Term:
         if not isinstance(t, Var):

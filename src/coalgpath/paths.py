@@ -1,10 +1,12 @@
-"""Paths for F+1: path objects, composites and runs.
+"""Paths for F+1: path objects, runs and their composites.
 
 A path is a finite sequence of (F+1)-precise maps starting at the
-pointing object.  Composing a path all the way down (replacing the last
-level by the unit) gives its composite value, an element of (F+1)^n(1).
-A run is a level-indexed mapping into a system that respects
-transitions.
+pointing object.  A run is a level-indexed mapping into a system that
+respects transitions.  Composing a run's path all the way down
+(replacing the last level by the unit) gives its composite value, an
+element of (F+1)^n(1).  The ``runs`` verb walks runs as plain records
+(:func:`enumerate_runs`, :func:`comp`); the ``open`` witness keeps them
+as path and run objects.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from .functors import (
     UNIT_TERM,
     Functor,
     Term,
-    _leaf_states,
-    _named_image,
+    _substituting,
     bot_of_plus1,
     fmap,
+    map_leaves,
     occurrences,
     step_of_plus1,
     strip_plus1,
-    subst_node,
     term_in_functor,
     word_route,
 )
@@ -78,37 +79,47 @@ def validate_path(p: PathObj) -> list[str]:
 # ---------------------------------------------------------------------------
 # Composites
 
-def comp(p: PathObj, memo: dict | None = None) -> tuple[tuple[tuple[str, str], Term], ...]:
-    """The composite of ``p``, an element of (F+1)^n(1) per pointing
-    element, as sorted ``((sort, elem), term)`` pairs: the levels
-    substituted backwards, the last one replaced by units.
+# the added point's value, shared by every composite
+_BOT = bot_of_plus1()
 
-    Each value is interned in ``memo`` under its sort, its step term and
-    the ids of the values at its leaves: ``memo[(sort, term)]`` holds the
-    term's leaves and a dict from those ids to the value, so a subterm
-    met again is built once and each step term is hashed once per use.
-    The leaves' values are the unit or values of the memo, which keeps
-    them alive, so no id is reused.  A caller that keeps ``memo`` for
-    many paths over one functor, as the ``runs`` verb does, builds each
-    subterm they share once; without it, the memo lasts one call.
+
+def comp(f: Functor, run: tuple, memo: dict) -> list[Term]:
+    """The composite of a run of :func:`enumerate_runs` over ``f``, an
+    element of (F+1)^n(1) per element of its level 0, in level order:
+    from the last level up, each element's value is the unit at level n,
+    the added point where its step takes it, and otherwise its transition
+    term with the value of the next-level element at each leaf.
+
+    Each value is interned in ``memo`` under its sort, its transition term
+    and the ids of the values at its leaves, so a subterm met again is
+    built once, by one ``map_leaves``.  Those values are the unit, the
+    added point or values of the memo, which keeps them alive, so no id is
+    reused.  ``map_leaves`` puts the arguments of an analytic symbol in
+    their orbit's least order, so the value is the one the step renamed
+    to the next level's names and then substituted would give.
     """
-    if memo is None:
-        memo = {}
-    current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
-    fp1 = p.functor.plus1
-    for k in range(p.length - 1, -1, -1):
-        nxt: dict[tuple[str, str], Term] = {}
-        for (s, x), t in p.steps[k].table.items():
-            kept = memo.get((s, t))
-            if kept is None:
-                kept = memo[(s, t)] = _leaf_states(fp1, s, t), {}
-            ids = tuple([id(current[leaf]) for leaf in kept[0]])
-            value = kept[1].get(ids)
+    levels, steps = run
+    below: list[Term] = [UNIT_TERM] * len(levels[-1])
+    for k in range(len(steps) - 1, -1, -1):
+        values: list[Term] = []
+        for (s, _e, _x), step in zip(levels[k], steps[k]):
+            if step is None:
+                values.append(_BOT)
+                continue
+            t, at = step
+            args = [below[i] for i in at]
+            by_ids = memo.get((s, t))
+            if by_ids is None:
+                by_ids = memo[(s, t)] = {}
+            ids = tuple([id(a) for a in args])
+            value = by_ids.get(ids)
             if value is None:
-                value = kept[1][ids] = subst_node(fp1.node(s), t, current)
-            nxt[(s, x)] = value
-        current = nxt
-    return tuple(sorted(current.items()))
+                # the i-th leaf, in occurrence order, takes the i-th value
+                leaves = iter(args)
+                value = by_ids[ids] = step_of_plus1(map_leaves(f.node(s), t, _substituting(lambda _key: next(leaves))))
+            values.append(value)
+        below = values
+    return below
 
 
 def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
@@ -150,8 +161,16 @@ def is_run(r: Run) -> bool:
     return True
 
 
-def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, Run]]:
-    """Every (path, run) pair up to the given length, lexicographically.
+def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[tuple, tuple]]:
+    """Every run of ``c`` up to the given length, lexicographically, as a
+    plain record ``(levels, steps)``.
+
+    ``levels[k]`` holds the elements of level k, in level order, as
+    ``(sort, name, state)``, with the state the run sends the element to;
+    level 0 is the pointing.  ``steps[k]`` holds, per element of level k,
+    ``None`` for the added point, or the transition term of its state
+    that the step chose, as written, with the positions in level k+1 of
+    the elements at its leaves, in occurrence order.
 
     Level k+1 is produced by choosing, per level-k element, either the
     added point or one of its transition terms; each variable occurrence
@@ -159,117 +178,101 @@ def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, R
     precise factorization.  The occurrences are ordered as the
     factorization's codomain orders its ``(x;path)`` names (sort first,
     then the string order of the name, x labelled by
-    ``precise.element_labels``), numbered ``n000``, ``n001``, ...
-    in that order, and each chosen term is rebuilt once over those names.
-    Level-wise-bijective duplicates never arise because distinct choices
-    induce distinct labelled levels.
+    ``precise.element_labels``) and numbered ``n000``, ``n001``, ... in
+    that order.  A level lists its sorts in the carrier's order and each
+    sort's names as strings, so from ``n1000`` on it leaves the
+    numbering order.  Level-wise-bijective duplicates never arise because
+    distinct choices induce distinct labelled levels.
 
-    Pairs come in depth-first order: every path is emitted before its
-    extensions, and an extension of length n shares levels, steps and
-    run components 0..n-1 with the last path of length n-1 emitted
-    before it.  Callers may keep what they derive per level and reuse it
-    for the extensions.
+    Runs come in depth-first order: every run is emitted before its
+    extensions, and an extension of length n shares its levels and steps
+    0..n-1 with the last run of length n-1 emitted before it.
 
     The children of a level of at most one element are built once per
-    (level, state) in a call; a wider level builds them on each visit.
-    So levels, steps and run components are shared between pairs, and
-    callers must not write to their tables.  They are built through the
-    trusted constructors, as they are well formed by construction, and
-    each chosen term is renamed through the functor's term memo.
+    call; a wider level builds them on each visit, as keeping them all
+    multiplies memory for little time.  Callers must not change what the
+    records hold.
     """
-    fp1 = c.functor.plus1
-    bot = bot_of_plus1()
-    point_fun = SortedFun(c.pointing, c.carrier, dict(c.point))
     sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}
-    options_of: dict[tuple[str, str], list[tuple | None]] = {}
+    names: list[str] = []
+    occurring: dict[tuple[str, str], list[tuple[Term, list[tuple]]]] = {}
+    options_of: dict[tuple[str, str, str], list[tuple | None]] = {}
 
-    def options(state: tuple[str, str]) -> list[tuple | None]:
-        """The added point and, per transition term of ``state``, the
-        term with its occurrences as (rank, sort, target, path suffix of
-        the position name) in occurrence order."""
-        opts = options_of.get(state)
+    def options(label: str, s: str, x: str) -> list[tuple | None]:
+        """The added point and, per transition term of state ``x``, the
+        term with a sort key per occurrence, in occurrence order: (rank,
+        position name, sort, target), the position named after the
+        element's ``label`` under ``Inj(0, .)``."""
+        opts = options_of.get((label, s, x))
         if opts is None:
-            node = c.functor.node(state[0])
-            opts = options_of[state] = [None] + [
-                (t, [
-                    (sort_rank[v.sort], v.sort, v.name, "".join(f".{i}" for i in path))
-                    for v, path in occurrences(node, t)
-                ])
-                for t in c.xi[state]
+            found = occurring.get((s, x))
+            if found is None:
+                node = c.functor.node(s)
+                found = occurring[(s, x)] = [
+                    (t, [(v.sort, v.name, "".join(f".{i}" for i in path)) for v, path in occurrences(node, t)])
+                    for t in c.xi[(s, x)]
+                ]
+            opts = options_of[(label, s, x)] = [None] + [
+                (t, [(sort_rank[vs], f"({label};0{suffix})", vs, target) for vs, target, suffix in occ])
+                for t, occ in found
             ]
         return opts
 
-    def children(current: SortedSet, states: tuple) -> Iterator[tuple]:
-        """The next level, step and next run component of each extension
-        of a level ``current`` whose elements sit at ``states``."""
-        keys = list(current.pairs())
-        labels = element_labels(current)
-        space_sorts = c.pointing.sorts
-        for combo in itertools.product(*[options(state) for state in states]):
-            # one (rank, position name, sort, target) per occurrence; the
-            # choice under Inj(0, .) puts 0 at the head of every path
-            occ = [
-                (rank, f"({e};0{suffix})", vs, target)
-                for e, choice in zip(labels, combo)
-                if choice is not None
-                for rank, vs, target, suffix in choice[1]
-            ]
-            fresh: list[str] = [""] * len(occ)
-            per_sort: dict[str, list[str]] = {s: [] for s in space_sorts}
-            x_table: dict[tuple[str, str], str] = {}
-            for i, j in enumerate(sorted(range(len(occ)), key=occ.__getitem__)):
-                _rank, _pos, vs, target = occ[j]
-                name = f"n{i:03d}"
-                fresh[j] = name
-                per_sort[vs].append(name)
-                x_table[(vs, name)] = target
-            # each sort's names come in numbering order, so sorting them
-            # is linear, but from n1000 on that is not their string order
-            next_level = SortedSet._built(space_sorts, tuple([tuple(sorted(per_sort[s])) for s in space_sorts]))
-            step_table: dict[tuple[str, str], Term] = {}
+    def children(level: tuple, labels: list[str]) -> Iterator[tuple[tuple, tuple]]:
+        """The next level and step of each extension of ``level``."""
+        for combo in itertools.product(*[options(label, s, x) for label, (s, _e, x) in zip(labels, level)]):
+            occ = [key for choice in combo if choice is not None for key in choice[1]]
+            n = len(occ)
+            while len(names) < n:
+                names.append(f"n{len(names):03d}")
+            order = sorted(range(n), key=occ.__getitem__)
+            name_of = [""] * n
+            for i, j in enumerate(order):
+                name_of[j] = names[i]
+            if n > 1000:
+                order.sort(key=lambda j: (occ[j][0], name_of[j]))
+            place = [0] * n
+            for i, j in enumerate(order):
+                place[j] = i
+            step: list[tuple | None] = []
             start = 0
-            for key, choice in zip(keys, combo):
+            for choice in combo:
                 if choice is None:
-                    step_table[key] = bot
+                    step.append(None)
                 else:
                     end = start + len(choice[1])
-                    step_table[key] = step_of_plus1(_named_image(c.functor, key[0], choice[0], tuple(fresh[start:end])))
+                    step.append((choice[0], tuple(place[start:end])))
                     start = end
-            yield (next_level, TermMap._built(current, fp1, next_level, step_table),
-                   SortedFun._built(next_level, c.carrier, x_table))
+            yield tuple([(occ[j][2], name_of[j], occ[j][3]) for j in order]), tuple(step)
 
     # children of the levels of at most one element, of which there are
     # (sorts + 1)|X| + 1 at most; wider ones multiply and rarely recur
-    built: dict[tuple, list[tuple[SortedSet, TermMap, SortedFun]]] = {}
+    built: dict[tuple, list[tuple[tuple, tuple]]] = {}
 
-    def children_of(path: PathObj, run: Run) -> Iterator[tuple[SortedSet, TermMap, SortedFun]]:
-        """The children of the last level of ``(path, run)``."""
-        current = path.levels[-1]
-        x_k = run.components[-1]
-        states = tuple([(s, x_k(s, e)) for s, e in current.pairs()])
-        if len(states) > 1:
-            return children(current, states)
-        found = built.get((current, states))
+    def children_of(level: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """The children of a level past the pointing, whose labels are its
+        names."""
+        labels = [e for _s, e, _x in level]
+        if len(level) > 1:
+            return children(level, labels)
+        found = built.get(level)
         if found is None:
-            found = built[(current, states)] = list(children(current, states))
+            found = built[level] = list(children(level, labels))
         return iter(found)
 
-    root = PathObj(c.functor, (c.pointing,), ())
-    root_run = Run(root, c, (point_fun,))
-    yield root, root_run
-    # depth first: per pair on the way down, its path, its run and the
-    # children of its last level not yet extended; the pair at stack[k]
+    root = tuple([(s, e, c.point[(s, e)]) for s, e in c.pointing.pairs()])
+    yield (root,), ()
+    # depth first: per run on the way down, its levels, its steps and the
+    # children of its last level not yet extended; the run at stack[k]
     # has length k, so its children have length k + 1
-    stack = [(root, root_run, children_of(root, root_run))] if depth > 0 else []
+    stack = [((root,), (), children(root, element_labels(c.pointing)))] if depth > 0 else []
     while stack:
-        path, run, rest = stack[-1]
+        levels, steps, rest = stack[-1]
         child = next(rest, None)
         if child is None:
             stack.pop()
             continue
-        next_level, step, x_next = child
-        longer = PathObj(c.functor, path.levels + (next_level,), path.steps + (step,))
-        longer_run = Run(longer, c, run.components + (x_next,))
-        yield longer, longer_run
+        run = levels + (child[0],), steps + (child[1],)
+        yield run
         if len(stack) < depth:
-            stack.append((longer, longer_run, children_of(longer, longer_run)))
+            stack.append((*run, children_of(child[0])))

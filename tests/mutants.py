@@ -80,10 +80,20 @@ MUTANTS = [
     # precise-factor prints the given codomain, not the factorization's
     Mutant("factor-prints-the-given-codomain", "cli.py",
            "    codomain = fac.precise.cod\n", "    codomain = f.cod\n", ("tests/test_compose_golden.py",)),
-    # a composite value is interned under its step term alone, not the
-    # values at its leaves, so two paths sharing a step term share a value
+    # a composite value is interned under its transition term alone, not
+    # the values at its leaves, so two runs sharing a term share a value
     Mutant("comp-interns-without-the-leaves", "paths.py",
-           "            ids = tuple([id(current[leaf]) for leaf in kept[0]])\n", "            ids = ()\n",
+           "            ids = tuple([id(a) for a in args])\n", "            ids = ()\n",
+           ("tests/test_paths.py",)),
+    # a run's fresh elements are numbered in occurrence order, not in the
+    # order of the factorization's (x;path) names
+    Mutant("fresh-names-in-occurrence-order", "paths.py",
+           "            order = sorted(range(n), key=occ.__getitem__)\n", "            order = list(range(n))\n",
+           ("tests/test_paths.py",)),
+    # the runs verb lists a composite's pointed elements in level order,
+    # which puts a sort listed first ahead of one whose name sorts first
+    Mutant("runs-composite-in-level-order", "cli.py",
+           "for i in sorted(range(len(pairs)), key=pairs.__getitem__)]", "for i in range(len(pairs))]",
            ("tests/test_paths.py",)),
     # a name whose text before its first dot is a sort prints bare
     Mutant("dotted-name-rule-off", "precise.py",

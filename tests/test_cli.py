@@ -507,8 +507,6 @@ class TestRefusalsThroughVerbs:
             ("rnna", "rnna", "[states]\nq0/1 q1\n\n[init]\nq0\n\n[rules]\nq0 -> ok\n",
              "line 2: expected 'name/registers'"),
             ("precise-factor", "factor", f"{PAIR_FACTOR}x1 -> (y, y)\n", "term map not total: missing [('*', 'x2')]"),
-            ("precise-factor", "factor", "[functor]\npf(id)\n\n[domain]\nx\n\n[codomain]\ny\n\n[map]\nx -> {y}\n",
-             "line 2: the branching layer is implicit; F must be powerset-free"),
             ("precise-factor", "factor", "[functor]\nprod(id, sort(zz))\n\n[domain]\nx\n\n[codomain]\ny\n",
              "line 2: expression refers to unknown sort 'zz'"),
             # compose substitutes for id alone
@@ -519,7 +517,7 @@ class TestRefusalsThroughVerbs:
         ],
         ids=["duplicate-section", "ambiguous-element", "across-sorts", "missing-expression", "missing-codomain",
              "morphism-line", "identity-line", "composition-line", "register-state", "map-not-total",
-             "factor-powerset", "factor-unknown-sort", "compose-outer-sort", "pointing-not-total"],
+             "factor-unknown-sort", "compose-outer-sort", "pointing-not-total"],
     )
     def test_refusal_exits_two(self, tmp_path, verb, suffix, text, message):
         path = tmp_path / f"bad.{suffix}"

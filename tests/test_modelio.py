@@ -49,7 +49,7 @@ from coalgpath.modelio import (
     tokenize,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
-from coalgpath.paths import comp, enumerate_runs, make_path
+from coalgpath.paths import make_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 from conftest import MULTISORTED, S3_PRESENTATIONS, lts_functor, poset_category, s3_model
@@ -63,7 +63,7 @@ from model_writers import (
     print_path,
     print_rnna,
 )
-from oracles import comp_as_word
+from oracles import comp_as_word, path_comp, path_runs
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -319,11 +319,11 @@ class TestPathFiles:
         from conftest import linear_word_system
 
         c = linear_word_system("ab", "ab")
-        for p, _r in enumerate_runs(c, 2):
+        for p, _r in path_runs(c, 2):
             text = print_path(p)
             again = parse_path(text)
             assert (again.functor, again.levels[0], again.length) == (p.functor, p.levels[0], p.length)
-            assert comp(again) == comp(p)
+            assert path_comp(again) == path_comp(p)
 
 
 class TestMultisortedPathFiles:
@@ -355,7 +355,7 @@ a : *
         assert p.levels[1].elems("a") == ("x",) and p.levels[1].elems("b") == ("y",)
         text = print_path(p)
         again = parse_path(text)
-        assert comp(again) == comp(p)
+        assert path_comp(again) == path_comp(p)
         assert print_path(again) == text
 
     def test_lasota_paths_roundtrip(self):
@@ -374,7 +374,7 @@ a : *
                 p = make_path(f, levels, tables)
                 text = print_model(p)
                 again = parse_model(text)
-                assert comp(again) == comp(p)
+                assert path_comp(again) == path_comp(p)
                 assert print_model(again) == text
                 count += 1
                 for codomain, step in enumerate_precise_maps(levels[-1], f.plus1):
@@ -574,11 +574,10 @@ class TestGeneratedNameRoundtrips:
 
     def test_embedded_path_coalgebra_roundtrips(self):
         from conftest import linear_word_system
-        from coalgpath.paths import enumerate_runs
         from oracles import j_embed
 
         c = linear_word_system("ab", "ab")
-        for p, _r in enumerate_runs(c, 2):
+        for p, _r in path_runs(c, 2):
             embedded = j_embed(p)  # states named "k:elem"
             text = print_coalgebra(embedded)
             again = parse_coalgebra(text)
@@ -1010,13 +1009,13 @@ class TestFig3PathFile:
     def test_prints_parses_and_validates(self):
         from test_paths import fig3_path
         from model_writers import parse_model, print_path
-        from coalgpath.paths import comp, validate_path
+        from coalgpath.paths import validate_path
 
         p = fig3_path()
         text = print_path(p)
         again = parse_model(text)
         assert validate_path(again) == []
-        assert comp(again) == comp(p)
+        assert path_comp(again) == path_comp(p)
         assert print_path(again) == text
 
 

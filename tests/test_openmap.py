@@ -29,7 +29,7 @@ from coalgpath.openmap import (
     serialize_witness,
     verify_theorems,
 )
-from coalgpath.paths import Run, enumerate_runs, is_run, make_path, validate_path
+from coalgpath.paths import Run, is_run, make_path, validate_path
 from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
@@ -45,7 +45,7 @@ from conftest import (
     single,
     whyplus1_system,
 )
-from oracles import all_functions, factorized_runs, run_image
+from oracles import all_functions, factorized_runs, path_runs, run_image
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
@@ -106,7 +106,7 @@ class TestPathReachability:
             c = random_coalgebra(
                 GenSpec(TREE_FUNCTOR if tree else lts_functor("ab"), {DEFAULT_SORT: size}, 0.3, seed)
             )
-            literal = set().union(*(run_image(r) for _p, r in enumerate_runs(c, c.carrier.size())))
+            literal = set().union(*(run_image(r) for _p, r in path_runs(c, c.carrier.size())))
             assert reachable_bfs(c)[1] == literal, f"seed {seed}"
 
     def test_agreement_with_subcoalgebra_reachability(self):
@@ -310,7 +310,7 @@ def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
         return False
     src, dst = m.src, m.dst
     fp1 = src.functor.plus1
-    for path, run in enumerate_runs(src, bound - 1):
+    for path, run in path_runs(src, bound - 1):
         for codomain, qn in enumerate_precise_maps(path.levels[-1], fp1):
             ext = make_path(
                 src.functor,

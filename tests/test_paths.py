@@ -23,27 +23,28 @@ from coalgpath.functors import (
     Var,
     bot_of_plus1,
     functor,
+    map_leaves,
     multisorted,
     step_of_plus1,
     strip_plus1,
-    subst_node,
 )
 from coalgpath.groups import PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text, print_term_for
-from coalgpath.precise import TermMap, precise_chains
-from coalgpath.paths import (
-    PathObj,
-    Run,
-    comp,
-    comps_are_words,
-    enumerate_runs,
-    is_run,
-    make_path,
-    validate_path,
-)
+from coalgpath.precise import precise_chains
+from coalgpath.paths import PathObj, Run, comp, comps_are_words, enumerate_runs, is_run, make_path, validate_path
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
-from conftest import identity_map, linear_word_system, single, symmetric_group, trace_pairs, var, whyplus1_system
+from conftest import (
+    HARNESS_FUNCTORS,
+    MULTISORTED,
+    identity_map,
+    linear_word_system,
+    single,
+    symmetric_group,
+    trace_pairs,
+    var,
+    whyplus1_system,
+)
 from model_writers import print_coalgebra
 from oracles import (
     all_path_morphisms,
@@ -57,8 +58,12 @@ from oracles import (
     j_embed,
     morphism_to_lax,
     path_from_comp,
+    path_comp,
+    path_runs,
     pathord_le,
+    record_pair,
     recursive_print_term_for,
+    reference_runs,
     reference_word_runs,
     run_image,
     step_letter,
@@ -189,10 +194,10 @@ class TestComp:
     def test_length_zero_unit(self):
         f = fig3_functor()
         p = make_path(f, [single(["*"])], [])
-        assert comp(p) == (((DEFAULT_SORT, "*"), UNIT_TERM),)
+        assert path_comp(p) == (((DEFAULT_SORT, "*"), UNIT_TERM),)
 
     def test_fig3_tree(self):
-        [((_s, point), value)] = comp(fig3_path())
+        [((_s, point), value)] = path_comp(fig3_path())
         assert point == "*"
         assert repr(value) == (
             "in0(b(in0(b(in0(u(in0(c))), in0(b(in0(b(•, •)), in0(c))))), in0(u(in0(c)))))"
@@ -244,10 +249,10 @@ def all_comp_values(f, depth):
 class TestPathFromComp:
     def test_word_roundtrip(self):
         q = word_path("ab", 3)
-        u = comp(q)
+        u = path_comp(q)
         p = path_from_comp(q.functor, q.levels[0], q.length, u)
         assert validate_path(p) == []
-        assert comp(p) == u
+        assert path_comp(p) == u
 
     def test_depth_zero(self):
         f = functor(Prod((SortRef(), SortRef())))
@@ -262,7 +267,7 @@ class TestPathFromComp:
                 p = path_from_comp(f, single(["*"]), depth, u)
                 assert validate_path(p) == []
                 assert p.length == depth
-                assert comp(p) == u
+                assert path_comp(p) == u
 
 
 class TestPathMorphisms:
@@ -397,7 +402,7 @@ class TestRuns:
     def test_linear_word_runs(self):
         c = linear_word_system("ab", "ab")
         words = set()
-        for p, r in enumerate_runs(c, 2):
+        for p, r in path_runs(c, 2):
             assert is_run(r)
             w = comp_as_word(p)
             words.add(w)
@@ -405,7 +410,7 @@ class TestRuns:
 
     def test_no_transition_blocks_nonbot_level(self):
         c = linear_word_system("ab", "")
-        for p, r in enumerate_runs(c, 2):
+        for p, r in path_runs(c, 2):
             # only bottom steps are possible
             for step in p.steps:
                 assert all(strip_plus1(t) is None for t in step.table.values())
@@ -413,7 +418,7 @@ class TestRuns:
     def test_whyplus1_depth2_reaches_z(self):
         c = whyplus1_system()
         reached = set()
-        for _p, r in enumerate_runs(c, 2):
+        for _p, r in path_runs(c, 2):
             reached |= {e for _s, e in run_image(r)}
         assert reached == {"x0", "y1", "y2", "z1", "z2"}
 
@@ -424,7 +429,7 @@ class TestRuns:
 
     def test_run_components_respect_transitions(self):
         c = whyplus1_system()
-        runs = list(enumerate_runs(c, 3))
+        runs = list(path_runs(c, 3))
         assert all(is_run(r) for _p, r in runs)
 
     def test_run_transfer_along_lax_hom(self):
@@ -433,7 +438,7 @@ class TestRuns:
         table = {(DEFAULT_SORT, f"q{i}"): f"q{i}" for i in range(3)}
         m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
         assert is_lax_hom(m)
-        for p, r in enumerate_runs(src, 2):
+        for p, r in path_runs(src, 2):
             pushed = Run(
                 p,
                 dst,
@@ -513,11 +518,11 @@ def _never_stops(p: PathObj) -> bool:
 
 
 class TestRunLevelsAgainstFactorization:
-    """``enumerate_runs`` builds each next level in one pass; the oracle
-    factorizes each choice map and renames its codomain.  Without the
-    added point, the oracle's runs (from which the acceptance suite reads
-    the notion without it) are those of ``enumerate_runs`` that never
-    choose it, in the same order."""
+    """``path_runs`` builds each next level in one pass, as
+    ``enumerate_runs`` does; the oracle factorizes each choice map and
+    renames its codomain.  Without the added point, the oracle's runs
+    (from which the acceptance suite reads the notion without it) are
+    those of ``path_runs`` that never choose it, in the same order."""
 
     @pytest.mark.parametrize("allow_bot", [True, False])
     @pytest.mark.parametrize("seed", range(4))
@@ -527,7 +532,7 @@ class TestRunLevelsAgainstFactorization:
     def test_same_runs_as_factorize_then_rename(self, name, f, sizes, depth, seed, allow_bot):
         c = random_coalgebra(GenSpec(f, sizes, 0.4, seed))
         as_words = comps_are_words(c.functor, c.pointing)
-        runs = enumerate_runs(c, depth)
+        runs = path_runs(c, depth)
         got = itertools.islice(runs if allow_bot else (pair for pair in runs if _never_stops(pair[0])), 3000)
         want = itertools.islice(factorized_runs(c, depth, allow_bot), 3000)
         count = 0
@@ -553,7 +558,7 @@ class TestRunLevelsAgainstFactorization:
             {(DEFAULT_SORT, "s0"): (TupleTerm(slots),), (DEFAULT_SORT, "s1"): ()},
         )
         # the root, s0 stopping at the added point, s0 taking its term
-        [_, _, (p, r)] = enumerate_runs(c, 1)
+        [_, _, (p, r)] = path_runs(c, 1)
         [_, _, (p_want, r_want)] = factorized_runs(c, 1)
         assert (p.levels, p.steps, r.components) == (p_want.levels, p_want.steps, r_want.components)
         names = [f"n{i:03d}" for i in (0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 2)]
@@ -568,7 +573,7 @@ class TestRunLevelsAgainstFactorization:
         f = multisorted(("a", "b"), {"a": Prod((SortRef("a"), SortRef("b"))), "b": Prod((SortRef("a"), SortRef("a")))})
         pointing = SortedSet.make({"a": ["p"], "b": ["p"]}, ("a", "b"))
         c = random_coalgebra(GenSpec(f, {"a": 1, "b": 1}, 1.0, 0, pointing))
-        got = [(p.levels, p.steps, r.components) for p, r in enumerate_runs(c, 2)]
+        got = [(p.levels, p.steps, r.components) for p, r in path_runs(c, 2)]
         want = [(p.levels, p.steps, r.components) for p, r in factorized_runs(c, 2)]
         assert got == want
         assert len(got) > 1
@@ -579,80 +584,62 @@ COMPOSE = FIXTURES / "compose"
 
 
 class TestRunChildrenBuiltOnce:
-    """The steps out of a level of at most one element are built once per
-    (level, state) in a call; a wider level builds its steps on every
-    visit."""
+    """The children (next level and step) of a level of at most one
+    element are built once per call and shared by every run that
+    extends it; a wider level builds its children on every visit."""
 
-    @staticmethod
-    def count_steps(monkeypatch, c, depth):
-        built = []
-
-        class CountingTermMap(paths.TermMap):
-            __slots__ = ()
-
-            # enumerate_runs builds its steps through the trusted route
-            @classmethod
-            def _built(cls, dom, *args):
-                built.append(dom.size())
-                return super()._built(dom, *args)
-
-        monkeypatch.setattr(paths, "TermMap", CountingTermMap)
-        return built, list(enumerate_runs(c, depth))
-
-    def test_word_levels_build_each_step_once(self, monkeypatch):
+    def test_word_levels_build_each_step_once(self):
         c = parse_coalgebra((COMPOSE / "trace_enum_lts.model").read_text(encoding="utf-8"))
-        built, pairs = self.count_steps(monkeypatch, c, 6)
-        keys = {
-            (p.levels[-1], tuple((s, r.components[-1](s, e)) for s, e in p.levels[-1].pairs()))
-            for p, r in pairs
-            if p.length < 6
-        }
-        assert all(level.size() <= 1 for level, _states in keys)
-        assert len(pairs) == 1636
+        runs = list(enumerate_runs(c, 6))
+        keys = {levels[-1] for levels, steps in runs if len(steps) < 6}
+        assert all(len(level) <= 1 for level in keys)
+        assert len(runs) == 1636
+        # every record is alive in runs, so two steps share an id only
+        # when they are one object
+        built = {id(steps[-1]) for _levels, steps in runs if steps}
         assert len(built) <= len(keys) * (1 + max(len(ts) for ts in c.xi.values()))
 
-    def test_wide_levels_build_their_steps_on_every_visit(self, monkeypatch):
+    def test_wide_levels_build_their_steps_on_every_visit(self):
         c = parse_coalgebra((COMPOSE / "trace_enum_tree.model").read_text(encoding="utf-8"))
-        built, pairs = self.count_steps(monkeypatch, c, 3)
-        wide_steps = [p for p, _r in pairs if p.length and p.steps[-1].dom.size() > 1]
+        runs = list(enumerate_runs(c, 3))
+        wide_steps = [steps[-1] for _levels, steps in runs if steps and len(steps[-1]) > 1]
         assert wide_steps
-        assert sum(size > 1 for size in built) == len(wide_steps)
+        assert len({id(step) for step in wide_steps}) == len(wide_steps)
 
     @pytest.mark.parametrize("model, depth, wide", [
         ("trace_enum_tree.model", 3, True),
         ("twosorted.model", 3, True),
     ])
     def test_runs_text_keeps_no_component_of_a_wide_level(self, monkeypatch, model, depth, wide):
-        """The runs verb keeps the text of a run component, with the
-        component, only where enumerate_runs shares it: its level and the
-        level before hold at most one element each.  Once the pairs are
-        spent, no other component outlives its run."""
-        made = []  # per pair: its last component, weakly, and the sizes of its last two levels
+        """The runs verb keeps no run record once it has printed its line,
+        so no run component of a wide level, nor of any other, outlives its
+        run.  Each record's steps are handed to the verb in a list that
+        can be referenced weakly."""
+        made = []  # per record: its steps, weakly, and the sizes of its last two levels
         kept = []
 
-        class TrackedFun(paths.SortedFun):
+        class TrackedSteps(list):
             __slots__ = ("__weakref__",)
 
         def spying(c, d):
-            pairs = enumerate_runs(c, d)
-            first = next(pairs)
+            runs = enumerate_runs(c, d)
+            first = next(runs)
             yield first
-            for path, run in pairs:
-                n = path.length
-                made.append((weakref.ref(run.components[n]), (path.levels[n - 1].size(), path.levels[n].size())))
-                yield path, run
-            # the first pair again, so the verb's loop lets go of the last
-            del path, run
+            for levels, steps in runs:
+                tracked = TrackedSteps(steps)
+                made.append((weakref.ref(tracked), (len(levels[-2]), len(levels[-1]))))
+                yield levels, tracked
+            # the first record again, so the verb's loop lets go of the last
+            del levels, steps, tracked
             yield first
             gc.collect()
             kept.extend(sizes for ref, sizes in made if ref() is not None)
 
-        monkeypatch.setattr(paths, "SortedFun", TrackedFun)
         monkeypatch.setattr(cli, "enumerate_runs", spying)
         _text, code = run_command(["runs", str(COMPOSE / model), "--depth", str(depth)])
         assert code == 0
         assert any(max(sizes) > 1 for _ref, sizes in made) == wide
-        assert kept and all(max(sizes) <= 1 for sizes in kept)
+        assert not kept
 
     @pytest.mark.parametrize("model, words", [
         ("trace_enum_lts.model", True),
@@ -684,8 +671,8 @@ MEMO_CASES = [("trace_enum_tree.model", 3), ("bag.model", 2), ("twosorted.model"
 
 
 class TestInternedComp:
-    """``comp`` interns each value under its sort, its step term and the
-    ids of its leaves' values, and ``print_term_for`` prints each
+    """``comp`` interns each value under its sort, its transition term
+    and the ids of its leaves' values, and ``print_term_for`` prints each
     interned value once per memo; over every run of a call both agree
     with building and printing each composite from scratch."""
 
@@ -695,33 +682,39 @@ class TestInternedComp:
         fp1 = c.functor.plus1
         built = []
 
-        def counting_subst(*args):
+        def counting_map_leaves(*args):
             built.append(args)
-            return subst_node(*args)
+            return map_leaves(*args)
 
-        monkeypatch.setattr(paths, "subst_node", counting_subst)
+        monkeypatch.setattr(paths, "map_leaves", counting_map_leaves)
         values, texts = {}, {}
-        pairs = list(enumerate_runs(c, depth))
-        for path, _run in pairs:
-            got = comp(path, values)
-            assert got == fresh_comp(path)
+        runs = list(enumerate_runs(c, depth))
+        for run in runs:
+            got = _composite(c, run, values)
+            assert got == fresh_comp(record_pair(c, run)[0])
             for (s, _i), t in got:
                 text = print_term_for(fp1, s, t, texts)
                 assert text == print_term_for(fp1, s, t) == recursive_print_term_for(fp1, s, t)
         # each interned value was built once, fewer than the values built
         # from scratch, and building every composite again builds nothing
         # and gives the same objects
-        fresh = sum(path.levels[k].size() for path, _run in pairs for k in range(path.length))
-        interned = sum(len(by_ids) for _leaves, by_ids in values.values())
+        fresh = sum(len(level) for levels, _steps in runs for level in levels[:-1])
+        interned = sum(len(by_ids) for by_ids in values.values())
         assert len(built) == interned < fresh
         size = len(texts)
-        for path, _run in pairs:
-            again = comp(path, values)
-            assert all(a is b for (_k, a), (_k2, b) in zip(again, comp(path, values)))
-            for (s, _i), t in again:
+        for run in runs:
+            again = comp(c.functor, run, values)
+            assert all(a is b for a, b in zip(again, comp(c.functor, run, values)))
+            for (s, _e, _x), t in zip(run[0][0], again):
                 print_term_for(fp1, s, t, texts)
         assert len(built) == interned
         assert len(texts) == size
+
+
+def _composite(c: PointedCoalgebra, run: tuple, memo: dict) -> tuple:
+    """The composite ``comp`` gives for a run record, as the sorted
+    ``((sort, elem), term)`` pairs of ``path_comp``."""
+    return tuple(sorted(zip([(s, e) for s, e, _x in run[0][0]], comp(c.functor, run, memo))))
 
 
 def _word_fixtures() -> list[str]:
@@ -806,45 +799,156 @@ class TestWordRunsAgainstReference:
         assert text == reference_word_runs(c, depth, ascii_)
 
 
-class TestTrustedRunParts:
-    """``enumerate_runs`` builds its levels, steps and run components
-    through the trusted constructors; each equals what the checking
-    constructors build from its fields, and the pairs are runs."""
+def _wide_system(width: int) -> PointedCoalgebra:
+    """One state whose one transition is a product of ``width`` slots,
+    each back at the state: a run's level 1 holds ``width`` elements."""
+    return PointedCoalgebra(
+        functor(Prod((SortRef(),) * width)),
+        single(["*"]),
+        single(["s0"]),
+        {(DEFAULT_SORT, "*"): "s0"},
+        {(DEFAULT_SORT, "s0"): (TupleTerm((var("s0"),) * width),)},
+    )
+
+
+class TestRunRecords:
+    """``enumerate_runs`` yields each run as a plain record; rebuilt as a
+    path and a run through the checking constructors, each record is a
+    well-formed path with a run on it, equal to the pair ``path_runs``
+    gives in the same place, and ``comp`` gives its composite."""
 
     @staticmethod
-    def assert_parts_check(pairs):
-        for path, run in pairs:
+    def assert_records_match(c, depth, cap=None):
+        values: dict = {}
+        records = itertools.islice(enumerate_runs(c, depth), cap)
+        count = 0
+        for record, expected in itertools.zip_longest(records, itertools.islice(path_runs(c, depth), cap)):
+            assert record is not None and expected is not None
+            path, run = record_pair(c, record)
             assert validate_path(path) == [] and is_run(run)
-            if not path.length:
-                continue
-            level, step, x_n = path.levels[-1], path.steps[-1], run.components[-1]
-            made = SortedSet.make({s: level.elems(s) for s in level.sorts}, level.sorts)
-            assert (level.sorts, level.data, level._members) == (made.sorts, made.data, made._members)
-            assert step == TermMap(step.dom, step.functor, step.cod, step.table)
-            assert x_n == SortedFun(x_n.dom, x_n.cod, x_n.table)
+            # each level lists its elements in the order of its set
+            assert all([(s, e) for s, e, _x in level] == list(p_level.pairs())
+                       for level, p_level in zip(record[0], path.levels))
+            p_want, r_want = expected
+            assert (path.levels, path.steps, run.components) == (p_want.levels, p_want.steps, r_want.components)
+            assert _composite(c, record, values) == path_comp(p_want) == fresh_comp(p_want)
+            count += 1
+        assert count > 1
 
     @pytest.mark.parametrize("model, depth", MEMO_CASES)
-    def test_trusted_parts_pass_the_checks(self, model, depth):
+    def test_records_rebuild_as_checked_pairs(self, model, depth):
         c = parse_coalgebra((COMPOSE / model).read_text(encoding="utf-8"))
-        self.assert_parts_check(enumerate_runs(c, depth))
+        self.assert_records_match(c, depth)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        "name, f, sizes, depth", ORACLE_SYSTEMS, ids=[case[0] for case in ORACLE_SYSTEMS]
+    )
+    def test_random_systems(self, name, f, sizes, depth, seed):
+        c = random_coalgebra(GenSpec(f, sizes, 0.4, seed))
+        self.assert_records_match(c, depth, 1500)
 
     def test_fresh_names_past_n999_sort_as_strings(self):
         # 1001 slots: the names n000 .. n1000 sort with n1000 before n101
-        width = 1001
-        c = PointedCoalgebra(
-            functor(Prod((SortRef(),) * width)),
-            single(["*"]),
-            single(["s0"]),
-            {(DEFAULT_SORT, "*"): "s0"},
-            {(DEFAULT_SORT, "s0"): (TupleTerm((var("s0"),) * width),)},
-        )
-        pairs = list(enumerate_runs(c, 1))
-        self.assert_parts_check(pairs)
-        [_, _, (p, r)] = pairs
-        [_, _, (p_want, r_want)] = factorized_runs(c, 1)
-        assert (p.levels, p.steps, r.components) == (p_want.levels, p_want.steps, r_want.components)
-        elems = p.levels[1].elems(DEFAULT_SORT)
-        assert elems.index("n1000") == elems.index("n100") + 1 == elems.index("n101") - 1
+        c = _wide_system(1001)
+        self.assert_records_match(c, 1)
+        [_, _, (levels, _steps)] = enumerate_runs(c, 1)
+        names = [e for _s, e, _x in levels[1]]
+        assert names.index("n1000") == names.index("n100") + 1 == names.index("n101") - 1
+
+
+def _count_runs(c: PointedCoalgebra, depth: int, cap: int) -> int:
+    """How many runs ``path_runs`` gives up to ``depth``, counting at most ``cap + 1``."""
+    return sum(1 for _pair in itertools.islice(path_runs(c, depth), cap + 1))
+
+
+# the verb against its reference on every fixture the word walk does not
+# serve, at each depth up to 3 at which it has at most this many runs
+RUNS_CAP = 3000
+
+
+def _general_fixture_cases() -> list[tuple[str, int]]:
+    """(model, depth) for every model fixture whose composites are not
+    words, at each depth 0-3 with at most ``RUNS_CAP`` runs."""
+    cases = []
+    for path in sorted(FIXTURES.rglob("*.model")):
+        c = parse_coalgebra(path.read_text(encoding="utf-8"))
+        if comps_are_words(c.functor, c.pointing):
+            continue
+        model = path.relative_to(FIXTURES).as_posix()
+        cases.extend((model, d) for d in range(4) if _count_runs(c, d, RUNS_CAP) <= RUNS_CAP)
+    return cases
+
+
+GENERAL_CASES = _general_fixture_cases()
+
+
+def _runs_text(tmp_path, c: PointedCoalgebra, depth: int, ascii_: bool) -> str:
+    """The runs verb's stdout on ``c`` written as a model file."""
+    model = tmp_path / "system.model"
+    model.write_text(print_coalgebra(c), encoding="utf-8")
+    assert parse_coalgebra(model.read_text(encoding="utf-8")) == c
+    text, code = run_command([*(["--ascii"] if ascii_ else []), "runs", str(model), "--depth", str(depth)])
+    assert code == 0
+    return text
+
+
+class TestRunsAgainstReference:
+    """The runs verb's walk of run records prints what the reference
+    printer reads off ``path_runs`` and ``path_comp``, byte for byte, with
+    and without --ascii: on every fixture whose composites are not words,
+    on random systems of the harness functors and of two sorts, and past
+    n999."""
+
+    def test_every_general_fixture_is_found(self):
+        models = {model for model, _d in GENERAL_CASES}
+        assert len(models) >= 25
+        assert {"compose/trace_enum_tree.model", "compose/twosorted.model"} <= models
+        assert ("compose/bag.model", 2) in GENERAL_CASES
+
+    @pytest.mark.parametrize("ascii_", [False, True])
+    @pytest.mark.parametrize("model, depth", GENERAL_CASES)
+    def test_fixture(self, model, depth, ascii_):
+        path = FIXTURES / model
+        c = parse_coalgebra(path.read_text(encoding="utf-8"))
+        text, code = run_command([*(["--ascii"] if ascii_ else []), "runs", str(path), "--depth", str(depth)])
+        assert code == 0
+        assert text == reference_runs(c, depth, ascii_)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_system(self, tmp_path, seed):
+        # the harness functors in turn; the two word functors, and every
+        # other seed of the rest, are pointed twice, so the walk of run
+        # records serves them all; the depth is the seed's, less while the
+        # system has more than 1,000 runs
+        rng = random.Random(seed)
+        f = HARNESS_FUNCTORS[seed % 5]
+        names = ["*", "p t"] if seed % 5 < 2 or seed // 5 % 2 else ["*"]
+        spec = GenSpec(f, {DEFAULT_SORT: rng.randint(1, 3)}, rng.choice([0.15, 0.25, 0.35]), seed,
+                       SortedSet.make({DEFAULT_SORT: names}))
+        c = random_coalgebra(spec)
+        assert not comps_are_words(c.functor, c.pointing)
+        depth = next(d for d in range(seed % 4, -1, -1) if _count_runs(c, d, 1000) <= 1000)
+        ascii_ = bool(seed // 4 % 2)
+        assert _runs_text(tmp_path, c, depth, ascii_) == reference_runs(c, depth, ascii_)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multisorted_system(self, tmp_path, seed):
+        # the two-sort functor with its sorts listed b before a, and a
+        # point in each: the composites list the pointed elements by sort
+        # name, the levels in sort order
+        f = multisorted(("b", "a"), dict(MULTISORTED.nodes))
+        pointing = SortedSet.make({"a": ["p"], "b": ["p", "q"]}, ("b", "a"))
+        c = random_coalgebra(GenSpec(f, {"a": 2, "b": 2}, 0.5, seed, pointing))
+        depth = next(d for d in range(3, -1, -1) if _count_runs(c, d, 1000) <= 1000)
+        assert depth >= 1
+        assert _runs_text(tmp_path, c, depth, False) == reference_runs(c, depth)
+
+    def test_fresh_names_past_n999(self, tmp_path):
+        c = _wide_system(1001)
+        text = _runs_text(tmp_path, c, 1, False)
+        assert text == reference_runs(c, 1)
+        assert " 1:n1000->s0 1:n101->s0 " in text
 
 
 class TestEmbeddingIntegration:

@@ -29,7 +29,7 @@ from coalgpath.functors import (
 from coalgpath.groups import orbit_minima, PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text
 from coalgpath.openmap import reachable_bfs
-from coalgpath.paths import comp, comps_are_words, enumerate_runs
+from coalgpath.paths import comps_are_words
 from coalgpath.sets import CoalgError, DEFAULT_SORT, SortedFun, SortedSet
 from coalgpath import trace as trace_module
 from coalgpath.trace import lts_language, trace, trace_equiv, word_traces
@@ -49,6 +49,7 @@ from oracles import (
     backward_word_traces,
     decoded_word_traces,
     eager_state_traces,
+    path_runs,
     per_depth_sets,
     prefix_closed,
     reference_trace,
@@ -97,7 +98,7 @@ def graph_bfs_language(c: PointedCoalgebra, depth: int) -> set[str]:
 def literal_trace_values(c: PointedCoalgebra, depth: int):
     """The definition verbatim: composites of bottom-free runnable paths."""
     out = set()
-    for p, _r in enumerate_runs(c, depth):
+    for p, _r in path_runs(c, depth):
         if all(strip_plus1(t) is not None for st in p.steps for t in st.table.values()):
             bottom_free = _strip_path_comp(p)
             out.add((p.length, bottom_free))
