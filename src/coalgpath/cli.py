@@ -26,9 +26,7 @@ from .modelio import (
     print_term_for,
 )
 from .nominal import AtomPool, bar_trace, print_canonical, rnna_expand
-from .openmap import (
-    is_open, is_path_reachable, is_reachable_no_proper_sub, reachable_bfs, verify_theorems, witness_ends, witness_steps,
-)
+from .openmap import is_open, is_reachable_no_proper_sub, reachable_bfs, verify_theorems, witness_ends, witness_steps
 from .paths import comp, comps_are_words, enumerate_runs
 from .precise import is_precise, precise_chains, precise_factorize
 from .sets import CoalgError
@@ -294,7 +292,7 @@ def _reach(args: argparse.Namespace) -> _Lines:
     for k, level in enumerate(levels):
         yield f"level {k}: {' '.join(state[s, e] for e, s in sorted((e, s) for s, e in level))}"
     yield f"union: {' '.join(state[s, e] for e, s in sorted((e, s) for s, e in union))}"
-    pr = is_path_reachable(system)
+    pr = union == set(system.carrier.pairs())
     nps = is_reachable_no_proper_sub(system)
     yield f"path-reachable: {'yes' if pr else 'no'}"
     yield f"no-proper-subcoalgebra: {'yes' if nps else 'no'}"

@@ -523,22 +523,16 @@ Subst = Mapping[tuple[str, str], Term]
 
 def subst_node(node: Node, term: Term, sigma: Subst) -> Term:
     """Replace variables by terms, re-canonicalizing on the way up."""
-    return map_leaves(node, term, _substituting(sigma.__getitem__))
-
-
-def _substituting(image_of: Callable[[tuple[str, str]], Term]):
-    """The leaf function of :func:`subst_node` and of ``paths.comp``, each
-    variable's image read from ``image_of``, called with its (sort, name)."""
 
     def leaf(ref: SortRef, t: Term) -> Term:
         if not isinstance(t, Var):
             raise TermError(f"expected a variable at sort {ref.sort!r}, got {t!r}")
         try:
-            return image_of((t.sort, t.name))
+            return sigma[(t.sort, t.name)]
         except KeyError:
             raise TermError(f"variable {t.name!r} (sort {t.sort!r}) not in substitution") from None
 
-    return leaf
+    return map_leaves(node, term, leaf)
 
 
 def fmap(f: Functor, fun: SortedFun, sort: str, term: Term) -> Term:

@@ -28,8 +28,6 @@ from .functors import (
 from .precise import element_shapes, precise_chains
 from .sets import CoalgError, SortedSet, singleton_pointing
 
-POINT_ELEM = "*"
-
 
 @dataclass
 class FiniteCategory:
@@ -132,7 +130,7 @@ def lasota_functor(cat: FiniteCategory) -> Functor:
 
 
 def lasota_pointing(cat: FiniteCategory) -> SortedSet:
-    return singleton_pointing(tuple(cat.objects), at=cat.initial, name=POINT_ELEM)
+    return singleton_pointing(tuple(cat.objects), at=cat.initial)
 
 
 def composable_sequences(cat: FiniteCategory, n: int) -> list[tuple[str, ...]]:

@@ -35,7 +35,7 @@ import re
 from collections.abc import Container
 from .coalgebra import PointedCoalgebra
 from .functors import (
-    BOT, BOT_CONST, CHECK, MAX_PRINT_DEPTH, NAME_RE, UNIT,
+    BOT, BOT_CONST, CHECK, MAX_PRINT_DEPTH, NAME_RE, TOO_DEEP, UNIT,
     Analytic,
     AnSym,
     Const,
@@ -67,7 +67,7 @@ from .precise import TermMap, element_labels
 from .sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet, singleton_pointing
 
 ALIASES = {"unit": UNIT, "bot": BOT, "ok": CHECK}
-GLYPH_ASCII = {UNIT: "unit", BOT: "bot", CHECK: "ok"}
+GLYPH_ASCII = {glyph: alias for alias, glyph in ALIASES.items()}
 
 
 class ModelParseError(CoalgError):
@@ -364,9 +364,6 @@ def _parse_term(tokens: list[str], pos: int, node: Node, carrier: SortedSet, lin
     raise ModelParseError(f"cannot parse a term of {node!r}", line)
 
 
-_TOO_DEEP = f"terms nest too deeply: more than {MAX_PRINT_DEPTH} levels"
-
-
 def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) -> str:
     """``term`` written against the expression of ``f`` at ``sort``.
 
@@ -390,7 +387,7 @@ def print_term_for(f: Functor, sort: str, term: Term, memo: dict | None = None) 
     if kept is None:
         text, depth = _text_for(f, memo, f.node(sort), term, MAX_PRINT_DEPTH)
         if depth > MAX_PRINT_DEPTH:
-            raise TermError(_TOO_DEEP)
+            raise TermError(TOO_DEEP)
         memo[key] = term, text, depth
         return text
     return kept[1]
@@ -400,7 +397,7 @@ def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[s
     """The text of ``t`` against ``node`` and how many term levels nest
     in it, where ``MAX_PRINT_DEPTH - room`` levels nest above it."""
     if room < 0:
-        raise TermError(_TOO_DEEP)
+        raise TermError(TOO_DEEP)
     if isinstance(t, UnitLeaf):
         return UNIT, 0
     if isinstance(node, SortRef):
@@ -414,7 +411,7 @@ def _text_for(f: Functor, memo: dict, node: Node, t: Term, room: int) -> tuple[s
         if kept is None:
             text, depth = _text_for(f, memo, f.node(node.sort), t, room)
             if depth > MAX_PRINT_DEPTH:
-                raise TermError(_TOO_DEEP)
+                raise TermError(TOO_DEEP)
             memo[key] = t, text, depth
             return text, depth
         return kept[1], kept[2]

@@ -67,9 +67,6 @@ class Perm:
     def __call__(self, atom: str) -> str:
         return self.mapping.get(atom, atom)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Perm) and self.mapping == other.mapping
-
     @staticmethod
     def identity() -> "Perm":
         return Perm({})

@@ -49,8 +49,11 @@ def reachable_bfs(c: PointedCoalgebra) -> tuple[list[frozenset[tuple[str, str]]]
     level-k state.  Iteration stops at the first empty or previously seen
     level, or after ``|X| + 2`` levels: every state first appears within
     ``|X|`` levels, so the cap cuts off only levels of states seen before.
-    The union is the least subcoalgebra carrier.  A state's successors
-    are read once per call, however many levels hold it.
+    The union is the least subcoalgebra carrier, and the states that all
+    runs of length up to ``|X|`` cover, the added point allowed: ``reach``
+    and the harness clause (c) compare it with the worklist closure of
+    :func:`is_reachable_no_proper_sub`.  A state's successors are read
+    once per call, however many levels hold it.
     """
     after: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
     level = frozenset(c.point_image())
@@ -87,16 +90,6 @@ def _least_subcoalgebra(c: PointedCoalgebra) -> set[tuple[str, str]]:
 def is_reachable_no_proper_sub(c: PointedCoalgebra) -> bool:
     """No proper subcoalgebra: the least subcoalgebra is the whole carrier."""
     return _least_subcoalgebra(c) == set(c.carrier.pairs())
-
-
-def is_path_reachable(c: PointedCoalgebra) -> bool:
-    """Joint surjectivity of all runs of length up to the carrier size,
-    the added point allowed: the covered states are the BFS union, which
-    :func:`is_reachable_no_proper_sub` checks against a worklist closure
-    of ``xi``, so ``reach`` and the harness clause (c) compare the two
-    algorithms.  Literal run enumeration checks it in the tests.
-    """
-    return reachable_bfs(c)[1] == set(c.carrier.pairs())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .functors import (
     UNIT_TERM,
     Functor,
     Term,
-    _substituting,
     bot_of_plus1,
     fmap,
     map_leaves,
@@ -116,7 +115,7 @@ def comp(f: Functor, run: tuple, memo: dict) -> list[Term]:
             if value is None:
                 # the i-th leaf, in occurrence order, takes the i-th value
                 leaves = iter(args)
-                value = by_ids[ids] = step_of_plus1(map_leaves(f.node(s), t, _substituting(lambda _key: next(leaves))))
+                value = by_ids[ids] = step_of_plus1(map_leaves(f.node(s), t, lambda _ref, _t: next(leaves)))
             values.append(value)
         below = values
     return below

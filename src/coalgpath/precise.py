@@ -62,10 +62,6 @@ class TermMap:
             and self.table == other.table
         )
 
-    def __repr__(self) -> str:
-        rows = ", ".join(f"{x}->{t!r}" for (_s, x), t in sorted(self.table.items()))
-        return f"TermMap({rows})"
-
 
 def occurrence_counts(f: TermMap) -> Counter:
     """How often each codomain variable occurs across all f(x)."""

@@ -118,11 +118,11 @@ def _pairs_of(sorts: tuple[str, ...], data: tuple[tuple[str, ...], ...]) -> tupl
 
 
 @functools.lru_cache(maxsize=32)
-def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None = None, name: str = "*") -> SortedSet:
-    """The pointing object with one element at one sort and nothing
-    elsewhere; one object per arguments, as a set is frozen."""
+def singleton_pointing(sorts: tuple[str, ...] = (DEFAULT_SORT,), at: str | None = None) -> SortedSet:
+    """The pointing object with the one element ``*`` at one sort and
+    nothing elsewhere; one object per arguments, as a set is frozen."""
     target = at if at is not None else sorts[0]
-    return SortedSet.make({s: ([name] if s == target else []) for s in sorts}, sorts)
+    return SortedSet.make({s: (["*"] if s == target else []) for s in sorts}, sorts)
 
 
 class SortedFun:
@@ -165,7 +165,3 @@ class SortedFun:
             and self.cod == other.cod
             and self.table == other.table
         )
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{s}.{x}->{v}" for (s, x), v in sorted(self.table.items()))
-        return f"SortedFun({items})"

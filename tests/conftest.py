@@ -197,6 +197,11 @@ def linear_word_system(alphabet, word) -> PointedCoalgebra:
     return lts_coalgebra(alphabet, states, "q0", edges)
 
 
+def is_path_reachable(c: PointedCoalgebra) -> bool:
+    """All runs cover the carrier, the added point allowed: the BFS union is it."""
+    return openmap.reachable_bfs(c)[1] == set(c.carrier.pairs())
+
+
 def drop_last_bfs_level(monkeypatch) -> None:
     """A broken breadth-first walk: every system's BFS loses its last
     level, and the union loses the states that level reached first."""

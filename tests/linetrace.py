@@ -11,8 +11,10 @@ those no test runs, and those inside a function that run only outside
 ``cli.run_command``: code the tests reach and no verb does, each count
 followed by its line numbers.  A statement counts as run when a line
 event fires on its first line; a statement that compiles to no code (a
-docstring, a bare annotation in a function) is not counted.  Tracing
-makes the run several times slower.
+docstring, a bare annotation in a function) is not counted.  Every
+``functools`` cache of the library is cleared before each test, so the
+report does not depend on the order the tests run in.  Tracing makes
+the run several times slower.
 
 It is also a ratchet: ``tests/probe_counts.json`` holds two totals, the
 statements no test runs (``unrun``) and those no verb runs (``no_verb``:
@@ -129,6 +131,18 @@ def pytest_load_initial_conftests(early_config, parser, args) -> None:
     # before the conftest files import the library, so its module-level
     # statements are traced too
     sys.settrace(TRACER.trace)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item) -> None:
+    # every test starts with the library's functools caches empty, so a
+    # verb test runs each cached body itself and the report does not
+    # depend on which test warmed a cache first
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coalgpath"):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 @pytest.hookimpl(tryfirst=True)

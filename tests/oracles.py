@@ -1233,7 +1233,7 @@ def precise_iff_characteristic_oracle(f: Functor, objects: tuple[str, ...], max_
     """
     lines = []
     for p in objects:
-        chi_p = singleton_pointing(tuple(objects), at=p, name="*")
+        chi_p = singleton_pointing(tuple(objects), at=p)
         for y in _all_small_carriers(tuple(objects), max_y):
             for t in eval_functor(f, y)[p]:
                 tm = TermMap(chi_p, f, y, {(p, "*"): t})

@@ -17,7 +17,7 @@ from coalgpath.coalgebra import GenSpec, random_coalgebra
 from coalgpath.functors import Prod, SortRef, functor
 from coalgpath.lasota import paths_bijection_check, validate_category
 from coalgpath.nominal import AtomPool, BarString, BindTerm, NomElem, alpha_canonical, bar_trace, rnna_expand
-from coalgpath.openmap import is_path_reachable, reachable_bfs, verify_theorems
+from coalgpath.openmap import reachable_bfs, verify_theorems
 from coalgpath.precise import is_precise
 from coalgpath.sets import DEFAULT_SORT, SortedSet
 from coalgpath.trace import lts_language, trace
@@ -28,6 +28,7 @@ from conftest import (
     FIG2,
     LTS_AB_PLUS1,
     all_term_maps,
+    is_path_reachable,
     lts_functor,
     poset_category,
     whyplus1_system,

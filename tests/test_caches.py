@@ -267,8 +267,8 @@ class TestTrustedHarnessParts:
 
     def test_one_pointing_per_arguments(self):
         assert singleton_pointing() is singleton_pointing()
-        assert singleton_pointing(("a", "b"), at="b", name="p") is singleton_pointing(("a", "b"), at="b", name="p")
-        assert singleton_pointing(("a", "b"), at="b", name="p") is not singleton_pointing(("a", "b"), at="a", name="p")
+        assert singleton_pointing(("a", "b"), at="b") is singleton_pointing(("a", "b"), at="b")
+        assert singleton_pointing(("a", "b"), at="b") is not singleton_pointing(("a", "b"), at="a")
 
     @pytest.mark.parametrize("elems, message", [
         (("b", "a"), "elements of sort 'x' not in canonical order"),

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coalgpath import cli
+from coalgpath import cli, openmap
 from coalgpath.cli import main, run_command
 from coalgpath.functors import format_name
 from coalgpath.modelio import parse_coalgebra
@@ -119,6 +119,20 @@ class TestVerbs:
         assert code == 0
         assert "level 0: q0" in text
         assert "path-reachable: yes" in text
+
+    def test_reach_walks_its_bfs_once(self, monkeypatch, lts_file):
+        calls = []
+        real = openmap.reachable_bfs
+
+        def reachable_bfs(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(openmap, "reachable_bfs", reachable_bfs)
+        monkeypatch.setattr(cli, "reachable_bfs", reachable_bfs)
+        text, code = run_command(["reach", lts_file])
+        assert (code, len(calls)) == (0, 1)
+        assert text.splitlines()[-2:] == ["path-reachable: yes", "no-proper-subcoalgebra: yes"]
 
     def test_reach_fails_when_the_two_algorithms_disagree(self, monkeypatch):
         drop_last_bfs_level(monkeypatch)

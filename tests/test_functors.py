@@ -11,6 +11,7 @@ from coalgpath.functors import (
     ConstElem,
     Coprod,
     Inj,
+    Node,
     Prod,
     SortRef,
     Symbol,
@@ -221,6 +222,20 @@ class TestComposition:
     def test_outer_leaf_of_another_sort_refused(self):
         with pytest.raises(TermError, match="^no expression for sort 'b'$"):
             compose(Prod((SortRef(), SortRef("b"))), Const(("c",)))
+
+
+class TestUnknownNode:
+    """A node of no known kind, a bare ``Node``, is refused by each walker
+    that dispatches on the kind."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: compose(Node(), SortRef()),
+        lambda: eval_functor(functor(Node()), single(["x"])),
+        lambda: term_in_functor(functor(Node()), DEFAULT_SORT, var("x"), single(["x"])),
+    ], ids=["compose", "eval_functor", "term_in_functor"])
+    def test_refused(self, call):
+        with pytest.raises(TermError, match="^unknown node <coalgpath.functors.Node object"):
+            call()
 
 
 class TestSortLeaves:

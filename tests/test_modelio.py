@@ -16,6 +16,7 @@ from coalgpath.functors import (
     ConstElem,
     Coprod,
     Inj,
+    Node,
     Prod,
     SortRef,
     Symbol,
@@ -678,6 +679,28 @@ def test_too_deep_composites_refused_with_and_without_memo(node, wrap):
         print_term_for(fp1, DEFAULT_SORT, t)
     with pytest.raises(TermError, match="nest too deeply"):
         print_term_for(fp1, DEFAULT_SORT, t, memo)
+
+
+def test_nested_leaf_over_a_kept_composite_refused():
+    # the memo keeps a composite of exactly MAX_PRINT_DEPTH levels; a term
+    # holding it two levels below a sort leaf the memo does not keep reads
+    # its depth from the memo, so the leaf's own check refuses it
+    fp1 = functor(Prod((Const(("a",)), SortRef()))).plus1
+    memo = {}
+    t = UNIT_TERM
+    for _ in range(MAX_PRINT_DEPTH // 2):
+        t = step_of_plus1(TupleTerm((ConstElem("a"), t)))
+        print_term_for(fp1, DEFAULT_SORT, t, memo)
+    assert memo[(DEFAULT_SORT, id(t))][2] == MAX_PRINT_DEPTH
+    for _ in range(2):
+        t = step_of_plus1(TupleTerm((ConstElem("a"), t)))
+    with pytest.raises(TermError, match=f"^terms nest too deeply: more than {MAX_PRINT_DEPTH} levels$"):
+        print_term_for(fp1, DEFAULT_SORT, t, memo)
+
+
+def test_term_of_no_known_node_refused():
+    with pytest.raises(ModelParseError, match="^cannot parse a term of <coalgpath.functors.Node object"):
+        parse_term_text("x", Node(), SortedSet.single(["x"]))
 
 
 def _depth(t) -> int:

@@ -25,7 +25,7 @@ from coalgpath.nominal import (
 )
 from coalgpath.sets import DEFAULT_SORT, CoalgError
 
-from conftest import identity_map
+from conftest import identity_map, is_path_reachable
 from oracles import (
     FreshPair,
     all_perms,
@@ -486,7 +486,7 @@ class TestRnnaOpenMaps:
 
     def test_identity_on_expansion_is_open(self):
         from coalgpath.coalgebra import CoalgMorphism
-        from coalgpath.openmap import is_open, is_path_reachable
+        from coalgpath.openmap import is_open
 
         c = rnna_expand(three_rule_presentation(), POOL2)
         m = CoalgMorphism(c, c, identity_map(c.carrier))
@@ -494,7 +494,7 @@ class TestRnnaOpenMaps:
 
     def test_hom_iff_open_on_two_state_presentations(self):
         from coalgpath.coalgebra import CoalgMorphism, is_strict_hom
-        from coalgpath.openmap import is_open, is_path_reachable, reachable_bfs
+        from coalgpath.openmap import is_open, reachable_bfs
 
         base = RnnaPresentation(
             {"q0": 0, "q1": 1},

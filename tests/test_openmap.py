@@ -22,7 +22,6 @@ from coalgpath.openmap import (
     _random_map,
     _run_reaching,
     is_open,
-    is_path_reachable,
     is_reachable_no_proper_sub,
     reachable_bfs,
     replay_witness,
@@ -39,6 +38,7 @@ from conftest import (
     SYSTEM_IDS,
     drop_last_bfs_level,
     identity_map,
+    is_path_reachable,
     linear_word_system,
     lts_coalgebra,
     lts_functor,

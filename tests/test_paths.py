@@ -38,6 +38,7 @@ from conftest import (
     HARNESS_FUNCTORS,
     MULTISORTED,
     identity_map,
+    is_path_reachable,
     linear_word_system,
     single,
     symmetric_group,
@@ -955,8 +956,6 @@ class TestEmbeddingIntegration:
     """The embedded path systems behave like the linear systems they draw."""
 
     def test_embedded_paths_are_path_reachable(self):
-        from coalgpath.openmap import is_path_reachable
-
         for p in (word_path("ab", 2), word_path("a", 2), fig3_path()):
             assert is_path_reachable(j_embed(p))
 
