@@ -322,7 +322,7 @@ def _open(args: argparse.Namespace) -> _Lines:
         yield f"reason: {report.reason}"
     if (w := report.witness) is not None:
         yield "witness square:"
-        yield f"  path length {w.run.path.length}, extension length {w.extension.length}"
+        yield f"  path length {len(w.steps) - 1}, extension length {len(w.steps)}"
         yield from (f"  {k} : {elem} -> {term}" for k, _, elem, term in witness_steps(w))
         yield from (f"  target run sends {elem} to {target}" for elem, target in witness_ends(w))
     return 0 if report.is_open else 1

@@ -377,17 +377,6 @@ def plus1_node(node: Node) -> Node:
     return Coprod((node, BOT_CONST))
 
 
-def strip_plus1(term: Term) -> Term | None:
-    """For a term of F+1: the F-term, or None for the added point."""
-    if not isinstance(term, Inj):
-        raise TermError(f"not a term of a +1 coproduct: {term!r}")
-    if term.index == 0:
-        return term.arg
-    if term.index == 1 and term.arg == BOT_TERM:
-        return None
-    raise TermError(f"not a term of a +1 coproduct: {term!r}")
-
-
 def bot_of_plus1() -> Term:
     return Inj(1, BOT_TERM)
 

@@ -31,9 +31,9 @@ from .coalgebra import (
 )
 from .functors import (
     Functor, Term, _leaf_states, _named_image, bot_of_plus1, eval_functor, fmap, format_name, step_of_plus1,
+    term_in_functor,
 )
 from .modelio import _state_names, print_term_for
-from .paths import PathObj, Run, is_run, make_path, validate_path
 from .precise import element_shapes
 from .sets import CoalgError, SortedFun, SortedSet
 from .trace import trace_equiv
@@ -97,11 +97,22 @@ def is_reachable_no_proper_sub(c: PointedCoalgebra) -> bool:
 
 @dataclass
 class SquareWitness:
-    """A commuting square with no diagonal filler, over the run's path."""
+    """A commuting square with no diagonal filler, as plain records in the
+    form of :func:`paths.enumerate_runs`: a run of ``src`` over a path of
+    length n, the path's one-step extension, and a run of ``dst`` over the
+    extension that the map makes the square's other side.
 
-    run: Run
-    extension: PathObj
-    dst_run: Run
+    ``levels[k]`` holds the elements of level k, in level order, as
+    ``(sort, name, source state, target state)``; level 0 is the pointing,
+    and level n + 1, the extension's, has the source state ``None``.
+    ``steps[k]`` holds, per element of level k, ``None`` for the added
+    point or its term of F over the names of level k + 1.
+    """
+
+    src: PointedCoalgebra
+    dst: PointedCoalgebra
+    levels: tuple[tuple[tuple[str, str, str | None, str], ...], ...]
+    steps: tuple[tuple[Term | None, ...], ...]
 
 
 @dataclass
@@ -127,7 +138,7 @@ class OpenCheckReport:
         when it is open."""
         if self.no_lift is not None:
             (s, v), shape = self.no_lift
-            return f"no lift at state {_state_names(self.witness.run.target.carrier)[s, v]} for shape {shape!r}"
+            return f"no lift at state {_state_names(self.witness.src.carrier)[s, v]} for shape {shape!r}"
         if self.lax_violation is not None:
             return "not a lax homomorphism"
         return "" if self.is_open else "map does not preserve the pointing"
@@ -195,19 +206,30 @@ def _least_failing_triple(functor: Functor, dst: PointedCoalgebra, sort: str, mi
     raise CoalgError("internal error: a missing target is no instantiated shape")
 
 
-def _run_reaching(
-    src: PointedCoalgebra, levels: list[frozenset[tuple[str, str]]], level_index: int, state: tuple[str, str]
-) -> tuple[PathObj, Run, tuple[str, str]]:
-    """A run of length ``level_index`` whose last level holds an element
-    sent to ``state``, a state of BFS level ``level_index``, with every
-    other branch padded by the added point.  Also returns that element.
+def _materialize_witness(
+    m: CoalgMorphism,
+    levels: list[frozenset[tuple[str, str]]],
+    level_index: int,
+    state: tuple[str, str],
+    shape: Term,
+    phi: dict,
+) -> SquareWitness:
+    """The square at a missing lift: a run of the source, of length
+    ``level_index``, whose last level holds an element at ``state``, a
+    state of BFS level ``level_index``, extended at that element by the
+    failing shape, whose variables become elements ``w000, w001, ...`` at
+    their target states in ``phi``'s order.
 
     The run follows the least chain of transitions: walking back, each
     step takes the first ``(state, term)`` of ``sorted(levels[k - 1])``,
     terms in successor order, whose successors hold the later state.
-    The elements of level k + 1 are the leaves of the chain's k-th term,
-    named ``n000, n001, ...`` in occurrence order.
+    Every other element of a level steps to the added point.  The
+    elements of level k + 1 are the leaves of the chain's k-th term,
+    named ``n000, n001, ...`` in occurrence order, and the element the
+    chain goes on from is the first of them at the later state.
     """
+    src, dst = m.src, m.dst
+    functor = src.functor
     chain: list[tuple[tuple[str, str], Term, tuple[str, str]]] = []  # (state, term, later state)
     front = state
     for k in range(level_index, 0, -1):
@@ -218,86 +240,89 @@ def _run_reaching(
             raise CoalgError("internal error: breadth-first chain broken")
         chain.insert(0, step)
         front = step[0]
-    functor, pointing = src.functor, src.pointing
-    current = next(key for key in pointing.pairs() if (key[0], src.point[key]) == front)
-    path_levels = [pointing]
-    comps = [SortedFun._built(pointing, src.carrier, {key: src.point[key] for key in pointing.pairs()})]
-    tables: list[dict] = []
+    rank = {s: i for i, s in enumerate(src.pointing.sorts)}
+    rows = [tuple([(s, e, src.point[s, e], dst.point[s, e]) for s, e in src.pointing.pairs()])]
+    steps: list[tuple[Term | None, ...]] = []
+
+    def extend(at: int, sort: str, t: Term, names: list[str], below: list[tuple]) -> None:
+        """Step the element at position ``at`` of the last level by ``t``,
+        its leaves named ``names``, onto the level ``below``; every other
+        element steps to the added point."""
+        step: list[Term | None] = [None] * len(rows[-1])
+        step[at] = _named_image(functor, sort, t, tuple(names))
+        steps.append(tuple(step))
+        rows.append(tuple(sorted(below, key=lambda row: (rank[row[0]], row[1]))))
+
+    at = next(i for i, (s, _e, x, _y) in enumerate(rows[0]) if (s, x) == front)
     for (sort, _x), t, later in chain:
         leaves = _leaf_states(functor, sort, t)
-        names = tuple([f"n{i:03d}" for i in range(len(leaves))])
-        table = dict.fromkeys(path_levels[-1].pairs(), bot_of_plus1())
-        table[current] = step_of_plus1(_named_image(functor, sort, t, names))
-        tables.append(table)
-        named = {(vs, n): x for n, (vs, x) in zip(names, leaves)}
-        level = SortedSet.make({s: [e for vs, e in named if vs == s] for s in pointing.sorts}, pointing.sorts)
-        path_levels.append(level)
-        comps.append(SortedFun._built(level, src.carrier, named))
-        current = next(key for key, x in named.items() if (key[0], x) == later)
-    path = make_path(functor, path_levels, tables)
-    return path, Run(path, src, tuple(comps)), current
-
-
-def _materialize_witness(
-    m: CoalgMorphism,
-    levels: list[frozenset[tuple[str, str]]],
-    level_index: int,
-    state: tuple[str, str],
-    shape: Term,
-    phi: dict,
-) -> SquareWitness:
-    """Rebuild an explicit square from the failing shape and instantiation:
-    a padded run reaching the state, extended by the shape at that element,
-    whose variables become elements ``w000, w001, ...`` in ``phi``'s order."""
-    src, dst = m.src, m.dst
-    path, run, hit = _run_reaching(src, levels, level_index, state)
+        names = [f"n{i:03d}" for i in range(len(leaves))]
+        below = [(vs, name, x, m.map(vs, x)) for name, (vs, x) in zip(names, leaves)]
+        extend(at, sort, t, names, below)
+        at = rows[-1].index(next(row for row in below if (row[0], row[2]) == later))
     fresh = {key: f"w{i:03d}" for i, key in enumerate(phi)}
-    sorts = src.pointing.sorts
-    new_level = SortedSet.make({s: [w for key, w in fresh.items() if key[0] == s] for s in sorts}, sorts)
-    names = tuple([fresh[key] for key in _leaf_states(src.functor, hit[0], shape)])
-    table = dict.fromkeys(path.levels[-1].pairs(), bot_of_plus1())
-    table[hit] = step_of_plus1(_named_image(src.functor, hit[0], shape, names))
-    extension = make_path(src.functor, [*path.levels, new_level], [st.table for st in path.steps] + [table])
-    y_components = [
-        SortedFun._built(level, dst.carrier, {key: m.map(key[0], comp(*key)) for key in level.pairs()})
-        for level, comp in zip(path.levels, run.components)
-    ]
-    y_last = SortedFun._built(new_level, dst.carrier, {(key[0], w): phi[key] for key, w in fresh.items()})
-    dst_run = Run(extension, dst, (*y_components, y_last))
-    return SquareWitness(run, extension, dst_run)
+    sort = rows[-1][at][0]
+    names = [fresh[key] for key in _leaf_states(functor, sort, shape)]
+    extend(at, sort, shape, names, [(key[0], w, None, phi[key]) for key, w in fresh.items()])
+    return SquareWitness(src, dst, tuple(rows), tuple(steps))
+
+
+def _is_step(f: Functor, level: tuple, step: tuple, below: tuple) -> bool:
+    """Whether ``step`` is a precise step of F+1 from ``level`` onto
+    ``below``: one entry per element, each term well formed over the
+    names of ``below``, and each element of ``below`` at exactly one leaf."""
+    names = [(s, e) for s, e, _x, _y in below]
+    onto = SortedSet.make({s: {e for es, e in names if es == s} for s in f.sorts}, f.sorts)
+    return (
+        len(step) == len(level) and len(set(names)) == len(names)
+        and all(t is None or term_in_functor(f, row[0], t, onto) for row, t in zip(level, step))
+        and sorted([key for row, t in zip(level, step) if t is not None for key in _leaf_states(f, row[0], t)])
+        == sorted(names)
+    )
+
+
+def _is_transition(c: PointedCoalgebra, level: tuple, step: tuple, states: dict, at: int) -> bool:
+    """Whether each term of ``step``, each leaf renamed to the state
+    ``states`` gives its element, is a transition of ``c`` at the state in
+    column ``at`` of its element's row of ``level``."""
+    f = c.functor
+    return all(
+        t is None or _named_image(f, row[0], t, tuple([states[key] for key in _leaf_states(f, row[0], t)]))
+        in c.xi[row[0], row[at]]
+        for row, t in zip(level, step)
+    )
 
 
 def replay_witness(m: CoalgMorphism, w: SquareWitness) -> bool:
-    """True when the witness square commutes and no diagonal exists."""
-    path = w.run.path
-    n = path.length
-    # the extension is the path and one step more, so validating the
-    # extension validates the path's steps too
-    if (
-        w.extension.length != n + 1
-        or w.extension.levels[: n + 1] != path.levels
-        or w.extension.steps[:n] != path.steps
-        or validate_path(w.extension)
-    ):
-        return False
-    if not is_run(w.run) or not is_run(w.dst_run):
-        return False
-    for k in range(n + 1):
-        for key in path.levels[k].pairs():
-            if m.map(key[0], w.run.components[k](*key)) != w.dst_run.components[k](*key):
-                return False
-    last_level = w.extension.levels[-1]
-    pools = [
-        [x for x in m.src.carrier.elems(s) if m.map(s, x) == w.dst_run.components[-1](s, e)]
-        for (s, e) in last_level.pairs()
-    ]
-    keys = list(last_level.pairs())
-    for combo in itertools.product(*pools):
-        x_last = SortedFun._built(last_level, m.src.carrier, dict(zip(keys, combo)))
-        candidate = Run(w.extension, m.src, tuple(w.run.components) + (x_last,))
-        if is_run(candidate):
-            return False  # a diagonal exists after all
-    return True
+    """True when the witness square commutes and no diagonal exists,
+    checked on the records: level 0 sits at both systems' points, each
+    step is precise, each target state is the map's image of its source
+    state, each step is a transition of the target run and each but the
+    last one of the source run, and no choice of source states for the
+    last level, each over its target state, makes the last step a source
+    transition.  Each check reads only what the ones before it passed."""
+    src, dst = m.src, m.dst
+    levels, steps = w.levels, w.steps
+    n = len(steps) - 1
+    point = tuple([(s, e, src.point[s, e], dst.point[s, e]) for s, e in src.pointing.pairs()])
+    return (
+        n >= 0 and len(levels) == n + 2 and levels[0] == point
+        and all(_is_step(src.functor, *parts) for parts in zip(levels, steps, levels[1:]))
+        and all(
+            _is_transition(src, level, step, {(s, e): x for s, e, x, _y in below}, 2)
+            for level, step, below in zip(levels, steps[:n], levels[1:])
+        )
+        and all(y == m.map(s, x) for level in levels[:-1] for s, _e, x, y in level)
+        and all(
+            _is_transition(dst, level, step, {(s, e): y for s, e, _x, y in below}, 3)
+            for level, step, below in zip(levels, steps, levels[1:])
+        )
+        and not any(
+            _is_transition(src, levels[n], steps[n], {(s, e): x for (s, e, _x, _y), x in zip(levels[-1], combo)}, 2)
+            for combo in itertools.product(*[[x for x in src.carrier.elems(s) if m.map(s, x) == y]
+                                             for s, _e, _x, y in levels[-1]])
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,40 +351,37 @@ class HarnessReport:
         return out
 
 
-def witness_steps(w: SquareWitness) -> Iterator[tuple[int, tuple[str, str], str, str]]:
-    """Each step of the witness's extension as ``(k, (sort, elem), elem
-    written, term written)``, level by level: the one rule by which both
-    witness printers write an element and its step."""
-    fp1 = w.extension.functor.plus1
+def witness_steps(w: SquareWitness) -> Iterator[tuple[int, tuple, str, str]]:
+    """Each step of the witness's extension as ``(k, row, elem written,
+    term written)``, level by level, with the element's row of
+    ``levels[k]``: the one rule by which both witness printers write an
+    element and its step."""
+    fp1 = w.src.functor.plus1
     # only level 0, the pointing, can hold a name in two sorts
-    point = _state_names(w.extension.levels[0])
-    for k, step in enumerate(w.extension.steps):
-        for (s, e) in w.extension.levels[k].pairs():
-            elem = point[s, e] if k == 0 else format_name(e)
-            yield k, (s, e), elem, print_term_for(fp1, s, step(s, e))
+    point = _state_names(w.src.pointing)
+    for k, (level, step) in enumerate(zip(w.levels, w.steps)):
+        for row, t in zip(level, step):
+            elem = point[row[:2]] if k == 0 else format_name(row[1])
+            yield k, row, elem, print_term_for(fp1, row[0], bot_of_plus1() if t is None else step_of_plus1(t))
 
 
 def witness_ends(w: SquareWitness) -> Iterator[tuple[str, str]]:
     """Each element of the extension's last level, written, with the
-    target state the destination run sends it to, written."""
-    state = _state_names(w.dst_run.target.carrier)
-    last = w.dst_run.components[-1]
-    for (s, e) in w.extension.levels[-1].pairs():
-        yield format_name(e), state[s, last(s, e)]
+    target state the target run sends it to, written."""
+    state = _state_names(w.dst.carrier)
+    for s, e, _x, y in w.levels[-1]:
+        yield format_name(e), state[s, y]
 
 
 def serialize_witness(w: SquareWitness) -> list[str]:
     """Line rendering of a counterexample square."""
-    src_state, dst_state = _state_names(w.run.target.carrier), _state_names(w.dst_run.target.carrier)
-    lines = [f"square: path length {w.run.path.length}, extension length {w.extension.length}"]
-    for k, (s, e), elem, term in witness_steps(w):
-        run_note = ""
-        if k < len(w.run.components):
-            x, y = w.run.components[k](s, e), w.dst_run.components[k](s, e)
-            run_note = f"  [src {src_state[s, x]} -> dst {dst_state[s, y]}]"
-        lines.append(f"{k} : {elem} -> {term}{run_note}")
+    src_state, dst_state = _state_names(w.src.carrier), _state_names(w.dst.carrier)
+    n = len(w.steps)
+    lines = [f"square: path length {n - 1}, extension length {n}"]
+    for k, (s, _e, x, y), elem, term in witness_steps(w):
+        lines.append(f"{k} : {elem} -> {term}  [src {src_state[s, x]} -> dst {dst_state[s, y]}]")
     for elem, target in witness_ends(w):
-        lines.append(f"{w.extension.length} : {elem} [dst {target}, no source lift]")
+        lines.append(f"{n} : {elem} [dst {target}, no source lift]")
     return lines
 
 

@@ -1,18 +1,18 @@
-"""Paths for F+1: path objects, runs and their composites.
+"""Paths for F+1 and the runs of a system as plain records.
 
 A path is a finite sequence of (F+1)-precise maps starting at the
 pointing object.  A run is a level-indexed mapping into a system that
 respects transitions.  Composing a run's path all the way down
 (replacing the last level by the unit) gives its composite value, an
-element of (F+1)^n(1).  The ``runs`` verb walks runs as plain records
-(:func:`enumerate_runs`, :func:`comp`); the ``open`` witness keeps them
-as path and run objects.
+element of (F+1)^n(1).  Runs are walked as plain records
+(:func:`enumerate_runs`), the form the ``open`` witness also takes, and
+:func:`comp` builds a record's composite.  No path or run object is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .coalgebra import PointedCoalgebra
@@ -21,58 +21,13 @@ from .functors import (
     Functor,
     Term,
     bot_of_plus1,
-    fmap,
     map_leaves,
     occurrences,
     step_of_plus1,
-    strip_plus1,
-    term_in_functor,
     word_route,
 )
-from .precise import TermMap, element_labels, is_precise
-from .sets import SortedFun, SortedSet
-
-
-@dataclass
-class PathObj:
-    """Levels P_0 .. P_n with (F+1)-precise steps between them, P_0 = I."""
-
-    functor: Functor          # the inner functor F (powerset-free)
-    levels: tuple[SortedSet, ...]  # levels[0] is the pointing
-    steps: tuple[TermMap, ...]  # step k: P_k -> (F+1)(P_{k+1})
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-def make_path(functor: Functor, levels, raw_steps) -> PathObj:
-    """Assemble a path from raw step tables (terms of F+1 over the next level)."""
-    level_tuple = tuple(levels)
-    fp1 = functor.plus1
-    steps = tuple(TermMap(level_tuple[k], fp1, level_tuple[k + 1], table) for k, table in enumerate(raw_steps))
-    return PathObj(functor, level_tuple, steps)
-
-
-def validate_path(p: PathObj) -> list[str]:
-    """Empty list when the path is well-formed; first-violation reports otherwise."""
-    problems: list[str] = []
-    if len(p.levels) != p.length + 1:
-        problems.append("level/step count mismatch")
-        return problems
-    fp1 = p.functor.plus1
-    for k, step in enumerate(p.steps):
-        if step.dom != p.levels[k]:
-            problems.append(f"step {k} has wrong domain")
-            return problems
-        for (s, x), t in sorted(step.table.items()):
-            if not term_in_functor(fp1, s, t, p.levels[k + 1]):
-                problems.append(f"step {k}: ill-formed term at {x}")
-                return problems
-        if not is_precise(step):
-            problems.append(f"step {k} is not precise")
-            return problems
-    return problems
+from .precise import element_labels
+from .sets import SortedSet
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +85,6 @@ def comps_are_words(functor: Functor, pointing: SortedSet) -> bool:
 
 # ---------------------------------------------------------------------------
 # Runs
-
-@dataclass
-class Run:
-    path: PathObj
-    target: PointedCoalgebra
-    components: tuple[SortedFun, ...]  # x_k: P_k -> X
-
-
-def is_run(r: Run) -> bool:
-    """Pointing at level 0, then the transition condition at every step."""
-    p, c = r.path, r.target
-    if len(r.components) != p.length + 1:
-        return False
-    x0 = r.components[0]
-    for (s, i) in p.levels[0].pairs():
-        if x0(s, i) != c.point[(s, i)]:
-            return False
-    for k in range(p.length):
-        x_next = r.components[k + 1]
-        for (s, e) in p.levels[k].pairs():
-            inner = strip_plus1(p.steps[k](s, e))
-            if inner is None:
-                continue
-            image = fmap(p.functor, x_next, s, inner)
-            state = r.components[k](s, e)
-            if image not in c.xi[(s, state)]:
-                return False
-    return True
-
 
 def enumerate_runs(c: PointedCoalgebra, depth: int) -> Iterator[tuple[tuple, tuple]]:
     """Every run of ``c`` up to the given length, lexicographically, as a

@@ -45,9 +45,10 @@ from coalgpath.modelio import (
     tokenize,
 )
 from coalgpath.nominal import RnnaPresentation
-from coalgpath.paths import PathObj, make_path, validate_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
+
+from oracles import PathObj, make_path, validate_path
 
 
 def print_functor_node(node: Node) -> str:

@@ -36,13 +36,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # a run that breaks the transition condition still counts as a run
-    Mutant("is-run-always-true", "paths.py",
-           "    p, c = r.path, r.target\n", "    return True\n", ("tests/test_paths.py",)),
-    # an ill-formed path validates
-    Mutant("validate-path-always-empty", "paths.py",
-           "    problems: list[str] = []\n    if len(p.levels)", "    return []\n    if len(p.levels)",
-           ("tests/test_paths.py",)),
+    # a witness whose source run breaks the transition condition replays
+    Mutant("replay-skips-the-source-run", "openmap.py",
+           "_is_transition(src, level, step, {(s, e): x for s, e, x, _y in below}, 2)\n",
+           "True\n", ("tests/test_openmap.py",)),
+    # a witness whose step is not precise replays
+    Mutant("replay-skips-precision", "openmap.py",
+           "        == sorted(names)\n", "        is not None\n", ("tests/test_openmap.py",)),
     # the harness never compares the traces of an open map's ends
     Mutant("harness-traces-clause-off", "openmap.py",
            "    if check_traces and report.is_open", "    if False and report.is_open", ("tests/test_openmap.py",)),
@@ -74,9 +74,11 @@ MUTANTS = [
     # the lasota verb exits 0 despite mismatches
     Mutant("lasota-exits-zero-despite-mismatches", "cli.py",
            "    return 1 if report.mismatches else 0", "    return 0", ("tests/test_lasota.py",)),
-    # a witness is replayed against its extension where its path belongs
-    Mutant("replay-reads-the-extension-as-the-path", "openmap.py",
-           "    path = w.run.path\n", "    path = w.extension\n", ("tests/test_openmap.py",)),
+    # a witness whose target states are not the map's images of its
+    # source states replays
+    Mutant("replay-skips-commutation", "openmap.py",
+           "        and all(y == m.map(s, x) for level in levels[:-1] for s, _e, x, y in level)\n", "",
+           ("tests/test_openmap.py",)),
     # precise-factor prints the given codomain, not the factorization's
     Mutant("factor-prints-the-given-codomain", "cli.py",
            "    codomain = fac.precise.cod\n", "    codomain = f.cod\n", ("tests/test_compose_golden.py",)),
@@ -127,12 +129,14 @@ MUTANTS = [
            "for sort, elems in zip(sorts[::-1], data[::-1]) for e in elems]", ("tests/test_caches.py",)),
     # the not-open reason writes the shape before the state
     Mutant("reason-shape-before-state", "openmap.py",
-           'return f"no lift at state {_state_names(self.witness.run.target.carrier)[s, v]} for shape {shape!r}"',
-           'return f"no lift for shape {shape!r} at state {_state_names(self.witness.run.target.carrier)[s, v]}"',
+           'return f"no lift at state {_state_names(self.witness.src.carrier)[s, v]} for shape {shape!r}"',
+           'return f"no lift for shape {shape!r} at state {_state_names(self.witness.src.carrier)[s, v]}"',
            ("tests/test_openmap.py",)),
-    # a witness whose extension changes an earlier step of its path replays
-    Mutant("replay-skips-the-path-steps", "openmap.py",
-           "        or w.extension.steps[:n] != path.steps\n", "", ("tests/test_openmap.py",)),
+    # a witness replays without its last step read against any source
+    # states for the last level, so a square with a diagonal replays
+    Mutant("replay-tries-no-diagonal", "openmap.py",
+           "[x for x in src.carrier.elems(s) if m.map(s, x) == y]", "[x for x in () if m.map(s, x) == y]",
+           ("tests/test_openmap.py",)),
     # a system takes a sorted list of terms where a tuple belongs
     Mutant("term-order-check-takes-a-list", "coalgebra.py",
            "not isinstance(terms, tuple) or ", "", ("tests/test_caches.py",)),

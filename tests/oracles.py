@@ -59,6 +59,12 @@ fit test-sized inputs:
   off its steps; and a path's composite built from scratch
   (:func:`fresh_comp`), against :func:`path_comp` and ``paths.comp``,
   which intern each value they build;
+- the witness square of a not-open map replayed on path and run
+  objects (:func:`object_replay_witness`, over the objects
+  :func:`witness_objects` builds from its records through
+  :func:`make_path`, :func:`validate_path`, :class:`Run` and
+  :func:`is_run`), against ``openmap.replay_witness``, which checks the
+  square on the records;
 - the ``runs`` verb's lines read off :func:`path_runs` pair by pair, for
   a word system (:func:`reference_word_runs`), against the verb's
   depth-first word walk, and for every other system
@@ -91,7 +97,11 @@ states and transition terms (:func:`apply_perm`, :func:`perm_state`,
 :func:`perm_term`) with the support of a word (:func:`support`), all
 checked by the nominal battery (acceptance criterion 9), the
 multiset of arguments of an analytic term (:func:`bag_abstraction`),
-and the path category of acceptance criterion 6: path morphisms
+paths and runs as objects (:class:`PathObj`, :func:`make_path`,
+:func:`validate_path`, :class:`Run`, :func:`is_run`, with
+:func:`strip_plus1` reading a step's term of F+1), which the library's
+run records and witness squares replaced, and the path category of
+acceptance criterion 6: path morphisms
 (:func:`all_path_morphisms`, :func:`find_path_morphism`), the
 truncation order of composites (:func:`pathord_le`, through
 :func:`truncate_term`), a path rebuilt from its composite
@@ -111,6 +121,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from coalgpath.coalgebra import CoalgMorphism, PointedCoalgebra
 from coalgpath.functors import (
     BOT,
+    BOT_TERM,
     CHECK,
     UNIT,
     UNIT_TERM,
@@ -143,8 +154,8 @@ from coalgpath.functors import (
     print_term,
     read_letter,
     step_of_plus1,
-    strip_plus1,
     subst_node,
+    term_in_functor,
     word_separator,
 )
 from coalgpath.modelio import ALIASES, GLYPH_ASCII, NAME_RE, ModelParseError, _key, _state_names, print_term_for
@@ -162,7 +173,6 @@ from coalgpath.nominal import (
     parse_state_name,
     state_name,
 )
-from coalgpath.paths import PathObj, Run, make_path
 from coalgpath.precise import (
     Factorization,
     TermMap,
@@ -553,6 +563,150 @@ def recursive_print_term_for(f: Functor, sort: str, term: Term) -> str:
         raise TypeError(f"cannot print {t!r} against {node!r}")
 
     return walk(f.node(sort), term)
+
+
+# ---------------------------------------------------------------------------
+# Paths and runs as objects, and the object replay of a witness square
+
+@dataclass
+class PathObj:
+    """Levels P_0 .. P_n with (F+1)-precise steps between them, P_0 = I."""
+
+    functor: Functor          # the inner functor F (powerset-free)
+    levels: tuple[SortedSet, ...]  # levels[0] is the pointing
+    steps: tuple[TermMap, ...]  # step k: P_k -> (F+1)(P_{k+1})
+
+    @property
+    def length(self) -> int:
+        return len(self.steps)
+
+
+def make_path(functor: Functor, levels, raw_steps) -> PathObj:
+    """Assemble a path from raw step tables (terms of F+1 over the next level)."""
+    level_tuple = tuple(levels)
+    fp1 = functor.plus1
+    steps = tuple(TermMap(level_tuple[k], fp1, level_tuple[k + 1], table) for k, table in enumerate(raw_steps))
+    return PathObj(functor, level_tuple, steps)
+
+
+def validate_path(p: PathObj) -> list[str]:
+    """Empty list when the path is well-formed; first-violation reports otherwise."""
+    problems: list[str] = []
+    if len(p.levels) != p.length + 1:
+        problems.append("level/step count mismatch")
+        return problems
+    fp1 = p.functor.plus1
+    for k, step in enumerate(p.steps):
+        if step.dom != p.levels[k]:
+            problems.append(f"step {k} has wrong domain")
+            return problems
+        for (s, x), t in sorted(step.table.items()):
+            if not term_in_functor(fp1, s, t, p.levels[k + 1]):
+                problems.append(f"step {k}: ill-formed term at {x}")
+                return problems
+        if not is_precise(step):
+            problems.append(f"step {k} is not precise")
+            return problems
+    return problems
+
+
+def strip_plus1(term: Term) -> Term | None:
+    """For a term of F+1: the F-term, or None for the added point."""
+    if not isinstance(term, Inj):
+        raise TermError(f"not a term of a +1 coproduct: {term!r}")
+    if term.index == 0:
+        return term.arg
+    if term.index == 1 and term.arg == BOT_TERM:
+        return None
+    raise TermError(f"not a term of a +1 coproduct: {term!r}")
+
+
+@dataclass
+class Run:
+    path: PathObj
+    target: PointedCoalgebra
+    components: tuple[SortedFun, ...]  # x_k: P_k -> X
+
+
+def is_run(r: Run) -> bool:
+    """Pointing at level 0, then the transition condition at every step."""
+    p, c = r.path, r.target
+    if len(r.components) != p.length + 1:
+        return False
+    x0 = r.components[0]
+    for (s, i) in p.levels[0].pairs():
+        if x0(s, i) != c.point[(s, i)]:
+            return False
+    for k in range(p.length):
+        x_next = r.components[k + 1]
+        for (s, e) in p.levels[k].pairs():
+            inner = strip_plus1(p.steps[k](s, e))
+            if inner is None:
+                continue
+            image = fmap(p.functor, x_next, s, inner)
+            state = r.components[k](s, e)
+            if image not in c.xi[(s, state)]:
+                return False
+    return True
+
+
+def witness_objects(m: CoalgMorphism, w) -> tuple[Run, PathObj, Run]:
+    """The source run, extension and target run that the records of an
+    ``openmap.SquareWitness`` stand for, built through the checking
+    constructors: each level a set of its elements, each step the table
+    of its terms of F+1, the path the extension without its last level
+    and step, and each run component the map from each element to its
+    state, the source run's over the path's levels alone."""
+    f = m.src.functor
+    sorts = m.src.pointing.sorts
+    sets = [SortedSet.make({s: [e for es, e, _x, _y in level if es == s] for s in sorts}, sorts) for level in w.levels]
+    tables = [
+        {(s, e): bot_of_plus1() if t is None else step_of_plus1(t) for (s, e, _x, _y), t in zip(level, step)}
+        for level, step in zip(w.levels, w.steps)
+    ]
+    extension = make_path(f, sets, tables)
+    path = make_path(f, sets[:-1], tables[:-1])
+    x = tuple(SortedFun(sets[k], m.src.carrier, {(s, e): x for s, e, x, _y in level})
+              for k, level in enumerate(w.levels[:-1]))
+    y = tuple(SortedFun(sets[k], m.dst.carrier, {(s, e): y for s, e, _x, y in level})
+              for k, level in enumerate(w.levels))
+    return Run(path, m.src, x), extension, Run(extension, m.dst, y)
+
+
+def object_replay_witness(m: CoalgMorphism, run: Run, extension: PathObj, dst_run: Run) -> bool:
+    """``openmap.replay_witness`` as the library ran it on path and run
+    objects: the extension is the path and one step more and a valid
+    path, both sides are runs, the square commutes, and no last component
+    of the source run over the target run's makes the extension a run of
+    the source."""
+    path = run.path
+    n = path.length
+    # the extension is the path and one step more, so validating the
+    # extension validates the path's steps too
+    if (
+        extension.length != n + 1
+        or extension.levels[: n + 1] != path.levels
+        or extension.steps[:n] != path.steps
+        or validate_path(extension)
+    ):
+        return False
+    if not is_run(run) or not is_run(dst_run):
+        return False
+    for k in range(n + 1):
+        for key in path.levels[k].pairs():
+            if m.map(key[0], run.components[k](*key)) != dst_run.components[k](*key):
+                return False
+    last_level = extension.levels[-1]
+    pools = [
+        [x for x in m.src.carrier.elems(s) if m.map(s, x) == dst_run.components[-1](s, e)]
+        for (s, e) in last_level.pairs()
+    ]
+    keys = list(last_level.pairs())
+    for combo in itertools.product(*pools):
+        x_last = SortedFun(last_level, m.src.carrier, dict(zip(keys, combo)))
+        if is_run(Run(extension, m.src, tuple(run.components) + (x_last,))):
+            return False  # a diagonal exists after all
+    return True
 
 
 # ---------------------------------------------------------------------------

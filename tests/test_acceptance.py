@@ -40,6 +40,7 @@ from oracles import (
     factorized_runs,
     is_powerset_precise,
     is_precise_oracle,
+    PathObj,
     prefix_closed,
     run_image,
     subsets,
@@ -156,7 +157,6 @@ def test_criterion_05_whyplus1_fixture():
 
 
 def _binary_paths_up_to(max_len: int):
-    from coalgpath.paths import PathObj
     from coalgpath.precise import enumerate_precise_maps
 
     f = functor(Prod((SortRef(), SortRef())))

@@ -146,6 +146,15 @@ CASES = [
     # open writes the failing state, the pointed elements and the target
     # run's states as reach and runs do, a.p and b.p
     ("sharednames-open", ["open", "sharednames.model", "sharednames_dst.model", "sharednames.map"], 1),
+    # a witness two steps down: the path pads the sibling branch of each
+    # level with the added point, printed bot under --ascii
+    ("deep-open", ["open", "deep.model", "deep_open_dst.model", "deep.map"], 1),
+    ("deep-open-ascii", ["--ascii", "open", "deep.model", "deep_open_dst.model", "deep.map"], 1),
+    # two pointed elements over two sorts, both named p: the one off the
+    # failing state steps to the added point
+    ("twopoint-open", ["open", "sharedpoints.model", "sharedpoints_open_dst.model", "twosorted.map"], 1),
+    ("twopoint-open-ascii", ["--ascii", "open", "sharedpoints.model", "sharedpoints_open_dst.model",
+                             "twosorted.map"], 1),
     # a state of sort a named "b.q" beside q of sort b: written bare it
     # would read as q of sort b, so reach and runs write it a.b.q
     ("dotted-reach", ["reach", "dotted.model"], 0),

@@ -50,7 +50,6 @@ from coalgpath.modelio import (
     tokenize,
 )
 from coalgpath.nominal import RnnaPresentation, RnnaRule
-from coalgpath.paths import make_path
 from coalgpath.precise import TermMap
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedSet, singleton_pointing
 from conftest import MULTISORTED, S3_PRESENTATIONS, lts_functor, poset_category, s3_model
@@ -64,7 +63,7 @@ from model_writers import (
     print_path,
     print_rnna,
 )
-from oracles import comp_as_word, path_comp, path_runs
+from oracles import PathObj, comp_as_word, make_path, path_comp, path_runs, validate_path
 
 BOT = chr(0x22A5)
 CHECK = chr(0x2713)
@@ -362,7 +361,6 @@ a : *
     def test_lasota_paths_roundtrip(self):
         from coalgpath.lasota import lasota_functor, lasota_pointing
         from model_writers import parse_model, print_model
-        from coalgpath.paths import make_path
         from coalgpath.precise import enumerate_precise_maps
 
         cat = poset_category(3)
@@ -516,7 +514,6 @@ class TestModelDispatch:
         from coalgpath.coalgebra import PointedCoalgebra
         from coalgpath.lasota import FiniteCategory
         from model_writers import parse_model, print_model
-        from coalgpath.paths import PathObj
 
         lts = parse_model(LTS_TEXT)
         assert isinstance(lts, PointedCoalgebra)
@@ -1032,7 +1029,6 @@ class TestFig3PathFile:
     def test_prints_parses_and_validates(self):
         from test_paths import fig3_path
         from model_writers import parse_model, print_path
-        from coalgpath.paths import validate_path
 
         p = fig3_path()
         text = print_path(p)

@@ -10,8 +10,7 @@ from coalgpath import openmap
 from coalgpath.coalgebra import CoalgMorphism, GenSpec, is_lax_hom, is_strict_hom, random_coalgebra
 from coalgpath.coalgebra import PointedCoalgebra
 from coalgpath.functors import (
-    Const, Coprod, Prod, SortRef, TupleTerm, Var, bot_of_plus1, fmap, functor, occurrences,
-    step_of_plus1, subst_node,
+    Const, Coprod, Prod, SortRef, TupleTerm, Var, _leaf_states, _named_image, fmap, functor, occurrences, subst_node,
 )
 from coalgpath.modelio import _state_names, parse_coalgebra, parse_functor_text
 from coalgpath.openmap import (
@@ -20,7 +19,6 @@ from coalgpath.openmap import (
     _materialize_witness,
     _quotient_map,
     _random_map,
-    _run_reaching,
     is_open,
     is_reachable_no_proper_sub,
     reachable_bfs,
@@ -28,7 +26,6 @@ from coalgpath.openmap import (
     serialize_witness,
     verify_theorems,
 )
-from coalgpath.paths import Run, is_run, make_path, validate_path
 from coalgpath.precise import element_shapes, enumerate_precise_maps
 from coalgpath.sets import DEFAULT_SORT, SortedFun, SortedSet
 
@@ -45,7 +42,18 @@ from conftest import (
     single,
     whyplus1_system,
 )
-from oracles import all_functions, factorized_runs, path_runs, run_image
+from oracles import (
+    Run,
+    all_functions,
+    factorized_runs,
+    is_run,
+    make_path,
+    object_replay_witness,
+    path_runs,
+    run_image,
+    validate_path,
+    witness_objects,
+)
 
 COMPOSE = pathlib.Path(__file__).parent / "fixtures" / "compose"
 
@@ -156,7 +164,7 @@ class TestIsOpen:
         report = is_open(m, 3)
         assert not report.is_open
         assert report.witness is not None
-        assert report.witness.run.path.length == 1
+        assert len(report.witness.steps) == 2  # a path of length 1 and its extension
         assert replay_witness(m, report.witness)
 
     def test_non_lax_map_reported(self):
@@ -216,10 +224,25 @@ class TestIsOpen:
         assert is_open(m, 3).is_open
 
 
+def moved(w, k, i, column, state):
+    """``w`` with column ``column`` of element ``i`` of level ``k`` set to
+    ``state``: 2 is the source state, 3 the target state."""
+    row = list(w.levels[k][i])
+    row[column] = state
+    level = w.levels[k][:i] + (tuple(row),) + w.levels[k][i + 1:]
+    return dataclasses.replace(w, levels=w.levels[:k] + (level,) + w.levels[k + 1:])
+
+
+def restepped(w, k, i, t):
+    """``w`` with the step of element ``i`` of level ``k`` set to ``t``."""
+    step = w.steps[k][:i] + (t,) + w.steps[k][i + 1:]
+    return dataclasses.replace(w, steps=w.steps[:k] + (step,) + w.steps[k + 1:])
+
+
 class TestReplayRejects:
-    """``replay_witness`` refuses a square that does not commute, an
-    extension of the wrong length, a side that is no run and a square
-    with a diagonal."""
+    """``replay_witness`` refuses a square that does not commute, one a
+    level too long, a side that is no run, a step that is not precise and
+    a square with a diagonal."""
 
     @staticmethod
     def fork():
@@ -231,52 +254,11 @@ class TestReplayRejects:
         table = {(DEFAULT_SORT, f"s{i}"): f"t{i}" for i in range(3)}
         m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
         w = is_open(m, 4).witness
-        assert w is not None and w.run.path.length == 1 and replay_witness(m, w)
+        assert w is not None and len(w.steps) == 2 and replay_witness(m, w)
         return m, w
 
-    def test_square_that_does_not_commute(self):
-        m, w = self.fork()
-        comps = list(w.dst_run.components)
-        # t2 steps to t1 as t1 does, so the target run stays a run
-        comps[1] = SortedFun(comps[1].dom, m.dst.carrier, {key: "t2" for key in comps[1].dom.pairs()})
-        moved = Run(w.extension, m.dst, tuple(comps))
-        assert is_run(moved)
-        assert not replay_witness(m, dataclasses.replace(w, dst_run=moved))
-
-    def test_extension_one_level_too_long(self):
-        m, w = self.fork()
-        ext = w.extension
-        empty = SortedSet.make({DEFAULT_SORT: []}, (DEFAULT_SORT,))
-        stop = {key: bot_of_plus1() for key in ext.levels[-1].pairs()}
-        longer = make_path(ext.functor, [*ext.levels, empty], [st.table for st in ext.steps] + [stop])
-        assert validate_path(longer) == []
-        assert not replay_witness(m, dataclasses.replace(w, extension=longer))
-
-    def test_source_run_off_the_point(self):
-        m, w = self.fork()
-        comps = w.run.components
-        off = SortedFun(comps[0].dom, m.src.carrier, {key: "s1" for key in comps[0].dom.pairs()})
-        run = Run(w.run.path, m.src, (off, *comps[1:]))
-        assert not is_run(run)
-        assert not replay_witness(m, dataclasses.replace(w, run=run))
-
-    def test_target_run_missing_a_component(self):
-        m, w = self.fork()
-        dst_run = Run(w.extension, m.dst, w.dst_run.components[:-1])
-        assert not is_run(dst_run)
-        assert not replay_witness(m, dataclasses.replace(w, dst_run=dst_run))
-
-    def test_square_with_a_diagonal(self):
-        m, w = self.fork()
-        # the missing lift added to the source: s1 now steps to itself
-        src = lts_coalgebra("a", ["s0", "s1", "s2"], "s0",
-                            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "s1")])
-        lifted = CoalgMorphism(src, m.dst, m.map)
-        run = Run(w.run.path, src, w.run.components)
-        assert is_run(run)
-        assert not replay_witness(lifted, dataclasses.replace(w, run=run))
-
-    def test_extension_that_changes_an_earlier_step(self):
+    @staticmethod
+    def merge():
         # x0 steps to (a, b), both sent to ab; b has no lift of ab's
         # transition, so the square runs one step down to b
         src = product_coalgebra(2, ["x0", "a", "b", "c"], [("x0", ("a", "b")), ("a", ("c", "c"))])
@@ -284,23 +266,114 @@ class TestReplayRejects:
         table = {(DEFAULT_SORT, x): y for x, y in (("x0", "y0"), ("a", "ab"), ("b", "ab"), ("c", "c"))}
         m = CoalgMorphism(src, dst, SortedFun(src.carrier, dst.carrier, table))
         w = is_open(m, 5).witness
-        assert w is not None and w.run.path.length == 1 and replay_witness(m, w)
+        assert w is not None and replay_witness(m, w)
+        assert w.levels[1] == ((DEFAULT_SORT, "n000", "a", "ab"), (DEFAULT_SORT, "n001", "b", "ab"))
+        assert w.steps[1][0] is None
+        return m, w
 
-        def pair(a, b):
-            return step_of_plus1(TupleTerm((Var(DEFAULT_SORT, a), Var(DEFAULT_SORT, b))))
+    def test_square_that_does_not_commute(self):
+        m, w = self.fork()
+        # t2 steps to t1 as t1 does, so the target run stays a run
+        off = moved(w, 1, 0, 3, "t2")
+        assert is_run(witness_objects(m, off)[2])
+        assert not replay_witness(m, off)
 
-        ext = w.extension
-        point = (DEFAULT_SORT, "*")
-        assert ext.steps[0].table == {point: pair("n000", "n001")}
-        # the extension's first step swapped: still precise, and the
-        # target run still a run, since n000 and n001 both go to ab
-        swapped = make_path(ext.functor, ext.levels, [{point: pair("n001", "n000")}, ext.steps[1].table])
-        assert validate_path(swapped) == []
-        dst_run = Run(swapped, dst, w.dst_run.components)
-        assert is_run(dst_run)
-        # every diagonal candidate now breaks the swapped step, so only
-        # the check that the extension keeps the path's steps refuses it
-        assert not replay_witness(m, dataclasses.replace(w, extension=swapped, dst_run=dst_run))
+    def test_extension_one_level_too_long(self):
+        m, w = self.fork()
+        # one more level, empty, under a step of the added point alone
+        longer = dataclasses.replace(w, levels=(*w.levels, ()), steps=(*w.steps, (None,) * len(w.levels[-1])))
+        assert not replay_witness(m, longer)
+
+    def test_source_run_off_the_point(self):
+        m, w = self.fork()
+        assert not replay_witness(m, moved(w, 0, 0, 2, "s1"))
+
+    def test_source_run_that_breaks_a_step(self):
+        m, w = self.merge()
+        # n000 moved from a to b, which ab is the image of too: the square
+        # still commutes and the target run stands, but x0 has no step to
+        # (b, b), and b, with no transition, has no diagonal
+        off = moved(w, 1, 0, 2, "b")
+        run, _extension, dst_run = witness_objects(m, off)
+        assert is_run(dst_run) and not is_run(run)
+        assert not replay_witness(m, off)
+
+    def test_step_that_is_not_precise(self):
+        m, w = self.merge()
+        # the last step names w000 twice and w001 nowhere; both go to c,
+        # so the target run still steps there
+        twice = TupleTerm((Var(DEFAULT_SORT, "w000"), Var(DEFAULT_SORT, "w000")))
+        assert w.steps[1][1] == TupleTerm((Var(DEFAULT_SORT, "w000"), Var(DEFAULT_SORT, "w001")))
+        off = restepped(w, 1, 1, twice)
+        assert is_run(witness_objects(m, off)[2])
+        assert not replay_witness(m, off)
+
+    def test_step_with_an_entry_too_many(self):
+        m, w = self.merge()
+        # one entry more than level 1 has elements, the added point
+        assert not replay_witness(m, restepped(w, 1, 2, None))
+
+    def test_square_with_a_diagonal(self):
+        m, w = self.fork()
+        # the missing lift added to the source: s1 now steps to itself
+        src = lts_coalgebra("a", ["s0", "s1", "s2"], "s0",
+                            [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "s1")])
+        lifted = CoalgMorphism(src, m.dst, m.map)
+        assert is_run(witness_objects(lifted, w)[0])
+        assert not replay_witness(lifted, w)
+
+
+def corruptions(m: CoalgMorphism, w):
+    """Every single-field corruption of a witness's records: each
+    element's source or target state moved to every other state of its
+    sort, each step of an element replaced by the added point or with its
+    leaves' names permuted, and the last step dropped."""
+    f = m.src.functor
+    for k, level in enumerate(w.levels):
+        for i, row in enumerate(level):
+            for column, c in ((2, m.src), (3, m.dst)):
+                if row[column] is not None:
+                    for state in c.carrier.elems(row[0]):
+                        if state != row[column]:
+                            yield moved(w, k, i, column, state)
+    for k, (level, step) in enumerate(zip(w.levels, w.steps)):
+        for i, ((s, *_rest), t) in enumerate(zip(level, step)):
+            if t is None:
+                continue
+            yield restepped(w, k, i, None)
+            names = [name for _sort, name in _leaf_states(f, s, t)]
+            for order in itertools.permutations(names):
+                if list(order) != names:
+                    yield restepped(w, k, i, _named_image(f, s, t, order))
+    yield dataclasses.replace(w, steps=w.steps[:-1])
+
+
+class TestReplayAgainstObjects:
+    """The replay on records against the replay on path and run objects,
+    on every witness of harness trials and every single-field corruption
+    of each."""
+
+    @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
+    def test_every_witness_and_corruption(self, f, monkeypatch):
+        squares = []
+        real = openmap.is_open
+
+        def spy(m, bound, levels=None):
+            report = real(m, bound, levels)
+            if report.witness is not None:
+                squares.append((m, report.witness))
+            return report
+
+        monkeypatch.setattr(openmap, "is_open", spy)
+        assert verify_theorems(harness_spec(f), 120).all_passed
+        assert len(squares) > 40
+        verdicts = Counter()
+        for m, w in squares:
+            for case in (w, *corruptions(m, w)):
+                verdict = replay_witness(m, case)
+                assert verdict == object_replay_witness(m, *witness_objects(m, case))
+                verdicts[verdict] += 1
+        assert verdicts[True] >= len(squares) and verdicts[False]
 
 
 def naive_is_open(m: CoalgMorphism, bound: int) -> bool:
@@ -439,8 +512,8 @@ WITNESS_ORACLE_FUNCTORS = [
 
 
 class TestRunReaching:
-    """The padded run to a reached state, built for every state of every
-    BFS level, not only for the states a witness needs."""
+    """The padded run of a witness to a reached state, built for every
+    state of every BFS level, not only for the states a witness needs."""
 
     @pytest.mark.parametrize("f", SYSTEM_FUNCTORS, ids=SYSTEM_IDS)
     def test_run_to_every_reached_state(self, f):
@@ -449,13 +522,19 @@ class TestRunReaching:
         for seed in range(30):
             sizes = {s: rng.randint(1, 5) for s in f.sorts}
             src = random_coalgebra(GenSpec(f, sizes, rng.choice((0.25, 0.4)), seed))
+            m = CoalgMorphism(src, src, identity_map(src.carrier))
             levels, _union = reachable_bfs(src)
             for level_index, level in enumerate(levels):
                 for state in sorted(level):
-                    path, run, elem = _run_reaching(src, levels, level_index, state)
-                    assert validate_path(path) == [] and is_run(run)
-                    assert path.length == level_index
-                    assert (elem[0], run.components[-1](*elem)) == state
+                    # any shape extends the run; its variables go to any state
+                    shape = next(iter(element_shapes(f, state[0])))
+                    phi = {key: src.carrier.elems(key[0])[0] for key in sorted(set(_leaf_states(f, state[0], shape)))}
+                    w = _materialize_witness(m, levels, level_index, state, shape, phi)
+                    run = witness_objects(m, w)[0]
+                    assert validate_path(run.path) == [] and is_run(run)
+                    assert len(w.steps) == level_index + 1
+                    # the one element the extension steps from sits at the state
+                    assert [(row[0], row[2]) for row, t in zip(w.levels[-2], w.steps[-1]) if t is not None] == [state]
                     deep += level_index > 1
         assert deep  # some runs take more than one step
 
@@ -556,7 +635,7 @@ class TestLargeSystems:
         bound = m.src.carrier.size() + 1
         report = is_open(m, bound)
         assert not report.is_open
-        assert report.witness is not None and report.witness.run.path.length == 0
+        assert report.witness is not None and len(report.witness.steps) == 1
         assert replay_witness(m, report.witness)
         # the defect sits at the pointed state, so the enumeration stops early
         assert report_bytes(report) == report_bytes(enumerating_is_open(m, bound))
@@ -852,10 +931,7 @@ class TestDeepWitness:
         report = is_open(m, src.carrier.size() + 1)
         assert not report.is_open
         assert report.witness is not None
-        assert report.witness.run.path.length == 2  # the defect sits at BFS level 2
+        assert len(report.witness.steps) == 3  # the defect sits at BFS level 2
         assert replay_witness(m, report.witness)
         # the padded sibling branch shows up as an added-point step
-        from coalgpath.functors import strip_plus1
-
-        step1 = report.witness.run.path.steps[1]
-        assert sorted(strip_plus1(t) is None for t in step1.table.values()) == [False, True]
+        assert sorted(t is None for t in report.witness.steps[1]) == [False, True]

@@ -26,12 +26,11 @@ from coalgpath.functors import (
     map_leaves,
     multisorted,
     step_of_plus1,
-    strip_plus1,
 )
 from coalgpath.groups import PermGroup
 from coalgpath.modelio import parse_coalgebra, parse_functor_text, print_term_for
 from coalgpath.precise import precise_chains
-from coalgpath.paths import PathObj, Run, comp, comps_are_words, enumerate_runs, is_run, make_path, validate_path
+from coalgpath.paths import comp, comps_are_words, enumerate_runs
 from coalgpath.sets import DEFAULT_SORT, CoalgError, SortedFun, SortedSet
 
 from conftest import (
@@ -48,6 +47,8 @@ from conftest import (
 )
 from model_writers import print_coalgebra
 from oracles import (
+    PathObj,
+    Run,
     all_path_morphisms,
     brute_path_morphisms,
     comp_as_word,
@@ -56,7 +57,9 @@ from oracles import (
     fresh_comp,
     is_bijective,
     is_path_morphism,
+    is_run,
     j_embed,
+    make_path,
     morphism_to_lax,
     path_from_comp,
     path_comp,
@@ -68,6 +71,8 @@ from oracles import (
     reference_word_runs,
     run_image,
     step_letter,
+    strip_plus1,
+    validate_path,
 )
 
 BOT = chr(0x22A5)

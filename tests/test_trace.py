@@ -23,7 +23,6 @@ from coalgpath.functors import (
     Var,
     functor,
     multisorted,
-    strip_plus1,
     word_route,
 )
 from coalgpath.groups import orbit_minima, PermGroup
@@ -54,6 +53,7 @@ from oracles import (
     prefix_closed,
     reference_trace,
     spelt_language,
+    strip_plus1,
     trace_words,
 )
 
