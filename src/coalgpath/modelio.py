@@ -87,6 +87,10 @@ _PUNCT = "(){}[],;=/"
 _TOKEN_RE = re.compile(rf'("[^"]*"|->|[{re.escape(_PUNCT)}]|{NAME_RE.pattern})|\S')
 # the bare tokens that are no name
 _MARKS = frozenset(["->", *_PUNCT])
+# a name in a flat line, quoted or a run of characters no mark holds, and
+# an ``x -> y`` line: these compile in a fraction of the time NAME_RE takes
+_CAPTURE = rf'("[^"]*"|[^\s{re.escape(_PUNCT)}"]+)'
+_PAIR_RE = re.compile(rf"{_CAPTURE}\s*->\s*{_CAPTURE}")
 
 
 def tokenize(text: str, line: int | None = None) -> list[str]:
@@ -535,18 +539,25 @@ def _arrow_lines(lines: Lines, x: SortedSet, form: str, default: str | None = No
         yield lineno, tokens, key, _expect(tokens, pos, "->", lineno)
 
 
-def _elem_table(lines: Lines, dom: SortedSet, cod: SortedSet, what: str, default: str | None = None):
+def _elem_table(lines: Lines, dom: _FlatReads, cod: _FlatReads, what: str, default: str | None = None):
     """The ``x -> y`` lines of a pointing or a carrier map as a table from
-    the elements of ``dom`` to the names of their images in ``cod``."""
+    ``dom``'s elements to the names of their images in ``cod``, read by
+    :data:`_PAIR_RE` up to the first line that is no new entry within a sort."""
     table: dict[tuple[str, str], str] = {}
-    for lineno, tokens, key, pos in _arrow_lines(lines, dom, "x -> y", default):
-        target, pos = _read_elem(tokens, pos, cod, lineno)
+    for _n, line in lines:
+        if not ((m := _PAIR_RE.fullmatch(line)) and (key := dom[None, m[1]]) and (target := cod[None, m[2]])
+                and key[0] == target[0] and key not in table):
+            break
+        table[key] = target[1]
+    # each line read so far added one entry
+    for lineno, tokens, key, pos in _arrow_lines(lines[len(table):], dom.carrier, "x -> y", default):
+        target, pos = _read_elem(tokens, pos, cod.carrier, lineno)
         if pos < len(tokens):
             raise ModelParseError(f"trailing input after element: {tokens[pos]!r}", lineno)
         if key[0] != target[0]:
             raise ModelParseError(f"{what} must stay within its sort", lineno)
         if key in table:
-            raise ModelParseError(f"duplicate {what} for {_key(dom, *key)!r}", lineno)
+            raise ModelParseError(f"duplicate {what} for {_key(dom.carrier, *key)!r}", lineno)
         table[key] = target[1]
     return table
 
@@ -617,13 +628,13 @@ def _state_names(x: SortedSet) -> dict[tuple[str, str], str]:
 
 
 class _FlatReads(dict):
-    """What a token reads as in a flat ``[trans]`` line, worked out the
-    first time it is seen: under ``(None, tok)`` the state on a line's
-    left, as :func:`_read_elem` reads it; under ``(sort, tok)`` and
-    ``(constants, tok)`` the term it is in a slot of that sort or of those
-    constants, as ``_parse_term`` reads it.  ``None`` where the token is
-    no such thing.  On a single-sort carrier, a state whose name is a bare
-    name and no alias is filled in at the start: its token is its name."""
+    """What a token captured from a flat line reads as, worked out the
+    first time it is seen: under ``(None, tok)`` the element of ``carrier``
+    on a line's side, as :func:`_read_elem` reads it; under ``(sort, tok)``
+    and ``(constants, tok)`` the term it is in a slot of that sort or of
+    those constants, as ``_parse_term`` reads it.  ``None`` where the token
+    is no such thing.  On a single-sort carrier, a state whose name is a
+    bare name and no alias is filled in at the start: its token is its name."""
 
     def __init__(self, carrier: SortedSet):
         super().__init__()
@@ -637,37 +648,40 @@ class _FlatReads(dict):
     def __missing__(self, key):
         slot, tok = key
         hit = None
-        try:
-            if slot is None:
-                hit = _read_elem([tok], 0, self.carrier, None)[0]
-            elif slot.__class__ is str:
-                if self.carrier.has(slot, name := _elem([tok], 0, None)):
-                    hit = Var(slot, name)
-            elif (name := _elem([tok], 0, None)) in slot:
-                hit = ConstElem(name)
-        except ModelParseError:
-            pass
+        # a bare token that is no bare name, as a@b, is no one token to the tokenizer
+        if tok[0] == '"' or NAME_RE.fullmatch(tok):
+            try:
+                if slot is None:
+                    hit = _read_elem([tok], 0, self.carrier, None)[0]
+                elif slot.__class__ is str:
+                    if self.carrier.has(slot, name := _elem([tok], 0, None)):
+                        hit = Var(slot, name)
+                elif (name := _elem([tok], 0, None)) in slot:
+                    hit = ConstElem(name)
+            except ModelParseError:
+                pass
         self[key] = hit
         return hit
 
 
+@functools.lru_cache(maxsize=64)
 def _flat_forms(node: Node) -> dict[str, tuple | None]:
     """The flat term forms of ``node`` by their first token, each as the
-    token count of its line, the position of its first slot, the slot
-    keys of :class:`_FlatReads`, the marks around the slots (every other
-    token from the one before the first slot) and the symbol (``None``
-    for a tuple); ``None`` for a form that is not flat.  A product, or an
-    analytic symbol, is flat when every slot is a sort or a constant."""
+    ``fullmatch`` of its pattern of a whole ``state -> term`` line, the
+    slot keys of :class:`_FlatReads` and the symbol (``None`` for a
+    tuple); ``None`` for a form that is not flat.  A product, or an
+    analytic symbol, is flat when every slot is a sort or a constant.
+    Kept per node, so files of one functor compile no pattern again."""
 
-    def form(at: int, slots: tuple[Node, ...], sym: Symbol | None) -> tuple | None:
+    def form(head: str, slots: tuple[Node, ...], sym: Symbol | None) -> tuple | None:
         keys = [s.sort if isinstance(s, SortRef) else s.elems if isinstance(s, Const) else None for s in slots]
-        marks = ["(", *[","] * (len(keys) - 1), ")"] if keys else []
-        return None if None in keys else (at - 1 + len(marks) + len(keys), at, keys, marks, sym)
+        args = r"\s*\(\s*" + r"\s*,\s*".join([_CAPTURE] * len(keys)) + r"\s*\)" if keys else ""
+        return None if None in keys else (re.compile(rf"{_CAPTURE}\s*->\s*{head}{args}").fullmatch, tuple(keys), sym)
 
     if isinstance(node, Prod):
-        return {"(": form(3, node.parts, None)}
+        return {"(": form("", node.parts, None)}
     if isinstance(node, Analytic):
-        return {format_name(sym.name): form(4, sym.slots, sym) for sym in node.symbols}
+        return {format_name(sym.name): form(re.escape(format_name(sym.name)), sym.slots, sym) for sym in node.symbols}
     return {}
 
 
@@ -676,25 +690,25 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
     sorts, f = _parse_signature(sections)
     carrier = _parse_sorted_elems(_section(sections, "states"), sorts)
     pointing = _parse_sorted_elems(sections["pointing"], sorts) if "pointing" in sections else singleton_pointing(sorts)
-    point = _elem_table(_section(sections, "init"), pointing, carrier, "pointing", "*")
-    xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
-    forms = {sort: _flat_forms(node) for sort, node in f.nodes}
     reads = _FlatReads(carrier)
-    for lineno, line in sections.get("trans", []):
-        tokens = tokenize(line, lineno)
-        # a line whose term has a flat form is read with no call per token
-        key = len(tokens) > 2 and tokens[1] == "->" and reads[None, tokens[0]]
-        form = key and forms[key[0]].get(tokens[2])
-        if form:
-            size, at, keys, marks, sym = form
-            if len(tokens) == size and tokens[at - 1::2] == marks:
-                args = [reads[k, tok] for k, tok in zip(keys, tokens[at::2])]
-                if None not in args:
-                    xi[key].append(TupleTerm(tuple(args)) if sym is None else ansym(sym.group, sym.name, args))
-                    continue
-        # any other line, or one that misses anywhere, is read by the
-        # recursive parser, which words every parse message
-        [(_n, tokens, key, pos)] = _arrow_lines([(lineno, line)], carrier, "state -> term")
+    point = _elem_table(_section(sections, "init"), _FlatReads(pointing), reads, "pointing", "*")
+    xi: dict[tuple[str, str], list[Term]] = {key: [] for key in carrier.pairs()}
+    forms = [(sort, *form) for sort, node in f.nodes for form in _flat_forms(node).values() if form]
+    trans = sections.get("trans", [])
+    read = 0
+    for _n, line in trans:
+        # a line that is whole a flat form of its state's sort, every name read, takes no token list
+        args = (None,)
+        for sort, match, keys, sym in forms:
+            if (m := match(line)) and (key := reads[None, m[1]]) and key[0] == sort:
+                args = tuple(map(reads.__getitem__, zip(keys, m.groups()[1:])))
+                break
+        if None in args:
+            break
+        xi[key].append(TupleTerm(args) if sym is None else ansym(sym.group, sym.name, args))
+        read += 1
+    # from the first line they miss on, the recursive parser words every message
+    for lineno, tokens, key, pos in _arrow_lines(trans[read:], carrier, "state -> term"):
         xi[key].append(_term_to_end(tokens, pos, f.node(key[0]), carrier, lineno))
     # each term was checked against the functor and the carrier as it was
     # parsed, so the system skips the constructor's second walk
@@ -707,7 +721,8 @@ def parse_coalgebra(text: str) -> PointedCoalgebra:
 # Carrier map files
 
 def parse_map(text: str, dom: SortedSet, cod: SortedSet):
-    return SortedFun(dom, cod, _elem_table(_section(split_sections(text), "map"), dom, cod, "image"))
+    lines = _section(split_sections(text), "map")
+    return SortedFun(dom, cod, _elem_table(lines, _FlatReads(dom), _FlatReads(cod), "image"))
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,17 @@ MUTANTS = [
     # the flat [trans] route keeps a symbol's arguments in the order written
     Mutant("flat-route-skips-canonical-order", "modelio.py",
            "ansym(sym.group, sym.name, args)", "AnSym(sym.name, tuple(args))", ("tests/test_caches.py",)),
-    # the flat [trans] route reads a line of the wrong length
+    # the flat [trans] route reads a line with trailing input
     Mutant("flat-route-skips-the-length", "modelio.py",
-           "if len(tokens) == size and tokens[at - 1::2] == marks:", "if tokens[at - 1::2] == marks:",
+           'rf"{_CAPTURE}\\s*->\\s*{head}{args}").fullmatch', 'rf"{_CAPTURE}\\s*->\\s*{head}{args}").match',
            ("tests/test_caches.py",)),
+    # the flat routes read a bare run that the tokenizer refuses, as a@b,
+    # as the name of a quoted state
+    Mutant("flat-pattern-skips-the-name-check", "modelio.py",
+           """if tok[0] == '"' or NAME_RE.fullmatch(tok):""", "if True:", ("tests/test_caches.py",)),
+    # the x -> y route looks an image up in the domain, not the codomain
+    Mutant("pair-route-skips-the-carrier", "modelio.py",
+           "(target := cod[None, m[2]])", "(target := dom[None, m[2]])", ("tests/test_caches.py",)),
     # a set lists its (sort, element) pairs with the sorts in another order
     Mutant("pairs-in-another-sort-order", "sets.py",
            "for sort, elems in zip(sorts, data) for e in elems]",

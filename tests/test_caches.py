@@ -4,7 +4,8 @@ Each cached fact is checked against a fresh computation: the functor
 flags and ``+1`` functor, a system's successor table and breadth-first
 levels (against the literal walk in ``oracles.literal_bfs``), the
 terms of systems built or parsed without the constructor's term walk,
-the flat ``[trans]`` route against the recursive term parser, set
+the flat ``[trans]`` patterns and the ``x -> y`` pattern of ``[init]``
+and ``[map]`` against the token route, set
 membership, the bounded evaluation cache, the term memo each functor
 value shares (its leaf states and images) and the elements kept on each
 permutation group.
@@ -487,10 +488,12 @@ def model_text(functor_text, states, trans):
 
 
 def recursive_parse(text):
-    """``parse_coalgebra`` with every ``[trans]`` line read by the
-    recursive term parser: no node has a flat form."""
+    """``parse_coalgebra`` with every ``[init]`` and ``[trans]`` line read
+    from its tokens: no node has a flat form, and the ``x -> y`` pattern
+    matches no line."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modelio, "_flat_forms", lambda _node: {})
+        patch.setattr(modelio, "_PAIR_RE", re.compile("(?!)"))
         return parse_coalgebra(text)
 
 
@@ -499,8 +502,8 @@ def parse_outcome(parse, text):
     the message and line it refuses ``text`` with."""
     try:
         c = parse(text)
-    except ModelParseError as exc:
-        return str(exc), exc.line
+    except CoalgError as exc:
+        return str(exc), getattr(exc, "line", None)
     return c, repr(c.xi)
 
 
@@ -536,6 +539,191 @@ BAD_CASES = {
                                 "trailing input after term: '('"),
     "unknown-symbol": ("analytic{ pair/2 [(1 2)] ; leaf/0 }", "s t", ["s -> leaf", "t -> tri(s, t, s)"],
                        "unknown symbol 'tri'"),
+    # a bare run that is no bare name is refused by the tokenizer, though
+    # its text is the name of a quoted state
+    "bare-name-of-a-quoted-state": ("prod(id, id)", 't "a@b"', ['"a@b" -> (t, t)', "a@b -> (t, t)"],
+                                    "unexpected character '@'"),
+    "bare-slot-of-a-quoted-state": ("prod(id, id)", 't "a@b"', ['t -> (t, "a@b")', "t -> (t, a@b)"],
+                                    "unexpected character '@'"),
+    "arrow-in-a-bare-run": ("prod(id, id)", 't "a->b"', ['"a->b" -> (t, t)', "a->b -> (t, t)"],
+                            "unknown element 'a'"),
+    "extra-slot": ("analytic{ p/1 ; pp/2 [(1 2)] }", "s t", ["s -> p(t)", "t -> p(s, t)"], "expected ')', got ','"),
+}
+
+# two sorts whose products have one shape, so one pattern reads the lines
+# of both and the state's sort picks the slot sorts
+SHARED_SHAPE_TEXT = """[sorts]
+P Q
+
+[functor]
+P = prod(sort(P), sort(Q))
+Q = prod(sort(Q), sort(P))
+
+[states]
+P : p q
+Q : p r
+
+[init]
+* -> P.p
+
+[trans]
+P.p -> (q, r)
+P.q -> (p,p)
+Q.p -> (r, q)
+Q.r->(p, q)
+"""
+
+# state names as model files write them: bare names holding '-', '.',
+# ':' or a glyph, alias words, and quoted names, of which "a@b", "p q" and
+# "a->b" are no bare names
+EDIT_NAMES = ("s0", "s1", "x-y", "x.y", "x:y", "s✓", "-", "unit", '"bot"', '"p q"', '"a->b"', '"a@b"')
+# each functor's flat forms, as the symbol (None for a tuple) and the slot
+# kinds: s for a state, c for a constant
+EDIT_FUNCTORS = {
+    "prod(id, id)": [(None, "ss")],
+    "prod(id, id, id)": [(None, "sss")],
+    "analytic{ pair/2 [(1 2)] ; tri/3 [(1 2 3)] ; leaf/0 }": [("pair", "ss"), ("tri", "sss"), ("leaf", "")],
+    "analytic{ p/1 ; pp/2 [(1 2)] ; leaf/0 }": [("p", "s"), ("pp", "ss"), ("leaf", "")],
+    "prod(const(a b unit), id)": [(None, "cs")],
+}
+EDIT_CONSTANTS = ("a", "b", "unit", UNIT, '"a"')
+# what a token edit may put in place of a name or a symbol
+EDIT_WORDS = ("bot", "ok", BOT, '"unit"', "P.s0", "zz", "a", "p", "pp", "leaf", "pair", "tri", "in0")
+
+
+def term_tokens(head, slots, pick):
+    """The tokens of a flat term: ``pick(kind)`` names each slot."""
+    args = [tok for i, kind in enumerate(slots) for tok in [","] * bool(i) + [pick(kind)]]
+    return ([head] if head else []) + (["(", *args, ")"] if slots or head is None else [])
+
+
+def edit_tokens(tokens, rng):
+    """``tokens`` with one token edit: a name quoted or unquoted, replaced
+    by another name, an alias word or a symbol, or qualified with a sort;
+    a trailing token; a mark dropped; or a slot added."""
+    tokens = list(tokens)
+    at = rng.randrange(len(tokens))
+    tok = tokens[at]
+    edit = rng.choice(["quote", "replace", "qualify", "trailing", "drop", "extra-slot"])
+    if edit == "quote" and tok not in ("->", "(", ")", ","):
+        tokens[at] = tok[1:-1] if tok[0] == '"' else f'"{tok}"'
+    elif edit == "replace" and tok not in ("->", "(", ")", ","):
+        tokens[at] = rng.choice(EDIT_WORDS + EDIT_NAMES)
+    elif edit == "qualify" and tok not in ("->", "(", ")", ","):
+        tokens[at:at + 1] = [f"{rng.choice('PQ')}.{tok}"] if tok[0] != '"' else [f"{rng.choice('PQ')}.", tok]
+    elif edit == "trailing":
+        tokens.append(rng.choice(EDIT_NAMES))
+    elif edit == "drop" and tok in ("->", "(", ")", ","):
+        del tokens[at]
+    elif edit == "extra-slot" and ")" in tokens:
+        end = len(tokens) - tokens[::-1].index(")") - 1
+        tokens[end:end] = [",", rng.choice(EDIT_NAMES)]
+    return tokens
+
+
+def spell(tokens, rng):
+    """A line of ``tokens``: spaced as the writers space it, or with white
+    space added or dropped at random between any two tokens, which may
+    join two names into one."""
+    if rng.random() < 0.5:
+        return " ".join(tokens).replace(" ,", ",").replace("( ", "(").replace(" )", ")").replace(" (", "(")
+    return "".join(tok + rng.choice(["", "", " ", "  ", "\t"]) for tok in tokens).strip()
+
+
+def edited_model_texts(count):
+    """Open-check-style model files, some over two sorts whose products
+    share a shape, each with one to three token edits in its ``[init]``
+    or ``[trans]`` lines and each line spaced as :func:`spell` spaces it:
+    near misses that the flat patterns must leave to the token route."""
+    rng = random.Random("token-edits")
+    for _ in range(count):
+        functor_text = rng.choice([*EDIT_FUNCTORS, "shared-shape"])
+        if functor_text == "shared-shape":
+            names = {sort: rng.sample(EDIT_NAMES, rng.randint(1, 4)) for sort in "PQ"}
+            head = SHARED_SHAPE_TEXT.split("[states]")[0] + f"[states]\nP : {' '.join(names['P'])}\n"
+            head += f"Q : {' '.join(names['Q'])}\n"
+            init = ["*", "->", "P." + names["P"][0]]
+            trans = [[f"{sort}.{x}", "->", "(", rng.choice(names[sort]), ",", rng.choice(names[other]), ")"]
+                     for sort, other in ("PQ", "QP") for x in names[sort]]
+        else:
+            names = rng.sample(EDIT_NAMES, rng.randint(1, 6))
+            head = f"[functor]\n{functor_text}\n\n[states]\n{' '.join(names)}\n"
+            init = ["*", "->", names[0]]
+            trans = [[x, "->", *term_tokens(*rng.choice(EDIT_FUNCTORS[functor_text]),
+                                            lambda kind: rng.choice(EDIT_CONSTANTS if kind == "c" else names))]
+                     for x in names for _k in range(2)]
+        lines = [init, *trans]
+        for _edit in range(rng.randint(1, 3)):
+            at = rng.randrange(len(lines))
+            lines[at] = edit_tokens(lines[at], rng)
+        yield (head + f"\n[init]\n{spell(lines[0], rng)}\n\n[trans]\n"
+               + "\n".join(spell(line, rng) for line in lines[1:]) + "\n")
+
+
+def edited_map_texts(count):
+    """Carrier map files between sets named from ``EDIT_NAMES``, over one
+    sort or over ``P`` and ``Q``, each with one to three edits: a token
+    edit, or a line written twice or left out; and each line spaced as
+    :func:`spell` spaces it.  Each comes with its domain and codomain."""
+    rng = random.Random("map-edits")
+    for _ in range(count):
+        sorts = rng.choice([(DEFAULT_SORT,), ("P", "Q")])
+        dom, cod = ({sort: rng.sample(EDIT_NAMES, rng.randint(1, 4)) for sort in sorts} for _side in "dc")
+        lines = [[x if sorts == (DEFAULT_SORT,) else f"{sort}.{x}", "->", rng.choice(cod[sort])]
+                 for sort in sorts for x in dom[sort]]
+        for _edit in range(rng.randint(1, 3)):
+            at, edit = rng.randrange(len(lines)), rng.random()
+            if edit < 0.15:
+                lines.insert(at, lines[at])
+            elif edit < 0.25 and len(lines) > 1:
+                del lines[at]
+            else:
+                lines[at] = edit_tokens(lines[at], rng)
+        yield ("[map]\n" + "\n".join(spell(line, rng) for line in lines) + "\n",
+               *(SortedSet.make({sort: [modelio._elem([x], 0, None) for x in side[sort]] for sort in sorts}, sorts)
+                 for side in (dom, cod)))
+
+
+def token_parse_map(text, dom, cod):
+    """``parse_map`` with every line read from its tokens: the ``x -> y``
+    pattern matches no line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelio, "_PAIR_RE", re.compile("(?!)"))
+        return modelio.parse_map(text, dom, cod)
+
+
+def map_outcome(parse, text, dom, cod):
+    """The table ``parse`` reads from ``text``, or the message and line it
+    refuses ``text`` with."""
+    try:
+        return parse(text, dom, cod).table
+    except CoalgError as exc:
+        return str(exc), getattr(exc, "line", None)
+
+
+def sorted_set(sorts, text):
+    """The set a ``[states]`` section of the lines of ``text`` reads as."""
+    return modelio._parse_sorted_elems(list(enumerate(text.splitlines(), start=1)), sorts)
+
+
+TWO_SORTS = ("P", "Q")
+# sorts, domain, codomain, the [map] lines, and the table read or the
+# message and line of the refusal, which the token route words
+MAP_CASES = {
+    "spacing-and-quotes": ((DEFAULT_SORT,), 's "p q" unit', 's "p q"', ['s->"p q"', '"p q"  ->  s', "unit -> s"],
+                           {("*", "s"): "p q", ("*", "p q"): "s", ("*", UNIT): "s"}),
+    "outside-the-codomain": ((DEFAULT_SORT,), "s t", "s", ["s -> s", "t -> t"], ("line 3: unknown element 't'", 3)),
+    "bare-name-of-a-quoted-state": ((DEFAULT_SORT,), 't "a@b"', 't "a@b"', ["t -> t", "a@b -> t"],
+                                    ("line 3: unexpected character '@'", 3)),
+    "bare-image-of-a-quoted-state": ((DEFAULT_SORT,), 't "a@b"', 't "a@b"', ["t -> t", '"a@b" -> a@b'],
+                                     ("line 3: unexpected character '@'", 3)),
+    "duplicate": ((DEFAULT_SORT,), "s t", "s", ["s -> s", "t -> s", "s -> s"], ("line 4: duplicate image for 's'", 4)),
+    "two-sorts": (TWO_SORTS, "P : x y\nQ : x", "P : x\nQ : z", ["P.x -> x", "y -> P.x", "Q.x -> z"],
+                  {("P", "x"): "x", ("P", "y"): "x", ("Q", "x"): "z"}),
+    "across-sorts": (TWO_SORTS, "P : x\nQ : x", "P : x\nQ : z", ["P.x -> x", "Q.x -> P.x"],
+                     ("line 3: image must stay within its sort", 3)),
+    "ambiguous": (TWO_SORTS, "P : x\nQ : x", "P : x\nQ : z", ["x -> x"],
+                  ("line 2: ambiguous element 'x'; qualify as sort.elem", 2)),
 }
 
 
@@ -572,6 +760,21 @@ class TestFlatRoute:
         assert parse_outcome(parse_coalgebra, text) == (f"line 12: {message}", 12)
         assert parse_outcome(recursive_parse, text) == (f"line 12: {message}", 12)
 
+    def test_token_edited_texts_agree_with_the_recursive_parser(self):
+        read = 0
+        for text in edited_model_texts(400):
+            outcome = parse_outcome(parse_coalgebra, text)
+            assert outcome == parse_outcome(recursive_parse, text), text
+            read += isinstance(outcome[0], PointedCoalgebra)
+        # the edits leave many files readable and make many refused
+        assert 40 < read < 360
+
+    def test_shared_shape_agrees_with_the_recursive_parser(self):
+        outcome = parse_outcome(parse_coalgebra, SHARED_SHAPE_TEXT)
+        assert outcome == parse_outcome(recursive_parse, SHARED_SHAPE_TEXT)
+        assert outcome[0].xi[("P", "q")] == (TupleTerm((Var("P", "p"), Var("Q", "p"))),)
+        assert outcome[0].xi[("Q", "p")] == (TupleTerm((Var("Q", "r"), Var("P", "q"))),)
+
 
 def term_parses(text):
     """How many times ``_parse_term`` is called while ``text`` is parsed."""
@@ -602,6 +805,49 @@ class TestFlatRouteSpy:
                              ids=["coproduct", "compose", "multisorted"])
     def test_other_lines_reach_it(self, name):
         assert term_parses((FIXTURES / "compose" / name).read_text(encoding="utf-8")) > 0
+
+    def test_sorts_sharing_a_shape_skip_it(self):
+        assert term_parses(SHARED_SHAPE_TEXT) == 0
+
+    def test_a_second_file_of_one_functor_compiles_no_pattern(self, monkeypatch):
+        compiled = []
+        real = re.compile
+        monkeypatch.setattr(re, "compile", lambda *args: compiled.append(args) or real(*args))
+        modelio._flat_forms.cache_clear()
+        first = parse_coalgebra(model_text(OPEN_CHECK_FUNCTORS[2], "s t", ["s -> pair(s, t)", "t -> leaf"]))
+        assert len(compiled) == 3
+        # the functor line stands elsewhere, so the second file builds its own functor
+        second = parse_coalgebra("\n" + model_text(OPEN_CHECK_FUNCTORS[2], "u", ["u -> tri(u, u, u)"]))
+        assert second.functor is not first.functor
+        assert len(compiled) == 3
+        assert modelio._flat_forms.cache_info().maxsize is not None
+
+
+class TestPairRoute:
+    """``[map]`` and ``[init]`` lines read by the one ``x -> y`` pattern,
+    up to the first it misses, take no token list; the table, or the
+    refusal, is the one the token route reads."""
+
+    def test_token_edited_maps_agree_with_the_token_route(self):
+        read = 0
+        for text, dom, cod in edited_map_texts(400):
+            outcome = map_outcome(modelio.parse_map, text, dom, cod)
+            assert outcome == map_outcome(token_parse_map, text, dom, cod), text
+            read += isinstance(outcome, dict)
+        assert 40 < read < 360
+
+    @pytest.mark.parametrize("case", MAP_CASES.values(), ids=list(MAP_CASES))
+    def test_hand_case(self, case):
+        sorts, dom, cod, lines, expected = case
+        text = "[map]\n" + "\n".join(lines) + "\n"
+        dom, cod = sorted_set(sorts, dom), sorted_set(sorts, cod)
+        assert map_outcome(modelio.parse_map, text, dom, cod) == expected
+        assert map_outcome(token_parse_map, text, dom, cod) == expected
+
+    def test_init_lines_agree_with_the_token_route(self):
+        for init in ["*->s", '"*" -> "p q"', "* -> unit", "s", "* -> s s", "* -> zz", "* -> s\n* -> s", "* -> a@b"]:
+            text = f'[functor]\nprod(id, id)\n\n[states]\ns "p q" unit "a@b"\n\n[init]\n{init}\n\n[trans]\n'
+            assert parse_outcome(parse_coalgebra, text) == parse_outcome(recursive_parse, text)
 
 
 def signature(text):
